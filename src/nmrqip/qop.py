@@ -108,6 +108,9 @@ class PauliString:
 
 
 _PAULI_DENSE_CACHE: dict[str, np.ndarray] = {}
+# words on more qubits are rebuilt on each call; all 4^5 five-qubit words
+# together take 16 MiB, one seven-qubit word 256 KiB
+_PAULI_DENSE_CACHE_MAX_N = 5
 
 
 def _pauli_dense_cached(word: str) -> np.ndarray:
@@ -115,7 +118,8 @@ def _pauli_dense_cached(word: str) -> np.ndarray:
     if mat is None:
         mat = tensor(*(PAULIS[c] for c in word))
         mat.setflags(write=False)
-        _PAULI_DENSE_CACHE[word] = mat
+        if len(word) <= _PAULI_DENSE_CACHE_MAX_N:
+            _PAULI_DENSE_CACHE[word] = mat
     return mat
 
 

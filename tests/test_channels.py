@@ -1,5 +1,7 @@
 """Kraus-map plumbing tested against explicit sum_k K rho K^dag loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,12 @@ from nmrqip.channels import (
     pauli_transfer_eigenvalue,
     t1t2_channel,
 )
+from nmrqip.cli import DEFAULT_CONFIGS
 from nmrqip.qop import (
     PauliString,
+    all_pauli_words,
     bloch_vector,
+    embed,
     haar_random_unitary,
     ket_density,
     pauli_dense,
@@ -171,3 +176,87 @@ def test_interleave_matches_manual(rng):
     for u in (u1, u2):
         ref = noise.apply(u @ ref @ u.conj().T)
     assert np.allclose(got, ref, atol=1e-12)
+
+
+def random_pauli_probs(n: int, rng) -> dict:
+    """Random Pauli channel on n qubits, dense or supported on a few words."""
+    words = all_pauli_words(n)
+    if rng.random() < 0.5:
+        words = list(rng.choice(words, size=min(len(words), 1 + rng.integers(4)),
+                                replace=False))
+    p = rng.dirichlet(np.ones(len(words)))
+    return dict(zip(words, p))
+
+
+def dense_pauli_sum(probs: dict, rho, qubits=None, n=None):
+    """sum_Q p_Q Q rho Q with each word placed on the given register qubits."""
+    out = np.zeros_like(rho)
+    for word, p in probs.items():
+        q = pauli_dense(word) if qubits is None else embed(pauli_dense(word), qubits, n)
+        out += p * q @ rho @ q
+    return out
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_pauli_transform_matches_dense_kraus_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    probs = random_pauli_probs(n, rng)
+    ch = Channel.from_pauli_probs(probs)
+    d = 2**n
+    rho = random_density(d, rng)
+    assert np.allclose(ch.apply(rho), dense_pauli_sum(probs, rho), rtol=0, atol=1e-12)
+
+    u = haar_random_unitary(d, rng)
+    got = ch.then(Channel.unitary(u)).apply(rho)
+    ref = u @ dense_pauli_sum(probs, rho) @ u.conj().T
+    assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+    if n < 4:
+        big = n + 1
+        qubits = [int(q) + 1 for q in rng.permutation(big)[:n]]
+        rho_big = random_density(2**big, rng)
+        ref = dense_pauli_sum(probs, rho_big, qubits, big)
+        assert np.allclose(ch.on(qubits, big).apply(rho_big), ref, rtol=0, atol=1e-12)
+
+        other = random_pauli_probs(1, rng)
+        joint = {w + v: p * q for w, p in probs.items() for v, q in other.items()}
+        got = ch.tensor(Channel.from_pauli_probs(other)).apply(rho_big)
+        assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
+
+    for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
+        p = pauli_dense(word)
+        survival = np.trace(p @ ch.apply((np.eye(d) + p) / d)).real
+        assert survival == pytest.approx(pauli_transfer_eigenvalue(probs, word), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(st.integers(1, 4), st.floats(0.0, 1.0))
+def test_depolarizing_composite_matches_kraus_oracle(n, p):
+    rng = np.random.default_rng(n)
+    d = 2**n
+    u = haar_random_unitary(d, rng)
+    rho = random_density(d, rng)
+    ch = Channel.depolarizing(n, p).then(Channel.unitary(u))
+    ref = sum(k @ rho @ k.conj().T for k in ch.kraus())
+    assert np.allclose(ch.apply(rho), ref, rtol=0, atol=1e-12)
+
+
+def test_pauli_channel_n7_memory():
+    n, d = 7, 128
+    probs = pauli_probs_by_weight(n, {int(w): m for w, m in
+                                      DEFAULT_CONFIGS["twirl"]["weight_masses"].items()})
+    z1 = pauli_dense("Z" + "I" * (n - 1))
+    rho = (np.eye(d) + z1) / d
+    tracemalloc.start()
+    try:
+        ch = Channel.from_pauli_probs(probs)
+        out = ch.apply(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    lam = pauli_transfer_eigenvalue(probs, "Z" + "I" * (n - 1))
+    assert np.allclose(out, (np.eye(d) + lam * z1) / d, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        ch.kraus()

@@ -48,6 +48,17 @@ def test_qubit_one_is_leftmost_factor():
     assert np.allclose(pauli_dense("XZ"), np.kron(SIGMA_X, SIGMA_Z))
 
 
+def test_pauli_dense_cache_skips_seven_qubit_words():
+    from nmrqip import qop
+
+    before = len(qop._PAULI_DENSE_CACHE)
+    mat = PauliString("XYZIZYX").dense()
+    assert len(qop._PAULI_DENSE_CACHE) == before
+    ref = np.kron(np.kron(SIGMA_X, SIGMA_Y), np.kron(SIGMA_Z, np.eye(2)))
+    ref = np.kron(ref, np.kron(np.kron(SIGMA_Z, SIGMA_Y), SIGMA_X))
+    assert np.array_equal(mat, ref)
+
+
 def test_ket0_is_plus_z():
     assert np.allclose(SIGMA_Z @ KET0, KET0)
     assert np.allclose(SIGMA_Z @ KET1, -KET1)
