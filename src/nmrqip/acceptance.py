@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import CliffordTableau, gate_tableau
+from .clifford import CliffordTableau, circuit_unitary, gate_tableau
 from .control import (
     GrapeConfig,
     _fd_gradient,
@@ -89,24 +89,13 @@ class CriterionResult:
     details: dict
 
 
-def _cnot_dense(control: int, target: int, n: int) -> np.ndarray:
-    d = 2**n
-    u = np.zeros((d, d), dtype=complex)
-    for b in range(d):
-        if (b >> (n - control)) & 1:
-            u[b ^ (1 << (n - target)), b] = 1.0
-        else:
-            u[b, b] = 1.0
-    return u
-
-
 # ---------------------------------------------------------------------------
 # 1. pulse search reaches a CNOT on the two-spin fixture
 
 
 def _crit_grape(base_seed):
     sys_ = builtin_molecule("chloroform2")
-    u_target = _cnot_dense(1, 2, 2)
+    u_target = circuit_unitary([("CNOT", (1, 2))], 2)
     names, ops = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
     init = random_pulse(250, 2e-5, names, u_max=u_max, seed=base_seed + 11)
@@ -147,7 +136,7 @@ def _crit_grape(base_seed):
 def _crit_cnot_sequence(base_seed):
     sys_ = builtin_molecule("chloroform2")
     u = cnot_sequence(sys_, 1, 2)
-    overlap = abs(np.trace(u @ _cnot_dense(1, 2, 2).conj().T)) / 4
+    overlap = abs(np.trace(u @ circuit_unitary([("CNOT", (1, 2))], 2).conj().T)) / 4
     err = abs(overlap - 1.0)
     return (err <= 1e-10,
             f"|Tr(U CNOT^dag)|/4 = 1 - {err:.2e}",
@@ -213,13 +202,9 @@ def _crit_twirl(base_seed):
 # 4. Clifford certification matches the exact average fidelity
 
 
-def _tab_key(tab: CliffordTableau):
-    return tuple((p.word, int(p.phase.real)) for p in (*tab.x_images, *tab.z_images))
-
-
 def _clifford_closure(generators, n):
     ident = CliffordTableau.identity(n)
-    seen = {_tab_key(ident)}
+    seen = {ident}
     frontier = [ident]
     out = [ident]
     while frontier:
@@ -227,9 +212,8 @@ def _clifford_closure(generators, n):
         for tab in frontier:
             for gen in generators:
                 nxt = tab.then(gen)
-                key = _tab_key(nxt)
-                if key not in seen:
-                    seen.add(key)
+                if nxt not in seen:
+                    seen.add(nxt)
                     new.append(nxt)
                     out.append(nxt)
         frontier = new
@@ -240,7 +224,7 @@ _CLIFFORD_GROUP_SIZES = {1: 24, 2: 11520}  # group order mod global phase
 
 
 def _crit_certify(base_seed):
-    u = _cnot_dense(1, 2, 2)
+    u = circuit_unitary([("CNOT", (1, 2))], 2)
     tab = gate_tableau("CNOT", (1, 2), 2)
     parts, details, passed = [], {}, True
     for i, p in enumerate((0.05, 0.1, 0.2)):
@@ -661,7 +645,3 @@ def run_criterion(name: str, base_seed: int = 0) -> CriterionResult:
     passed, measured, expected, details = fn(base_seed)
     return CriterionResult(name, bool(passed), measured, expected,
                            time.perf_counter() - t0, details)
-
-
-def run_all(names=None, base_seed: int = 0):
-    return [run_criterion(n, base_seed) for n in (names or CRITERIA)]

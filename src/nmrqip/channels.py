@@ -19,7 +19,7 @@ full Kraus set for n <= 5, as the exact oracle.
 Pauli vectors are indexed x * 2^m + z, where x and z are the bit masks of
 the word's X and Z parts (qubit 1 most significant): I = (0, 0),
 X = (1, 0), Z = (0, 1), Y = (1, 1).  The index's binary digits are the
-word's symplectic bit vector in nmrqip.clifford.
+word's symplectic bit vector, the (x, z) masks of qop.PauliString.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import hadamard
 
-from .clifford import _from_bits, _to_bits
-from .qop import SIGMA_I, SIGMA_Z, PauliString, all_pauli_words, embed, n_qubits, pauli_dense
+from .qop import SIGMA_I, SIGMA_Z, PauliString, all_pauli_words, embed, n_qubits
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
 # Eigenvalue spread below which a Pauli channel is applied as depolarizing.
@@ -76,15 +75,6 @@ def compress_kraus(kraus, tol=1e-12):
 
 def _is_pauli(op) -> bool:
     return isinstance(op, np.ndarray)
-
-
-def _xz_index(word: str) -> int:
-    """Index of a Pauli word in a Pauli probability vector."""
-    return int("".join(map(str, _to_bits(PauliString(word)))), 2)
-
-
-def _xz_word(index: int, m: int) -> str:
-    return _from_bits([index >> s & 1 for s in range(2 * m - 1, -1, -1)], m).word
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +199,8 @@ class Channel:
         for word, p in probs.items():
             if len(word) != n:
                 raise ValueError(f"Pauli word {word!r} is not on {n} qubits")
-            vec[_xz_index(word)] += p
+            q = PauliString(word)
+            vec[q.x << n | q.z] += p
         return cls(n, [(vec, tuple(range(1, n + 1)))])
 
     @classmethod
@@ -274,7 +265,8 @@ class Channel:
         for op, qubits in self.factors:
             if _is_pauli(op):
                 m = len(qubits)
-                op = [np.sqrt(op[i]) * pauli_dense(_xz_word(i, m)) for i in np.flatnonzero(op)]
+                op = [np.sqrt(op[i]) * PauliString.from_bits(m, i >> m, i & (2**m - 1)).dense()
+                      for i in np.flatnonzero(op).tolist()]
             lifted = [embed(k, qubits, self.n) for k in op]
             out = [lk @ o for o in out for lk in lifted]
             if len(out) > self.dim**2:
@@ -308,10 +300,6 @@ class Channel:
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.apply(rho)
-
-
-def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    return ch.apply(rho)
 
 
 def pauli_probs_by_weight(n: int, weight_masses: dict) -> dict:

@@ -31,7 +31,7 @@ import scipy.linalg
 
 from . import __version__
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import gate_tableau
+from .clifford import circuit_unitary, gate_tableau
 from .control import (
     GrapeConfig,
     control_channels,
@@ -213,14 +213,7 @@ def _cnot_unitary(control: int, target: int, n: int) -> np.ndarray:
     """Computational-basis CNOT; qubit 1 is the most significant bit."""
     if control == target or not (1 <= control <= n and 1 <= target <= n):
         raise ConfigError(f"bad control/target pair ({control}, {target}) for n={n}")
-    d = 2**n
-    u = np.zeros((d, d), dtype=complex)
-    for b in range(d):
-        if (b >> (n - control)) & 1:
-            u[b ^ (1 << (n - target)), b] = 1.0
-        else:
-            u[b, b] = 1.0
-    return u
+    return circuit_unitary([("CNOT", (control, target))], n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +231,19 @@ def _run_grape(cfg, seed, shots):
     u_max = 2 * np.pi * _require_number(cfg, "u_max_hz", 1.0)
     rf = cfg["rf_distribution"]
     if not isinstance(rf, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in rf
+        isinstance(p, list) and len(p) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+        for p in rf
     ):
-        raise ConfigError("rf_distribution must be a list of [scale, weight] pairs")
+        raise ConfigError("rf_distribution must be a list of [scale, weight] number pairs")
+    rf = tuple((float(s), float(w)) for s, w in rf)
+    if abs(sum(w for _, w in rf) - 1.0) > 1e-9:
+        raise ConfigError("rf_distribution weights must sum to 1")
     gcfg = GrapeConfig(
         max_iters=_require_int(cfg, "max_iters", 1),
         target_fidelity=_require_number(cfg, "target_fidelity", 1e-6, 1.0),
         gradient_mode=_choice(cfg, "gradient_mode", ("exact", "finite-difference")),
-        rf_distribution=tuple((float(s), float(w)) for s, w in rf),
+        rf_distribution=rf,
         u_max=u_max,
         seed=seed,
     )
@@ -904,6 +902,8 @@ def _repro_main(argv) -> int:
             "seed": args.seed,
             "criteria": {r.name: bool(r.passed) for r in results},
             "wall_time_s": sum(r.runtime_s for r in results),
+            "runtime_s": {r.name: r.runtime_s for r in results},
+            "details": {r.name: _jsonable(r.details) for r in results},
             "versions": {"nmrqip": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__,
                          "python": platform.python_version()},

@@ -2,7 +2,8 @@
 
 A tableau stores the signed Pauli images of the X_i and Z_i generators.
 Conjugation of arbitrary Pauli strings, composition, inversion, and exact
-dense reconstruction all follow from those images.
+dense reconstruction all follow from those images; the first three are
+integer operations on the images' symplectic bits (see nmrqip.qop).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qop import PauliString, basis_ket, n_qubits, pauli_dense
+from .qop import PauliString, all_pauli_words, n_qubits, pauli_dense
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class CliffordTableau:
                 raise ValueError("image length mismatch")
             if img.phase not in (1 + 0j, -1 + 0j):
                 raise ValueError("generator images must be Hermitian (phase +-1)")
-        gens = list(self.x_images) + list(self.z_images)
         for i in range(self.n):
             for j in range(self.n):
                 xc = self.x_images[i].commutes(self.x_images[j])
@@ -40,14 +40,13 @@ class CliffordTableau:
                     raise ValueError("images break generator commutation")
                 if cross != (i != j):
                     raise ValueError("images break symplectic pairing")
-        del gens
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xs = tuple(PauliString("I" * i + "X" + "I" * (n - i - 1)) for i in range(n))
-        zs = tuple(PauliString("I" * i + "Z" + "I" * (n - i - 1)) for i in range(n))
+        xs = tuple(PauliString.from_bits(n, 1 << (n - 1 - i), 0) for i in range(n))
+        zs = tuple(PauliString.from_bits(n, 0, 1 << (n - 1 - i)) for i in range(n))
         return cls(n, xs, zs)
 
     @classmethod
@@ -66,19 +65,16 @@ class CliffordTableau:
     # -- algebra ------------------------------------------------------------
 
     def conjugate(self, p: PauliString) -> PauliString:
-        """C p C^dag, tracked symbolically (Y = i X Z bookkeeping)."""
+        """C p C^dag for p = i^k X^x Z^z: i^k times the images of the set x
+        bits, then the images of the set z bits."""
         if p.n != self.n:
             raise ValueError("length mismatch")
-        out = PauliString("I" * self.n, p.phase)
-        for q, letter in enumerate(p.word):
-            if letter == "I":
-                continue
-            if letter == "X":
-                out = out * self.x_images[q]
-            elif letter == "Z":
-                out = out * self.z_images[q]
-            else:  # Y = i X Z
-                out = PauliString(out.word, out.phase * 1j) * self.x_images[q] * self.z_images[q]
+        n = self.n
+        out = PauliString.from_bits(n, 0, 0, p.k)
+        bits = p.x << n | p.z  # the x bits, then the z bits, qubit 1 first
+        for s, img in zip(range(2 * n - 1, -1, -1), self.x_images + self.z_images):
+            if bits >> s & 1:
+                out = out * img
         return out
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
@@ -88,20 +84,26 @@ class CliffordTableau:
         return CliffordTableau(self.n, xs, zs)
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of C^dag via GF(2) inversion of the symplectic matrix."""
+        """Tableau of C^dag.
+
+        With the generator images' (x, z) bits as the rows of the symplectic
+        matrix M, the inverse's bit matrix is Omega M^T Omega, where
+        Omega = [[0, I], [I, 0]]: the image of X_i collects bit i of the Z
+        parts, the image of Z_i bit i of the X parts.
+        """
         n = self.n
-        mat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for i in range(n):
-            mat[i] = _to_bits(self.x_images[i])
-            mat[n + i] = _to_bits(self.z_images[i])
-        inv = _gf2_inv(mat)
+        xx = [img.x for img in self.x_images]
+        xz = [img.z for img in self.x_images]
+        zx = [img.x for img in self.z_images]
+        zz = [img.z for img in self.z_images]
         xs, zs = [], []
         for i in range(n):
-            for row, out in ((inv[i], xs), (inv[n + i], zs)):
-                cand = _from_bits(row, n)
-                fwd = self.conjugate(cand)
-                # fwd must be +-(X_i or Z_i); fold the sign back into cand
-                out.append(PauliString(cand.word, cand.phase * fwd.phase))
+            b = n - 1 - i
+            for x, z, out in ((_column(zz, b), _column(xz, b), xs),
+                              (_column(zx, b), _column(xx, b), zs)):
+                fwd = self.conjugate(PauliString.from_bits(n, x, z))
+                # fwd must be +-(X_i or Z_i); fold the sign back in
+                out.append(PauliString.from_bits(n, x, z, (x & z).bit_count() + fwd.k))
         return CliffordTableau(n, tuple(xs), tuple(zs))
 
     # -- dense --------------------------------------------------------------
@@ -210,7 +212,7 @@ class CliffordTableau:
 def _dense_to_pauli(m: np.ndarray, n: int) -> PauliString:
     d = 2**n
     best = None
-    for word in _words(n):
+    for word in all_pauli_words(n):
         c = np.trace(pauli_dense(word).conj().T @ m) / d
         if abs(c) > 0.5:
             best = (word, complex(c))
@@ -223,47 +225,10 @@ def _dense_to_pauli(m: np.ndarray, n: int) -> PauliString:
     return PauliString(word, c / abs(c))
 
 
-def _words(n: int):
-    words = [""]
-    for _ in range(n):
-        words = [w + c for w in words for c in "IXYZ"]
-    return words
-
-
-def _to_bits(p: PauliString) -> np.ndarray:
-    n = p.n
-    bits = np.zeros(2 * n, dtype=np.uint8)
-    for q, letter in enumerate(p.word):
-        if letter in "XY":
-            bits[q] = 1
-        if letter in "ZY":
-            bits[n + q] = 1
-    return bits
-
-
-def _from_bits(bits: np.ndarray, n: int) -> PauliString:
-    letters = []
-    for q in range(n):
-        x, z = bits[q], bits[n + q]
-        letters.append("IXZY"[x + 2 * z] if x + 2 * z < 3 else "Y")
-    return PauliString("".join(letters))
-
-
-def _gf2_inv(mat: np.ndarray) -> np.ndarray:
-    m = mat.astype(np.uint8).copy()
-    k = m.shape[0]
-    aug = np.concatenate([m, np.eye(k, dtype=np.uint8)], axis=1)
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, k) if aug[r, col]), None)
-        if piv is None:
-            raise ValueError("singular matrix over GF(2)")
-        aug[[row, piv]] = aug[[piv, row]]
-        for r in range(k):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        row += 1
-    return aug[:, k:]
+def _column(masks, b: int) -> int:
+    """Mask whose qubit-j bit is bit b of masks[j] (qubit 1 most significant)."""
+    n = len(masks)
+    return sum((m >> b & 1) << (n - 1 - j) for j, m in enumerate(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +313,6 @@ def _dense_gate(name: str) -> np.ndarray:
 
 def all_1q_cliffords():
     """The 24 single-qubit Clifford tableaux, fixed enumeration order."""
-    singles = {
-        "X": PauliString("X"), "Y": PauliString("Y"), "Z": PauliString("Z"),
-    }
     out = []
     for xw in "XYZ":
         for xsign in (1, -1):

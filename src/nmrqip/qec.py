@@ -1,9 +1,8 @@
 """Stabilizer codes, syndrome cycles, transversality, magic-state distillation.
 
 Codes are k=1 stabilizer codes given by generator and logical Pauli strings;
-their encoding circuits are synthesized from a completed Clifford tableau,
-so encode/decode are exact Clifford unitaries rather than hand-built gate
-lists.
+their encoding unitaries are built from a completed Clifford tableau, so
+encode/decode are exact Clifford unitaries rather than hand-built gate lists.
 """
 
 from __future__ import annotations
@@ -14,59 +13,37 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .clifford import CliffordTableau, _gf2_inv  # noqa: F401  (inv reuse below)
+from .clifford import CliffordTableau
 from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, controlled,
-                  embed, ket_density, n_qubits, partial_trace, state_fidelity,
-                  tensor)
+                  embed, ket_density, partial_trace, state_fidelity)
 
 MAGIC_AXIS = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3)
 
 
-def _symp_bits(p: PauliString) -> np.ndarray:
-    n = p.n
-    bits = np.zeros(2 * n, dtype=np.uint8)
-    for q, letter in enumerate(p.word):
-        if letter in "XY":
-            bits[q] = 1
-        if letter in "ZY":
-            bits[n + q] = 1
-    return bits
+def _gf2_solve(rows, rhs, width: int) -> int:
+    """One solution s of parity(rows[r] & s) = rhs[r] over GF(2).
 
-
-def _symp_row(p: PauliString) -> np.ndarray:
-    b = _symp_bits(p)
-    n = p.n
-    return np.concatenate([b[n:], b[:n]])  # swapped halves: row . bits = commutator
-
-
-def _bits_to_pauli(bits: np.ndarray, n: int) -> PauliString:
-    letters = ["IXZY"[bits[q] + 2 * bits[n + q]] for q in range(n)]
-    return PauliString("".join(letters))
-
-
-def _gf2_solve(rows, rhs):
-    a = np.array(rows, dtype=np.uint8)
-    b = np.array(rhs, dtype=np.uint8)
-    m, cols = a.shape
-    aug = np.concatenate([a, b[:, None]], axis=1)
+    Rows and s are width-bit int masks, eliminated from the most significant
+    bit down; free variables are set to 0.
+    """
+    aug = [row << 1 | b for row, b in zip(rows, rhs)]  # rhs in bit 0
+    m = len(aug)
     pivots = []
     row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, m) if aug[r, col]), None)
+    for col in range(width - 1, -1, -1):
+        bit = 2 << col
+        piv = next((r for r in range(row, m) if aug[r] & bit), None)
         if piv is None:
             continue
-        aug[[row, piv]] = aug[[piv, row]]
+        aug[row], aug[piv] = aug[piv], aug[row]
         for r in range(m):
-            if r != row and aug[r, col]:
+            if r != row and aug[r] & bit:
                 aug[r] ^= aug[row]
         pivots.append(col)
         row += 1
-    if any(aug[r, -1] for r in range(row, m)):
+    if any(aug[r] & 1 for r in range(row, m)):
         raise ValueError("inconsistent GF(2) system")
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, -1]
-    return x
+    return sum((aug[r] & 1) << col for r, col in enumerate(pivots))
 
 
 @dataclass(frozen=True)
@@ -107,13 +84,16 @@ class StabilizerCode:
         n = self.n_physical
         z_imgs = [self.logical_z, *self.generators]
         x_imgs = [self.logical_x]
+        # the row (z, x) of P against the unknown (x, z) has the parity of
+        # the commutator: 1 exactly when P anticommutes with the solution
         for j in range(1, n):
-            rows = [_symp_row(zi) for zi in z_imgs]
+            rows = [zi.z << n | zi.x for zi in z_imgs]
             rhs = [1 if k == j else 0 for k in range(n)]
             for xi in x_imgs:
-                rows.append(_symp_row(xi))
+                rows.append(xi.z << n | xi.x)
                 rhs.append(0)
-            x_imgs.append(_bits_to_pauli(_gf2_solve(rows, rhs), n))
+            s = _gf2_solve(rows, rhs, 2 * n)
+            x_imgs.append(PauliString.from_bits(n, s >> n, s & (2**n - 1)))
         tab = CliffordTableau(n, tuple(x_imgs), tuple(z_imgs))
         self._cache["tableau"] = tab
         return tab
@@ -122,12 +102,6 @@ class StabilizerCode:
         if "unitary" not in self._cache:
             self._cache["unitary"] = self.encoding_tableau().to_unitary()
         return self._cache["unitary"]
-
-    def encoding_circuit(self):
-        """[(gate name, qubits)] realization of the encoding unitary."""
-        if "circuit" not in self._cache:
-            self._cache["circuit"] = self.encoding_tableau().decompose()
-        return self._cache["circuit"]
 
     # -- syndrome machinery --------------------------------------------------
 
@@ -273,6 +247,7 @@ def correction_cycle(code: StabilizerCode, rho: np.ndarray, rng=None) -> np.ndar
 _LOGICAL_GATES = {
     "I": np.eye(2, dtype=complex),
     "X": SIGMA_X,
+    "Z": SIGMA_Z,
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
 }
 
@@ -281,7 +256,7 @@ def logical_gate(code: StabilizerCode, gate: str) -> np.ndarray:
     """Encoded realization E (u x I) E^dag of a single-qubit gate."""
     u = _LOGICAL_GATES.get(gate)
     if u is None:
-        raise ValueError(f"unsupported logical gate {gate!r}; have I, X, H")
+        raise ValueError(f"unsupported logical gate {gate!r}; have {', '.join(_LOGICAL_GATES)}")
     e = code.encoding_unitary()
     d_rest = 2 ** (code.n_physical - 1)
     return e @ np.kron(u, np.eye(d_rest, dtype=complex)) @ e.conj().T
@@ -354,27 +329,11 @@ def transversal_cnot_demo(variant: str, error: PauliString | None = None) -> int
     if error.n == 3:
         error = PauliString(error.word + "III", error.phase)
     propagated = tab.conjugate(error)
-    return sum(c != "I" for c in propagated.word[3:])
+    return ((propagated.x | propagated.z) & 0b111).bit_count()  # qubits 4-6
 
 
 # ---------------------------------------------------------------------------
 # magic states and distillation
-
-
-@dataclass(frozen=True)
-class MagicState:
-    bloch: tuple
-    purity: float
-
-    @classmethod
-    def target(cls) -> "MagicState":
-        v = 1 / np.sqrt(3)
-        return cls((v, v, v), 1.0)
-
-    def density(self) -> np.ndarray:
-        x, y, z = self.bloch
-        return (np.eye(2, dtype=complex)
-                + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2
 
 
 def magic_density(p: float) -> np.ndarray:

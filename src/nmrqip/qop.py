@@ -11,11 +11,17 @@ Conventions used across the package:
 
 States are plain complex ndarrays (density operators unless noted), which
 keeps the linear algebra composable; validators below enforce the contracts.
+
+A PauliString is stored in the symplectic (Aaronson-Gottesman) form
+i^k X^x Z^z: x and z are int bit masks of its X and Z parts with qubit 1 as
+the most significant bit (X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the
+phase exponent mod 4.  Since Y = i X Z, the word's phase (the sign in front
+of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
+commutation are integer operations on (x, z, k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -29,17 +35,8 @@ PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
-# single-letter products: (a, b) -> (phase, letter) with a*b = phase*letter
-_LETTER_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
-
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
+# i^e for e = 0..3; PauliString.phase is _PHASES[k - popcount(x & z)]
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def tensor(*ops):
@@ -54,57 +51,96 @@ def n_qubits(dim: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """Signed Pauli word, e.g. -1 * XZI, with phase restricted to +-1, +-i."""
+    """Pauli operator i^k X^x Z^z, e.g. -XZI; see the module docstring.
 
-    word: str
-    phase: complex = 1 + 0j
+    Built from a word and a phase in {+-1, +-i}, PauliString("XZ", -1), or
+    from its bits with from_bits.  Instances are values: they compare and
+    hash by (n, x, z, k) and are never modified after construction.
+    """
 
-    def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.word):
-            raise ValueError(f"bad Pauli word {self.word!r}")
-        ph = complex(self.phase)
-        if not any(abs(ph - p) < 1e-12 for p in _PHASES):
-            raise ValueError(f"phase {ph} not a fourth root of unity")
-        # snap to the exact root so equality is exact
-        object.__setattr__(self, "phase", min(_PHASES, key=lambda p: abs(ph - p)))
+    __slots__ = ("n", "x", "z", "k", "_word")
+
+    def __init__(self, word: str, phase: complex = 1 + 0j):
+        x = z = 0
+        for c in word:
+            bits = _LETTER_BITS.get(c)
+            if bits is None:
+                raise ValueError(f"bad Pauli word {word!r}")
+            x = x << 1 | bits[0]
+            z = z << 1 | bits[1]
+        ph = complex(phase)
+        e = _PHASE_EXPONENT.get(ph)
+        if e is None:
+            e = next((e for e, p in enumerate(_PHASES) if abs(ph - p) < 1e-12), None)
+            if e is None:
+                raise ValueError(f"phase {ph} not a fourth root of unity")
+        self.n, self.x, self.z = len(word), x, z
+        self.k = (e + (x & z).bit_count()) % 4
+        self._word = word
+
+    @classmethod
+    def from_bits(cls, n: int, x: int, z: int, k: int | None = None) -> "PauliString":
+        """i^k X^x Z^z on n qubits; k defaults to popcount(x & z), phase +1."""
+        p = object.__new__(cls)
+        p.n, p.x, p.z = n, x, z
+        p.k = (x & z).bit_count() if k is None else k % 4
+        p._word = None
+        return p
 
     @property
-    def n(self) -> int:
-        return len(self.word)
+    def word(self) -> str:
+        if self._word is None:
+            x, z = self.x, self.z
+            self._word = "".join(
+                "IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in range(self.n - 1, -1, -1)
+            )
+        return self._word
+
+    @property
+    def phase(self) -> complex:
+        return _PHASES[(self.k - (self.x & self.z).bit_count()) % 4]
 
     @property
     def weight(self) -> int:
-        return sum(c != "I" for c in self.word)
+        return (self.x | self.z).bit_count()
+
+    def __eq__(self, other):
+        if not isinstance(other, PauliString):
+            return NotImplemented
+        return (self.n, self.x, self.z, self.k) == (other.n, other.x, other.z, other.k)
+
+    def __hash__(self):
+        return hash((self.n, self.x, self.z, self.k))
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("length mismatch")
-        phase = self.phase * other.phase
-        letters = []
-        for a, b in zip(self.word, other.word):
-            p, c = _LETTER_PRODUCT[(a, b)]
-            phase *= p
-            letters.append(c)
-        return PauliString("".join(letters), phase)
+        # Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1
+        k = self.k + other.k + 2 * (self.z & other.x).bit_count()
+        return PauliString.from_bits(self.n, self.x ^ other.x, self.z ^ other.z, k)
 
     def commutes(self, other: "PauliString") -> bool:
-        clashes = sum(
-            1
-            for a, b in zip(self.word, other.word)
-            if a != "I" and b != "I" and a != b
-        )
-        return clashes % 2 == 0
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def dense(self) -> np.ndarray:
-        if self.phase == 1:
+        phase = self.phase
+        if phase == 1:
             return _pauli_dense_cached(self.word)
-        return self.phase * _pauli_dense_cached(self.word)
+        return phase * _pauli_dense_cached(self.word)
+
+    def __repr__(self):
+        return f"PauliString({self.word!r}, {self.phase!r})"
 
     def __str__(self):
         tag = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
         return f"{tag}{self.word}"
+
+
+# letter -> (x bit, z bit)
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+# exact phases; others are matched to _PHASES within 1e-12
+_PHASE_EXPONENT = {p: e for e, p in enumerate(_PHASES)}
 
 
 _PAULI_DENSE_CACHE: dict[str, np.ndarray] = {}

@@ -18,7 +18,7 @@ from scipy.optimize import curve_fit
 
 from .channels import Channel
 from .clifford import CliffordTableau, circuit_tableau, gate_tableau, sample_1q_clifford
-from .qop import PauliString
+from .qop import PauliString, all_pauli_words
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ def recommended_samples(n: int, delta: float, confidence: float = 0.05) -> int:
     return math.ceil(math.log(2 * n / confidence) / (2 * delta**2))
 
 
-def minimum_samples(n: int, delta: float) -> int:
-    """The literal log(2n/delta^2) guidance count (natural log, floor 1)."""
-    return max(1, math.ceil(math.log(2 * n / delta**2)))
+_Z = PauliString("Z")
 
 
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
@@ -51,25 +49,12 @@ def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
     weights = np.array([math.comb(n, w) * 3**w for w in range(1, n + 1)], dtype=float)
     w = 1 + rng.choice(n, p=weights / weights.sum())
     positions = rng.permutation(n)[:w]
-    letters = ["I"] * n
-    for q in positions:
-        letters[q] = "Z"
-    phase = 1 + 0j
-    for q in range(n):
-        if letters[q] == "I":
-            continue
-        img = sample_1q_clifford(rng).conjugate(PauliString(letters[q]))
-        letters[q] = img.word
-        phase *= img.phase
-    return PauliString("".join(letters), phase)
-
-
-def _index_to_word(idx: int, n: int) -> str:
-    letters = []
-    for _ in range(n):
-        letters.append("IXYZ"[idx % 4])
-        idx //= 4
-    return "".join(reversed(letters))
+    out = PauliString.from_bits(n, 0, 0)
+    for q in sorted(positions.tolist()):
+        img = sample_1q_clifford(rng).conjugate(_Z)
+        s = n - 1 - q
+        out = out * PauliString.from_bits(n, img.x << s, img.z << s, img.k)
+    return out
 
 
 def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
@@ -79,7 +64,8 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     if count > total:
         raise ValueError(f"cannot draw {count} distinct Paulis from {total}")
     idx = rng.choice(total, size=count, replace=False)
-    return [PauliString(_index_to_word(i + 1, n)) for i in idx]
+    words = all_pauli_words(n)
+    return [PauliString(words[i + 1]) for i in idx]
 
 
 def _shot_value(channel: Channel, p_in: PauliString, p_out: PauliString,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nmrqip.channels import (
     Channel,
-    apply_channel,
     interleave,
     pauli_probs_by_weight,
     pauli_transfer_eigenvalue,
@@ -52,7 +51,7 @@ def test_apply_matches_kraus_sum(rng):
         rho = random_density(d, rng)
         direct = sum(k @ rho @ k.conj().T for k in kraus)
         assert np.allclose(ch.apply(rho), direct, atol=1e-12)
-        assert np.allclose(apply_channel(ch, rho), direct, atol=1e-12)
+        assert np.allclose(ch(rho), direct, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

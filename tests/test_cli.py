@@ -162,6 +162,23 @@ def test_grape_nonconvergence_exit_code(tmp_path, capsys):
     assert summary["converged"] is False
 
 
+def test_qec_logical_z_gate_runs(tmp_path, capsys):
+    assert run_experiment("qec", out_dir=str(tmp_path / "q"), config_doc={"gate": "Z"}) == 0
+    summary = read_stdout_json(capsys)
+    assert summary["gate"] == "Z"
+    assert abs(summary["mean_corrected"] - 1) <= 1e-10
+
+
+def test_grape_bad_rf_distribution_rejected(tmp_path, capsys):
+    # weights that do not sum to 1, then entries that are not numbers
+    for rf in ([[0.9, 0.5], [1.1, 0.4]], [["a", 1.0]], [[1.0, None]]):
+        doc = {"rf_distribution": rf}
+        assert run_experiment("grape", out_dir=str(tmp_path / "g"), config_doc=doc) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert "rf_distribution" in json.loads(lines[0])["error"]
+
+
 def test_dqc1_shots_flag(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["dqc1", "--seed", "5", "--shots", "20000", "--out", out]) == 0
@@ -194,6 +211,8 @@ def test_repro_single_criterion_writes_csv(tmp_path, capsys):
     assert rows[1][0] == "rf-selection" and rows[1][1] == "1"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["criteria"] == {"rf-selection": True}
+    assert manifest["runtime_s"]["rf-selection"] == manifest["wall_time_s"] >= 0
+    assert manifest["details"] == {"rf-selection": acceptance.run_criterion("rf-selection").details}
 
 
 def test_format_cell_rules():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmrqip.clifford import (
     CliffordTableau,
@@ -80,6 +82,29 @@ def test_inverse(rng):
     ident = CliffordTableau.identity(3)
     assert tab.then(tab.inverse()) == ident
     assert tab.inverse().then(tab) == ident
+
+
+def gate_lists(n):
+    single = st.tuples(st.sampled_from("HSXYZ"), st.tuples(st.integers(1, n)))
+    if n == 1:
+        return st.lists(single, max_size=12)
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
+    return st.lists(st.one_of(single, st.tuples(st.just("CNOT"), pair)), max_size=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), gate_lists(n))), st.data())
+def test_random_tableau_against_its_unitary(case, data):
+    n, gates = case
+    tab = circuit_tableau(gates, n)
+    u = tab.to_unitary()
+    p = PauliString(data.draw(st.text("IXYZ", min_size=n, max_size=n)),
+                    data.draw(st.sampled_from([1, -1, 1j, -1j])))
+    assert np.allclose(tab.conjugate(p).dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
+    inv = tab.inverse()
+    assert np.allclose(inv.conjugate(p).dense(), u.conj().T @ p.dense() @ u, atol=1e-10)
+    ident = CliffordTableau.identity(n)
+    assert tab.then(inv) == ident and inv.then(tab) == ident
 
 
 def test_unitary_roundtrip(rng):

@@ -117,11 +117,12 @@ def test_five_qubit_code_fails_on_weight_two():
 def test_logical_gate_action():
     code = five_qubit_code()
     rho = encode(code, PSI)
-    lx = logical_gate(code, "X")
-    got = decode(code, lx @ rho @ lx.conj().T)
-    want = ket_density(np.array([0.8, 0.6], dtype=complex))
-    assert state_fidelity(got, want) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
+    for gate, out in (("X", [0.8, 0.6]), ("Z", [0.6, -0.8])):
+        lg = logical_gate(code, gate)
+        got = decode(code, lg @ rho @ lg.conj().T)
+        want = ket_density(np.array(out, dtype=complex))
+        assert state_fidelity(got, want) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(ValueError, match="have I, X, Z, H"):
         logical_gate(code, "T")
 
 

@@ -79,8 +79,34 @@ def test_pauli_string_products():
     assert (y * x).phase == -1j
     assert not x.commutes(y)
     assert PauliString("XX").commutes(PauliString("YY"))
-    with pytest.raises(ValueError):
-        PauliString("XQ")
+    for word, phase in (("XQ", 1), ("xz", 1), ("XZ", 0.5), ("XZ", 1 + 1e-6),
+                        ("XZ", (1 + 1j) / np.sqrt(2))):
+        with pytest.raises(ValueError):
+            PauliString(word, phase)
+
+
+def paulis(n):
+    return st.builds(PauliString, st.text("IXYZ", min_size=n, max_size=n),
+                     st.sampled_from([1, -1, 1j, -1j]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(paulis(n), paulis(n))))
+def test_pauli_bit_algebra_matches_dense(pair):
+    p, q = pair
+    assert np.array_equal((p * q).dense(), p.dense() @ q.dense())
+    commutator = p.dense() @ q.dense() - q.dense() @ p.dense()
+    assert p.commutes(q) == (not commutator.any())
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(paulis))
+def test_pauli_string_word_and_bits_roundtrip(p):
+    assert PauliString(p.word, p.phase) == p
+    same = PauliString.from_bits(p.n, p.x, p.z, p.k)
+    assert same == p and hash(same) == hash(p) and same.word == p.word
+    assert p.phase == 1j ** (p.k - bin(p.x & p.z).count("1"))
+    assert p.weight == sum(c != "I" for c in p.word)
 
 
 def test_pauli_dense_matches_kron():
