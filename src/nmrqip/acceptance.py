@@ -250,15 +250,13 @@ def _crit_certify(base_seed):
         group = _clifford_closure(gens, n)
         passed &= len(group) == _CLIFFORD_GROUP_SIZES[n]
         words = [w for w in all_pauli_words(n) if set(w) != {"I"}]
-        paulis = {w: pauli_dense(w) for w in words}
+        sources = [PauliString(w) for w in words]
+        paulis = np.array([pauli_dense(w) for w in words])
         for t in group:
             ud = t.to_unitary()
-            for w in words:
-                got = t.conjugate(PauliString(w))
-                dense = ud @ paulis[w] @ ud.conj().T
-                if not np.allclose(dense, got.dense(), atol=1e-10):
-                    passed = False
-                checked += 1
+            got = np.array([t.conjugate(p).dense() for p in sources])
+            passed &= np.allclose(ud @ paulis @ ud.conj().T, got, atol=1e-10)
+            checked += len(words)
         details[f"group_size_n{n}"] = len(group)
     details["conjugations_checked"] = checked
     return (bool(passed),

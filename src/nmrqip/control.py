@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import hadamard
 from scipy.spatial.transform import Rotation
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, check_unitary, embed
 from .spins import SpinSystem, internal_hamiltonian, spin_op
@@ -293,10 +293,12 @@ class GrapeResult:
 
 
 def _propagators(u, h_int, h_ctrl, dt):
+    """Step record (props, lam, v, ph) of a pulse: each step's propagator,
+    eigenvalues, eigenvectors and phases exp(-i lam dt)."""
     a = h_int[None, :, :] + np.einsum("mk,kij->mij", u, h_ctrl)
     lam, v = np.linalg.eigh(a)
     ph = np.exp(-1j * lam * dt)
-    return np.einsum("mij,mj,mkj->mik", v, ph, v.conj()), lam, v, ph
+    return (v * ph[:, None, :]) @ v.conj().transpose(0, 2, 1), lam, v, ph
 
 
 def _total(props):
@@ -306,19 +308,27 @@ def _total(props):
     return u_tot
 
 
-def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
-    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
-    h_ctrl = np.array(control_ops)
-    props, *_ = _propagators(pulse.amplitudes, np.asarray(h_int, complex), h_ctrl, pulse.dt)
+def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse, *,
+                   steps=None) -> float:
+    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator.
+
+    steps: the pulse's step record from ``_propagators``, if already computed.
+    """
+    if steps is None:
+        steps = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
+                             np.array(control_ops), pulse.dt)
     d = u_target.shape[0]
-    return float(abs(np.trace(u_target.conj().T @ _total(props))) ** 2 / d**2)
+    return float(abs(np.trace(u_target.conj().T @ _total(steps[0]))) ** 2 / d**2)
 
 
-def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndarray:
-    """Exact d(fidelity)/du[m, k] via the eigenbasis derivative of each step.
+def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse, *,
+                   steps=None) -> np.ndarray:
+    """Exact d(fidelity)/du[m, k], read from each step's eigenbasis.
 
-    The derivative of exp(-i H dt) along H_k uses the divided-difference
-    matrix of f(lam) = exp(-i lam dt), which is exact (no small-dt cut).
+    With W_m = V_m^dag fwd[m] U_t^dag bwd[m+1] V_m and E_mk = V_m^dag H_k V_m,
+    dg[m, k] = sum_ab W_m[b, a] E_mk[a, b] (-i dt) fdiv_m[a, b], where fdiv
+    is the divided-difference matrix of f(lam) = exp(-i lam dt); this is
+    exact (no small-dt cut).  steps is as in ``grape_fidelity``.
     """
     u = pulse.amplitudes
     n_steps, n_ch = u.shape
@@ -327,7 +337,9 @@ def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndar
     dt = pulse.dt
     h_ctrl = np.array(control_ops)
     d = u_target.shape[0]
-    props, lam, v, ph = _propagators(u, np.asarray(h_int, complex), h_ctrl, dt)
+    if steps is None:
+        steps = _propagators(u, np.asarray(h_int, complex), h_ctrl, dt)
+    props, lam, v, ph = steps
 
     fwd = np.empty((n_steps + 1, d, d), complex)  # fwd[m] = U_{m-1}...U_0
     fwd[0] = np.eye(d)
@@ -340,18 +352,15 @@ def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndar
 
     g = np.trace(u_target.conj().T @ fwd[n_steps])
     dl = lam[:, :, None] - lam[:, None, :]
-    num = ph[:, :, None] - ph[:, None, :]
     degenerate = np.abs(dl) < 1e-12
-    fdiv = np.where(degenerate, ph[:, :, None], num / np.where(degenerate, 1.0, -1j * dt * dl))
-    e_t = np.einsum("mji,kjl,mln->mkin", v.conj(), h_ctrl, v)
-    dprop = np.einsum(
-        "mia,mkab,mlb->mkil", v, e_t * (-1j * dt) * fdiv[:, None, :, :], v.conj()
-    )
-    dg = np.empty((n_steps, n_ch), complex)
-    for m in range(n_steps):
-        pre = u_target.conj().T @ bwd[m + 1]
-        for k in range(n_ch):
-            dg[m, k] = np.trace(pre @ dprop[m, k] @ fwd[m])
+    # (-i dt) fdiv: (ph_a - ph_b) / (lam_a - lam_b), or -i dt ph_a if degenerate
+    fdiv = np.where(degenerate, -1j * dt * ph[:, :, None],
+                    (ph[:, :, None] - ph[:, None, :]) / np.where(degenerate, 1.0, dl))
+    vt = v.transpose(0, 2, 1)
+    w = vt.conj() @ fwd[:-1] @ (u_target.conj().T @ bwd[1:]) @ v
+    # sum_ab X[a, b] E_k[a, b] = sum_ij H_k[i, j] (conj(V) X V^T)[i, j]
+    y = v.conj() @ (w.transpose(0, 2, 1) * fdiv) @ vt
+    dg = y.reshape(n_steps, d * d) @ h_ctrl.reshape(n_ch, d * d).T
     return 2 * np.real(np.conj(g) * dg) / d**2
 
 
@@ -410,29 +419,37 @@ def grape_optimize(
         return ControlPulse(p.dt, s * p.amplitudes, p.channels,
                             max(1.0, abs(s)) * p.u_max)
 
-    def objective(p: ControlPulse) -> float:
-        return sum(
-            w * grape_fidelity(u_target, h_int, ops, scaled(p, s))
-            for s, w in dist
-        )
+    h_ctrl = np.array(ops)
 
-    def gradient(p: ControlPulse) -> np.ndarray:
-        if cfg.gradient_mode == "finite-difference":
-            return _fd_gradient(u_target, h_int, ops, p)
-        total = np.zeros_like(p.amplitudes)
+    def objective(p: ControlPulse):
+        """Weighted fidelity, and each RF scale's pulse and step record."""
+        phi, members = 0, []
         for s, w in dist:
-            total += w * s * grape_gradient(u_target, h_int, ops, scaled(p, s))
+            ps = scaled(p, s)
+            steps = _propagators(ps.amplitudes, h_int, h_ctrl, ps.dt)
+            phi += w * grape_fidelity(u_target, h_int, ops, ps, steps=steps)
+            members.append((ps, steps))
+        return phi, members
+
+    def gradient(p: ControlPulse, members) -> np.ndarray:
+        total = np.zeros_like(p.amplitudes)
+        for (s, w), (ps, steps) in zip(dist, members):
+            if cfg.gradient_mode == "finite-difference":
+                g = _fd_gradient(u_target, h_int, ops, ps)
+            else:
+                g = grape_gradient(u_target, h_int, ops, ps, steps=steps)
+            total += w * s * g
         return total
 
     pulse = init
-    phi = objective(pulse)
+    phi, members = objective(pulse)
     trace = [phi]
     step = cfg.step_size
     converged = phi >= cfg.target_fidelity
     message = "already at target" if converged else "max_iters reached"
     it = 0
     while not converged and it < cfg.max_iters:
-        grad = gradient(pulse)
+        grad = gradient(pulse, members)
         gmax = np.max(np.abs(grad))
         if gmax < 1e-10:
             message = f"gradient norm below 1e-10 at fidelity {phi:.6f}"
@@ -445,7 +462,7 @@ def grape_optimize(
             cand = pulse.with_amplitudes(
                 np.clip(pulse.amplitudes + s * grad, -cfg.u_max, cfg.u_max)
             )
-            phi_new = objective(cand)
+            phi_new, cand_members = objective(cand)
             if phi_new > phi:
                 improved = True
                 break
@@ -453,7 +470,7 @@ def grape_optimize(
         if not improved:
             message = f"line search stalled at fidelity {phi:.6f}"
             break
-        pulse, phi, step = cand, phi_new, s * 2
+        pulse, phi, step, members = cand, phi_new, s * 2, cand_members
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:
@@ -541,7 +558,7 @@ def default_b1_distribution(n_bins: int = 500, lo: float = 0.5, hi: float = 1.5,
     """Histogram fixture of B1 scale factors, calibrated so that a +-2%
     homogeneity window retains 12% of the ensemble."""
     edges = np.linspace(lo, hi, n_bins + 1)
-    cdf = norm.cdf((edges - 1.0) / sigma)
+    cdf = ndtr((edges - 1.0) / sigma)
     weights = np.diff(cdf)
     weights /= weights.sum()
     return edges, weights

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -44,10 +45,18 @@ def recommended_samples(n: int, delta: float, confidence: float = 0.05) -> int:
 _Z = PauliString("Z")
 
 
+@lru_cache(maxsize=None)
+def _weight_probs(n: int) -> np.ndarray:
+    """Probability of each weight 1..n among the 4^n - 1 non-identity Paulis."""
+    weights = np.array([math.comb(n, w) * 3**w for w in range(1, n + 1)], dtype=float)
+    probs = weights / weights.sum()
+    probs.setflags(write=False)  # shared by every caller through the cache
+    return probs
+
+
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
     """Uniform non-identity Pauli via weight draw, permutation, per-qubit C1."""
-    weights = np.array([math.comb(n, w) * 3**w for w in range(1, n + 1)], dtype=float)
-    w = 1 + rng.choice(n, p=weights / weights.sum())
+    w = 1 + rng.choice(n, p=_weight_probs(n))
     positions = rng.permutation(n)[:w]
     out = PauliString.from_bits(n, 0, 0)
     for q in sorted(positions.tolist()):

@@ -3,9 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nmrqip
 from nmrqip import acceptance
 from nmrqip.cli import DEFAULT_CONFIGS, EXPERIMENTS, format_cell, main, run_experiment
 
@@ -34,6 +38,17 @@ def read_stdout_doc(capsys):
 def test_usage_exits():
     assert main([]) == 2
     assert main(["--help"]) == 0
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of every start-up
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, nmrqip.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_experiment_registry_is_fixed():
