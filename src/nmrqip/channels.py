@@ -1,4 +1,4 @@
-"""CPTP channels: Kraus factors, Pauli noise, relaxation, gradient crush.
+"""CPTP channels: Kraus factors, Pauli noise and relaxation.
 
 A Channel is an ordered sequence of factors, each acting on a subset of the
 register.  A factor is either a list of Kraus matrices or a Pauli channel
@@ -360,37 +360,6 @@ def t1t2_channel(sys, t: float) -> Channel:
         one = compress_kraus([kd @ ka for ka in ad.factors[0][0] for kd in deph])
         factors.append((one, (q,)))
     return Channel(sys.n, factors, check=False)
-
-
-def depolarize_via_gradient(rho: np.ndarray, targets) -> np.ndarray:
-    """Rotate targets into the transverse plane, then crush their coherences.
-
-    The crush zeroes every element off-diagonal in the targets' z-basis,
-    the dense-matrix equivalent of dephasing under a strong field gradient.
-    """
-    from .control import rotation
-
-    targets = sorted(set(targets))
-    if not targets:
-        raise ValueError("need at least one target")
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    for q in targets:
-        r = rotation("y", np.pi / 2, q, n)
-        rho = r @ rho @ r.conj().T
-    return crush_coherences(rho, targets)
-
-
-def crush_coherences(rho: np.ndarray, targets) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    idx = np.arange(rho.shape[0])
-    mask = 0
-    for q in targets:
-        mask |= 1 << (n - q)
-    tgt_bits = idx & mask
-    keep = tgt_bits[:, None] == tgt_bits[None, :]
-    return np.where(keep, rho, 0.0)
 
 
 def interleave(unitary_steps, ch_per_step: Channel) -> Channel:

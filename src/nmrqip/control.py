@@ -16,7 +16,7 @@ from scipy.spatial.transform import Rotation
 from scipy.special import ndtr
 
 from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, check_unitary, embed
-from .spins import SpinSystem, internal_hamiltonian, spin_op
+from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_op
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
 
@@ -77,9 +77,8 @@ def j_evolution(sys: SpinSystem, pair, t: float) -> np.ndarray:
     jij = sys.j[i - 1, j - 1]
     if jij == 0.0:
         raise ValueError(f"spins {i},{j} are not coupled")
-    zz = spin_op("z", i, sys.n) @ spin_op("z", j, sys.n)
-    # diagonal, so exponentiate the diagonal directly
-    return np.diag(np.exp(-1j * 2 * np.pi * jij * t * np.diagonal(zz))).astype(complex)
+    zz = iz_diagonal(i, sys.n) * iz_diagonal(j, sys.n)  # the +-1/4 diagonal of Iz_i Iz_j
+    return np.diag(np.exp(-1j * 2 * np.pi * jij * t * zz))
 
 
 def cnot_sequence(sys: SpinSystem, control: int, target: int) -> np.ndarray:

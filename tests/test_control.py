@@ -85,6 +85,20 @@ def test_j_evolution_matches_expm():
     del three
 
 
+@pytest.mark.parametrize("name", ["chloroform2", "malonate3", "crotonic4", "chain7"])
+def test_j_evolution_equals_dense_diagonal_formula(name):
+    sys_ = builtin_molecule(name)
+    t = 0.37e-3
+    for i in range(1, sys_.n + 1):
+        for k in range(i + 1, sys_.n + 1):
+            jik = sys_.j[i - 1, k - 1]
+            if jik == 0.0:
+                continue
+            zz = spin_op("z", i, sys_.n) @ spin_op("z", k, sys_.n)
+            old = np.diag(np.exp(-1j * 2 * np.pi * jik * t * np.diagonal(zz))).astype(complex)
+            assert np.array_equal(j_evolution(sys_, (i, k), t), old)
+
+
 def test_cnot_sequence_is_exact():
     sys_ = builtin_molecule("chloroform2")
     u = cnot_sequence(sys_, 1, 2)

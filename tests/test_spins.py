@@ -1,15 +1,21 @@
 """Spin-system model: Hamiltonians, reference states, FID and spectrum."""
 
+import dataclasses
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nmrqip import spins
 from nmrqip.qop import PAULIS, tensor
 from nmrqip.spins import (
     SpinSystem,
     builtin_molecule,
+    hamiltonian_diagonal,
     internal_hamiltonian,
     load_molecule,
     make_pps,
@@ -22,6 +28,47 @@ from nmrqip.spins import (
 )
 
 I2 = np.eye(2)
+MOLECULES = ("chloroform2", "malonate3", "crotonic4", "chain7")
+
+
+def _dense_weak_hamiltonian(sys_, couplings=True):
+    """The weak form as a sum of dense spin-operator products (the oracle)."""
+    n = sys_.n
+    h = np.zeros((sys_.dim, sys_.dim), dtype=complex)
+    for i, nu in enumerate(sys_.offsets, start=1):
+        if nu != 0.0:
+            h -= 2 * np.pi * nu * spin_op("z", i, n)
+    if couplings:
+        for i in range(1, n + 1):
+            for k in range(i + 1, n + 1):
+                jik = sys_.j[i - 1, k - 1]
+                if jik != 0.0:
+                    h += 2 * np.pi * jik * (spin_op("z", i, n) @ spin_op("z", k, n))
+    return h
+
+
+def _reference_fid(rho, sys_, duration, n_samples, weak_coupling=True):
+    """Per-sample dense trace Tr(rho(t) I+_i) in the eigenbasis (the oracle)."""
+    h = internal_hamiltonian(sys_, weak_coupling=weak_coupling)
+    w, v = np.linalg.eigh(h)
+    rho_e = v.conj().T @ rho @ v
+    obs = [
+        v.conj().T @ (spin_op("x", i, sys_.n) + 1j * spin_op("y", i, sys_.n)) @ v
+        for i in range(1, sys_.n + 1)
+    ]
+    ts = np.arange(n_samples) * (duration / n_samples)
+    sig = np.zeros(n_samples, dtype=complex)
+    for k, t in enumerate(ts):
+        ph = np.exp(-1j * w * t)
+        rho_t = ph[:, None] * rho_e * ph.conj()[None, :]
+        for i, ob in enumerate(obs):
+            sig[k] += np.trace(rho_t @ ob) * np.exp(-t / sys_.t2star[i])
+    return sig
+
+
+def _random_hermitian(d, rng):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
 
 
 def test_spin_op_embedding():
@@ -49,6 +96,20 @@ def test_internal_hamiltonian_full_form():
             spin_op(ax, 1, 2) @ spin_op(ax, 2, 2))
     assert np.allclose(h, expect, atol=1e-9)
     assert not np.allclose(h, np.diag(np.diagonal(h)))
+
+
+@pytest.mark.parametrize("name", MOLECULES)
+def test_diagonal_hamiltonians_equal_dense_sums_bitwise(name):
+    sys_ = builtin_molecule(name)
+    for couplings in (True, False):
+        dense = _dense_weak_hamiltonian(sys_, couplings)
+        assert np.array_equal(np.diagonal(dense).real, hamiltonian_diagonal(sys_, couplings))
+    assert np.array_equal(zeeman_hamiltonian(sys_), _dense_weak_hamiltonian(sys_, False))
+    assert np.array_equal(internal_hamiltonian(sys_), _dense_weak_hamiltonian(sys_))
+    # the old thermal_state formula, on the dense Zeeman sum
+    w = np.diagonal(_dense_weak_hamiltonian(sys_, False)).real
+    p = np.exp(-1e-3 * (w - w.min()))
+    assert np.array_equal(thermal_state(sys_, 1e-3), np.diag(p / p.sum()).astype(complex))
 
 
 def test_weak_coupling_warning_for_strong_homonuclear_pair():
@@ -114,6 +175,77 @@ def test_fid_doublet_positions():
     expected = sorted([-400.0 - 107.5, -400.0 + 107.5, 150.0 - 107.5,
                        150.0 + 107.5])
     assert np.allclose(sorted(peaks), expected, atol=1.0 / duration)
+
+
+@pytest.mark.parametrize("name, weak, n_samples", [
+    ("chloroform2", True, 256), ("chloroform2", False, 256),
+    ("malonate3", True, 256), ("malonate3", False, 256),
+    ("crotonic4", True, 256), ("crotonic4", False, 256),
+    ("chain7", True, 96), ("chain7", False, 24),
+])
+def test_simulate_fid_matches_reference(name, weak, n_samples):
+    rng = np.random.default_rng(len(name) + 10 * weak)
+    sys_ = builtin_molecule(name)
+    # non-uniform T2*, below every T1
+    sys_ = dataclasses.replace(sys_, t2star=tuple(rng.uniform(0.02, 0.2, sys_.n)))
+    rho = _random_hermitian(sys_.dim, rng)
+    got = simulate_fid(rho, sys_, 0.05, n_samples, weak_coupling=weak)
+    want = _reference_fid(rho, sys_, 0.05, n_samples, weak_coupling=weak)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("weak", [True, False])
+def test_simulate_fid_block_boundaries(monkeypatch, weak):
+    sys_ = builtin_molecule("crotonic4")
+    rho = _random_hermitian(sys_.dim, np.random.default_rng(5))
+    want = _reference_fid(rho, sys_, 0.05, 50, weak_coupling=weak)
+    # 16 bytes x (2 d + 2 n d) per sample: three-sample blocks, the last one short
+    monkeypatch.setattr(spins, "_FID_BLOCK_BYTES", 3 * 16 * (2 * 16 + 2 * 4 * 16))
+    got = simulate_fid(rho, sys_, 0.05, 50, weak_coupling=weak)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_weak_fid_needs_no_diagonalization(monkeypatch):
+    sys_ = builtin_molecule("chain7")
+    rho = _random_hermitian(sys_.dim, np.random.default_rng(7))
+    want = simulate_fid(rho, sys_, 0.05, 64)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("weak-coupling FID diagonalized the Hamiltonian")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert np.array_equal(simulate_fid(rho, sys_, 0.05, 64), want)
+
+
+def test_simulate_fid_memory_seven_spins_full_coupling():
+    sys_ = builtin_molecule("chain7")
+    rho = make_pps(7, 1.0)
+    u90 = expm(-1j * (np.pi / 2) * sum(spin_op("y", q, 7) for q in range(1, 8)))
+    rho = u90 @ rho @ u90.conj().T
+    tracemalloc.start()
+    try:
+        fid = simulate_fid(rho, sys_, 0.5, 2048, weak_coupling=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert fid[0] == pytest.approx(3.5, abs=1e-12)
+
+
+def test_chloroform_spectrum_script_prints_doublets(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "chloroform_spectrum.py"
+    spec = importlib.util.spec_from_file_location("chloroform_spectrum", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    duration = 0.5
+    script.main(duration=duration, n_samples=2048)
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    got = [float(ln.split()[0]) for ln in lines]
+    sys_ = builtin_molecule("chloroform2")
+    half_j = sys_.j[0, 1] / 2
+    expected = sorted(-(nu + sign * half_j) for nu in sys_.offsets for sign in (1, -1))
+    assert len(got) == 4
+    assert np.allclose(got, expected, atol=1.0 / duration)
 
 
 def test_fid_needs_transverse_magnetization():
