@@ -28,9 +28,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hadamard
 
-from .qop import SIGMA_I, SIGMA_Z, PauliString, all_pauli_words, embed, n_qubits
+from .qop import (SIGMA_I, SIGMA_Z, PauliString, all_pauli_words, embed, n_qubits,
+                  sylvester_hadamard)
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
 # Eigenvalue spread below which a Pauli channel is applied as depolarizing.
@@ -78,14 +78,6 @@ def _is_pauli(op) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _hadamard(n: int) -> np.ndarray:
-    """Sylvester Hadamard H[i, j] = (-1)^popcount(i & j) of size 2^n."""
-    h = hadamard(2**n, dtype=float)
-    h.setflags(write=False)
-    return h
-
-
-@lru_cache(maxsize=None)
 def _xor_gather(n: int) -> np.ndarray:
     """Flat indices g[i, k] = i * d + (i ^ k): column k holds rho[i, i ^ k]."""
     idx = np.arange(2**n)
@@ -97,7 +89,7 @@ def _xor_gather(n: int) -> np.ndarray:
 def _pauli_eigenvalues(probs: np.ndarray, qubits, n: int) -> np.ndarray:
     """Table lam[z, x] of the Pauli eigenvalues of a factor on the n-qubit register."""
     m = len(qubits)
-    h = _hadamard(m)
+    h = sylvester_hadamard(m)
     # (H p H)[c, k] = sum_{a, b} p[a, b] (-1)^(a.c + b.k): the eigenvalue of
     # the word with z part c and x part k
     local = h @ probs.reshape(2**m, 2**m) @ h
@@ -112,7 +104,7 @@ def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
     """sum_Q p_Q Q rho Q from the eigenvalue table lam[z, x] / d."""
     d = rho.shape[0]
     n = d.bit_length() - 1
-    h, g = _hadamard(n), _xor_gather(n)
+    h, g = sylvester_hadamard(n), _xor_gather(n)
     # column k of t is the diagonal band rho[i, i ^ k], the X-part-k component
     # of rho; the Hadamard over i splits it into Z parts
     t = rho.ravel()[g]
@@ -206,8 +198,9 @@ class Channel:
     @classmethod
     def depolarizing(cls, n: int, p: float) -> "Channel":
         """rho -> (1-p) rho + p I/2^n."""
-        if not 0 <= p <= 4**n / (4**n - 1):
-            raise ValueError(f"depolarizing strength {p} out of range")
+        hi = 4**n / (4**n - 1)
+        if not 0 <= p <= hi:
+            raise ValueError(f"depolarizing strength {p} outside [0, {hi:.6g}]")
         vec = np.full(4**n, p / 4**n)
         vec[0] += 1 - p
         return cls(n, [(vec, tuple(range(1, n + 1)))])

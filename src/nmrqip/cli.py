@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files as _resource_files
 
 import numpy as np
-import scipy
-import scipy.linalg
+import scipy  # for versions.scipy only; subpackages load where they are used
 
 from . import __version__
 from .channels import Channel, pauli_probs_by_weight
@@ -184,6 +183,13 @@ def _require_int(cfg, key, lo=None, hi=None):
     return int(v)
 
 
+def _require_bool(cfg, key):
+    v = cfg[key]
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def _choice(cfg, key, options):
     v = cfg[key]
     if v not in options:
@@ -252,7 +258,8 @@ def _run_grape(cfg, seed, shots):
         n_steps, dt, names, u_max=u_max, seed=seed,
         scale=_require_number(cfg, "init_scale", 0.0, 1.0),
     )
-    res = grape_optimize(sys_, u_target, init, gcfg, weak_coupling=bool(cfg["weak_coupling"]))
+    res = grape_optimize(sys_, u_target, init, gcfg,
+                         weak_coupling=_require_bool(cfg, "weak_coupling"))
     trace_rows = [[i, f] for i, f in enumerate(res.fidelities)]
     amps = res.pulse.amplitudes
     pulse_rows = [
@@ -301,7 +308,7 @@ def _run_twirl(cfg, seed, shots):
     rng = np.random.default_rng(seed)
     est = twirl_estimate_memory(
         noise, delta, rng, n_samples=n_samples, readout_shots=shots,
-        with_replacement=bool(cfg["with_replacement"]),
+        with_replacement=_require_bool(cfg, "with_replacement"),
     )
     pr0 = probs["I" * n]
     fbar_true = (2**n * pr0 + 1) / (2**n + 1)
@@ -329,9 +336,14 @@ def _run_certify(cfg, seed, shots):
     delta = _require_number(cfg, "delta", 1e-6, 0.499)
     n_samples = None if cfg["n_samples"] is None else _require_int(cfg, "n_samples", 1)
     rng = np.random.default_rng(seed)
+    ps = _float_list(cfg, "depolarizing_p")
+    try:
+        depol = [Channel.depolarizing(n, p) for p in ps]
+    except ValueError as exc:
+        raise ConfigError(f"depolarizing_p: {exc}") from exc
     rows = []
-    for p in _float_list(cfg, "depolarizing_p"):
-        noisy = Channel.depolarizing(n, p).then(Channel.unitary(u))
+    for p, noise in zip(ps, depol):
+        noisy = noise.then(Channel.unitary(u))
         est = certify_clifford(noisy, tab, delta, rng,
                                n_samples=n_samples, readout_shots=shots)
         exact = average_gate_fidelity_exact(noisy.kraus(), u)
@@ -384,6 +396,7 @@ _CODES = {"bit-flip": bit_flip_code, "phase-flip": phase_flip_code, "five": five
 def _run_qec(cfg, seed, shots):
     code = _CODES[_choice(cfg, "code", tuple(_CODES))]()
     gate = _choice(cfg, "gate", ("I", "X", "Z", "H"))
+    transversal_demo = _require_bool(cfg, "transversal_demo")
     rows, mean_unc, mean_corr = gate_cycle_ensemble(code, gate)
     table = [[err.word, f_unc, f_corr] for err, f_unc, f_corr in rows]
     out = RunOutput(
@@ -391,7 +404,7 @@ def _run_qec(cfg, seed, shots):
         summary={"code": cfg["code"], "gate": gate,
                  "mean_uncorrected": mean_unc, "mean_corrected": mean_corr},
     )
-    if bool(cfg["transversal_demo"]):
+    if transversal_demo:
         demo = []
         for variant in ("bad", "transversal"):
             for q in range(3):
@@ -409,6 +422,7 @@ def _run_qec(cfg, seed, shots):
 
 def _run_distill(cfg, seed, shots):
     rounds = _require_int(cfg, "rounds", 1, 10)
+    find_threshold = _require_bool(cfg, "find_threshold")
     rows = []
     for p in _float_list(cfg, "p_values"):
         if not -1 <= p <= 1:
@@ -420,7 +434,7 @@ def _run_distill(cfg, seed, shots):
             ["p_in", "p_out", "success_probability", "improved"], rows)},
         summary={"rounds": rounds},
     )
-    if bool(cfg["find_threshold"]):
+    if find_threshold:
         thr = distillation_threshold()
         out.tables["threshold.csv"] = (["threshold"], [[thr]])
         out.summary["threshold"] = thr
@@ -430,6 +444,7 @@ def _run_distill(cfg, seed, shots):
 def _run_dqc1(cfg, seed, shots):
     n = _require_int(cfg, "n", 1, 6)
     epsilon = _require_number(cfg, "epsilon", 1e-9, 1.0)
+    ppt = _require_bool(cfg, "ppt")
     rng = np.random.default_rng(seed)
     u = haar_random_unitary(2**n, rng)
     inst = Dqc1Instance(u, epsilon=epsilon, shots=shots)
@@ -439,7 +454,7 @@ def _run_dqc1(cfg, seed, shots):
            exact.real, exact.imag, est.real, est.imag, abs(est - exact)]
     header = ["n", "epsilon", "shots", "trace_re_exact", "trace_im_exact",
               "trace_re_est", "trace_im_est", "abs_error"]
-    if bool(cfg["ppt"]):
+    if ppt:
         row.append(control_target_ppt(Dqc1Instance(u, epsilon=epsilon)))
         header.append("ppt_min_eigenvalue")
     out = RunOutput(
@@ -455,7 +470,8 @@ def _run_dqc1(cfg, seed, shots):
             raise ConfigError("the block-trace variant needs n >= 2")
         u0 = haar_random_unitary(half, rng)
         u1 = haar_random_unitary(half, rng)
-        ub = scipy.linalg.block_diag(u0, u1)
+        from scipy.linalg import block_diag
+        ub = block_diag(u0, u1)
         got = dqc1_block_trace(ub, theta, epsilon, eps2, shots=shots,
                                rng=rng if shots is not None else None)
         ref = block_trace_direct(ub, theta, eps2)
@@ -520,6 +536,7 @@ def _run_ising(cfg, seed, shots):
     if h_max <= h_min:
         raise ConfigError("h_max must exceed h_min")
     n_points = _require_int(cfg, "n_points", 2)
+    locate_steps = _require_bool(cfg, "locate_steps")
     hs = np.linspace(h_min, h_max, n_points)
     res = ising_ground(j, hs)
     rows = [[h, m, s, int(d)] for h, m, s, d in
@@ -531,7 +548,7 @@ def _run_ising(cfg, seed, shots):
                  "magnetization_values": sorted({round(float(m), 9)
                                                  for m in res.magnetization})},
     )
-    if bool(cfg["locate_steps"]):
+    if locate_steps:
         steps = magnetization_steps(j, tol=_require_number(cfg, "step_tol", 1e-12, 1e-2))
         out.tables["steps.csv"] = (["h_step"], [[s] for s in steps])
         out.summary["steps"] = list(steps)
@@ -546,6 +563,8 @@ def _run_xxz(cfg, seed, shots):
         raise ConfigError("gamma_max must exceed gamma_min")
     n_points = _require_int(cfg, "n_points", 2)
     restarts = _require_int(cfg, "n_restarts", 1, 256)
+    locate_jump = _require_bool(cfg, "locate_jump")
+    locate_crossing = _require_bool(cfg, "locate_crossing")
     rng = np.random.default_rng(seed)
     scan = xxz_scan(n, np.linspace(g_min, g_max, n_points), rng, n_restarts=restarts)
     rows = [[g, l2, ge, f, e, nl, int(d)] for g, l2, ge, f, e, nl, d in
@@ -558,11 +577,11 @@ def _run_xxz(cfg, seed, shots):
         summary={"n": n},
     )
     features = []
-    if bool(cfg["locate_jump"]):
+    if locate_jump:
         jump = ge_jump_location(scan)
         features.append(["ge_jump", jump])
         out.summary["ge_jump_gamma"] = jump
-    if bool(cfg["locate_crossing"]):
+    if locate_crossing:
         cross = branch_crossing(n)
         features.append(["branch_crossing", cross])
         out.summary["branch_crossing_gamma"] = cross
@@ -579,10 +598,10 @@ def _run_transfer(cfg, seed, shots):
     chain = TransferChain(n, dipolar_couplings(n, strength), tau)
     mode = _choice(cfg, "mode", ("transfer", "entangle"))
     if mode == "transfer":
-        res = state_transfer(
-            chain, iterations=iterations,
-            alpha=_require_number(cfg, "alpha"), beta=_require_number(cfg, "beta"),
-        )
+        alpha, beta = _require_number(cfg, "alpha"), _require_number(cfg, "beta")
+        if np.hypot(alpha, beta) < 1e-15:  # state_transfer normalizes by this
+            raise ConfigError("alpha and beta must not both be 0")
+        res = state_transfer(chain, iterations=iterations, alpha=alpha, beta=beta)
         summary = {"final_fidelity": res.fidelity, "theta": res.theta,
                    "stalled": res.stalled,
                    "max_excitation_drift": res.max_excitation_drift}
@@ -607,12 +626,13 @@ def _run_spectrum(cfg, seed, shots):
     pulse = _choice(cfg, "pulse", ("y90", "none"))
     if pulse == "y90":
         total_iy = sum(spin_op("y", q, sys_.n) for q in range(1, sys_.n + 1))
-        u = scipy.linalg.expm(-1j * (np.pi / 2) * total_iy)
+        from scipy.linalg import expm
+        u = expm(-1j * (np.pi / 2) * total_iy)
         rho = u @ rho @ u.conj().T
     duration = _require_number(cfg, "duration_s", 1e-6)
     n_samples = _require_int(cfg, "n_samples", 2, 1 << 20)
     fid = simulate_fid(rho, sys_, duration, n_samples,
-                       weak_coupling=bool(cfg["weak_coupling"]))
+                       weak_coupling=_require_bool(cfg, "weak_coupling"))
     freqs, amps = spectrum(fid, n_samples / duration)
     ts = np.arange(n_samples) * (duration / n_samples)
     label, raw = _molecule_fixture(cfg["molecule"])

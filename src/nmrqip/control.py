@@ -11,11 +11,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hadamard
-from scipy.spatial.transform import Rotation
-from scipy.special import ndtr
 
-from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, check_unitary, embed
+from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, check_unitary, embed, sylvester_hadamard
 from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_op
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
@@ -61,6 +58,7 @@ def _su2_to_so3(v: np.ndarray) -> np.ndarray:
 
 def euler_decompose(u: np.ndarray):
     """Angles (alpha, beta, gamma, delta) with u = e^(i alpha) Rx(beta) Ry(gamma) Rx(delta)."""
+    from scipy.spatial.transform import Rotation
     u = check_unitary(np.asarray(u, dtype=complex))
     if u.shape != (2, 2):
         raise ValueError("euler_decompose is for single-qubit unitaries")
@@ -131,7 +129,7 @@ def refocus_all_but(sys: SpinSystem, keep_pair, t: float):
     m = 2
     while m < n:
         m *= 2
-    rows = hadamard(m)
+    rows = sylvester_hadamard(m.bit_length() - 1).astype(int)
     # row 0 is all ones (offsets would survive); kept pair shares row 1
     assign = {i: 1, j: 1}
     nxt = 2
@@ -556,6 +554,7 @@ def default_b1_distribution(n_bins: int = 500, lo: float = 0.5, hi: float = 1.5,
                             sigma: float = 0.13245):
     """Histogram fixture of B1 scale factors, calibrated so that a +-2%
     homogeneity window retains 12% of the ensemble."""
+    from scipy.special import ndtr
     edges = np.linspace(lo, hi, n_bins + 1)
     cdf = ndtr((edges - 1.0) / sigma)
     weights = np.diff(cdf)

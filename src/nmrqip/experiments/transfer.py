@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,7 @@ class TransferChain:
         return -self.tau * one_excitation_hamiltonian(self.couplings, self.n)[0, 0]
 
     def propagator(self) -> np.ndarray:
+        from scipy.linalg import expm
         ham = one_excitation_hamiltonian(self.couplings, self.n)
         return expm(-1j * self.tau * ham)
 

@@ -22,7 +22,7 @@ commutation are integer operations on (x, z, k).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -162,6 +162,16 @@ def _pauli_dense_cached(word: str) -> np.ndarray:
 def pauli_dense(word: str) -> np.ndarray:
     """Dense matrix of an unsigned Pauli word such as 'XZI' (readonly view)."""
     return PauliString(word).dense()
+
+
+@lru_cache(maxsize=None)
+def sylvester_hadamard(n: int) -> np.ndarray:
+    """Read-only Sylvester Hadamard H[i, j] = (-1)^popcount(i & j) of size 2^n."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
 
 
 def all_pauli_words(n: int):

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, basis_ket, embed, ket_density
 
@@ -229,6 +228,7 @@ def simulate_fid(
         if not weak_coupling:
             ob = v.conj().T @ ob @ v
         np.multiply(rho_e, ob.T, out=amps[i])
+    import scipy.sparse
     lines = scipy.sparse.csr_array(amps.reshape(n * d, d))
     del amps  # free the dense copy before the time loop
     t2 = np.array(sys.t2star)[:, None]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .channels import Channel
 from .clifford import CliffordTableau, circuit_tableau, gate_tableau, sample_1q_clifford
@@ -258,6 +257,7 @@ def randomized_benchmarking(
         return RBResult(lengths, survivals, float("nan"), float("nan"),
                         float("nan"), float("nan"), False,
                         "survival does not decay with sequence length")
+    from scipy.optimize import curve_fit
     try:
         popt, _ = curve_fit(
             lambda m, a, p, b: a * p**m + b,

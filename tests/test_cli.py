@@ -51,6 +51,38 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.strip() == "False"
 
 
+def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
+    # each of these costs 0.1-0.2 s of every start-up; only the experiments
+    # that compute with one (rb, spectrum, transfer, dqc1's block trace) load it
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    jobs = [
+        ("twirl", {"n": 3, "n_samples": 50}),
+        ("certify", {}),
+        ("qec", {}),
+        ("grape", {"n_steps": 20, "max_iters": 3, "target_fidelity": 0.999}),
+    ]
+    probe = f"""
+import io, json, sys, contextlib
+import nmrqip.cli as cli
+heavy = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.spatial", "scipy.special")
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(heavy))
+report = {{"import": loaded()}}
+for name, cfg in {jobs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_experiment(name, out_dir={str(tmp_path / "o")!r}, config_doc=cfg)
+    report[name] = [code, loaded()]
+print(json.dumps(report))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    report = json.loads(out)
+    assert report == {"import": [], "twirl": [0, []], "certify": [0, []],
+                      "qec": [0, []], "grape": [3, []]}
+
+
 def test_experiment_registry_is_fixed():
     assert sorted(EXPERIMENTS) == [
         "certify", "contextuality", "distill", "dqc1", "grape", "ising",
@@ -192,6 +224,35 @@ def test_grape_bad_rf_distribution_rejected(tmp_path, capsys):
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert "rf_distribution" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("name,key", [
+    ("grape", "weak_coupling"), ("twirl", "with_replacement"), ("qec", "transversal_demo"),
+    ("distill", "find_threshold"), ("dqc1", "ppt"), ("ising", "locate_steps"),
+    ("xxz", "locate_jump"), ("xxz", "locate_crossing"), ("spectrum", "weak_coupling"),
+])
+def test_bool_keys_take_only_json_bools(tmp_path, capsys, name, key):
+    # bool(...) once read 0 as false (twirl then asked for more distinct
+    # Paulis than exist) and "x" as true
+    for bad in (0, 1, "x", None, []):
+        assert run_experiment(name, out_dir=str(tmp_path / "o"), config_doc={key: bad}) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"{key} must be true or false, got {bad!r}"
+
+
+@pytest.mark.parametrize("name,doc,message", [
+    ("certify", {"depolarizing_p": [-1]}, "depolarizing_p"),
+    ("certify", {"depolarizing_p": [0.1, 2.0]}, "depolarizing_p"),
+    ("transfer", {"beta": 0}, "alpha and beta"),
+    ("transfer", {"alpha": 0.0, "beta": 1e-300}, "alpha and beta"),
+])
+def test_out_of_range_values_exit_2(tmp_path, capsys, name, doc, message):
+    assert run_experiment(name, out_dir=str(tmp_path / "o"), config_doc=doc) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_dqc1_shots_flag(tmp_path, capsys):

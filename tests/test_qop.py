@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from nmrqip.qop import (
     partial_trace,
     pauli_dense,
     state_fidelity,
+    sylvester_hadamard,
     tensor,
 )
 
@@ -122,6 +124,13 @@ def test_all_pauli_words():
     assert len(words) == 16
     assert words[0] == "II"
     assert len(set(words)) == 16
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_sylvester_hadamard_matches_scipy(n):
+    h = sylvester_hadamard(n)
+    assert h.dtype == float and not h.flags.writeable
+    assert np.array_equal(h, scipy.linalg.hadamard(2**n, dtype=float))
 
 
 def test_controlled_x_is_cnot():
