@@ -79,6 +79,7 @@ from .twirl import (
     certify_clifford,
     default_rb_sampler,
     randomized_benchmarking,
+    recommended_samples,
     rotation_clifford_sampler,
     twirl_estimate_memory,
 )
@@ -148,118 +149,109 @@ class RunOutput:
     exit_code: int = 0
 
 
-def _merge_config(name: str, user: dict) -> dict:
-    defaults = DEFAULT_CONFIGS[name]
-    unknown = sorted(set(user) - set(defaults))
+# ---------------------------------------------------------------------------
+# config schema: SCHEMA (after the runners) gives each experiment's runner,
+# every key's kind, default and limits, and the cross-key rules; _resolve
+# checks a whole config against it before any computation starts
+
+
+def _key(kind: str, default, **limits) -> dict:
+    """One schema entry; a None default admits None besides the kind's values."""
+    return {"kind": kind, "default": default, "limits": limits}
+
+
+def _scalar(label, v, integer=False, lo=None, hi=None, gt=None):
+    """A finite number (an int if integer) with lo <= v <= hi and v > gt."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ConfigError(f"{label} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    if not integer:
+        if not abs(v) <= sys.float_info.max:  # NaN, +-inf, ints past the float range
+            raise ConfigError(f"{label} must be a finite number, got {v!r}")
+        v = float(v)
+    if lo is not None and v < lo:
+        raise ConfigError(f"{label} must be >= {lo}, got {v}")
+    if gt is not None and v <= gt:
+        raise ConfigError(f"{label} must be > {gt}, got {v}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{label} must be <= {hi}, got {v}")
+    return v
+
+
+def _parse(key: str, spec: dict, v):
+    """The value of one key, checked against its schema entry."""
+    kind, lim = spec["kind"], spec["limits"]
+    if v is None and spec["default"] is None:
+        return None
+    if kind in ("number", "int"):
+        return _scalar(key, v, kind == "int", **lim)
+    if kind == "bool":
+        if not isinstance(v, bool):
+            raise ConfigError(f"{key} must be true or false, got {v!r}")
+        return v
+    if kind == "choice":
+        if v not in lim["options"]:
+            raise ConfigError(f"{key} must be one of {sorted(lim['options'])}, got {v!r}")
+        return v
+    if kind in ("numbers", "ints"):  # one number or a nonempty list of them
+        entries = v if isinstance(v, list) else [v]
+        if not entries:
+            raise ConfigError(f"{key} must be a number or a nonempty list of numbers")
+        return [_scalar(f"{key} entries", x, kind == "ints", **lim) for x in entries]
+    if kind == "pairs":
+        if not isinstance(v, list) or not all(isinstance(p, list) and len(p) == 2 for p in v):
+            raise ConfigError(f"{key} must be a list of [scale, weight] number pairs")
+        return tuple((_scalar(f"{key} scales", s, **lim["scale"]),
+                      _scalar(f"{key} weights", w, **lim["weight"])) for s, w in v)
+    # "weights": {error weight: probability mass}; JSON object keys are strings
+    if not isinstance(v, dict) or not v:
+        raise ConfigError(f"{key} must map error weight -> probability mass")
+    out = {}
+    for k, x in v.items():
+        try:
+            w = int(k)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{key} keys must be integers, got {k!r}") from None
+        out[_scalar(f"{key} keys", w, True, **lim["keys"])] = _scalar(
+            f"{key} values", x, **lim["values"])
+    return out
+
+
+def _resolve(name: str, user: dict) -> dict:
+    """Parsed config: unknown keys, then every key, then the cross-key rules."""
+    _, keys, rules = SCHEMA[name]
+    unknown = sorted(set(user) - set(keys))
     if unknown:
         raise ConfigError(
-            f"unknown config keys for {name}: {unknown}; "
-            f"valid keys: {sorted(defaults)}"
+            f"unknown config keys for {name}: {unknown}; valid keys: {sorted(keys)}"
         )
-    out = dict(defaults)
-    out.update(user)
-    return out
-
-
-def _require_number(cfg, key, lo=None, hi=None):
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{key} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{key} must be <= {hi}, got {v}")
-    return float(v)
-
-
-def _require_int(cfg, key, lo=None, hi=None):
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{key} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{key} must be <= {hi}, got {v}")
-    return int(v)
-
-
-def _require_bool(cfg, key):
-    v = cfg[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{key} must be true or false, got {v!r}")
-    return v
-
-
-def _choice(cfg, key, options):
-    v = cfg[key]
-    if v not in options:
-        raise ConfigError(f"{key} must be one of {sorted(options)}, got {v!r}")
-    return v
-
-
-def _float_list(cfg, key):
-    v = cfg[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return [float(v)]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{key} must be a number or a nonempty list of numbers")
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{key} entries must be numbers, got {x!r}")
-        out.append(float(x))
-    return out
+    cfg = {k: _parse(k, spec, user.get(k, spec["default"])) for k, spec in keys.items()}
+    for holds, message in rules:
+        if not holds(cfg):
+            raise ConfigError(message.format(**cfg))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# gate targets shared by grape / certify
-
-
-def _cnot_unitary(control: int, target: int, n: int) -> np.ndarray:
-    """Computational-basis CNOT; qubit 1 is the most significant bit."""
-    if control == target or not (1 <= control <= n and 1 <= target <= n):
-        raise ConfigError(f"bad control/target pair ({control}, {target}) for n={n}")
-    return circuit_unitary([("CNOT", (control, target))], n)
-
-
-# ---------------------------------------------------------------------------
-# experiment runners; each is (config, seed, shots) -> RunOutput
+# experiment runners; each is (parsed config, seed, shots) -> RunOutput
 
 
 def _run_grape(cfg, seed, shots):
-    sys_ = builtin_molecule(_choice(cfg, "molecule", _MOLECULES))
-    _choice(cfg, "target", ("cnot",))
-    control = _require_int(cfg, "control_qubit", 1, sys_.n)
-    target = _require_int(cfg, "target_qubit", 1, sys_.n)
-    u_target = _cnot_unitary(control, target, sys_.n)
-    n_steps = _require_int(cfg, "n_steps", 2)
-    dt = _require_number(cfg, "dt_s", 1e-9)
-    u_max = 2 * np.pi * _require_number(cfg, "u_max_hz", 1.0)
-    rf = cfg["rf_distribution"]
-    if not isinstance(rf, list) or not all(
-        isinstance(p, list) and len(p) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
-        for p in rf
-    ):
-        raise ConfigError("rf_distribution must be a list of [scale, weight] number pairs")
-    rf = tuple((float(s), float(w)) for s, w in rf)
-    if abs(sum(w for _, w in rf) - 1.0) > 1e-9:
-        raise ConfigError("rf_distribution weights must sum to 1")
+    sys_ = builtin_molecule(cfg["molecule"])
+    pair = (cfg["control_qubit"], cfg["target_qubit"])
+    u_target = circuit_unitary([("CNOT", pair)], sys_.n)
+    n_steps, dt = cfg["n_steps"], cfg["dt_s"]
+    u_max = 2 * np.pi * cfg["u_max_hz"]
     gcfg = GrapeConfig(
-        max_iters=_require_int(cfg, "max_iters", 1),
-        target_fidelity=_require_number(cfg, "target_fidelity", 1e-6, 1.0),
-        gradient_mode=_choice(cfg, "gradient_mode", ("exact", "finite-difference")),
-        rf_distribution=rf,
+        max_iters=cfg["max_iters"],
+        target_fidelity=cfg["target_fidelity"],
+        gradient_mode=cfg["gradient_mode"],
+        rf_distribution=cfg["rf_distribution"],
         u_max=u_max,
         seed=seed,
     )
     names, _ = control_channels(sys_)
-    init = random_pulse(
-        n_steps, dt, names, u_max=u_max, seed=seed,
-        scale=_require_number(cfg, "init_scale", 0.0, 1.0),
-    )
-    res = grape_optimize(sys_, u_target, init, gcfg,
-                         weak_coupling=_require_bool(cfg, "weak_coupling"))
+    init = random_pulse(n_steps, dt, names, u_max=u_max, seed=seed, scale=cfg["init_scale"])
+    res = grape_optimize(sys_, u_target, init, gcfg, weak_coupling=cfg["weak_coupling"])
     trace_rows = [[i, f] for i, f in enumerate(res.fidelities)]
     amps = res.pulse.amplitudes
     pulse_rows = [
@@ -288,27 +280,13 @@ def _run_grape(cfg, seed, shots):
     )
 
 
-def _pauli_channel_from_cfg(cfg):
-    n = _require_int(cfg, "n", 1, 7)
-    masses = cfg["weight_masses"]
-    if not isinstance(masses, dict) or not masses:
-        raise ConfigError("weight_masses must map error weight -> probability mass")
-    try:
-        parsed = {int(k): float(v) for k, v in masses.items()}
-        probs = pauli_probs_by_weight(n, parsed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return n, probs, Channel.from_pauli_probs(probs)
-
-
 def _run_twirl(cfg, seed, shots):
-    n, probs, noise = _pauli_channel_from_cfg(cfg)
-    delta = _require_number(cfg, "delta", 1e-6, 0.499)
-    n_samples = None if cfg["n_samples"] is None else _require_int(cfg, "n_samples", 1)
+    n, delta = cfg["n"], cfg["delta"]
+    probs = pauli_probs_by_weight(n, cfg["weight_masses"])
     rng = np.random.default_rng(seed)
     est = twirl_estimate_memory(
-        noise, delta, rng, n_samples=n_samples, readout_shots=shots,
-        with_replacement=_require_bool(cfg, "with_replacement"),
+        Channel.from_pauli_probs(probs), delta, rng, n_samples=cfg["n_samples"],
+        readout_shots=shots, with_replacement=cfg["with_replacement"],
     )
     pr0 = probs["I" * n]
     fbar_true = (2**n * pr0 + 1) / (2**n + 1)
@@ -325,27 +303,16 @@ def _run_twirl(cfg, seed, shots):
 
 
 def _run_certify(cfg, seed, shots):
-    n = _require_int(cfg, "n", 1, 4)
-    _choice(cfg, "gate", ("cnot",))
-    if n < 2:
-        raise ConfigError("the cnot target needs n >= 2")
-    control = _require_int(cfg, "control_qubit", 1, n)
-    target = _require_int(cfg, "target_qubit", 1, n)
-    u = _cnot_unitary(control, target, n)
-    tab = gate_tableau("CNOT", (control, target), n)
-    delta = _require_number(cfg, "delta", 1e-6, 0.499)
-    n_samples = None if cfg["n_samples"] is None else _require_int(cfg, "n_samples", 1)
+    n = cfg["n"]
+    pair = (cfg["control_qubit"], cfg["target_qubit"])
+    u = circuit_unitary([("CNOT", pair)], n)
+    tab = gate_tableau("CNOT", pair, n)
     rng = np.random.default_rng(seed)
-    ps = _float_list(cfg, "depolarizing_p")
-    try:
-        depol = [Channel.depolarizing(n, p) for p in ps]
-    except ValueError as exc:
-        raise ConfigError(f"depolarizing_p: {exc}") from exc
     rows = []
-    for p, noise in zip(ps, depol):
-        noisy = noise.then(Channel.unitary(u))
-        est = certify_clifford(noisy, tab, delta, rng,
-                               n_samples=n_samples, readout_shots=shots)
+    for p in cfg["depolarizing_p"]:
+        noisy = Channel.depolarizing(n, p).then(Channel.unitary(u))
+        est = certify_clifford(noisy, tab, cfg["delta"], rng,
+                               n_samples=cfg["n_samples"], readout_shots=shots)
         exact = average_gate_fidelity_exact(noisy.kraus(), u)
         rows.append([p, est.fbar, exact, abs(est.fbar - exact),
                      est.stderr, est.n_samples])
@@ -358,22 +325,16 @@ def _run_certify(cfg, seed, shots):
 
 
 def _run_rb(cfg, seed, shots):
-    n = _require_int(cfg, "n", 1, 5)
-    lengths = [int(v) for v in _float_list(cfg, "lengths")]
-    if any(m < 1 for m in lengths) or lengths != sorted(lengths):
-        raise ConfigError("lengths must be increasing positive integers")
-    sequences = shots if shots is not None else _require_int(cfg, "sequences", 1)
-    r_inj = _require_number(cfg, "error_rate", 0.0, 0.5)
-    sampler_name = _choice(cfg, "sampler", ("generators", "rotations"))
-    if sampler_name == "rotations" and n != 1:
-        raise ConfigError("the rotations sampler is single-qubit only")
-    sampler = rotation_clifford_sampler() if sampler_name == "rotations" else default_rb_sampler(n)
+    n, r_inj = cfg["n"], cfg["error_rate"]
+    sequences = shots if shots is not None else cfg["sequences"]
+    sampler = (rotation_clifford_sampler() if cfg["sampler"] == "rotations"
+               else default_rb_sampler(n))
     d = 2**n
     noise = None
     if r_inj > 0:
         noise = Channel.depolarizing(n, r_inj / (1 - 1 / d))
     rng = np.random.default_rng(seed)
-    res = randomized_benchmarking(sampler, noise, lengths, sequences, rng)
+    res = randomized_benchmarking(sampler, noise, cfg["lengths"], sequences, rng)
     rel = abs(res.error_rate - r_inj) / r_inj if r_inj > 0 else 0.0
     return RunOutput(
         tables={
@@ -394,17 +355,15 @@ _CODES = {"bit-flip": bit_flip_code, "phase-flip": phase_flip_code, "five": five
 
 
 def _run_qec(cfg, seed, shots):
-    code = _CODES[_choice(cfg, "code", tuple(_CODES))]()
-    gate = _choice(cfg, "gate", ("I", "X", "Z", "H"))
-    transversal_demo = _require_bool(cfg, "transversal_demo")
-    rows, mean_unc, mean_corr = gate_cycle_ensemble(code, gate)
+    gate = cfg["gate"]
+    rows, mean_unc, mean_corr = gate_cycle_ensemble(_CODES[cfg["code"]](), gate)
     table = [[err.word, f_unc, f_corr] for err, f_unc, f_corr in rows]
     out = RunOutput(
         tables={"qec.csv": (["error", "fidelity_uncorrected", "fidelity_corrected"], table)},
         summary={"code": cfg["code"], "gate": gate,
                  "mean_uncorrected": mean_unc, "mean_corrected": mean_corr},
     )
-    if transversal_demo:
+    if cfg["transversal_demo"]:
         demo = []
         for variant in ("bad", "transversal"):
             for q in range(3):
@@ -421,12 +380,9 @@ def _run_qec(cfg, seed, shots):
 
 
 def _run_distill(cfg, seed, shots):
-    rounds = _require_int(cfg, "rounds", 1, 10)
-    find_threshold = _require_bool(cfg, "find_threshold")
+    rounds = cfg["rounds"]
     rows = []
-    for p in _float_list(cfg, "p_values"):
-        if not -1 <= p <= 1:
-            raise ConfigError(f"p_values entries must lie in [-1, 1], got {p}")
+    for p in cfg["p_values"]:
         res = distill_magic(p, rounds=rounds)
         rows.append([p, res.p_out, res.success_probability, res.p_out > p])
     out = RunOutput(
@@ -434,7 +390,7 @@ def _run_distill(cfg, seed, shots):
             ["p_in", "p_out", "success_probability", "improved"], rows)},
         summary={"rounds": rounds},
     )
-    if find_threshold:
+    if cfg["find_threshold"]:
         thr = distillation_threshold()
         out.tables["threshold.csv"] = (["threshold"], [[thr]])
         out.summary["threshold"] = thr
@@ -442,9 +398,7 @@ def _run_distill(cfg, seed, shots):
 
 
 def _run_dqc1(cfg, seed, shots):
-    n = _require_int(cfg, "n", 1, 6)
-    epsilon = _require_number(cfg, "epsilon", 1e-9, 1.0)
-    ppt = _require_bool(cfg, "ppt")
+    n, epsilon = cfg["n"], cfg["epsilon"]
     rng = np.random.default_rng(seed)
     u = haar_random_unitary(2**n, rng)
     inst = Dqc1Instance(u, epsilon=epsilon, shots=shots)
@@ -454,7 +408,7 @@ def _run_dqc1(cfg, seed, shots):
            exact.real, exact.imag, est.real, est.imag, abs(est - exact)]
     header = ["n", "epsilon", "shots", "trace_re_exact", "trace_im_exact",
               "trace_re_est", "trace_im_est", "abs_error"]
-    if ppt:
+    if cfg["ppt"]:
         row.append(control_target_ppt(Dqc1Instance(u, epsilon=epsilon)))
         header.append("ppt_min_eigenvalue")
     out = RunOutput(
@@ -462,12 +416,9 @@ def _run_dqc1(cfg, seed, shots):
         summary={"n": n, "abs_error": abs(est - exact),
                  "trace_re": exact.real, "trace_im": exact.imag},
     )
-    if cfg["theta"] is not None:
-        theta = _require_number(cfg, "theta", 0.0, float(np.pi))
-        eps2 = _require_number(cfg, "epsilon2", 1e-9, 1.0)
+    theta, eps2 = cfg["theta"], cfg["epsilon2"]
+    if theta is not None:
         half = 2 ** (n - 1)
-        if n < 2:
-            raise ConfigError("the block-trace variant needs n >= 2")
         u0 = haar_random_unitary(half, rng)
         u1 = haar_random_unitary(half, rng)
         from scipy.linalg import block_diag
@@ -483,22 +434,18 @@ def _run_dqc1(cfg, seed, shots):
 
 
 def _run_contextuality(cfg, seed, shots):
-    kind = _choice(cfg, "state", ("mixed", "random"))
     rng = np.random.default_rng(seed)
-    if kind == "mixed":
+    if cfg["state"] == "mixed":
         state = np.eye(4, dtype=complex) / 4
     else:
         kets = [haar_random_state(4, rng) for _ in range(3)]
         w = rng.dirichlet(np.ones(3))
         state = sum(wi * np.outer(k, k.conj()) for wi, k in zip(w, kets))
-    method = _choice(cfg, "method", ("direct", "meter"))
-    noise = None
-    if cfg["noise_p"] is not None:
-        noise = Channel.depolarizing(1, _require_number(cfg, "noise_p", 0.0, 1.0))
+    method, noise_p = cfg["method"], cfg["noise_p"]
+    noise = None if noise_p is None else Channel.depolarizing(1, noise_p)
     res = contextuality_beta(state, noise=noise, method=method)
     classical = classical_max_beta()
-    row = [res.beta, classical, method,
-           0.0 if cfg["noise_p"] is None else cfg["noise_p"]]
+    row = [res.beta, classical, method, 0.0 if noise_p is None else noise_p]
     row += list(res.rows) + list(res.columns)
     return RunOutput(
         tables={"contextuality.csv": (
@@ -510,13 +457,11 @@ def _run_contextuality(cfg, seed, shots):
 
 
 def _run_weak(cfg, seed, shots):
-    target = _require_number(cfg, "target_value", 1.0 + 1e-9)
+    target = cfg["target_value"]
     psi, phi = amplified_pair(target)
     exact = weak_value_exact(psi, "z", phi)
     rows = []
-    for g in _float_list(cfg, "couplings"):
-        if g <= 0:
-            raise ConfigError("couplings must be positive")
+    for g in cfg["couplings"]:
         est = weak_value(psi, "z", phi, g)
         rows.append([g, est.real, est.imag, exact.real, exact.imag,
                      abs(est - exact), 5 * g])
@@ -530,15 +475,8 @@ def _run_weak(cfg, seed, shots):
 
 
 def _run_ising(cfg, seed, shots):
-    j = _require_number(cfg, "j", 1e-12)
-    h_min = _require_number(cfg, "h_min")
-    h_max = _require_number(cfg, "h_max")
-    if h_max <= h_min:
-        raise ConfigError("h_max must exceed h_min")
-    n_points = _require_int(cfg, "n_points", 2)
-    locate_steps = _require_bool(cfg, "locate_steps")
-    hs = np.linspace(h_min, h_max, n_points)
-    res = ising_ground(j, hs)
+    j = cfg["j"]
+    res = ising_ground(j, np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_points"]))
     rows = [[h, m, s, int(d)] for h, m, s, d in
             zip(res.h_values, res.magnetization, res.entropy_bits, res.degeneracy)]
     out = RunOutput(
@@ -548,25 +486,18 @@ def _run_ising(cfg, seed, shots):
                  "magnetization_values": sorted({round(float(m), 9)
                                                  for m in res.magnetization})},
     )
-    if locate_steps:
-        steps = magnetization_steps(j, tol=_require_number(cfg, "step_tol", 1e-12, 1e-2))
+    if cfg["locate_steps"]:
+        steps = magnetization_steps(j, tol=cfg["step_tol"])
         out.tables["steps.csv"] = (["h_step"], [[s] for s in steps])
         out.summary["steps"] = list(steps)
     return out
 
 
 def _run_xxz(cfg, seed, shots):
-    n = _require_int(cfg, "n", 2, 7)
-    g_min = _require_number(cfg, "gamma_min")
-    g_max = _require_number(cfg, "gamma_max")
-    if g_max <= g_min:
-        raise ConfigError("gamma_max must exceed gamma_min")
-    n_points = _require_int(cfg, "n_points", 2)
-    restarts = _require_int(cfg, "n_restarts", 1, 256)
-    locate_jump = _require_bool(cfg, "locate_jump")
-    locate_crossing = _require_bool(cfg, "locate_crossing")
+    n = cfg["n"]
     rng = np.random.default_rng(seed)
-    scan = xxz_scan(n, np.linspace(g_min, g_max, n_points), rng, n_restarts=restarts)
+    gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["n_points"])
+    scan = xxz_scan(n, gammas, rng, n_restarts=cfg["n_restarts"])
     rows = [[g, l2, ge, f, e, nl, int(d)] for g, l2, ge, f, e, nl, d in
             zip(scan.gammas, scan.lambda2, scan.ge, scan.ferro,
                 scan.equatorial, scan.neel, scan.degeneracy)]
@@ -577,11 +508,11 @@ def _run_xxz(cfg, seed, shots):
         summary={"n": n},
     )
     features = []
-    if locate_jump:
+    if cfg["locate_jump"]:
         jump = ge_jump_location(scan)
         features.append(["ge_jump", jump])
         out.summary["ge_jump_gamma"] = jump
-    if locate_crossing:
+    if cfg["locate_crossing"]:
         cross = branch_crossing(n)
         features.append(["branch_crossing", cross])
         out.summary["branch_crossing_gamma"] = cross
@@ -591,17 +522,10 @@ def _run_xxz(cfg, seed, shots):
 
 
 def _run_transfer(cfg, seed, shots):
-    n = _require_int(cfg, "n", 2, 8)
-    tau = _require_number(cfg, "tau", 1e-9)
-    strength = _require_number(cfg, "coupling_strength", 1e-12)
-    iterations = _require_int(cfg, "iterations", 1, 100000)
-    chain = TransferChain(n, dipolar_couplings(n, strength), tau)
-    mode = _choice(cfg, "mode", ("transfer", "entangle"))
+    n, iterations, mode = cfg["n"], cfg["iterations"], cfg["mode"]
+    chain = TransferChain(n, dipolar_couplings(n, cfg["coupling_strength"]), cfg["tau"])
     if mode == "transfer":
-        alpha, beta = _require_number(cfg, "alpha"), _require_number(cfg, "beta")
-        if np.hypot(alpha, beta) < 1e-15:  # state_transfer normalizes by this
-            raise ConfigError("alpha and beta must not both be 0")
-        res = state_transfer(chain, iterations=iterations, alpha=alpha, beta=beta)
+        res = state_transfer(chain, iterations=iterations, alpha=cfg["alpha"], beta=cfg["beta"])
         summary = {"final_fidelity": res.fidelity, "theta": res.theta,
                    "stalled": res.stalled,
                    "max_excitation_drift": res.max_excitation_drift}
@@ -617,22 +541,18 @@ def _run_transfer(cfg, seed, shots):
 
 
 def _run_spectrum(cfg, seed, shots):
-    sys_ = builtin_molecule(_choice(cfg, "molecule", _MOLECULES))
-    kind = _choice(cfg, "state", ("pps", "thermal"))
-    if kind == "pps":
-        rho = make_pps(sys_.n, _require_number(cfg, "epsilon", 1e-12, 1.0))
+    sys_ = builtin_molecule(cfg["molecule"])
+    if cfg["state"] == "pps":
+        rho = make_pps(sys_.n, cfg["epsilon"])
     else:
-        rho = thermal_state(sys_, _require_number(cfg, "beta_scaled", 0.0))
-    pulse = _choice(cfg, "pulse", ("y90", "none"))
-    if pulse == "y90":
+        rho = thermal_state(sys_, cfg["beta_scaled"])
+    if cfg["pulse"] == "y90":
         total_iy = sum(spin_op("y", q, sys_.n) for q in range(1, sys_.n + 1))
         from scipy.linalg import expm
         u = expm(-1j * (np.pi / 2) * total_iy)
         rho = u @ rho @ u.conj().T
-    duration = _require_number(cfg, "duration_s", 1e-6)
-    n_samples = _require_int(cfg, "n_samples", 2, 1 << 20)
-    fid = simulate_fid(rho, sys_, duration, n_samples,
-                       weak_coupling=_require_bool(cfg, "weak_coupling"))
+    duration, n_samples = cfg["duration_s"], cfg["n_samples"]
+    fid = simulate_fid(rho, sys_, duration, n_samples, weak_coupling=cfg["weak_coupling"])
     freqs, amps = spectrum(fid, n_samples / duration)
     ts = np.arange(n_samples) * (duration / n_samples)
     label, raw = _molecule_fixture(cfg["molecule"])
@@ -652,124 +572,196 @@ def _run_spectrum(cfg, seed, shots):
 
 _MOLECULES = ("chloroform2", "malonate3", "crotonic4", "chain7")
 
-DEFAULT_CONFIGS = {
-    "grape": {
-        "molecule": "chloroform2",
-        "target": "cnot",
-        "control_qubit": 1,
-        "target_qubit": 2,
-        "n_steps": 250,
-        "dt_s": 2e-5,
-        "u_max_hz": 1.0e4,
-        "max_iters": 2000,
-        "target_fidelity": 0.99,
-        "gradient_mode": "exact",
-        "init_scale": 0.01,
-        "rf_distribution": [[1.0, 1.0]],
-        "weak_coupling": True,
-    },
-    "twirl": {
-        "n": 3,
-        "weight_masses": {"1": 0.38, "2": 0.14, "3": 0.04},
-        "delta": 0.02,
-        "n_samples": None,
-        "with_replacement": True,
-    },
-    "certify": {
-        "gate": "cnot",
-        "n": 2,
-        "control_qubit": 1,
-        "target_qubit": 2,
-        "depolarizing_p": [0.05, 0.1, 0.2],
-        "delta": 0.02,
-        "n_samples": None,
-    },
-    "rb": {
-        "n": 3,
-        "lengths": [1, 2, 4, 8, 16, 32, 64, 96],
-        "sequences": 30,
-        "error_rate": 0.0047,
-        "sampler": "generators",
-    },
-    "qec": {
-        "code": "five",
-        "gate": "X",
-        "transversal_demo": True,
-    },
-    "distill": {
-        "p_values": [0.3, 0.5, 0.8, 0.9, 0.95, 1.0],
-        "rounds": 1,
-        "find_threshold": True,
-    },
-    "dqc1": {
-        "n": 3,
-        "epsilon": 1.0,
-        "theta": None,
-        "epsilon2": 1.0,
-        "ppt": True,
-    },
-    "contextuality": {
-        "state": "mixed",
-        "method": "meter",
-        "noise_p": None,
-    },
-    "weak": {
-        "target_value": 2.3,
-        "couplings": [0.02, 0.05, 0.1, 0.2],
-    },
-    "ising": {
-        "j": 1.0,
-        "h_min": -3.0,
-        "h_max": 3.0,
-        "n_points": 121,
-        "locate_steps": True,
-        "step_tol": 1e-6,
-    },
-    "xxz": {
-        "n": 4,
-        "gamma_min": -2.0,
-        "gamma_max": 2.0,
-        "n_points": 41,
-        "n_restarts": 8,
-        "locate_jump": True,
-        "locate_crossing": True,
-    },
-    "transfer": {
-        "n": 4,
-        "tau": 0.4,
-        "coupling_strength": 1.0,
-        "iterations": 100,
-        "mode": "transfer",
-        "alpha": 0.0,
-        "beta": 1.0,
-    },
-    "spectrum": {
-        "molecule": "chloroform2",
-        "state": "pps",
-        "epsilon": 1.0,
-        "beta_scaled": 1e-5,
-        "pulse": "y90",
-        "duration_s": 0.5,
-        "n_samples": 2048,
-        "weak_coupling": True,
-    },
+
+def _cnot_fits(n_of):
+    """Cross-key rule: distinct control and target qubits, both in 1..n_of(cfg)."""
+    return (lambda c: c["control_qubit"] != c["target_qubit"]
+            and max(c["control_qubit"], c["target_qubit"]) <= n_of(c))
+
+
+def _sample_count(c) -> int:
+    """Pauli samples a twirl or certify run draws: n_samples, else Hoeffding's."""
+    if c["n_samples"] is None:
+        return recommended_samples(c["n"], c["delta"])
+    return c["n_samples"]
+
+
+# a run keeps every drawn Pauli: 10^6 of them take about 90 MB
+_MAX_SAMPLES = 1_000_000
+_SAMPLE_CAP = (lambda c: _sample_count(c) <= _MAX_SAMPLES,
+               "delta={delta} needs more than 10^6 samples; set n_samples or a larger delta")
+
+
+# Per experiment: (runner, {key: _key(kind, default, limits)}, ((holds, message), ...)).
+# Kinds: number (finite float), int, bool, choice (options), numbers / ints (one
+# value or a nonempty list), pairs ([scale, weight] list) and weights ({error
+# weight: mass}).  Limits lo and hi are inclusive, gt exclusive; every int has
+# an upper limit, so no size numpy cannot allocate reaches it.  A key whose
+# default is None also takes None.  A rule's message is formatted with the
+# parsed config.
+SCHEMA = {
+    "grape": (_run_grape, {
+        "molecule": _key("choice", "chloroform2", options=_MOLECULES),
+        "target": _key("choice", "cnot", options=("cnot",)),
+        "control_qubit": _key("int", 1, lo=1, hi=7),
+        "target_qubit": _key("int", 2, lo=1, hi=7),
+        "n_steps": _key("int", 250, lo=2, hi=10_000),
+        # the step eigh stops converging as dt, u_max or an RF scale nears 1e308
+        "dt_s": _key("number", 2e-5, lo=1e-9, hi=1.0),
+        "u_max_hz": _key("number", 1.0e4, lo=1.0, hi=1e9),
+        "max_iters": _key("int", 2000, lo=1, hi=1_000_000),
+        "target_fidelity": _key("number", 0.99, lo=1e-6, hi=1.0),
+        "gradient_mode": _key("choice", "exact", options=("exact", "finite-difference")),
+        "init_scale": _key("number", 0.01, lo=0.0, hi=1.0),
+        "rf_distribution": _key("pairs", [[1.0, 1.0]], scale={"gt": 0.0, "hi": 10.0},
+                                weight={"lo": 0.0, "hi": 1.0}),
+        "weak_coupling": _key("bool", True),
+    }, (
+        (_cnot_fits(lambda c: builtin_molecule(c["molecule"]).n),
+         "bad control/target pair ({control_qubit}, {target_qubit}) for {molecule}"),
+        (lambda c: abs(sum(w for _, w in c["rf_distribution"]) - 1.0) <= 1e-9,
+         "rf_distribution weights must sum to 1"),
+    )),
+    "twirl": (_run_twirl, {
+        "n": _key("int", 3, lo=1, hi=7),
+        "weight_masses": _key("weights", {"1": 0.38, "2": 0.14, "3": 0.04},
+                              keys={"lo": 1, "hi": 7}, values={"lo": 0.0, "hi": 1.0}),
+        "delta": _key("number", 0.02, lo=1e-6, hi=0.499),
+        "n_samples": _key("int", None, lo=1, hi=_MAX_SAMPLES),
+        "with_replacement": _key("bool", True),
+    }, (
+        (lambda c: max(c["weight_masses"]) <= c["n"],
+         "weight_masses error weights must lie in 1..{n}"),
+        (lambda c: sum(c["weight_masses"].values()) <= 1 + 1e-12,
+         "weight_masses class masses sum to more than 1"),
+        _SAMPLE_CAP,
+        (lambda c: c["with_replacement"] or _sample_count(c) <= 4 ** c["n"] - 1,
+         "without replacement at most 4^n - 1 distinct Paulis can be drawn; "
+         "set n_samples or a larger delta"),
+    )),
+    "certify": (_run_certify, {
+        "gate": _key("choice", "cnot", options=("cnot",)),
+        "n": _key("int", 2, lo=1, hi=4),
+        "control_qubit": _key("int", 1, lo=1, hi=4),
+        "target_qubit": _key("int", 2, lo=1, hi=4),
+        "depolarizing_p": _key("numbers", [0.05, 0.1, 0.2], lo=0.0),
+        "delta": _key("number", 0.02, lo=1e-6, hi=0.499),
+        "n_samples": _key("int", None, lo=1, hi=_MAX_SAMPLES),
+    }, (
+        _SAMPLE_CAP,
+        (lambda c: c["n"] >= 2, "the cnot target needs n >= 2"),
+        (_cnot_fits(lambda c: c["n"]),
+         "bad control/target pair ({control_qubit}, {target_qubit}) for n={n}"),
+        (lambda c: max(c["depolarizing_p"]) <= 4 ** c["n"] / (4 ** c["n"] - 1),
+         "depolarizing_p entries must be <= 4^n/(4^n - 1), the channel's range for n={n}"),
+    )),
+    "rb": (_run_rb, {
+        "n": _key("int", 3, lo=1, hi=5),
+        "lengths": _key("ints", [1, 2, 4, 8, 16, 32, 64, 96], lo=1, hi=100_000),
+        "sequences": _key("int", 30, lo=1, hi=1_000_000),
+        "error_rate": _key("number", 0.0047, lo=0.0, hi=0.5),
+        "sampler": _key("choice", "generators", options=("generators", "rotations")),
+    }, (
+        (lambda c: c["lengths"] == sorted(c["lengths"]),
+         "lengths must be increasing positive integers"),
+        (lambda c: c["sampler"] != "rotations" or c["n"] == 1,
+         "the rotations sampler is single-qubit only"),
+    )),
+    "qec": (_run_qec, {
+        "code": _key("choice", "five", options=tuple(_CODES)),
+        "gate": _key("choice", "X", options=("I", "X", "Z", "H")),
+        "transversal_demo": _key("bool", True),
+    }, ()),
+    "distill": (_run_distill, {
+        "p_values": _key("numbers", [0.3, 0.5, 0.8, 0.9, 0.95, 1.0], lo=-1.0, hi=1.0),
+        "rounds": _key("int", 1, lo=1, hi=10),
+        "find_threshold": _key("bool", True),
+    }, ()),
+    "dqc1": (_run_dqc1, {
+        "n": _key("int", 3, lo=1, hi=6),
+        "epsilon": _key("number", 1.0, lo=1e-9, hi=1.0),
+        "theta": _key("number", None, lo=0.0, hi=float(np.pi)),
+        "epsilon2": _key("number", 1.0, lo=1e-9, hi=1.0),
+        "ppt": _key("bool", True),
+    }, (
+        (lambda c: c["theta"] is None or c["n"] >= 2,
+         "the block-trace variant needs n >= 2"),
+    )),
+    "contextuality": (_run_contextuality, {
+        "state": _key("choice", "mixed", options=("mixed", "random")),
+        "method": _key("choice", "meter", options=("direct", "meter")),
+        "noise_p": _key("number", None, lo=0.0, hi=1.0),
+    }, (
+        # the 1-spin channel acts on the meter, which the direct method lacks
+        (lambda c: c["noise_p"] is None or c["method"] == "meter",
+         "noise_p needs method meter"),
+    )),
+    "weak": (_run_weak, {
+        # the post-selection overlap is 1/target_value and the success
+        # probability at least its square; weak_value floors them at 1e-6 and
+        # 1e-12, and 1e5 leaves room for rounding
+        "target_value": _key("number", 2.3, lo=1.0 + 1e-9, hi=1e5),
+        # the meter turns by g/2, so g = pi is already a projective readout
+        "couplings": _key("numbers", [0.02, 0.05, 0.1, 0.2], lo=1e-12, hi=float(np.pi)),
+    }, ()),
+    "ising": (_run_ising, {
+        # j <= 1e3 keeps the step bisection's span (3 j) fine enough for step_tol
+        "j": _key("number", 1.0, lo=1e-12, hi=1e3),
+        # the ground-state eigh stops converging as |h| nears 1e308
+        "h_min": _key("number", -3.0, lo=-1e6, hi=1e6),
+        "h_max": _key("number", 3.0, lo=-1e6, hi=1e6),
+        "n_points": _key("int", 121, lo=2, hi=1_000_000),
+        "locate_steps": _key("bool", True),
+        "step_tol": _key("number", 1e-6, lo=1e-12, hi=1e-2),
+    }, (
+        (lambda c: c["h_max"] > c["h_min"], "h_max must exceed h_min"),
+    )),
+    "xxz": (_run_xxz, {
+        "n": _key("int", 4, lo=2, hi=7),
+        # near |gamma| = 1e308 the ground-state energies overflow
+        "gamma_min": _key("number", -2.0, lo=-1e6, hi=1e6),
+        "gamma_max": _key("number", 2.0, lo=-1e6, hi=1e6),
+        "n_points": _key("int", 41, lo=2, hi=100_000),
+        "n_restarts": _key("int", 8, lo=1, hi=256),
+        "locate_jump": _key("bool", True),
+        "locate_crossing": _key("bool", True),
+    }, (
+        (lambda c: c["gamma_max"] > c["gamma_min"], "gamma_max must exceed gamma_min"),
+        (lambda c: not c["locate_crossing"] or (c["n"] >= 4 and c["n"] % 2 == 0),
+         "locate_crossing needs an even n >= 4 (an odd ring has no alternating "
+         "product state; on 2 sites the two families tie), got n={n}"),
+    )),
+    "transfer": (_run_transfer, {
+        "n": _key("int", 4, lo=2, hi=8),
+        # near 1e308 the relay propagator turns into NaN
+        "tau": _key("number", 0.4, lo=1e-9, hi=1e6),
+        "coupling_strength": _key("number", 1.0, lo=1e-12, hi=1e6),
+        "iterations": _key("int", 100, lo=1, hi=100000),
+        "mode": _key("choice", "transfer", options=("transfer", "entangle")),
+        "alpha": _key("number", 0.0),
+        "beta": _key("number", 1.0),
+    }, (
+        # state_transfer normalizes the input amplitudes by their norm
+        (lambda c: c["mode"] != "transfer" or np.hypot(c["alpha"], c["beta"]) >= 1e-15,
+         "alpha and beta must not both be 0"),
+    )),
+    "spectrum": (_run_spectrum, {
+        "molecule": _key("choice", "chloroform2", options=_MOLECULES),
+        "state": _key("choice", "pps", options=("pps", "thermal")),
+        "epsilon": _key("number", 1.0, lo=1e-12, hi=1.0),
+        "beta_scaled": _key("number", 1e-5, lo=0.0),
+        "pulse": _key("choice", "y90", options=("y90", "none")),
+        # at 1e308 the FID samples turn into NaN
+        "duration_s": _key("number", 0.5, lo=1e-6, hi=1e6),
+        "n_samples": _key("int", 2048, lo=2, hi=1 << 20),
+        "weak_coupling": _key("bool", True),
+    }, ()),
 }
 
-EXPERIMENTS = {
-    "grape": _run_grape,
-    "twirl": _run_twirl,
-    "certify": _run_certify,
-    "rb": _run_rb,
-    "qec": _run_qec,
-    "distill": _run_distill,
-    "dqc1": _run_dqc1,
-    "contextuality": _run_contextuality,
-    "weak": _run_weak,
-    "ising": _run_ising,
-    "xxz": _run_xxz,
-    "transfer": _run_transfer,
-    "spectrum": _run_spectrum,
-}
+EXPERIMENTS = {name: run for name, (run, _, _) in SCHEMA.items()}
+DEFAULT_CONFIGS = {name: {k: spec["default"] for k, spec in keys.items()}
+                   for name, (_, keys, _) in SCHEMA.items()}
+
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +817,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         out_dir = os.path.join("runs", name)
 
     try:
-        cfg = _merge_config(name, user_cfg)
+        cfg = _resolve(name, user_cfg)
         t0 = time.perf_counter()
         result = EXPERIMENTS[name](cfg, seed, shots)
         wall = time.perf_counter() - t0
@@ -853,7 +845,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         "seed": seed,
         "shots": shots,
         "config_path": None if config_path is None else os.path.abspath(config_path),
-        "config": _jsonable(cfg),
+        "config": _jsonable({**DEFAULT_CONFIGS[name], **user_cfg}),
         "fixture_hashes": fixture_hashes,
         "output_paths": out_paths,
         "wall_time_s": wall,

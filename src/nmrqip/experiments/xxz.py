@@ -216,8 +216,13 @@ def ge_jump_location(scan: XxzScan) -> float:
 def branch_crossing(n: int, lo: float = 0.5, hi: float = 1.5, tol: float = 1e-3) -> float:
     """Where the equatorial and alternating product families swap dominance.
 
-    Bisects the sign change of (equatorial - neel) overlap along gamma.
+    Bisects the sign change of (equatorial - neel) overlap along gamma.  Only
+    even rings of 4 or more sites have one: an odd periodic ring admits no
+    alternating product state, and on 2 sites the two overlaps tie.
     """
+    if n % 2 or n < 4:
+        raise ValueError(f"no branch crossing on a ring of n={n} sites; "
+                         "it needs an even n >= 4")
 
     def gap(gamma: float) -> float:
         psi, _, _ = xxz_ground_state(n, gamma)

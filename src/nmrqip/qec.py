@@ -404,7 +404,8 @@ def distill_magic(p_in: float, rounds: int = 1) -> DistillResult:
             [k1.conj() @ projected @ k0, k1.conj() @ projected @ k1],
         ]) / succ
         rho_out = ops["fixup"] @ out @ ops["fixup"]
-        p = m_polarization(rho_out)[1]
+        # rounding can step just past a pure state's polarization of +-1
+        p = min(max(m_polarization(rho_out)[1], -1.0), 1.0)
         success = succ
     return DistillResult(float(p), float(success), rho_out)
 

@@ -1,17 +1,23 @@
 """Command-line contract: exits, config handling, file outputs, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nmrqip
 from nmrqip import acceptance
-from nmrqip.cli import DEFAULT_CONFIGS, EXPERIMENTS, format_cell, main, run_experiment
+from nmrqip.cli import DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, format_cell, main, run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -253,6 +259,214 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, name, doc, message):
     assert len(lines) == 1
     assert message in json.loads(lines[0])["error"]
     assert not (tmp_path / "o").exists()
+
+
+def assert_config_error(code, capsys, out_dir, message=""):
+    """Exit 2, one JSON line whose error holds message, and no output directory."""
+    assert code == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]
+    assert not os.path.exists(out_dir)
+
+
+# cheap xxz settings; the crossing bisection is what the tests below are about
+_XXZ_SMALL = {"n_points": 2, "n_restarts": 1, "locate_jump": False}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_locate_crossing_on_odd_ring_exits_2(tmp_path, capsys, n):
+    # an odd ring has no alternating product state; the bisection used to
+    # fail with "no dominance change in [0.5, 1.5]"
+    out = str(tmp_path / "o")
+    code = run_experiment("xxz", out_dir=out, config_doc={"n": n, **_XXZ_SMALL})
+    assert_config_error(code, capsys, out, "locate_crossing")
+
+
+def test_xxz_n7_without_crossing_runs(tmp_path, capsys):
+    doc = {"n": 7, "locate_crossing": False, **_XXZ_SMALL}
+    assert run_experiment("xxz", out_dir=str(tmp_path / "o"), config_doc=doc) == 0
+    assert read_stdout_json(capsys)["n"] == 7
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name,doc", [
+    # these raised a traceback
+    ("grape", {"dt_s": NAN}),
+    ("grape", {"u_max_hz": INF}),
+    ("grape", {"target_fidelity": NAN}),
+    ("grape", {"init_scale": NAN}),
+    ("grape", {"rf_distribution": [[NAN, 1.0]]}),
+    ("grape", {"rf_distribution": [[1.0, NAN]]}),
+    ("twirl", {"delta": NAN}),
+    ("certify", {"delta": NAN}),
+    ("rb", {"lengths": [1, INF]}),
+    ("dqc1", {"epsilon": NAN}),
+    ("contextuality", {"noise_p": NAN}),
+    ("ising", {"j": INF}),
+    ("ising", {"h_min": NAN}),
+    ("ising", {"h_max": INF}),
+    ("xxz", {"gamma_min": NAN, **_XXZ_SMALL}),
+    ("xxz", {"gamma_max": INF, **_XXZ_SMALL}),
+    ("spectrum", {"epsilon": NAN}),
+    ("spectrum", {"duration_s": INF}),
+    # these exited 0 with NaN in the output
+    ("transfer", {"tau": NAN}),
+    ("transfer", {"alpha": NAN}),
+    ("weak", {"couplings": [0.1, NAN]}),
+    ("twirl", {"weight_masses": {"1": NAN}}),
+    ("ising", {"step_tol": NAN}),
+    ("dqc1", {"theta": NAN}),
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, name, doc):
+    out = str(tmp_path / "o")
+    code = run_experiment(name, out_dir=out, config_doc=doc)
+    assert_config_error(code, capsys, out, next(iter(doc)))
+
+
+def test_nan_in_config_file_exits_2(tmp_path, capsys):
+    # json.load reads the bare NaN token that json.dumps writes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": NAN}))
+    assert "NaN" in cfg.read_text()
+    out = str(tmp_path / "o")
+    code = main(["transfer", "--config", str(cfg), "--out", out])
+    assert_config_error(code, capsys, out, "tau must be a finite number")
+
+
+@pytest.mark.parametrize("name,key", [
+    ("grape", "dt_s"), ("grape", "u_max_hz"), ("ising", "j"), ("ising", "h_max"),
+    ("xxz", "gamma_max"), ("weak", "target_value"),
+])
+def test_huge_finite_values_exit_2(tmp_path, capsys, name, key):
+    out = str(tmp_path / "o")
+    code = run_experiment(name, out_dir=out, config_doc={key: 1e308})
+    assert_config_error(code, capsys, out, f"{key} must be <=")
+
+
+def test_weak_limits_admit_only_what_runs(tmp_path, capsys):
+    # at target_value 999999 and g = 1e-12 the success probability, about
+    # 1e-12, fell under weak_value's floor
+    limits = {k: v["limits"] for k, v in SCHEMA["weak"][1].items()}
+    doc = {"target_value": limits["target_value"]["hi"],
+           "couplings": [limits["couplings"]["lo"], limits["couplings"]["hi"]]}
+    assert run_experiment("weak", out_dir=str(tmp_path / "a"), config_doc=doc) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "b")
+    code = run_experiment("weak", out_dir=out, config_doc={"target_value": 999999})
+    assert_config_error(code, capsys, out, "target_value")
+
+
+@pytest.mark.parametrize("name,doc,message", [
+    # list entries have real types and ranges
+    ("rb", {"lengths": [1, 1.5, 4]}, "lengths entries must be an integer"),
+    ("grape", {"rf_distribution": [[1.0, 1.5], [1.0, -0.5]]}, "rf_distribution weights"),
+    ("grape", {"rf_distribution": [[0.0, 1.0]]}, "rf_distribution scales"),
+    # keys the selected mode does not read are checked too
+    ("dqc1", {"epsilon2": "x"}, "epsilon2"),
+    ("transfer", {"mode": "entangle", "alpha": INF}, "alpha"),
+    ("ising", {"locate_steps": False, "step_tol": 1.0}, "step_tol"),
+    # cross-key rules
+    ("xxz", {"n": 2, **_XXZ_SMALL}, "locate_crossing"),
+    ("twirl", {"with_replacement": False}, "4^n - 1"),
+    ("grape", {"control_qubit": 3}, "control/target"),
+    ("certify", {"target_qubit": 1}, "control/target"),
+    ("contextuality", {"method": "direct", "noise_p": 0.1}, "noise_p"),
+    # limits the probes needed: a subnormal coupling divided by zero, and a
+    # huge tau turned the fidelities into NaN
+    ("weak", {"couplings": [5e-324]}, "couplings"),
+    ("transfer", {"n": 3, "tau": 1e308}, "tau"),
+])
+def test_stricter_checks_exit_2(tmp_path, capsys, name, doc, message):
+    out = str(tmp_path / "o")
+    code = run_experiment(name, out_dir=out, config_doc=doc)
+    assert_config_error(code, capsys, out, message)
+
+
+def test_sample_count_is_capped(tmp_path, capsys):
+    # delta = 1e-3 asks Hoeffding for 2.4 million Pauli samples at n = 3
+    for name in ("twirl", "certify"):
+        out = str(tmp_path / name)
+        code = run_experiment(name, out_dir=out, config_doc={"delta": 1e-3})
+        assert_config_error(code, capsys, out, "10^6 samples")
+
+
+# Cheap configs the fuzzed value is merged over.
+_FUZZ_BASE = {
+    "grape": {"n_steps": 2, "max_iters": 1},
+    "twirl": {"n": 1, "weight_masses": {"1": 0.1}, "n_samples": 3},
+    "certify": {"delta": 0.45, "depolarizing_p": [0.1]},
+    "rb": {"n": 1, "lengths": [1, 2], "sequences": 2},
+    "qec": {"code": "bit-flip", "transversal_demo": False},
+    "distill": {"p_values": [0.5], "find_threshold": False},
+    "dqc1": {"n": 2},
+    "contextuality": {},
+    "weak": {"couplings": [0.1]},
+    "ising": {"n_points": 3},
+    "xxz": {"n": 4, "n_points": 2, "n_restarts": 1},
+    "transfer": {"n": 2, "iterations": 2},
+    "spectrum": {"n_samples": 16},
+}
+
+_SPECIAL = [NAN, INF, -INF, 1e308, -1e308, 10**400, True, None, "x", [], {}]
+
+
+def _near_limits(limits, integer):
+    """Each limit and its neighbours on both sides."""
+    out = []
+    for bound in (limits.get(k) for k in ("lo", "hi", "gt")):
+        if bound is None:
+            continue
+        if integer:
+            out += [bound - 1, bound, bound + 1]
+        else:
+            out += [math.nextafter(bound, -INF), bound, math.nextafter(bound, INF)]
+    if integer:
+        # an int key's top limit caps steps, samples or iterations: valid there
+        # but minutes long, so only values just past it are drawn
+        out = [v for v in out if v <= 64 or v > limits["hi"]]
+    return out
+
+
+def _fuzz_values(spec):
+    kind, lim = spec["kind"], spec["limits"]
+    if kind == "pairs":
+        return (_SPECIAL + [[[x, 1.0]] for x in _near_limits(lim["scale"], False) + _SPECIAL]
+                + [[[1.0, x]] for x in _near_limits(lim["weight"], False) + _SPECIAL])
+    if kind == "weights":
+        return (_SPECIAL + [{"1": x} for x in _near_limits(lim["values"], False) + _SPECIAL]
+                + [{str(k): 0.1} for k in _near_limits(lim["keys"], True)])
+    if kind == "choice":
+        return list(lim["options"]) + _SPECIAL
+    if kind == "bool":
+        return [True, False, 0, 1] + _SPECIAL
+    scalars = _near_limits(lim, kind in ("int", "ints")) + _SPECIAL
+    if kind in ("numbers", "ints"):
+        return scalars + [[x] for x in scalars] + [[1, x] for x in scalars]
+    return scalars
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@settings(derandomize=True, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_one_key_exits_0_2_or_3(name, data):
+    keys = SCHEMA[name][1]
+    key = data.draw(st.sampled_from(sorted(keys)), label="key")
+    value = data.draw(st.sampled_from(_fuzz_values(keys[key])), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "o")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run_experiment(name, out_dir=out_dir,
+                                  config_doc={**_FUZZ_BASE[name], key: value})
+        assert code in (0, 2, 3)
+        if code == 2:
+            lines = buf.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+            assert not os.path.exists(out_dir)
 
 
 def test_dqc1_shots_flag(tmp_path, capsys):

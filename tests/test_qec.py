@@ -192,6 +192,13 @@ def test_distill_multi_round_composes():
     assert two.p_out > distill_magic(0.9).p_out
 
 
+@pytest.mark.parametrize("p,rounds", [(-1.0, 2), (-0.999999, 3), (0.999, 3), (0.999, 10)])
+def test_distill_rounds_stay_within_pure_polarization(p, rounds):
+    # rounding once carried the polarization just past +-1, where the next
+    # round's magic_density refused it
+    assert -1.0 <= distill_magic(p, rounds=rounds).p_out <= 1.0
+
+
 def test_distillation_threshold_value():
     thr = distillation_threshold()
     assert 0.55 <= thr <= 0.75

@@ -115,3 +115,16 @@ def test_branch_crossing_near_isotropic_point():
 def test_branch_crossing_needs_sign_change():
     with pytest.raises(ValueError, match="dominance"):
         branch_crossing(4, lo=2.0, hi=3.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_branch_crossing_needs_even_ring_of_four(monkeypatch, n):
+    # refused before any ground state is computed
+    import nmrqip.experiments.xxz as xxz
+
+    def fail(*args):
+        raise AssertionError("ground state computed")
+
+    monkeypatch.setattr(xxz, "xxz_ground_state", fail)
+    with pytest.raises(ValueError, match="even n >= 4"):
+        branch_crossing(n)
