@@ -621,6 +621,11 @@ SCHEMA = {
          "bad control/target pair ({control_qubit}, {target_qubit}) for {molecule}"),
         (lambda c: abs(sum(w for _, w in c["rf_distribution"]) - 1.0) <= 1e-9,
          "rf_distribution weights must sum to 1"),
+        # a GRAPE step record takes about 2.5 MB on chain7, 1.5 MB more per
+        # extra RF scale; 2^23 admits 512 step-scales there, about 1.3 GB
+        (lambda c: (c["n_steps"] * len(c["rf_distribution"])
+                    * 4 ** builtin_molecule(c["molecule"]).n <= 2**23),
+         "n_steps x rf_distribution scales x 4^n must be <= 2^23 for {molecule}"),
     )),
     "twirl": (_run_twirl, {
         "n": _key("int", 3, lo=1, hi=7),

@@ -138,6 +138,7 @@ def state_transfer(
     beta_phase = beta / abs(beta) if abs(beta) > 0 else 1.0
 
     u = chain.propagator()
+    theta = chain.theta  # a property that rebuilds the Hamiltonian
     v = np.zeros(n + 1, dtype=complex)
     v[0] = alpha
     v[source] = beta
@@ -145,7 +146,7 @@ def state_transfer(
 
     def fidelity(vec: np.ndarray, k: int) -> float:
         target = np.zeros(n + 1, dtype=complex)
-        target[0] = alpha * np.exp(1j * k * chain.theta)
+        target[0] = alpha * np.exp(1j * k * theta)
         target[n] = beta
         return float(abs(np.vdot(target, vec)) ** 2)
 
@@ -166,7 +167,7 @@ def state_transfer(
                 stalled = True
         else:
             flat = 0
-    return TransferResult(np.array(fids), v, chain.theta, stalled, drift)
+    return TransferResult(np.array(fids), v, theta, stalled, drift)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Codes are k=1 stabilizer codes given by generator and logical Pauli strings;
 their encoding unitaries are built from a completed Clifford tableau, so
 encode/decode are exact Clifford unitaries rather than hand-built gate lists.
+Syndromes are measured by projectors on the code register; the tests keep the
+equivalent ancilla circuit (one ancilla per generator) as their oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .clifford import CliffordTableau
-from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, controlled,
-                  embed, ket_density, partial_trace, state_fidelity)
+from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, ket_density,
+                  partial_trace, state_fidelity)
 
 MAGIC_AXIS = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3)
 
@@ -108,15 +110,30 @@ class StabilizerCode:
     def syndrome_of(self, error: PauliString):
         return tuple(0 if error.commutes(g) else 1 for g in self.generators)
 
+    def syndrome_projectors(self) -> np.ndarray:
+        """(2^g, d, d) stack of P_s = prod_k (I + (-1)^{s_k} g_k)/2, s_k bit g-1-k of s."""
+        if "projectors" not in self._cache:
+            d, g = 2**self.n_physical, len(self.generators)
+            projs = np.empty((2**g, d, d), dtype=complex)
+            for s in range(2**g):
+                projs[s] = np.eye(d)
+                for k, gen in enumerate(self.generators):
+                    sign = 1 - 2 * (s >> (g - 1 - k) & 1)
+                    projs[s] = projs[s] @ (np.eye(d) + sign * gen.dense()) / 2
+            projs.setflags(write=False)  # shared by every caller through the cache
+            self._cache["projectors"] = projs
+        return self._cache["projectors"]
+
     def lookup_table(self):
-        """Min-weight correction per syndrome (support then letter tie-break)."""
+        """Min-weight correction per syndrome (support, then X, Z, Y tie-break:
+        the phase-flip code, where Z and Y share syndromes, corrects Z by Z)."""
         if "lookup" in self._cache:
             return self._cache["lookup"]
         n = self.n_physical
         table = {}
         for w in range(n + 1):
             for support in combinations(range(n), w):
-                for letters in product("XYZ", repeat=w):
+                for letters in product("XZY", repeat=w):
                     chars = ["I"] * n
                     for q, c in zip(support, letters):
                         chars[q] = c
@@ -181,48 +198,25 @@ def decode(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
 
 
 def syndrome_extract(code: StabilizerCode, rho: np.ndarray, rng=None):
-    """Coherent ancilla-based syndrome measurement.
-
-    One ancilla per generator: H, controlled-generator, H, then a projective
-    z-measurement of the ancillas.  With rng=None the most probable outcome
-    is selected deterministically (exact when the syndrome is definite).
-    Returns (syndrome bits, post-measurement data state).
+    """Projective measurement of the generators: outcome s has probability
+    Re Tr(P_s rho) and leaves P_s rho P_s / Tr.  With rng=None the most
+    probable outcome is selected deterministically (exact when the syndrome
+    is definite).  Returns (syndrome bits, post-measurement state).
     """
-    n, g = code.n_physical, len(code.generators)
-    big = n + g
-    anc = np.zeros((2**g, 2**g), dtype=complex)
-    anc[0, 0] = 1.0
-    joint = np.kron(np.asarray(rho, dtype=complex), anc)
-    data_qubits = list(range(1, n + 1))
-    circuit = code._cache.get("syndrome_unitary")
-    if circuit is None:
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        circuit = np.eye(2**big, dtype=complex)
-        for k, gen in enumerate(code.generators):
-            a = n + k + 1
-            ha = embed(h, [a], big)
-            cg = embed(controlled(gen.dense()), [a] + data_qubits, big)
-            circuit = ha @ cg @ ha @ circuit
-        code._cache["syndrome_unitary"] = circuit
-    joint = circuit @ joint @ circuit.conj().T
-    # ancilla measurement statistics
-    probs = {}
-    idx = np.arange(2**big)
-    anc_bits = idx % (2**g)
-    diag = np.real(np.diagonal(joint))
-    for s in range(2**g):
-        probs[s] = float(np.sum(diag[anc_bits == s]))
+    g = len(code.generators)
+    rho = np.asarray(rho, dtype=complex)
+    projs = code.syndrome_projectors()
+    probs = np.einsum("sij,ji->s", projs, rho).real
     if rng is None:
-        outcome = max(probs, key=lambda s: probs[s])
+        outcome = int(np.argmax(probs))
     else:
-        ps = np.clip(np.array([probs[s] for s in range(2**g)]), 0, None)
+        ps = np.clip(probs, 0, None)
         outcome = int(rng.choice(2**g, p=ps / ps.sum()))
-    mask = (anc_bits == outcome).astype(float)
-    post = joint * np.outer(mask, mask)
+    proj = projs[outcome]
+    post = proj @ rho @ proj
     post /= np.trace(post).real
-    data_state = partial_trace(post, data_qubits, big)
     syndrome = tuple((outcome >> (g - 1 - k)) & 1 for k in range(g))
-    return syndrome, data_state
+    return syndrome, post
 
 
 def recover(code: StabilizerCode, syndrome) -> PauliString:
@@ -357,11 +351,8 @@ def _distill_ops():
     if _DISTILL:
         return _DISTILL
     code = five_qubit_code()
-    d = 32
-    proj = np.eye(d, dtype=complex)
-    for g in code.generators:
-        proj = proj @ (np.eye(d) + g.dense()) / 2
-    p0 = proj @ (np.eye(d) + code.logical_z.dense()) / 2
+    proj = code.syndrome_projectors()[0]
+    p0 = proj @ (np.eye(32) + code.logical_z.dense()) / 2
     w, v = np.linalg.eigh(p0)
     ket0 = v[:, int(np.argmax(w))]
     k = int(np.argmax(np.abs(ket0) > 1e-8))

@@ -41,9 +41,6 @@ def recommended_samples(n: int, delta: float, confidence: float = 0.05) -> int:
     return math.ceil(math.log(2 * n / confidence) / (2 * delta**2))
 
 
-_Z = PauliString("Z")
-
-
 @lru_cache(maxsize=None)
 def _weight_probs(n: int) -> np.ndarray:
     """Probability of each weight 1..n among the 4^n - 1 non-identity Paulis."""
@@ -54,15 +51,19 @@ def _weight_probs(n: int) -> np.ndarray:
 
 
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform non-identity Pauli via weight draw, permutation, per-qubit C1."""
+    """Uniform non-identity Pauli via weight draw, permutation, per-qubit C1.
+
+    Each chosen qubit gets the image of Z under a random Clifford; the
+    supports are disjoint, so the masks OR together and the phases add.
+    """
     w = 1 + rng.choice(n, p=_weight_probs(n))
     positions = rng.permutation(n)[:w]
-    out = PauliString.from_bits(n, 0, 0)
+    x = z = k = 0
     for q in sorted(positions.tolist()):
-        img = sample_1q_clifford(rng).conjugate(_Z)
+        img = sample_1q_clifford(rng).z_images[0]
         s = n - 1 - q
-        out = out * PauliString.from_bits(n, img.x << s, img.z << s, img.k)
-    return out
+        x, z, k = x | img.x << s, z | img.z << s, k + img.k
+    return PauliString.from_bits(n, x, z, k)
 
 
 def _sample_paulis(n: int, count: int, rng, with_replacement: bool):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import nmrqip
 from nmrqip import acceptance
-from nmrqip.cli import DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, format_cell, main, run_experiment
+from nmrqip.cli import (DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, _resolve, format_cell, main,
+                        run_experiment)
 
 
 @pytest.fixture(autouse=True)
@@ -383,6 +384,26 @@ def test_stricter_checks_exit_2(tmp_path, capsys, name, doc, message):
     out = str(tmp_path / "o")
     code = run_experiment(name, out_dir=out, config_doc=doc)
     assert_config_error(code, capsys, out, message)
+
+
+@pytest.mark.parametrize("doc", [
+    {"molecule": "chain7", "n_steps": 600},
+    {"molecule": "chain7", "n_steps": 300, "rf_distribution": [[0.98, 0.5], [1.02, 0.5]]},
+])
+def test_grape_memory_is_capped(tmp_path, capsys, doc):
+    # every pulse step keeps a few d x d matrices per RF scale: about 2.5 MB
+    # per step on chain7 (250 steps peaked at 674 MB RSS)
+    out = str(tmp_path / "o")
+    code = run_experiment("grape", out_dir=out, config_doc=doc)
+    assert_config_error(code, capsys, out, "n_steps x rf_distribution scales x 4^n")
+
+
+def test_grape_memory_cap_admits_512_step_scales_on_chain7():
+    # resolving checks every rule and runs nothing: 512 x 4^7 = 2^23
+    _resolve("grape", {"molecule": "chain7", "n_steps": 512})
+    _resolve("grape", {"molecule": "chain7", "n_steps": 256, "rf_distribution": [[1.0, 0.5]] * 2})
+    for name in ("chloroform2", "malonate3", "crotonic4"):
+        _resolve("grape", {"molecule": name, "n_steps": 10_000})
 
 
 def test_sample_count_is_capped(tmp_path, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nmrqip.qop import PauliString, ket_density, state_fidelity
+from nmrqip.qop import (PauliString, controlled, embed, ket_density, partial_trace,
+                        state_fidelity)
 from nmrqip.qec import (
     DistillResult,
     StabilizerCode,
@@ -86,6 +87,79 @@ def test_syndrome_extract_reports_injected_error():
         recover(code, (0, 1, 1, 0, 0))
 
 
+_ANCILLA_CIRCUITS = {}
+
+
+def ancilla_syndrome_extract(code, rho, rng=None):
+    """Reference syndrome readout on the (n + g)-qubit register.
+
+    One ancilla per generator: H, controlled generator, H, then a projective
+    z-measurement of the ancillas.  Returns (syndrome, post-measurement data
+    state, outcome probabilities), outcome s read with ancilla 1 as its most
+    significant bit.
+    """
+    n, g = code.n_physical, len(code.generators)
+    big = n + g
+    data_qubits = list(range(1, n + 1))
+    circuit = _ANCILLA_CIRCUITS.get(code.name)
+    if circuit is None:
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        circuit = np.eye(2**big, dtype=complex)
+        for k, gen in enumerate(code.generators):
+            a = n + k + 1
+            ha = embed(h, [a], big)
+            cg = embed(controlled(gen.dense()), [a] + data_qubits, big)
+            circuit = ha @ cg @ ha @ circuit
+        _ANCILLA_CIRCUITS[code.name] = circuit
+    # the ancillas start in |0..0>, the last g qubits: of the circuit applied
+    # to rho x |0..0><0..0|, only the columns with those bits 0 contribute
+    start = circuit[:, ::2**g]
+    joint = start @ np.asarray(rho, dtype=complex) @ start.conj().T
+    anc_bits = np.arange(2**big) % (2**g)
+    diag = np.real(np.diagonal(joint))
+    probs = np.array([diag[anc_bits == s].sum() for s in range(2**g)])
+    if rng is None:
+        outcome = int(np.argmax(probs))
+    else:
+        ps = np.clip(probs, 0, None)
+        outcome = int(rng.choice(2**g, p=ps / ps.sum()))
+    mask = (anc_bits == outcome).astype(float)
+    post = joint * np.outer(mask, mask)
+    post /= np.trace(post).real
+    syndrome = tuple((outcome >> (g - 1 - k)) & 1 for k in range(g))
+    return syndrome, partial_trace(post, data_qubits, big), probs
+
+
+def _random_density(d, rng):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("make_code", [bit_flip_code, phase_flip_code, five_qubit_code])
+def test_syndrome_projectors_match_ancilla_circuit(make_code):
+    code = make_code()
+    d, g = 2**code.n_physical, len(code.generators)
+    projs = code.syndrome_projectors()
+    assert projs.shape == (2**g, d, d)
+    assert np.allclose(projs.sum(axis=0), np.eye(d), atol=1e-12)
+    assert np.allclose(projs @ projs, projs, atol=1e-12)
+    clean = encode(code, PSI)
+    states = [e.dense() @ clean @ e.dense().conj().T for e in error_ensemble(code.n_physical)]
+    state_rng = np.random.default_rng(7)
+    states += [_random_density(d, state_rng) for _ in range(10)]
+    for seed, rho in enumerate(states):
+        syndrome, post = syndrome_extract(code, rho)
+        want_syndrome, want_post, want_probs = ancilla_syndrome_extract(code, rho)
+        assert syndrome == want_syndrome
+        assert np.abs(np.einsum("sij,ji->s", projs, rho).real - want_probs).max() < 1e-12
+        assert np.abs(post - want_post).max() < 1e-12
+        drawn = syndrome_extract(code, rho, np.random.default_rng(seed))
+        want = ancilla_syndrome_extract(code, rho, np.random.default_rng(seed))
+        assert drawn[0] == want[0]
+        assert np.abs(drawn[1] - want[1]).max() < 1e-12
+
+
 def test_correction_cycle_fixes_single_errors():
     for code, errors in ((bit_flip_code(), ["XII", "IXI", "IIX"]),
                          (five_qubit_code(), None)):
@@ -96,6 +170,17 @@ def test_correction_cycle_fixes_single_errors():
             fixed = correction_cycle(code, e @ clean @ e.conj().T)
             assert state_fidelity(decode(code, fixed),
                                   ket_density(PSI)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_phase_flip_code_corrects_z_errors_under_h():
+    # Y and Z share a syndrome on this code; correcting a Z error by Y would
+    # leave X_i, which is the logical Z
+    code = phase_flip_code()
+    for word in ("ZII", "IZI", "IIZ"):
+        assert recover(code, code.syndrome_of(PauliString(word))) == PauliString(word)
+        for psi in (None, PSI):
+            _, f_corr = logical_gate_cycle(code, "H", PauliString(word), psi)
+            assert f_corr == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bit_flip_code_misses_phase_errors():

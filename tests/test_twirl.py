@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import CliffordTableau, gate_tableau
-from nmrqip.qop import average_gate_fidelity_exact
+from nmrqip.clifford import CliffordTableau, gate_tableau, sample_1q_clifford
+from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     TwirlEstimate,
+    _draw_pauli,
     certify_clifford,
     default_rb_sampler,
     randomized_benchmarking,
@@ -40,6 +41,23 @@ def test_twirl_identity_channel_is_exact():
     assert est.pr0_hat == pytest.approx(1.0, abs=1e-12)
     assert est.fbar == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
+
+
+def test_draw_pauli_matches_conjugated_product():
+    # reference: each chosen qubit's C Z C^dag, embedded and multiplied in
+    for n in (1, 3, 7):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(200):
+            w = 1 + ref_rng.choice(n, p=[math.comb(n, k) * 3**k / (4**n - 1)
+                                         for k in range(1, n + 1)])
+            want = PauliString("I" * n)
+            for q in sorted(ref_rng.permutation(n)[:w].tolist()):
+                img = sample_1q_clifford(ref_rng).conjugate(PauliString("Z"))
+                word = "I" * q + img.word + "I" * (n - q - 1)
+                want = want * PauliString(word, img.phase)
+            assert _draw_pauli(n, rng) == want
+        # both paths made the same RNG calls
+        assert rng.random() == ref_rng.random()
 
 
 def test_twirl_exhaustive_recovers_identity_mass():
