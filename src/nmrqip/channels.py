@@ -291,6 +291,19 @@ class Channel:
                 out = np.tensordot(data @ out, data.conj(), axes=([0, 2], [0, 2]))
         return out
 
+    def pauli_eigenvalue(self, p: PauliString) -> float | None:
+        """lambda_P with P -> lambda_P P under this channel, or None if a
+        factor is a Kraus list (the image of P need not be a multiple of P)."""
+        lam = 1.0
+        for kind, data in self._steps():
+            if kind == "kraus":
+                return None
+            if kind == "depolarizing":
+                lam *= 1.0 - data if p.x | p.z else 1.0
+            else:
+                lam *= data[p.z, p.x] * self.dim
+        return float(lam)
+
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.apply(rho)
 

@@ -5,7 +5,14 @@ whose traceless part is a random non-identity Pauli M (drawn as weight ->
 permutation -> per-qubit Clifford), push it through the noisy process, and
 read out the coefficient of the expected output Pauli.  The mean of that
 coefficient maps affinely to Pr(no error), and the average gate fidelity
-follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
+follows as fbar = (2^n Pr0 + 1)/(2^n + 1).  The channel is evaluated once
+per distinct drawn Pauli; repeated draws reuse that coefficient, and only
+the binomial readout (if any) is drawn per shot.
+
+Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
+each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
+density matrix is formed; noise with a Kraus factor runs the dense loop.
+The decay A p^m + B is fitted by variable projection in numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel
-from .clifford import CliffordTableau, circuit_tableau, gate_tableau, sample_1q_clifford
+from .clifford import CliffordTableau, all_1q_cliffords, circuit_tableau, gate_tableau
 from .qop import PauliString, all_pauli_words
 
 
@@ -42,12 +49,22 @@ def recommended_samples(n: int, delta: float, confidence: float = 0.05) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_probs(n: int) -> np.ndarray:
-    """Probability of each weight 1..n among the 4^n - 1 non-identity Paulis."""
+def _weight_cdf(n: int) -> np.ndarray:
+    """Cumulative distribution of the weight 1..n of a uniform non-identity
+    Pauli, built as Generator.choice builds it from its p."""
     weights = np.array([math.comb(n, w) * 3**w for w in range(1, n + 1)], dtype=float)
-    probs = weights / weights.sum()
-    probs.setflags(write=False)  # shared by every caller through the cache
-    return probs
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)  # shared by every caller through the cache
+    return cdf
+
+
+@lru_cache(maxsize=None)
+def _z_images() -> tuple:
+    """(x, z, k) of C Z C^dag for the 24 single-qubit Cliffords, in
+    sample_1q_clifford's order."""
+    return tuple((c.z_images[0].x, c.z_images[0].z, c.z_images[0].k)
+                 for c in all_1q_cliffords())
 
 
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
@@ -55,14 +72,17 @@ def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
 
     Each chosen qubit gets the image of Z under a random Clifford; the
     supports are disjoint, so the masks OR together and the phases add.
+    The weight draw makes the same single rng.random() call, and compares it
+    with the same cdf, as rng.choice(n, p=weight probabilities).
     """
-    w = 1 + rng.choice(n, p=_weight_probs(n))
+    w = 1 + int(_weight_cdf(n).searchsorted(rng.random(), side="right"))
     positions = rng.permutation(n)[:w]
+    images = _z_images()
     x = z = k = 0
     for q in sorted(positions.tolist()):
-        img = sample_1q_clifford(rng).z_images[0]
+        ix, iz, ik = images[rng.integers(24)]
         s = n - 1 - q
-        x, z, k = x | img.x << s, z | img.z << s, k + img.k
+        x, z, k = x | ix << s, z | iz << s, k + ik
     return PauliString.from_bits(n, x, z, k)
 
 
@@ -77,15 +97,28 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     return [PauliString(words[i + 1]) for i in idx]
 
 
-def _shot_value(channel: Channel, p_in: PauliString, p_out: PauliString,
-                readout_shots, rng) -> float:
-    d = 2**p_in.n
-    rho = (np.eye(d, dtype=complex) + p_in.dense()) / d
-    chi = float(np.einsum("ij,ji->", p_out.dense(), channel.apply(rho)).real)
-    if readout_shots:
-        q = min(max((1 + chi) / 2, 0.0), 1.0)
-        chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
-    return chi
+def _shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> np.ndarray:
+    """Per-shot coefficients of output_pauli(M) in the channel's image of
+    (I + M)/d, for the drawn input Paulis M.
+
+    The channel is applied once per distinct input Pauli (keyed with its
+    sign); a repeated draw reuses that value.  With readout_shots, each shot
+    then draws its own binomial readout, in shot order.
+    """
+    seen: dict = {}
+    chis = []
+    for p in paulis:
+        chi = seen.get(p)
+        if chi is None:
+            d = 2**p.n
+            rho = (np.eye(d, dtype=complex) + p.dense()) / d
+            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real)
+            seen[p] = chi
+        if readout_shots:
+            q = min(max((1 + chi) / 2, 0.0), 1.0)
+            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
+        chis.append(chi)
+    return np.array(chis)
 
 
 def _estimate(chis: np.ndarray, n: int, delta: float) -> TwirlEstimate:
@@ -112,10 +145,8 @@ def twirl_estimate_memory(
         raise ValueError("delta must be in (0, 0.5)")
     n = noise.n
     count = n_samples if n_samples is not None else recommended_samples(n, delta)
-    chis = np.array([
-        _shot_value(noise, p, p, readout_shots, rng)
-        for p in _sample_paulis(n, count, rng, with_replacement)
-    ])
+    paulis = _sample_paulis(n, count, rng, with_replacement)
+    chis = _shot_values(noise, paulis, lambda p: p, readout_shots, rng)
     return _estimate(chis, n, delta)
 
 
@@ -140,10 +171,8 @@ def certify_clifford(
     if target.n != n:
         raise ValueError("target size does not match gate")
     count = n_samples if n_samples is not None else recommended_samples(n, delta)
-    chis = np.array([
-        _shot_value(noisy_gate, p, target.conjugate(p), readout_shots, rng)
-        for p in _sample_paulis(n, count, rng, with_replacement)
-    ])
+    paulis = _sample_paulis(n, count, rng, with_replacement)
+    chis = _shot_values(noisy_gate, paulis, target.conjugate, readout_shots, rng)
     return _estimate(chis, n, delta)
 
 
@@ -202,6 +231,73 @@ def rotation_clifford_sampler():
     return sampler
 
 
+def _propagated_survival(noise: Channel | None, tabs, z1: PauliString) -> float:
+    """Survival of Z_1 under Pauli noise (or none) by Pauli propagation.
+
+    Each Clifford maps the deviation to one signed Pauli Q and the noise
+    scales it by lambda_Q; the exact recovery returns it to +Z_1, which the
+    last noise step scales by lambda_Z1 (Flammia & Wallman, arXiv:1907.12976).
+    """
+    if noise is None:
+        return 1.0
+    survival, q = 1.0, z1
+    for tab in tabs:
+        q = tab.conjugate(q)
+        survival *= noise.pauli_eigenvalue(q)
+    return survival * noise.pauli_eigenvalue(z1)
+
+
+_GOLDEN = (math.sqrt(5) - 1) / 2
+# golden-section steps that shrink the decay's bracket [0, 1] below 1e-15
+_GOLDEN_STEPS = math.ceil(math.log(1e-15) / math.log(_GOLDEN))
+
+
+def _fit_decay(lengths, surv: np.ndarray):
+    """Least-squares (A, p, B) of A p^m + B with all three in [0, 1].
+
+    Variable projection: for fixed p the model is linear in (A, B), and the
+    box-constrained two-variable least squares is solved exactly (the
+    unconstrained optimum if it lies in the box, else the best point on the
+    box's four edges); golden-section search over p minimizes what is left.
+    """
+    m = np.asarray(lengths, dtype=float)
+    y = np.asarray(surv, dtype=float)
+
+    def clip(v):
+        return min(max(v, 0.0), 1.0)
+
+    def projected(p):
+        """(residual sum of squares, A, B) at the best (A, B) for this p."""
+        u = p**m
+        uu = float(u @ u)
+        # the best point on each edge of the box: A = 0, A = 1, B = 0, B = 1
+        cands = [(a, clip(float(np.mean(y - a * u)))) for a in (0.0, 1.0)]
+        cands += [(clip(float(u @ (y - b)) / uu) if uu > 0 else 0.0, b) for b in (0.0, 1.0)]
+        du = u - u.mean()
+        if du @ du > 0:  # the unconstrained optimum, when it lies in the box
+            a = float(du @ (y - y.mean())) / float(du @ du)
+            b = float(y.mean()) - a * float(u.mean())
+            if 0 <= a <= 1 and 0 <= b <= 1:
+                cands.append((a, b))
+        return min((float(np.sum((y - a * u - b) ** 2)), a, b) for a, b in cands)
+
+    g = _GOLDEN
+    lo, hi = 0.0, 1.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = projected(c), projected(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = projected(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = projected(d)
+    (_, a, b), p = (fc, c) if fc <= fd else (fd, d)
+    return a, p, b
+
+
 def randomized_benchmarking(
     gate_sampler,
     noise_model: Channel | None,
@@ -213,7 +309,9 @@ def randomized_benchmarking(
 
     For each length, `shots` random sequences are applied to a deviation
     state Z_1; noise acts after every gate including the recovery.  The mean
-    survival is fitted to A p^m + B.
+    survival is fitted to A p^m + B.  Pauli noise (or none) is propagated
+    through the sequence symbolically; noise with a Kraus factor runs the
+    dense density-matrix loop.
     """
     n = noise_model.n if noise_model is not None else None
     dense_cache: dict = {}
@@ -233,20 +331,19 @@ def randomized_benchmarking(
             tabs = [gate_sampler(rng) for _ in range(m)]
             if n is None:
                 n = tabs[0].n if tabs else 1
+            z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+            if noise_model is None or noise_model.pauli_eigenvalue(z1) is not None:
+                acc += _propagated_survival(noise_model, tabs, z1)
+                continue
             d = 2**n
-            z1 = PauliString("Z" + "I" * (n - 1))
             rho = (np.eye(d, dtype=complex) + z1.dense()) / d
             total = CliffordTableau.identity(n)
             for tab in tabs:
                 u = dense(tab)
-                rho = u @ rho @ u.conj().T
-                if noise_model is not None:
-                    rho = noise_model.apply(rho)
+                rho = noise_model.apply(u @ rho @ u.conj().T)
                 total = total.then(tab)
             rec = dense(total.inverse())
-            rho = rec @ rho @ rec.conj().T
-            if noise_model is not None:
-                rho = noise_model.apply(rho)
+            rho = noise_model.apply(rec @ rho @ rec.conj().T)
             acc += float(np.trace(z1.dense() @ rho).real)
         survivals.append(acc / shots)
 
@@ -258,20 +355,7 @@ def randomized_benchmarking(
         return RBResult(lengths, survivals, float("nan"), float("nan"),
                         float("nan"), float("nan"), False,
                         "survival does not decay with sequence length")
-    from scipy.optimize import curve_fit
-    try:
-        popt, _ = curve_fit(
-            lambda m, a, p, b: a * p**m + b,
-            np.array(lengths, dtype=float),
-            surv,
-            p0=(surv[0] - surv[-1], 0.99, surv[-1]),
-            bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        return RBResult(lengths, survivals, float("nan"), float("nan"),
-                        float("nan"), float("nan"), False, f"fit failed: {exc}")
-    a, p, b = (float(v) for v in popt)
+    a, p, b = _fit_decay(lengths, surv)
     d = 2**n
     r = (1 - p) * (1 - 1 / d)
     return RBResult(lengths, survivals, a, b, p, r, True, "ok")

@@ -136,6 +136,35 @@ def test_pauli_channel_transfer_eigenvalues(rng):
                                          abs=1e-12)
 
 
+def test_pauli_eigenvalue_accessor(rng):
+    # every word, against the transfer eigenvalue and the applied channel,
+    # for one Pauli factor, the depolarizing closed form and a composite
+    probs = random_pauli_probs(2, rng)
+    bit = {"I": 0.9, "X": 0.1}
+    composite = Channel.from_pauli_probs(bit).tensor(Channel.phase_flip(0.2)).then(
+        Channel.depolarizing(1, 0.3).on((2,), 2))
+    composite_probs = {a + b: p * q for a, p in bit.items()
+                       for b, q in {"I": 0.8, "Z": 0.2}.items()}
+    for word in all_pauli_words(2):
+        for phase in (1, -1):
+            p = PauliString(word, phase)
+            assert Channel.from_pauli_probs(probs).pauli_eigenvalue(p) == pytest.approx(
+                pauli_transfer_eigenvalue(probs, word), abs=1e-12)
+            want = 1.0 if word == "II" else 0.75
+            assert Channel.depolarizing(2, 0.25).pauli_eigenvalue(p) == pytest.approx(
+                want, abs=1e-15)
+            want = (pauli_transfer_eigenvalue(composite_probs, word)
+                    * (0.7 if word[1] != "I" else 1.0))
+            assert composite.pauli_eigenvalue(p) == pytest.approx(want, abs=1e-12)
+            if word != "II":
+                rho = (np.eye(4) + pauli_dense(word)) / 4
+                survival = np.trace(pauli_dense(word) @ composite.apply(rho)).real
+                assert composite.pauli_eigenvalue(p) == pytest.approx(survival, abs=1e-12)
+    z = PauliString("Z")
+    assert Channel.amplitude_damping(0.1).pauli_eigenvalue(z) is None
+    assert Channel.phase_flip(0.1).then(Channel.identity(1)).pauli_eigenvalue(z) is None
+
+
 def test_pauli_probs_by_weight_fixture():
     probs = pauli_probs_by_weight(3, {1: 0.38, 2: 0.14, 3: 0.04})
     assert probs["III"] == pytest.approx(0.44)

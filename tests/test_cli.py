@@ -60,7 +60,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
     # each of these costs 0.1-0.2 s of every start-up; only the experiments
-    # that compute with one (rb, spectrum, transfer, dqc1's block trace) load it
+    # that compute with one (spectrum, transfer, dqc1's block trace) load it
     src = str(Path(nmrqip.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -69,6 +69,7 @@ def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
         ("certify", {}),
         ("qec", {}),
         ("grape", {"n_steps": 20, "max_iters": 3, "target_fidelity": 0.999}),
+        ("rb", {"n": 3, "sequences": 3}),
     ]
     probe = f"""
 import io, json, sys, contextlib
@@ -87,7 +88,7 @@ print(json.dumps(report))
                          capture_output=True, text=True).stdout
     report = json.loads(out)
     assert report == {"import": [], "twirl": [0, []], "certify": [0, []],
-                      "qec": [0, []], "grape": [3, []]}
+                      "qec": [0, []], "grape": [3, []], "rb": [0, []]}
 
 
 def test_experiment_registry_is_fixed():

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import CliffordTableau, gate_tableau, sample_1q_clifford
+from nmrqip.clifford import (CliffordTableau, circuit_tableau, circuit_unitary, gate_tableau,
+                             sample_1q_clifford)
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     TwirlEstimate,
     _draw_pauli,
+    _estimate,
+    _fit_decay,
+    _sample_paulis,
     certify_clifford,
     default_rb_sampler,
     randomized_benchmarking,
@@ -45,9 +49,9 @@ def test_twirl_identity_channel_is_exact():
 
 def test_draw_pauli_matches_conjugated_product():
     # reference: each chosen qubit's C Z C^dag, embedded and multiplied in
-    for n in (1, 3, 7):
+    for n in (1, 3, 5, 7):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(200):
+        for _ in range(2000):
             w = 1 + ref_rng.choice(n, p=[math.comb(n, k) * 3**k / (4**n - 1)
                                          for k in range(1, n + 1)])
             want = PauliString("I" * n)
@@ -58,6 +62,52 @@ def test_draw_pauli_matches_conjugated_product():
             assert _draw_pauli(n, rng) == want
         # both paths made the same RNG calls
         assert rng.random() == ref_rng.random()
+
+
+def per_shot_estimate(channel, readout, delta, rng, n_samples, readout_shots,
+                      with_replacement):
+    """Reference twirl estimate: the channel applied afresh on every shot."""
+    n = channel.n
+    chis = []
+    for p in _sample_paulis(n, n_samples, rng, with_replacement):
+        d = 2**n
+        rho = (np.eye(d, dtype=complex) + p.dense()) / d
+        chi = float(np.einsum("ij,ji->", readout(p).dense(), channel.apply(rho)).real)
+        if readout_shots:
+            q = min(max((1 + chi) / 2, 0.0), 1.0)
+            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
+        chis.append(chi)
+    return _estimate(np.array(chis), n, delta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shot_memo_matches_per_shot_loop(n):
+    # amplitude damping makes the survival depend on the input Pauli's sign,
+    # so a memo keyed without it would differ
+    weights = {w: 0.05 for w in range(1, n + 1)}
+    memory = Channel.amplitude_damping(0.3).on((1,), n).then(
+        Channel.from_pauli_probs(pauli_probs_by_weight(n, weights)))
+    gates = [("H", (1,))] + [("CNOT", (q, q + 1)) for q in range(1, n)]
+    target = circuit_tableau(gates, n)
+    gate = memory.then(Channel.unitary(circuit_unitary(gates, n)))
+    for readout_shots in (None, 100):
+        for with_replacement in (True, False):
+            count = 200 if with_replacement else min(40, 4**n - 1)
+            for seed in (1, 2):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = twirl_estimate_memory(memory, 0.05, rng, count, readout_shots,
+                                            with_replacement)
+                want = per_shot_estimate(memory, lambda p: p, 0.05, ref_rng, count,
+                                         readout_shots, with_replacement)
+                assert (got.pr0_hat, got.stderr) == (want.pr0_hat, want.stderr)
+                assert rng.random() == ref_rng.random()
+
+                got = certify_clifford(gate, target, 0.05, rng, count, readout_shots,
+                                       with_replacement)
+                want = per_shot_estimate(gate, target.conjugate, 0.05, ref_rng, count,
+                                         readout_shots, with_replacement)
+                assert (got.pr0_hat, got.stderr) == (want.pr0_hat, want.stderr)
+                assert rng.random() == ref_rng.random()
 
 
 def test_twirl_exhaustive_recovers_identity_mass():
@@ -160,3 +210,92 @@ def test_samplers_produce_valid_tableaux():
     tabs = {s2(rng) for _ in range(60)}
     assert all(t.n == 1 for t in tabs)
     assert len(tabs) == 9  # three axes, three angles
+
+
+RB_LENGTHS = [1, 3, 8, 20, 40]
+
+
+def rb_noise_models(n):
+    """None, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
+    masses = {w: 0.02 / w for w in range(1, n + 1)}
+    composite = Channel.bit_flip(0.01)
+    for _ in range(n - 1):
+        composite = composite.tensor(Channel.phase_flip(0.02))
+    composite = composite.then(Channel.depolarizing(1, 0.03).on((n,), n))
+    return [None, Channel.depolarizing(n, 0.01),
+            Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
+
+
+def dense_rb(noise, n, seed, monkeypatch):
+    """The density-matrix loop: Pauli noise reported as non-Pauli, no noise as
+    the Kraus identity."""
+    rng = np.random.default_rng(seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(Channel, "pauli_eigenvalue", lambda self, p: None)
+        res = randomized_benchmarking(default_rb_sampler(n), noise or Channel.identity(n),
+                                      RB_LENGTHS, 3, rng)
+    return res, rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rb_propagation_matches_dense_loop(n, monkeypatch):
+    for i, noise in enumerate(rb_noise_models(n)):
+        want, ref_rng = dense_rb(noise, n, 10 * n + i, monkeypatch)
+        rng = np.random.default_rng(10 * n + i)
+        got = randomized_benchmarking(default_rb_sampler(n), noise, RB_LENGTHS, 3, rng)
+        assert np.allclose(got.survivals, want.survivals, rtol=0, atol=1e-12)
+        assert rng.random() == ref_rng.random()
+
+
+def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense or tableau-composition call under Pauli noise")
+
+    sampler, noise_models = default_rb_sampler(3), rb_noise_models(3)
+    for name in ("to_unitary", "then", "inverse"):
+        monkeypatch.setattr(CliffordTableau, name, forbidden)
+    for noise in noise_models:
+        res = randomized_benchmarking(sampler, noise, RB_LENGTHS, 3,
+                                      np.random.default_rng(0))
+        assert res.ok
+
+
+def test_rb_kraus_noise_runs_dense_loop_and_fits(monkeypatch):
+    calls = []
+    to_unitary = CliffordTableau.to_unitary
+    monkeypatch.setattr(CliffordTableau, "to_unitary",
+                        lambda self: calls.append(1) or to_unitary(self))
+    noise = Channel.amplitude_damping(0.02).on((1,), 2)
+    res = randomized_benchmarking(default_rb_sampler(2), noise, RB_LENGTHS, 4,
+                                  np.random.default_rng(3))
+    assert calls
+    assert res.ok and res.message == "ok"
+    assert 0 < res.decay < 1 and 0 <= res.amplitude <= 1 and 0 <= res.offset <= 1
+
+
+def decay_rss(lengths, surv, a, p, b):
+    m, y = np.array(lengths, dtype=float), np.array(surv)
+    return float(np.sum((y - (a * p**m + b)) ** 2))
+
+
+def test_decay_fit_no_worse_than_curve_fit():
+    from scipy.optimize import curve_fit
+
+    lengths = [1, 2, 4, 8, 16, 32, 64, 96]
+    cases = []
+    for n in (1, 2, 3, 4):
+        for noise in rb_noise_models(n)[1:]:
+            res = randomized_benchmarking(default_rb_sampler(n), noise, lengths, 5,
+                                          np.random.default_rng(n))
+            cases.append(np.array(res.survivals))
+    m = np.array(lengths, dtype=float)
+    for seed in range(5):
+        noise = np.random.default_rng(seed).normal(0, 0.01, m.size)
+        cases.append(0.7 * 0.97**m + 0.2 + noise)
+    for y in cases:
+        a, p, b = _fit_decay(lengths, y)
+        assert all(0 <= v <= 1 for v in (a, p, b))
+        popt, _ = curve_fit(lambda m, a, p, b: a * p**m + b, m, y,
+                            p0=(y[0] - y[-1], 0.99, y[-1]),
+                            bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), maxfev=20000)
+        assert decay_rss(lengths, y, a, p, b) <= decay_rss(lengths, y, *popt) * (1 + 1e-9)
