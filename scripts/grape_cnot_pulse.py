@@ -4,24 +4,19 @@ Prints the accepted fidelity trace every 25 iterations and saves the final
 pulse to grape_cnot.json in the working directory.
 """
 
-import numpy as np
-
+from nmrqip.clifford import circuit_unitary
 from nmrqip.control import (
     GrapeConfig, control_channels, grape_optimize, random_pulse, save_pulse,
 )
 from nmrqip.spins import builtin_molecule
 
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                dtype=complex)
-
 
 def design(seed=0, n_steps=250, dt=2e-5, u_max=1.0e4, target_fidelity=0.99):
     sys2 = builtin_molecule("chloroform2")
     names, _ = control_channels(sys2)
-    cfg = GrapeConfig(max_iters=2000, target_fidelity=target_fidelity,
-                      u_max=u_max, seed=seed)
+    cfg = GrapeConfig(max_iters=2000, target_fidelity=target_fidelity, u_max=u_max)
     init = random_pulse(n_steps, dt, names, u_max, seed=seed, scale=0.01)
-    return grape_optimize(sys2, CNOT, init, cfg)
+    return grape_optimize(sys2, circuit_unitary([("CNOT", (1, 2))], 2), init, cfg)
 
 
 if __name__ == "__main__":

@@ -1,53 +1,79 @@
 """Clifford tableaux: symbolic Pauli conjugation, synthesis, dense conversion.
 
-A tableau stores the signed Pauli images of the X_i and Z_i generators.
-Conjugation of arbitrary Pauli strings, composition, inversion, and exact
-dense reconstruction all follow from those images; the first three are
-integer operations on the images' symplectic bits (see nmrqip.qop).
+A tableau on n qubits stores 2n rows: rows 0..n-1 are the images of
+X_1..X_n under conjugation, rows n..2n-1 those of Z_1..Z_n.  Each row is an
+int triple (x, z, k) meaning i^k X^x Z^z, with qubit 1 the most significant
+bit and k reduced mod 4, the encoding of nmrqip.qop.PauliString.  The public
+constructor, from images, checks that they are Hermitian and pair
+symplectically; identity, gate_tableau, then and inverse build valid rows by
+construction and skip the check.  Conjugation, composition and inversion are
+integer operations on the rows; to_unitary rebuilds the dense matrix exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .qop import PauliString, all_pauli_words, n_qubits, pauli_dense
 
 
-@dataclass(frozen=True)
 class CliffordTableau:
-    """Images of the X_i and Z_i Pauli generators under conjugation."""
+    """Images of the X_i and Z_i Pauli generators under conjugation, as
+    (x, z, k) rows; compares and hashes by (n, rows)."""
 
-    n: int
-    x_images: tuple
-    z_images: tuple
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
+    def __init__(self, n: int, x_images, z_images):
+        """Tableau from the PauliString images of X_1..X_n and Z_1..Z_n."""
+        if len(x_images) != n or len(z_images) != n:
             raise ValueError("need one image per generator")
-        for img in (*self.x_images, *self.z_images):
-            if img.n != self.n:
+        for img in (*x_images, *z_images):
+            if img.n != n:
                 raise ValueError("image length mismatch")
-            if img.phase not in (1 + 0j, -1 + 0j):
+            if img.phase not in (1, -1):
                 raise ValueError("generator images must be Hermitian (phase +-1)")
-        for i in range(self.n):
-            for j in range(self.n):
-                xc = self.x_images[i].commutes(self.x_images[j])
-                zc = self.z_images[i].commutes(self.z_images[j])
-                cross = self.x_images[i].commutes(self.z_images[j])
-                if not (xc and zc):
+        for i in range(n):
+            for j in range(n):
+                if not (x_images[i].commutes(x_images[j]) and z_images[i].commutes(z_images[j])):
                     raise ValueError("images break generator commutation")
-                if cross != (i != j):
+                if x_images[i].commutes(z_images[j]) != (i != j):
                     raise ValueError("images break symplectic pairing")
+        self.n = n
+        self.rows = tuple((p.x, p.z, p.k) for p in (*x_images, *z_images))
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: tuple) -> "CliffordTableau":
+        t = object.__new__(cls)
+        t.n, t.rows = n, rows
+        return t
+
+    def __eq__(self, other):
+        if not isinstance(other, CliffordTableau):
+            return NotImplemented
+        return (self.n, self.rows) == (other.n, other.rows)
+
+    def __hash__(self):
+        return hash((self.n, self.rows))
+
+    def __repr__(self):
+        return f"CliffordTableau({self.n}, rows={self.rows})"
+
+    # PauliString views of the rows, built on each access
+
+    @property
+    def x_images(self) -> tuple:
+        return tuple(PauliString.from_bits(self.n, *r) for r in self.rows[:self.n])
+
+    @property
+    def z_images(self) -> tuple:
+        return tuple(PauliString.from_bits(self.n, *r) for r in self.rows[self.n:])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xs = tuple(PauliString.from_bits(n, 1 << (n - 1 - i), 0) for i in range(n))
-        zs = tuple(PauliString.from_bits(n, 0, 1 << (n - 1 - i)) for i in range(n))
-        return cls(n, xs, zs)
+        rows = [(1 << (n - 1 - i), 0, 0) for i in range(n)]
+        return cls._from_rows(n, tuple(rows + [(0, x, 0) for x, _, _ in rows]))
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "CliffordTableau":
@@ -60,51 +86,58 @@ class CliffordTableau:
                 word = "I" * i + letter + "I" * (n - i - 1)
                 m = u @ pauli_dense(word) @ u.conj().T
                 out.append(_dense_to_pauli(m, n))
-        return cls(n, tuple(xs), tuple(zs))
+        return cls(n, xs, zs)
 
     # -- algebra ------------------------------------------------------------
 
+    def _image(self, x: int, z: int, k: int) -> tuple:
+        """(x, z, k) of C i^k X^x Z^z C^dag: i^k times the rows of the set x
+        bits, then those of the set z bits, qubit 1 first."""
+        rows, top = self.rows, 2 * self.n - 1
+        bits = x << self.n | z
+        x = z = 0
+        while bits:
+            s = bits.bit_length() - 1
+            bits ^= 1 << s
+            rx, rz, rk = rows[top - s]
+            # (i^k X^x Z^z)(i^rk X^rx Z^rz): moving Z^z past X^rx signs it
+            k += rk + 2 * (z & rx).bit_count()
+            x ^= rx
+            z ^= rz
+        return x, z, k % 4
+
     def conjugate(self, p: PauliString) -> PauliString:
-        """C p C^dag for p = i^k X^x Z^z: i^k times the images of the set x
-        bits, then the images of the set z bits."""
+        """C p C^dag."""
         if p.n != self.n:
             raise ValueError("length mismatch")
-        n = self.n
-        out = PauliString.from_bits(n, 0, 0, p.k)
-        bits = p.x << n | p.z  # the x bits, then the z bits, qubit 1 first
-        for s, img in zip(range(2 * n - 1, -1, -1), self.x_images + self.z_images):
-            if bits >> s & 1:
-                out = out * img
-        return out
+        return PauliString.from_bits(self.n, *self._image(p.x, p.z, p.k))
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of (other . self) as a unitary product: self acts first."""
-        xs = tuple(other.conjugate(img) for img in self.x_images)
-        zs = tuple(other.conjugate(img) for img in self.z_images)
-        return CliffordTableau(self.n, xs, zs)
+        image = other._image
+        return CliffordTableau._from_rows(self.n, tuple(image(*r) for r in self.rows))
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of C^dag.
 
-        With the generator images' (x, z) bits as the rows of the symplectic
-        matrix M, the inverse's bit matrix is Omega M^T Omega, where
+        With the rows' (x, z) bits as the rows of the symplectic matrix M,
+        the inverse's bit matrix is Omega M^T Omega, where
         Omega = [[0, I], [I, 0]]: the image of X_i collects bit i of the Z
         parts, the image of Z_i bit i of the X parts.
         """
-        n = self.n
-        xx = [img.x for img in self.x_images]
-        xz = [img.z for img in self.x_images]
-        zx = [img.x for img in self.z_images]
-        zz = [img.z for img in self.z_images]
-        xs, zs = [], []
-        for i in range(n):
-            b = n - 1 - i
-            for x, z, out in ((_column(zz, b), _column(xz, b), xs),
-                              (_column(zx, b), _column(xx, b), zs)):
-                fwd = self.conjugate(PauliString.from_bits(n, x, z))
-                # fwd must be +-(X_i or Z_i); fold the sign back in
-                out.append(PauliString.from_bits(n, x, z, (x & z).bit_count() + fwd.k))
-        return CliffordTableau(n, tuple(xs), tuple(zs))
+        n, rows = self.n, self.rows
+        out = []
+        for part in (1, 0):  # z parts for the X_i images, x parts for the Z_i
+            for i in range(n):
+                b = n - 1 - i
+                x = z = 0
+                for j in range(n):
+                    x = x << 1 | rows[n + j][part] >> b & 1
+                    z = z << 1 | rows[j][part] >> b & 1
+                k = (x & z).bit_count()
+                # C maps this +1-phase Pauli to +-(X_i or Z_i); fold the sign back in
+                out.append((x, z, (k + self._image(x, z, k)[2]) % 4))
+        return CliffordTableau._from_rows(n, tuple(out))
 
     # -- dense --------------------------------------------------------------
 
@@ -160,7 +193,6 @@ class CliffordTableau:
             xi = cur.x_images[i]
             if xi.word[i] == "Y":
                 hit("S", i + 1)
-                xi = cur.x_images[i]
             # stage B: clear the X-image on every other qubit
             for q in range(n):
                 if q == i:
@@ -210,73 +242,49 @@ class CliffordTableau:
 
 
 def _dense_to_pauli(m: np.ndarray, n: int) -> PauliString:
-    d = 2**n
-    best = None
     for word in all_pauli_words(n):
-        c = np.trace(pauli_dense(word).conj().T @ m) / d
+        c = complex(np.trace(pauli_dense(word).conj().T @ m) / 2**n)
         if abs(c) > 0.5:
-            best = (word, complex(c))
-            break
-    if best is None:
-        raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    word, c = best
-    if abs(abs(c) - 1) > 1e-9:
-        raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    return PauliString(word, c / abs(c))
-
-
-def _column(masks, b: int) -> int:
-    """Mask whose qubit-j bit is bit b of masks[j] (qubit 1 most significant)."""
-    n = len(masks)
-    return sum((m >> b & 1) << (n - 1 - j) for j, m in enumerate(masks))
+            if abs(abs(c) - 1) > 1e-9:
+                break
+            return PauliString(word, c / abs(c))
+    raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
 
 
 # ---------------------------------------------------------------------------
 # named gates and the single-qubit group
 
+# (x, z, k) rows of the images of X and Z under a one-qubit gate, on one bit
 _GATES_1Q = {
-    "H": ("Z", 1, "X", 1),
-    "S": ("Y", 1, "Z", 1),
-    "X": ("X", 1, "Z", -1),
-    "Y": ("X", -1, "Z", -1),
-    "Z": ("X", -1, "Z", 1),
-    "I": ("X", 1, "Z", 1),
+    "H": ((0, 1, 0), (1, 0, 0)),
+    "S": ((1, 1, 1), (0, 1, 0)),
+    "X": ((1, 0, 0), (0, 1, 2)),
+    "Y": ((1, 0, 2), (0, 1, 2)),
+    "Z": ((1, 0, 2), (0, 1, 0)),
+    "I": ((1, 0, 0), (0, 1, 0)),
 }
 
 
 def gate_tableau(name: str, qubits, n: int) -> CliffordTableau:
     """Tableau of a named gate (H, S, X, Y, Z, I, CNOT) on 1-based qubits."""
     qubits = tuple(qubits)
-    base = CliffordTableau.identity(n)
-    xs, zs = list(base.x_images), list(base.z_images)
-
-    def put(word_map: dict):
-        for (kind, idx), img in word_map.items():
-            (xs if kind == "x" else zs)[idx - 1] = img
-
+    if not all(1 <= q <= n for q in qubits):
+        raise ValueError(f"qubits {qubits} outside 1..{n}")
+    rows = list(CliffordTableau.identity(n).rows)
     if name in _GATES_1Q:
         (q,) = qubits
-        xw, xs_sign, zw, zs_sign = _GATES_1Q[name]
-        put({
-            ("x", q): PauliString("I" * (q - 1) + xw + "I" * (n - q), xs_sign),
-            ("z", q): PauliString("I" * (q - 1) + zw + "I" * (n - q), zs_sign),
-        })
+        s = n - q
+        (xx, xz, xk), (zx, zz, zk) = _GATES_1Q[name]
+        rows[q - 1] = (xx << s, xz << s, xk)
+        rows[n + q - 1] = (zx << s, zz << s, zk)
     elif name == "CNOT":
         c, t = qubits
-        put({
-            ("x", c): _word_at(n, {c: "X", t: "X"}),
-            ("z", t): _word_at(n, {c: "Z", t: "Z"}),
-        })
+        both = 1 << (n - c) | 1 << (n - t)
+        rows[c - 1] = (both, 0, 0)  # X_c -> X_c X_t
+        rows[n + t - 1] = (0, both, 0)  # Z_t -> Z_c Z_t
     else:
         raise ValueError(f"unknown gate {name!r}")
-    return CliffordTableau(n, tuple(xs), tuple(zs))
-
-
-def _word_at(n: int, letters: dict, phase=1) -> PauliString:
-    chars = ["I"] * n
-    for q, c in letters.items():
-        chars[q - 1] = c
-    return PauliString("".join(chars), phase)
+    return CliffordTableau._from_rows(n, tuple(rows))
 
 
 def circuit_tableau(gates, n: int) -> CliffordTableau:
@@ -326,13 +334,3 @@ def all_1q_cliffords():
     assert len(out) == 24
     return out
 
-
-_C1 = None
-
-
-def sample_1q_clifford(rng: np.random.Generator) -> CliffordTableau:
-    """Uniform draw from the 24 single-qubit Cliffords."""
-    global _C1
-    if _C1 is None:
-        _C1 = all_1q_cliffords()
-    return _C1[rng.integers(24)]

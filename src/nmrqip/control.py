@@ -264,7 +264,6 @@ class GrapeConfig:
     gradient_mode: str = "exact"
     rf_distribution: tuple = ((1.0, 1.0),)
     u_max: float = DEFAULT_U_MAX
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.target_fidelity <= 1:

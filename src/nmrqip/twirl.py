@@ -61,10 +61,9 @@ def _weight_cdf(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _z_images() -> tuple:
-    """(x, z, k) of C Z C^dag for the 24 single-qubit Cliffords, in
-    sample_1q_clifford's order."""
-    return tuple((c.z_images[0].x, c.z_images[0].z, c.z_images[0].k)
-                 for c in all_1q_cliffords())
+    """(x, z, k) of C Z C^dag, the Z row, for the 24 single-qubit Cliffords
+    in all_1q_cliffords() order."""
+    return tuple(c.rows[1] for c in all_1q_cliffords())
 
 
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:

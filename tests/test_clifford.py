@@ -11,7 +11,6 @@ from nmrqip.clifford import (
     circuit_tableau,
     circuit_unitary,
     gate_tableau,
-    sample_1q_clifford,
 )
 from nmrqip.qop import PauliString, all_pauli_words, gate_fidelity_hs
 
@@ -129,10 +128,50 @@ def test_decompose_reconstructs(rng):
     assert rebuilt == tab
 
 
-def test_validation_rejects_commuting_pair():
-    # images of X1 and Z1 must anticommute
+def paulis(*words):
+    return tuple(map(PauliString, words))
+
+
+@pytest.mark.parametrize("n, x_images, z_images, message", [
+    (1, (PauliString("X", 1j),), paulis("Z"), "Hermitian"),
+    (1, paulis("X"), (PauliString("Z", -1j),), "Hermitian"),
+    (2, paulis("XI"), paulis("ZI", "IZ"), "one image per generator"),
+    (2, paulis("XI", "IX", "XX"), paulis("ZI", "IZ"), "one image per generator"),
+    (1, paulis("XI"), paulis("Z"), "length mismatch"),
+    (2, paulis("XI", "ZX"), paulis("ZI", "IZ"), "generator commutation"),
+    (2, paulis("XI", "IX"), paulis("ZI", "XZ"), "generator commutation"),
+    (2, paulis("XI", "IX"), paulis("ZI", "ZZ"), "symplectic pairing"),
+    (1, paulis("X"), (PauliString("X", -1),), "symplectic pairing"),
+], ids=["phase-i", "phase-minus-i", "too-few-images", "too-many-images", "wrong-n",
+        "x1-x2-anticommute", "z1-z2-anticommute", "x1-z2-anticommute", "x1-z1-commute"])
+def test_validation_rejects_each_rule(n, x_images, z_images, message):
+    with pytest.raises(ValueError, match=message):
+        CliffordTableau(n, x_images, z_images)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), gate_lists(n), gate_lists(n))))
+def test_derived_rows_pass_the_validator(case):
+    n, gates_a, gates_b = case
+    a, b = circuit_tableau(gates_a, n), circuit_tableau(gates_b, n)
+    for t in (a.then(b), a.inverse(), b.then(a.inverse())):
+        rebuilt = CliffordTableau(n, t.x_images, t.z_images)  # raises if invalid
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+    same = a.then(b).then(b.inverse())  # equal to a, built along another path
+    for u, v in ((a, b), (a, same)):
+        images_equal = (u.x_images, u.z_images) == (v.x_images, v.z_images)
+        assert (u == v) == images_equal
+        assert not images_equal or hash(u) == hash(v)
+    assert a == same
+
+
+def test_gate_tableau_rejects_qubits_out_of_range():
+    for qubits in ((0,), (3,)):
+        with pytest.raises(ValueError):
+            gate_tableau("H", qubits, 2)
     with pytest.raises(ValueError):
-        CliffordTableau(1, (PauliString("X"),), (PauliString("X", -1),))
+        gate_tableau("CNOT", (1, 3), 2)
 
 
 def test_all_1q_cliffords_distinct():
@@ -140,11 +179,3 @@ def test_all_1q_cliffords_distinct():
     keys = {(t.x_images[0].word, t.x_images[0].phase,
              t.z_images[0].word, t.z_images[0].phase) for t in tabs}
     assert len(tabs) == len(keys) == 24
-
-
-def test_sample_1q_clifford_seeded():
-    g1, g2 = np.random.default_rng(7), np.random.default_rng(7)
-    a = [sample_1q_clifford(g1) for _ in range(20)]
-    b = [sample_1q_clifford(g2) for _ in range(20)]
-    assert a == b
-    assert len({(t.x_images[0].word, t.z_images[0].word) for t in a}) > 1

@@ -1,5 +1,8 @@
 """Pulse-level control: rotations, coupling gates, GRAPE, pulse fixing."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -331,6 +334,15 @@ def test_grape_optimize_rf_weighted():
         GrapeConfig(rf_distribution=((0.9, 0.7), (1.1, 0.7)))
     with pytest.raises(ValueError, match="gradient_mode"):
         GrapeConfig(gradient_mode="bogus")
+
+
+def test_grape_cnot_pulse_script_converges():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "grape_cnot_pulse.py"
+    spec = importlib.util.spec_from_file_location("grape_cnot_pulse", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    res = script.design()
+    assert res.converged
 
 
 def test_grape_channel_mismatch_raises():
