@@ -186,6 +186,8 @@ class Channel:
     def from_pauli_probs(cls, probs: dict, n: int | None = None) -> "Channel":
         """Pauli channel from a word -> probability map."""
         if n is None:
+            if not probs:
+                raise ValueError("empty Pauli probability map")
             n = len(next(iter(probs)))
         vec = np.zeros(4**n)
         for word, p in probs.items():

@@ -7,14 +7,18 @@ bit and k reduced mod 4, the encoding of nmrqip.qop.PauliString.  The public
 constructor, from images, checks that they are Hermitian and pair
 symplectically; identity, gate_tableau, then and inverse build valid rows by
 construction and skip the check.  Conjugation, composition and inversion are
-integer operations on the rows; to_unitary rebuilds the dense matrix exactly.
+integer operations on the rows.  Dense matrices are built from the row bits
+with nmrqip.qop.pauli_matrices: to_unitary rebuilds the unitary exactly, and
+from_unitary reads each conjugated generator's bits off its columns.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .qop import PauliString, all_pauli_words, n_qubits, pauli_dense
+from .qop import PauliString, n_qubits, pauli_dense, pauli_matrices
 
 
 class CliffordTableau:
@@ -80,13 +84,9 @@ class CliffordTableau:
         """Dense-to-tableau conversion; raises if u is not Clifford."""
         u = np.asarray(u, dtype=complex)
         n = n_qubits(u.shape[0])
-        xs, zs = [], []
-        for i in range(n):
-            for letter, out in (("X", xs), ("Z", zs)):
-                word = "I" * i + letter + "I" * (n - i - 1)
-                m = u @ pauli_dense(word) @ u.conj().T
-                out.append(_dense_to_pauli(m, n))
-        return cls(n, xs, zs)
+        images = u @ pauli_matrices(n, cls.identity(n).rows) @ u.conj().T
+        images = [PauliString.from_bits(n, *r) for r in _pauli_rows(images, n)]
+        return cls(n, images[:n], images[n:])
 
     # -- algebra ------------------------------------------------------------
 
@@ -144,20 +144,20 @@ class CliffordTableau:
     def to_unitary(self) -> np.ndarray:
         """Exact dense unitary realizing the tableau (deterministic phase)."""
         n, d = self.n, 2**self.n
-        rng = np.random.default_rng(12345)  # fixed: only used to seed a projector
-        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        for img in self.z_images:
-            psi = psi + img.dense() @ psi
+        xd = pauli_matrices(n, self.rows[:n])
+        zd = pauli_matrices(n, self.rows[n:])
+        psi, restart = _start_vectors(d)
+        for z in zd:
+            psi = psi + z @ psi
             nrm = np.linalg.norm(psi)
             if nrm < 1e-9:  # unlucky projection; restart deterministically shifted
-                psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-                for img2 in self.z_images:
-                    psi = psi + img2.dense() @ psi
+                psi = restart
+                for z2 in zd:
+                    psi = psi + z2 @ psi
                 nrm = np.linalg.norm(psi)
             psi = psi / nrm
         k = int(np.argmax(np.abs(psi)))
         psi = psi * (np.abs(psi[k]) / psi[k])
-        xd = [img.dense() for img in self.x_images]
         u = np.zeros((d, d), dtype=complex)
         for x in range(d):
             col = psi
@@ -179,25 +179,30 @@ class CliffordTableau:
             rec.append((name, qubits))
 
         n = self.n
+
+        def letter_at(row, q):
+            """Pauli letter of an (x, z, k) row on 0-based qubit q."""
+            s = n - 1 - q
+            return "IXZY"[(row[0] >> s & 1) | (row[1] >> s & 1) << 1]
+
         for i in range(n):
-            xi = cur.x_images[i]
+            xi = cur.rows[i]
             # stage A: some qubit j >= i must carry X or Y (symplecticity)
-            j = next((q for q in range(i, n) if xi.word[q] in "XY"), None)
+            j = next((q for q in range(i, n) if letter_at(xi, q) in "XY"), None)
             if j is None:
-                j = next(q for q in range(i, n) if xi.word[q] == "Z")
+                j = next(q for q in range(i, n) if letter_at(xi, q) == "Z")
                 hit("H", j + 1)
             if j != i:
                 hit("CNOT", i + 1, j + 1)
                 hit("CNOT", j + 1, i + 1)
                 hit("CNOT", i + 1, j + 1)
-            xi = cur.x_images[i]
-            if xi.word[i] == "Y":
+            if letter_at(cur.rows[i], i) == "Y":
                 hit("S", i + 1)
             # stage B: clear the X-image on every other qubit
             for q in range(n):
                 if q == i:
                     continue
-                letter = cur.x_images[i].word[q]
+                letter = letter_at(cur.rows[i], q)
                 if letter == "Y":
                     hit("S", q + 1)
                     letter = "X"
@@ -207,14 +212,14 @@ class CliffordTableau:
                 if letter == "X":
                     hit("CNOT", i + 1, q + 1)
             # stage C: z image carries Z or Y at qubit i; normalize to Z
-            if cur.z_images[i].word[i] == "Y":
+            if letter_at(cur.rows[n + i], i) == "Y":
                 hit("H", i + 1)
                 hit("S", i + 1)
                 hit("H", i + 1)
             for q in range(n):
                 if q == i:
                     continue
-                letter = cur.z_images[i].word[q]
+                letter = letter_at(cur.rows[n + i], q)
                 if letter == "Y":
                     hit("S", q + 1)
                     letter = "X"
@@ -223,10 +228,10 @@ class CliffordTableau:
                     letter = "Z"
                 if letter == "Z":
                     hit("CNOT", q + 1, i + 1)
-        for i in range(n):
-            if cur.x_images[i].phase == -1:
+        for i in range(n):  # the rows are now +-X_i and +-Z_i; k = 2 is the sign -1
+            if cur.rows[i][2] == 2:
                 hit("Z", i + 1)
-            if cur.z_images[i].phase == -1:
+            if cur.rows[n + i][2] == 2:
                 hit("X", i + 1)
         ident = CliffordTableau.identity(n)
         if cur != ident:
@@ -241,14 +246,31 @@ class CliffordTableau:
         return out
 
 
-def _dense_to_pauli(m: np.ndarray, n: int) -> PauliString:
-    for word in all_pauli_words(n):
-        c = complex(np.trace(pauli_dense(word).conj().T @ m) / 2**n)
-        if abs(c) > 0.5:
-            if abs(abs(c) - 1) > 1e-9:
-                break
-            return PauliString(word, c / abs(c))
-    raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
+@lru_cache(maxsize=None)
+def _start_vectors(d: int) -> tuple:
+    """to_unitary's fixed start vector and its restart, drawn once per dimension."""
+    rng = np.random.default_rng(12345)  # fixed: only used to seed a projector
+    draws = tuple(rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+    for v in draws:
+        v.setflags(write=False)
+    return draws
+
+
+def _pauli_rows(mats: np.ndarray, n: int) -> list:
+    """(x, z, k) rows of the i^k X^x Z^z equal to each of a stack of
+    matrices within 1e-9.  Column a of i^k X^x Z^z holds
+    i^k (-1)^popcount(z & a) at row a ^ x, so column 0 gives x and k and
+    the columns 2^j give the z bits; the rebuilt stack must match."""
+    r = np.arange(len(mats))
+    x = np.argmax(np.abs(mats[:, :, 0]), axis=1)
+    lead = mats[r, x, 0]
+    k = np.argmin(np.abs(lead[:, None] - [1, 1j, -1, -1j]), axis=1)  # nearest i^k
+    cols = 1 << np.arange(n)
+    flips = (mats[r[:, None], cols ^ x[:, None], cols] * lead.conj()[:, None]).real < 0
+    rows = list(zip(x.tolist(), (flips * cols).sum(axis=1).tolist(), k.tolist()))
+    if not np.allclose(pauli_matrices(n, rows), mats, rtol=0, atol=1e-9):
+        raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, check_unitary, embed, sylvester_hadamard
+from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, sylvester_hadamard
 from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_op
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
@@ -45,28 +45,6 @@ def rotation(axis, angle: float, qubit: int = 1, n: int = 1) -> np.ndarray:
     h = nvec[0] * SIGMA_X + nvec[1] * SIGMA_Y + nvec[2] * SIGMA_Z
     u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * h
     return embed(u, [qubit], n) if n > 1 else u
-
-
-def _su2_to_so3(v: np.ndarray) -> np.ndarray:
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = np.trace(paulis[i] @ v @ paulis[j] @ v.conj().T).real / 2
-    return r
-
-
-def euler_decompose(u: np.ndarray):
-    """Angles (alpha, beta, gamma, delta) with u = e^(i alpha) Rx(beta) Ry(gamma) Rx(delta)."""
-    from scipy.spatial.transform import Rotation
-    u = check_unitary(np.asarray(u, dtype=complex))
-    if u.shape != (2, 2):
-        raise ValueError("euler_decompose is for single-qubit unitaries")
-    v = u * np.exp(-1j * np.angle(np.linalg.det(u)) / 2)
-    beta, gamma, delta = Rotation.from_matrix(_su2_to_so3(v)).as_euler("XYX")
-    w = rotation("x", beta) @ rotation("y", gamma) @ rotation("x", delta)
-    alpha = np.angle(np.trace(u @ w.conj().T))  # folds the residual SU(2) sign back in
-    return float(alpha), float(beta), float(gamma), float(delta)
 
 
 def j_evolution(sys: SpinSystem, pair, t: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from ..qop import (
 
 def _observable(axis) -> np.ndarray:
     if isinstance(axis, PauliString):
-        if len(axis.word) != 1:
+        if axis.n != 1:
             raise ValueError("weak coupling acts on a single spin observable")
         return axis.dense()
     if isinstance(axis, str):

@@ -321,7 +321,7 @@ def transversal_cnot_demo(variant: str, error: PauliString | None = None) -> int
     if error is None:
         return 0
     if error.n == 3:
-        error = PauliString(error.word + "III", error.phase)
+        error = PauliString.from_bits(6, error.x << 3, error.z << 3, error.k)
     propagated = tab.conjugate(error)
     return ((propagated.x | propagated.z) & 0b111).bit_count()  # qubits 4-6
 

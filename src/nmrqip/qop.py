@@ -17,7 +17,9 @@ i^k X^x Z^z: x and z are int bit masks of its X and Z parts with qubit 1 as
 the most significant bit (X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the
 phase exponent mod 4.  Since Y = i X Z, the word's phase (the sign in front
 of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
-commutation are integer operations on (x, z, k).
+commutation are integer operations on (x, z, k).  Dense Pauli matrices are
+built from those bits (pauli_matrices), with no cache; words are parsed and
+printed, never decoded to build a matrix.
 """
 
 from __future__ import annotations
@@ -124,10 +126,7 @@ class PauliString:
         return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def dense(self) -> np.ndarray:
-        phase = self.phase
-        if phase == 1:
-            return _pauli_dense_cached(self.word)
-        return phase * _pauli_dense_cached(self.word)
+        return pauli_matrices(self.n, [(self.x, self.z, self.k)])[0]
 
     def __repr__(self):
         return f"PauliString({self.word!r}, {self.phase!r})"
@@ -143,24 +142,23 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PHASE_EXPONENT = {p: e for e, p in enumerate(_PHASES)}
 
 
-_PAULI_DENSE_CACHE: dict[str, np.ndarray] = {}
-# words on more qubits are rebuilt on each call; all 4^5 five-qubit words
-# together take 16 MiB, one seven-qubit word 256 KiB
-_PAULI_DENSE_CACHE_MAX_N = 5
+def pauli_matrices(n: int, rows) -> np.ndarray:
+    """(m, d, d) stack of the matrices i^k X^x Z^z for m (x, z, k) rows.
 
-
-def _pauli_dense_cached(word: str) -> np.ndarray:
-    mat = _PAULI_DENSE_CACHE.get(word)
-    if mat is None:
-        mat = tensor(*(PAULIS[c] for c in word))
-        mat.setflags(write=False)
-        if len(word) <= _PAULI_DENSE_CACHE_MAX_N:
-            _PAULI_DENSE_CACHE[word] = mat
-    return mat
+    X^x Z^z |a> = (-1)^popcount(z & a) |a ^ x>, so column a holds
+    i^k H[z, a] at row a ^ x, with H the Sylvester Hadamard matrix.
+    """
+    x, z, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    d = 2**n
+    a = np.arange(d)
+    out = np.zeros((len(x), d, d), dtype=complex)
+    phase = np.array(_PHASES)[k % 4, None]
+    out[np.arange(len(x))[:, None], a ^ x[:, None], a] = phase * sylvester_hadamard(n)[z]
+    return out
 
 
 def pauli_dense(word: str) -> np.ndarray:
-    """Dense matrix of an unsigned Pauli word such as 'XZI' (readonly view)."""
+    """Dense matrix of an unsigned Pauli word such as 'XZI'."""
     return PauliString(word).dense()
 
 

@@ -41,6 +41,10 @@ def random_kraus(d: int, m: int, rng) -> list:
 def test_completeness_check_rejects():
     with pytest.raises(ValueError):
         Channel.from_kraus([np.eye(2) * 0.5])
+    with pytest.raises(ValueError, match="empty"):
+        Channel.from_pauli_probs({})
+    with pytest.raises(ValueError, match="sum to 0"):
+        Channel.from_pauli_probs({}, n=1)
 
 
 def test_apply_matches_kraus_sum(rng):

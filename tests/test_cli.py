@@ -70,6 +70,12 @@ def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
         ("qec", {}),
         ("grape", {"n_steps": 20, "max_iters": 3, "target_fidelity": 0.999}),
         ("rb", {"n": 3, "sequences": 3}),
+        ("rb", {"n": 1, "sampler": "rotations"}),
+        ("ising", {}),
+        ("contextuality", {}),
+        ("weak", {}),
+        ("xxz", {"n": 4, "n_points": 5}),
+        ("distill", {}),
     ]
     probe = f"""
 import io, json, sys, contextlib
@@ -77,18 +83,18 @@ import nmrqip.cli as cli
 heavy = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.spatial", "scipy.special")
 def loaded():
     return sorted(m for m in sys.modules if m.startswith(heavy))
-report = {{"import": loaded()}}
+report = [["import", loaded()]]
 for name, cfg in {jobs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run_experiment(name, out_dir={str(tmp_path / "o")!r}, config_doc=cfg)
-    report[name] = [code, loaded()]
+    report.append([name, code, loaded()])
 print(json.dumps(report))
 """
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     report = json.loads(out)
-    assert report == {"import": [], "twirl": [0, []], "certify": [0, []],
-                      "qec": [0, []], "grape": [3, []], "rb": [0, []]}
+    exits = {"grape": 3}
+    assert report == [["import", []]] + [[name, exits.get(name, 0), []] for name, _ in jobs]
 
 
 def test_experiment_registry_is_fixed():
@@ -189,6 +195,25 @@ def test_exact_mode_reruns_are_byte_identical(tmp_path, capsys):
         assert main(["dqc1", "--seed", "123", "--out", str(out)]) == 0
         outs.append((out / "dqc1.csv").read_bytes())
     assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+def csv_bytes(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("qec", {}),  # the five-qubit code's encoder goes through to_unitary
+    ("certify", {}),
+    ("rb", {"n": 1, "sampler": "rotations"}),  # gates from from_unitary
+], ids=["qec", "certify", "rb-rotations"])
+def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
+    outs = []
+    for d in ("a", "b"):
+        out = tmp_path / d
+        assert run_experiment(experiment, seed=402, out_dir=str(out), config_doc=config) == 0
+        outs.append(csv_bytes(out))
+    assert outs[0] and outs[0] == outs[1]
     capsys.readouterr()
 
 

@@ -12,7 +12,10 @@ from nmrqip.clifford import (
     circuit_unitary,
     gate_tableau,
 )
-from nmrqip.qop import PauliString, all_pauli_words, gate_fidelity_hs
+from nmrqip.acceptance import _clifford_closure
+from nmrqip.control import rotation
+from nmrqip.qop import (PAULIS, PauliString, all_pauli_words, controlled, gate_fidelity_hs,
+                        haar_random_unitary, tensor)
 
 
 def random_circuit(n, depth, rng):
@@ -116,16 +119,54 @@ def test_unitary_roundtrip(rng):
                                 tab.to_unitary()) == pytest.approx(1.0)
 
 
-def test_from_unitary_rejects_non_clifford():
+def test_from_unitary_rejects_non_clifford(rng):
     t = np.diag([1, np.exp(1j * np.pi / 4)])
-    with pytest.raises(ValueError):
-        CliffordTableau.from_unitary(t)
+    cs = controlled(np.diag([1, 1j]))
+    for u in (t, cs, haar_random_unitary(4, rng), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            CliffordTableau.from_unitary(u)
+
+
+def scan_rows(unitaries, n):
+    """Oracle for from_unitary: conjugate each generator by each unitary and
+    take the first word, in all_pauli_words order, whose trace overlap has
+    modulus above 1/2; returns each unitary's (x, z, k) rows."""
+    words = all_pauli_words(n)
+    kron = np.array([tensor(*(PAULIS[c] for c in w)) for w in words])
+    gens = [kron[words.index("I" * i + g + "I" * (n - 1 - i))] for g in "XZ" for i in range(n)]
+    images = unitaries[:, None] @ np.array(gens) @ unitaries.conj().transpose(0, 2, 1)[:, None]
+    overlaps = np.einsum("wba,ugba->ugw", kron.conj(), images) / 2**n
+    first = np.argmax(np.abs(overlaps) > 0.5, axis=2)
+    coeffs = np.take_along_axis(overlaps, first[..., None], 2)[..., 0]
+    assert np.allclose(np.abs(coeffs), 1, rtol=0, atol=1e-9)
+    out = []
+    for ws, cs in zip(first, coeffs):
+        ps = [PauliString(words[w], c / abs(c)) for w, c in zip(ws, cs)]
+        out.append(tuple((p.x, p.z, p.k) for p in ps))
+    return out
+
+
+def test_from_unitary_matches_the_word_scan():
+    # all 11520 two-qubit Cliffords (mod phase) and the RB rotations set
+    gens = [gate_tableau(g, q, 2) for g, q in (("H", (1,)), ("H", (2,)), ("S", (1,)),
+                                              ("S", (2,)), ("CNOT", (1, 2)), ("CNOT", (2, 1)))]
+    group = _clifford_closure(gens, 2)
+    assert len(group) == 11520
+    unitaries = np.array([t.to_unitary() for t in group])
+    for t, u, rows in zip(group, unitaries, scan_rows(unitaries, 2)):
+        got = CliffordTableau.from_unitary(u)
+        assert got.rows == rows and got == t
+    rotations = np.array([rotation(ax, angle) for ax in "xyz"
+                          for angle in (np.pi / 2, -np.pi / 2, np.pi)])
+    for u, rows in zip(rotations, scan_rows(rotations, 1)):
+        assert CliffordTableau.from_unitary(u).rows == rows
 
 
 def test_decompose_reconstructs(rng):
-    tab = circuit_tableau(random_circuit(2, 14, rng), 2)
-    rebuilt = circuit_tableau(tab.decompose(), 2)
-    assert rebuilt == tab
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            tab = circuit_tableau(random_circuit(n, 14, rng), n)
+            assert circuit_tableau(tab.decompose(), n) == tab
 
 
 def paulis(*words):

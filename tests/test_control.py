@@ -14,7 +14,6 @@ from nmrqip.control import (
     cnot_sequence,
     control_channels,
     default_b1_distribution,
-    euler_decompose,
     grape_fidelity,
     grape_gradient,
     grape_optimize,
@@ -64,15 +63,6 @@ def test_rotation_embeds():
     assert np.allclose(got, np.kron(np.eye(2), rotation("x", np.pi)))
     with pytest.raises(ValueError):
         rotation(np.zeros(3), 1.0)
-
-
-def test_euler_decompose_roundtrip(rng):
-    for _ in range(10):
-        u = haar_random_unitary(2, rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        alpha, beta, gamma, delta = euler_decompose(u)
-        rebuilt = (np.exp(1j * alpha) * rotation("x", beta)
-                   @ rotation("y", gamma) @ rotation("x", delta))
-        assert np.allclose(rebuilt, u, atol=1e-9)
 
 
 def test_j_evolution_matches_expm():

@@ -239,7 +239,8 @@ def test_transversal_cnot_error_spread():
     assert transversal_cnot_demo("bad", x1) == 3
     assert transversal_cnot_demo("transversal", x1) == 1
     for err in error_ensemble(3)[1:]:
-        assert transversal_cnot_demo("transversal", err) <= 1
+        # X parts copy onto the target block, Z parts stay on the control block
+        assert transversal_cnot_demo("transversal", err) == sum(c in "XY" for c in err.word) <= 1
     assert transversal_cnot_demo("bad") == 0
     with pytest.raises(ValueError):
         transversal_cnot_demo("sideways")

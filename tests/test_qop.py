@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nmrqip.qop import (
     KET0,
     KET1,
+    PAULIS,
     PauliString,
     SIGMA_X,
     SIGMA_Y,
@@ -28,6 +29,7 @@ from nmrqip.qop import (
     ket_density,
     partial_trace,
     pauli_dense,
+    pauli_matrices,
     state_fidelity,
     sylvester_hadamard,
     tensor,
@@ -48,17 +50,6 @@ def test_qubit_one_is_leftmost_factor():
     assert np.allclose(pauli_dense("XI"), np.kron(SIGMA_X, np.eye(2)))
     assert np.allclose(pauli_dense("IX"), np.kron(np.eye(2), SIGMA_X))
     assert np.allclose(pauli_dense("XZ"), np.kron(SIGMA_X, SIGMA_Z))
-
-
-def test_pauli_dense_cache_skips_seven_qubit_words():
-    from nmrqip import qop
-
-    before = len(qop._PAULI_DENSE_CACHE)
-    mat = PauliString("XYZIZYX").dense()
-    assert len(qop._PAULI_DENSE_CACHE) == before
-    ref = np.kron(np.kron(SIGMA_X, SIGMA_Y), np.kron(SIGMA_Z, np.eye(2)))
-    ref = np.kron(ref, np.kron(np.kron(SIGMA_Z, SIGMA_Y), SIGMA_X))
-    assert np.array_equal(mat, ref)
 
 
 def test_ket0_is_plus_z():
@@ -111,12 +102,32 @@ def test_pauli_string_word_and_bits_roundtrip(p):
     assert p.weight == sum(c != "I" for c in p.word)
 
 
+def kron_pauli(word, phase):
+    """Oracle: the phase times the kron of the word's letter matrices."""
+    return phase * tensor(*(PAULIS[c] for c in word))
+
+
 def test_pauli_dense_matches_kron():
+    # every Pauli and phase for n <= 3, 200 random ones for each n = 4..7;
+    # values, not bytes: the builders' zeros differ in sign
     rng = np.random.default_rng(0)
-    for word in rng.choice(all_pauli_words(3), size=8, replace=False):
-        mats = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-        expect = tensor(*(mats[c] for c in word))
-        assert np.allclose(pauli_dense(word), expect)
+    phases = (1, -1, 1j, -1j)
+    for n in range(1, 8):
+        if n <= 3:
+            cases = [(w, ph) for w in all_pauli_words(n) for ph in phases]
+        else:
+            cases = [("".join(rng.choice(list("IXYZ"), size=n)), phases[rng.integers(4)])
+                     for _ in range(200)]
+        for start in range(0, len(cases), 25):
+            chunk = cases[start:start + 25]
+            ps = [PauliString(w, ph) for w, ph in chunk]
+            stack = pauli_matrices(n, [(p.x, p.z, p.k) for p in ps])
+            assert stack.shape == (len(chunk), 2**n, 2**n)
+            for (word, phase), p, mat in zip(chunk, ps, stack):
+                ref = kron_pauli(word, phase)
+                assert np.array_equal(mat, ref) and np.array_equal(p.dense(), ref)
+                if phase == 1:
+                    assert np.array_equal(pauli_dense(word), ref)
 
 
 def test_all_pauli_words():
