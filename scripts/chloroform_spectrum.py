@@ -5,17 +5,15 @@ absorption magnitude.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-from nmrqip.qop import pauli_dense
+from nmrqip.control import collective_rotation
 from nmrqip.spins import builtin_molecule, make_pps, simulate_fid, spectrum
 
 
 def main(duration=0.5, n_samples=2048):
     sys2 = builtin_molecule("chloroform2")
     rho = make_pps(2, 1.0)
-    iy = (pauli_dense("YI") + pauli_dense("IY")) / 2
-    u90 = expm(-1j * (np.pi / 2) * iy)
+    u90 = collective_rotation("y", np.pi / 2, 2)
     rho = u90 @ rho @ u90.conj().T
 
     fid = simulate_fid(rho, sys2, duration, n_samples)

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from importlib.resources import files as _resource_files
 
 import numpy as np
-import scipy  # for versions.scipy only; subpackages load where they are used
+import scipy  # for versions.scipy only; no run path loads a subpackage
 
 from . import __version__
 from .channels import Channel, pauli_probs_by_weight
 from .clifford import circuit_unitary, gate_tableau
 from .control import (
     GrapeConfig,
+    collective_rotation,
     control_channels,
     grape_optimize,
     random_pulse,
@@ -74,7 +75,7 @@ from .qop import (
     haar_random_state,
     haar_random_unitary,
 )
-from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, spin_op, thermal_state
+from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
 from .twirl import (
     certify_clifford,
     default_rb_sampler,
@@ -83,6 +84,11 @@ from .twirl import (
     rotation_clifford_sampler,
     twirl_estimate_memory,
 )
+
+
+def _versions() -> dict:
+    return {"nmrqip": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version()}
 
 
 class ConfigError(ValueError):
@@ -418,10 +424,9 @@ def _run_dqc1(cfg, seed, shots):
     theta, eps2 = cfg["theta"], cfg["epsilon2"]
     if theta is not None:
         half = 2 ** (n - 1)
-        u0 = haar_random_unitary(half, rng)
-        u1 = haar_random_unitary(half, rng)
-        from scipy.linalg import block_diag
-        ub = block_diag(u0, u1)
+        ub = np.zeros((2 * half, 2 * half), dtype=complex)
+        ub[:half, :half] = haar_random_unitary(half, rng)
+        ub[half:, half:] = haar_random_unitary(half, rng)
         got = dqc1_block_trace(ub, theta, epsilon, eps2, shots=shots,
                                rng=rng if shots is not None else None)
         ref = block_trace_direct(ub, theta, eps2)
@@ -546,9 +551,7 @@ def _run_spectrum(cfg, seed, shots):
     else:
         rho = thermal_state(sys_, cfg["beta_scaled"])
     if cfg["pulse"] == "y90":
-        total_iy = sum(spin_op("y", q, sys_.n) for q in range(1, sys_.n + 1))
-        from scipy.linalg import expm
-        u = expm(-1j * (np.pi / 2) * total_iy)
+        u = collective_rotation("y", np.pi / 2, sys_.n)
         rho = u @ rho @ u.conj().T
     duration, n_samples = cfg["duration_s"], cfg["n_samples"]
     fid = simulate_fid(rho, sys_, duration, n_samples, weak_coupling=cfg["weak_coupling"])
@@ -853,12 +856,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         "fixture_hashes": fixture_hashes,
         "output_paths": out_paths,
         "wall_time_s": wall,
-        "versions": {
-            "nmrqip": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": _versions(),
         "summary": _jsonable(result.summary),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -920,9 +918,7 @@ def _repro_main(argv) -> int:
             "wall_time_s": sum(r.runtime_s for r in results),
             "runtime_s": {r.name: r.runtime_s for r in results},
             "details": {r.name: _jsonable(r.details) for r in results},
-            "versions": {"nmrqip": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__,
-                         "python": platform.python_version()},
+            "versions": _versions(),
         }
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

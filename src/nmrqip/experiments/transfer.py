@@ -48,9 +48,9 @@ class TransferChain:
         return -self.tau * one_excitation_hamiltonian(self.couplings, self.n)[0, 0]
 
     def propagator(self) -> np.ndarray:
-        from scipy.linalg import expm
-        ham = one_excitation_hamiltonian(self.couplings, self.n)
-        return expm(-1j * self.tau * ham)
+        # real symmetric: exp(-i tau H) = V diag(e^(-i tau w)) V^T
+        w, v = np.linalg.eigh(one_excitation_hamiltonian(self.couplings, self.n))
+        return (v * np.exp(-1j * self.tau * w)) @ v.T
 
 
 def dipolar_couplings(n: int, strength: float = 1.0) -> np.ndarray:

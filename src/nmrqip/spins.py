@@ -186,6 +186,7 @@ def pps_on(psi: np.ndarray, epsilon: float) -> np.ndarray:
 
 # Byte budget for one time block's phase and product temporaries in simulate_fid.
 _FID_BLOCK_BYTES = 4 << 20
+_FID_DENSE_SHARE = 1 / 32  # where the two FID paths cross over at n = 4..7
 
 
 def simulate_fid(
@@ -204,11 +205,12 @@ def simulate_fid(
 
     Spin i's readout is a line list: line (a, b) has amplitude
     A_i[a, b] = rho_e[a, b] ob_i[b, a], with ob_i = Ix_i + i Iy_i in the
-    eigenbasis, frequency w_a - w_b and decay rate 1/T2*_i.  Only exactly
-    nonzero amplitudes are kept, as one sparse matrix with rows (i, a), so the
-    weak form holds at most 2^n / 2 lines per spin.  The signal is summed over
-    blocks of time samples from the 2^n phase factors e^(-i w t) of each
-    sample; the block length keeps each block's temporaries within a few MB.
+    eigenbasis, frequency w_a - w_b and decay rate 1/T2*_i.  The signal is
+    summed over blocks of samples, each within `_FID_BLOCK_BYTES`, from the
+    phases ph = e^(-i w t).  If at most `_FID_DENSE_SHARE` of the n 4^n
+    amplitudes are nonzero (weak form: 2^n / 2 lines per spin), those are kept
+    as arrays (i, a, b, A) and spin i sums A ph[a] conj(ph[b]); a larger share
+    (full coupling) stays n dense 2^n x 2^n matrices times conj(ph) (BLAS).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -228,17 +230,24 @@ def simulate_fid(
         if not weak_coupling:
             ob = v.conj().T @ ob @ v
         np.multiply(rho_e, ob.T, out=amps[i])
-    import scipy.sparse
-    lines = scipy.sparse.csr_array(amps.reshape(n * d, d))
-    del amps  # free the dense copy before the time loop
+    n_lines = np.count_nonzero(amps)
+    dense = n_lines > _FID_DENSE_SHARE * amps.size
+    if not dense:
+        spin, a, b = np.nonzero(amps)
+        amps, bounds = amps[spin, a, b], np.searchsorted(spin, np.arange(n + 1))
     t2 = np.array(sys.t2star)[:, None]
     ts = np.arange(n_samples) * (duration / n_samples)
     sig = np.empty(n_samples, dtype=complex)
-    block = max(1, _FID_BLOCK_BYTES // (16 * (2 * d + 2 * n * d)))
+    block = max(1, _FID_BLOCK_BYTES // (32 * (d + (n * d if dense else n_lines))))
     for start in range(0, n_samples, block):
         t = ts[start:start + block]
         ph = np.exp(-1j * np.outer(w, t))  # rows: eigenvalue, columns: sample
-        per_spin = np.einsum("iat,at->it", (lines @ ph.conj()).reshape(n, d, -1), ph)
+        if dense:
+            per_spin = np.einsum("iat,at->it", amps @ ph.conj(), ph)
+        else:
+            terms = ph[a]
+            terms *= ph.conj()[b]
+            per_spin = np.stack([amps[lo:hi] @ terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
         sig[start:start + block] = np.einsum("it,it->t", per_spin, np.exp(-t / t2))
     return sig
 

@@ -1,5 +1,6 @@
 """Command-line contract: exits, config handling, file outputs, determinism."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -59,8 +60,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
-    # each of these costs 0.1-0.2 s of every start-up; only the experiments
-    # that compute with one (spectrum, transfer, dqc1's block trace) load it
+    # each of these costs 0.1-0.3 s and 14-31 MB of a run
     src = str(Path(nmrqip.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -76,10 +76,17 @@ def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
         ("weak", {}),
         ("xxz", {"n": 4, "n_points": 5}),
         ("distill", {}),
+        ("spectrum", {"molecule": "chain7", "n_samples": 256}),
+        ("spectrum", {"molecule": "crotonic4", "weak_coupling": False, "n_samples": 256}),
+        ("spectrum", {"pulse": "none", "n_samples": 64}),
+        ("transfer", {}),
+        ("transfer", {"mode": "entangle"}),
+        ("dqc1", {"theta": 0.7}),
     ]
     probe = f"""
 import io, json, sys, contextlib
 import nmrqip.cli as cli
+from nmrqip import acceptance
 heavy = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.spatial", "scipy.special")
 def loaded():
     return sorted(m for m in sys.modules if m.startswith(heavy))
@@ -88,13 +95,35 @@ for name, cfg in {jobs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run_experiment(name, out_dir={str(tmp_path / "o")!r}, config_doc=cfg)
     report.append([name, code, loaded()])
+report.append(["rf-selection", acceptance.run_criterion("rf-selection").passed, loaded()])
 print(json.dumps(report))
 """
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     report = json.loads(out)
     exits = {"grape": 3}
-    assert report == [["import", []]] + [[name, exits.get(name, 0), []] for name, _ in jobs]
+    assert report == ([["import", []]] + [[name, exits.get(name, 0), []] for name, _ in jobs]
+                      + [["rf-selection", True, []]])
+
+
+def test_src_imports_no_scipy_subpackage():
+    # scipy is the test oracle; the bare package only supplies versions.scipy
+    src = Path(nmrqip.__file__).resolve().parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = [a.name for a in node.names if a.name.startswith("scipy.")]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                bad = [node.module] if node.module.split(".")[0] == "scipy" else []
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                # attribute access on the bare package imports a subpackage lazily
+                bad = [f"scipy.{node.attr}"] if (node.value.id == "scipy"
+                                                 and node.attr != "__version__") else []
+            else:
+                bad = []
+            found += [f"{path.relative_to(src)}:{node.lineno} {name}" for name in bad]
+    assert found == []
 
 
 def test_experiment_registry_is_fixed():

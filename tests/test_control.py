@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import ndtr
 
 from nmrqip.control import (
     ControlPulse,
     DistortionModel,
     GrapeConfig,
     cnot_sequence,
+    collective_rotation,
     control_channels,
     default_b1_distribution,
     grape_fidelity,
@@ -56,6 +58,14 @@ def test_rotation_phase_axis_convention():
     # bare angle phi means the in-plane axis (cos phi, -sin phi, 0)
     assert np.allclose(rotation(0.0, 1.1), rotation("x", 1.1))
     assert np.allclose(rotation(-np.pi / 2, 1.1), rotation("y", 1.1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_collective_rotation_matches_expm(n):
+    for axis, angle in (("y", np.pi / 2), ("x", -0.9)):
+        total = sum(spin_op(axis, q, n) for q in range(1, n + 1))
+        want = expm(-1j * angle * total)
+        assert np.max(np.abs(collective_rotation(axis, angle, n) - want)) <= 1e-12
 
 
 def test_rotation_embeds():
@@ -373,6 +383,10 @@ def test_rf_selection_retention_fixture():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     edges, weights = default_b1_distribution()
     assert weights.sum() == pytest.approx(1.0)
+    cdf = ndtr((edges - 1.0) / 0.13245)
+    want = np.diff(cdf) / np.diff(cdf).sum()
+    assert np.max(np.abs(weights - want)) <= 1e-15
+    assert abs(rf_selection_retention(0.02) - rf_selection_retention(0.02, (edges, want))) <= 1e-15
     assert rf_selection_retention(1.0, (edges, weights)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rf_selection_retention(-0.1)

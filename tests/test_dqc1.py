@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from nmrqip import cli
 from nmrqip.experiments.dqc1 import (
     Dqc1Instance,
     block_trace_direct,
@@ -93,3 +94,22 @@ def test_block_trace_rejects_bad_input(rng):
     u = block_diag(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
     with pytest.raises(ValueError):
         dqc1_block_trace(u, epsilon2=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cli_block_unitary_matches_block_diag(monkeypatch, tmp_path, n):
+    seen = []
+    real = cli.dqc1_block_trace
+
+    def spy(u, *args, **kwargs):
+        seen.append(u)
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "dqc1_block_trace", spy)
+    cfg = {"n": n, "theta": 0.7, "ppt": False}
+    assert cli.run_experiment("dqc1", seed=11, out_dir=str(tmp_path), config_doc=cfg) == 0
+    # the runner's draws: U for the plain trace, then the two blocks
+    rng = np.random.default_rng(11)
+    haar_random_unitary(2**n, rng)
+    u0, u1 = haar_random_unitary(2 ** (n - 1), rng), haar_random_unitary(2 ** (n - 1), rng)
+    assert len(seen) == 1 and np.array_equal(seen[0], block_diag(u0, u1))

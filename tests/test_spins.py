@@ -47,8 +47,8 @@ def _dense_weak_hamiltonian(sys_, couplings=True):
     return h
 
 
-def _reference_fid(rho, sys_, duration, n_samples, weak_coupling=True):
-    """Per-sample dense trace Tr(rho(t) I+_i) in the eigenbasis (the oracle)."""
+def _eigen_readout(rho, sys_, weak_coupling):
+    """Eigenvalues w, rho and each spin's I+_i in the Hamiltonian's eigenbasis."""
     h = internal_hamiltonian(sys_, weak_coupling=weak_coupling)
     w, v = np.linalg.eigh(h)
     rho_e = v.conj().T @ rho @ v
@@ -56,6 +56,12 @@ def _reference_fid(rho, sys_, duration, n_samples, weak_coupling=True):
         v.conj().T @ (spin_op("x", i, sys_.n) + 1j * spin_op("y", i, sys_.n)) @ v
         for i in range(1, sys_.n + 1)
     ]
+    return w, rho_e, obs
+
+
+def _reference_fid(rho, sys_, duration, n_samples, weak_coupling=True):
+    """Per-sample dense trace Tr(rho(t) I+_i) in the eigenbasis (the oracle)."""
+    w, rho_e, obs = _eigen_readout(rho, sys_, weak_coupling)
     ts = np.arange(n_samples) * (duration / n_samples)
     sig = np.zeros(n_samples, dtype=complex)
     for k, t in enumerate(ts):
@@ -177,13 +183,38 @@ def test_fid_doublet_positions():
     assert np.allclose(sorted(peaks), expected, atol=1.0 / duration)
 
 
+# _FID_DENSE_SHARE values that force each FID path: no share of nonzero
+# amplitudes exceeds 1, and every nonzero share exceeds 0
+FID_PATHS = {"lines": 1.0, "dense": 0.0}
+NP_OUTER = np.outer
+
+
+def _fid_blocks(monkeypatch, rho, sys_, weak, path, length):
+    """Force one simulate_fid path, budget it `length` samples per block, and
+    record the sample count of each block."""
+    # 32 bytes x (d + elements) per sample: n d dense, one per nonzero line otherwise
+    _, rho_e, obs = _eigen_readout(rho, sys_, weak)
+    lines = sum(np.count_nonzero(rho_e * ob.T) for ob in obs)
+    elements = sys_.n * sys_.dim if path == "dense" else lines
+    monkeypatch.setattr(spins, "_FID_DENSE_SHARE", FID_PATHS[path])
+    monkeypatch.setattr(spins, "_FID_BLOCK_BYTES", length * 32 * (sys_.dim + elements))
+    blocks = []
+
+    def spy(w, t):
+        blocks.append(len(t))
+        return NP_OUTER(w, t)
+
+    monkeypatch.setattr(np, "outer", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("name, weak, n_samples", [
     ("chloroform2", True, 256), ("chloroform2", False, 256),
     ("malonate3", True, 256), ("malonate3", False, 256),
     ("crotonic4", True, 256), ("crotonic4", False, 256),
     ("chain7", True, 96), ("chain7", False, 24),
 ])
-def test_simulate_fid_matches_reference(name, weak, n_samples):
+def test_simulate_fid_matches_reference(monkeypatch, name, weak, n_samples):
     rng = np.random.default_rng(len(name) + 10 * weak)
     sys_ = builtin_molecule(name)
     # non-uniform T2*, below every T1
@@ -192,6 +223,12 @@ def test_simulate_fid_matches_reference(name, weak, n_samples):
     got = simulate_fid(rho, sys_, 0.05, n_samples, weak_coupling=weak)
     want = _reference_fid(rho, sys_, 0.05, n_samples, weak_coupling=weak)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for path in FID_PATHS:
+        # five does not divide 256, 96 or 24: the last block is short
+        blocks = _fid_blocks(monkeypatch, rho, sys_, weak, path, 5)
+        got = simulate_fid(rho, sys_, 0.05, n_samples, weak_coupling=weak)
+        assert blocks == [5] * (n_samples // 5) + [n_samples % 5]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("weak", [True, False])
@@ -199,10 +236,23 @@ def test_simulate_fid_block_boundaries(monkeypatch, weak):
     sys_ = builtin_molecule("crotonic4")
     rho = _random_hermitian(sys_.dim, np.random.default_rng(5))
     want = _reference_fid(rho, sys_, 0.05, 50, weak_coupling=weak)
-    # 16 bytes x (2 d + 2 n d) per sample: three-sample blocks, the last one short
-    monkeypatch.setattr(spins, "_FID_BLOCK_BYTES", 3 * 16 * (2 * 16 + 2 * 4 * 16))
-    got = simulate_fid(rho, sys_, 0.05, 50, weak_coupling=weak)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for path in FID_PATHS:
+        blocks = _fid_blocks(monkeypatch, rho, sys_, weak, path, 3)
+        got = simulate_fid(rho, sys_, 0.05, 50, weak_coupling=weak)
+        assert blocks == [3] * 16 + [2]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, state", [
+    ("chloroform2", "pps"), ("crotonic4", "thermal"), ("chain7", "pps"),
+])
+def test_simulate_fid_without_lines_is_zero(name, state):
+    # both states are diagonal, and weak-coupling readout holds off-diagonal
+    # elements only: no line survives, and the FID is exactly zero
+    sys_ = builtin_molecule(name)
+    rho = make_pps(sys_.n, 1.0) if state == "pps" else thermal_state(sys_, 1e-5)
+    fid = simulate_fid(rho, sys_, 0.05, 64)
+    assert fid.shape == (64,) and fid.dtype == complex and not np.any(fid)
 
 
 def test_weak_fid_needs_no_diagonalization(monkeypatch):
