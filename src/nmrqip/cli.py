@@ -557,6 +557,8 @@ def _run_spectrum(cfg, seed, shots):
     fid = simulate_fid(rho, sys_, duration, n_samples, weak_coupling=cfg["weak_coupling"])
     freqs, amps = spectrum(fid, n_samples / duration)
     ts = np.arange(n_samples) * (duration / n_samples)
+    # an all-zero spectrum (no pulse on a diagonal state) has no peak
+    peak = float(freqs[int(np.argmax(np.abs(amps)))]) if np.any(amps) else None
     label, raw = _molecule_fixture(cfg["molecule"])
     return RunOutput(
         tables={
@@ -567,7 +569,7 @@ def _run_spectrum(cfg, seed, shots):
                               for f, a in zip(freqs, amps)]),
         },
         summary={"molecule": cfg["molecule"],
-                 "peak_freq_hz": float(freqs[int(np.argmax(np.abs(amps)))])},
+                 "peak_freq_hz": peak},
         fixtures={label: raw},
     )
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import PauliString, n_qubits, pauli_dense, pauli_matrices
+from .qop import PAULIS, PauliString, n_qubits, pauli_matrices
 
 
 class CliffordTableau:
@@ -61,16 +61,6 @@ class CliffordTableau:
 
     def __repr__(self):
         return f"CliffordTableau({self.n}, rows={self.rows})"
-
-    # PauliString views of the rows, built on each access
-
-    @property
-    def x_images(self) -> tuple:
-        return tuple(PauliString.from_bits(self.n, *r) for r in self.rows[:self.n])
-
-    @property
-    def z_images(self) -> tuple:
-        return tuple(PauliString.from_bits(self.n, *r) for r in self.rows[self.n:])
 
     # -- constructors -------------------------------------------------------
 
@@ -332,8 +322,8 @@ def _dense_gate(name: str) -> np.ndarray:
         return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     if name == "S":
         return np.diag([1, 1j]).astype(complex)
-    if name in ("X", "Y", "Z", "I"):
-        return pauli_dense(name)
+    if name in PAULIS:
+        return PAULIS[name]
     if name == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, sylvester_hadamard, tensor
-from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_op
+from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, pauli_sum, sylvester_hadamard, tensor
+from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_bits
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
 
@@ -235,8 +235,7 @@ def control_channels(sys: SpinSystem):
     for label, spins in sys.channels():
         for ax in ("x", "y"):
             names.append(f"{label}.{ax}")
-            op = sum(spin_op(ax, q, sys.n) for q in spins)
-            ops.append(op)
+            ops.append(pauli_sum(sys.n, [(0.5, *spin_bits(ax, q, sys.n)) for q in spins]))
     return tuple(names), ops
 
 

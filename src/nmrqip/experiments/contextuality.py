@@ -20,7 +20,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from ..channels import Channel
-from ..qop import SIGMA_X, check_density, controlled, embed, expectation, pauli_dense
+from ..qop import SIGMA_X, PauliString, check_density, controlled, embed, expectation
 
 OBSERVABLE_GRID = (
     ("IZ", "ZI", "ZZ"),
@@ -45,13 +45,13 @@ class MerminTable:
 
     def __post_init__(self):
         for words, sign in self.contexts():
-            mats = [pauli_dense(w) for w in words]
+            ps = [PauliString(w) for w in words]
             for a in range(3):
                 for b in range(a + 1, 3):
-                    if np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max() > 1e-12:
+                    if not ps[a].commutes(ps[b]):
                         raise ValueError(f"{words[a]} and {words[b]} do not commute")
-            prod = mats[0] @ mats[1] @ mats[2]
-            if np.abs(prod - sign * np.eye(4)).max() > 1e-12:
+            prod = ps[0] * ps[1] * ps[2]
+            if prod.x or prod.z or prod.phase != sign:
                 raise ValueError(f"triple {words} does not multiply to {sign:+d} I")
 
     def contexts(self):
@@ -73,8 +73,8 @@ class ContextualityResult:
 
 
 def _direct_correlation(rho: np.ndarray, words) -> float:
-    prod = pauli_dense(words[0]) @ pauli_dense(words[1]) @ pauli_dense(words[2])
-    return expectation(rho, prod)
+    a, b, c = (PauliString(w).dense() for w in words)
+    return expectation(rho, a @ b @ c)
 
 
 def _meter_correlation(rho: np.ndarray, words, noise: Channel | None) -> float:
@@ -82,7 +82,7 @@ def _meter_correlation(rho: np.ndarray, words, noise: Channel | None) -> float:
     plus = np.full((2, 2), 0.5, dtype=complex)
     joint = np.kron(plus, rho)
     for word in words:
-        coupling = controlled(pauli_dense(word))
+        coupling = controlled(PauliString(word).dense())
         joint = coupling @ joint @ coupling.conj().T
         if noise is not None:
             ch = noise if noise.n == 3 else noise.on([1], 3)

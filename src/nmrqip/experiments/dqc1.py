@@ -64,38 +64,35 @@ def dqc1_input_state(inst: Dqc1Instance) -> np.ndarray:
     return np.kron(control, np.eye(d)) / d
 
 
-def _run_circuit(inst: Dqc1Instance) -> np.ndarray:
-    n = inst.n_target
-    rho = dqc1_input_state(inst)
-    h = embed(_HADAMARD, [1], n + 1)
+def _run_circuit(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hadamard the leading (control) qubit of rho, then apply controlled-U."""
+    h = embed(_HADAMARD, [1], n_qubits(rho.shape[0]))
     rho = h @ rho @ h.conj().T
-    cu = controlled(inst.u)
+    cu = controlled(u)
     return cu @ rho @ cu.conj().T
 
 
-def _transverse_readout(rho: np.ndarray, n_total: int) -> complex:
-    sx = expectation(rho, embed(SIGMA_X, [1], n_total))
-    sy = expectation(rho, embed(SIGMA_Y, [1], n_total))
-    return sx + 1j * sy
+def _read_trace(rho: np.ndarray, epsilon: float, shots: int | None,
+                rng: np.random.Generator | None) -> complex:
+    """The control's x + i y magnetization over epsilon.
 
-
-def _sample_expectation(value: float, shots: int, rng: np.random.Generator) -> float:
-    # ensemble readout emulated as a two-outcome experiment per axis
-    p_up = min(1.0, max(0.0, (1 + value) / 2))
-    return 2 * rng.binomial(shots, p_up) / shots - 1
+    With shots, the ensemble readout is emulated as a two-outcome experiment
+    per axis, sampled binomially, x first.
+    """
+    n_total = n_qubits(rho.shape[0])
+    sx, sy = (expectation(rho, embed(s, [1], n_total)) for s in (SIGMA_X, SIGMA_Y))
+    if shots is not None:
+        if rng is None:
+            raise ValueError("sampled mode needs an rng")
+        sx, sy = (2 * rng.binomial(shots, min(1.0, max(0.0, (1 + v) / 2))) / shots - 1
+                  for v in (sx, sy))
+    return (sx + 1j * sy) / epsilon
 
 
 def dqc1_trace(inst: Dqc1Instance, rng: np.random.Generator | None = None) -> complex:
     """Estimate Tr(U)/2^n from the control's x/y magnetization."""
-    rho = _run_circuit(inst)
-    signal = _transverse_readout(rho, inst.n_target + 1)
-    if inst.shots is not None:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        signal = _sample_expectation(signal.real, inst.shots, rng) + 1j * _sample_expectation(
-            signal.imag, inst.shots, rng
-        )
-    return signal / inst.epsilon
+    rho = _run_circuit(dqc1_input_state(inst), inst.u)
+    return _read_trace(rho, inst.epsilon, inst.shots, rng)
 
 
 def control_reduced_state(inst: Dqc1Instance) -> np.ndarray:
@@ -104,7 +101,7 @@ def control_reduced_state(inst: Dqc1Instance) -> np.ndarray:
     Noiselessly this equals I/2 + eps (Re Tr(U) sx + Im Tr(U) sy)/2^{n+1};
     the off-diagonal carries the whole answer.
     """
-    return partial_trace(_run_circuit(inst), [1], inst.n_target + 1)
+    return partial_trace(_run_circuit(dqc1_input_state(inst), inst.u), [1], inst.n_target + 1)
 
 
 def control_target_ppt(inst: Dqc1Instance) -> float:
@@ -114,7 +111,7 @@ def control_target_ppt(inst: Dqc1Instance) -> float:
     control with the target across this cut.
     """
     d = 2 ** inst.n_target
-    rho = _run_circuit(inst)
+    rho = _run_circuit(dqc1_input_state(inst), inst.u)
     pt = rho.reshape(2, d, 2, d).transpose(0, 3, 2, 1).reshape(2 * d, 2 * d)
     return float(np.linalg.eigvalsh(pt)[0])
 
@@ -155,24 +152,11 @@ def dqc1_block_trace(
     m = n_qubits(u.shape[0])
     chi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
     selector = epsilon2 * np.outer(chi, chi.conj()) + (1 - epsilon2) * np.eye(2) / 2
-
-    inst = Dqc1Instance(u, epsilon=epsilon, shots=shots)
+    Dqc1Instance(u, epsilon=epsilon, shots=shots)  # checks epsilon and shots
     control = np.diag([1 + epsilon, 1 - epsilon]) / 2.0
     rest = np.eye(2 ** (m - 1)) / 2 ** (m - 1)
-    rho = np.kron(np.kron(control, selector), rest)
-    h = embed(_HADAMARD, [1], m + 1)
-    rho = h @ rho @ h.conj().T
-    cu = controlled(u)
-    rho = cu @ rho @ cu.conj().T
-
-    signal = _transverse_readout(rho, m + 1)
-    if shots is not None:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        signal = _sample_expectation(signal.real, shots, rng) + 1j * _sample_expectation(
-            signal.imag, shots, rng
-        )
-    return signal / inst.epsilon
+    rho = _run_circuit(np.kron(np.kron(control, selector), rest), u)
+    return _read_trace(rho, epsilon, shots, rng)
 
 
 def block_trace_direct(u: np.ndarray, theta: float = np.pi / 4, epsilon2: float = 1.0) -> complex:

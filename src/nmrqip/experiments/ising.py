@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qop import pauli_dense
+from ..qop import pauli_sum
 
 _N = 3
-_COUPLING_WORDS = ("ZZI", "IZZ", "ZIZ")
-_FIELD_WORDS = ("ZII", "IZI", "IIZ")
+# Z bits, qubit 1 the most significant: Z1 Z2, Z2 Z3, Z1 Z3, then Z1, Z2, Z3
+_COUPLING_Z = (0b110, 0b011, 0b101)
+_FIELD_Z = (0b100, 0b010, 0b001)
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,11 @@ class IsingResult:
 
 
 def ising_hamiltonian(j: float, h: float) -> np.ndarray:
-    ham = np.zeros((2**_N, 2**_N), dtype=complex)
-    for w in _COUPLING_WORDS:
-        ham += j * pauli_dense(w)
-    for w in _FIELD_WORDS:
-        ham += h * pauli_dense(w)
-    return ham
+    return pauli_sum(_N, [(j, 0, z) for z in _COUPLING_Z] + [(h, 0, z) for z in _FIELD_Z])
 
 
 def magnetization_operator() -> np.ndarray:
-    return sum(pauli_dense(w) for w in _FIELD_WORDS)
+    return pauli_sum(_N, [(1.0, 0, z) for z in _FIELD_Z])
 
 
 def _ground_point(j: float, h: float, rtol: float):

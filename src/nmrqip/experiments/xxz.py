@@ -18,23 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qop import pauli_dense
+from ..qop import pauli_sum
 
 
 def xxz_hamiltonian(n: int, gamma: float) -> np.ndarray:
     if not 2 <= n <= 7:
         raise ValueError("chain length out of the supported range 2..7")
-    ham = np.zeros((2**n, 2**n), dtype=complex)
+    terms = []
     for i in range(n):
-        j = (i + 1) % n
-        for letter, weight in (("X", 1.0), ("Y", 1.0), ("Z", gamma)):
-            word = "".join(letter if q in (i, j) else "I" for q in range(n))
-            ham += weight * pauli_dense(word)
-    return ham
+        bond = 1 << (n - 1 - i) | 1 << (n - 1 - (i + 1) % n)
+        terms += [(1.0, bond, 0), (1.0, bond, bond), (gamma, 0, bond)]
+    return pauli_sum(n, terms)
 
 
 def _total_z(n: int) -> np.ndarray:
-    return sum(pauli_dense("I" * q + "Z" + "I" * (n - q - 1)) for q in range(n))
+    """Diagonal of sum_i Z_i: n - 2 popcount(a) on basis state a."""
+    a = np.arange(2**n)
+    return n - 2 * sum((a >> s) & 1 for s in range(n))
 
 
 def xxz_ground_state(n: int, gamma: float, rtol: float = 1e-9):
@@ -54,14 +54,14 @@ def xxz_ground_state(n: int, gamma: float, rtol: float = 1e-9):
     if deg == 1:
         return space[:, 0], float(e0), 1
 
-    msub = space.conj().T @ _total_z(n) @ space
+    msub = (space.conj().T * _total_z(n)) @ space
     mvals, mvecs = np.linalg.eigh(msub)
     mvals = np.round(mvals.real, 6)
     zero = np.abs(mvals) < 1e-6
     pick = np.where(zero)[0] if zero.any() else np.where(mvals == mvals.max())[0]
     sector = space @ mvecs[:, pick]
     for b in range(2**n):
-        amps = sector.conj().T @ np.eye(2**n)[:, b]
+        amps = sector[b].conj()
         if np.linalg.norm(amps) > 1e-8:
             state = sector @ amps
             return state / np.linalg.norm(state), float(e0), deg

@@ -17,9 +17,10 @@ i^k X^x Z^z: x and z are int bit masks of its X and Z parts with qubit 1 as
 the most significant bit (X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the
 phase exponent mod 4.  Since Y = i X Z, the word's phase (the sign in front
 of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
-commutation are integer operations on (x, z, k).  Dense Pauli matrices are
-built from those bits (pauli_matrices), with no cache; words are parsed and
-printed, never decoded to build a matrix.
+commutation are integer operations on (x, z, k).  Dense operators are built
+from those bits, with no cache: pauli_matrices stacks Pauli matrices and
+pauli_sum adds up Pauli-sum operators such as Hamiltonians.  Words are only
+parsed and printed, never decoded to build a matrix.
 """
 
 from __future__ import annotations
@@ -142,24 +143,39 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PHASE_EXPONENT = {p: e for e, p in enumerate(_PHASES)}
 
 
-def pauli_matrices(n: int, rows) -> np.ndarray:
-    """(m, d, d) stack of the matrices i^k X^x Z^z for m (x, z, k) rows.
+def _pauli_entries(n: int, x, z, k):
+    """(rows, values) of i^k X^x Z^z, one entry per column a = 0..2^n - 1.
 
     X^x Z^z |a> = (-1)^popcount(z & a) |a ^ x>, so column a holds
     i^k H[z, a] at row a ^ x, with H the Sylvester Hadamard matrix.
+    x, z and k are ints or broadcastable int arrays.
     """
+    return np.arange(2**n) ^ x, np.array(_PHASES)[k % 4] * sylvester_hadamard(n)[z]
+
+
+def pauli_matrices(n: int, rows) -> np.ndarray:
+    """(m, d, d) stack of the matrices i^k X^x Z^z for m (x, z, k) rows."""
     x, z, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
     d = 2**n
-    a = np.arange(d)
     out = np.zeros((len(x), d, d), dtype=complex)
-    phase = np.array(_PHASES)[k % 4, None]
-    out[np.arange(len(x))[:, None], a ^ x[:, None], a] = phase * sylvester_hadamard(n)[z]
+    at, values = _pauli_entries(n, x[:, None], z, k[:, None])
+    out[np.arange(len(x))[:, None], at, np.arange(d)] = values
     return out
 
 
-def pauli_dense(word: str) -> np.ndarray:
-    """Dense matrix of an unsigned Pauli word such as 'XZI'."""
-    return PauliString(word).dense()
+def pauli_sum(n: int, terms) -> np.ndarray:
+    """Dense sum of c X^x Z^z i^popcount(x & z) over (c, x, z) terms.
+
+    Each Pauli has phase +1 (its word's letters, e.g. Y = i X Z) and the
+    terms are added in the order given, each to its 2^n nonzero entries.
+    """
+    d = 2**n
+    out = np.zeros((d, d), dtype=complex)
+    cols = np.arange(d)
+    for c, x, z in terms:
+        at, values = _pauli_entries(n, x, z, (x & z).bit_count())
+        out[at, cols] += c * values
+    return out
 
 
 @lru_cache(maxsize=None)

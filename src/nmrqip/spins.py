@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, basis_ket, embed, ket_density
-
-IX = SIGMA_X / 2
-IY = SIGMA_Y / 2
-IZ = SIGMA_Z / 2
+from .qop import ket_density, pauli_sum
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,20 @@ class SpinSystem:
         return 2**self.n
 
 
+def spin_bits(axis: str, spin: int, n: int) -> tuple:
+    """(x, z) bits of sigma_axis on one 1-based spin of n, as in qop.PauliString."""
+    b = 1 << (n - spin)
+    return {"x": (b, 0), "y": (b, b), "z": (0, b)}[axis.lower()]
+
+
 def spin_op(axis: str, spin: int, n: int) -> np.ndarray:
     """I_axis on one 1-based spin of an n-spin register (dense 2^n matrix)."""
-    base = {"x": IX, "y": IY, "z": IZ}[axis.lower()]
-    return embed(base, [spin], n)
+    return pauli_sum(n, [(0.5, *spin_bits(axis, spin, n))])
+
+
+def raising_op(spin: int, n: int) -> np.ndarray:
+    """I+ = Ix + i Iy on one 1-based spin of n: the FID readout operator."""
+    return pauli_sum(n, [(0.5, *spin_bits("x", spin, n)), (0.5j, *spin_bits("y", spin, n))])
 
 
 def iz_diagonal(spin: int, n: int) -> np.ndarray:
@@ -126,18 +132,15 @@ def internal_hamiltonian(sys: SpinSystem, weak_coupling: bool = True) -> np.ndar
     if weak_coupling:
         _warn_if_strongly_coupled(sys)
         return np.diag(hamiltonian_diagonal(sys)).astype(complex)
-    h = zeeman_hamiltonian(sys)
-    j = sys.j
-    for i in range(1, sys.n + 1):
-        for k in range(i + 1, sys.n + 1):
-            jik = j[i - 1, k - 1]
-            if jik == 0.0:
-                continue
-            for ax in "xyz":
-                h += 2 * np.pi * jik * (
-                    spin_op(ax, i, sys.n) @ spin_op(ax, k, sys.n)
-                )
-    return h
+    n, j = sys.n, sys.j
+    terms = [(-2 * np.pi * nu / 2, 0, 1 << (n - 1 - i))
+             for i, nu in enumerate(sys.offsets) if nu != 0.0]
+    for i in range(n):
+        for k in range(i + 1, n):
+            if j[i, k] != 0.0:
+                pair, c = 1 << (n - 1 - i) | 1 << (n - 1 - k), 2 * np.pi * j[i, k] / 4
+                terms += [(c, pair, 0), (c, pair, pair), (c, 0, pair)]  # XX, YY, ZZ
+    return pauli_sum(n, terms)
 
 
 def _warn_if_strongly_coupled(sys: SpinSystem, ratio: float = 0.1):
@@ -226,7 +229,7 @@ def simulate_fid(
         rho_e = v.conj().T @ rho @ v
     amps = np.empty((n, d, d), dtype=complex)
     for i in range(n):
-        ob = spin_op("x", i + 1, n) + 1j * spin_op("y", i + 1, n)
+        ob = raising_op(i + 1, n)
         if not weak_coupling:
             ob = v.conj().T @ ob @ v
         np.multiply(rho_e, ob.T, out=amps[i])

@@ -22,7 +22,6 @@ from nmrqip.qop import (
     embed,
     haar_random_unitary,
     ket_density,
-    pauli_dense,
 )
 from nmrqip.spins import builtin_molecule
 
@@ -132,7 +131,7 @@ def test_pauli_channel_transfer_eigenvalues(rng):
     probs = {"II": 0.7, "XI": 0.1, "IZ": 0.12, "YY": 0.08}
     ch = Channel.from_pauli_probs(probs)
     for word in ("XI", "ZZ", "IY", "XX"):
-        p = pauli_dense(word)
+        p = PauliString(word).dense()
         rho = (np.eye(4) + p) / 4
         out = ch.apply(rho)
         survival = np.trace(p @ out).real
@@ -161,8 +160,8 @@ def test_pauli_eigenvalue_accessor(rng):
                     * (0.7 if word[1] != "I" else 1.0))
             assert composite.pauli_eigenvalue(p) == pytest.approx(want, abs=1e-12)
             if word != "II":
-                rho = (np.eye(4) + pauli_dense(word)) / 4
-                survival = np.trace(pauli_dense(word) @ composite.apply(rho)).real
+                rho = (np.eye(4) + PauliString(word).dense()) / 4
+                survival = np.trace(PauliString(word).dense() @ composite.apply(rho)).real
                 assert composite.pauli_eigenvalue(p) == pytest.approx(survival, abs=1e-12)
     z = PauliString("Z")
     assert Channel.amplitude_damping(0.1).pauli_eigenvalue(z) is None
@@ -224,7 +223,8 @@ def dense_pauli_sum(probs: dict, rho, qubits=None, n=None):
     """sum_Q p_Q Q rho Q with each word placed on the given register qubits."""
     out = np.zeros_like(rho)
     for word, p in probs.items():
-        q = pauli_dense(word) if qubits is None else embed(pauli_dense(word), qubits, n)
+        q = PauliString(word).dense()
+        q = q if qubits is None else embed(q, qubits, n)
         out += p * q @ rho @ q
     return out
 
@@ -257,7 +257,7 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
-        p = pauli_dense(word)
+        p = PauliString(word).dense()
         survival = np.trace(p @ ch.apply((np.eye(d) + p) / d)).real
         assert survival == pytest.approx(pauli_transfer_eigenvalue(probs, word), abs=1e-12)
 
@@ -278,7 +278,7 @@ def test_pauli_channel_n7_memory():
     n, d = 7, 128
     probs = pauli_probs_by_weight(n, {int(w): m for w, m in
                                       DEFAULT_CONFIGS["twirl"]["weight_masses"].items()})
-    z1 = pauli_dense("Z" + "I" * (n - 1))
+    z1 = PauliString("Z" + "I" * (n - 1)).dense()
     rho = (np.eye(d) + z1) / d
     tracemalloc.start()
     try:

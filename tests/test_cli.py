@@ -246,6 +246,37 @@ def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("experiment, config", [
+    ("xxz", {"n": 4, "n_points": 5, "n_restarts": 2}),
+    ("ising", {}),
+    ("contextuality", {"method": "direct"}),
+    ("contextuality", {"method": "meter"}),
+], ids=["xxz", "ising", "contextuality-direct", "contextuality-meter"])
+def test_model_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
+    # the repro determinism criterion does not run xxz or the direct method
+    outs = []
+    for d in ("a", "b"):
+        out = tmp_path / d
+        assert run_experiment(experiment, seed=402, out_dir=str(out), config_doc=config) == 0
+        outs.append(csv_bytes(out))
+    assert outs[0] and outs[0] == outs[1]
+    capsys.readouterr()
+
+
+def test_spectrum_without_signal_has_no_peak(tmp_path, capsys):
+    # no pulse on a diagonal PPS leaves an all-zero spectrum
+    out = tmp_path / "none"
+    doc = {"pulse": "none", "n_samples": 64}
+    assert run_experiment("spectrum", out_dir=str(out), config_doc=doc) == 0
+    assert read_stdout_json(capsys)["peak_freq_hz"] is None
+    assert json.loads((out / "manifest.json").read_text())["summary"]["peak_freq_hz"] is None
+    with open(out / "spectrum.csv", newline="") as fh:
+        assert all(float(r["power"]) == 0.0 for r in csv.DictReader(fh))
+    doc = {"n_samples": 64}
+    assert run_experiment("spectrum", out_dir=str(tmp_path / "y90"), config_doc=doc) == 0
+    assert isinstance(read_stdout_json(capsys)["peak_freq_hz"], float)
+
+
 def test_twirl_seed_changes_estimate_within_delta(tmp_path, capsys):
     # different seeds must give different estimates, both inside the bound
     doc = {"n_samples": 4000}

@@ -11,7 +11,7 @@ from nmrqip.experiments.contextuality import (
     contextuality_beta,
     depolarizing_for_beta,
 )
-from nmrqip.qop import haar_random_state, ket_density, pauli_dense
+from nmrqip.qop import PauliString, haar_random_state, ket_density
 
 from conftest import random_density
 
@@ -22,7 +22,8 @@ def test_table_structure():
     assert len(ctx) == 6
     # independent product check straight from dense matrices
     for words, sign in ctx:
-        prod = pauli_dense(words[0]) @ pauli_dense(words[1]) @ pauli_dense(words[2])
+        a, b, c = (PauliString(w).dense() for w in words)
+        prod = a @ b @ c
         assert np.allclose(prod, sign * np.eye(4))
 
 
@@ -59,7 +60,8 @@ def test_beta_by_hand(rng):
     table = MerminTable()
     vals = []
     for words, _ in table.contexts():
-        prod = pauli_dense(words[0]) @ pauli_dense(words[1]) @ pauli_dense(words[2])
+        a, b, c = (PauliString(w).dense() for w in words)
+        prod = a @ b @ c
         vals.append(np.trace(rho @ prod).real)
     want = sum(vals[:5]) - vals[5]
     assert contextuality_beta(rho).beta == pytest.approx(want, abs=1e-12)

@@ -31,7 +31,7 @@ from nmrqip.control import (
     save_pulse,
     step_propagator,
 )
-from nmrqip.qop import PAULIS, gate_fidelity_hs, haar_random_unitary
+from nmrqip.qop import PAULIS, embed, gate_fidelity_hs, haar_random_unitary
 from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian, spin_op
 
 CNOT = np.array(
@@ -179,6 +179,17 @@ def test_control_channels_chloroform():
     names4, ops4 = control_channels(four)
     assert names4 == ("13C.x", "13C.y")
     assert np.allclose(ops4[0], sum(spin_op("x", q, 4) for q in range(1, 5)))
+
+
+@pytest.mark.parametrize("name", ("chloroform2", "malonate3", "crotonic4", "chain7"))
+def test_control_channels_equal_embedded_sums(name):
+    sys_ = builtin_molecule(name)
+    _, ops = control_channels(sys_)
+    want = [sum(embed(PAULIS[ax] / 2, [q], sys_.n) for q in spins)
+            for _, spins in sys_.channels() for ax in "XY"]
+    assert len(ops) == len(want)
+    for got, ref in zip(ops, want):
+        assert np.array_equal(got, ref)
 
 
 def test_grape_fidelity_limits():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nmrqip.qop import PAULIS, tensor
+
 from nmrqip.experiments.ising import (
     ising_ground,
     ising_hamiltonian,
@@ -37,6 +39,22 @@ def test_hamiltonian_is_diagonal_and_matches_enumeration(rng):
             s = [1 - 2 * ((bits >> (2 - k)) & 1) for k in range(3)]
             e = j * (s[0] * s[1] + s[1] * s[2] + s[0] * s[2]) + h * sum(s)
             assert diag[bits] == pytest.approx(e, abs=1e-12)
+
+
+def test_operators_equal_kron_sums():
+    # j (Z1 Z2 + Z2 Z3 + Z1 Z3) + h (Z1 + Z2 + Z3), added in that order
+    z, one = PAULIS["Z"], PAULIS["I"]
+    couplings = [tensor(z, z, one), tensor(one, z, z), tensor(z, one, z)]
+    fields = [tensor(z, one, one), tensor(one, z, one), tensor(one, one, z)]
+    for j in (0.25, 1.0, 2.7):
+        for h in np.linspace(-6.0, 6.0, 37):
+            ref = np.zeros((8, 8), dtype=complex)
+            for op in couplings:
+                ref += j * op
+            for op in fields:
+                ref += h * op
+            assert np.array_equal(ising_hamiltonian(j, h), ref)
+    assert np.array_equal(magnetization_operator(), sum(fields))
 
 
 def test_ground_matches_brute_force(rng):

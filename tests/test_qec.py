@@ -38,7 +38,8 @@ def test_code_definitions_are_consistent():
             assert code.logical_x.commutes(g)
         # encoding tableau maps Z_j (j >= 2) onto the generators
         tab = code.encoding_tableau()
-        assert tab.z_images[1:] == code.generators
+        z_images = tuple(PauliString.from_bits(tab.n, *r) for r in tab.rows[tab.n:])
+        assert z_images[1:] == code.generators
 
 
 def test_code_validation_raises():

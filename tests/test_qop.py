@@ -28,8 +28,8 @@ from nmrqip.qop import (
     haar_random_unitary,
     ket_density,
     partial_trace,
-    pauli_dense,
     pauli_matrices,
+    pauli_sum,
     state_fidelity,
     sylvester_hadamard,
     tensor,
@@ -47,9 +47,9 @@ def test_pauli_algebra():
 
 
 def test_qubit_one_is_leftmost_factor():
-    assert np.allclose(pauli_dense("XI"), np.kron(SIGMA_X, np.eye(2)))
-    assert np.allclose(pauli_dense("IX"), np.kron(np.eye(2), SIGMA_X))
-    assert np.allclose(pauli_dense("XZ"), np.kron(SIGMA_X, SIGMA_Z))
+    assert np.allclose(PauliString("XI").dense(), np.kron(SIGMA_X, np.eye(2)))
+    assert np.allclose(PauliString("IX").dense(), np.kron(np.eye(2), SIGMA_X))
+    assert np.allclose(PauliString("XZ").dense(), np.kron(SIGMA_X, SIGMA_Z))
 
 
 def test_ket0_is_plus_z():
@@ -127,7 +127,29 @@ def test_pauli_dense_matches_kron():
                 ref = kron_pauli(word, phase)
                 assert np.array_equal(mat, ref) and np.array_equal(p.dense(), ref)
                 if phase == 1:
-                    assert np.array_equal(pauli_dense(word), ref)
+                    assert np.array_equal(PauliString(word).dense(), ref)
+
+
+_COEFFS = st.one_of(st.floats(-10, 10), st.complex_numbers(max_magnitude=10, allow_nan=False))
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(_COEFFS, st.text("IXYZ", min_size=n, max_size=n)), max_size=8),
+    st.lists(st.integers(0, 7), max_size=4))))
+def test_pauli_sum_matches_kron_sum(case):
+    # terms repeat by index; the oracle adds c kron(letters) in the same order
+    n, terms, repeats = case
+    terms = terms + [terms[i] for i in repeats if i < len(terms)]
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    bits = []
+    for c, word in terms:
+        ref += c * tensor(*(PAULIS[letter] for letter in word))
+        x = int("".join("1" if letter in "XY" else "0" for letter in word), 2)
+        z = int("".join("1" if letter in "YZ" else "0" for letter in word), 2)
+        bits.append((c, x, z))
+    assert np.array_equal(pauli_sum(n, bits), ref)
 
 
 def test_all_pauli_words():

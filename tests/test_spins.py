@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from nmrqip import spins
-from nmrqip.qop import PAULIS, tensor
+from nmrqip.qop import PAULIS, embed, tensor
 from nmrqip.spins import (
     SpinSystem,
     builtin_molecule,
@@ -20,6 +20,7 @@ from nmrqip.spins import (
     load_molecule,
     make_pps,
     pps_on,
+    raising_op,
     simulate_fid,
     spectrum,
     spin_op,
@@ -80,6 +81,38 @@ def _random_hermitian(d, rng):
 def test_spin_op_embedding():
     assert np.allclose(spin_op("z", 1, 2), np.kron(PAULIS["Z"] / 2, I2))
     assert np.allclose(spin_op("x", 2, 2), np.kron(I2, PAULIS["X"] / 2))
+
+
+def _embedded(axis, spin, n):
+    """I_axis on one spin, embedded from the 2x2 matrix (the oracle)."""
+    return embed(PAULIS[axis.upper()] / 2, [spin], n)
+
+
+def test_spin_and_raising_ops_equal_embedded_matrices():
+    for n in range(1, 8):
+        for spin in range(1, n + 1):
+            for ax in "xyz":
+                assert np.array_equal(spin_op(ax, spin, n), _embedded(ax, spin, n))
+            want = _embedded("x", spin, n) + 1j * _embedded("y", spin, n)
+            assert np.array_equal(raising_op(spin, n), want)
+
+
+@pytest.mark.parametrize("name", MOLECULES)
+def test_full_hamiltonian_equals_embedded_sum(name):
+    # Zeeman terms first, then XX, YY, ZZ pair by pair: the same sum order
+    sys_ = builtin_molecule(name)
+    n = sys_.n
+    h = np.zeros((sys_.dim, sys_.dim), dtype=complex)
+    for i, nu in enumerate(sys_.offsets, start=1):
+        if nu != 0.0:
+            h -= 2 * np.pi * nu * _embedded("z", i, n)
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            jik = sys_.j[i - 1, k - 1]
+            if jik != 0.0:
+                for ax in "xyz":
+                    h += 2 * np.pi * jik * (_embedded(ax, i, n) @ _embedded(ax, k, n))
+    assert np.array_equal(internal_hamiltonian(sys_, weak_coupling=False), h)
 
 
 def test_internal_hamiltonian_weak_form_by_hand():

@@ -15,7 +15,8 @@ from nmrqip.experiments.xxz import (
     xxz_hamiltonian,
     xxz_scan,
 )
-from nmrqip.qop import pauli_dense
+from nmrqip.experiments import xxz
+from nmrqip.qop import PAULIS, PauliString, tensor
 
 
 def test_hamiltonian_by_hand():
@@ -24,7 +25,7 @@ def test_hamiltonian_by_hand():
     for (i, j) in ((0, 1), (1, 2), (2, 0)):
         for letter, w in (("X", 1.0), ("Y", 1.0), ("Z", gamma)):
             word = "".join(letter if q in (i, j) else "I" for q in range(n))
-            ham += w * pauli_dense(word)
+            ham += w * PauliString(word).dense()
     assert np.allclose(xxz_hamiltonian(n, gamma), ham)
     with pytest.raises(ValueError):
         xxz_hamiltonian(1, 0.0)
@@ -32,9 +33,27 @@ def test_hamiltonian_by_hand():
         xxz_hamiltonian(9, 0.0)
 
 
+def test_hamiltonian_equals_kron_sum():
+    # bond by bond, X X then Y Y then gamma Z Z, on the periodic ring
+    for n in range(2, 8):
+        for gamma in (-2.0, -1.0, -0.35, 0.0, 1.0, 1.7):
+            ref = np.zeros((2**n, 2**n), dtype=complex)
+            for i in range(n):
+                for letter, w in (("X", 1.0), ("Y", 1.0), ("Z", gamma)):
+                    sites = (i, (i + 1) % n)
+                    ref += w * tensor(*(PAULIS[letter if q in sites else "I"] for q in range(n)))
+            assert np.array_equal(xxz_hamiltonian(n, gamma), ref)
+
+
+def test_total_z_is_the_diagonal_of_the_z_sum():
+    for n in range(2, 8):
+        dense = sum(PauliString("I" * q + "Z" + "I" * (n - q - 1)).dense() for q in range(n))
+        assert np.array_equal(np.diag(xxz._total_z(n)), dense)
+
+
 def test_hamiltonian_conserves_magnetization():
     n = 4
-    total_z = sum(pauli_dense("I" * q + "Z" + "I" * (n - q - 1))
+    total_z = sum(PauliString("I" * q + "Z" + "I" * (n - q - 1)).dense()
                   for q in range(n))
     for gamma in (-2.0, 0.3, 1.5):
         ham = xxz_hamiltonian(n, gamma)
