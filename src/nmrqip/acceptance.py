@@ -68,6 +68,7 @@ from .qop import (
     haar_random_unitary,
     ket_density,
     pauli_matrices,
+    spin_bits,
 )
 from .spins import builtin_molecule, internal_hamiltonian
 from .twirl import (
@@ -280,7 +281,7 @@ def _crit_rb(base_seed):
     # survival is exactly 1; the check runs in integer Pauli arithmetic
     sampler = default_rb_sampler(n)
     rng2 = np.random.default_rng(base_seed + 501)
-    z1 = PauliString("Z" + "I" * (n - 1))
+    z1 = PauliString.from_bits(n, *spin_bits("z", 1, n))
     exact_ones = 0
     for _ in range(100):
         m = int(rng2.integers(1, 40))
@@ -311,21 +312,22 @@ def _crit_qec(base_seed):
     psi = np.array([0.6, 0.8], dtype=complex)
     worst_gap = 0.0
     bf = bit_flip_code()
-    for q in range(3):
-        err = PauliString("I" * q + "X" + "I" * (2 - q))
+    for q in range(1, 4):
+        err = PauliString.from_bits(3, *spin_bits("x", q, 3))
         _, f_corr = logical_gate_cycle(bf, "I", err, psi)
         worst_gap = max(worst_gap, abs(f_corr - 1.0))
     five = five_qubit_code()
     n_checked = 3
-    for q in range(5):
+    for q in range(1, 6):
         for letter in ("X", "Y", "Z"):
-            err = PauliString("I" * q + letter + "I" * (4 - q))
+            err = PauliString.from_bits(5, *spin_bits(letter, q, 5))
             _, f_corr = logical_gate_cycle(five, "I", err, psi)
             worst_gap = max(worst_gap, abs(f_corr - 1.0))
             n_checked += 1
     w_bad = transversal_cnot_demo("bad", PauliString("XII"))
-    w_tvl = max(transversal_cnot_demo("transversal", PauliString("I" * q + a + "I" * (2 - q)))
-                for q in range(3) for a in ("X", "Y", "Z"))
+    w_tvl = max(transversal_cnot_demo("transversal",
+                                      PauliString.from_bits(3, *spin_bits(a, q, 3)))
+                for q in range(1, 4) for a in ("X", "Y", "Z"))
     passed = worst_gap <= 1e-10 and w_bad == 3 and w_tvl <= 1
     return (bool(passed),
             f"worst |1-fidelity| = {worst_gap:.2e} over {n_checked} errors; "

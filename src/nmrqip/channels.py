@@ -3,7 +3,7 @@
 A Channel is an ordered sequence of factors, each acting on a subset of the
 register.  A factor is either a list of Kraus matrices or a Pauli channel
 rho -> sum_Q p_Q Q rho Q, stored as its probability vector over the 4^m
-Pauli words of its m qubits.  Keeping per-spin factors unexpanded lets
+Paulis Q of its m qubits.  Keeping per-spin factors unexpanded lets
 relaxation channels scale to seven spins, where the materialized tensor
 product would need 4^7 Kraus matrices.
 
@@ -12,14 +12,17 @@ lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
 Walsh-Hadamard transform of p (Flammia & Wallman, arXiv:1907.12976).  apply()
 moves rho into that basis with two real matrix products, scales it by lambda
 and moves it back; no Kraus matrix is built.  When lambda is the same on
-every non-identity word (depolarizing noise) the closed form
+every non-identity Pauli (depolarizing noise) the closed form
 (1 - p) rho + p tr(rho) I/d is used instead.  kraus() still materializes the
 full Kraus set for n <= 5, as the exact oracle.
 
-Pauli vectors are indexed x * 2^m + z, where x and z are the bit masks of
-the word's X and Z parts (qubit 1 most significant): I = (0, 0),
-X = (1, 0), Z = (0, 1), Y = (1, 1).  The index's binary digits are the
-word's symplectic bit vector, the (x, z) masks of qop.PauliString.
+Pauli vectors are the only Pauli error format: entry x * 2^m + z is the
+probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
+are the bit masks of the Pauli's X and Z parts (qubit 1 most significant):
+I = (0, 0), X = (1, 0), Z = (0, 1), Y = (1, 1).  The index's binary digits
+are the symplectic bit vector, the (x, z) masks of qop.PauliString.
+from_pauli_probs and pauli_probs_by_weight take and give such vectors; no
+Pauli word is enumerated or parsed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import (SIGMA_I, SIGMA_Z, PauliString, all_pauli_words, embed, n_qubits,
+from .qop import (SIGMA_I, SIGMA_Z, PauliString, embed, n_qubits, pauli_matrices,
                   sylvester_hadamard)
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
@@ -183,19 +186,14 @@ class Channel:
         return cls.from_kraus([u])
 
     @classmethod
-    def from_pauli_probs(cls, probs: dict, n: int | None = None) -> "Channel":
-        """Pauli channel from a word -> probability map."""
-        if n is None:
-            if not probs:
-                raise ValueError("empty Pauli probability map")
-            n = len(next(iter(probs)))
-        vec = np.zeros(4**n)
-        for word, p in probs.items():
-            if len(word) != n:
-                raise ValueError(f"Pauli word {word!r} is not on {n} qubits")
-            q = PauliString(word)
-            vec[q.x << n | q.z] += p
-        return cls(n, [(vec, tuple(range(1, n + 1)))])
+    def from_pauli_probs(cls, probs) -> "Channel":
+        """Pauli channel from its probability vector of length 4^n, indexed
+        x * 2^n + z (see the module docstring)."""
+        probs = np.asarray(probs, dtype=float)
+        n = (probs.size.bit_length() - 1) // 2
+        if n < 1 or probs.shape != (4**n,):
+            raise ValueError(f"Pauli vector shape {probs.shape} is not (4^n,) for n >= 1")
+        return cls(n, [(probs, tuple(range(1, n + 1)))])
 
     @classmethod
     def depolarizing(cls, n: int, p: float) -> "Channel":
@@ -209,11 +207,11 @@ class Channel:
 
     @classmethod
     def bit_flip(cls, p: float) -> "Channel":
-        return cls.from_pauli_probs({"I": 1 - p, "X": p})
+        return cls.from_pauli_probs([1 - p, 0.0, p, 0.0])  # I, Z, X, Y
 
     @classmethod
     def phase_flip(cls, p: float) -> "Channel":
-        return cls.from_pauli_probs({"I": 1 - p, "Z": p})
+        return cls.from_pauli_probs([1 - p, p, 0.0, 0.0])
 
     @classmethod
     def amplitude_damping(cls, gamma: float) -> "Channel":
@@ -250,7 +248,7 @@ class Channel:
     def kraus(self):
         """Materialized full-register Kraus list (guarded for n > 5).
 
-        A Pauli factor contributes sqrt(p_Q) Q for each word Q with p_Q > 0.
+        A Pauli factor contributes sqrt(p_Q) Q for each Pauli Q with p_Q > 0.
         """
         if self.n > _MATERIALIZE_LIMIT:
             raise ValueError(
@@ -260,8 +258,10 @@ class Channel:
         for op, qubits in self.factors:
             if _is_pauli(op):
                 m = len(qubits)
-                op = [np.sqrt(op[i]) * PauliString.from_bits(m, i >> m, i & (2**m - 1)).dense()
-                      for i in np.flatnonzero(op).tolist()]
+                at = np.flatnonzero(op)
+                xz = [divmod(i, 2**m) for i in at.tolist()]
+                op = np.sqrt(op[at])[:, None, None] * pauli_matrices(
+                    m, [(x, z, (x & z).bit_count()) for x, z in xz])
             lifted = [embed(k, qubits, self.n) for k in op]
             out = [lk @ o for o in out for lk in lifted]
             if len(out) > self.dim**2:
@@ -310,44 +310,31 @@ class Channel:
         return self.apply(rho)
 
 
-def pauli_probs_by_weight(n: int, weight_masses: dict) -> dict:
-    """Pauli error distribution spreading each weight class's mass uniformly.
+def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:
+    """Pauli error vector (indexed x * 2^n + z) spreading each weight
+    class's mass uniformly.
 
-    weight_masses maps error weight -> total probability of that class; the
+    weight_masses maps error weight -> total probability of that class; each
+    Pauli of weight w = popcount(x | z) gets mass / (C(n, w) 3^w), and the
     remainder lands on the identity, so Pr(no error) = 1 - sum(masses).
     """
-    probs = {}
+    idx = np.arange(4**n)
+    support = (idx >> n | idx) & (2**n - 1)  # x | z
+    weights = sum(support >> q & 1 for q in range(n))
+    probs = np.zeros(4**n)
     total = 0.0
-    words = all_pauli_words(n)
-    weights = [n - word.count("I") for word in words]
     for w, mass in weight_masses.items():
         w = int(w)
         if not 1 <= w <= n:
             raise ValueError(f"error weight {w} outside 1..{n}")
         if mass < 0:
             raise ValueError("class masses must be nonnegative")
-        share = mass / (math.comb(n, w) * 3**w)
-        for word, weight in zip(words, weights):
-            if weight == w:
-                probs[word] = probs.get(word, 0.0) + share
+        probs[weights == w] += mass / (math.comb(n, w) * 3**w)
         total += mass
     if total > 1 + 1e-12:
         raise ValueError(f"class masses sum to {total} > 1")
-    probs["I" * n] = 1 - total
+    probs[0] = 1 - total
     return probs
-
-
-def pauli_transfer_eigenvalue(probs: dict, word: str) -> float:
-    """Eigenvalue of a Pauli channel on a Pauli-string observable.
-
-    A Pauli channel maps P -> lambda_P P with
-    lambda_P = sum_Q p_Q * (+1 if [Q, P] = 0 else -1).
-    """
-    p_ref = PauliString(word)
-    lam = 0.0
-    for q, p in probs.items():
-        lam += p if PauliString(q).commutes(p_ref) else -p
-    return lam
 
 
 def t1t2_channel(sys, t: float) -> Channel:

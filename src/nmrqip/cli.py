@@ -74,6 +74,7 @@ from .qop import (
     average_gate_fidelity_exact,
     haar_random_state,
     haar_random_unitary,
+    spin_bits,
 )
 from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
 from .twirl import (
@@ -293,7 +294,7 @@ def _run_twirl(cfg, seed, shots):
         Channel.from_pauli_probs(probs), delta, rng, n_samples=cfg["n_samples"],
         readout_shots=shots, with_replacement=cfg["with_replacement"],
     )
-    pr0 = probs["I" * n]
+    pr0 = probs[0]
     fbar_true = (2**n * pr0 + 1) / (2**n + 1)
     row = [pr0, est.pr0_hat, abs(est.pr0_hat - pr0), est.stderr,
            est.n_samples, est.fbar, fbar_true, delta]
@@ -371,11 +372,10 @@ def _run_qec(cfg, seed, shots):
     if cfg["transversal_demo"]:
         demo = []
         for variant in ("bad", "transversal"):
-            for q in range(3):
+            for q in range(1, 4):
                 for letter in ("X", "Y", "Z"):
-                    word = "I" * q + letter + "I" * (2 - q)
-                    w = transversal_cnot_demo(variant, PauliString(word))
-                    demo.append([variant, word, w])
+                    err = PauliString.from_bits(3, *spin_bits(letter, q, 3))
+                    demo.append([variant, err.word, transversal_cnot_demo(variant, err)])
         out.tables["transversal.csv"] = (
             ["variant", "control_block_error", "target_block_weight"], demo)
         out.summary["max_weight_bad"] = max(r[2] for r in demo if r[0] == "bad")

@@ -170,53 +170,48 @@ class CliffordTableau:
 
         n = self.n
 
-        def letter_at(row, q):
-            """Pauli letter of an (x, z, k) row on 0-based qubit q."""
+        def bits_at(row, q):
+            """(x bit, z bit) of an (x, z, k) row on 0-based qubit q."""
             s = n - 1 - q
-            return "IXZY"[(row[0] >> s & 1) | (row[1] >> s & 1) << 1]
+            return row[0] >> s & 1, row[1] >> s & 1
 
         for i in range(n):
             xi = cur.rows[i]
             # stage A: some qubit j >= i must carry X or Y (symplecticity)
-            j = next((q for q in range(i, n) if letter_at(xi, q) in "XY"), None)
+            j = next((q for q in range(i, n) if bits_at(xi, q)[0]), None)
             if j is None:
-                j = next(q for q in range(i, n) if letter_at(xi, q) == "Z")
+                j = next(q for q in range(i, n) if bits_at(xi, q)[1])
                 hit("H", j + 1)
             if j != i:
                 hit("CNOT", i + 1, j + 1)
                 hit("CNOT", j + 1, i + 1)
                 hit("CNOT", i + 1, j + 1)
-            if letter_at(cur.rows[i], i) == "Y":
+            if bits_at(cur.rows[i], i) == (1, 1):
                 hit("S", i + 1)
-            # stage B: clear the X-image on every other qubit
+            # stage B: clear the X-image on every other qubit (Y by S, Z by H to X; X by CNOT)
             for q in range(n):
                 if q == i:
                     continue
-                letter = letter_at(cur.rows[i], q)
-                if letter == "Y":
-                    hit("S", q + 1)
-                    letter = "X"
-                if letter == "Z":
-                    hit("H", q + 1)
-                    letter = "X"
-                if letter == "X":
+                x, z = bits_at(cur.rows[i], q)
+                if z:
+                    hit("S" if x else "H", q + 1)
+                if x | z:
                     hit("CNOT", i + 1, q + 1)
-            # stage C: z image carries Z or Y at qubit i; normalize to Z
-            if letter_at(cur.rows[n + i], i) == "Y":
+            # stage C: z image carries Z or Y at qubit i; normalize to Z, then
+            # clear it elsewhere (Y by S to X, X by H to Z; Z by CNOT)
+            if bits_at(cur.rows[n + i], i) == (1, 1):
                 hit("H", i + 1)
                 hit("S", i + 1)
                 hit("H", i + 1)
             for q in range(n):
                 if q == i:
                     continue
-                letter = letter_at(cur.rows[n + i], q)
-                if letter == "Y":
+                x, z = bits_at(cur.rows[n + i], q)
+                if x & z:
                     hit("S", q + 1)
-                    letter = "X"
-                if letter == "X":
+                if x:
                     hit("H", q + 1)
-                    letter = "Z"
-                if letter == "Z":
+                if x | z:
                     hit("CNOT", q + 1, i + 1)
         for i in range(n):  # the rows are now +-X_i and +-Z_i; k = 2 is the sign -1
             if cur.rows[i][2] == 2:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, pauli_sum, sylvester_hadamard, tensor
-from .spins import SpinSystem, internal_hamiltonian, iz_diagonal, spin_bits
+from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, embed, pauli_sum, spin_bits, sylvester_hadamard,
+                  tensor)
+from .spins import SpinSystem, internal_hamiltonian, iz_diagonal
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
 

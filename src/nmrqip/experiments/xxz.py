@@ -115,10 +115,12 @@ class GeResult:
 def xxz_ground_ge(n: int, gamma: float, rng: np.random.Generator, n_restarts: int = 16) -> GeResult:
     """Geometric entanglement of the ground state from seeded random restarts."""
     psi, _, _ = xxz_ground_state(n, gamma)
-    values = []
-    for _ in range(n_restarts):
-        lam2, _ = product_overlap_sweep(psi, n, rng=rng)
-        values.append(lam2)
+    return _state_ge(psi, n, rng, n_restarts)
+
+
+def _state_ge(psi: np.ndarray, n: int, rng: np.random.Generator, n_restarts: int) -> GeResult:
+    """Geometric entanglement of psi, best of n_restarts random-start sweeps."""
+    values = [product_overlap_sweep(psi, n, rng=rng)[0] for _ in range(n_restarts)]
     best = max(values)
     return GeResult(best, float(-np.log2(best)), tuple(values))
 
@@ -188,7 +190,7 @@ def xxz_scan(n: int, gammas, rng: np.random.Generator, n_restarts: int = 16) -> 
     ge, lam2, ferro, equ, neel, deg = [], [], [], [], [], []
     for gamma in gammas:
         psi, _, d = xxz_ground_state(n, gamma)
-        res = xxz_ground_ge(n, gamma, rng, n_restarts)
+        res = _state_ge(psi, n, rng, n_restarts)
         ge.append(res.ge)
         lam2.append(res.lambda2)
         ferro.append(ferro_overlap(psi))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clifford import CliffordTableau
 from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, ket_density,
-                  partial_trace, state_fidelity)
+                  partial_trace, spin_bits, state_fidelity)
 
 MAGIC_AXIS = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3)
 
@@ -132,12 +132,13 @@ class StabilizerCode:
         n = self.n_physical
         table = {}
         for w in range(n + 1):
-            for support in combinations(range(n), w):
-                for letters in product("XZY", repeat=w):
-                    chars = ["I"] * n
-                    for q, c in zip(support, letters):
-                        chars[q] = c
-                    err = PauliString("".join(chars))
+            for support in combinations(range(1, n + 1), w):
+                for axes in product(("X", "Z", "Y"), repeat=w):
+                    x = z = 0
+                    for q, axis in zip(support, axes):
+                        bx, bz = spin_bits(axis, q, n)
+                        x, z = x | bx, z | bz
+                    err = PauliString.from_bits(n, x, z)
                     s = self.syndrome_of(err)
                     if s not in table:
                         table[s] = err
@@ -258,10 +259,10 @@ def logical_gate(code: StabilizerCode, gate: str) -> np.ndarray:
 
 def error_ensemble(n: int):
     """{identity} plus X, Z, and XZ on each qubit (3n + 1 errors; 16 for n=5)."""
-    out = [PauliString("I" * n)]
-    for q in range(n):
-        for letter in ("X", "Z", "Y"):  # XZ = -iY; the phase drops in conjugation
-            out.append(PauliString("I" * q + letter + "I" * (n - q - 1)))
+    out = [PauliString.from_bits(n, 0, 0)]
+    for q in range(1, n + 1):
+        for axis in ("X", "Z", "Y"):  # XZ = -iY; the phase drops in conjugation
+            out.append(PauliString.from_bits(n, *spin_bits(axis, q, n)))
     return out
 
 

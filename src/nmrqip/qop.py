@@ -17,10 +17,12 @@ i^k X^x Z^z: x and z are int bit masks of its X and Z parts with qubit 1 as
 the most significant bit (X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the
 phase exponent mod 4.  Since Y = i X Z, the word's phase (the sign in front
 of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
-commutation are integer operations on (x, z, k).  Dense operators are built
-from those bits, with no cache: pauli_matrices stacks Pauli matrices and
-pauli_sum adds up Pauli-sum operators such as Hamiltonians.  Words are only
-parsed and printed, never decoded to build a matrix.
+commutation are integer operations on (x, z, k).  Generated Paulis are built
+from bits (spin_bits gives a one-qubit Pauli's), never by joining letters.
+Dense operators are built from those bits, with no cache: pauli_matrices
+stacks Pauli matrices and pauli_sum adds up Pauli-sum operators such as
+Hamiltonians.  Words are only parsed from literals and printed, never
+enumerated or decoded to build a matrix.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class PauliString:
         """i^k X^x Z^z on n qubits; k defaults to popcount(x & z), phase +1."""
         p = object.__new__(cls)
         p.n, p.x, p.z = n, x, z
-        p.k = (x & z).bit_count() if k is None else k % 4
+        p.k = ((x & z).bit_count() if k is None else k) % 4
         p._word = None
         return p
 
@@ -153,6 +155,12 @@ def _pauli_entries(n: int, x, z, k):
     return np.arange(2**n) ^ x, np.array(_PHASES)[k % 4] * sylvester_hadamard(n)[z]
 
 
+def spin_bits(axis: str, spin: int, n: int) -> tuple:
+    """(x, z) bits of sigma_axis (x, y or z, either case) on one 1-based qubit of n."""
+    b = 1 << (n - spin)
+    return {"x": (b, 0), "y": (b, b), "z": (0, b)}[axis.lower()]
+
+
 def pauli_matrices(n: int, rows) -> np.ndarray:
     """(m, d, d) stack of the matrices i^k X^x Z^z for m (x, z, k) rows."""
     x, z, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
@@ -186,14 +194,6 @@ def sylvester_hadamard(n: int) -> np.ndarray:
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h
-
-
-def all_pauli_words(n: int):
-    """All 4^n Pauli words on n qubits, identity first, lexicographic."""
-    words = [""]
-    for _ in range(n):
-        words = [w + c for w in words for c in "IXYZ"]
-    return words
 
 
 def basis_ket(bits, n: int | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop import ket_density, pauli_sum
+from .qop import ket_density, pauli_sum, spin_bits
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ class SpinSystem:
     @property
     def dim(self) -> int:
         return 2**self.n
-
-
-def spin_bits(axis: str, spin: int, n: int) -> tuple:
-    """(x, z) bits of sigma_axis on one 1-based spin of n, as in qop.PauliString."""
-    b = 1 << (n - spin)
-    return {"x": (b, 0), "y": (b, b), "z": (0, b)}[axis.lower()]
 
 
 def spin_op(axis: str, spin: int, n: int) -> np.ndarray:
@@ -244,7 +238,11 @@ def simulate_fid(
     block = max(1, _FID_BLOCK_BYTES // (32 * (d + (n * d if dense else n_lines))))
     for start in range(0, n_samples, block):
         t = ts[start:start + block]
-        ph = np.exp(-1j * np.outer(w, t))  # rows: eigenvalue, columns: sample
+        x = np.outer(w, t)  # rows: eigenvalue, columns: sample
+        # e^(-i x) as cos and -sin in the real and imaginary views: np.exp's values, cheaper
+        ph = np.empty(x.shape, dtype=complex)
+        np.cos(x, out=ph.real)
+        np.negative(np.sin(x, out=ph.imag), out=ph.imag)
         if dense:
             per_spin = np.einsum("iat,at->it", amps @ ph.conj(), ph)
         else:

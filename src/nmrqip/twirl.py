@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel
 from .clifford import CliffordTableau, all_1q_cliffords, circuit_tableau, gate_tableau
-from .qop import PauliString, all_pauli_words
+from .qop import PauliString
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,18 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     if count > total:
         raise ValueError(f"cannot draw {count} distinct Paulis from {total}")
     idx = rng.choice(total, size=count, replace=False)
-    words = all_pauli_words(n)
-    return [PauliString(words[i + 1]) for i in idx]
+    return [_indexed_pauli(n, i + 1) for i in idx.tolist()]
+
+
+def _indexed_pauli(n: int, index: int) -> PauliString:
+    """Pauli number `index` in the order I < X < Y < Z, qubit 1 most
+    significant: base-4 digit 1 sets the qubit's x bit, 2 both bits, 3 z."""
+    x = z = 0
+    for s in range(n):
+        digit = index >> 2 * s & 3
+        x |= (digit in (1, 2)) << s
+        z |= (digit >= 2) << s
+    return PauliString.from_bits(n, x, z)
 
 
 def _shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> np.ndarray:

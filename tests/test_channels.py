@@ -1,5 +1,6 @@
 """Kraus-map plumbing tested against explicit sum_k K rho K^dag loops."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,25 +8,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqip.channels import (
-    Channel,
-    interleave,
-    pauli_probs_by_weight,
-    pauli_transfer_eigenvalue,
-    t1t2_channel,
-)
+from nmrqip.channels import Channel, interleave, pauli_probs_by_weight, t1t2_channel
 from nmrqip.cli import DEFAULT_CONFIGS
-from nmrqip.qop import (
-    PauliString,
-    all_pauli_words,
-    bloch_vector,
-    embed,
-    haar_random_unitary,
-    ket_density,
-)
+from nmrqip.qop import PauliString, bloch_vector, embed, haar_random_unitary, ket_density
 from nmrqip.spins import builtin_molecule
 
-from conftest import random_density
+from conftest import all_pauli_words, random_density
+
+
+def pauli_vector(probs: dict) -> np.ndarray:
+    """Oracle parse of a word -> probability fixture into the channel's
+    probability vector, entry x * 2^n + z of each word's PauliString bits."""
+    n = len(next(iter(probs)))
+    vec = np.zeros(4**n)
+    for word, p in probs.items():
+        q = PauliString(word)
+        vec[q.x << n | q.z] += p
+    return vec
+
+
+def word_channel(probs: dict) -> Channel:
+    return Channel.from_pauli_probs(pauli_vector(probs))
+
+
+def transfer_eigenvalue(probs: dict, word: str) -> float:
+    """Oracle for Channel.pauli_eigenvalue: a Pauli channel maps P -> lambda_P P
+    with lambda_P = sum_Q p_Q * (+1 if [Q, P] = 0 else -1)."""
+    p_ref = PauliString(word)
+    lam = 0.0
+    for q, p in probs.items():
+        lam += p if PauliString(q).commutes(p_ref) else -p
+    return lam
+
+
+def word_probs_by_weight(n: int, weight_masses: dict) -> dict:
+    """Oracle for pauli_probs_by_weight: the same spread over a word dict,
+    each word's weight counted from its letters."""
+    probs = {}
+    total = 0.0
+    words = all_pauli_words(n)
+    weights = [n - word.count("I") for word in words]
+    for w, mass in weight_masses.items():
+        share = mass / (math.comb(n, int(w)) * 3 ** int(w))
+        for word, weight in zip(words, weights):
+            if weight == int(w):
+                probs[word] = probs.get(word, 0.0) + share
+        total += mass
+    probs["I" * n] = 1 - total
+    return probs
 
 
 def random_kraus(d: int, m: int, rng) -> list:
@@ -40,10 +70,11 @@ def random_kraus(d: int, m: int, rng) -> list:
 def test_completeness_check_rejects():
     with pytest.raises(ValueError):
         Channel.from_kraus([np.eye(2) * 0.5])
-    with pytest.raises(ValueError, match="empty"):
-        Channel.from_pauli_probs({})
+    for bad in ([], np.ones(1), np.full(8, 1 / 8), np.full((4, 4), 1 / 16)):
+        with pytest.raises(ValueError, match="is not"):
+            Channel.from_pauli_probs(bad)
     with pytest.raises(ValueError, match="sum to 0"):
-        Channel.from_pauli_probs({}, n=1)
+        Channel.from_pauli_probs(np.zeros(4))
 
 
 def test_apply_matches_kraus_sum(rng):
@@ -129,14 +160,13 @@ def test_unitary_channel(rng):
 
 def test_pauli_channel_transfer_eigenvalues(rng):
     probs = {"II": 0.7, "XI": 0.1, "IZ": 0.12, "YY": 0.08}
-    ch = Channel.from_pauli_probs(probs)
+    ch = word_channel(probs)
     for word in ("XI", "ZZ", "IY", "XX"):
         p = PauliString(word).dense()
         rho = (np.eye(4) + p) / 4
         out = ch.apply(rho)
         survival = np.trace(p @ out).real
-        assert survival == pytest.approx(pauli_transfer_eigenvalue(probs, word),
-                                         abs=1e-12)
+        assert survival == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
 
 
 def test_pauli_eigenvalue_accessor(rng):
@@ -144,19 +174,19 @@ def test_pauli_eigenvalue_accessor(rng):
     # for one Pauli factor, the depolarizing closed form and a composite
     probs = random_pauli_probs(2, rng)
     bit = {"I": 0.9, "X": 0.1}
-    composite = Channel.from_pauli_probs(bit).tensor(Channel.phase_flip(0.2)).then(
+    composite = word_channel(bit).tensor(Channel.phase_flip(0.2)).then(
         Channel.depolarizing(1, 0.3).on((2,), 2))
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
     for word in all_pauli_words(2):
         for phase in (1, -1):
             p = PauliString(word, phase)
-            assert Channel.from_pauli_probs(probs).pauli_eigenvalue(p) == pytest.approx(
-                pauli_transfer_eigenvalue(probs, word), abs=1e-12)
+            assert word_channel(probs).pauli_eigenvalue(p) == pytest.approx(
+                transfer_eigenvalue(probs, word), abs=1e-12)
             want = 1.0 if word == "II" else 0.75
             assert Channel.depolarizing(2, 0.25).pauli_eigenvalue(p) == pytest.approx(
                 want, abs=1e-15)
-            want = (pauli_transfer_eigenvalue(composite_probs, word)
+            want = (transfer_eigenvalue(composite_probs, word)
                     * (0.7 if word[1] != "I" else 1.0))
             assert composite.pauli_eigenvalue(p) == pytest.approx(want, abs=1e-12)
             if word != "II":
@@ -169,22 +199,39 @@ def test_pauli_eigenvalue_accessor(rng):
 
 
 def test_pauli_probs_by_weight_fixture():
-    probs = pauli_probs_by_weight(3, {1: 0.38, 2: 0.14, 3: 0.04})
+    vec = pauli_probs_by_weight(3, {1: 0.38, 2: 0.14, 3: 0.04})
+    assert vec.shape == (64,)
+    probs = {}
+    for w in all_pauli_words(3):
+        p = PauliString(w)
+        probs[w] = vec[p.x << 3 | p.z]
     assert probs["III"] == pytest.approx(0.44)
     assert sum(probs.values()) == pytest.approx(1.0)
     # 9 weight-1 words, 27 each of weight 2 and 3
     assert probs["XII"] == pytest.approx(0.38 / 9)
     assert probs["XYI"] == pytest.approx(0.14 / 27)
     assert probs["XYZ"] == pytest.approx(0.04 / 27)
-    assert sum(1 for w in probs if sum(c != "I" for c in w) == 1) == 9
+    assert sum(1 for w, p in probs.items() if sum(c != "I" for c in w) == 1 and p > 0) == 9
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pauli_probs_by_weight_matches_word_dict(n):
+    # the bit-indexed vector equals the parsed word-dict build exactly,
+    # including string weight keys and masses on a subset of weights
+    for masses in ({1: 0.38, 2: 0.14, 3: 0.04}, {1: 0.12, 2: 0.03, 3: 0.01},
+                   DEFAULT_CONFIGS["twirl"]["weight_masses"], {w: 0.02 / w for w in range(1, 8)},
+                   {n: 0.3}, {}):
+        masses = {w: m for w, m in masses.items() if int(w) <= n}
+        assert np.array_equal(pauli_probs_by_weight(n, masses),
+                              pauli_vector(word_probs_by_weight(n, masses)))
 
 
 def test_pauli_probs_by_weight_rejects_bad_masses():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside 1..2"):
         pauli_probs_by_weight(2, {3: 0.1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to"):
         pauli_probs_by_weight(2, {1: 0.8, 2: 0.3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         pauli_probs_by_weight(2, {1: -0.1})
 
 
@@ -234,7 +281,7 @@ def dense_pauli_sum(probs: dict, rho, qubits=None, n=None):
 def test_pauli_transform_matches_dense_kraus_sum(n, seed):
     rng = np.random.default_rng(seed)
     probs = random_pauli_probs(n, rng)
-    ch = Channel.from_pauli_probs(probs)
+    ch = word_channel(probs)
     d = 2**n
     rho = random_density(d, rng)
     assert np.allclose(ch.apply(rho), dense_pauli_sum(probs, rho), rtol=0, atol=1e-12)
@@ -253,13 +300,13 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
 
         other = random_pauli_probs(1, rng)
         joint = {w + v: p * q for w, p in probs.items() for v, q in other.items()}
-        got = ch.tensor(Channel.from_pauli_probs(other)).apply(rho_big)
+        got = ch.tensor(word_channel(other)).apply(rho_big)
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
         p = PauliString(word).dense()
         survival = np.trace(p @ ch.apply((np.eye(d) + p) / d)).real
-        assert survival == pytest.approx(pauli_transfer_eigenvalue(probs, word), abs=1e-12)
+        assert survival == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=20, derandomize=True)
@@ -276,8 +323,8 @@ def test_depolarizing_composite_matches_kraus_oracle(n, p):
 
 def test_pauli_channel_n7_memory():
     n, d = 7, 128
-    probs = pauli_probs_by_weight(n, {int(w): m for w, m in
-                                      DEFAULT_CONFIGS["twirl"]["weight_masses"].items()})
+    masses = {int(w): m for w, m in DEFAULT_CONFIGS["twirl"]["weight_masses"].items()}
+    probs = pauli_probs_by_weight(n, masses)
     z1 = PauliString("Z" + "I" * (n - 1)).dense()
     rho = (np.eye(d) + z1) / d
     tracemalloc.start()
@@ -288,7 +335,7 @@ def test_pauli_channel_n7_memory():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
-    lam = pauli_transfer_eigenvalue(probs, "Z" + "I" * (n - 1))
+    lam = transfer_eigenvalue(word_probs_by_weight(n, masses), "Z" + "I" * (n - 1))
     assert np.allclose(out, (np.eye(d) + lam * z1) / d, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         ch.kraus()

@@ -126,6 +126,39 @@ def test_src_imports_no_scipy_subpackage():
     assert found == []
 
 
+def _built_string(node) -> bool:
+    """A string made at run time: + or * of parts, an f-string or a .join."""
+    return (isinstance(node, ast.JoinedStr)
+            or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join")
+
+
+def test_src_builds_no_pauli_word():
+    # words only at the edges: generated Paulis are built from bits, and
+    # PauliString parses only names and literals (code and Mermin tables)
+    src = Path(nmrqip.__file__).resolve().parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            bad = None
+            if isinstance(node, ast.Call) and node.args and _built_string(node.args[0]):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "PauliString":
+                    bad = "PauliString of a built string"
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and any(isinstance(side, ast.Constant) and side.value == "I"
+                          for side in (node.left, node.right))):
+                bad = '"I" * ...'
+            elif "all_pauli_words" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None)):
+                bad = "all_pauli_words"
+            if bad:
+                found.append(f"{path.relative_to(src)}:{node.lineno} {bad}")
+    assert found == []
+
+
 def test_experiment_registry_is_fixed():
     assert sorted(EXPERIMENTS) == [
         "certify", "contextuality", "distill", "dqc1", "grape", "ising",

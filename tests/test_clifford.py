@@ -14,8 +14,10 @@ from nmrqip.clifford import (
 )
 from nmrqip.acceptance import _clifford_closure
 from nmrqip.control import rotation
-from nmrqip.qop import (PAULIS, PauliString, all_pauli_words, controlled, gate_fidelity_hs,
-                        haar_random_unitary, tensor)
+from nmrqip.qop import (PAULIS, PauliString, controlled, gate_fidelity_hs, haar_random_unitary,
+                        tensor)
+
+from conftest import all_pauli_words
 
 
 def random_circuit(n, depth, rng):

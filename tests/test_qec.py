@@ -1,5 +1,7 @@
 """Stabilizer codes, syndrome correction, and magic-state distillation."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,32 @@ from nmrqip.qec import (
 )
 
 PSI = np.array([0.6, 0.8], dtype=complex)
+
+
+def word_lookup_table(code):
+    """Oracle for lookup_table: errors joined from letters in the same order
+    (weight, support, then X, Z, Y per qubit), first per syndrome kept."""
+    n = code.n_physical
+    table = {}
+    for w in range(n + 1):
+        for support in combinations(range(n), w):
+            for letters in product("XZY", repeat=w):
+                chars = ["I"] * n
+                for q, c in zip(support, letters):
+                    chars[q] = c
+                err = PauliString("".join(chars))
+                table.setdefault(code.syndrome_of(err), err)
+    return table
+
+
+def test_bit_built_errors_match_word_builds():
+    for code in (bit_flip_code(), phase_flip_code(), five_qubit_code()):
+        want = word_lookup_table(code)
+        assert list(code.lookup_table().items()) == list(want.items())
+    for n in range(1, 6):
+        want = [PauliString("I" * n)] + [PauliString("I" * q + c + "I" * (n - q - 1))
+                                         for q in range(n) for c in "XZY"]
+        assert error_ensemble(n) == want
 
 
 def test_code_definitions_are_consistent():

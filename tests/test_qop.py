@@ -14,7 +14,6 @@ from nmrqip.qop import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    all_pauli_words,
     average_gate_fidelity_exact,
     basis_ket,
     bloch_vector,
@@ -35,7 +34,7 @@ from nmrqip.qop import (
     tensor,
 )
 
-from conftest import random_density
+from conftest import all_pauli_words, random_density
 
 
 def test_pauli_algebra():
@@ -100,6 +99,16 @@ def test_pauli_string_word_and_bits_roundtrip(p):
     assert same == p and hash(same) == hash(p) and same.word == p.word
     assert p.phase == 1j ** (p.k - bin(p.x & p.z).count("1"))
     assert p.weight == sum(c != "I" for c in p.word)
+
+
+def test_from_bits_default_phase_matches_word():
+    # the default k is reduced mod 4, so four or more Y letters (k = 4, 5, ...)
+    # compare and hash like the parsed word
+    for n in range(1, 8):
+        for word in all_pauli_words(n):
+            p = PauliString(word)
+            q = PauliString.from_bits(n, p.x, p.z)
+            assert q == p and hash(q) == hash(p) and q.k == p.k
 
 
 def kron_pauli(word, phase):

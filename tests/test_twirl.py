@@ -14,6 +14,7 @@ from nmrqip.twirl import (
     _draw_pauli,
     _estimate,
     _fit_decay,
+    _indexed_pauli,
     _sample_paulis,
     certify_clifford,
     default_rb_sampler,
@@ -22,6 +23,8 @@ from nmrqip.twirl import (
     rotation_clifford_sampler,
     twirl_estimate_memory,
 )
+
+from conftest import all_pauli_words
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -63,6 +66,20 @@ def test_draw_pauli_matches_conjugated_product():
             assert _draw_pauli(n, rng) == want
         # both paths made the same RNG calls
         assert rng.random() == ref_rng.random()
+
+
+def test_distinct_draw_matches_word_enumeration():
+    # index i is word i of the IXYZ enumeration; the draw without replacement
+    # makes the old rng.choice call and picks the words it indexed
+    for n in range(1, 6):
+        words = all_pauli_words(n)
+        assert [_indexed_pauli(n, i) for i in range(4**n)] == [PauliString(w) for w in words]
+        for count in (1, min(4**n - 1, 50)):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            want = [PauliString(words[i + 1])
+                    for i in ref_rng.choice(4**n - 1, size=count, replace=False)]
+            assert _sample_paulis(n, count, rng, with_replacement=False) == want
+            assert rng.random() == ref_rng.random()
 
 
 def per_shot_estimate(channel, readout, delta, rng, n_samples, readout_shots,
