@@ -11,10 +11,16 @@ from nmrqip.control import (
 from nmrqip.spins import builtin_molecule
 
 
-def design(seed=0, n_steps=250, dt=2e-5, u_max=1.0e4, target_fidelity=0.99):
+def design(seed: int = 0, n_steps: int = 250, dt: float = 2e-5, u_max: float = 1.0e4,
+           target_fidelity: float = 0.99):
+    """GRAPE result for a CNOT on chloroform2.
+
+    u_max is the amplitude cap in rad/s (nutation rate), unlike the CLI's
+    `u_max_hz` key, which is in Hz: the default 1e4 rad/s is about 1.6 kHz.
+    """
     sys2 = builtin_molecule("chloroform2")
     names, _ = control_channels(sys2)
-    cfg = GrapeConfig(max_iters=2000, target_fidelity=target_fidelity, u_max=u_max)
+    cfg = GrapeConfig(max_iters=2000, target_fidelity=target_fidelity)
     init = random_pulse(n_steps, dt, names, u_max, seed=seed, scale=0.01)
     return grape_optimize(sys2, circuit_unitary([("CNOT", (1, 2))], 2), init, cfg)
 

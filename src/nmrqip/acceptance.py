@@ -99,7 +99,7 @@ def _crit_grape(base_seed):
     names, ops = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
     init = random_pulse(250, 2e-5, names, u_max=u_max, seed=base_seed + 11)
-    cfg = GrapeConfig(max_iters=2000, target_fidelity=0.99, u_max=u_max)
+    cfg = GrapeConfig(max_iters=2000, target_fidelity=0.99)
     t0 = time.perf_counter()
     res = grape_optimize(sys_, u_target, init, cfg)
     opt_time = time.perf_counter() - t0

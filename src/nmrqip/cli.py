@@ -253,7 +253,6 @@ def _run_grape(cfg, seed, shots):
         target_fidelity=cfg["target_fidelity"],
         gradient_mode=cfg["gradient_mode"],
         rf_distribution=cfg["rf_distribution"],
-        u_max=u_max,
     )
     names, _ = control_channels(sys_)
     init = random_pulse(n_steps, dt, names, u_max=u_max, seed=seed, scale=cfg["init_scale"])

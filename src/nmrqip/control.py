@@ -157,15 +157,6 @@ def refocus_all_but(sys: SpinSystem, keep_pair, t: float):
     return sched, u
 
 
-def step_propagator(h_int: np.ndarray, controls, control_ops, dt: float) -> np.ndarray:
-    """exp(-i (H_int + sum_k u_k H_k) dt) via eigendecomposition."""
-    h = np.asarray(h_int, dtype=complex).copy()
-    for u_k, h_k in zip(controls, control_ops, strict=True):
-        h += u_k * h_k
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * lam * dt)) @ v.conj().T
-
-
 # ---------------------------------------------------------------------------
 # piecewise-constant pulses and GRAPE
 
@@ -242,12 +233,10 @@ def control_channels(sys: SpinSystem):
 
 @dataclass(frozen=True)
 class GrapeConfig:
-    step_size: float = 0.0  # 0 = auto-scale from the first gradient
     max_iters: int = 2000
     target_fidelity: float = 0.99
     gradient_mode: str = "exact"
     rf_distribution: tuple = ((1.0, 1.0),)
-    u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self):
         if not 0 < self.target_fidelity <= 1:
@@ -272,59 +261,43 @@ class GrapeResult:
         return float(self.fidelities[-1])
 
 
+def _step_props(v, ph):
+    """Each step's propagator V_m diag(ph_m) V_m^dag."""
+    return (v * ph[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 def _propagators(u, h_int, h_ctrl, dt):
-    """Step record (props, lam, v, ph) of a pulse: each step's propagator,
-    eigenvalues, eigenvectors and phases exp(-i lam dt)."""
+    """Step record (fwd, lam, v, ph) of a pulse: the forward products
+    fwd[m] = U_{m-1}...U_0 (fwd[0] = I), and each step's eigenvalues,
+    eigenvectors and phases exp(-i lam dt)."""
     a = h_int[None, :, :] + np.einsum("mk,kij->mij", u, h_ctrl)
     lam, v = np.linalg.eigh(a)
     ph = np.exp(-1j * lam * dt)
-    return (v * ph[:, None, :]) @ v.conj().transpose(0, 2, 1), lam, v, ph
+    n_steps, d = lam.shape
+    fwd = np.empty((n_steps + 1, d, d), complex)
+    fwd[0] = np.eye(d)
+    for m, prop in enumerate(_step_props(v, ph)):
+        fwd[m + 1] = prop @ fwd[m]
+    return fwd, lam, v, ph
 
 
-def _total(props):
-    u_tot = np.eye(props.shape[1], dtype=complex)
-    for p in props:
-        u_tot = p @ u_tot
-    return u_tot
-
-
-def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse, *,
-                   steps=None) -> float:
-    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator.
-
-    steps: the pulse's step record from ``_propagators``, if already computed.
-    """
-    if steps is None:
-        steps = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
-                             np.array(control_ops), pulse.dt)
+def _fidelity(u_target, fwd) -> float:
     d = u_target.shape[0]
-    return float(abs(np.trace(u_target.conj().T @ _total(steps[0]))) ** 2 / d**2)
+    return float(abs(np.trace(u_target.conj().T @ fwd[-1])) ** 2 / d**2)
 
 
-def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse, *,
-                   steps=None) -> np.ndarray:
-    """Exact d(fidelity)/du[m, k], read from each step's eigenbasis.
+def _gradient(u_target, h_ctrl, dt, record) -> np.ndarray:
+    """Exact d(fidelity)/du[m, k] from a pulse's step record.
 
     With W_m = V_m^dag fwd[m] U_t^dag bwd[m+1] V_m and E_mk = V_m^dag H_k V_m,
     dg[m, k] = sum_ab W_m[b, a] E_mk[a, b] (-i dt) fdiv_m[a, b], where fdiv
     is the divided-difference matrix of f(lam) = exp(-i lam dt); this is
-    exact (no small-dt cut).  steps is as in ``grape_fidelity``.
+    exact (no small-dt cut).
     """
-    u = pulse.amplitudes
-    n_steps, n_ch = u.shape
-    if n_steps == 0:
-        return np.zeros((0, n_ch))
-    dt = pulse.dt
-    h_ctrl = np.array(control_ops)
-    d = u_target.shape[0]
-    if steps is None:
-        steps = _propagators(u, np.asarray(h_int, complex), h_ctrl, dt)
-    props, lam, v, ph = steps
-
-    fwd = np.empty((n_steps + 1, d, d), complex)  # fwd[m] = U_{m-1}...U_0
-    fwd[0] = np.eye(d)
-    for m in range(n_steps):
-        fwd[m + 1] = props[m] @ fwd[m]
+    fwd, lam, v, ph = record
+    n_steps, d = lam.shape
+    n_ch = len(h_ctrl)
+    props = _step_props(v, ph)
     bwd = np.empty((n_steps + 1, d, d), complex)  # bwd[m] = U_{N-1}...U_m
     bwd[n_steps] = np.eye(d)
     for m in range(n_steps - 1, -1, -1):
@@ -342,6 +315,20 @@ def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse, *,
     y = v.conj() @ (w.transpose(0, 2, 1) * fdiv) @ vt
     dg = y.reshape(n_steps, d * d) @ h_ctrl.reshape(n_ch, d * d).T
     return 2 * np.real(np.conj(g) * dg) / d**2
+
+
+def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
+    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
+    fwd, _, _, _ = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
+                                np.array(control_ops), pulse.dt)
+    return _fidelity(u_target, fwd)
+
+
+def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndarray:
+    """Exact d(fidelity)/du[m, k] of the pulse, read from each step's eigenbasis."""
+    h_ctrl = np.array(control_ops)
+    record = _propagators(pulse.amplitudes, np.asarray(h_int, complex), h_ctrl, pulse.dt)
+    return _gradient(u_target, h_ctrl, pulse.dt, record)
 
 
 def _fd_gradient(u_target, h_int, control_ops, pulse: ControlPulse, h_rel=1e-6):
@@ -385,64 +372,58 @@ def grape_optimize(
 
     The objective is the rf_distribution-weighted fidelity of the scaled
     pulses; the accepted-value trace is monotone nondecreasing by
-    construction.  Stalls return best-so-far flagged not converged.
+    construction.  Amplitudes are clipped to init.u_max.  Stalls return
+    best-so-far flagged not converged.
     """
     h_int = internal_hamiltonian(sys, weak_coupling=weak_coupling)
     names, ops = control_channels(sys)
     if init.channels != names:
         raise ValueError(f"pulse channels {init.channels} do not match system {names}")
-
-    dist = tuple(cfg.rf_distribution)
-
-    def scaled(p: ControlPulse, s: float) -> ControlPulse:
-        # ensemble members with s > 1 may overshoot the commanded cap
-        return ControlPulse(p.dt, s * p.amplitudes, p.channels,
-                            max(1.0, abs(s)) * p.u_max)
-
     h_ctrl = np.array(ops)
+    dist = tuple(cfg.rf_distribution)
+    dt, u_max = init.dt, init.u_max
 
-    def objective(p: ControlPulse):
-        """Weighted fidelity, and each RF scale's pulse and step record."""
-        phi, members = 0, []
+    def objective(amps):
+        """Weighted fidelity, and each RF scale's step record."""
+        phi, records = 0, []
         for s, w in dist:
-            ps = scaled(p, s)
-            steps = _propagators(ps.amplitudes, h_int, h_ctrl, ps.dt)
-            phi += w * grape_fidelity(u_target, h_int, ops, ps, steps=steps)
-            members.append((ps, steps))
-        return phi, members
+            record = _propagators(s * amps, h_int, h_ctrl, dt)
+            phi += w * _fidelity(u_target, record[0])
+            records.append(record)
+        return phi, records
 
-    def gradient(p: ControlPulse, members) -> np.ndarray:
-        total = np.zeros_like(p.amplitudes)
-        for (s, w), (ps, steps) in zip(dist, members):
+    def gradient(amps, records) -> np.ndarray:
+        total = np.zeros_like(amps)
+        for (s, w), record in zip(dist, records):
             if cfg.gradient_mode == "finite-difference":
-                g = _fd_gradient(u_target, h_int, ops, ps)
+                # ensemble members with s > 1 may overshoot the commanded cap
+                scaled = ControlPulse(dt, s * amps, names, max(1.0, abs(s)) * u_max)
+                g = _fd_gradient(u_target, h_int, ops, scaled)
             else:
-                g = grape_gradient(u_target, h_int, ops, ps, steps=steps)
+                g = _gradient(u_target, h_ctrl, dt, record)
             total += w * s * g
         return total
 
-    pulse = init
-    phi, members = objective(pulse)
+    amps = init.amplitudes
+    phi, records = objective(amps)
     trace = [phi]
-    step = cfg.step_size
+    step = None
     converged = phi >= cfg.target_fidelity
     message = "already at target" if converged else "max_iters reached"
     it = 0
     while not converged and it < cfg.max_iters:
-        grad = gradient(pulse, members)
+        grad = gradient(amps, records)
         gmax = np.max(np.abs(grad))
         if gmax < 1e-10:
             message = f"gradient norm below 1e-10 at fidelity {phi:.6f}"
             break
-        if step <= 0:
-            step = 1e-2 * cfg.u_max / gmax
+        if step is None:  # the first step moves the largest amplitude by 1% of the cap
+            step = 1e-2 * u_max / gmax
         improved = False
         s = step
         for _ in range(40):
-            cand = pulse.with_amplitudes(
-                np.clip(pulse.amplitudes + s * grad, -cfg.u_max, cfg.u_max)
-            )
-            phi_new, cand_members = objective(cand)
+            cand = np.clip(amps + s * grad, -u_max, u_max)
+            phi_new, cand_records = objective(cand)
             if phi_new > phi:
                 improved = True
                 break
@@ -450,13 +431,13 @@ def grape_optimize(
         if not improved:
             message = f"line search stalled at fidelity {phi:.6f}"
             break
-        pulse, phi, step, members = cand, phi_new, s * 2, cand_members
+        amps, phi, step, records = cand, phi_new, s * 2, cand_records
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:
             converged = True
             message = f"target reached in {it} iterations"
-    return GrapeResult(pulse, np.array(trace), converged, it, message)
+    return GrapeResult(init.with_amplitudes(amps), np.array(trace), converged, it, message)
 
 
 # ---------------------------------------------------------------------------

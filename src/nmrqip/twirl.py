@@ -91,19 +91,10 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     total = 4**n - 1
     if count > total:
         raise ValueError(f"cannot draw {count} distinct Paulis from {total}")
-    idx = rng.choice(total, size=count, replace=False)
-    return [_indexed_pauli(n, i + 1) for i in idx.tolist()]
-
-
-def _indexed_pauli(n: int, index: int) -> PauliString:
-    """Pauli number `index` in the order I < X < Y < Z, qubit 1 most
-    significant: base-4 digit 1 sets the qubit's x bit, 2 both bits, 3 z."""
-    x = z = 0
-    for s in range(n):
-        digit = index >> 2 * s & 3
-        x |= (digit in (1, 2)) << s
-        z |= (digit >= 2) << s
-    return PauliString.from_bits(n, x, z)
+    # index i + 1 of the x << n | z order skips the identity at 0
+    idx = rng.choice(total, size=count, replace=False) + 1
+    mask = (1 << n) - 1
+    return [PauliString.from_bits(n, i >> n, i & mask) for i in idx.tolist()]
 
 
 def _shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> np.ndarray:
@@ -137,6 +128,18 @@ def _estimate(chis: np.ndarray, n: int, delta: float) -> TwirlEstimate:
     return TwirlEstimate(pr0, len(chis), delta, stderr, n)
 
 
+def _twirl(channel: Channel, output_pauli, delta, rng, n_samples, readout_shots,
+           with_replacement) -> TwirlEstimate:
+    """Survival estimate over random input Paulis M, each read out as output_pauli(M)."""
+    if not 0 < delta < 0.5:
+        raise ValueError("delta must be in (0, 0.5)")
+    n = channel.n
+    count = n_samples if n_samples is not None else recommended_samples(n, delta)
+    paulis = _sample_paulis(n, count, rng, with_replacement)
+    chis = _shot_values(channel, paulis, output_pauli, readout_shots, rng)
+    return _estimate(chis, n, delta)
+
+
 def twirl_estimate_memory(
     noise: Channel,
     delta: float,
@@ -150,13 +153,7 @@ def twirl_estimate_memory(
     Each shot measures the survival coefficient of one random Pauli; the
     channel is never inspected beyond its action on states.
     """
-    if not 0 < delta < 0.5:
-        raise ValueError("delta must be in (0, 0.5)")
-    n = noise.n
-    count = n_samples if n_samples is not None else recommended_samples(n, delta)
-    paulis = _sample_paulis(n, count, rng, with_replacement)
-    chis = _shot_values(noise, paulis, lambda p: p, readout_shots, rng)
-    return _estimate(chis, n, delta)
+    return _twirl(noise, lambda p: p, delta, rng, n_samples, readout_shots, with_replacement)
 
 
 def certify_clifford(
@@ -174,15 +171,10 @@ def certify_clifford(
     the tableau image of the input, so only the noise part degrades the
     survival coefficient.
     """
-    if not 0 < delta < 0.5:
-        raise ValueError("delta must be in (0, 0.5)")
-    n = noisy_gate.n
-    if target.n != n:
+    if target.n != noisy_gate.n:
         raise ValueError("target size does not match gate")
-    count = n_samples if n_samples is not None else recommended_samples(n, delta)
-    paulis = _sample_paulis(n, count, rng, with_replacement)
-    chis = _shot_values(noisy_gate, paulis, target.conjugate, readout_shots, rng)
-    return _estimate(chis, n, delta)
+    return _twirl(noisy_gate, target.conjugate, delta, rng, n_samples, readout_shots,
+                  with_replacement)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,8 @@ def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config
     ("ising", {}),
     ("contextuality", {"method": "direct"}),
     ("contextuality", {"method": "meter"}),
-], ids=["xxz", "ising", "contextuality-direct", "contextuality-meter"])
+    ("grape", {"max_iters": 100}),  # reaches F >= 0.99 at seed 402 (exit 0)
+], ids=["xxz", "ising", "contextuality-direct", "contextuality-meter", "grape"])
 def test_model_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
     # the repro determinism criterion does not run xxz or the direct method
     outs = []

@@ -14,7 +14,6 @@ from nmrqip.twirl import (
     _draw_pauli,
     _estimate,
     _fit_decay,
-    _indexed_pauli,
     _sample_paulis,
     certify_clifford,
     default_rb_sampler,
@@ -69,14 +68,17 @@ def test_draw_pauli_matches_conjugated_product():
 
 
 def test_distinct_draw_matches_word_enumeration():
-    # index i is word i of the IXYZ enumeration; the draw without replacement
-    # makes the old rng.choice call and picks the words it indexed
+    # the draw without replacement makes the old rng.choice call; choice i
+    # picks the word at index i + 1 of the channels' x << n | z vector order
     for n in range(1, 6):
-        words = all_pauli_words(n)
-        assert [_indexed_pauli(n, i) for i in range(4**n)] == [PauliString(w) for w in words]
+        by_index = {}
+        for w in all_pauli_words(n):
+            p = PauliString(w)
+            by_index[p.x << n | p.z] = p
+        assert sorted(by_index) == list(range(4**n)) and by_index[0].weight == 0
         for count in (1, min(4**n - 1, 50)):
             rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-            want = [PauliString(words[i + 1])
+            want = [by_index[i + 1]
                     for i in ref_rng.choice(4**n - 1, size=count, replace=False)]
             assert _sample_paulis(n, count, rng, with_replacement=False) == want
             assert rng.random() == ref_rng.random()
