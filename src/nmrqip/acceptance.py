@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import CliffordTableau, circuit_unitary, gate_tableau
+from .clifford import CliffordTableau, circuit_unitary, clifford_group, gate_tableau, unitaries
 from .control import (
     GrapeConfig,
     _fd_gradient,
@@ -53,6 +53,7 @@ from .experiments import (
     xxz_ground_state,
     xxz_scan,
 )
+from .experiments.dqc1 import haar_block_unitary
 from .qec import (
     bit_flip_code,
     distill_magic,
@@ -201,27 +202,6 @@ def _crit_twirl(base_seed):
 # 4. Clifford certification matches the exact average fidelity
 
 
-def _clifford_closure(generators, n):
-    ident = CliffordTableau.identity(n)
-    seen = {ident}
-    frontier = [ident]
-    out = [ident]
-    while frontier:
-        new = []
-        for tab in frontier:
-            for gen in generators:
-                nxt = tab.then(gen)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-                    out.append(nxt)
-        frontier = new
-    return out
-
-
-_CLIFFORD_GROUP_SIZES = {1: 24, 2: 11520}  # group order mod global phase
-
-
 def _crit_certify(base_seed):
     u = circuit_unitary([("CNOT", (1, 2))], 2)
     tab = gate_tableau("CNOT", (1, 2), 2)
@@ -239,22 +219,22 @@ def _crit_certify(base_seed):
                              "gap": gap, "budget": budget}
 
     # exhaustive readout bookkeeping: every Clifford on 1 and 2 qubits,
-    # every Pauli, tableau conjugation against dense conjugation
+    # every Pauli, tableau conjugation against dense conjugation; blocks of
+    # 256 tableaux keep each dense (block, Pauli, d, d) product near 1 MB
     checked = 0
-    for n, gens in ((1, [gate_tableau("H", (1,), 1), gate_tableau("S", (1,), 1)]),
-                    (2, [gate_tableau("H", (1,), 2), gate_tableau("H", (2,), 2),
-                         gate_tableau("S", (1,), 2), gate_tableau("S", (2,), 2),
-                         gate_tableau("CNOT", (1, 2), 2),
-                         gate_tableau("CNOT", (2, 1), 2)])):
-        group = _clifford_closure(gens, n)
-        passed &= len(group) == _CLIFFORD_GROUP_SIZES[n]
+    for n in (1, 2):
+        group = clifford_group(n)
+        passed &= len(group) == (24, 11520)[n - 1]  # group order mod global phase
         sources = [PauliString.from_bits(n, x, z) for x in range(2**n) for z in range(2**n)][1:]
         paulis = pauli_matrices(n, [(p.x, p.z, p.k) for p in sources])
-        for t in group:
-            ud = t.to_unitary()
-            got = pauli_matrices(n, [(q.x, q.z, q.k) for q in map(t.conjugate, sources)])
-            passed &= np.allclose(ud @ paulis @ ud.conj().T, got, atol=1e-10)
-            checked += len(sources)
+        for at in range(0, len(group), 256):
+            block = group[at:at + 256]
+            ud = unitaries(block)[:, None]
+            got = pauli_matrices(n, [(q.x, q.z, q.k) for t in block
+                                     for q in map(t.conjugate, sources)])
+            passed &= np.allclose(ud @ paulis @ ud.conj().swapaxes(2, 3),
+                                  got.reshape(len(block), len(sources), 2**n, 2**n), atol=1e-10)
+            checked += len(block) * len(sources)
         details[f"group_size_n{n}"] = len(group)
     details["conjugations_checked"] = checked
     return (bool(passed),
@@ -388,10 +368,7 @@ def _crit_dqc1(base_seed):
 
     worst_block = 0.0
     for k in range(5):
-        half = 2 ** (1 + k % 2)
-        ub = np.zeros((2 * half, 2 * half), dtype=complex)
-        ub[:half, :half] = haar_random_unitary(half, rng)
-        ub[half:, half:] = haar_random_unitary(half, rng)
+        ub = haar_block_unitary(2 ** (1 + k % 2), rng)
         theta = rng.uniform(0.1, np.pi / 2)
         got = dqc1_block_trace(ub, theta)
         worst_block = max(worst_block, abs(got - block_trace_direct(ub, theta)))

@@ -60,6 +60,7 @@ from .experiments import (
     weak_value_exact,
     xxz_scan,
 )
+from .experiments.dqc1 import haar_block_unitary
 from .qec import (
     bit_flip_code,
     distill_magic,
@@ -133,6 +134,11 @@ def write_csv(path: str, header, rows) -> None:
             if len(row) != len(header):
                 raise ValueError(f"row width {len(row)} != header width {len(header)}")
             writer.writerow([format_cell(v) for v in row])
+
+
+def _write_manifest(out_dir: str, doc: dict) -> None:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -422,10 +428,7 @@ def _run_dqc1(cfg, seed, shots):
     )
     theta, eps2 = cfg["theta"], cfg["epsilon2"]
     if theta is not None:
-        half = 2 ** (n - 1)
-        ub = np.zeros((2 * half, 2 * half), dtype=complex)
-        ub[:half, :half] = haar_random_unitary(half, rng)
-        ub[half:, half:] = haar_random_unitary(half, rng)
+        ub = haar_block_unitary(2 ** (n - 1), rng)
         got = dqc1_block_trace(ub, theta, epsilon, eps2, shots=shots,
                                rng=rng if shots is not None else None)
         ref = block_trace_direct(ub, theta, eps2)
@@ -848,7 +851,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
     if config_path is not None:
         with open(config_path, "rb") as fh:
             fixture_hashes["config"] = _sha256_bytes(fh.read())
-    manifest = {
+    _write_manifest(out_dir, {
         "experiment": name,
         "seed": seed,
         "shots": shots,
@@ -859,10 +862,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         "wall_time_s": wall,
         "versions": _versions(),
         "summary": _jsonable(result.summary),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(json.dumps({"experiment": name, "exit": result.exit_code,
                       "out_dir": out_dir, **_jsonable(result.summary)},
                      sort_keys=True))
@@ -912,7 +912,7 @@ def _repro_main(argv) -> int:
         write_csv(os.path.join(out_dir, "criteria.csv"),
                   ["criterion", "passed", "measured", "expected"],
                   [[r.name, r.passed, r.measured, r.expected] for r in results])
-        manifest = {
+        _write_manifest(out_dir, {
             "experiment": "repro",
             "seed": args.seed,
             "criteria": {r.name: bool(r.passed) for r in results},
@@ -920,10 +920,7 @@ def _repro_main(argv) -> int:
             "runtime_s": {r.name: r.runtime_s for r in results},
             "details": {r.name: _jsonable(r.details) for r in results},
             "versions": _versions(),
-        }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return 0 if n_pass == len(results) else 1
 
 

@@ -7,14 +7,19 @@ bit and k reduced mod 4, the encoding of nmrqip.qop.PauliString.  The public
 constructor, from images, checks that they are Hermitian and pair
 symplectically; identity, gate_tableau, then and inverse build valid rows by
 construction and skip the check.  Conjugation, composition and inversion are
-integer operations on the rows.  Dense matrices are built from the row bits
-with nmrqip.qop.pauli_matrices: to_unitary rebuilds the unitary exactly, and
-from_unitary reads each conjugated generator's bits off its columns.
+integer operations on the rows.
+
+Dense conversion is exact and works on stacks.  unitaries(tableaux) takes
+U|0> from the rank-one projector P = prod_i (I + Z'_i)/2 of the Z images
+(Aaronson and Gottesman, quant-ph/0406196): column j of P over sqrt(P_jj),
+at the first largest diagonal entry j, so the first nonzero entry of column
+0 is real positive.  Column x applies the X images of x's set bits, and
+each entry is 0, +-c or +-ic for one c.  from_unitaries(stack) reads each
+conjugated generator's bits off its columns; to_unitary and from_unitary
+are the one-element cases.  clifford_group(n) lists the Cliffords on n <= 2.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,11 +77,7 @@ class CliffordTableau:
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "CliffordTableau":
         """Dense-to-tableau conversion; raises if u is not Clifford."""
-        u = np.asarray(u, dtype=complex)
-        n = n_qubits(u.shape[0])
-        images = u @ pauli_matrices(n, cls.identity(n).rows) @ u.conj().T
-        images = [PauliString.from_bits(n, *r) for r in _pauli_rows(images, n)]
-        return cls(n, images[:n], images[n:])
+        return from_unitaries(np.asarray(u)[None])[0]
 
     # -- algebra ------------------------------------------------------------
 
@@ -132,30 +133,8 @@ class CliffordTableau:
     # -- dense --------------------------------------------------------------
 
     def to_unitary(self) -> np.ndarray:
-        """Exact dense unitary realizing the tableau (deterministic phase)."""
-        n, d = self.n, 2**self.n
-        xd = pauli_matrices(n, self.rows[:n])
-        zd = pauli_matrices(n, self.rows[n:])
-        psi, restart = _start_vectors(d)
-        for z in zd:
-            psi = psi + z @ psi
-            nrm = np.linalg.norm(psi)
-            if nrm < 1e-9:  # unlucky projection; restart deterministically shifted
-                psi = restart
-                for z2 in zd:
-                    psi = psi + z2 @ psi
-                nrm = np.linalg.norm(psi)
-            psi = psi / nrm
-        k = int(np.argmax(np.abs(psi)))
-        psi = psi * (np.abs(psi[k]) / psi[k])
-        u = np.zeros((d, d), dtype=complex)
-        for x in range(d):
-            col = psi
-            for q in range(n):
-                if (x >> (n - 1 - q)) & 1:
-                    col = xd[q] @ col
-            u[:, x] = col
-        return u
+        """Exact dense unitary realizing the tableau (see unitaries)."""
+        return unitaries([self])[0]
 
     def decompose(self):
         """Gate list [(name, qubits)] over {H, S, CNOT, X, Z} realizing the
@@ -231,21 +210,37 @@ class CliffordTableau:
         return out
 
 
-@lru_cache(maxsize=None)
-def _start_vectors(d: int) -> tuple:
-    """to_unitary's fixed start vector and its restart, drawn once per dimension."""
-    rng = np.random.default_rng(12345)  # fixed: only used to seed a projector
-    draws = tuple(rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
-    for v in draws:
-        v.setflags(write=False)
-    return draws
+def unitaries(tableaux) -> np.ndarray:
+    """(m, d, d) stack of the unitaries of m tableaux on one n, built from the
+    projector of the Z images as the module docstring describes."""
+    (n,) = {t.n for t in tableaux}  # ValueError unless exactly one n
+    m, d = len(tableaux), 2**n
+    mats = pauli_matrices(n, [r for t in tableaux for r in t.rows]).reshape(m, 2, n, d, d)
+    proj = np.eye(d)
+    for q in range(n):
+        proj = proj @ (np.eye(d) + mats[:, 1, q]) / 2
+    r = np.arange(m)
+    j = np.argmax(proj[:, range(d), range(d)].real, axis=1)
+    pjj = proj[r, j, j].real[:, None]
+    cols = (proj[r, :, j] / pjj * np.sqrt(pjj))[:, :, None]  # P[:, j] / P_jj is 0, +-1 or +-i
+    for q in reversed(range(n)):  # qubit 1 is the most significant column bit
+        cols = np.concatenate([cols, mats[:, 0, q] @ cols], axis=2)
+    return cols
 
 
-def _pauli_rows(mats: np.ndarray, n: int) -> list:
-    """(x, z, k) rows of the i^k X^x Z^z equal to each of a stack of
-    matrices within 1e-9.  Column a of i^k X^x Z^z holds
-    i^k (-1)^popcount(z & a) at row a ^ x, so column 0 gives x and k and
-    the columns 2^j give the z bits; the rebuilt stack must match."""
+def from_unitaries(stack) -> list:
+    """Tableaux of an (m, d, d) stack of Clifford unitaries, each through the
+    validating constructor; raises if one is not Clifford.
+
+    Column a of i^k X^x Z^z holds i^k (-1)^popcount(z & a) at row a ^ x, so
+    column 0 of a conjugated generator gives x and k, and the columns 2^j
+    give the z bits; the Paulis rebuilt from them must match within 1e-9.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    n = n_qubits(stack.shape[-1])
+    gens = pauli_matrices(n, CliffordTableau.identity(n).rows)
+    images = stack[:, None] @ gens @ stack.conj().transpose(0, 2, 1)[:, None]
+    mats = images.reshape(-1, 2**n, 2**n)  # all m * 2n conjugated generators
     r = np.arange(len(mats))
     x = np.argmax(np.abs(mats[:, :, 0]), axis=1)
     lead = mats[r, x, 0]
@@ -255,7 +250,9 @@ def _pauli_rows(mats: np.ndarray, n: int) -> list:
     rows = list(zip(x.tolist(), (flips * cols).sum(axis=1).tolist(), k.tolist()))
     if not np.allclose(pauli_matrices(n, rows), mats, rtol=0, atol=1e-9):
         raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    return rows
+    paulis = [PauliString.from_bits(n, *row) for row in rows]
+    return [CliffordTableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
+            for at in range(0, len(paulis), 2 * n)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +283,8 @@ def gate_tableau(name: str, qubits, n: int) -> CliffordTableau:
         rows[n + q - 1] = (zx << s, zz << s, zk)
     elif name == "CNOT":
         c, t = qubits
+        if c == t:
+            raise ValueError(f"CNOT control and target are both qubit {c}")
         both = 1 << (n - c) | 1 << (n - t)
         rows[c - 1] = (both, 0, 0)  # X_c -> X_c X_t
         rows[n + t - 1] = (0, both, 0)  # Z_t -> Z_c Z_t
@@ -341,3 +340,20 @@ def all_1q_cliffords():
     assert len(out) == 24
     return out
 
+
+def clifford_group(n: int) -> list:
+    """The 24 (n = 1) or 11520 (n = 2) Clifford tableaux, the identity first,
+    closed breadth first under H_q, S_q and neighbour CNOTs both ways."""
+    if not 1 <= n <= 2:
+        raise ValueError(f"clifford_group takes n = 1 or 2 (n = 3 has 92897280 elements), not {n}")
+    gens = [gate_tableau(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
+    gens += [gate_tableau("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
+    out = [CliffordTableau.identity(n)]
+    seen = set(out)
+    for tab in out:  # out grows while it is read: breadth first
+        for gen in gens:
+            nxt = tab.then(gen)
+            if nxt not in seen:
+                seen.add(nxt)
+                out.append(nxt)
+    return out

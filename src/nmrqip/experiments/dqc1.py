@@ -26,6 +26,7 @@ from ..qop import (
     controlled,
     embed,
     expectation,
+    haar_random_unitary,
     n_qubits,
     partial_trace,
 )
@@ -125,6 +126,14 @@ def _block_split(u: np.ndarray, atol: float = 1e-12):
     if off > atol:
         raise ValueError(f"unitary is not block diagonal in the leading qubit (offblock {off:.2e})")
     return u[:half, :half], u[half:, half:]
+
+
+def haar_block_unitary(half: int, rng: np.random.Generator) -> np.ndarray:
+    """diag(U0, U1) of two Haar-random half x half unitaries, U0 drawn first."""
+    ub = np.zeros((2 * half, 2 * half), dtype=complex)
+    ub[:half, :half] = haar_random_unitary(half, rng)
+    ub[half:, half:] = haar_random_unitary(half, rng)
+    return ub
 
 
 def dqc1_block_trace(

@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel
-from .clifford import CliffordTableau, all_1q_cliffords, circuit_tableau, gate_tableau
+from .clifford import (CliffordTableau, all_1q_cliffords, circuit_tableau, from_unitaries,
+                       gate_tableau)
 from .qop import PauliString
 
 
@@ -221,10 +222,8 @@ def rotation_clifford_sampler():
     """Single-qubit set: +-pi/2 and pi rotations about x, y, z."""
     from .control import rotation
 
-    gates = []
-    for ax in "xyz":
-        for angle in (np.pi / 2, -np.pi / 2, np.pi):
-            gates.append(CliffordTableau.from_unitary(rotation(ax, angle)))
+    gates = from_unitaries([rotation(ax, angle) for ax in "xyz"
+                            for angle in (np.pi / 2, -np.pi / 2, np.pi)])
 
     def sampler(rng: np.random.Generator) -> CliffordTableau:
         return gates[rng.integers(len(gates))]

@@ -10,9 +10,11 @@ from nmrqip.clifford import (
     all_1q_cliffords,
     circuit_tableau,
     circuit_unitary,
+    clifford_group,
+    from_unitaries,
     gate_tableau,
+    unitaries,
 )
-from nmrqip.acceptance import _clifford_closure
 from nmrqip.control import rotation
 from nmrqip.qop import (PAULIS, PauliString, controlled, gate_fidelity_hs, haar_random_unitary,
                         tensor)
@@ -148,15 +150,16 @@ def scan_rows(unitaries, n):
     return out
 
 
-def test_from_unitary_matches_the_word_scan():
-    # all 11520 two-qubit Cliffords (mod phase) and the RB rotations set
-    gens = [gate_tableau(g, q, 2) for g, q in (("H", (1,)), ("H", (2,)), ("S", (1,)),
-                                              ("S", (2,)), ("CNOT", (1, 2)), ("CNOT", (2, 1)))]
-    group = _clifford_closure(gens, 2)
-    assert len(group) == 11520
-    unitaries = np.array([t.to_unitary() for t in group])
-    for t, u, rows in zip(group, unitaries, scan_rows(unitaries, 2)):
-        got = CliffordTableau.from_unitary(u)
+@pytest.fixture(scope="module")
+def group2():
+    """All 11520 two-qubit Clifford tableaux (mod phase), enumerated once."""
+    return clifford_group(2)
+
+
+def test_from_unitary_matches_the_word_scan(group2):
+    # all 11520 two-qubit Cliffords and the RB rotations set
+    dense = unitaries(group2)
+    for t, got, rows in zip(group2, from_unitaries(dense), scan_rows(dense, 2)):
         assert got.rows == rows and got == t
     rotations = np.array([rotation(ax, angle) for ax in "xyz"
                           for angle in (np.pi / 2, -np.pi / 2, np.pi)])
@@ -221,9 +224,63 @@ def test_gate_tableau_rejects_qubits_out_of_range():
             gate_tableau("H", qubits, 2)
     with pytest.raises(ValueError):
         gate_tableau("CNOT", (1, 3), 2)
+    for q in (1, 2):  # control equal to target
+        with pytest.raises(ValueError, match="control and target"):
+            gate_tableau("CNOT", (q, q), 2)
 
 
 def test_all_1q_cliffords_distinct():
     tabs = all_1q_cliffords()
     keys = {(x[0].word, x[0].phase, z[0].word, z[0].phase) for x, z in map(images, tabs)}
     assert len(tabs) == len(keys) == 24
+
+
+def random_tableaux(rng):
+    """Random-circuit tableaux for n = 1..7, with their gate lists."""
+    return [(gates, circuit_tableau(gates, n)) for n in range(1, 8)
+            for gates in (random_circuit(n, 6 * n, rng) for _ in range(20))]
+
+
+def test_unitaries_entries_are_exactly_signed_c_or_ic(rng, group2):
+    cases = [clifford_group(1), group2]
+    cases += [[t] for _, t in random_tableaux(rng)]
+    for tabs in cases:
+        us = unitaries(tabs)
+        re, im = us.real, us.imag
+        c = np.abs(us).max(axis=(1, 2))[:, None, None]
+        # each entry is exactly 0, +-c or +-ic: one part 0, the other 0 or +-c
+        assert np.all((re == 0) | (im == 0))
+        assert np.all((re + im == 0) | (np.abs(re + im) == c))
+        # phase convention: the first nonzero entry of column 0 is real positive
+        first = us[np.arange(len(us)), np.argmax(us[:, :, 0] != 0, axis=1), 0]
+        assert np.array_equal(first, c[:, 0, 0])
+
+
+def test_unitaries_match_circuit_unitary_up_to_phase(rng):
+    for gates, t in random_tableaux(rng):
+        u = unitaries([t])[0]
+        assert np.allclose(u @ u.conj().T, np.eye(len(u)), rtol=0, atol=1e-12)
+        assert gate_fidelity_hs(circuit_unitary(gates, t.n), u) == pytest.approx(1, abs=1e-12)
+        assert np.array_equal(t.to_unitary(), u)
+
+
+def test_unitaries_rejects_empty_or_mixed_n():
+    for tabs in ([], [CliffordTableau.identity(1), CliffordTableau.identity(2)]):
+        with pytest.raises(ValueError):
+            unitaries(tabs)
+
+
+def test_clifford_group(group2):
+    assert set(clifford_group(1)) == set(all_1q_cliffords())
+    assert len(group2) == len(set(group2)) == 11520
+    assert group2[0] == CliffordTableau.identity(2)
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            clifford_group(n)
+
+
+def test_from_unitaries_reads_a_stack_and_rejects_non_clifford():
+    good = unitaries(clifford_group(1)[:3])
+    assert from_unitaries(good) == clifford_group(1)[:3]
+    with pytest.raises(ValueError):
+        from_unitaries(np.stack([good[0], np.diag([1, np.exp(1j * np.pi / 4)])]))
