@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import CliffordTableau, circuit_unitary, clifford_group, gate_tableau, unitaries
+from .clifford import CliffordTableau, clifford_group, gate_tableau, unitaries
 from .control import (
     GrapeConfig,
     _fd_gradient,
@@ -96,7 +96,7 @@ class CriterionResult:
 
 def _crit_grape(base_seed):
     sys_ = builtin_molecule("chloroform2")
-    u_target = circuit_unitary([("CNOT", (1, 2))], 2)
+    u_target = gate_tableau("CNOT", (1, 2), 2).to_unitary()
     names, ops = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
     init = random_pulse(250, 2e-5, names, u_max=u_max, seed=base_seed + 11)
@@ -136,7 +136,8 @@ def _crit_grape(base_seed):
 def _crit_cnot_sequence(base_seed):
     sys_ = builtin_molecule("chloroform2")
     u = cnot_sequence(sys_, 1, 2)
-    overlap = abs(np.trace(u @ circuit_unitary([("CNOT", (1, 2))], 2).conj().T)) / 4
+    cnot = gate_tableau("CNOT", (1, 2), 2).to_unitary()
+    overlap = abs(np.trace(u @ cnot.conj().T)) / 4
     err = abs(overlap - 1.0)
     return (err <= 1e-10,
             f"|Tr(U CNOT^dag)|/4 = 1 - {err:.2e}",
@@ -203,8 +204,8 @@ def _crit_twirl(base_seed):
 
 
 def _crit_certify(base_seed):
-    u = circuit_unitary([("CNOT", (1, 2))], 2)
     tab = gate_tableau("CNOT", (1, 2), 2)
+    u = tab.to_unitary()
     parts, details, passed = [], {}, True
     for i, p in enumerate((0.05, 0.1, 0.2)):
         noisy = Channel.depolarizing(2, p).then(Channel.unitary(u))

@@ -226,6 +226,8 @@ class Channel:
     def on(self, qubits, n: int) -> "Channel":
         """Lift this channel onto the given 1-based qubits of an n-qubit register."""
         qubits = tuple(qubits)
+        if len(qubits) != self.n:
+            raise ValueError(f"{len(qubits)} qubit labels for a {self.n}-qubit channel")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit labels")
         factors = []

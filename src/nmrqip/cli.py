@@ -30,7 +30,7 @@ import scipy  # for versions.scipy only; no run path loads a subpackage
 
 from . import __version__
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import circuit_unitary, gate_tableau
+from .clifford import gate_tableau
 from .control import (
     GrapeConfig,
     collective_rotation,
@@ -251,7 +251,7 @@ def _resolve(name: str, user: dict) -> dict:
 def _run_grape(cfg, seed, shots):
     sys_ = builtin_molecule(cfg["molecule"])
     pair = (cfg["control_qubit"], cfg["target_qubit"])
-    u_target = circuit_unitary([("CNOT", pair)], sys_.n)
+    u_target = gate_tableau("CNOT", pair, sys_.n).to_unitary()
     n_steps, dt = cfg["n_steps"], cfg["dt_s"]
     u_max = 2 * np.pi * cfg["u_max_hz"]
     gcfg = GrapeConfig(
@@ -316,8 +316,8 @@ def _run_twirl(cfg, seed, shots):
 def _run_certify(cfg, seed, shots):
     n = cfg["n"]
     pair = (cfg["control_qubit"], cfg["target_qubit"])
-    u = circuit_unitary([("CNOT", pair)], n)
     tab = gate_tableau("CNOT", pair, n)
+    u = tab.to_unitary()
     rng = np.random.default_rng(seed)
     rows = []
     for p in cfg["depolarizing_p"]:

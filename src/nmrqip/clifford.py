@@ -9,6 +9,10 @@ symplectically; identity, gate_tableau, then and inverse build valid rows by
 construction and skip the check.  Conjugation, composition and inversion are
 integer operations on the rows.
 
+Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its rows in
+gate_tableau, and circuit_tableau composes gate lists; a dense gate is
+to_unitary() of its tableau, in the phase convention below.
+
 Dense conversion is exact and works on stacks.  unitaries(tableaux) takes
 U|0> from the rank-one projector P = prod_i (I + Z'_i)/2 of the Z images
 (Aaronson and Gottesman, quant-ph/0406196): column j of P over sqrt(P_jj),
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qop import PAULIS, PauliString, n_qubits, pauli_matrices
+from .qop import PauliString, n_qubits, pauli_matrices
 
 
 class CliffordTableau:
@@ -256,7 +260,7 @@ def from_unitaries(stack) -> list:
 
 
 # ---------------------------------------------------------------------------
-# named gates and the single-qubit group
+# named gates, gate lists and the groups on n <= 2
 
 # (x, z, k) rows of the images of X and Z under a one-qubit gate, on one bit
 _GATES_1Q = {
@@ -299,46 +303,6 @@ def circuit_tableau(gates, n: int) -> CliffordTableau:
     for name, qubits in gates:
         t = t.then(gate_tableau(name, qubits, n))
     return t
-
-
-def circuit_unitary(gates, n: int) -> np.ndarray:
-    """Dense unitary of a gate list using exact per-gate matrices."""
-    from .qop import embed
-
-    u = np.eye(2**n, dtype=complex)
-    for name, qubits in gates:
-        u = embed(_dense_gate(name), qubits, n) @ u
-    return u
-
-
-def _dense_gate(name: str) -> np.ndarray:
-    if name == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    if name == "S":
-        return np.diag([1, 1j]).astype(complex)
-    if name in PAULIS:
-        return PAULIS[name]
-    if name == "CNOT":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    raise ValueError(f"unknown gate {name!r}")
-
-
-def all_1q_cliffords():
-    """The 24 single-qubit Clifford tableaux, fixed enumeration order."""
-    out = []
-    for xw in "XYZ":
-        for xsign in (1, -1):
-            for zw in "XYZ":
-                if zw == xw:
-                    continue
-                for zsign in (1, -1):
-                    xi = PauliString(xw, xsign)
-                    zi = PauliString(zw, zsign)
-                    out.append(CliffordTableau(1, (xi,), (zi,)))
-    assert len(out) == 24
-    return out
 
 
 def clifford_group(n: int) -> list:

@@ -76,18 +76,13 @@ def ising_ground(j: float, h_values, rtol: float = 1e-9) -> IsingResult:
     return IsingResult(j, h_values, np.array(mags), np.array(ents), np.array(degs, dtype=int))
 
 
-def magnetization_steps(j: float, span=None, coarse: int = 121, tol: float = 1e-6):
-    """Field values where the ground magnetization jumps, located by bisection."""
-    if span is None:
-        span = (-3 * j, 3 * j)
-    grid = np.linspace(span[0], span[1], coarse)
+def magnetization_steps(j: float, tol: float = 1e-6):
+    """Field values in [-3j, 3j] where the ground magnetization jumps, located
+    by bisection from a 121-point grid."""
+    grid = np.linspace(-3 * j, 3 * j, 121)
     result = ising_ground(j, grid)
     steps = []
     for k in range(len(grid) - 1):
-        if result.degeneracy[k] == 1 and result.degeneracy[k + 1] == 1 and np.isclose(
-            result.magnetization[k], result.magnetization[k + 1]
-        ):
-            continue
         lo, hi = grid[k], grid[k + 1]
         m_lo = result.magnetization[k]
         if np.isclose(m_lo, result.magnetization[k + 1]) and result.degeneracy[k] == result.degeneracy[k + 1]:

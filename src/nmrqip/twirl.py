@@ -2,8 +2,9 @@
 
 All three protocols share one per-shot primitive: prepare a deviation state
 whose traceless part is a random non-identity Pauli M (drawn as weight ->
-permutation -> per-qubit Clifford), push it through the noisy process, and
-read out the coefficient of the expected output Pauli.  The mean of that
+permutation -> per-qubit Clifford, read from a table of the 24 single-qubit
+Cliffords' Z images), push it through the noisy process, and read out the
+coefficient of the expected output Pauli.  The mean of that
 coefficient maps affinely to Pr(no error), and the average gate fidelity
 follows as fbar = (2^n Pr0 + 1)/(2^n + 1).  The channel is evaluated once
 per distinct drawn Pauli; repeated draws reuse that coefficient, and only
@@ -12,7 +13,8 @@ the binomial readout (if any) is drawn per shot.
 Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
 each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
 density matrix is formed; noise with a Kraus factor runs the dense loop.
-The decay A p^m + B is fitted by variable projection in numpy.
+The decay A p^m + B is fitted by variable projection in numpy.  Both gate
+samplers build their tableaux from gate lists through nmrqip.clifford.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel
-from .clifford import (CliffordTableau, all_1q_cliffords, circuit_tableau, from_unitaries,
-                       gate_tableau)
+from .clifford import CliffordTableau, circuit_tableau, gate_tableau
 from .qop import PauliString
 
 
@@ -60,11 +61,12 @@ def _weight_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-@lru_cache(maxsize=None)
-def _z_images() -> tuple:
-    """(x, z, k) of C Z C^dag, the Z row, for the 24 single-qubit Cliffords
-    in all_1q_cliffords() order."""
-    return tuple(c.rows[1] for c in all_1q_cliffords())
+# (x, z, k) of X, Y = iXZ and Z on one qubit
+_PAULIS_1Q = ((1, 0, 0), (1, 1, 1), (0, 1, 0))
+# C Z C^dag for the 24 single-qubit Cliffords C: by the X image (X, -X, Y, -Y,
+# Z, -Z), then the Z image (+-X, +-Y, +-Z, skipping the X image's Pauli)
+_Z_IMAGES = tuple((x, z, (k + sign) % 4) for a in range(3) for _ in range(2)
+                  for b, (x, z, k) in enumerate(_PAULIS_1Q) if b != a for sign in (0, 2))
 
 
 def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
@@ -77,10 +79,9 @@ def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
     """
     w = 1 + int(_weight_cdf(n).searchsorted(rng.random(), side="right"))
     positions = rng.permutation(n)[:w]
-    images = _z_images()
     x = z = k = 0
     for q in sorted(positions.tolist()):
-        ix, iz, ik = images[rng.integers(24)]
+        ix, iz, ik = _Z_IMAGES[rng.integers(24)]
         s = n - 1 - q
         x, z, k = x | ix << s, z | iz << s, k + ik
     return PauliString.from_bits(n, x, z, k)
@@ -218,12 +219,14 @@ def default_rb_sampler(n: int):
     return sampler
 
 
+# +pi/2, -pi/2 and pi rotations about x, y and z up to phase, as gate words
+# whose first letter acts first
+_ROTATIONS = ("HSH", "SHS", "X", "HX", "HZ", "Y", "S", "SZ", "Z")
+
+
 def rotation_clifford_sampler():
     """Single-qubit set: +-pi/2 and pi rotations about x, y, z."""
-    from .control import rotation
-
-    gates = from_unitaries([rotation(ax, angle) for ax in "xyz"
-                            for angle in (np.pi / 2, -np.pi / 2, np.pi)])
+    gates = [circuit_tableau([(g, (1,)) for g in word], 1) for word in _ROTATIONS]
 
     def sampler(rng: np.random.Generator) -> CliffordTableau:
         return gates[rng.integers(len(gates))]

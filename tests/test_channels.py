@@ -141,6 +141,15 @@ def test_on_embeds_like_kron(rng):
     assert np.allclose(got, direct, atol=1e-12)
 
 
+def test_on_rejects_a_label_count_other_than_n():
+    dep = Channel.depolarizing(2, 0.1)
+    for qubits in ([1, 2, 3], [1]):  # one label too many would drop qubit 3
+        with pytest.raises(ValueError, match="qubit labels for a 2-qubit channel"):
+            dep.on(qubits, 3)
+    with pytest.raises(ValueError, match="duplicate"):
+        dep.on([2, 2], 3)
+
+
 def test_then_and_tensor(rng):
     a = Channel.bit_flip(0.2)
     b = Channel.phase_flip(0.1)

@@ -1,5 +1,7 @@
 """Tableau arithmetic cross-checked against dense conjugation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,29 +9,26 @@ from hypothesis import strategies as st
 
 from nmrqip.clifford import (
     CliffordTableau,
-    all_1q_cliffords,
     circuit_tableau,
-    circuit_unitary,
     clifford_group,
     from_unitaries,
     gate_tableau,
     unitaries,
 )
-from nmrqip.control import rotation
 from nmrqip.qop import (PAULIS, PauliString, controlled, gate_fidelity_hs, haar_random_unitary,
                         tensor)
 
-from conftest import all_pauli_words
+from conftest import all_1q_cliffords, all_pauli_words, circuit_unitary, rotation_unitaries
 
 
-def random_circuit(n, depth, rng):
+def random_circuit(n, depth, rng, singles="HS"):
+    """depth gates, each one of the named single-qubit gates or a CNOT with
+    equal odds; a CNOT drawn on one qubit is skipped."""
     gates = []
     for _ in range(depth):
-        kind = rng.integers(3)
-        if kind == 0:
-            gates.append(("H", (int(rng.integers(1, n + 1)),)))
-        elif kind == 1:
-            gates.append(("S", (int(rng.integers(1, n + 1)),)))
+        kind = rng.integers(len(singles) + 1)
+        if kind < len(singles):
+            gates.append((singles[kind], (int(rng.integers(1, n + 1)),)))
         elif n > 1:
             c, t = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             gates.append(("CNOT", (int(c), int(t))))
@@ -161,8 +160,7 @@ def test_from_unitary_matches_the_word_scan(group2):
     dense = unitaries(group2)
     for t, got, rows in zip(group2, from_unitaries(dense), scan_rows(dense, 2)):
         assert got.rows == rows and got == t
-    rotations = np.array([rotation(ax, angle) for ax in "xyz"
-                          for angle in (np.pi / 2, -np.pi / 2, np.pi)])
+    rotations = rotation_unitaries()
     for u, rows in zip(rotations, scan_rows(rotations, 1)):
         assert CliffordTableau.from_unitary(u).rows == rows
 
@@ -257,11 +255,23 @@ def test_unitaries_entries_are_exactly_signed_c_or_ic(rng, group2):
 
 
 def test_unitaries_match_circuit_unitary_up_to_phase(rng):
-    for gates, t in random_tableaux(rng):
-        u = unitaries([t])[0]
-        assert np.allclose(u @ u.conj().T, np.eye(len(u)), rtol=0, atol=1e-12)
-        assert gate_fidelity_hs(circuit_unitary(gates, t.n), u) == pytest.approx(1, abs=1e-12)
-        assert np.array_equal(t.to_unitary(), u)
+    # random circuits over every named gate against the per-gate dense oracle
+    for n in range(1, 5):
+        for _ in range(20):
+            gates = random_circuit(n, 6 * n, rng, singles="HSXYZI")
+            t = circuit_tableau(gates, n)
+            u = unitaries([t])[0]
+            assert np.allclose(u @ u.conj().T, np.eye(len(u)), rtol=0, atol=1e-12)
+            assert gate_fidelity_hs(circuit_unitary(gates, n), u) == pytest.approx(1, abs=1e-12)
+            assert np.array_equal(t.to_unitary(), u)
+
+
+def test_cnot_unitary_equals_the_dense_gate():
+    # exactly, phase included: grape and certify take their CNOT target from it
+    for n in range(2, 5):
+        for pair in itertools.permutations(range(1, n + 1), 2):
+            assert np.array_equal(gate_tableau("CNOT", pair, n).to_unitary(),
+                                  circuit_unitary([("CNOT", pair)], n))
 
 
 def test_unitaries_rejects_empty_or_mixed_n():

@@ -30,7 +30,6 @@ from nmrqip.control import (
     rotation,
     save_pulse,
 )
-from nmrqip.clifford import circuit_unitary
 from nmrqip.qop import PAULIS, embed, gate_fidelity_hs, haar_random_unitary
 from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian, spin_op
 
@@ -325,7 +324,7 @@ def test_grape_optimize_clips_to_the_pulse_cap():
     names, _ = control_channels(sys_)
     u_max = 2 * np.pi * 1e3
     init = random_pulse(50, 2e-5, names, u_max=u_max, seed=1, scale=0.5)
-    res = grape_optimize(sys_, circuit_unitary([("CNOT", (1, 2))], 2), init,
+    res = grape_optimize(sys_, CNOT, init,
                          GrapeConfig(max_iters=50))
     assert res.iterations > 0 and res.pulse.u_max == u_max
     assert np.max(np.abs(res.pulse.amplitudes)) == u_max

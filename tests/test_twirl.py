@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import (CliffordTableau, all_1q_cliffords, circuit_tableau, circuit_unitary,
-                             gate_tableau)
+from nmrqip.clifford import CliffordTableau, circuit_tableau, from_unitaries, gate_tableau
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
+    _Z_IMAGES,
     TwirlEstimate,
     _draw_pauli,
     _estimate,
@@ -23,7 +23,7 @@ from nmrqip.twirl import (
     twirl_estimate_memory,
 )
 
-from conftest import all_pauli_words
+from conftest import all_1q_cliffords, all_pauli_words, circuit_unitary, rotation_unitaries
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -47,6 +47,10 @@ def test_twirl_identity_channel_is_exact():
     assert est.pr0_hat == pytest.approx(1.0, abs=1e-12)
     assert est.fbar == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
+
+
+def test_z_image_table_follows_the_1q_clifford_order():
+    assert _Z_IMAGES == tuple(c.rows[1] for c in all_1q_cliffords())
 
 
 def test_draw_pauli_matches_conjugated_product():
@@ -230,6 +234,14 @@ def test_samplers_produce_valid_tableaux():
     tabs = {s2(rng) for _ in range(60)}
     assert all(t.n == 1 for t in tabs)
     assert len(tabs) == 9  # three axes, three angles
+
+
+def test_rotation_sampler_draws_the_dense_rotations_in_order():
+    dense = from_unitaries(rotation_unitaries())
+    sampler = rotation_clifford_sampler()
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    drawn = [sampler(rng) for _ in range(200)]
+    assert drawn == [dense[ref_rng.integers(9)] for _ in range(200)]
 
 
 RB_LENGTHS = [1, 3, 8, 20, 40]
