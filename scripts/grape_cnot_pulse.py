@@ -30,6 +30,7 @@ if __name__ == "__main__":
     for i, f in enumerate(res.fidelities):
         if i % 25 == 0 or i == len(res.fidelities) - 1:
             print(f"iter {i:4d}  fidelity {f:.6f}")
-    print("converged:", res.converged, " iterations:", res.iterations)
+    print("converged:", res.converged, " iterations:", res.iterations,
+          " objective evaluations:", res.evaluations)
     save_pulse(res.pulse, "grape_cnot.json")
     print("pulse written to grape_cnot.json")

@@ -281,6 +281,7 @@ def _run_grape(cfg, seed, shots):
         summary={
             "fidelity": res.fidelity,
             "iterations": res.iterations,
+            "evaluations": res.evaluations,
             "converged": res.converged,
             "message": res.message,
             "duration_s": res.pulse.duration,

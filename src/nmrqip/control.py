@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,8 +175,12 @@ class ControlPulse:
         amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 2 or amps.shape[1] != len(self.channels):
             raise ValueError("amplitudes must be (n_steps, n_channels)")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.u_max < math.inf:
+            raise ValueError("u_max must be positive and finite")
         if np.max(np.abs(amps), initial=0.0) > self.u_max * (1 + 1e-12):
             raise ValueError("amplitude exceeds u_max")
         amps.setflags(write=False)
@@ -255,6 +260,7 @@ class GrapeResult:
     converged: bool
     iterations: int
     message: str
+    evaluations: int  # objective evaluations, rejected line-search trials included
 
     @property
     def fidelity(self) -> float:
@@ -331,6 +337,21 @@ def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndar
     return _gradient(u_target, h_ctrl, pulse.dt, record)
 
 
+def _lbfgs_direction(grad, memory):
+    """Uphill H grad by the two-loop recursion (Nocedal & Wright, Alg. 7.4), H0 =
+    s'y/y'y; y is the fall in gradient, so H ~ the inverse negated Hessian."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, rho = memory[-1]
+    q *= 1 / (rho * (y @ y))
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
 def _fd_gradient(u_target, h_int, control_ops, pulse: ControlPulse, h_rel=1e-6):
     u = pulse.amplitudes
     grad = np.zeros_like(u)
@@ -368,12 +389,14 @@ def grape_optimize(
     cfg: GrapeConfig,
     weak_coupling: bool = True,
 ) -> GrapeResult:
-    """Gradient-ascent pulse engineering with a backtracking line search.
+    """Pulse engineering by box-projected L-BFGS in x = u/u_max, bounds +-1.
 
-    The objective is the rf_distribution-weighted fidelity of the scaled
-    pulses; the accepted-value trace is monotone nondecreasing by
-    construction.  Amplitudes are clipped to init.u_max.  Stalls return
-    best-so-far flagged not converged.
+    Two-loop quasi-Newton directions (memory 10) are clipped to the box and
+    halved until an Armijo test passes; with no pair stored (first step, or
+    after a reset) a step moves the largest amplitude by 1% of the cap.  The
+    objective is the rf_distribution-weighted fidelity of the scaled pulses;
+    only accepted steps enter its monotone trace.  Stalls return best-so-far,
+    not converged.
     """
     h_int = internal_hamiltonian(sys, weak_coupling=weak_coupling)
     names, ops = control_channels(sys)
@@ -405,39 +428,49 @@ def grape_optimize(
         return total
 
     amps = init.amplitudes
+    x = (amps / u_max).ravel()
     phi, records = objective(amps)
+    evaluations = 1
     trace = [phi]
-    step = None
+    memory = deque(maxlen=10)  # (s, y, 1/s'y) of recent steps with s'y > 0
     converged = phi >= cfg.target_fidelity
     message = "already at target" if converged else "max_iters reached"
     it = 0
+    grad = None
     while not converged and it < cfg.max_iters:
-        grad = gradient(amps, records)
+        grad, last = u_max * gradient(amps, records).ravel(), grad  # dF/dx
+        if last is not None and step @ (y := last - grad) > 0:  # concave along step
+            memory.append((step, y, 1 / (step @ y)))
         gmax = np.max(np.abs(grad))
         if gmax < 1e-10:
             message = f"gradient norm below 1e-10 at fidelity {phi:.6f}"
             break
-        if step is None:  # the first step moves the largest amplitude by 1% of the cap
-            step = 1e-2 * u_max / gmax
-        improved = False
-        s = step
+        d = _lbfgs_direction(grad, memory) if memory else None
+        if d is None or d @ grad <= 0:
+            memory.clear()  # move the largest amplitude by 1% of the cap
+            d = 1e-2 * grad / gmax
+        t = 1.0
         for _ in range(40):
-            cand = np.clip(amps + s * grad, -u_max, u_max)
-            phi_new, cand_records = objective(cand)
-            if phi_new > phi:
-                improved = True
+            cand = np.clip(x + t * d, -1, 1)
+            cand_amps = u_max * cand.reshape(amps.shape)
+            phi_new, cand_records = objective(cand_amps)
+            evaluations += 1
+            # strict increase too: clipping can turn a step's slope negative
+            if phi_new > phi and phi_new - phi >= 1e-4 * (grad @ (cand - x)):
                 break
-            s *= 0.5
-        if not improved:
+            t *= 0.5
+        else:
             message = f"line search stalled at fidelity {phi:.6f}"
             break
-        amps, phi, step, records = cand, phi_new, s * 2, cand_records
+        step = cand - x
+        x, amps, phi, records = cand, cand_amps, phi_new, cand_records
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:
             converged = True
             message = f"target reached in {it} iterations"
-    return GrapeResult(init.with_amplitudes(amps), np.array(trace), converged, it, message)
+    return GrapeResult(init.with_amplitudes(amps), np.array(trace), converged, it, message,
+                       evaluations)
 
 
 # ---------------------------------------------------------------------------

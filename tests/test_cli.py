@@ -336,6 +336,15 @@ def test_grape_nonconvergence_exit_code(tmp_path, capsys):
     assert summary["converged"] is False
 
 
+def test_grape_manifest_counts_objective_evaluations(tmp_path):
+    out = tmp_path / "g"
+    assert run_experiment("grape", seed=0, out_dir=str(out),
+                          config_doc={"n_steps": 30, "max_iters": 5}) == 3
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["iterations"] == 5
+    assert summary["evaluations"] >= summary["iterations"] + 1
+
+
 def test_qec_logical_z_gate_runs(tmp_path, capsys):
     assert run_experiment("qec", out_dir=str(tmp_path / "q"), config_doc={"gate": "Z"}) == 0
     summary = read_stdout_json(capsys)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtr
 
+from nmrqip.clifford import gate_tableau
 from nmrqip.control import (
     ControlPulse,
     DistortionModel,
@@ -152,6 +153,20 @@ def test_control_pulse_validation():
         ControlPulse(1e-5, np.full((4, 1), 10.0), ("a.x",), u_max=5.0)
     p = ControlPulse(1e-5, np.zeros((4, 2)), ("a.x", "a.y"))
     assert p.n_steps == 4 and p.duration == pytest.approx(4e-5)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("amplitudes", {"amplitudes": np.array([[0.0], [np.nan]])}),
+    ("amplitudes", {"amplitudes": np.array([[0.0], [np.inf]])}),
+    ("dt", {"dt": np.nan}),
+    ("u_max", {"u_max": 0.0}),
+    ("u_max", {"u_max": np.inf}),
+    ("u_max", {"u_max": -1.0}),
+], ids=["nan-amplitude", "inf-amplitude", "nan-dt", "zero-cap", "inf-cap", "negative-cap"])
+def test_control_pulse_rejects_non_finite_fields(field, kwargs):
+    args = {"dt": 1e-5, "amplitudes": np.zeros((2, 1)), "channels": ("a.x",), **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ControlPulse(**args)
 
 
 def test_phase_amplitude_view():
@@ -347,6 +362,29 @@ def test_grape_finite_difference_mode_uses_rf_distribution():
         updates[mode] = res.pulse.amplitudes - init.amplitudes
     exact, fd = updates["exact"], updates["finite-difference"]
     assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) <= 1e-6
+
+
+def test_grape_stall_rule_is_in_units_of_the_cap():
+    # a random start near zero overlap has |dF/du| ~ 1e-14 s/rad on chain7,
+    # but |dF/dx| = |dF/du| u_max ~ 1e-9: not a stall
+    sys_ = builtin_molecule("chain7")
+    names, _ = control_channels(sys_)
+    init = random_pulse(50, 2e-5, names, u_max=2 * np.pi * 1e4, seed=0)
+    res = grape_optimize(sys_, gate_tableau("CNOT", (1, 2), 7).to_unitary(), init,
+                         GrapeConfig(max_iters=1))
+    assert res.iterations >= 1, res.message
+
+
+def test_grape_malonate3_cnot_reaches_target_within_70_iterations():
+    sys_ = builtin_molecule("malonate3")
+    names, _ = control_channels(sys_)
+    init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
+    res = grape_optimize(sys_, gate_tableau("CNOT", (1, 2), 3).to_unitary(), init,
+                         GrapeConfig(max_iters=300))
+    assert res.converged and res.fidelity >= 0.99
+    assert res.iterations <= 70 and res.evaluations >= res.iterations + 1
+    assert np.all(np.diff(res.fidelities) >= 0)
+    assert np.max(np.abs(res.pulse.amplitudes)) <= init.u_max
 
 
 def test_grape_optimize_one_spin_pi_pulse():
