@@ -628,8 +628,8 @@ SCHEMA = {
          "bad control/target pair ({control_qubit}, {target_qubit}) for {molecule}"),
         (lambda c: abs(sum(w for _, w in c["rf_distribution"]) - 1.0) <= 1e-9,
          "rf_distribution weights must sum to 1"),
-        # a GRAPE step record takes about 2.5 MB on chain7, 1.5 MB more per
-        # extra RF scale; 2^23 admits 512 step-scales there, about 1.3 GB
+        # GRAPE on chain7 peaks at about 2.1 MB per step and RF scale (473 MB
+        # for 200 steps x 1 scale or 100 x 2); 2^23 admits 512 there, 1.1 GB
         (lambda c: (c["n_steps"] * len(c["rf_distribution"])
                     * 4 ** builtin_molecule(c["molecule"]).n <= 2**23),
          "n_steps x rf_distribution scales x 4^n must be <= 2^23 for {molecule}"),

@@ -244,10 +244,16 @@ class GrapeConfig:
     rf_distribution: tuple = ((1.0, 1.0),)
 
     def __post_init__(self):
+        if not self.max_iters >= 0:
+            raise ValueError("max_iters must be >= 0")
         if not 0 < self.target_fidelity <= 1:
             raise ValueError("target_fidelity must be in (0, 1]")
         if self.gradient_mode not in ("exact", "finite-difference"):
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
+        if not all(0 < s < math.inf for s, _ in self.rf_distribution):
+            raise ValueError("rf_distribution scales must be finite and > 0")
+        if not all(0 <= w <= 1 for _, w in self.rf_distribution):
+            raise ValueError("rf_distribution weights must be in [0, 1]")
         w = sum(w for _, w in self.rf_distribution)
         if abs(w - 1.0) > 1e-9:
             raise ValueError("rf_distribution weights must sum to 1")
@@ -267,67 +273,61 @@ class GrapeResult:
         return float(self.fidelities[-1])
 
 
-def _step_props(v, ph):
-    """Each step's propagator V_m diag(ph_m) V_m^dag."""
-    return (v * ph[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
 def _propagators(u, h_int, h_ctrl, dt):
-    """Step record (fwd, lam, v, ph) of a pulse: the forward products
-    fwd[m] = U_{m-1}...U_0 (fwd[0] = I), and each step's eigenvalues,
-    eigenvectors and phases exp(-i lam dt)."""
-    a = h_int[None, :, :] + np.einsum("mk,kij->mij", u, h_ctrl)
-    lam, v = np.linalg.eigh(a)
+    """Step record (fwd, lam, v, ph) of amplitudes u[m, ..., k]: the forward
+    products fwd[m] = U_{m-1}...U_0 (fwd[0] = I), and each step's eigenvalues,
+    eigenvectors and phases exp(-i lam dt).  Axes between steps and channels
+    (RF scales) share one eigh and one stacked product per step."""
+    n_ch, d = len(h_ctrl), h_int.shape[0]
+    drive = u.reshape(-1, n_ch) @ h_ctrl.reshape(n_ch, d * d)
+    lam, v = np.linalg.eigh(h_int + drive.reshape(*u.shape[:-1], d, d))
+    del drive  # lowers the peak while the step products are formed
     ph = np.exp(-1j * lam * dt)
-    n_steps, d = lam.shape
-    fwd = np.empty((n_steps + 1, d, d), complex)
+    props = (v * ph[..., None, :]) @ v.conj().swapaxes(-1, -2)  # V diag(ph) V^dag
+    fwd = np.empty((len(u) + 1, *u.shape[1:-1], d, d), complex)
     fwd[0] = np.eye(d)
-    for m, prop in enumerate(_step_props(v, ph)):
-        fwd[m + 1] = prop @ fwd[m]
+    for m in range(len(u)):
+        np.matmul(props[m], fwd[m], out=fwd[m + 1])
     return fwd, lam, v, ph
 
 
-def _fidelity(u_target, fwd) -> float:
+def _fidelity(u_target, u) -> float:
     d = u_target.shape[0]
-    return float(abs(np.trace(u_target.conj().T @ fwd[-1])) ** 2 / d**2)
+    return float(abs(np.trace(u_target.conj().T @ u)) ** 2 / d**2)
 
 
 def _gradient(u_target, h_ctrl, dt, record) -> np.ndarray:
-    """Exact d(fidelity)/du[m, k] from a pulse's step record.
+    """Exact d(fidelity)/du[m, ..., k] from a step record, shaped like its u.
 
-    With W_m = V_m^dag fwd[m] U_t^dag bwd[m+1] V_m and E_mk = V_m^dag H_k V_m,
-    dg[m, k] = sum_ab W_m[b, a] E_mk[a, b] (-i dt) fdiv_m[a, b], where fdiv
-    is the divided-difference matrix of f(lam) = exp(-i lam dt); this is
-    exact (no small-dt cut).
+    With W_m = V_m^dag fwd[m] U_t^dag U_{N-1}...U_{m+1} V_m and E_mk =
+    V_m^dag H_k V_m, dg[m, k] = sum_ab W_m[b, a] E_mk[a, b] (-i dt) fdiv_m[a, b],
+    fdiv the divided differences of exp(-i lam dt): exact, no small-dt cut.
+    The steps are unitary and U_m^dag V_m = V_m diag(ph_m*), so with
+    K_m = V_m^dag fwd[m] and M = U_t^dag fwd[N], W_m = K_m M K_m^dag diag(ph_m*).
     """
     fwd, lam, v, ph = record
-    n_steps, d = lam.shape
-    n_ch = len(h_ctrl)
-    props = _step_props(v, ph)
-    bwd = np.empty((n_steps + 1, d, d), complex)  # bwd[m] = U_{N-1}...U_m
-    bwd[n_steps] = np.eye(d)
-    for m in range(n_steps - 1, -1, -1):
-        bwd[m] = bwd[m + 1] @ props[m]
-
-    g = np.trace(u_target.conj().T @ fwd[n_steps])
-    dl = lam[:, :, None] - lam[:, None, :]
+    n_ch, d = len(h_ctrl), lam.shape[-1]
+    mt = u_target.conj().T @ fwd[-1]
+    g = np.trace(mt, axis1=-2, axis2=-1)
+    w = v.conj().swapaxes(-1, -2) @ fwd[:-1]  # K_m
+    w = w @ mt @ w.conj().swapaxes(-1, -2)  # W_m diag(ph_m)
+    dl = lam[..., :, None] - lam[..., None, :]
     degenerate = np.abs(dl) < 1e-12
     # (-i dt) fdiv: (ph_a - ph_b) / (lam_a - lam_b), or -i dt ph_a if degenerate
-    fdiv = np.where(degenerate, -1j * dt * ph[:, :, None],
-                    (ph[:, :, None] - ph[:, None, :]) / np.where(degenerate, 1.0, dl))
-    vt = v.transpose(0, 2, 1)
-    w = vt.conj() @ fwd[:-1] @ (u_target.conj().T @ bwd[1:]) @ v
+    fdiv = np.where(degenerate, -1j * dt * ph[..., :, None],
+                    (ph[..., :, None] - ph[..., None, :]) / np.where(degenerate, 1.0, dl))
+    fdiv *= w.swapaxes(-1, -2) * ph.conj()[..., :, None]  # W_m^T fdiv_m
     # sum_ab X[a, b] E_k[a, b] = sum_ij H_k[i, j] (conj(V) X V^T)[i, j]
-    y = v.conj() @ (w.transpose(0, 2, 1) * fdiv) @ vt
-    dg = y.reshape(n_steps, d * d) @ h_ctrl.reshape(n_ch, d * d).T
-    return 2 * np.real(np.conj(g) * dg) / d**2
+    y = v.conj() @ fdiv @ v.swapaxes(-1, -2)
+    dg = y.reshape(-1, d * d) @ h_ctrl.reshape(n_ch, d * d).T
+    return 2 * np.real(np.conj(g)[..., None] * dg.reshape(*lam.shape[:-1], n_ch)) / d**2
 
 
 def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
     """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
     fwd, _, _, _ = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
                                 np.array(control_ops), pulse.dt)
-    return _fidelity(u_target, fwd)
+    return _fidelity(u_target, fwd[-1])
 
 
 def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndarray:
@@ -398,38 +398,37 @@ def grape_optimize(
     only accepted steps enter its monotone trace.  Stalls return best-so-far,
     not converged.
     """
+    if np.shape(u_target) != (sys.dim,) * 2:
+        raise ValueError(f"u_target shape {np.shape(u_target)} is not {(sys.dim,) * 2}")
     h_int = internal_hamiltonian(sys, weak_coupling=weak_coupling)
     names, ops = control_channels(sys)
     if init.channels != names:
         raise ValueError(f"pulse channels {init.channels} do not match system {names}")
     h_ctrl = np.array(ops)
     dist = tuple(cfg.rf_distribution)
+    scales = np.array([[s] for s, _ in dist])
+    slopes = np.array([w * s for s, w in dist])  # dF/du = sum_s w s F_s'(s u)
     dt, u_max = init.dt, init.u_max
 
     def objective(amps):
-        """Weighted fidelity, and each RF scale's step record."""
-        phi, records = 0, []
-        for s, w in dist:
-            record = _propagators(s * amps, h_int, h_ctrl, dt)
-            phi += w * _fidelity(u_target, record[0])
-            records.append(record)
-        return phi, records
+        """Weighted fidelity, summed in rf_distribution order, and one step
+        record for all RF scales, amplitudes shaped (steps, scales, channels)."""
+        record = _propagators(amps[:, None, :] * scales, h_int, h_ctrl, dt)
+        return sum(w * _fidelity(u_target, u) for (_, w), u in zip(dist, record[0][-1])), record
 
-    def gradient(amps, records) -> np.ndarray:
+    def gradient(amps, record) -> np.ndarray:
+        if cfg.gradient_mode == "exact":
+            return slopes @ _gradient(u_target, h_ctrl, dt, record)
         total = np.zeros_like(amps)
-        for (s, w), record in zip(dist, records):
-            if cfg.gradient_mode == "finite-difference":
-                # ensemble members with s > 1 may overshoot the commanded cap
-                scaled = ControlPulse(dt, s * amps, names, max(1.0, abs(s)) * u_max)
-                g = _fd_gradient(u_target, h_int, ops, scaled)
-            else:
-                g = _gradient(u_target, h_ctrl, dt, record)
-            total += w * s * g
+        for s, w in dist:
+            # ensemble members with s > 1 may overshoot the commanded cap
+            scaled = ControlPulse(dt, s * amps, names, max(1.0, abs(s)) * u_max)
+            total += w * s * _fd_gradient(u_target, h_int, ops, scaled)
         return total
 
     amps = init.amplitudes
     x = (amps / u_max).ravel()
-    phi, records = objective(amps)
+    phi, record = objective(amps)
     evaluations = 1
     trace = [phi]
     memory = deque(maxlen=10)  # (s, y, 1/s'y) of recent steps with s'y > 0
@@ -438,7 +437,7 @@ def grape_optimize(
     it = 0
     grad = None
     while not converged and it < cfg.max_iters:
-        grad, last = u_max * gradient(amps, records).ravel(), grad  # dF/dx
+        grad, last = u_max * gradient(amps, record).ravel(), grad  # dF/dx
         if last is not None and step @ (y := last - grad) > 0:  # concave along step
             memory.append((step, y, 1 / (step @ y)))
         gmax = np.max(np.abs(grad))
@@ -453,7 +452,7 @@ def grape_optimize(
         for _ in range(40):
             cand = np.clip(x + t * d, -1, 1)
             cand_amps = u_max * cand.reshape(amps.shape)
-            phi_new, cand_records = objective(cand_amps)
+            phi_new, cand_record = objective(cand_amps)
             evaluations += 1
             # strict increase too: clipping can turn a step's slope negative
             if phi_new > phi and phi_new - phi >= 1e-4 * (grad @ (cand - x)):
@@ -463,7 +462,7 @@ def grape_optimize(
             message = f"line search stalled at fidelity {phi:.6f}"
             break
         step = cand - x
-        x, amps, phi, records = cand, cand_amps, phi_new, cand_records
+        x, amps, phi, record = cand, cand_amps, phi_new, cand_record
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:

@@ -285,7 +285,10 @@ def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config
     ("contextuality", {"method": "direct"}),
     ("contextuality", {"method": "meter"}),
     ("grape", {"max_iters": 100}),  # reaches F >= 0.99 at seed 402 (exit 0)
-], ids=["xxz", "ising", "contextuality-direct", "contextuality-meter", "grape"])
+    ("grape", {"rf_distribution": [[0.97, 0.25], [1.0, 0.5], [1.03, 0.25]],
+               "max_iters": 100}),  # chloroform2 ensemble, exit 0 at seed 402
+], ids=["xxz", "ising", "contextuality-direct", "contextuality-meter", "grape",
+        "grape-rf-ensemble"])
 def test_model_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
     # the repro determinism criterion does not run xxz or the direct method
     outs = []

@@ -21,6 +21,7 @@ from nmrqip.control import (
     grape_gradient,
     grape_optimize,
     _fd_gradient,
+    _gradient,
     _propagators,
     j_evolution,
     load_pulse,
@@ -283,6 +284,38 @@ def test_grape_gradient_matches_reference(molecule, rng):
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
 
 
+def test_grape_gradient_matches_reference_over_a_long_pulse():
+    # the gradient reads the backward products off fwd[N] through unitarity;
+    # over 400 steps that must not drift from the stored backward chain
+    sys_ = builtin_molecule("malonate3")
+    h = internal_hamiltonian(sys_)
+    names, ops = control_channels(sys_)
+    target = gate_tableau("CNOT", (1, 2), 3).to_unitary()
+    pulse = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.3)
+    g = grape_gradient(target, h, ops, pulse)
+    ref = _reference_gradient(target, h, ops, pulse)
+    assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+def test_ensemble_gradient_is_weighted_sum_of_references(rng):
+    # one record with the RF scales on its second axis gives each scale's
+    # gradient; their weighted sum is the ensemble objective's gradient
+    sys_ = builtin_molecule("chloroform2")
+    h = np.asarray(internal_hamiltonian(sys_), complex)
+    names, ops = control_channels(sys_)
+    target = haar_random_unitary(sys_.dim, rng)
+    pulse = random_pulse(20, 5e-5, names, seed=31, scale=0.3)
+    dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
+    scales = np.array([[s] for s, _ in dist])
+    record = _propagators(pulse.amplitudes[:, None, :] * scales, h, np.array(ops), pulse.dt)
+    g = _gradient(target, np.array(ops), pulse.dt, record)
+    assert g.shape == (20, 3, len(ops))
+    got = np.array([w * s for s, w in dist]) @ g
+    want = sum(w * s * _reference_gradient(target, h, ops, ControlPulse(
+        pulse.dt, s * pulse.amplitudes, names, s * pulse.u_max)) for s, w in dist)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+
+
 def test_grape_gradient_degenerate_spectrum():
     # zero pulse on a spin without offset: both step eigenvalues are 0, so
     # the divided difference takes its degenerate (derivative) branch
@@ -410,6 +443,50 @@ def test_grape_optimize_rf_weighted():
         GrapeConfig(rf_distribution=((0.9, 0.7), (1.1, 0.7)))
     with pytest.raises(ValueError, match="gradient_mode"):
         GrapeConfig(gradient_mode="bogus")
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("max_iters", {"max_iters": -1}),
+    ("rf_distribution scales", {"rf_distribution": ((np.nan, 1.0),)}),
+    ("rf_distribution scales", {"rf_distribution": ((np.inf, 1.0),)}),
+    ("rf_distribution scales", {"rf_distribution": ((0.0, 1.0),)}),
+    ("rf_distribution weights", {"rf_distribution": ((1.5, 1.5), (1.0, -0.5))}),
+    ("rf_distribution weights", {"rf_distribution": ((1.0, np.nan),)}),
+], ids=["negative-iters", "nan-scale", "inf-scale", "zero-scale", "negative-weight",
+        "nan-weight"])
+def test_grape_config_rejects_bad_values(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        GrapeConfig(**kwargs)
+
+
+def test_grape_optimize_rejects_target_of_wrong_shape():
+    sys_ = builtin_molecule("chloroform2")
+    names, _ = control_channels(sys_)
+    init = random_pulse(4, 1e-5, names)
+    with pytest.raises(ValueError, match=r"\(8, 8\).*\(4, 4\)"):
+        grape_optimize(sys_, np.eye(8), init, GrapeConfig())
+
+
+def test_grape_optimize_makes_one_eigh_per_evaluation(monkeypatch):
+    # every RF scale of a candidate goes through the same single eigh; the
+    # gradient reuses the accepted candidate's record
+    import nmrqip.control as control
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(control.np.linalg, "eigh", counting_eigh)
+    sys_ = builtin_molecule("chloroform2")
+    names, _ = control_channels(sys_)
+    init = random_pulse(30, 5e-5, names, seed=17, scale=0.1)
+    dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
+    res = grape_optimize(sys_, CNOT, init, GrapeConfig(max_iters=8, rf_distribution=dist))
+    assert res.iterations > 0
+    assert len(calls) == res.evaluations
+    assert set(calls) == {(30, 3, 4, 4)}
 
 
 def test_grape_cnot_pulse_script_converges():
