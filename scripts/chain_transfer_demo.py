@@ -6,7 +6,7 @@ is read out after each application of the fixed-time propagator.
 
 import numpy as np
 
-from nmrqip.experiments import (
+from nmrqip.experiments.transfer import (
     TransferChain, dipolar_couplings, entangle_ends, state_transfer,
 )
 

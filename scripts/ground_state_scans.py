@@ -5,9 +5,8 @@ Text-only output, suitable for piping into a notebook or gnuplot.
 
 import numpy as np
 
-from nmrqip.experiments import (
-    ge_jump_location, ising_ground, magnetization_steps, xxz_scan,
-)
+from nmrqip.experiments.ising import ising_ground, magnetization_steps
+from nmrqip.experiments.xxz import ge_jump_location, xxz_scan
 
 
 def ising_table(j=1.0):

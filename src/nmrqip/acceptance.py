@@ -30,30 +30,29 @@ from .control import (
     random_pulse,
     rf_selection_retention,
 )
-from .experiments import (
+from .experiments.contextuality import (
     METER_DEPOLARIZING_52,
-    Dqc1Instance,
-    TransferChain,
-    amplified_pair,
-    block_trace_direct,
-    branch_crossing,
     classical_max_beta,
     contextuality_beta,
-    dipolar_couplings,
+)
+from .experiments.dqc1 import (
+    Dqc1Instance,
+    block_trace_direct,
     dqc1_block_trace,
     dqc1_trace,
+    haar_block_unitary,
+)
+from .experiments.ising import ising_ground, magnetization_steps
+from .experiments.transfer import TransferChain, dipolar_couplings, state_transfer
+from .experiments.weakvalue import amplified_pair, weak_value, weak_value_exact
+from .experiments.xxz import (
+    branch_crossing,
     equatorial_overlap,
     ferro_overlap,
     ge_jump_location,
-    ising_ground,
-    magnetization_steps,
-    state_transfer,
-    weak_value,
-    weak_value_exact,
     xxz_ground_state,
     xxz_scan,
 )
-from .experiments.dqc1 import haar_block_unitary
 from .qec import (
     bit_flip_code,
     distill_magic,

@@ -19,78 +19,34 @@ import csv
 import hashlib
 import json
 import os
-import platform
 import sys
 import time
 from dataclasses import dataclass, field
 from importlib.resources import files as _resource_files
 
 import numpy as np
-import scipy  # for versions.scipy only; no run path loads a subpackage
 
 from . import __version__
-from .channels import Channel, pauli_probs_by_weight
-from .clifford import gate_tableau
-from .control import (
-    GrapeConfig,
-    collective_rotation,
-    control_channels,
-    grape_optimize,
-    random_pulse,
-    save_pulse,
-)
-from .experiments import (
-    Dqc1Instance,
-    TransferChain,
-    amplified_pair,
-    block_trace_direct,
-    branch_crossing,
-    classical_max_beta,
-    contextuality_beta,
-    control_target_ppt,
-    dipolar_couplings,
-    dqc1_block_trace,
-    dqc1_trace,
-    entangle_ends,
-    ge_jump_location,
-    ising_ground,
-    magnetization_steps,
-    state_transfer,
-    weak_value,
-    weak_value_exact,
-    xxz_scan,
-)
-from .experiments.dqc1 import haar_block_unitary
-from .qec import (
-    bit_flip_code,
-    distill_magic,
-    distillation_threshold,
-    five_qubit_code,
-    gate_cycle_ensemble,
-    phase_flip_code,
-    transversal_cnot_demo,
-)
-from .qop import (
-    PauliString,
-    average_gate_fidelity_exact,
-    haar_random_state,
-    haar_random_unitary,
-    spin_bits,
-)
-from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
-from .twirl import (
-    certify_clifford,
-    default_rb_sampler,
-    randomized_benchmarking,
-    recommended_samples,
-    rotation_clifford_sampler,
-    twirl_estimate_memory,
-)
+
+# Each runner imports the layers it uses in its own body, so a run loads only
+# its experiment's modules and --help or --list loads none; the schema rules
+# that need a layer import it the same way (_molecule_n, _sample_count).
 
 
 def _versions() -> dict:
+    import platform
+
+    import scipy  # for versions.scipy only; no run path loads a subpackage
+
     return {"nmrqip": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
             "python": platform.python_version()}
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
 
 
 class ConfigError(ValueError):
@@ -249,6 +205,10 @@ def _resolve(name: str, user: dict) -> dict:
 
 
 def _run_grape(cfg, seed, shots):
+    from .clifford import gate_tableau
+    from .control import GrapeConfig, control_channels, grape_optimize, random_pulse
+    from .spins import builtin_molecule
+
     sys_ = builtin_molecule(cfg["molecule"])
     pair = (cfg["control_qubit"], cfg["target_qubit"])
     u_target = gate_tableau("CNOT", pair, sys_.n).to_unitary()
@@ -293,6 +253,9 @@ def _run_grape(cfg, seed, shots):
 
 
 def _run_twirl(cfg, seed, shots):
+    from .channels import Channel, pauli_probs_by_weight
+    from .twirl import twirl_estimate_memory
+
     n, delta = cfg["n"], cfg["delta"]
     probs = pauli_probs_by_weight(n, cfg["weight_masses"])
     rng = np.random.default_rng(seed)
@@ -315,6 +278,11 @@ def _run_twirl(cfg, seed, shots):
 
 
 def _run_certify(cfg, seed, shots):
+    from .channels import Channel
+    from .clifford import gate_tableau
+    from .qop import average_gate_fidelity_exact
+    from .twirl import certify_clifford
+
     n = cfg["n"]
     pair = (cfg["control_qubit"], cfg["target_qubit"])
     tab = gate_tableau("CNOT", pair, n)
@@ -337,6 +305,9 @@ def _run_certify(cfg, seed, shots):
 
 
 def _run_rb(cfg, seed, shots):
+    from .channels import Channel
+    from .twirl import default_rb_sampler, randomized_benchmarking, rotation_clifford_sampler
+
     n, r_inj = cfg["n"], cfg["error_rate"]
     sequences = shots if shots is not None else cfg["sequences"]
     sampler = (rotation_clifford_sampler() if cfg["sampler"] == "rotations"
@@ -363,12 +334,18 @@ def _run_rb(cfg, seed, shots):
     )
 
 
-_CODES = {"bit-flip": bit_flip_code, "phase-flip": phase_flip_code, "five": five_qubit_code}
+_CODES = ("bit-flip", "phase-flip", "five")
 
 
 def _run_qec(cfg, seed, shots):
+    from .qec import (bit_flip_code, five_qubit_code, gate_cycle_ensemble, phase_flip_code,
+                      transversal_cnot_demo)
+    from .qop import PauliString, spin_bits
+
+    code = {"bit-flip": bit_flip_code, "phase-flip": phase_flip_code,
+            "five": five_qubit_code}[cfg["code"]]()
     gate = cfg["gate"]
-    rows, mean_unc, mean_corr = gate_cycle_ensemble(_CODES[cfg["code"]](), gate)
+    rows, mean_unc, mean_corr = gate_cycle_ensemble(code, gate)
     table = [[err.word, f_unc, f_corr] for err, f_unc, f_corr in rows]
     out = RunOutput(
         tables={"qec.csv": (["error", "fidelity_uncorrected", "fidelity_corrected"], table)},
@@ -391,6 +368,8 @@ def _run_qec(cfg, seed, shots):
 
 
 def _run_distill(cfg, seed, shots):
+    from .qec import distill_magic, distillation_threshold
+
     rounds = cfg["rounds"]
     rows = []
     for p in cfg["p_values"]:
@@ -409,6 +388,10 @@ def _run_distill(cfg, seed, shots):
 
 
 def _run_dqc1(cfg, seed, shots):
+    from .experiments.dqc1 import (Dqc1Instance, block_trace_direct, control_target_ppt,
+                                   dqc1_block_trace, dqc1_trace, haar_block_unitary)
+    from .qop import haar_random_unitary
+
     n, epsilon = cfg["n"], cfg["epsilon"]
     rng = np.random.default_rng(seed)
     u = haar_random_unitary(2**n, rng)
@@ -441,6 +424,10 @@ def _run_dqc1(cfg, seed, shots):
 
 
 def _run_contextuality(cfg, seed, shots):
+    from .channels import Channel
+    from .experiments.contextuality import classical_max_beta, contextuality_beta
+    from .qop import haar_random_state
+
     rng = np.random.default_rng(seed)
     if cfg["state"] == "mixed":
         state = np.eye(4, dtype=complex) / 4
@@ -464,6 +451,8 @@ def _run_contextuality(cfg, seed, shots):
 
 
 def _run_weak(cfg, seed, shots):
+    from .experiments.weakvalue import amplified_pair, weak_value, weak_value_exact
+
     target = cfg["target_value"]
     psi, phi = amplified_pair(target)
     exact = weak_value_exact(psi, "z", phi)
@@ -482,6 +471,8 @@ def _run_weak(cfg, seed, shots):
 
 
 def _run_ising(cfg, seed, shots):
+    from .experiments.ising import ising_ground, magnetization_steps
+
     j = cfg["j"]
     res = ising_ground(j, np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_points"]))
     rows = [[h, m, s, int(d)] for h, m, s, d in
@@ -501,6 +492,8 @@ def _run_ising(cfg, seed, shots):
 
 
 def _run_xxz(cfg, seed, shots):
+    from .experiments.xxz import branch_crossing, ge_jump_location, xxz_scan
+
     n = cfg["n"]
     rng = np.random.default_rng(seed)
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["n_points"])
@@ -529,6 +522,9 @@ def _run_xxz(cfg, seed, shots):
 
 
 def _run_transfer(cfg, seed, shots):
+    from .experiments.transfer import (TransferChain, dipolar_couplings, entangle_ends,
+                                       state_transfer)
+
     n, iterations, mode = cfg["n"], cfg["iterations"], cfg["mode"]
     chain = TransferChain(n, dipolar_couplings(n, cfg["coupling_strength"]), cfg["tau"])
     if mode == "transfer":
@@ -548,6 +544,9 @@ def _run_transfer(cfg, seed, shots):
 
 
 def _run_spectrum(cfg, seed, shots):
+    from .control import collective_rotation
+    from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
+
     sys_ = builtin_molecule(cfg["molecule"])
     if cfg["state"] == "pps":
         rho = make_pps(sys_.n, cfg["epsilon"])
@@ -586,9 +585,18 @@ def _cnot_fits(n_of):
             and max(c["control_qubit"], c["target_qubit"]) <= n_of(c))
 
 
+def _molecule_n(c) -> int:
+    """Spin count of the config's bundled molecule."""
+    from .spins import builtin_molecule
+
+    return builtin_molecule(c["molecule"]).n
+
+
 def _sample_count(c) -> int:
     """Pauli samples a twirl or certify run draws: n_samples, else Hoeffding's."""
     if c["n_samples"] is None:
+        from .twirl import recommended_samples
+
         return recommended_samples(c["n"], c["delta"])
     return c["n_samples"]
 
@@ -624,14 +632,14 @@ SCHEMA = {
                                 weight={"lo": 0.0, "hi": 1.0}),
         "weak_coupling": _key("bool", True),
     }, (
-        (_cnot_fits(lambda c: builtin_molecule(c["molecule"]).n),
+        (_cnot_fits(_molecule_n),
          "bad control/target pair ({control_qubit}, {target_qubit}) for {molecule}"),
         (lambda c: abs(sum(w for _, w in c["rf_distribution"]) - 1.0) <= 1e-9,
          "rf_distribution weights must sum to 1"),
         # GRAPE on chain7 peaks at about 2.1 MB per step and RF scale (473 MB
         # for 200 steps x 1 scale or 100 x 2); 2^23 admits 512 there, 1.1 GB
         (lambda c: (c["n_steps"] * len(c["rf_distribution"])
-                    * 4 ** builtin_molecule(c["molecule"]).n <= 2**23),
+                    * 4 ** _molecule_n(c) <= 2**23),
          "n_steps x rf_distribution scales x 4^n must be <= 2^23 for {molecule}"),
     )),
     "twirl": (_run_twirl, {
@@ -680,7 +688,7 @@ SCHEMA = {
          "the rotations sampler is single-qubit only"),
     )),
     "qec": (_run_qec, {
-        "code": _key("choice", "five", options=tuple(_CODES)),
+        "code": _key("choice", "five", options=_CODES),
         "gate": _key("choice", "X", options=("I", "X", "Z", "H")),
         "transversal_demo": _key("bool", True),
     }, ()),
@@ -844,6 +852,8 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         write_csv(path, header, rows)
         out_paths.append(fname)
     for fname, pulse in result.pulses.items():
+        from .control import save_pulse
+
         save_pulse(pulse, os.path.join(out_dir, fname))
         out_paths.append(fname)
 
@@ -861,6 +871,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         "fixture_hashes": fixture_hashes,
         "output_paths": out_paths,
         "wall_time_s": wall,
+        "peak_rss_mb": _peak_rss_mb(),
         "versions": _versions(),
         "summary": _jsonable(result.summary),
     })
@@ -919,6 +930,7 @@ def _repro_main(argv) -> int:
             "criteria": {r.name: bool(r.passed) for r in results},
             "wall_time_s": sum(r.runtime_s for r in results),
             "runtime_s": {r.name: r.runtime_s for r in results},
+            "peak_rss_mb": _peak_rss_mb(),
             "details": {r.name: _jsonable(r.details) for r in results},
             "versions": _versions(),
         })

@@ -1,86 +1,5 @@
-"""Algorithm and simulation experiments built on the core simulator."""
+"""Algorithm and simulation experiments built on the core simulator.
 
-from .contextuality import (
-    METER_DEPOLARIZING_52,
-    ContextualityResult,
-    MerminTable,
-    classical_max_beta,
-    contextuality_beta,
-    depolarizing_for_beta,
-)
-from .dqc1 import (
-    Dqc1Instance,
-    block_trace_direct,
-    control_reduced_state,
-    control_target_ppt,
-    dqc1_block_trace,
-    dqc1_input_state,
-    dqc1_trace,
-)
-from .ising import IsingResult, ising_ground, ising_hamiltonian, magnetization_steps
-from .transfer import (
-    EntangleResult,
-    TransferChain,
-    TransferResult,
-    dipolar_couplings,
-    entangle_ends,
-    one_excitation_hamiltonian,
-    state_transfer,
-)
-from .weakvalue import amplified_pair, weak_value, weak_value_exact
-from .xxz import (
-    GeResult,
-    XxzScan,
-    branch_crossing,
-    equatorial_overlap,
-    ferro_overlap,
-    ge_jump_location,
-    neel_overlap,
-    product_overlap_sweep,
-    xxz_ground_ge,
-    xxz_ground_state,
-    xxz_hamiltonian,
-    xxz_scan,
-)
-
-__all__ = [
-    "METER_DEPOLARIZING_52",
-    "ContextualityResult",
-    "Dqc1Instance",
-    "EntangleResult",
-    "GeResult",
-    "IsingResult",
-    "MerminTable",
-    "TransferChain",
-    "TransferResult",
-    "XxzScan",
-    "amplified_pair",
-    "block_trace_direct",
-    "branch_crossing",
-    "classical_max_beta",
-    "contextuality_beta",
-    "control_reduced_state",
-    "control_target_ppt",
-    "depolarizing_for_beta",
-    "dipolar_couplings",
-    "dqc1_block_trace",
-    "dqc1_input_state",
-    "dqc1_trace",
-    "entangle_ends",
-    "equatorial_overlap",
-    "ferro_overlap",
-    "ge_jump_location",
-    "ising_ground",
-    "ising_hamiltonian",
-    "magnetization_steps",
-    "neel_overlap",
-    "one_excitation_hamiltonian",
-    "product_overlap_sweep",
-    "state_transfer",
-    "weak_value",
-    "weak_value_exact",
-    "xxz_ground_ge",
-    "xxz_ground_state",
-    "xxz_hamiltonian",
-    "xxz_scan",
-]
+Import from the submodules: contextuality, dqc1, ising, transfer, weakvalue
+and xxz.
+"""

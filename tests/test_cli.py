@@ -106,6 +106,58 @@ print(json.dumps(report))
                       + [["rf-selection", True, []]])
 
 
+def test_cli_loads_only_the_experiment_layers(tmp_path):
+    # a run compiles every module it loads; --help, --list and a rejected
+    # config load no layer and no scipy, and a run only its experiment's layers
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = tmp_path / "xxz7.json"
+    cfg.write_text(json.dumps({"n": 7}))  # locate_crossing needs an even n: exit 2
+    molecule = ["data", "data.molecules", "qop", "spins"]
+    twirl = ["channels", "clifford", "qop", "twirl"]
+    jobs = [
+        ("grape", {"n_steps": 20, "max_iters": 3}, 3, molecule + ["clifford", "control"]),
+        ("twirl", {"n_samples": 50}, 0, twirl),
+        ("certify", {"n_samples": 50}, 0, twirl),
+        ("rb", {"sequences": 3}, 0, twirl),
+        ("qec", {}, 0, ["clifford", "qec", "qop"]),
+        ("distill", {}, 0, ["clifford", "qec", "qop"]),
+        ("dqc1", {"theta": 0.7}, 0, ["experiments", "experiments.dqc1", "qop"]),
+        ("contextuality", {}, 0,
+         ["channels", "experiments", "experiments.contextuality", "qop"]),
+        ("weak", {}, 0, ["experiments", "experiments.weakvalue", "qop"]),
+        ("ising", {}, 0, ["experiments", "experiments.ising", "qop"]),
+        ("xxz", {"n_points": 5}, 0, ["experiments", "experiments.xxz", "qop"]),
+        ("transfer", {}, 0, ["experiments", "experiments.transfer"]),
+        ("spectrum", {"n_samples": 64}, 0, molecule + ["control"]),
+    ]
+    probe = f"""
+import io, json, sys, contextlib
+import nmrqip.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("nmrqip", "scipy")))
+report = []
+for argv in (["--help"], ["xxz", "--list"], ["xxz", "--config", {str(cfg)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report.append([cli.main(argv), loaded()])
+for name, cfg, _, _ in {jobs!r}:
+    # each run starts from a package holding only nmrqip and nmrqip.cli
+    for m in [m for m in sys.modules if m.startswith("nmrqip.") and m != "nmrqip.cli"]:
+        del sys.modules[m]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_experiment(name, out_dir={str(tmp_path / "o")!r}, config_doc=cfg)
+    report.append([code, [m for m in loaded() if m.startswith("nmrqip.")]])
+print(json.dumps(report))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    bare = ["nmrqip", "nmrqip.cli"]
+    assert json.loads(out) == ([[0, bare], [0, bare], [2, bare]]
+                               + [[code, sorted(["nmrqip.cli"] + [f"nmrqip.{m}" for m in mods])]
+                                  for _, _, code, mods in jobs])
+
+
 def test_src_imports_no_scipy_subpackage():
     # scipy is the test oracle; the bare package only supplies versions.scipy
     src = Path(nmrqip.__file__).resolve().parent
@@ -227,6 +279,7 @@ def test_ising_run_writes_manifest_and_csv(tmp_path, capsys):
     assert manifest["config_path"] == str(cfg)
     assert "config" in manifest["fixture_hashes"]
     assert manifest["wall_time_s"] >= 0
+    assert manifest["peak_rss_mb"] > 0
     assert set(manifest["versions"]) == {"nmrqip", "numpy", "scipy", "python"}
     for fname in manifest["output_paths"]:
         assert (out / fname).is_file()

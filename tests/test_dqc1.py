@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from nmrqip import cli
+from nmrqip.experiments import dqc1
 from nmrqip.experiments.dqc1 import (
     Dqc1Instance,
     block_trace_direct,
@@ -99,13 +100,13 @@ def test_block_trace_rejects_bad_input(rng):
 @pytest.mark.parametrize("n", [2, 4])
 def test_cli_block_unitary_matches_block_diag(monkeypatch, tmp_path, n):
     seen = []
-    real = cli.dqc1_block_trace
+    real = dqc1.dqc1_block_trace
 
     def spy(u, *args, **kwargs):
         seen.append(u)
         return real(u, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "dqc1_block_trace", spy)
+    monkeypatch.setattr(dqc1, "dqc1_block_trace", spy)
     cfg = {"n": n, "theta": 0.7, "ppt": False}
     assert cli.run_experiment("dqc1", seed=11, out_dir=str(tmp_path), config_doc=cfg) == 0
     # the runner's draws: U for the plain trace, then the two blocks
