@@ -6,7 +6,7 @@ absorption magnitude.
 
 import numpy as np
 
-from nmrqip.control import collective_rotation
+from nmrqip.qop import collective_rotation
 from nmrqip.spins import builtin_molecule, make_pps, simulate_fid, spectrum
 
 

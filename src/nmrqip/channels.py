@@ -1,11 +1,11 @@
-"""CPTP channels: Kraus factors, Pauli noise and relaxation.
+"""CPTP channels: Kraus factors and Pauli noise.
 
 A Channel is an ordered sequence of factors, each acting on a subset of the
 register.  A factor is either a list of Kraus matrices or a Pauli channel
 rho -> sum_Q p_Q Q rho Q, stored as its probability vector over the 4^m
-Paulis Q of its m qubits.  Keeping per-spin factors unexpanded lets
-relaxation channels scale to seven spins, where the materialized tensor
-product would need 4^7 Kraus matrices.
+Paulis Q of its m qubits.  Keeping the factors unexpanded lets channels
+act on seven spins, where the materialized tensor product would need 4^7
+Kraus matrices.
 
 A Pauli channel multiplies the coefficient of each Pauli P in rho by
 lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
@@ -32,8 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import (SIGMA_I, SIGMA_Z, PauliString, embed, n_qubits, pauli_matrices,
-                  sylvester_hadamard)
+from .qop import PauliString, embed, n_qubits, pauli_matrices, sylvester_hadamard
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
 # Eigenvalue spread below which a Pauli channel is applied as depolarizing.
@@ -205,22 +204,6 @@ class Channel:
         vec[0] += 1 - p
         return cls(n, [(vec, tuple(range(1, n + 1)))])
 
-    @classmethod
-    def bit_flip(cls, p: float) -> "Channel":
-        return cls.from_pauli_probs([1 - p, 0.0, p, 0.0])  # I, Z, X, Y
-
-    @classmethod
-    def phase_flip(cls, p: float) -> "Channel":
-        return cls.from_pauli_probs([1 - p, p, 0.0, 0.0])
-
-    @classmethod
-    def amplitude_damping(cls, gamma: float) -> "Channel":
-        if not 0 <= gamma <= 1:
-            raise ValueError("gamma must be in [0, 1]")
-        k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-        k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-        return cls.from_kraus([k0, k1])
-
     # -- structure ----------------------------------------------------------
 
     def on(self, qubits, n: int) -> "Channel":
@@ -338,34 +321,3 @@ def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:
     probs[0] = 1 - total
     return probs
 
-
-def t1t2_channel(sys, t: float) -> Channel:
-    """Per-spin relaxation for time t: amplitude damping toward |0> plus the
-    extra pure dephasing that brings transverse decay to exp(-t/T2*)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    factors = []
-    for q in range(1, sys.n + 1):
-        t1, t2 = sys.t1[q - 1], sys.t2star[q - 1]
-        if t2 > t1:
-            raise ValueError(f"spin {q}: T2* {t2} exceeds T1 {t1}")
-        gamma = 1.0 - np.exp(-t / t1)
-        rate = 1.0 / t2 - 1.0 / (2.0 * t1)  # leftover pure-dephasing rate
-        p = 0.5 * (1.0 - np.exp(-rate * t))
-        ad = Channel.amplitude_damping(gamma)
-        deph = [np.sqrt(1 - p) * SIGMA_I, np.sqrt(p) * SIGMA_Z]
-        one = compress_kraus([kd @ ka for ka in ad.factors[0][0] for kd in deph])
-        factors.append((one, (q,)))
-    return Channel(sys.n, factors, check=False)
-
-
-def interleave(unitary_steps, ch_per_step: Channel) -> Channel:
-    """Channel applying U_m then the noise step, for each m in order."""
-    n = ch_per_step.n
-    factors = []
-    for u in unitary_steps:
-        factors.append(([np.asarray(u, dtype=complex)], tuple(range(1, n + 1))))
-        factors.extend(ch_per_step.factors)
-    if not factors:
-        return Channel.identity(n)
-    return Channel(n, factors, check=False)

@@ -544,7 +544,7 @@ def _run_transfer(cfg, seed, shots):
 
 
 def _run_spectrum(cfg, seed, shots):
-    from .control import collective_rotation
+    from .qop import collective_rotation
     from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
 
     sys_ = builtin_molecule(cfg["molecule"])
@@ -682,7 +682,7 @@ SCHEMA = {
         "error_rate": _key("number", 0.0047, lo=0.0, hi=0.5),
         "sampler": _key("choice", "generators", options=("generators", "rotations")),
     }, (
-        (lambda c: c["lengths"] == sorted(c["lengths"]),
+        (lambda c: all(a < b for a, b in zip(c["lengths"], c["lengths"][1:])),
          "lengths must be increasing positive integers"),
         (lambda c: c["sampler"] != "rotations" or c["n"] == 1,
          "the rotations sampler is single-qubit only"),

@@ -1,4 +1,4 @@
-"""Clifford tableaux: symbolic Pauli conjugation, synthesis, dense conversion.
+"""Clifford tableaux: symbolic Pauli conjugation, gate lists, dense conversion.
 
 A tableau on n qubits stores 2n rows: rows 0..n-1 are the images of
 X_1..X_n under conjugation, rows n..2n-1 those of Z_1..Z_n.  Each row is an
@@ -18,16 +18,15 @@ U|0> from the rank-one projector P = prod_i (I + Z'_i)/2 of the Z images
 (Aaronson and Gottesman, quant-ph/0406196): column j of P over sqrt(P_jj),
 at the first largest diagonal entry j, so the first nonzero entry of column
 0 is real positive.  Column x applies the X images of x's set bits, and
-each entry is 0, +-c or +-ic for one c.  from_unitaries(stack) reads each
-conjugated generator's bits off its columns; to_unitary and from_unitary
-are the one-element cases.  clifford_group(n) lists the Cliffords on n <= 2.
+each entry is 0, +-c or +-ic for one c; to_unitary is the one-element
+case.  clifford_group(n) lists the Cliffords on n <= 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qop import PauliString, n_qubits, pauli_matrices
+from .qop import PauliString, pauli_matrices
 
 
 class CliffordTableau:
@@ -77,11 +76,6 @@ class CliffordTableau:
     def identity(cls, n: int) -> "CliffordTableau":
         rows = [(1 << (n - 1 - i), 0, 0) for i in range(n)]
         return cls._from_rows(n, tuple(rows + [(0, x, 0) for x, _, _ in rows]))
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "CliffordTableau":
-        """Dense-to-tableau conversion; raises if u is not Clifford."""
-        return from_unitaries(np.asarray(u)[None])[0]
 
     # -- algebra ------------------------------------------------------------
 
@@ -140,79 +134,6 @@ class CliffordTableau:
         """Exact dense unitary realizing the tableau (see unitaries)."""
         return unitaries([self])[0]
 
-    def decompose(self):
-        """Gate list [(name, qubits)] over {H, S, CNOT, X, Z} realizing the
-        tableau up to global phase, first gate first."""
-        rec = []  # gates applied after the target, reducing it to identity
-        cur = self
-
-        def hit(name, *qubits):
-            nonlocal cur
-            cur = cur.then(gate_tableau(name, qubits, self.n))
-            rec.append((name, qubits))
-
-        n = self.n
-
-        def bits_at(row, q):
-            """(x bit, z bit) of an (x, z, k) row on 0-based qubit q."""
-            s = n - 1 - q
-            return row[0] >> s & 1, row[1] >> s & 1
-
-        for i in range(n):
-            xi = cur.rows[i]
-            # stage A: some qubit j >= i must carry X or Y (symplecticity)
-            j = next((q for q in range(i, n) if bits_at(xi, q)[0]), None)
-            if j is None:
-                j = next(q for q in range(i, n) if bits_at(xi, q)[1])
-                hit("H", j + 1)
-            if j != i:
-                hit("CNOT", i + 1, j + 1)
-                hit("CNOT", j + 1, i + 1)
-                hit("CNOT", i + 1, j + 1)
-            if bits_at(cur.rows[i], i) == (1, 1):
-                hit("S", i + 1)
-            # stage B: clear the X-image on every other qubit (Y by S, Z by H to X; X by CNOT)
-            for q in range(n):
-                if q == i:
-                    continue
-                x, z = bits_at(cur.rows[i], q)
-                if z:
-                    hit("S" if x else "H", q + 1)
-                if x | z:
-                    hit("CNOT", i + 1, q + 1)
-            # stage C: z image carries Z or Y at qubit i; normalize to Z, then
-            # clear it elsewhere (Y by S to X, X by H to Z; Z by CNOT)
-            if bits_at(cur.rows[n + i], i) == (1, 1):
-                hit("H", i + 1)
-                hit("S", i + 1)
-                hit("H", i + 1)
-            for q in range(n):
-                if q == i:
-                    continue
-                x, z = bits_at(cur.rows[n + i], q)
-                if x & z:
-                    hit("S", q + 1)
-                if x:
-                    hit("H", q + 1)
-                if x | z:
-                    hit("CNOT", q + 1, i + 1)
-        for i in range(n):  # the rows are now +-X_i and +-Z_i; k = 2 is the sign -1
-            if cur.rows[i][2] == 2:
-                hit("Z", i + 1)
-            if cur.rows[n + i][2] == 2:
-                hit("X", i + 1)
-        ident = CliffordTableau.identity(n)
-        if cur != ident:
-            raise RuntimeError("synthesis failed to reduce tableau")
-        # cur = rec_k ... rec_1 . self = I  =>  self = rec_1^dag ... rec_k^dag
-        out = []
-        for name, qubits in reversed(rec):
-            if name == "S":
-                out.extend([("S", qubits)] * 3)  # S^3 = S^dag up to phase
-            else:
-                out.append((name, qubits))
-        return out
-
 
 def unitaries(tableaux) -> np.ndarray:
     """(m, d, d) stack of the unitaries of m tableaux on one n, built from the
@@ -230,33 +151,6 @@ def unitaries(tableaux) -> np.ndarray:
     for q in reversed(range(n)):  # qubit 1 is the most significant column bit
         cols = np.concatenate([cols, mats[:, 0, q] @ cols], axis=2)
     return cols
-
-
-def from_unitaries(stack) -> list:
-    """Tableaux of an (m, d, d) stack of Clifford unitaries, each through the
-    validating constructor; raises if one is not Clifford.
-
-    Column a of i^k X^x Z^z holds i^k (-1)^popcount(z & a) at row a ^ x, so
-    column 0 of a conjugated generator gives x and k, and the columns 2^j
-    give the z bits; the Paulis rebuilt from them must match within 1e-9.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    n = n_qubits(stack.shape[-1])
-    gens = pauli_matrices(n, CliffordTableau.identity(n).rows)
-    images = stack[:, None] @ gens @ stack.conj().transpose(0, 2, 1)[:, None]
-    mats = images.reshape(-1, 2**n, 2**n)  # all m * 2n conjugated generators
-    r = np.arange(len(mats))
-    x = np.argmax(np.abs(mats[:, :, 0]), axis=1)
-    lead = mats[r, x, 0]
-    k = np.argmin(np.abs(lead[:, None] - [1, 1j, -1, -1j]), axis=1)  # nearest i^k
-    cols = 1 << np.arange(n)
-    flips = (mats[r[:, None], cols ^ x[:, None], cols] * lead.conj()[:, None]).real < 0
-    rows = list(zip(x.tolist(), (flips * cols).sum(axis=1).tolist(), k.tolist()))
-    if not np.allclose(pauli_matrices(n, rows), mats, rtol=0, atol=1e-9):
-        raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    paulis = [PauliString.from_bits(n, *row) for row in rows]
-    return [CliffordTableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
-            for at in range(0, len(paulis), 2 * n)]
 
 
 # ---------------------------------------------------------------------------

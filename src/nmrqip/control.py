@@ -1,4 +1,4 @@
-"""RF control: ideal rotations, J-coupling gates, refocusing, GRAPE, pulse fixing.
+"""RF control: J-coupling gates, the NMR CNOT sequence, GRAPE, RF selection.
 
 Control amplitudes are nutation rates in rad/s (u = gamma*B1), one (x, y)
 channel pair per nuclide species.  A step of length dt under amplitude u
@@ -10,49 +10,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, embed, pauli_sum, spin_bits, sylvester_hadamard,
-                  tensor)
+from .qop import pauli_sum, rotation, spin_bits
 from .spins import SpinSystem, internal_hamiltonian, iz_diagonal
 
 DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
-
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
-
-
-def rotation(axis, angle: float, qubit: int = 1, n: int = 1) -> np.ndarray:
-    """exp(-i angle (axis . sigma)/2) embedded on one 1-based qubit.
-
-    axis may be 'x'/'y'/'z', a 3-vector (normalized here), or a bare phase
-    angle phi selecting the in-plane axis (cos phi, -sin phi, 0), matching
-    the channel convention u_x = gamma B1 cos phi, u_y = -gamma B1 sin phi.
-    """
-    if isinstance(axis, str):
-        nvec = _AXES[axis.lower()]
-    elif np.ndim(axis) == 0:
-        phi = float(axis)
-        nvec = np.array([np.cos(phi), -np.sin(phi), 0.0])
-    else:
-        nvec = np.asarray(axis, dtype=float)
-        nrm = np.linalg.norm(nvec)
-        if nrm < 1e-14:
-            raise ValueError("zero rotation axis")
-        nvec = nvec / nrm
-    h = nvec[0] * SIGMA_X + nvec[1] * SIGMA_Y + nvec[2] * SIGMA_Z
-    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * h
-    return embed(u, [qubit], n) if n > 1 else u
-
-
-def collective_rotation(axis, angle: float, n: int) -> np.ndarray:
-    """exp(-i angle sum_q axis . I_q): one `rotation` per spin, as they commute."""
-    return tensor(*[rotation(axis, angle)] * n)
 
 
 def j_evolution(sys: SpinSystem, pair, t: float) -> np.ndarray:
@@ -83,79 +48,6 @@ def cnot_sequence(sys: SpinSystem, control: int, target: int) -> np.ndarray:
         @ rotation("y", np.pi / 2, target, n)
     )
     return np.sqrt(1j) * seq
-
-
-@dataclass(frozen=True)
-class RefocusSchedule:
-    """Equal-length segments with pi_x pulses at sign-flip boundaries."""
-
-    n_segments: int
-    segment_time: float
-    signs: tuple  # per spin, tuple of +-1 per segment
-    pulses: tuple  # (time, spin) events, sorted by time
-
-    @property
-    def total_time(self) -> float:
-        return self.n_segments * self.segment_time
-
-
-def refocus_all_but(sys: SpinSystem, keep_pair, t: float):
-    """Pulse schedule keeping one ZZ coupling and averaging out all the rest.
-
-    Spins get mutually orthogonal Hadamard sign rows (the kept pair shares
-    one), so every other coupling and every offset integrates to zero over
-    the cycle.  Returns (schedule, effective propagator).
-    """
-    i, j = sorted(keep_pair)
-    if sys.j[i - 1, j - 1] == 0.0:
-        raise ValueError(f"kept pair {keep_pair} has zero coupling")
-    n = sys.n
-    if n > 8:
-        raise ValueError("refocusing table covers n <= 8")
-    m = 2
-    while m < n:
-        m *= 2
-    rows = sylvester_hadamard(m.bit_length() - 1).astype(int)
-    # row 0 is all ones (offsets would survive); kept pair shares row 1
-    assign = {i: 1, j: 1}
-    nxt = 2
-    for q in range(1, n + 1):
-        if q in (i, j):
-            continue
-        assign[q] = nxt
-        nxt += 1
-    signs = {q: rows[assign[q]] for q in range(1, n + 1)}
-
-    tau = t / m
-    pulses = []
-    for q in range(1, n + 1):
-        r = signs[q]
-        flips = 0
-        for s in range(m - 1):
-            if r[s + 1] != r[s]:
-                pulses.append(((s + 1) * tau, q))
-                flips += 1
-        if flips % 2 == 1:
-            pulses.append((m * tau, q))  # close the toggling frame
-    pulses.sort()
-
-    h = internal_hamiltonian(sys, weak_coupling=True)
-    seg = np.diag(np.exp(-1j * np.diagonal(h) * tau))  # weak form is diagonal
-    by_boundary: dict = {}
-    for time, q in pulses:
-        by_boundary.setdefault(round(time / tau), []).append(q)
-    u = np.eye(sys.dim, dtype=complex)
-    for s in range(1, m + 1):
-        u = seg @ u
-        for q in by_boundary.get(s, ()):
-            u = rotation("x", np.pi, q, n) @ u
-    sched = RefocusSchedule(
-        n_segments=m,
-        segment_time=tau,
-        signs=tuple(tuple(int(v) for v in signs[q]) for q in range(1, n + 1)),
-        pulses=tuple(pulses),
-    )
-    return sched, u
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +90,6 @@ class ControlPulse:
     def with_amplitudes(self, amps: np.ndarray) -> "ControlPulse":
         return ControlPulse(self.dt, amps, self.channels, self.u_max)
 
-    def phase_amplitude(self):
-        """Per-species (amplitude, phase) view of the (x, y) channel pairs."""
-        out = {}
-        for k in range(0, len(self.channels), 2):
-            ux, uy = self.amplitudes[:, k], self.amplitudes[:, k + 1]
-            name = self.channels[k].rsplit(".", 1)[0]
-            out[name] = (np.hypot(ux, uy), np.arctan2(-uy, ux))
-        return out
-
 
 def save_pulse(pulse: ControlPulse, path) -> None:
     doc = {
@@ -216,14 +99,6 @@ def save_pulse(pulse: ControlPulse, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def load_pulse(path, u_max: float = DEFAULT_U_MAX) -> ControlPulse:
-    with open(path) as fh:
-        doc = json.load(fh)
-    amps = np.array(doc["steps"], dtype=float)
-    cap = max(u_max, float(np.max(np.abs(amps), initial=0.0)))
-    return ControlPulse(float(doc["dt_s"]), amps, tuple(doc["channels"]), cap)
 
 
 def control_channels(sys: SpinSystem):
@@ -473,77 +348,7 @@ def grape_optimize(
 
 
 # ---------------------------------------------------------------------------
-# pulse fixing and RF selection
-
-
-@dataclass(frozen=True)
-class DistortionModel:
-    """Linear convolution kernel followed by a monotone static gain curve.
-
-    kernel: taps with unit DC gain (sum 1).  gain_curve: (input, output)
-    sample pairs for u >= 0, extended oddly to negative amplitudes; empty
-    means no nonlinearity.
-    """
-
-    kernel: tuple = (1.0,)
-    gain_curve: tuple = ()
-
-    def __post_init__(self):
-        k = np.array(self.kernel, dtype=float)
-        if abs(k.sum() - 1.0) > 1e-12:
-            raise ValueError("kernel must have unit DC gain")
-        object.__setattr__(self, "kernel", tuple(k))
-        if self.gain_curve:
-            pts = np.array(self.gain_curve, dtype=float)
-            if np.any(np.diff(pts[:, 0]) <= 0) or np.any(np.diff(pts[:, 1]) < 0):
-                raise ValueError("gain curve must be monotone nondecreasing")
-            object.__setattr__(self, "gain_curve", tuple(map(tuple, pts)))
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.empty_like(amps)
-        k = np.array(self.kernel)
-        for c in range(amps.shape[1]):
-            out[:, c] = np.convolve(amps[:, c], k, mode="same")
-        if self.gain_curve:
-            pts = np.array(self.gain_curve)
-            out = np.sign(out) * np.interp(np.abs(out), pts[:, 0], pts[:, 1])
-        return out
-
-
-@dataclass
-class PulseFixResult:
-    commanded: ControlPulse
-    residuals: list  # max-norm designed-vs-produced per loop
-
-
-def pulse_fix(
-    designed: ControlPulse, distortion: DistortionModel, n_loops: int = 10
-) -> PulseFixResult:
-    """Iteratively pre-compensate a pulse so the distorted output matches it.
-
-    Update rule: commanded += designed - distortion(commanded).  Residuals
-    growing on two consecutive loops abort with a diagnostic.
-    """
-    target = designed.amplitudes
-    commanded = target.copy()
-    residuals = []
-    grew = 0
-    for loop in range(n_loops):
-        produced = distortion.apply(commanded)
-        res = float(np.max(np.abs(target - produced)))
-        if residuals and res > residuals[-1]:
-            grew += 1
-            if grew >= 2:
-                raise RuntimeError(
-                    f"pulse fixing diverged: residual {res:.3e} grew twice by loop {loop + 1}"
-                )
-        else:
-            grew = 0
-        residuals.append(res)
-        commanded = commanded + (target - produced)
-    cap = max(designed.u_max, float(np.max(np.abs(commanded), initial=0.0)))
-    fixed = ControlPulse(designed.dt, commanded, designed.channels, cap)
-    return PulseFixResult(fixed, residuals)
+# RF selection
 
 
 def default_b1_distribution(n_bins: int = 500, lo: float = 0.5, hi: float = 1.5,

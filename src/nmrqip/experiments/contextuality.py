@@ -135,9 +135,3 @@ def classical_max_beta(table: MerminTable | None = None) -> float:
         best = max(best, rows.sum() + cols[0] + cols[1] - cols[2])
     return float(best)
 
-
-def depolarizing_for_beta(target_beta: float, n_couplings: int = 3) -> float:
-    """Meter depolarizing strength per coupling that degrades 6 to target."""
-    if not 0 < target_beta <= 6:
-        raise ValueError("target beta must be in (0, 6]")
-    return 1 - (target_beta / 6) ** (1 / n_couplings)

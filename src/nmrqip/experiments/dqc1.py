@@ -28,7 +28,6 @@ from ..qop import (
     expectation,
     haar_random_unitary,
     n_qubits,
-    partial_trace,
 )
 
 _HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
@@ -94,15 +93,6 @@ def dqc1_trace(inst: Dqc1Instance, rng: np.random.Generator | None = None) -> co
     """Estimate Tr(U)/2^n from the control's x/y magnetization."""
     rho = _run_circuit(dqc1_input_state(inst), inst.u)
     return _read_trace(rho, inst.epsilon, inst.shots, rng)
-
-
-def control_reduced_state(inst: Dqc1Instance) -> np.ndarray:
-    """Reduced control state after the circuit.
-
-    Noiselessly this equals I/2 + eps (Re Tr(U) sx + Im Tr(U) sy)/2^{n+1};
-    the off-diagonal carries the whole answer.
-    """
-    return partial_trace(_run_circuit(dqc1_input_state(inst), inst.u), [1], inst.n_target + 1)
 
 
 def control_target_ppt(inst: Dqc1Instance) -> float:

@@ -112,12 +112,6 @@ class GeResult:
     restarts: tuple
 
 
-def xxz_ground_ge(n: int, gamma: float, rng: np.random.Generator, n_restarts: int = 16) -> GeResult:
-    """Geometric entanglement of the ground state from seeded random restarts."""
-    psi, _, _ = xxz_ground_state(n, gamma)
-    return _state_ge(psi, n, rng, n_restarts)
-
-
 def _state_ge(psi: np.ndarray, n: int, rng: np.random.Generator, n_restarts: int) -> GeResult:
     """Geometric entanglement of psi, best of n_restarts random-start sweeps."""
     values = [product_overlap_sweep(psi, n, rng=rng)[0] for _ in range(n_restarts)]

@@ -38,7 +38,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
 
 # i^e for e = 0..3; PauliString.phase is _PHASES[k - popcount(x & z)]
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -105,10 +104,6 @@ class PauliString:
     @property
     def phase(self) -> complex:
         return _PHASES[(self.k - (self.x & self.z).bit_count()) % 4]
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
 
     def __eq__(self, other):
         if not isinstance(other, PauliString):
@@ -299,15 +294,39 @@ def controlled(u: np.ndarray, n_controls: int = 1) -> np.ndarray:
     return out
 
 
-def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt gate overlap |Tr(U_th U_exp^dag)|^2 / 4^n."""
-    u_th = np.asarray(u_th, dtype=complex)
-    u_exp = np.asarray(u_exp, dtype=complex)
-    if u_th.shape != u_exp.shape:
-        raise ValueError("shape mismatch")
-    d = u_th.shape[0]
-    n_qubits(d)
-    return float(abs(np.trace(u_th @ u_exp.conj().T)) ** 2 / d**2)
+_AXES = {
+    "x": np.array([1.0, 0.0, 0.0]),
+    "y": np.array([0.0, 1.0, 0.0]),
+    "z": np.array([0.0, 0.0, 1.0]),
+}
+
+
+def rotation(axis, angle: float, qubit: int = 1, n: int = 1) -> np.ndarray:
+    """exp(-i angle (axis . sigma)/2) embedded on one 1-based qubit.
+
+    axis may be 'x'/'y'/'z', a 3-vector (normalized here), or a bare phase
+    angle phi selecting the in-plane axis (cos phi, -sin phi, 0), matching
+    the RF channel convention u_x = gamma B1 cos phi, u_y = -gamma B1 sin phi.
+    """
+    if isinstance(axis, str):
+        nvec = _AXES[axis.lower()]
+    elif np.ndim(axis) == 0:
+        phi = float(axis)
+        nvec = np.array([np.cos(phi), -np.sin(phi), 0.0])
+    else:
+        nvec = np.asarray(axis, dtype=float)
+        nrm = np.linalg.norm(nvec)
+        if nrm < 1e-14:
+            raise ValueError("zero rotation axis")
+        nvec = nvec / nrm
+    h = nvec[0] * SIGMA_X + nvec[1] * SIGMA_Y + nvec[2] * SIGMA_Z
+    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * h
+    return embed(u, [qubit], n) if n > 1 else u
+
+
+def collective_rotation(axis, angle: float, n: int) -> np.ndarray:
+    """exp(-i angle sum_q axis . I_q): one `rotation` per spin, as they commute."""
+    return tensor(*[rotation(axis, angle)] * n)
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -347,9 +366,3 @@ def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     return psi / np.linalg.norm(psi)
 
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(x, y, z) expectation triple of a single-qubit state."""
-    if rho.shape != (2, 2):
-        raise ValueError("bloch_vector is for one qubit")
-    return np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])

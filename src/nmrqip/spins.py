@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qop import ket_density, pauli_sum, spin_bits
+from .qop import pauli_sum, spin_bits
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,6 @@ class SpinSystem:
         return 2**self.n
 
 
-def spin_op(axis: str, spin: int, n: int) -> np.ndarray:
-    """I_axis on one 1-based spin of an n-spin register (dense 2^n matrix)."""
-    return pauli_sum(n, [(0.5, *spin_bits(axis, spin, n))])
-
-
 def raising_op(spin: int, n: int) -> np.ndarray:
     """I+ = Ix + i Iy on one 1-based spin of n: the FID readout operator."""
     return pauli_sum(n, [(0.5, *spin_bits("x", spin, n)), (0.5j, *spin_bits("y", spin, n))])
@@ -109,10 +104,6 @@ def hamiltonian_diagonal(sys: SpinSystem, couplings: bool = True) -> np.ndarray:
                 if j[i, k] != 0.0:
                     h += 2 * np.pi * j[i, k] * (zs[i] * zs[k])
     return h
-
-
-def zeeman_hamiltonian(sys: SpinSystem) -> np.ndarray:
-    return np.diag(hamiltonian_diagonal(sys, couplings=False)).astype(complex)
 
 
 def internal_hamiltonian(sys: SpinSystem, weak_coupling: bool = True) -> np.ndarray:
@@ -171,14 +162,6 @@ def make_pps(n: int, epsilon: float) -> np.ndarray:
     rho = (1 - epsilon) / d * np.eye(d, dtype=complex)
     rho[0, 0] += epsilon
     return rho
-
-
-def pps_on(psi: np.ndarray, epsilon: float) -> np.ndarray:
-    """Pseudo-pure state around an arbitrary pure state."""
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    d = len(psi)
-    return (1 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * ket_density(psi)
 
 
 # Byte budget for one time block's phase and product temporaries in simulate_fid.

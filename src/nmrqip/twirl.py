@@ -351,9 +351,13 @@ def randomized_benchmarking(
         survivals.append(acc / shots)
 
     surv = np.array(survivals)
-    if surv.max() - surv.min() < 1e-9:
+    if np.all(np.abs(surv - 1) <= 1e-9):
         return RBResult(lengths, survivals, float(surv.mean()), 0.0, 1.0, 0.0,
                         True, "constant survival; no measurable decay")
+    if surv.max() - surv.min() < 1e-9:
+        return RBResult(lengths, survivals, float("nan"), float("nan"),
+                        float("nan"), float("nan"), False,
+                        "constant survival below 1; the decay cannot be resolved")
     if surv[-1] >= surv[0]:
         return RBResult(lengths, survivals, float("nan"), float("nan"),
                         float("nan"), float("nan"), False,

@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+from nmrqip.channels import Channel
 from nmrqip.clifford import CliffordTableau
-from nmrqip.control import rotation
-from nmrqip.qop import PAULIS, PauliString, embed
+from nmrqip.control import DEFAULT_U_MAX, ControlPulse
+from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, embed, n_qubits,
+                        pauli_matrices, pauli_sum, rotation, spin_bits)
+from nmrqip.spins import hamiltonian_diagonal
+
+KET1 = np.array([0, 1], dtype=complex)
 
 
 @pytest.fixture
@@ -25,6 +32,77 @@ def all_pauli_words(n: int) -> list:
     for _ in range(n):
         words = [w + c for w in words for c in "IXYZ"]
     return words
+
+
+def spin_op(axis: str, spin: int, n: int) -> np.ndarray:
+    """I_axis on one 1-based spin of an n-spin register (dense 2^n matrix)."""
+    return pauli_sum(n, [(0.5, *spin_bits(axis, spin, n))])
+
+
+def zeeman_hamiltonian(sys) -> np.ndarray:
+    """The dense, diagonal Zeeman part of a spin system's Hamiltonian (rad/s)."""
+    return np.diag(hamiltonian_diagonal(sys, couplings=False)).astype(complex)
+
+
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """(x, y, z) expectation triple of a single-qubit state."""
+    if rho.shape != (2, 2):
+        raise ValueError("bloch_vector is for one qubit")
+    return np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def pauli_weight(p: PauliString) -> int:
+    """Number of qubits a Pauli string acts on nontrivially."""
+    return (p.x | p.z).bit_count()
+
+
+def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
+    """Squared Hilbert-Schmidt gate overlap |Tr(U_th U_exp^dag)|^2 / 4^n."""
+    u_th = np.asarray(u_th, dtype=complex)
+    u_exp = np.asarray(u_exp, dtype=complex)
+    if u_th.shape != u_exp.shape:
+        raise ValueError("shape mismatch")
+    d = u_th.shape[0]
+    n_qubits(d)
+    return float(abs(np.trace(u_th @ u_exp.conj().T)) ** 2 / d**2)
+
+
+# ---------------------------------------------------------------------------
+# channel fixtures: Pauli vectors indexed x * 2 + z (I, Z, X, Y) and a
+# non-Pauli Kraus channel
+
+
+def bit_flip(p: float) -> Channel:
+    return Channel.from_pauli_probs([1 - p, 0.0, p, 0.0])
+
+
+def phase_flip(p: float) -> Channel:
+    return Channel.from_pauli_probs([1 - p, p, 0.0, 0.0])
+
+
+def amplitude_damping(gamma: float) -> Channel:
+    if not 0 <= gamma <= 1:
+        raise ValueError("gamma must be in [0, 1]")
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    return Channel.from_kraus([k0, k1])
+
+
+def depolarizing_for_beta(target_beta: float, n_couplings: int = 3) -> float:
+    """Meter depolarizing strength per coupling that degrades the Mermin
+    value 6 to target_beta: beta = 6 (1 - p)^n_couplings."""
+    if not 0 < target_beta <= 6:
+        raise ValueError("target beta must be in (0, 6]")
+    return 1 - (target_beta / 6) ** (1 / n_couplings)
+
+
+def load_pulse(path, u_max: float = DEFAULT_U_MAX) -> ControlPulse:
+    """Read back the pulse.json that save_pulse writes."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    amps = np.array(doc["steps"], dtype=float)
+    cap = max(u_max, float(np.max(np.abs(amps), initial=0.0)))
+    return ControlPulse(float(doc["dt_s"]), amps, tuple(doc["channels"]), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +131,39 @@ def circuit_unitary(gates, n: int) -> np.ndarray:
     for name, qubits in gates:
         u = embed(dense_gate(name), qubits, n) @ u
     return u
+
+
+def from_unitaries(stack) -> list:
+    """Tableaux of an (m, d, d) stack of Clifford unitaries, each through the
+    validating constructor; raises if one is not Clifford: the inverse of
+    nmrqip.clifford.unitaries.
+
+    Column a of i^k X^x Z^z holds i^k (-1)^popcount(z & a) at row a ^ x, so
+    column 0 of a conjugated generator gives x and k, and the columns 2^j
+    give the z bits; the Paulis rebuilt from them must match within 1e-9.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    n = n_qubits(stack.shape[-1])
+    gens = pauli_matrices(n, CliffordTableau.identity(n).rows)
+    images = stack[:, None] @ gens @ stack.conj().transpose(0, 2, 1)[:, None]
+    mats = images.reshape(-1, 2**n, 2**n)  # all m * 2n conjugated generators
+    r = np.arange(len(mats))
+    x = np.argmax(np.abs(mats[:, :, 0]), axis=1)
+    lead = mats[r, x, 0]
+    k = np.argmin(np.abs(lead[:, None] - [1, 1j, -1, -1j]), axis=1)  # nearest i^k
+    cols = 1 << np.arange(n)
+    flips = (mats[r[:, None], cols ^ x[:, None], cols] * lead.conj()[:, None]).real < 0
+    rows = list(zip(x.tolist(), (flips * cols).sum(axis=1).tolist(), k.tolist()))
+    if not np.allclose(pauli_matrices(n, rows), mats, rtol=0, atol=1e-9):
+        raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
+    paulis = [PauliString.from_bits(n, *row) for row in rows]
+    return [CliffordTableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
+            for at in range(0, len(paulis), 2 * n)]
+
+
+def from_unitary(u: np.ndarray) -> CliffordTableau:
+    """Tableau of one Clifford unitary; raises if u is not Clifford."""
+    return from_unitaries(np.asarray(u)[None])[0]
 
 
 def all_1q_cliffords() -> list:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqip.channels import Channel, interleave, pauli_probs_by_weight, t1t2_channel
+from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.cli import DEFAULT_CONFIGS
-from nmrqip.qop import PauliString, bloch_vector, embed, haar_random_unitary, ket_density
-from nmrqip.spins import builtin_molecule
+from nmrqip.qop import PauliString, embed, haar_random_unitary, ket_density
 
-from conftest import all_pauli_words, random_density
+from conftest import (all_pauli_words, amplitude_damping, bit_flip, bloch_vector, phase_flip,
+                      random_density)
 
 
 def pauli_vector(probs: dict) -> np.ndarray:
@@ -115,22 +115,22 @@ def test_depolarizing_multiqubit_mixes_to_identity():
 
 def test_bit_and_phase_flip():
     rho0 = ket_density(np.array([1, 0], dtype=complex))
-    out = Channel.bit_flip(0.3).apply(rho0)
+    out = bit_flip(0.3).apply(rho0)
     assert out[0, 0] == pytest.approx(0.7) and out[1, 1] == pytest.approx(0.3)
     plus = ket_density(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    out = Channel.phase_flip(0.25).apply(plus)
+    out = phase_flip(0.25).apply(plus)
     # coherence scales by 1 - 2p
     assert out[0, 1] == pytest.approx(0.5 * (1 - 0.5))
 
 
 def test_amplitude_damping():
     rho1 = ket_density(np.array([0, 1], dtype=complex))
-    out = Channel.amplitude_damping(0.4).apply(rho1)
+    out = amplitude_damping(0.4).apply(rho1)
     assert out[0, 0] == pytest.approx(0.4) and out[1, 1] == pytest.approx(0.6)
 
 
 def test_on_embeds_like_kron(rng):
-    flip = Channel.bit_flip(0.3)
+    flip = bit_flip(0.3)
     rho = random_density(8, rng)
     got = flip.on([2], 3).apply(rho)
     # reference: single-qubit Kraus embedded by hand
@@ -151,8 +151,8 @@ def test_on_rejects_a_label_count_other_than_n():
 
 
 def test_then_and_tensor(rng):
-    a = Channel.bit_flip(0.2)
-    b = Channel.phase_flip(0.1)
+    a = bit_flip(0.2)
+    b = phase_flip(0.1)
     rho = random_density(2, rng)
     assert np.allclose(a.then(b).apply(rho), b.apply(a.apply(rho)), atol=1e-12)
     rho2 = random_density(4, rng)
@@ -183,7 +183,7 @@ def test_pauli_eigenvalue_accessor(rng):
     # for one Pauli factor, the depolarizing closed form and a composite
     probs = random_pauli_probs(2, rng)
     bit = {"I": 0.9, "X": 0.1}
-    composite = word_channel(bit).tensor(Channel.phase_flip(0.2)).then(
+    composite = word_channel(bit).tensor(phase_flip(0.2)).then(
         Channel.depolarizing(1, 0.3).on((2,), 2))
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
@@ -203,8 +203,8 @@ def test_pauli_eigenvalue_accessor(rng):
                 survival = np.trace(PauliString(word).dense() @ composite.apply(rho)).real
                 assert composite.pauli_eigenvalue(p) == pytest.approx(survival, abs=1e-12)
     z = PauliString("Z")
-    assert Channel.amplitude_damping(0.1).pauli_eigenvalue(z) is None
-    assert Channel.phase_flip(0.1).then(Channel.identity(1)).pauli_eigenvalue(z) is None
+    assert amplitude_damping(0.1).pauli_eigenvalue(z) is None
+    assert phase_flip(0.1).then(Channel.identity(1)).pauli_eigenvalue(z) is None
 
 
 def test_pauli_probs_by_weight_fixture():
@@ -242,27 +242,6 @@ def test_pauli_probs_by_weight_rejects_bad_masses():
         pauli_probs_by_weight(2, {1: 0.8, 2: 0.3})
     with pytest.raises(ValueError, match="nonnegative"):
         pauli_probs_by_weight(2, {1: -0.1})
-
-
-def test_t1t2_channel_is_physical(rng):
-    sys_ = builtin_molecule("chloroform2")
-    ch = t1t2_channel(sys_, 0.05)
-    rho = random_density(4, rng)
-    out = ch.apply(rho)
-    assert abs(np.trace(out) - 1.0) < 1e-10
-    assert np.linalg.eigvalsh(out).min() > -1e-10
-
-
-def test_interleave_matches_manual(rng):
-    u1 = haar_random_unitary(2, rng)
-    u2 = haar_random_unitary(2, rng)
-    noise = Channel.depolarizing(1, 0.1)
-    rho = random_density(2, rng)
-    got = interleave([u1, u2], noise).apply(rho)
-    ref = rho
-    for u in (u1, u2):
-        ref = noise.apply(u @ ref @ u.conj().T)
-    assert np.allclose(got, ref, atol=1e-12)
 
 
 def random_pauli_probs(n: int, rng) -> dict:

@@ -130,7 +130,7 @@ def test_cli_loads_only_the_experiment_layers(tmp_path):
         ("ising", {}, 0, ["experiments", "experiments.ising", "qop"]),
         ("xxz", {"n_points": 5}, 0, ["experiments", "experiments.xxz", "qop"]),
         ("transfer", {}, 0, ["experiments", "experiments.transfer"]),
-        ("spectrum", {"n_samples": 64}, 0, molecule + ["control"]),
+        ("spectrum", {"n_samples": 64}, 0, molecule),
     ]
     probe = f"""
 import io, json, sys, contextlib
@@ -209,6 +209,68 @@ def test_src_builds_no_pauli_word():
             if bad:
                 found.append(f"{path.relative_to(src)}:{node.lineno} {bad}")
     assert found == []
+
+
+
+def _used_names(nodes) -> set:
+    """Names some code uses: Name ids, Attribute attrs and the parts of
+    imported names.  Docstrings are string constants, so they use none."""
+    out = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+    return out
+
+
+def _src_definitions(src: Path):
+    """(label, name, code a reach follows) of each top-level function, class
+    and constant and each public method in src; and the module-level code
+    that is neither a definition nor an import."""
+    defs, always = [], []
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{module}.{node.name}", node.name, [node]))
+            elif isinstance(node, ast.ClassDef):
+                # a reached class runs its bases, fields, dunder and private
+                # methods; a public method is reached by its own name
+                rest = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs.append((f"{module}.{node.name}.{item.name}", item.name, [item]))
+                    else:
+                        rest.append(item)
+                defs.append((f"{module}.{node.name}", node.name, rest))
+            elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and all(isinstance(t, ast.Name) for t in targets)):
+                defs += [(f"{module}.{t.id}", t.id, [node]) for t in targets]
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                always.append(node)
+    return defs, always
+
+
+def test_src_is_what_a_run_reaches():
+    # src holds only what a run reaches: nmrqip <experiment>, the repro
+    # criteria in acceptance.py, or a script.  From those files, a definition
+    # whose name a reached body uses is reached, and its body is followed in
+    # turn.  Names match by name alone, so a name shared with a reached one
+    # counts as reached.
+    src = Path(nmrqip.__file__).resolve().parent
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    defs, always = _src_definitions(src)
+    roots = [ast.parse(p.read_text(), str(p)) for p in [src / "cli.py", src / "acceptance.py",
+                                                         *scripts]]
+    reached = {"main"} | _used_names(roots + always)  # main: the console entry point
+    while hit := [d for d in defs if d[1] in reached]:
+        defs = [d for d in defs if d[1] not in reached]
+        reached |= _used_names([node for _, _, code in hit for node in code])
+    assert [label for label, name, _ in defs if not name.startswith("_")] == []
 
 
 def test_experiment_registry_is_fixed():
@@ -320,7 +382,7 @@ def csv_bytes(out: Path) -> dict:
 @pytest.mark.parametrize("experiment, config", [
     ("qec", {}),  # the five-qubit code's encoder goes through to_unitary
     ("certify", {}),
-    ("rb", {"n": 1, "sampler": "rotations"}),  # gates from from_unitary
+    ("rb", {"n": 1, "sampler": "rotations"}),  # gate lists composed by circuit_tableau
 ], ids=["qec", "certify", "rb-rotations"])
 def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
     outs = []
@@ -564,6 +626,8 @@ def test_weak_limits_admit_only_what_runs(tmp_path, capsys):
     # huge tau turned the fidelities into NaN
     ("weak", {"couplings": [5e-324]}, "couplings"),
     ("transfer", {"n": 3, "tau": 1e308}, "tau"),
+    # a repeated length is not increasing
+    ("rb", {"lengths": [1, 1]}, "lengths"),
 ])
 def test_stricter_checks_exit_2(tmp_path, capsys, name, doc, message):
     out = str(tmp_path / "o")

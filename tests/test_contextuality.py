@@ -9,11 +9,10 @@ from nmrqip.experiments.contextuality import (
     MerminTable,
     classical_max_beta,
     contextuality_beta,
-    depolarizing_for_beta,
 )
 from nmrqip.qop import PauliString, haar_random_state, ket_density
 
-from conftest import random_density
+from conftest import depolarizing_for_beta, random_density
 
 
 def test_table_structure():

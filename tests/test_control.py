@@ -1,4 +1,4 @@
-"""Pulse-level control: rotations, coupling gates, GRAPE, pulse fixing."""
+"""Pulse-level control: rotations, coupling gates, GRAPE, RF selection."""
 
 import importlib.util
 from pathlib import Path
@@ -11,10 +11,8 @@ from scipy.special import ndtr
 from nmrqip.clifford import gate_tableau
 from nmrqip.control import (
     ControlPulse,
-    DistortionModel,
     GrapeConfig,
     cnot_sequence,
-    collective_rotation,
     control_channels,
     default_b1_distribution,
     grape_fidelity,
@@ -24,16 +22,14 @@ from nmrqip.control import (
     _gradient,
     _propagators,
     j_evolution,
-    load_pulse,
-    pulse_fix,
     random_pulse,
-    refocus_all_but,
     rf_selection_retention,
-    rotation,
     save_pulse,
 )
-from nmrqip.qop import PAULIS, embed, gate_fidelity_hs, haar_random_unitary
-from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian, spin_op
+from nmrqip.qop import PAULIS, collective_rotation, embed, haar_random_unitary, rotation
+from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian
+
+from conftest import gate_fidelity_hs, load_pulse, spin_op
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -115,20 +111,6 @@ def test_cnot_sequence_is_exact():
     assert gate_fidelity_hs(swapped, expect) == pytest.approx(1.0)
 
 
-def test_refocus_keeps_one_coupling():
-    sys_ = builtin_molecule("malonate3")
-    t = 0.004
-    sched, u = refocus_all_but(sys_, (1, 2), t)
-    want = j_evolution(sys_, (1, 2), t)
-    assert gate_fidelity_hs(u, want) == pytest.approx(1.0, abs=1e-9)
-    assert sched.total_time == pytest.approx(t)
-    # every spin's toggling frame closes: even flip count
-    flips = {q: 0 for q in range(1, 4)}
-    for _, q in sched.pulses:
-        flips[q] += 1
-    assert all(c % 2 == 0 for c in flips.values())
-
-
 def test_step_propagator_matches_expm(rng):
     # the step record's forward products are products of the steps' expm
     sys_ = builtin_molecule("chloroform2")
@@ -168,15 +150,6 @@ def test_control_pulse_rejects_non_finite_fields(field, kwargs):
     args = {"dt": 1e-5, "amplitudes": np.zeros((2, 1)), "channels": ("a.x",), **kwargs}
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ControlPulse(**args)
-
-
-def test_phase_amplitude_view():
-    a = np.array([100.0, 50.0])
-    phi = np.array([0.3, -1.2])
-    amps = np.stack([a * np.cos(phi), -a * np.sin(phi)], axis=1)
-    p = ControlPulse(1e-5, amps, ("1H.x", "1H.y"))
-    amp, phase = p.phase_amplitude()["1H"]
-    assert np.allclose(amp, a) and np.allclose(phase, phi)
 
 
 def test_save_load_pulse_roundtrip(tmp_path):
@@ -503,29 +476,6 @@ def test_grape_channel_mismatch_raises():
     init = random_pulse(4, 1e-5, ("wrong.x", "wrong.y"))
     with pytest.raises(ValueError, match="channels"):
         grape_optimize(sys_, np.eye(4), init, GrapeConfig())
-
-
-def test_pulse_fix_converges():
-    ts = np.arange(40)
-    env = 6e4 * np.exp(-0.5 * ((ts - 20) / 7.0) ** 2)
-    amps = np.stack([env * np.cos(0.2 * ts), env * np.sin(0.2 * ts)], axis=1)
-    designed = ControlPulse(1e-5, amps, ("1H.x", "1H.y"))
-    dist = DistortionModel(kernel=(0.2, 0.6, 0.2),
-                           gain_curve=((0.0, 0.0), (2e5, 1.8e5), (1e6, 8e5)))
-    out = pulse_fix(designed, dist, n_loops=30)
-    r = out.residuals
-    assert r[-1] < r[0] * 1e-4
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(r, r[1:]))
-    # the returned pulse includes one update past the last logged residual
-    produced = dist.apply(out.commanded.amplitudes)
-    assert np.max(np.abs(produced - designed.amplitudes)) <= r[-1]
-
-
-def test_distortion_model_validation():
-    with pytest.raises(ValueError, match="unit DC gain"):
-        DistortionModel(kernel=(0.5, 0.2))
-    with pytest.raises(ValueError, match="monotone"):
-        DistortionModel(gain_curve=((0.0, 0.0), (1.0, 2.0), (2.0, 1.0)))
 
 
 def test_rf_selection_retention_fixture():

@@ -29,6 +29,8 @@ from nmrqip.qec import (
     transversal_cnot_demo,
 )
 
+from conftest import pauli_weight
+
 PSI = np.array([0.6, 0.8], dtype=complex)
 
 
@@ -93,7 +95,7 @@ def test_syndrome_lookup_is_minimum_weight():
     code = five_qubit_code()
     table = code.lookup_table()
     assert len(table) == 16
-    assert table[(0, 0, 0, 0)].weight == 0
+    assert pauli_weight(table[(0, 0, 0, 0)]) == 0
     # every single-qubit error has a distinct syndrome on this code
     seen = set()
     for err in error_ensemble(5)[1:]:

@@ -19,14 +19,13 @@ from nmrqip.spins import (
     internal_hamiltonian,
     load_molecule,
     make_pps,
-    pps_on,
     raising_op,
     simulate_fid,
     spectrum,
-    spin_op,
     thermal_state,
-    zeeman_hamiltonian,
 )
+
+from conftest import spin_op, zeeman_hamiltonian
 
 I2 = np.eye(2)
 MOLECULES = ("chloroform2", "malonate3", "crotonic4", "chain7")
@@ -179,8 +178,6 @@ def test_make_pps():
     assert np.trace(rho) == pytest.approx(1.0)
     assert rho[0, 0] == pytest.approx(0.4 + 0.6 / 4)
     assert rho[1, 1] == pytest.approx(0.6 / 4)
-    psi0 = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(pps_on(psi0, 0.4), rho)
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             make_pps(2, bad)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import CliffordTableau, circuit_tableau, from_unitaries, gate_tableau
+from nmrqip.clifford import CliffordTableau, circuit_tableau, gate_tableau
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     _Z_IMAGES,
@@ -23,7 +23,8 @@ from nmrqip.twirl import (
     twirl_estimate_memory,
 )
 
-from conftest import all_1q_cliffords, all_pauli_words, circuit_unitary, rotation_unitaries
+from conftest import (all_1q_cliffords, all_pauli_words, amplitude_damping, bit_flip, circuit_unitary,
+                      from_unitaries, pauli_weight, phase_flip, rotation_unitaries)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -79,7 +80,7 @@ def test_distinct_draw_matches_word_enumeration():
         for w in all_pauli_words(n):
             p = PauliString(w)
             by_index[p.x << n | p.z] = p
-        assert sorted(by_index) == list(range(4**n)) and by_index[0].weight == 0
+        assert sorted(by_index) == list(range(4**n)) and pauli_weight(by_index[0]) == 0
         for count in (1, min(4**n - 1, 50)):
             rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
             want = [by_index[i + 1]
@@ -109,7 +110,7 @@ def test_shot_memo_matches_per_shot_loop(n):
     # amplitude damping makes the survival depend on the input Pauli's sign,
     # so a memo keyed without it would differ
     weights = {w: 0.05 for w in range(1, n + 1)}
-    memory = Channel.amplitude_damping(0.3).on((1,), n).then(
+    memory = amplitude_damping(0.3).on((1,), n).then(
         Channel.from_pauli_probs(pauli_probs_by_weight(n, weights)))
     gates = [("H", (1,))] + [("CNOT", (q, q + 1)) for q in range(1, n)]
     target = circuit_tableau(gates, n)
@@ -201,6 +202,21 @@ def test_rb_zero_noise_constant_survival():
     assert np.allclose(res.survivals, 1.0, atol=1e-12)
 
 
+def test_rb_constant_survival_below_one_is_unresolved():
+    # full depolarization leaves survival 0 at every length, and one noisy
+    # length is flat too: neither resolves a decay, so neither is a fit
+    full = randomized_benchmarking(default_rb_sampler(1), Channel.depolarizing(1, 1.0),
+                                   [1, 2, 4, 8], shots=5, rng=np.random.default_rng(0))
+    assert np.allclose(full.survivals, 0.0, atol=1e-12)
+    one = randomized_benchmarking(default_rb_sampler(2), Channel.depolarizing(2, 0.01),
+                                  [1], shots=3, rng=np.random.default_rng(0))
+    assert 0 < one.survivals[0] < 1
+    for res in (full, one):
+        assert not res.ok and "cannot be resolved" in res.message
+        assert all(math.isnan(v) for v in (res.amplitude, res.offset, res.decay,
+                                           res.error_rate))
+
+
 def test_rb_recovers_global_depolarizing_rate():
     # depolarizing q after every gate scales the deviation by (1 - q), so the
     # fitted decay must equal 1 - q regardless of the sampled sequences
@@ -250,9 +266,9 @@ RB_LENGTHS = [1, 3, 8, 20, 40]
 def rb_noise_models(n):
     """None, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
     masses = {w: 0.02 / w for w in range(1, n + 1)}
-    composite = Channel.bit_flip(0.01)
+    composite = bit_flip(0.01)
     for _ in range(n - 1):
-        composite = composite.tensor(Channel.phase_flip(0.02))
+        composite = composite.tensor(phase_flip(0.02))
     composite = composite.then(Channel.depolarizing(1, 0.03).on((n,), n))
     return [None, Channel.depolarizing(n, 0.01),
             Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
@@ -297,7 +313,7 @@ def test_rb_kraus_noise_runs_dense_loop_and_fits(monkeypatch):
     to_unitary = CliffordTableau.to_unitary
     monkeypatch.setattr(CliffordTableau, "to_unitary",
                         lambda self: calls.append(1) or to_unitary(self))
-    noise = Channel.amplitude_damping(0.02).on((1,), 2)
+    noise = amplitude_damping(0.02).on((1,), 2)
     res = randomized_benchmarking(default_rb_sampler(2), noise, RB_LENGTHS, 4,
                                   np.random.default_rng(3))
     assert calls

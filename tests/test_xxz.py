@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nmrqip.experiments.xxz import (
+    _state_ge,
     branch_crossing,
     equatorial_overlap,
     ferro_overlap,
     ge_jump_location,
     neel_overlap,
     product_overlap_sweep,
-    xxz_ground_ge,
     xxz_ground_state,
     xxz_hamiltonian,
     xxz_scan,
@@ -99,7 +99,8 @@ def test_product_sweep_finds_exact_overlaps(rng):
 
 
 def test_ge_definition(rng):
-    res = xxz_ground_ge(4, 0.5, rng, n_restarts=6)
+    psi, _, _ = xxz_ground_state(4, 0.5)
+    res = _state_ge(psi, 4, rng, 6)
     assert res.ge == pytest.approx(-np.log2(res.lambda2), abs=1e-12)
     assert res.lambda2 == pytest.approx(max(res.restarts), abs=0.0)
     assert 0 < res.lambda2 <= 1
