@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -54,7 +55,8 @@ class ConfigError(ValueError):
 
 
 def _jsonable(v):
-    """Plain-python view of nested results so json.dump never sees numpy."""
+    """Plain-python view of nested results so json.dump never sees numpy;
+    a non-finite float becomes None, since JSON has no NaN or Infinity."""
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)) or isinstance(v, np.ndarray):
@@ -63,8 +65,8 @@ def _jsonable(v):
         return bool(v)
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     return v
 
 
@@ -94,7 +96,7 @@ def write_csv(path: str, header, rows) -> None:
 
 def _write_manifest(out_dir: str, doc: dict) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -601,7 +603,8 @@ def _sample_count(c) -> int:
     return c["n_samples"]
 
 
-# a run keeps every drawn Pauli: 10^6 of them take about 90 MB
+# a run keeps a few index and value arrays per shot: 10^6 shots at n = 3
+# peak at about 66 MB under tracemalloc
 _MAX_SAMPLES = 1_000_000
 _SAMPLE_CAP = (lambda c: _sample_count(c) <= _MAX_SAMPLES,
                "delta={delta} needs more than 10^6 samples; set n_samples or a larger delta")
@@ -789,7 +792,7 @@ DEFAULT_CONFIGS = {name: {k: spec["default"] for k, spec in keys.items()}
 
 
 def _error_json(message: str, **extra) -> None:
-    print(json.dumps({"error": message, **extra}, sort_keys=True))
+    print(json.dumps({"error": message, **extra}, sort_keys=True, allow_nan=False))
 
 
 def _valid_names():
@@ -877,7 +880,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
     })
     print(json.dumps({"experiment": name, "exit": result.exit_code,
                       "out_dir": out_dir, **_jsonable(result.summary)},
-                     sort_keys=True))
+                     sort_keys=True, allow_nan=False))
     return result.exit_code
 
 
@@ -953,7 +956,7 @@ def main(argv=None) -> int:
     args = _build_parser(name).parse_args(argv[1:])
     if args.list:
         print(json.dumps({"experiment": name, "defaults": DEFAULT_CONFIGS[name]},
-                         indent=2, sort_keys=True))
+                         indent=2, sort_keys=True, allow_nan=False))
         return 0
     return run_experiment(name, config_path=args.config, seed=args.seed,
                           out_dir=args.out, shots=args.shots)

@@ -1,14 +1,14 @@
 """Twirling-based certification: memory fidelity, Clifford-gate fidelity, RB.
 
-All three protocols share one per-shot primitive: prepare a deviation state
-whose traceless part is a random non-identity Pauli M (drawn as weight ->
-permutation -> per-qubit Clifford, read from a table of the 24 single-qubit
-Cliffords' Z images), push it through the noisy process, and read out the
-coefficient of the expected output Pauli.  The mean of that
-coefficient maps affinely to Pr(no error), and the average gate fidelity
-follows as fbar = (2^n Pr0 + 1)/(2^n + 1).  The channel is evaluated once
-per distinct drawn Pauli; repeated draws reuse that coefficient, and only
-the binomial readout (if any) is drawn per shot.
+Memory and Clifford-gate certification share one primitive: prepare a
+deviation state whose traceless part is a random non-identity Pauli M, push
+it through the noisy process, and read out the coefficient of the expected
+output Pauli.  All shots are drawn in one call, as a uniform index into the
+4^n - 1 non-identity Paulis and a uniform sign.  The channel is applied once
+per distinct signed Pauli and every shot gathers that coefficient; a
+finite-shot binomial readout, if asked for, is drawn for all shots in one
+call.  The mean coefficient maps affinely to Pr(no error), and the average
+gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
 Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
 each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,77 +49,44 @@ def recommended_samples(n: int, delta: float, confidence: float = 0.05) -> int:
     return math.ceil(math.log(2 * n / confidence) / (2 * delta**2))
 
 
-@lru_cache(maxsize=None)
-def _weight_cdf(n: int) -> np.ndarray:
-    """Cumulative distribution of the weight 1..n of a uniform non-identity
-    Pauli, built as Generator.choice builds it from its p."""
-    weights = np.array([math.comb(n, w) * 3**w for w in range(1, n + 1)], dtype=float)
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)  # shared by every caller through the cache
-    return cdf
-
-
-# (x, z, k) of X, Y = iXZ and Z on one qubit
-_PAULIS_1Q = ((1, 0, 0), (1, 1, 1), (0, 1, 0))
-# C Z C^dag for the 24 single-qubit Cliffords C: by the X image (X, -X, Y, -Y,
-# Z, -Z), then the Z image (+-X, +-Y, +-Z, skipping the X image's Pauli)
-_Z_IMAGES = tuple((x, z, (k + sign) % 4) for a in range(3) for _ in range(2)
-                  for b, (x, z, k) in enumerate(_PAULIS_1Q) if b != a for sign in (0, 2))
-
-
-def _draw_pauli(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform non-identity Pauli via weight draw, permutation, per-qubit C1.
-
-    Each chosen qubit gets the image of Z under a random Clifford; the
-    supports are disjoint, so the masks OR together and the phases add.
-    The weight draw makes the same single rng.random() call, and compares it
-    with the same cdf, as rng.choice(n, p=weight probabilities).
-    """
-    w = 1 + int(_weight_cdf(n).searchsorted(rng.random(), side="right"))
-    positions = rng.permutation(n)[:w]
-    x = z = k = 0
-    for q in sorted(positions.tolist()):
-        ix, iz, ik = _Z_IMAGES[rng.integers(24)]
-        s = n - 1 - q
-        x, z, k = x | ix << s, z | iz << s, k + ik
-    return PauliString.from_bits(n, x, z, k)
-
-
 def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
+    """(index, sign) int arrays of count non-identity Paulis: index in
+    1..4^n - 1 of the x << n | z order, sign 1 for -P.
+
+    With replacement every signed Pauli is equally likely; without, the
+    indices are distinct and every sign is +.
+    """
     if with_replacement:
-        return [_draw_pauli(n, rng) for _ in range(count)]
+        return rng.integers(1, 4**n, size=count), rng.integers(2, size=count)
     total = 4**n - 1
     if count > total:
         raise ValueError(f"cannot draw {count} distinct Paulis from {total}")
     # index i + 1 of the x << n | z order skips the identity at 0
-    idx = rng.choice(total, size=count, replace=False) + 1
-    mask = (1 << n) - 1
-    return [PauliString.from_bits(n, i >> n, i & mask) for i in idx.tolist()]
+    return rng.choice(total, size=count, replace=False) + 1, np.zeros(count, dtype=np.int64)
 
 
-def _shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> np.ndarray:
+def _shot_values(channel: Channel, idx, sign, output_pauli, readout_shots, rng) -> np.ndarray:
     """Per-shot coefficients of output_pauli(M) in the channel's image of
-    (I + M)/d, for the drawn input Paulis M.
+    (I + M)/d, for the drawn input Paulis M = (-1)^sign P_idx.
 
-    The channel is applied once per distinct input Pauli (keyed with its
-    sign); a repeated draw reuses that value.  With readout_shots, each shot
-    then draws its own binomial readout, in shot order.
+    The channel is applied once per distinct signed Pauli, and each shot
+    gathers its value.  With readout_shots, every shot then gets its own
+    binomial readout, drawn in shot order in one call.
     """
-    seen: dict = {}
-    chis = []
-    for p in paulis:
-        chi = seen.get(p)
-        if chi is None:
-            d = 2**p.n
-            rho = (np.eye(d, dtype=complex) + p.dense()) / d
-            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real)
-            seen[p] = chi
-        if readout_shots:
-            q = min(max((1 + chi) / 2, 0.0), 1.0)
-            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
-        chis.append(chi)
-    return np.array(chis)
+    n = channel.n
+    d, mask = 2**n, (1 << n) - 1
+    keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
+    chi = np.empty(len(keys))
+    for j, key in enumerate(keys.tolist()):
+        x, z = key >> (n + 1), key >> 1 & mask
+        p = PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1))
+        rho = (np.eye(d, dtype=complex) + p.dense()) / d
+        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real
+    chis = chi[inv]
+    if readout_shots:
+        q = np.clip((1 + chis) / 2, 0.0, 1.0)
+        chis = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
+    return chis
 
 
 def _estimate(chis: np.ndarray, n: int, delta: float) -> TwirlEstimate:
@@ -137,8 +103,8 @@ def _twirl(channel: Channel, output_pauli, delta, rng, n_samples, readout_shots,
         raise ValueError("delta must be in (0, 0.5)")
     n = channel.n
     count = n_samples if n_samples is not None else recommended_samples(n, delta)
-    paulis = _sample_paulis(n, count, rng, with_replacement)
-    chis = _shot_values(channel, paulis, output_pauli, readout_shots, rng)
+    idx, sign = _sample_paulis(n, count, rng, with_replacement)
+    chis = _shot_values(channel, idx, sign, output_pauli, readout_shots, rng)
     return _estimate(chis, n, delta)
 
 

@@ -184,6 +184,34 @@ def all_1q_cliffords() -> list:
     return out
 
 
+def signed_paulis(n: int, idx, sign) -> list:
+    """The PauliStrings (-1)^sign P of drawn (index, sign) arrays, P the
+    Hermitian word at index x << n | z, built through its word and phase."""
+    mask = (1 << n) - 1
+    return [PauliString(PauliString.from_bits(n, i >> n, i & mask).word, -1 if s else 1)
+            for i, s in zip(np.asarray(idx).tolist(), np.asarray(sign).tolist())]
+
+
+def per_shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> list:
+    """Reference shot loop: the channel's image of (I + M)/d read out as
+    output_pauli(M), memoized per PauliString (sign included), then one
+    binomial readout per shot in shot order."""
+    seen: dict = {}
+    chis = []
+    for p in paulis:
+        chi = seen.get(p)
+        if chi is None:
+            d = 2**p.n
+            rho = (np.eye(d, dtype=complex) + p.dense()) / d
+            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real)
+            seen[p] = chi
+        if readout_shots:
+            q = min(max((1 + chi) / 2, 0.0), 1.0)
+            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
+        chis.append(chi)
+    return chis
+
+
 def rotation_unitaries() -> np.ndarray:
     """The +pi/2, -pi/2 and pi rotations about x, y and z, in that order, as
     dense exp(-i angle sigma / 2) matrices."""

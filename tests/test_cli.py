@@ -10,16 +10,20 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nmrqip
 from nmrqip import acceptance
-from nmrqip.cli import (DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, _resolve, format_cell, main,
-                        run_experiment)
+from nmrqip.channels import Channel, pauli_probs_by_weight
+from nmrqip.cli import (_MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, _resolve,
+                        format_cell, main, run_experiment)
+from nmrqip.twirl import twirl_estimate_memory
 
 
 @pytest.fixture(autouse=True)
@@ -661,6 +665,38 @@ def test_sample_count_is_capped(tmp_path, capsys):
         out = str(tmp_path / name)
         code = run_experiment(name, out_dir=out, config_doc={"delta": 1e-3})
         assert_config_error(code, capsys, out, "10^6 samples")
+
+
+def test_sample_cap_footprint():
+    # 10^6 shots at n = 3 peak at about 66 MB under tracemalloc (the cap's
+    # comment); n = 2 must stay under twice that, with and without readout
+    noise = Channel.from_pauli_probs(pauli_probs_by_weight(2, {1: 0.3, 2: 0.1}))
+    for readout_shots in (None, 100):
+        tracemalloc.start()
+        try:
+            twirl_estimate_memory(noise, 0.02, np.random.default_rng(1), _MAX_SAMPLES,
+                                  readout_shots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 66e6
+
+
+def test_undefined_fit_writes_null_not_nan(tmp_path, capsys):
+    # survival 0 at every length leaves the rb fit undefined (NaN); stdout and
+    # the manifest must still be RFC 8259 JSON, while the CSV keeps its nan
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    out = tmp_path / "o"
+    doc = {"n": 1, "error_rate": 0.5, "lengths": [1, 2, 4, 8], "sequences": 5}
+    assert run_experiment("rb", out_dir=str(out), config_doc=doc) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    stdout = json.loads(line, parse_constant=reject)
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    for summary in (stdout, manifest["summary"]):
+        assert summary["error_rate_fit"] is None and summary["relative_error"] is None
+    assert (out / "fit.csv").read_text().splitlines()[1].startswith("nan,nan,nan,nan,")
 
 
 # Cheap configs the fuzzed value is merged over.

@@ -1,6 +1,8 @@
 """Twirl-based fidelity estimation and randomized benchmarking."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +11,10 @@ from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.clifford import CliffordTableau, circuit_tableau, gate_tableau
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
-    _Z_IMAGES,
     TwirlEstimate,
-    _draw_pauli,
-    _estimate,
     _fit_decay,
     _sample_paulis,
+    _shot_values,
     certify_clifford,
     default_rb_sampler,
     randomized_benchmarking,
@@ -24,7 +24,8 @@ from nmrqip.twirl import (
 )
 
 from conftest import (all_1q_cliffords, all_pauli_words, amplitude_damping, bit_flip, circuit_unitary,
-                      from_unitaries, pauli_weight, phase_flip, rotation_unitaries)
+                      from_unitaries, pauli_weight, per_shot_values, phase_flip,
+                      rotation_unitaries, signed_paulis)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -50,26 +51,50 @@ def test_twirl_identity_channel_is_exact():
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
-def test_z_image_table_follows_the_1q_clifford_order():
-    assert _Z_IMAGES == tuple(c.rows[1] for c in all_1q_cliffords())
+def old_chain_law(n: int) -> dict:
+    """Exact law of the weight -> permutation -> per-qubit Clifford draw:
+    weight w with probability C(n,w) 3^w / (4^n - 1), the first w qubits of
+    a uniform permutation, and on each the image C Z C^dag of one of the 24
+    single-qubit Cliffords, embedded and multiplied in."""
+    images = [c.conjugate(PauliString("Z")) for c in all_1q_cliffords()]
+    law: dict = {}
+    for w in range(1, n + 1):
+        p_w = Fraction(math.comb(n, w) * 3**w, 4**n - 1)
+        subsets: dict = {}
+        for perm in itertools.permutations(range(n)):
+            key = tuple(sorted(perm[:w]))
+            subsets[key] = subsets.get(key, 0) + Fraction(1, math.factorial(n))
+        for qubits, p_s in subsets.items():
+            for choice in itertools.product(images, repeat=w):
+                p = PauliString("I" * n)
+                for q, img in zip(qubits, choice):
+                    p = p * PauliString("I" * q + img.word + "I" * (n - q - 1), img.phase)
+                law[p] = law.get(p, 0) + p_w * p_s / 24**w
+    return law
 
 
-def test_draw_pauli_matches_conjugated_product():
-    # reference: each chosen qubit's C Z C^dag, embedded and multiplied in
-    cliffords = all_1q_cliffords()
-    for n in (1, 3, 5, 7):
-        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(2000):
-            w = 1 + ref_rng.choice(n, p=[math.comb(n, k) * 3**k / (4**n - 1)
-                                         for k in range(1, n + 1)])
-            want = PauliString("I" * n)
-            for q in sorted(ref_rng.permutation(n)[:w].tolist()):
-                img = cliffords[ref_rng.integers(24)].conjugate(PauliString("Z"))
-                word = "I" * q + img.word + "I" * (n - q - 1)
-                want = want * PauliString(word, img.phase)
-            assert _draw_pauli(n, rng) == want
-        # both paths made the same RNG calls
-        assert rng.random() == ref_rng.random()
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_old_chain_law_is_uniform_over_signed_paulis(n):
+    # the deleted per-shot draw gave every signed non-identity Pauli the same
+    # probability, which is the law the index-and-sign draw samples directly
+    law = old_chain_law(n)
+    words = all_pauli_words(n)[1:]
+    assert set(law) == {PauliString(w, s) for w in words for s in (1, -1)}
+    assert set(law.values()) == {Fraction(1, 2 * (4**n - 1))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_frequencies_are_uniform_over_signed_paulis(n):
+    from scipy.stats import chi2
+
+    cells = 2 * (4**n - 1)
+    count = 200 * cells
+    idx, sign = _sample_paulis(n, count, np.random.default_rng(100 + n), with_replacement=True)
+    freq = np.bincount(idx << 1 | sign, minlength=2 * 4**n)
+    assert freq.sum() == count and freq[:2].sum() == 0  # never the identity
+    expected = count / cells
+    stat = float(np.sum((freq[2:] - expected) ** 2) / expected)
+    assert chi2.sf(stat, cells - 1) > 1e-3
 
 
 def test_distinct_draw_matches_word_enumeration():
@@ -85,54 +110,59 @@ def test_distinct_draw_matches_word_enumeration():
             rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
             want = [by_index[i + 1]
                     for i in ref_rng.choice(4**n - 1, size=count, replace=False)]
-            assert _sample_paulis(n, count, rng, with_replacement=False) == want
+            idx, sign = _sample_paulis(n, count, rng, with_replacement=False)
+            assert not sign.any() and signed_paulis(n, idx, sign) == want
             assert rng.random() == ref_rng.random()
 
 
-def per_shot_estimate(channel, readout, delta, rng, n_samples, readout_shots,
-                      with_replacement):
-    """Reference twirl estimate: the channel applied afresh on every shot."""
-    n = channel.n
-    chis = []
-    for p in _sample_paulis(n, n_samples, rng, with_replacement):
-        d = 2**n
-        rho = (np.eye(d, dtype=complex) + p.dense()) / d
-        chi = float(np.einsum("ij,ji->", readout(p).dense(), channel.apply(rho)).real)
-        if readout_shots:
-            q = min(max((1 + chi) / 2, 0.0), 1.0)
-            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
-        chis.append(chi)
-    return _estimate(np.array(chis), n, delta)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_shot_memo_matches_per_shot_loop(n):
-    # amplitude damping makes the survival depend on the input Pauli's sign,
-    # so a memo keyed without it would differ
+def memory_and_gate(n):
+    """An amplitude-damped Pauli memory, and that memory before a Clifford
+    circuit with the circuit's tableau.  Amplitude damping makes the survival
+    depend on the input Pauli's sign."""
     weights = {w: 0.05 for w in range(1, n + 1)}
     memory = amplitude_damping(0.3).on((1,), n).then(
         Channel.from_pauli_probs(pauli_probs_by_weight(n, weights)))
     gates = [("H", (1,))] + [("CNOT", (q, q + 1)) for q in range(1, n)]
     target = circuit_tableau(gates, n)
-    gate = memory.then(Channel.unitary(circuit_unitary(gates, n)))
-    for readout_shots in (None, 100):
-        for with_replacement in (True, False):
-            count = 200 if with_replacement else min(40, 4**n - 1)
-            for seed in (1, 2):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = twirl_estimate_memory(memory, 0.05, rng, count, readout_shots,
-                                            with_replacement)
-                want = per_shot_estimate(memory, lambda p: p, 0.05, ref_rng, count,
-                                         readout_shots, with_replacement)
-                assert (got.pr0_hat, got.stderr) == (want.pr0_hat, want.stderr)
-                assert rng.random() == ref_rng.random()
+    return memory, memory.then(Channel.unitary(circuit_unitary(gates, n))), target
 
-                got = certify_clifford(gate, target, 0.05, rng, count, readout_shots,
-                                       with_replacement)
-                want = per_shot_estimate(gate, target.conjugate, 0.05, ref_rng, count,
-                                         readout_shots, with_replacement)
-                assert (got.pr0_hat, got.stderr) == (want.pr0_hat, want.stderr)
-                assert rng.random() == ref_rng.random()
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shot_memo_matches_per_shot_loop(n):
+    # both paths read the same drawn keys; a memo keyed without the sign
+    # would give -Z_1 the survival of +Z_1
+    memory, gate, target = memory_and_gate(n)
+    for with_replacement in (True, False):
+        count = 200 if with_replacement else min(40, 4**n - 1)
+        for seed in (1, 2):
+            idx, sign = _sample_paulis(n, count, np.random.default_rng(seed), with_replacement)
+            paulis = signed_paulis(n, idx, sign)
+            for readout_shots in (None, 100):
+                for channel, readout in ((memory, lambda p: p), (gate, target.conjugate)):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = _shot_values(channel, idx, sign, readout, readout_shots, rng)
+                    want = per_shot_values(channel, paulis, readout, readout_shots, ref_rng)
+                    assert got.tolist() == want
+                    assert rng.random() == ref_rng.random()
+
+
+def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
+    calls = []
+    apply = Channel.apply
+    monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append(1) or apply(self, rho))
+    n = 2
+    memory, gate, target = memory_and_gate(n)
+    for with_replacement, count in ((True, 600), (False, 15)):
+        idx, sign = _sample_paulis(n, count, np.random.default_rng(5), with_replacement)
+        distinct = len(np.unique(idx << 1 | sign))
+        assert distinct < count if with_replacement else distinct == count
+        for run in (lambda rng: twirl_estimate_memory(memory, 0.05, rng, count, None,
+                                                      with_replacement),
+                    lambda rng: certify_clifford(gate, target, 0.05, rng, count, 100,
+                                                 with_replacement)):
+            calls.clear()
+            assert run(np.random.default_rng(5)).n_samples == count
+            assert len(calls) == distinct
 
 
 def test_twirl_exhaustive_recovers_identity_mass():
