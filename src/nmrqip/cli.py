@@ -14,33 +14,29 @@ per criterion.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from importlib.resources import files as _resource_files
-
-import numpy as np
 
 from . import __version__
 
-# Each runner imports the layers it uses in its own body, so a run loads only
-# its experiment's modules and --help or --list loads none; the schema rules
-# that need a layer import it the same way (_molecule_n, _sample_count).
+# Only what every invocation uses is imported here: each runner imports numpy and
+# its layers in its body, and each helper its own modules, so --help, --list and
+# a rejected config load no numpy (only _sample_count's rule loads a layer).
 
 
 def _versions() -> dict:
-    import platform
+    from importlib.util import find_spec
 
-    import scipy  # for versions.scipy only; no run path loads a subpackage
+    import numpy as np
 
-    return {"nmrqip": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
-            "python": platform.python_version()}
+    ns = {}  # run scipy/version.py, where scipy.__version__ comes from, not scipy itself
+    with open(os.path.join(os.path.dirname(find_spec("scipy").origin), "version.py")) as fh:
+        exec(fh.read(), ns)
+    return {"nmrqip": __version__, "numpy": np.__version__, "scipy": ns["version"],
+            "python": sys.version.split()[0]}
 
 
 def _peak_rss_mb() -> float:
@@ -57,6 +53,8 @@ class ConfigError(ValueError):
 def _jsonable(v):
     """Plain-python view of nested results so json.dump never sees numpy;
     a non-finite float becomes None, since JSON has no NaN or Infinity."""
+    import numpy as np
+
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)) or isinstance(v, np.ndarray):
@@ -75,16 +73,22 @@ def _jsonable(v):
 
 
 def format_cell(v) -> str:
+    if isinstance(v, float):  # numpy's float64 too: most cells, so ahead of the import
+        return "%.17g" % (float(v) + 0.0)  # +0.0 folds -0.0 into 0
+    import numpy as np
+
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % (float(v) + 0.0)  # +0.0 folds -0.0 into 0
+    if isinstance(v, np.floating):
+        return "%.17g" % (float(v) + 0.0)
     return str(v)
 
 
 def write_csv(path: str, header, rows) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -100,24 +104,28 @@ def _write_manifest(out_dir: str, doc: dict) -> None:
 
 
 def _sha256_bytes(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
 def _molecule_fixture(name: str):
     """(label, contents) of a bundled molecule file, for manifest hashing."""
-    path = _resource_files("nmrqip.data.molecules").joinpath(name + ".json")
+    from importlib.resources import files
+
+    path = files("nmrqip.data.molecules").joinpath(name + ".json")
     return f"molecule:{name}", path.read_bytes()
 
 
-@dataclass
 class RunOutput:
-    """What a runner hands back to the harness for writing."""
+    """What a runner hands back for writing; a plain class, as dataclasses would slow --help."""
 
-    tables: dict = field(default_factory=dict)  # filename -> (header, rows)
-    summary: dict = field(default_factory=dict)
-    fixtures: dict = field(default_factory=dict)  # label -> bytes to hash
-    pulses: dict = field(default_factory=dict)  # filename -> ControlPulse
-    exit_code: int = 0
+    def __init__(self, tables=None, summary=None, fixtures=None, pulses=None, exit_code=0):
+        self.tables = {} if tables is None else tables  # filename -> (header, rows)
+        self.summary = {} if summary is None else summary
+        self.fixtures = {} if fixtures is None else fixtures  # label -> bytes to hash
+        self.pulses = {} if pulses is None else pulses  # filename -> ControlPulse
+        self.exit_code = exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ def _run_grape(cfg, seed, shots):
     pair = (cfg["control_qubit"], cfg["target_qubit"])
     u_target = gate_tableau("CNOT", pair, sys_.n).to_unitary()
     n_steps, dt = cfg["n_steps"], cfg["dt_s"]
-    u_max = 2 * np.pi * cfg["u_max_hz"]
+    u_max = 2 * math.pi * cfg["u_max_hz"]
     gcfg = GrapeConfig(
         max_iters=cfg["max_iters"],
         target_fidelity=cfg["target_fidelity"],
@@ -255,6 +263,7 @@ def _run_grape(cfg, seed, shots):
 
 
 def _run_twirl(cfg, seed, shots):
+    import numpy as np
     from .channels import Channel, pauli_probs_by_weight
     from .twirl import twirl_estimate_memory
 
@@ -280,6 +289,7 @@ def _run_twirl(cfg, seed, shots):
 
 
 def _run_certify(cfg, seed, shots):
+    import numpy as np
     from .channels import Channel
     from .clifford import gate_tableau
     from .qop import average_gate_fidelity_exact
@@ -307,6 +317,7 @@ def _run_certify(cfg, seed, shots):
 
 
 def _run_rb(cfg, seed, shots):
+    import numpy as np
     from .channels import Channel
     from .twirl import default_rb_sampler, randomized_benchmarking, rotation_clifford_sampler
 
@@ -390,6 +401,7 @@ def _run_distill(cfg, seed, shots):
 
 
 def _run_dqc1(cfg, seed, shots):
+    import numpy as np
     from .experiments.dqc1 import (Dqc1Instance, block_trace_direct, control_target_ppt,
                                    dqc1_block_trace, dqc1_trace, haar_block_unitary)
     from .qop import haar_random_unitary
@@ -426,6 +438,7 @@ def _run_dqc1(cfg, seed, shots):
 
 
 def _run_contextuality(cfg, seed, shots):
+    import numpy as np
     from .channels import Channel
     from .experiments.contextuality import classical_max_beta, contextuality_beta
     from .qop import haar_random_state
@@ -473,6 +486,7 @@ def _run_weak(cfg, seed, shots):
 
 
 def _run_ising(cfg, seed, shots):
+    import numpy as np
     from .experiments.ising import ising_ground, magnetization_steps
 
     j = cfg["j"]
@@ -494,6 +508,7 @@ def _run_ising(cfg, seed, shots):
 
 
 def _run_xxz(cfg, seed, shots):
+    import numpy as np
     from .experiments.xxz import branch_crossing, ge_jump_location, xxz_scan
 
     n = cfg["n"]
@@ -546,6 +561,7 @@ def _run_transfer(cfg, seed, shots):
 
 
 def _run_spectrum(cfg, seed, shots):
+    import numpy as np
     from .qop import collective_rotation
     from .spins import builtin_molecule, make_pps, simulate_fid, spectrum, thermal_state
 
@@ -588,10 +604,8 @@ def _cnot_fits(n_of):
 
 
 def _molecule_n(c) -> int:
-    """Spin count of the config's bundled molecule."""
-    from .spins import builtin_molecule
-
-    return builtin_molecule(c["molecule"]).n
+    """Spin count of the config's bundled molecule, read without loading spins."""
+    return int(json.loads(_molecule_fixture(c["molecule"])[1])["n"])
 
 
 def _sample_count(c) -> int:
@@ -703,7 +717,7 @@ SCHEMA = {
     "dqc1": (_run_dqc1, {
         "n": _key("int", 3, lo=1, hi=6),
         "epsilon": _key("number", 1.0, lo=1e-9, hi=1.0),
-        "theta": _key("number", None, lo=0.0, hi=float(np.pi)),
+        "theta": _key("number", None, lo=0.0, hi=math.pi),
         "epsilon2": _key("number", 1.0, lo=1e-9, hi=1.0),
         "ppt": _key("bool", True),
     }, (
@@ -725,7 +739,7 @@ SCHEMA = {
         # 1e-12, and 1e5 leaves room for rounding
         "target_value": _key("number", 2.3, lo=1.0 + 1e-9, hi=1e5),
         # the meter turns by g/2, so g = pi is already a projective readout
-        "couplings": _key("numbers", [0.02, 0.05, 0.1, 0.2], lo=1e-12, hi=float(np.pi)),
+        "couplings": _key("numbers", [0.02, 0.05, 0.1, 0.2], lo=1e-12, hi=math.pi),
     }, ()),
     "ising": (_run_ising, {
         # j <= 1e3 keeps the step bisection's span (3 j) fine enough for step_tol
@@ -765,7 +779,7 @@ SCHEMA = {
         "beta": _key("number", 1.0),
     }, (
         # state_transfer normalizes the input amplitudes by their norm
-        (lambda c: c["mode"] != "transfer" or np.hypot(c["alpha"], c["beta"]) >= 1e-15,
+        (lambda c: c["mode"] != "transfer" or math.hypot(c["alpha"], c["beta"]) >= 1e-15,
          "alpha and beta must not both be 0"),
     )),
     "spectrum": (_run_spectrum, {
@@ -786,13 +800,14 @@ DEFAULT_CONFIGS = {name: {k: spec["default"] for k, spec in keys.items()}
                    for name, (_, keys, _) in SCHEMA.items()}
 
 
-
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _error_json(message: str, **extra) -> None:
+def _error_json(message: str, **extra) -> int:
+    """Print the one-line JSON error document; returns exit code 2."""
     print(json.dumps({"error": message, **extra}, sort_keys=True, allow_nan=False))
+    return 2
 
 
 def _valid_names():
@@ -800,7 +815,10 @@ def _valid_names():
 
 
 def _build_parser(name: str) -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(prog=f"nmrqip {name}")
+    ap.error = lambda message: sys.exit(_error_json(message, experiment=name))  # JSON, not usage
     ap.add_argument("--config", help="JSON config file merged over the defaults")
     ap.add_argument("--seed", type=int, default=0, help="64-bit run seed")
     ap.add_argument("--out", default=os.path.join("runs", name),
@@ -808,7 +826,7 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
     ap.add_argument("--shots", type=int, default=None,
                     help="finite readout shots where the experiment supports them")
     ap.add_argument("--list", action="store_true",
-                    help="print the resolved config without running")
+                    help="print the resolved default config without running")
     return ap
 
 
@@ -823,17 +841,13 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
             with open(config_path) as fh:
                 user_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            _error_json(f"cannot load config {config_path}: {exc}")
-            return 2
+            return _error_json(f"cannot load config {config_path}: {exc}")
         if not isinstance(user_cfg, dict):
-            _error_json("config must be a JSON object")
-            return 2
+            return _error_json("config must be a JSON object")
     if shots is not None and shots < 1:
-        _error_json("shots must be a positive integer")
-        return 2
+        return _error_json("shots must be a positive integer")
     if not 0 <= seed < 2**64:
-        _error_json("seed must fit in 64 bits")
-        return 2
+        return _error_json("seed must fit in 64 bits")
 
     out_dir = os.environ.get("NMRQIP_OUT_DIR") or out_dir
     if out_dir is None:
@@ -841,12 +855,12 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
 
     try:
         cfg = _resolve(name, user_cfg)
+        import numpy  # noqa: F401  before the clock: wall_time_s leaves out numpy's import
         t0 = time.perf_counter()
         result = EXPERIMENTS[name](cfg, seed, shots)
         wall = time.perf_counter() - t0
     except ConfigError as exc:
-        _error_json(str(exc), experiment=name)
-        return 2
+        return _error_json(str(exc), experiment=name)
 
     os.makedirs(out_dir, exist_ok=True)
     out_paths = []
@@ -885,9 +899,10 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
 
 
 def _repro_main(argv) -> int:
-    from . import acceptance
+    import argparse
 
     ap = argparse.ArgumentParser(prog="nmrqip repro")
+    ap.error = lambda message: sys.exit(_error_json(message, experiment="repro"))
     ap.add_argument("--list", action="store_true",
                     help="enumerate the criteria without running them")
     ap.add_argument("--only", action="append", default=None,
@@ -896,6 +911,7 @@ def _repro_main(argv) -> int:
     ap.add_argument("--out", default=None,
                     help="optionally write criteria.csv + manifest here")
     args = ap.parse_args(argv)
+    from . import acceptance  # after parsing: a usage error loads no numpy
 
     names = list(acceptance.CRITERIA)
     if args.list:
@@ -905,8 +921,7 @@ def _repro_main(argv) -> int:
     if args.only:
         unknown = sorted(set(args.only) - set(names))
         if unknown:
-            _error_json(f"unknown criteria: {unknown}", valid=names)
-            return 2
+            return _error_json(f"unknown criteria: {unknown}", valid=names)
         names = [n for n in names if n in set(args.only)]
 
     results = []
@@ -951,8 +966,7 @@ def main(argv=None) -> int:
     if name == "repro":
         return _repro_main(argv[1:])
     if name not in EXPERIMENTS:
-        _error_json(f"unknown experiment {name!r}", valid=_valid_names())
-        return 2
+        return _error_json(f"unknown experiment {name!r}", valid=_valid_names())
     args = _build_parser(name).parse_args(argv[1:])
     if args.list:
         print(json.dumps({"experiment": name, "defaults": DEFAULT_CONFIGS[name]},

@@ -47,6 +47,13 @@ def read_stdout_doc(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def child_env():
+    # a child interpreter imports this checkout's nmrqip
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_usage_exits():
     assert main([]) == 2
     assert main(["--help"]) == 0
@@ -54,9 +61,7 @@ def test_usage_exits():
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about half a second of every start-up
-    src = str(Path(nmrqip.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     probe = "import sys, nmrqip.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -65,9 +70,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_cli_and_light_experiments_load_no_scipy_subpackage(tmp_path):
     # each of these costs 0.1-0.3 s and 14-31 MB of a run
-    src = str(Path(nmrqip.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     jobs = [
         ("twirl", {"n": 3, "n_samples": 50}),
         ("certify", {}),
@@ -111,13 +114,18 @@ print(json.dumps(report))
 
 
 def test_cli_loads_only_the_experiment_layers(tmp_path):
-    # a run compiles every module it loads; --help, --list and a rejected
-    # config load no layer and no scipy, and a run only its experiment's layers
-    src = str(Path(nmrqip.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a run compiles every module it loads; --help, --list, a usage error and
+    # a rejected config load no layer, no numpy and no scipy, and a run only
+    # its experiment's layers
+    env = child_env()
     cfg = tmp_path / "xxz7.json"
     cfg.write_text(json.dumps({"n": 7}))  # locate_crossing needs an even n: exit 2
+    grape_cfg = tmp_path / "grape11.json"  # control and target on one qubit: exit 2
+    grape_cfg.write_text(json.dumps({"molecule": "chloroform2", "control_qubit": 1,
+                                     "target_qubit": 1}))
+    bare_argvs = [["--help"], ["xxz", "--list"], ["xxz", "--config", str(cfg)],
+                  ["grape", "--config", str(grape_cfg)], ["twirl", "--seed", "abc"],
+                  ["repro", "--bogus"]]
     molecule = ["data", "data.molecules", "qop", "spins"]
     twirl = ["channels", "clifford", "qop", "twirl"]
     jobs = [
@@ -140,11 +148,15 @@ def test_cli_loads_only_the_experiment_layers(tmp_path):
 import io, json, sys, contextlib
 import nmrqip.cli as cli
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith(("nmrqip", "scipy")))
+    return sorted(m for m in sys.modules if m.startswith(("nmrqip", "numpy", "scipy")))
 report = []
-for argv in (["--help"], ["xxz", "--list"], ["xxz", "--config", {str(cfg)!r}]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        report.append([cli.main(argv), loaded()])
+for argv in {bare_argvs!r}:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:  # a usage error exits from inside the parser
+        code = exc.code
+    report.append([code, loaded()])
 for name, cfg, _, _ in {jobs!r}:
     # each run starts from a package holding only nmrqip and nmrqip.cli
     for m in [m for m in sys.modules if m.startswith("nmrqip.") and m != "nmrqip.cli"]:
@@ -157,29 +169,76 @@ print(json.dumps(report))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     bare = ["nmrqip", "nmrqip.cli"]
-    assert json.loads(out) == ([[0, bare], [0, bare], [2, bare]]
+    assert json.loads(out) == ([[code, bare] for code in (0, 0, 2, 2, 2, 2)]
                                + [[code, sorted(["nmrqip.cli"] + [f"nmrqip.{m}" for m in mods])]
                                   for _, _, code, mods in jobs])
 
 
 def test_src_imports_no_scipy_subpackage():
-    # scipy is the test oracle; the bare package only supplies versions.scipy
+    # scipy is the test oracle only; versions.scipy is read from
+    # scipy/version.py without importing the package
     src = Path(nmrqip.__file__).resolve().parent
     found = []
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                bad = [a.name for a in node.names if a.name.startswith("scipy.")]
+                bad = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 bad = [node.module] if node.module.split(".")[0] == "scipy" else []
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 # attribute access on the bare package imports a subpackage lazily
-                bad = [f"scipy.{node.attr}"] if (node.value.id == "scipy"
-                                                 and node.attr != "__version__") else []
+                bad = [f"scipy.{node.attr}"] if node.value.id == "scipy" else []
             else:
                 bad = []
             found += [f"{path.relative_to(src)}:{node.lineno} {name}" for name in bad]
     assert found == []
+
+
+def test_cli_module_imports_only_what_every_invocation_uses():
+    # --help and every rejected config pay for each of these imports
+    tree = ast.parse((Path(nmrqip.__file__).resolve().parent / "cli.py").read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {f"{'.' * node.level}{node.module or ''}:{a.name}" for a in node.names}
+    assert found == {"__future__:annotations", "json", "math", "os", "sys", "time",
+                     ".:__version__"}
+
+
+def test_manifest_versions_without_importing_scipy(tmp_path):
+    import platform
+
+    import scipy
+
+    env = child_env()
+    probe = f"""
+import io, sys, contextlib
+import nmrqip.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run_experiment("twirl", out_dir={str(tmp_path)!r}, config_doc={{"n_samples": 50}})
+print(code, "scipy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    assert versions == {"nmrqip": nmrqip.__version__, "numpy": np.__version__,
+                        "scipy": scipy.__version__, "python": platform.python_version()}
+
+
+@pytest.mark.parametrize("argv", [["twirl", "--seed", "abc"], ["twirl", "--bogus"],
+                                  ["twirl", "--shots", "1.5"], ["repro", "--bogus"]])
+def test_usage_error_prints_one_json_line(argv):
+    env = child_env()
+    res = subprocess.run([sys.executable, "-m", "nmrqip.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout.endswith("\n") and res.stdout.count("\n") == 1
+    doc = json.loads(res.stdout)
+    assert doc["experiment"] == argv[0] and argv[-1] in doc["error"]
+    assert res.stderr == ""
 
 
 def _built_string(node) -> bool:
