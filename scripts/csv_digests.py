@@ -1,0 +1,74 @@
+"""Print the sha256 of every CSV a fixed set of nmrqip runs writes.
+
+The runs are every experiment at its default config, every job of
+perfbench/jobs.py at its own config, and `nmrqip repro --out`, each at every
+given seed.  One line per file:
+
+    <run> <seed> <file> <sha256>
+
+where <run> is the experiment name, <workload>/<job> for a bench job, or
+repro.  Two checkouts can be compared by diffing their output:
+
+    PYTHONPATH=src python scripts/csv_digests.py --seeds 0 1 > digests.txt
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from nmrqip.cli import DEFAULT_CONFIGS, main as cli_main, run_experiment
+
+JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+
+
+def load_jobs():
+    """perfbench/jobs.py, which lists the bench jobs and hashes a run's CSVs."""
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS_PATH)
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(jobs)
+    return jobs
+
+
+def runs(jobs) -> list:
+    """(run label, experiment, config) of every run but repro."""
+    return [(name, name, {}) for name in sorted(DEFAULT_CONFIGS)] + [
+        (f"{workload}/{job.name}", job.experiment, job.config)
+        for workload, make in jobs.WORKLOADS.items() for job in make()]
+
+
+def digest_lines(seeds) -> list:
+    """Every run at every seed, each in a fresh directory; the digest lines in run order."""
+    os.environ.pop("NMRQIP_OUT_DIR", None)  # it would redirect every run's output
+    jobs = load_jobs()
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            outs = []
+            for i, (label, experiment, config) in enumerate(runs(jobs)):
+                outs.append((label, os.path.join(tmp, f"{seed}-{i}")))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    run_experiment(experiment, seed=seed, out_dir=outs[-1][1], config_doc=config)
+            outs.append(("repro", os.path.join(tmp, f"{seed}-repro")))
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main(["repro", "--seed", str(seed), "--out", outs[-1][1]])
+            lines += [f"{label} {seed} {fname} {digest}" for label, out in outs
+                      for fname, digest in jobs.csv_digests(out).items()]
+    return lines
+
+
+def main(argv) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    args = ap.parse_args(argv)
+    for line in digest_lines(args.seeds):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

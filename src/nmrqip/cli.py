@@ -72,30 +72,35 @@ def _jsonable(v):
 # CSV / manifest plumbing
 
 
-def format_cell(v) -> str:
-    if isinstance(v, float):  # numpy's float64 too: most cells, so ahead of the import
-        return "%.17g" % (float(v) + 0.0)  # +0.0 folds -0.0 into 0
+_BLOCK_ROWS = 1 << 14  # rows per write: a table's text is held one block at a time
+
+
+def _column(col):
+    """A column's conversion and values, by dtype: bool (as 1/0) and int with %d,
+    float with %.17g and -0.0 folded into 0, anything else as its str, quoted
+    if it holds a comma, a quote or a line break."""
+    kind = col.dtype.kind
+    if kind == "f":
+        return "%.17g", (col + 0.0).tolist()
+    if kind in "biu":
+        return "%d", col.tolist()
+    return "%s", ['"%s"' % s.replace('"', '""') if any(c in s for c in ',"\r\n') else s
+                  for s in map(str, col.tolist())]
+
+
+def write_csv(path: str, header, columns) -> None:
+    """A one-line header, then row i of the table from entry i of every column."""
     import numpy as np
 
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, np.floating):
-        return "%.17g" % (float(v) + 0.0)
-    return str(v)
-
-
-def write_csv(path: str, header, rows) -> None:
-    import csv
-
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths {sorted(lengths)}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row width {len(row)} != header width {len(header)}")
-            writer.writerow([format_cell(v) for v in row])
+        fh.write(",".join(_column(np.array(header, str))[1]) + "\n")  # names as text
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            specs, values = zip(*(_column(c[start:start + _BLOCK_ROWS]) for c in columns))
+            fh.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values))))
 
 
 def _write_manifest(out_dir: str, doc: dict) -> None:
@@ -121,7 +126,7 @@ class RunOutput:
     """What a runner hands back for writing; a plain class, as dataclasses would slow --help."""
 
     def __init__(self, tables=None, summary=None, fixtures=None, pulses=None, exit_code=0):
-        self.tables = {} if tables is None else tables  # filename -> (header, rows)
+        self.tables = {} if tables is None else tables  # filename -> (header, columns)
         self.summary = {} if summary is None else summary
         self.fixtures = {} if fixtures is None else fixtures  # label -> bytes to hash
         self.pulses = {} if pulses is None else pulses  # filename -> ControlPulse
@@ -215,6 +220,7 @@ def _resolve(name: str, user: dict) -> dict:
 
 
 def _run_grape(cfg, seed, shots):
+    import numpy as np
     from .clifford import gate_tableau
     from .control import GrapeConfig, control_channels, grape_optimize, random_pulse
     from .spins import builtin_molecule
@@ -233,19 +239,15 @@ def _run_grape(cfg, seed, shots):
     names, _ = control_channels(sys_)
     init = random_pulse(n_steps, dt, names, u_max=u_max, seed=seed, scale=cfg["init_scale"])
     res = grape_optimize(sys_, u_target, init, gcfg, weak_coupling=cfg["weak_coupling"])
-    trace_rows = [[i, f] for i, f in enumerate(res.fidelities)]
-    amps = res.pulse.amplitudes
-    pulse_rows = [
-        [m, m * dt] + [amps[m, k] for k in range(amps.shape[1])]
-        for m in range(amps.shape[0])
-    ]
+    steps = np.arange(n_steps)
     label, raw = _molecule_fixture(cfg["molecule"])
     return RunOutput(
         tables={
-            "fidelity_trace.csv": (["iteration", "fidelity"], trace_rows),
+            "fidelity_trace.csv": (["iteration", "fidelity"],
+                                   [range(len(res.fidelities)), res.fidelities]),
             "pulse.csv": (
                 ["step", "t_s"] + [f"u_{c}_rad_s" for c in res.pulse.channels],
-                pulse_rows,
+                [steps, steps * dt, *res.pulse.amplitudes.T],
             ),
         },
         summary={
@@ -281,7 +283,7 @@ def _run_twirl(cfg, seed, shots):
     return RunOutput(
         tables={"twirl.csv": (
             ["pr0_true", "pr0_hat", "abs_error", "stderr",
-             "n_samples", "fbar_hat", "fbar_true", "delta"], [row])},
+             "n_samples", "fbar_hat", "fbar_true", "delta"], [[v] for v in row])},
         summary={"pr0_true": pr0, "pr0_hat": est.pr0_hat, "stderr": est.stderr,
                  "n_samples": est.n_samples, "fbar_hat": est.fbar,
                  "fbar_true": fbar_true, "within_delta": bool(abs(est.pr0_hat - pr0) <= delta)},
@@ -311,7 +313,7 @@ def _run_certify(cfg, seed, shots):
     return RunOutput(
         tables={"certify.csv": (
             ["depolarizing_p", "fbar_hat", "fbar_exact", "abs_error",
-             "pr0_stderr", "n_samples"], rows)},
+             "pr0_stderr", "n_samples"], list(zip(*rows)))},
         summary={"worst_abs_error": max(r[3] for r in rows), "points": len(rows)},
     )
 
@@ -334,13 +336,12 @@ def _run_rb(cfg, seed, shots):
     rel = abs(res.error_rate - r_inj) / r_inj if r_inj > 0 else 0.0
     return RunOutput(
         tables={
-            "survivals.csv": (["length", "survival"],
-                              [[m, s] for m, s in zip(res.lengths, res.survivals)]),
+            "survivals.csv": (["length", "survival"], [res.lengths, res.survivals]),
             "fit.csv": ([
                 "amplitude", "offset", "decay", "error_rate_fit",
                 "error_rate_injected", "relative_error", "ok",
-            ], [[res.amplitude, res.offset, res.decay, res.error_rate,
-                 r_inj, rel, res.ok]]),
+            ], [[v] for v in (res.amplitude, res.offset, res.decay, res.error_rate,
+                              r_inj, rel, res.ok)]),
         },
         summary={"error_rate_fit": res.error_rate, "error_rate_injected": r_inj,
                  "relative_error": rel, "ok": res.ok, "message": res.message},
@@ -359,9 +360,10 @@ def _run_qec(cfg, seed, shots):
             "five": five_qubit_code}[cfg["code"]]()
     gate = cfg["gate"]
     rows, mean_unc, mean_corr = gate_cycle_ensemble(code, gate)
-    table = [[err.word, f_unc, f_corr] for err, f_unc, f_corr in rows]
+    errs, f_unc, f_corr = zip(*rows)
     out = RunOutput(
-        tables={"qec.csv": (["error", "fidelity_uncorrected", "fidelity_corrected"], table)},
+        tables={"qec.csv": (["error", "fidelity_uncorrected", "fidelity_corrected"],
+                            [[err.word for err in errs], f_unc, f_corr])},
         summary={"code": cfg["code"], "gate": gate,
                  "mean_uncorrected": mean_unc, "mean_corrected": mean_corr},
     )
@@ -373,7 +375,7 @@ def _run_qec(cfg, seed, shots):
                     err = PauliString.from_bits(3, *spin_bits(letter, q, 3))
                     demo.append([variant, err.word, transversal_cnot_demo(variant, err)])
         out.tables["transversal.csv"] = (
-            ["variant", "control_block_error", "target_block_weight"], demo)
+            ["variant", "control_block_error", "target_block_weight"], list(zip(*demo)))
         out.summary["max_weight_bad"] = max(r[2] for r in demo if r[0] == "bad")
         out.summary["max_weight_transversal"] = max(
             r[2] for r in demo if r[0] == "transversal")
@@ -390,7 +392,7 @@ def _run_distill(cfg, seed, shots):
         rows.append([p, res.p_out, res.success_probability, res.p_out > p])
     out = RunOutput(
         tables={"distill.csv": (
-            ["p_in", "p_out", "success_probability", "improved"], rows)},
+            ["p_in", "p_out", "success_probability", "improved"], list(zip(*rows)))},
         summary={"rounds": rounds},
     )
     if cfg["find_threshold"]:
@@ -420,7 +422,7 @@ def _run_dqc1(cfg, seed, shots):
         row.append(control_target_ppt(Dqc1Instance(u, epsilon=epsilon)))
         header.append("ppt_min_eigenvalue")
     out = RunOutput(
-        tables={"dqc1.csv": (header, [row])},
+        tables={"dqc1.csv": (header, [[v] for v in row])},
         summary={"n": n, "abs_error": abs(est - exact),
                  "trace_re": exact.real, "trace_im": exact.imag},
     )
@@ -432,7 +434,7 @@ def _run_dqc1(cfg, seed, shots):
         ref = block_trace_direct(ub, theta, eps2)
         out.tables["block_trace.csv"] = (
             ["theta", "epsilon2", "est_re", "est_im", "ref_re", "ref_im", "abs_error"],
-            [[theta, eps2, got.real, got.imag, ref.real, ref.imag, abs(got - ref)]])
+            [[theta], [eps2], [got.real], [got.imag], [ref.real], [ref.imag], [abs(got - ref)]])
         out.summary["block_abs_error"] = abs(got - ref)
     return out
 
@@ -459,7 +461,7 @@ def _run_contextuality(cfg, seed, shots):
     return RunOutput(
         tables={"contextuality.csv": (
             ["beta", "classical_max", "method", "noise_p",
-             "row1", "row2", "row3", "col1", "col2", "col3"], [row])},
+             "row1", "row2", "row3", "col1", "col2", "col3"], [[v] for v in row])},
         summary={"beta": res.beta, "classical_max": classical,
                  "quantum_excess": res.beta - classical},
     )
@@ -479,7 +481,7 @@ def _run_weak(cfg, seed, shots):
     return RunOutput(
         tables={"weak.csv": (
             ["g", "est_re", "est_im", "exact_re", "exact_im",
-             "abs_error", "error_budget"], rows)},
+             "abs_error", "error_budget"], list(zip(*rows)))},
         summary={"target_value": target,
                  "worst_abs_error": max(r[5] for r in rows)},
     )
@@ -491,18 +493,17 @@ def _run_ising(cfg, seed, shots):
 
     j = cfg["j"]
     res = ising_ground(j, np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_points"]))
-    rows = [[h, m, s, int(d)] for h, m, s, d in
-            zip(res.h_values, res.magnetization, res.entropy_bits, res.degeneracy)]
     out = RunOutput(
         tables={"ising.csv": (
-            ["h", "magnetization", "entropy_bits", "degeneracy"], rows)},
+            ["h", "magnetization", "entropy_bits", "degeneracy"],
+            [res.h_values, res.magnetization, res.entropy_bits, res.degeneracy])},
         summary={"j": j,
                  "magnetization_values": sorted({round(float(m), 9)
                                                  for m in res.magnetization})},
     )
     if cfg["locate_steps"]:
         steps = magnetization_steps(j, tol=cfg["step_tol"])
-        out.tables["steps.csv"] = (["h_step"], [[s] for s in steps])
+        out.tables["steps.csv"] = (["h_step"], [steps])
         out.summary["steps"] = list(steps)
     return out
 
@@ -515,13 +516,12 @@ def _run_xxz(cfg, seed, shots):
     rng = np.random.default_rng(seed)
     gammas = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["n_points"])
     scan = xxz_scan(n, gammas, rng, n_restarts=cfg["n_restarts"])
-    rows = [[g, l2, ge, f, e, nl, int(d)] for g, l2, ge, f, e, nl, d in
-            zip(scan.gammas, scan.lambda2, scan.ge, scan.ferro,
-                scan.equatorial, scan.neel, scan.degeneracy)]
     out = RunOutput(
         tables={"xxz.csv": (
             ["gamma", "lambda2", "ge_bits", "ferro_overlap",
-             "equatorial_overlap", "neel_overlap", "degeneracy"], rows)},
+             "equatorial_overlap", "neel_overlap", "degeneracy"],
+            [scan.gammas, scan.lambda2, scan.ge, scan.ferro,
+             scan.equatorial, scan.neel, scan.degeneracy])},
         summary={"n": n},
     )
     features = []
@@ -534,7 +534,7 @@ def _run_xxz(cfg, seed, shots):
         features.append(["branch_crossing", cross])
         out.summary["branch_crossing_gamma"] = cross
     if features:
-        out.tables["features.csv"] = (["feature", "gamma"], features)
+        out.tables["features.csv"] = (["feature", "gamma"], list(zip(*features)))
     return out
 
 
@@ -553,9 +553,9 @@ def _run_transfer(cfg, seed, shots):
         res = entangle_ends(chain, iterations)
         summary = {"final_fidelity": res.fidelities[-1],
                    "extraction_residual": res.extraction_residual}
-    rows = [[i, f] for i, f in enumerate(res.fidelities)]
     return RunOutput(
-        tables={"transfer.csv": (["iteration", "fidelity"], rows)},
+        tables={"transfer.csv": (["iteration", "fidelity"],
+                                 [range(len(res.fidelities)), res.fidelities])},
         summary={"mode": mode, **summary},
     )
 
@@ -582,11 +582,11 @@ def _run_spectrum(cfg, seed, shots):
     label, raw = _molecule_fixture(cfg["molecule"])
     return RunOutput(
         tables={
-            "fid.csv": (["t_s", "fid_re", "fid_im"],
-                        [[t, s.real, s.imag] for t, s in zip(ts, fid)]),
+            "fid.csv": (["t_s", "fid_re", "fid_im"], [ts, fid.real, fid.imag]),
+            # Python's complex abs per value: np.abs(amps) ** 2 differs in the last digit
             "spectrum.csv": (["freq_hz", "amp_re", "amp_im", "power"],
-                             [[f, a.real, a.imag, abs(a) ** 2]
-                              for f, a in zip(freqs, amps)]),
+                             [freqs, amps.real, amps.imag,
+                              [abs(a) ** 2 for a in amps.tolist()]]),
         },
         summary={"molecule": cfg["molecule"],
                  "peak_freq_hz": peak},
@@ -862,17 +862,15 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
     except ConfigError as exc:
         return _error_json(str(exc), experiment=name)
 
+    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
-    out_paths = []
-    for fname, (header, rows) in result.tables.items():
-        path = os.path.join(out_dir, fname)
-        write_csv(path, header, rows)
-        out_paths.append(fname)
+    for fname, (header, columns) in result.tables.items():
+        write_csv(os.path.join(out_dir, fname), header, columns)
     for fname, pulse in result.pulses.items():
         from .control import save_pulse
 
         save_pulse(pulse, os.path.join(out_dir, fname))
-        out_paths.append(fname)
+    write_time = time.perf_counter() - t0
 
     fixture_hashes = {label: _sha256_bytes(raw)
                       for label, raw in result.fixtures.items()}
@@ -886,8 +884,9 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         "config_path": None if config_path is None else os.path.abspath(config_path),
         "config": _jsonable({**DEFAULT_CONFIGS[name], **user_cfg}),
         "fixture_hashes": fixture_hashes,
-        "output_paths": out_paths,
+        "output_paths": [*result.tables, *result.pulses],
         "wall_time_s": wall,
+        "write_time_s": write_time,
         "peak_rss_mb": _peak_rss_mb(),
         "versions": _versions(),
         "summary": _jsonable(result.summary),
@@ -941,7 +940,7 @@ def _repro_main(argv) -> int:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "criteria.csv"),
                   ["criterion", "passed", "measured", "expected"],
-                  [[r.name, r.passed, r.measured, r.expected] for r in results])
+                  list(zip(*[(r.name, r.passed, r.measured, r.expected) for r in results])))
         _write_manifest(out_dir, {
             "experiment": "repro",
             "seed": args.seed,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -217,3 +218,24 @@ def rotation_unitaries() -> np.ndarray:
     dense exp(-i angle sigma / 2) matrices."""
     return np.array([rotation(ax, angle) for ax in "xyz"
                      for angle in (np.pi / 2, -np.pi / 2, np.pi)])
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """The per-cell CSV writer that the column writer replaced, kept as its
+    oracle: each cell formatted by its own type, one row at a time."""
+
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return "%.17g" % (float(v) + 0.0)
+        return str(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            assert len(row) == len(header)
+            writer.writerow([cell(v) for v in row])

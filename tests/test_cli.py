@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 import nmrqip
 from nmrqip import acceptance
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.cli import (_MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA, _resolve,
-                        format_cell, main, run_experiment)
+from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA,
+                        _resolve, main, run_experiment, write_csv)
 from nmrqip.twirl import twirl_estimate_memory
+
+from conftest import write_csv_rows
 
 
 @pytest.fixture(autouse=True)
@@ -404,6 +406,7 @@ def test_ising_run_writes_manifest_and_csv(tmp_path, capsys):
     assert manifest["config_path"] == str(cfg)
     assert "config" in manifest["fixture_hashes"]
     assert manifest["wall_time_s"] >= 0
+    assert manifest["write_time_s"] >= 0
     assert manifest["peak_rss_mb"] > 0
     assert set(manifest["versions"]) == {"nmrqip", "numpy", "scipy", "python"}
     for fname in manifest["output_paths"]:
@@ -412,10 +415,13 @@ def test_ising_run_writes_manifest_and_csv(tmp_path, capsys):
     with open(out / "ising.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "h" and len(rows) == 1 + 13
-    # every float cell round-trips through its own repr at 17 significant digits
+    # every cell is a float at 17 significant digits or the int degeneracy,
+    # so each reads back to itself
     for row in rows[1:]:
         for cell in row:
-            assert format_cell(float(cell)) == cell
+            assert "%.17g" % float(cell) == cell
+    for fname in manifest["output_paths"]:  # timings go only into the manifest
+        assert "write_time_s" not in (out / fname).read_text()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch, capsys):
@@ -870,9 +876,66 @@ def test_repro_single_criterion_writes_csv(tmp_path, capsys):
     assert manifest["details"] == {"rf-selection": acceptance.run_criterion("rf-selection").details}
 
 
-def test_format_cell_rules():
-    assert format_cell(True) == "1" and format_cell(False) == "0"
-    assert format_cell(3) == "3"
-    assert format_cell(-0.0) == "0"
-    assert format_cell(0.1) == "0.10000000000000001"
-    assert float(format_cell(1 / 3)) == 1 / 3
+def test_write_csv_formats_each_column_by_dtype(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["b", "i", "f", "s"], [
+        np.array([True, False, True]),
+        [3, -7, 2**40],
+        np.array([0.1, -0.0, math.nan]),
+        ["x", "y,z", 'q"'],
+    ])
+    assert path.read_text() == (
+        'b,i,f,s\n'
+        '1,3,0.10000000000000001,x\n'
+        '0,-7,0,"y,z"\n'
+        '1,1099511627776,nan,"q"""\n'
+    )
+    write_csv(path, ["f"], [[1 / 3, 1e300, -2.5]])
+    assert [float(x) for x in path.read_text().split()[1:]] == [1 / 3, 1e300, -2.5]
+    # text is quoted where the csv module quotes it
+    texts = ["plain", "y,z", 'q"', "two\nlines", ""]
+    write_csv(tmp_path / "a.csv", ["s,t", "n"], [texts, np.arange(5, dtype=np.uint8)])
+    write_csv_rows(tmp_path / "b.csv", ["s,t", "n"], list(zip(texts, range(5))))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_write_csv_header_only_and_unequal_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[], np.array([])])
+    assert path.read_text() == "a,b\n"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [[1, 2], [1.0]])
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [[1, 2]])
+
+
+def test_write_csv_matches_the_row_writer_across_blocks(tmp_path, rng):
+    n = 2 * _BLOCK_ROWS + 3
+    cols = [np.arange(n), rng.standard_normal(n), rng.standard_normal(n) > 0,
+            np.where(rng.random(n) < 0.5, -0.0, rng.standard_normal(n))]
+    write_csv(tmp_path / "a.csv", list("abcd"), cols)
+    write_csv_rows(tmp_path / "b.csv", list("abcd"), list(zip(*cols)))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_run_tables_match_the_row_writer(name, tmp_path):
+    # each default run's tables, written by column and by the per-cell row writer
+    result = EXPERIMENTS[name](_resolve(name, {}), 0, None)
+    assert result.tables
+    for fname, (header, columns) in result.tables.items():
+        write_csv(tmp_path / "a.csv", header, columns)
+        write_csv_rows(tmp_path / "b.csv", header, list(zip(*columns)))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes(), fname
+
+
+def test_spectrum_power_is_python_complex_abs_squared(tmp_path):
+    out = tmp_path / "spec"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_experiment("spectrum", out_dir=str(out)) == 0
+    with open(out / "spectrum.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == DEFAULT_CONFIGS["spectrum"]["n_samples"]
+    for r in rows:
+        power = abs(complex(float(r["amp_re"]), float(r["amp_im"]))) ** 2
+        assert r["power"] == "%.17g" % power

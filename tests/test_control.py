@@ -219,7 +219,12 @@ def _reference_gradient(u_target, h_int, control_ops, pulse):
     dt = pulse.dt
     h_ctrl = np.array(control_ops)
     d = u_target.shape[0]
-    _, lam, v, ph = _propagators(u, np.asarray(h_int, complex), h_ctrl, dt)
+    # each step's Hamiltonian diagonalized on its own, not through _propagators
+    steps = [np.linalg.eigh(h_int + sum(u[m, k] * h_ctrl[k] for k in range(n_ch)))
+             for m in range(n_steps)]
+    lam = np.array([lm for lm, _ in steps])
+    v = np.array([vm for _, vm in steps])
+    ph = np.exp(-1j * lam * dt)
     props = [vm @ np.diag(pm) @ vm.conj().T for vm, pm in zip(v, ph)]
     fwd = [np.eye(d)]
     for m in range(n_steps):

@@ -16,3 +16,34 @@ def test_script_imports_without_running_main(path):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.__name__ != "__main__"
+
+
+
+def _accepted(experiment, config) -> bool:
+    from nmrqip.cli import ConfigError, _resolve
+
+    try:
+        _resolve(experiment, config)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_csv_digests_lists_every_run_at_one_seed():
+    from nmrqip.cli import DEFAULT_CONFIGS
+
+    spec = importlib.util.spec_from_file_location(
+        "script_csv_digests", SCRIPTS[0].parent / "csv_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.digest_lines([3])
+    fields = [line.split(" ") for line in lines]
+    assert all(len(f) == 4 and f[1] == "3" and f[2].endswith(".csv") for f in fields)
+    assert all(len(f[3]) == 64 and set(f[3]) <= set("0123456789abcdef") for f in fields)
+    assert len(lines) == len({(f[0], f[2]) for f in fields})
+    # every default run, every bench job whose config the schema accepts (one
+    # that exits 2 at validation writes nothing) and repro's criteria.csv
+    jobs = {label for label, experiment, config in script.runs(script.load_jobs())
+            if _accepted(experiment, config)}
+    assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | {"repro"}
+    assert [f[2] for f in fields if f[0] == "repro"] == ["criteria.csv"]
