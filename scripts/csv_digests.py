@@ -1,13 +1,14 @@
 """Print the sha256 of every CSV a fixed set of nmrqip runs writes.
 
 The runs are every experiment at its default config, every job of
-perfbench/jobs.py at its own config, and `nmrqip repro --out`, each at every
-given seed.  One line per file:
+perfbench/jobs.py at its own config, the EXTRA_RUNS below, and
+`nmrqip repro --out`, each at every given seed.  One line per file:
 
     <run> <seed> <file> <sha256>
 
-where <run> is the experiment name, <workload>/<job> for a bench job, or
-repro.  Two checkouts can be compared by diffing their output:
+where <run> is the experiment name, <workload>/<job> for a bench job, an
+extra run's label, or repro.  Two checkouts can be compared by diffing their
+output:
 
     PYTHONPATH=src python scripts/csv_digests.py --seeds 0 1 > digests.txt
 """
@@ -25,6 +26,16 @@ from nmrqip.cli import DEFAULT_CONFIGS, main as cli_main, run_experiment
 
 JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 
+# (label, experiment, config) of paths no default run or bench job takes: a
+# chain7 GRAPE whose 24 steps of d = 128 go in several chunks, and the
+# finite-difference gradient with amplitudes on the cap.
+EXTRA_RUNS = [
+    ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
+    ("grape-fd-at-cap", "grape",
+     {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 30,
+      "gradient_mode": "finite-difference", "init_scale": 0.9}),
+]
+
 
 def load_jobs():
     """perfbench/jobs.py, which lists the bench jobs and hashes a run's CSVs."""
@@ -38,7 +49,7 @@ def runs(jobs) -> list:
     """(run label, experiment, config) of every run but repro."""
     return [(name, name, {}) for name in sorted(DEFAULT_CONFIGS)] + [
         (f"{workload}/{job.name}", job.experiment, job.config)
-        for workload, make in jobs.WORKLOADS.items() for job in make()]
+        for workload, make in jobs.WORKLOADS.items() for job in make()] + EXTRA_RUNS
 
 
 def digest_lines(seeds) -> list:

@@ -148,27 +148,53 @@ class GrapeResult:
         return float(self.fidelities[-1])
 
 
-def _propagators(u, h_int, h_ctrl, dt):
+# Bytes of a (steps, scales, d, d) complex temporary of one chunk of steps.  A
+# chunk takes one to two budgets; at 32 KiB the chunks reuse heap pages, where
+# at 128 KiB malonate3 takes 18 times the page faults and is no faster.
+_STEP_CHUNK_BYTES = 1 << 15
+
+
+def _step_chunks(shape, d):
+    """Even slices of the steps of a (steps, *scales) record, at least two steps
+    each (numpy sends a one-row product to gemv, which rounds unlike gemm)."""
+    n, size = shape[0], max(2, _STEP_CHUNK_BYTES // (16 * d * d * math.prod(shape[1:])))
+    k = min(n, max(1, n // size))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _propagators(u, h_int, h_ctrl, dt, out=None):
     """Step record (fwd, lam, v, ph) of amplitudes u[m, ..., k]: the forward
     products fwd[m] = U_{m-1}...U_0 (fwd[0] = I), and each step's eigenvalues,
     eigenvectors and phases exp(-i lam dt).  Axes between steps and channels
-    (RF scales) share one eigh and one stacked product per step."""
+    (RF scales) share one eigh and one stacked product per chunk of steps.
+    A record of the same shape passed as out is overwritten and returned."""
     n_ch, d = len(h_ctrl), h_int.shape[0]
-    drive = u.reshape(-1, n_ch) @ h_ctrl.reshape(n_ch, d * d)
-    lam, v = np.linalg.eigh(h_int + drive.reshape(*u.shape[:-1], d, d))
-    del drive  # lowers the peak while the step products are formed
-    ph = np.exp(-1j * lam * dt)
-    props = (v * ph[..., None, :]) @ v.conj().swapaxes(-1, -2)  # V diag(ph) V^dag
-    fwd = np.empty((len(u) + 1, *u.shape[1:-1], d, d), complex)
+    steps = u.shape[:-1]
+    fwd, lam, v, ph = out or (np.empty((len(u) + 1, *steps[1:], d, d), complex),
+                              np.empty((*steps, d)), np.empty((*steps, d, d), complex),
+                              np.empty((*steps, d), complex))
     fwd[0] = np.eye(d)
-    for m in range(len(u)):
-        np.matmul(props[m], fwd[m], out=fwd[m + 1])
+    for c in _step_chunks(steps, d):
+        drive = u[c].reshape(-1, n_ch) @ h_ctrl.reshape(n_ch, d * d)
+        lam[c], v[c] = np.linalg.eigh(h_int + drive.reshape(*u[c].shape[:-1], d, d))
+        ph[c] = np.exp(-1j * lam[c] * dt)
+        props = (v[c] * ph[c][..., None, :]) @ v[c].conj().swapaxes(-1, -2)  # V diag(ph) V^dag
+        for m in range(c.start, c.stop):
+            np.matmul(props[m - c.start], fwd[m], out=fwd[m + 1])
     return fwd, lam, v, ph
 
 
 def _fidelity(u_target, u) -> float:
     d = u_target.shape[0]
     return float(abs(np.trace(u_target.conj().T @ u)) ** 2 / d**2)
+
+
+def _phase_divided_differences(lam, dt) -> np.ndarray:
+    """(ph_a - ph_b) / (lam_a - lam_b) of ph = exp(-i lam dt) on the last axis, as
+    -i dt exp(-i (lam_a + lam_b) dt / 2) sinc((lam_a - lam_b) dt / 2): no gap cut."""
+    half = np.exp(-0.5j * dt * lam)
+    return -1j * dt * half[..., :, None] * half[..., None, :] * np.sinc(
+        dt / (2 * np.pi) * (lam[..., :, None] - lam[..., None, :]))
 
 
 def _gradient(u_target, h_ctrl, dt, record) -> np.ndarray:
@@ -184,25 +210,16 @@ def _gradient(u_target, h_ctrl, dt, record) -> np.ndarray:
     n_ch, d = len(h_ctrl), lam.shape[-1]
     mt = u_target.conj().T @ fwd[-1]
     g = np.trace(mt, axis1=-2, axis2=-1)
-    w = v.conj().swapaxes(-1, -2) @ fwd[:-1]  # K_m
-    w = w @ mt @ w.conj().swapaxes(-1, -2)  # W_m diag(ph_m)
-    dl = lam[..., :, None] - lam[..., None, :]
-    degenerate = np.abs(dl) < 1e-12
-    # (-i dt) fdiv: (ph_a - ph_b) / (lam_a - lam_b), or -i dt ph_a if degenerate
-    fdiv = np.where(degenerate, -1j * dt * ph[..., :, None],
-                    (ph[..., :, None] - ph[..., None, :]) / np.where(degenerate, 1.0, dl))
-    fdiv *= w.swapaxes(-1, -2) * ph.conj()[..., :, None]  # W_m^T fdiv_m
-    # sum_ab X[a, b] E_k[a, b] = sum_ij H_k[i, j] (conj(V) X V^T)[i, j]
-    y = v.conj() @ fdiv @ v.swapaxes(-1, -2)
-    dg = y.reshape(-1, d * d) @ h_ctrl.reshape(n_ch, d * d).T
-    return 2 * np.real(np.conj(g)[..., None] * dg.reshape(*lam.shape[:-1], n_ch)) / d**2
-
-
-def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
-    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
-    fwd, _, _, _ = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
-                                np.array(control_ops), pulse.dt)
-    return _fidelity(u_target, fwd[-1])
+    dg = np.empty((*lam.shape[:-1], n_ch), complex)
+    for c in _step_chunks(lam.shape[:-1], d):
+        w = v[c].conj().swapaxes(-1, -2) @ fwd[c]  # K_m
+        w = w @ mt @ w.conj().swapaxes(-1, -2)  # W_m diag(ph_m)
+        fdiv = _phase_divided_differences(lam[c], dt)  # (-i dt) fdiv_m
+        fdiv *= w.swapaxes(-1, -2) * ph[c].conj()[..., :, None]  # W_m^T fdiv_m
+        # sum_ab X[a, b] E_k[a, b] = sum_ij H_k[i, j] (conj(V) X V^T)[i, j]
+        y = v[c].conj() @ fdiv @ v[c].swapaxes(-1, -2)
+        dg[c] = (y.reshape(-1, d * d) @ h_ctrl.reshape(n_ch, d * d).T).reshape(dg[c].shape)
+    return 2 * np.real(np.conj(g)[..., None] * dg) / d**2
 
 
 def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndarray:
@@ -228,18 +245,15 @@ def _lbfgs_direction(grad, memory):
 
 
 def _fd_gradient(u_target, h_int, control_ops, pulse: ControlPulse, h_rel=1e-6):
-    u = pulse.amplitudes
-    grad = np.zeros_like(u)
+    """Central differences of the fidelity in raw amplitudes, free to pass the cap."""
+    h_int, h_ctrl = np.asarray(h_int, complex), np.array(control_ops)
     eps = h_rel * max(pulse.u_max, 1.0)
-    for m in range(u.shape[0]):
-        for k in range(u.shape[1]):
-            up, um = u.copy(), u.copy()
-            up[m, k] += eps
-            um[m, k] -= eps
-            grad[m, k] = (
-                grape_fidelity(u_target, h_int, control_ops, pulse.with_amplitudes(up))
-                - grape_fidelity(u_target, h_int, control_ops, pulse.with_amplitudes(um))
-            ) / (2 * eps)
+    grad = np.zeros_like(pulse.amplitudes)
+    for m, k in np.ndindex(grad.shape):
+        u = np.stack([pulse.amplitudes] * 2, axis=1)
+        u[m, :, k] += (eps, -eps)
+        up, um = _propagators(u, h_int, h_ctrl, pulse.dt)[0][-1]
+        grad[m, k] = (_fidelity(u_target, up) - _fidelity(u_target, um)) / (2 * eps)
     return grad
 
 
@@ -285,10 +299,10 @@ def grape_optimize(
     slopes = np.array([w * s for s, w in dist])  # dF/du = sum_s w s F_s'(s u)
     dt, u_max = init.dt, init.u_max
 
-    def objective(amps):
+    def objective(amps, record=None):
         """Weighted fidelity, summed in rf_distribution order, and one step
         record for all RF scales, amplitudes shaped (steps, scales, channels)."""
-        record = _propagators(amps[:, None, :] * scales, h_int, h_ctrl, dt)
+        record = _propagators(amps[:, None, :] * scales, h_int, h_ctrl, dt, record)
         return sum(w * _fidelity(u_target, u) for (_, w), u in zip(dist, record[0][-1])), record
 
     def gradient(amps, record) -> np.ndarray:
@@ -327,7 +341,7 @@ def grape_optimize(
         for _ in range(40):
             cand = np.clip(x + t * d, -1, 1)
             cand_amps = u_max * cand.reshape(amps.shape)
-            phi_new, cand_record = objective(cand_amps)
+            phi_new, record = objective(cand_amps, record)  # the run's one record
             evaluations += 1
             # strict increase too: clipping can turn a step's slope negative
             if phi_new > phi and phi_new - phi >= 1e-4 * (grad @ (cand - x)):
@@ -337,7 +351,7 @@ def grape_optimize(
             message = f"line search stalled at fidelity {phi:.6f}"
             break
         step = cand - x
-        x, amps, phi, record = cand, cand_amps, phi_new, cand_record
+        x, amps, phi = cand, cand_amps, phi_new
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:

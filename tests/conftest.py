@@ -6,7 +6,8 @@ import pytest
 
 from nmrqip.channels import Channel
 from nmrqip.clifford import CliffordTableau
-from nmrqip.control import DEFAULT_U_MAX, ControlPulse
+from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
+                            _phase_divided_differences, _propagators)
 from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, embed, n_qubits,
                         pauli_matrices, pauli_sum, rotation, spin_bits)
 from nmrqip.spins import hamiltonian_diagonal
@@ -104,6 +105,50 @@ def load_pulse(path, u_max: float = DEFAULT_U_MAX) -> ControlPulse:
     amps = np.array(doc["steps"], dtype=float)
     cap = max(u_max, float(np.max(np.abs(amps), initial=0.0)))
     return ControlPulse(float(doc["dt_s"]), amps, tuple(doc["channels"]), cap)
+
+
+def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
+    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
+    fwd, _, _, _ = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
+                                np.array(control_ops), pulse.dt)
+    return _fidelity(u_target, fwd[-1])
+
+
+# ---------------------------------------------------------------------------
+# GRAPE's step record and gradient over the whole pulse at once, the oracle
+# for nmrqip.control, which builds and consumes the record in chunks of steps
+
+
+def whole_pulse_propagators(u, h_int, h_ctrl, dt):
+    """Step record (fwd, lam, v, ph) of amplitudes u[m, ..., k], every step in
+    one eigh and one stacked product."""
+    n_ch, d = len(h_ctrl), h_int.shape[0]
+    drive = u.reshape(-1, n_ch) @ h_ctrl.reshape(n_ch, d * d)
+    lam, v = np.linalg.eigh(h_int + drive.reshape(*u.shape[:-1], d, d))
+    ph = np.exp(-1j * lam * dt)
+    props = (v * ph[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    fwd = np.empty((len(u) + 1, *u.shape[1:-1], d, d), complex)
+    fwd[0] = np.eye(d)
+    for m in range(len(u)):
+        np.matmul(props[m], fwd[m], out=fwd[m + 1])
+    return fwd, lam, v, ph
+
+
+def whole_pulse_gradient(u_target, h_ctrl, dt, record):
+    """d(fidelity)/du[m, ..., k] from a step record, every step's K_m, W_m and
+    divided differences held at once.  The divided differences are the
+    library's own, which test_control checks against their series."""
+    fwd, lam, v, ph = record
+    n_ch, d = len(h_ctrl), lam.shape[-1]
+    mt = u_target.conj().T @ fwd[-1]
+    g = np.trace(mt, axis1=-2, axis2=-1)
+    w = v.conj().swapaxes(-1, -2) @ fwd[:-1]
+    w = w @ mt @ w.conj().swapaxes(-1, -2)
+    fdiv = _phase_divided_differences(lam, dt)
+    fdiv *= w.swapaxes(-1, -2) * ph.conj()[..., :, None]
+    y = v.conj() @ fdiv @ v.swapaxes(-1, -2)
+    dg = y.reshape(-1, d * d) @ h_ctrl.reshape(n_ch, d * d).T
+    return 2 * np.real(np.conj(g)[..., None] * dg.reshape(*lam.shape[:-1], n_ch)) / d**2
 
 
 # ---------------------------------------------------------------------------

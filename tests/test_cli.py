@@ -523,6 +523,21 @@ def test_grape_nonconvergence_exit_code(tmp_path, capsys):
     assert summary["converged"] is False
 
 
+def test_grape_finite_difference_runs_at_the_amplitude_cap(tmp_path, capsys):
+    # box clipping puts amplitudes on the cap, and the central differences of
+    # the finite-difference gradient step past it
+    doc = {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 30,
+           "gradient_mode": "finite-difference", "init_scale": 0.9}
+    out = tmp_path / "g"
+    code = run_experiment("grape", seed=1, out_dir=str(out), config_doc=doc)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code in (0, 3) and len(lines) == 1
+    assert json.loads(lines[0])["exit"] == code
+    with open(out / "pulse.csv") as fh:
+        amps = np.array([row[2:] for row in csv.reader(fh)][1:], dtype=float)
+    assert np.max(np.abs(amps)) == 2 * math.pi * 200
+
+
 def test_grape_manifest_counts_objective_evaluations(tmp_path):
     out = tmp_path / "g"
     assert run_experiment("grape", seed=0, out_dir=str(out),

@@ -1,6 +1,7 @@
 """Pulse-level control: rotations, coupling gates, GRAPE, RF selection."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,13 @@ from nmrqip.control import (
     cnot_sequence,
     control_channels,
     default_b1_distribution,
-    grape_fidelity,
     grape_gradient,
     grape_optimize,
     _fd_gradient,
     _gradient,
+    _phase_divided_differences,
     _propagators,
+    _step_chunks,
     j_evolution,
     random_pulse,
     rf_selection_retention,
@@ -29,7 +31,8 @@ from nmrqip.control import (
 from nmrqip.qop import PAULIS, collective_rotation, embed, haar_random_unitary, rotation
 from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian
 
-from conftest import gate_fidelity_hs, load_pulse, spin_op
+from conftest import (gate_fidelity_hs, grape_fidelity, load_pulse, spin_op,
+                      whole_pulse_gradient, whole_pulse_propagators)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -203,9 +206,13 @@ def test_grape_gradient_matches_finite_difference(rng):
     names, ops = control_channels(sys_)
     target = np.kron(rotation("x", np.pi / 2), np.eye(2))
     pulse = random_pulse(6, 5e-5, names, seed=17, scale=0.3)
-    g = grape_gradient(target, h, ops, pulse)
-    g_fd = _fd_gradient(target, h, ops, pulse)
-    assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) < 1e-6
+    # the second pulse has amplitudes on the cap, which the differences step past
+    at_cap = pulse.with_amplitudes(np.clip(5 * pulse.amplitudes, -pulse.u_max, pulse.u_max))
+    assert np.max(np.abs(at_cap.amplitudes)) == pulse.u_max
+    for p in (pulse, at_cap):
+        g = grape_gradient(target, h, ops, p)
+        g_fd = _fd_gradient(target, h, ops, p)
+        assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) < 1e-6
 
 
 def _reference_gradient(u_target, h_int, control_ops, pulse):
@@ -273,6 +280,42 @@ def test_grape_gradient_matches_reference_over_a_long_pulse():
     g = grape_gradient(target, h, ops, pulse)
     ref = _reference_gradient(target, h, ops, pulse)
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
+    # at the module's chunk budget the steps go in several chunks, and the
+    # record and gradient equal the whole-pulse oracle's bit for bit
+    h_ctrl = np.array(ops)
+    assert len(_step_chunks((400,), sys_.dim)) > 1
+    record = _propagators(pulse.amplitudes, np.asarray(h, complex), h_ctrl, pulse.dt)
+    oracle = whole_pulse_propagators(pulse.amplitudes, np.asarray(h, complex), h_ctrl, pulse.dt)
+    assert all(np.array_equal(a, b) for a, b in zip(record, oracle))
+    assert np.array_equal(g, whole_pulse_gradient(target, h_ctrl, pulse.dt, oracle))
+
+
+@pytest.mark.parametrize("molecule", ["chloroform2", "malonate3", "crotonic4", "chain7"])
+@pytest.mark.parametrize("n_scales", [1, 3])
+@pytest.mark.parametrize("n_steps, chunks", [
+    (0, []), (3, [3]), (4, [4]), (8, [4, 4]), (11, [5, 6]),
+], ids=["no-steps", "below-a-chunk", "one-chunk", "two-chunks", "not-a-multiple"])
+def test_chunked_record_and_gradient_equal_whole_pulse(molecule, n_scales, n_steps, chunks,
+                                                      monkeypatch, rng):
+    # a budget of four steps; the steps split evenly, so 11 go as 5 + 6
+    import nmrqip.control as control
+
+    sys_ = builtin_molecule(molecule)
+    h = np.asarray(internal_hamiltonian(sys_), complex)
+    _, ops = control_channels(sys_)
+    h_ctrl, d = np.array(ops), sys_.dim
+    monkeypatch.setattr(control, "_STEP_CHUNK_BYTES", 4 * 16 * d * d * n_scales)
+    scales = np.array([[1.0], [0.9], [1.1]])[:n_scales]
+    u = rng.uniform(-4e4, 4e4, size=(n_steps, 1, len(ops))) * scales
+    assert [c.stop - c.start for c in _step_chunks(u.shape[:-1], d)] == chunks
+    record = _propagators(u, h, h_ctrl, 2e-5)
+    oracle = whole_pulse_propagators(u, h, h_ctrl, 2e-5)
+    assert record[0].shape == (n_steps + 1, n_scales, d, d)
+    assert all(np.array_equal(a, b) for a, b in zip(record, oracle))
+    target = haar_random_unitary(d, rng)
+    g = _gradient(target, h_ctrl, 2e-5, record)
+    assert g.shape == (n_steps, n_scales, len(ops))
+    assert np.array_equal(g, whole_pulse_gradient(target, h_ctrl, 2e-5, oracle))
 
 
 def test_ensemble_gradient_is_weighted_sum_of_references(rng):
@@ -295,8 +338,8 @@ def test_ensemble_gradient_is_weighted_sum_of_references(rng):
 
 
 def test_grape_gradient_degenerate_spectrum():
-    # zero pulse on a spin without offset: both step eigenvalues are 0, so
-    # the divided difference takes its degenerate (derivative) branch
+    # zero pulse on a spin without offset: both step eigenvalues are 0, where
+    # the divided difference is the derivative -i dt exp(-i lam dt)
     sys_ = uncoupled_1spin()
     h = internal_hamiltonian(sys_)
     names, ops = control_channels(sys_)
@@ -312,6 +355,26 @@ def test_grape_gradient_degenerate_spectrum():
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
     g_fd = _fd_gradient(target, h, ops, pulse)
     assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) < 1e-6
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-9, 1e-7])
+def test_phase_divided_differences_near_degeneracy(gap):
+    # (ph_a - ph_b) / (lam_a - lam_b) is 17-20% off at a gap of 1e-11 rad/s and
+    # 0.1-0.8% at 1e-9; the series -i dt exp(-i mean dt) (1 - (gap dt)^2 / 24)
+    # is exact there
+    dt = 2e-5
+    for mean in (1e4, 6e4):
+        lam = np.array([mean + gap / 2, mean - gap / 2])
+        gap_f, mean_f = lam[0] - lam[1], (lam[0] + lam[1]) / 2
+        series = -1j * dt * np.exp(-1j * mean_f * dt) * (1 - (gap_f * dt) ** 2 / 24)
+        f = _phase_divided_differences(lam, dt)
+        assert max(abs(f[0, 1] - series), abs(f[1, 0] - series)) <= 1e-14 * dt
+        assert abs(f[0, 0] + 1j * dt * np.exp(-1j * lam[0] * dt)) <= 1e-14 * dt
+    # a wide gap: the plain quotient is accurate there
+    lam = np.array([3e4, -2e4])
+    ph = np.exp(-1j * lam * dt)
+    f = _phase_divided_differences(lam, dt)
+    assert abs(f[0, 1] - (ph[0] - ph[1]) / (lam[0] - lam[1])) <= 1e-14 * dt
 
 
 def test_grape_gradient_seven_spins_matches_finite_difference(rng):
@@ -445,9 +508,9 @@ def test_grape_optimize_rejects_target_of_wrong_shape():
         grape_optimize(sys_, np.eye(8), init, GrapeConfig())
 
 
-def test_grape_optimize_makes_one_eigh_per_evaluation(monkeypatch):
-    # every RF scale of a candidate goes through the same single eigh; the
-    # gradient reuses the accepted candidate's record
+def test_grape_optimize_makes_one_eigh_per_chunk_per_evaluation(monkeypatch):
+    # every RF scale of a chunk of steps goes through the same single eigh;
+    # the gradient reuses the accepted candidate's record
     import nmrqip.control as control
     calls = []
     eigh = np.linalg.eigh
@@ -457,14 +520,32 @@ def test_grape_optimize_makes_one_eigh_per_evaluation(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(control.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(control, "_STEP_CHUNK_BYTES", 8 * 16 * 4 * 4 * 3)  # 8 steps x 3 scales
     sys_ = builtin_molecule("chloroform2")
     names, _ = control_channels(sys_)
     init = random_pulse(30, 5e-5, names, seed=17, scale=0.1)
     dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
     res = grape_optimize(sys_, CNOT, init, GrapeConfig(max_iters=8, rf_distribution=dist))
     assert res.iterations > 0
-    assert len(calls) == res.evaluations
-    assert set(calls) == {(30, 3, 4, 4)}
+    assert len(calls) == 3 * res.evaluations  # 30 steps as 3 chunks of 10
+    assert set(calls) == {(10, 3, 4, 4)}
+
+
+def test_grape_optimize_holds_one_step_record():
+    # malonate3 at 400 steps: the record (fwd and v, 0.8 MB) and one chunk's
+    # temporaries; whole-pulse temporaries and a second record took 2.9 MB
+    sys_ = builtin_molecule("malonate3")
+    names, _ = control_channels(sys_)
+    init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
+    target = gate_tableau("CNOT", (1, 2), 3).to_unitary()
+    tracemalloc.start()
+    try:
+        res = grape_optimize(sys_, target, init, GrapeConfig(max_iters=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 4 and res.evaluations > 4
+    assert peak < 2e6, peak
 
 
 def test_grape_cnot_pulse_script_converges():
