@@ -27,13 +27,18 @@ from nmrqip.cli import DEFAULT_CONFIGS, main as cli_main, run_experiment
 JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 
 # (label, experiment, config) of paths no default run or bench job takes: a
-# chain7 GRAPE whose 24 steps of d = 128 go in several chunks, and the
-# finite-difference gradient with amplitudes on the cap.
+# chain7 GRAPE whose 24 steps of d = 128 go in several chunks, the
+# finite-difference gradient with amplitudes on the cap, certify at its
+# largest n, the meter's Pauli noise, and RB's single-qubit rotations sampler.
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
      {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 30,
       "gradient_mode": "finite-difference", "init_scale": 0.9}),
+    ("certify-n4", "certify", {"n": 4, "control_qubit": 1, "target_qubit": 4}),
+    ("contextuality-meter-noise", "contextuality",
+     {"state": "random", "method": "meter", "noise_p": 0.05}),
+    ("rb-rotations-n1", "rb", {"n": 1, "sampler": "rotations"}),
 ]
 
 

@@ -1,20 +1,21 @@
-"""CPTP channels: Kraus factors and Pauli noise.
+"""Pauli channels: CPTP maps as products of Pauli-noise factors.
 
 A Channel is an ordered sequence of factors, each acting on a subset of the
-register.  A factor is either a list of Kraus matrices or a Pauli channel
-rho -> sum_Q p_Q Q rho Q, stored as its probability vector over the 4^m
-Paulis Q of its m qubits.  Keeping the factors unexpanded lets channels
-act on seven spins, where the materialized tensor product would need 4^7
-Kraus matrices.
+register.  A factor is a Pauli channel rho -> sum_Q p_Q Q rho Q on its m
+qubits, stored as its probability vector over the 4^m Paulis Q.  Pauli
+noise is the form twirling reduces any noise to (Flammia & Wallman,
+arXiv:1907.12976), and it is the only noise nmrqip models.  Keeping the
+factors unexpanded lets channels act on seven spins, where the materialized
+tensor product would need 4^7 Kraus matrices.
 
 A Pauli channel multiplies the coefficient of each Pauli P in rho by
 lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
-Walsh-Hadamard transform of p (Flammia & Wallman, arXiv:1907.12976).  apply()
-moves rho into that basis with two real matrix products, scales it by lambda
-and moves it back; no Kraus matrix is built.  When lambda is the same on
-every non-identity Pauli (depolarizing noise) the closed form
-(1 - p) rho + p tr(rho) I/d is used instead.  kraus() still materializes the
-full Kraus set for n <= 5, as the exact oracle.
+Walsh-Hadamard transform of p.  apply() moves rho into that basis with two
+real matrix products, scales it by lambda and moves it back; no Kraus
+matrix is built.  When lambda is the same on every non-identity Pauli
+(depolarizing noise) the closed form (1 - p) rho + p tr(rho) I/d is used
+instead.  kraus() still materializes the full Kraus set for n <= 5, as the
+exact oracle.
 
 Pauli vectors are the only Pauli error format: entry x * 2^m + z is the
 probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
@@ -32,20 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import PauliString, embed, n_qubits, pauli_matrices, sylvester_hadamard
+from .qop import PauliString, embed, pauli_matrices, sylvester_hadamard
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
 # Eigenvalue spread below which a Pauli channel is applied as depolarizing.
 # The transform's rounding spreads a depolarizing channel's eigenvalues by
 # up to about 6e-15 at n = 7.
 _DEPOLARIZING_ATOL = 1e-12
-
-
-def _check_completeness(kraus, atol=1e-10):
-    d = kraus[0].shape[0]
-    s = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(s - np.eye(d))) > atol:
-        raise ValueError("Kraus set is not trace preserving")
 
 
 def _check_pauli_probs(probs):
@@ -73,10 +67,6 @@ def compress_kraus(kraus, tol=1e-12):
 
 # ---------------------------------------------------------------------------
 # Pauli factors
-
-
-def _is_pauli(op) -> bool:
-    return isinstance(op, np.ndarray)
 
 
 @lru_cache(maxsize=None)
@@ -118,15 +108,10 @@ def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def _apply_step(op, qubits, n: int):
-    """(kind, data) for applying one factor on the n-qubit register.
-
-    kind is "kraus" (stacked full-register Kraus matrices), "pauli" (the
-    eigenvalue table over d) or "depolarizing" (the strength p).
-    """
-    if not _is_pauli(op):
-        return "kraus", np.stack([embed(k, qubits, n) for k in op])
-    lam = _pauli_eigenvalues(op, qubits, n)
+def _apply_step(probs, qubits, n: int):
+    """(kind, data) for applying one factor on the n-qubit register: kind is
+    "pauli" (the eigenvalue table over d) or "depolarizing" (the strength p)."""
+    lam = _pauli_eigenvalues(probs, qubits, n)
     rest = lam.ravel()[1:]
     if np.ptp(rest) <= _DEPOLARIZING_ATOL:
         return "depolarizing", 1.0 - float(rest.mean())
@@ -134,55 +119,32 @@ def _apply_step(op, qubits, n: int):
 
 
 class Channel:
-    """CPTP map as ordered factors on qubit subsets of an n-qubit register.
+    """Pauli channel as ordered factors on qubit subsets of an n-qubit register.
 
-    Each factor is (op, qubits): op is a sequence of Kraus matrices, or a
-    1-D array of Pauli probabilities (see the module docstring for its index
+    Each factor is (probs, qubits): probs is the 1-D vector of the 4^m Pauli
+    probabilities of its m qubits (see the module docstring for its index
     order).
     """
 
-    def __init__(self, n: int, factors, check: bool = True):
+    def __init__(self, n: int, factors):
         self.n = int(n)
         self.dim = 2**self.n
         norm_factors = []
-        for op, qubits in factors:
+        for probs, qubits in factors:
             qubits = tuple(qubits)
-            if _is_pauli(op):
-                op = np.array(op, dtype=float)
-                if op.size != 4 ** len(qubits):
-                    raise ValueError("factor qubit labels do not match Pauli vector size")
-                if check:
-                    _check_pauli_probs(op)
-                op.setflags(write=False)
-            else:
-                op = tuple(np.asarray(k, dtype=complex) for k in op)
-                if n_qubits(op[0].shape[0]) != len(qubits):
-                    raise ValueError("factor qubit labels do not match Kraus size")
-                if check:
-                    _check_completeness(op)
+            probs = np.array(probs, dtype=float)
+            if probs.shape != (4 ** len(qubits),):
+                raise ValueError(f"Pauli vector shape {probs.shape} is not "
+                                 f"(4^{len(qubits)},) for {len(qubits)} qubit labels")
+            _check_pauli_probs(probs)
+            probs.setflags(write=False)
             if any(q < 1 or q > self.n for q in qubits):
                 raise ValueError(f"factor qubits {qubits} outside register 1..{self.n}")
-            norm_factors.append((op, qubits))
+            norm_factors.append((probs, qubits))
         self.factors = tuple(norm_factors)
         self._plan = None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "Channel":
-        return cls(n, [([np.eye(2**n, dtype=complex)], tuple(range(1, n + 1)))], check=False)
-
-    @classmethod
-    def from_kraus(cls, kraus, n: int | None = None) -> "Channel":
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        if n is None:
-            n = n_qubits(kraus[0].shape[0])
-        return cls(n, [(kraus, tuple(range(1, n + 1)))])
-
-    @classmethod
-    def unitary(cls, u: np.ndarray) -> "Channel":
-        u = np.asarray(u, dtype=complex)
-        return cls.from_kraus([u])
 
     @classmethod
     def from_pauli_probs(cls, probs) -> "Channel":
@@ -214,40 +176,27 @@ class Channel:
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit labels")
         factors = []
-        for op, local in self.factors:
-            factors.append((op, tuple(qubits[q - 1] for q in local)))
-        return Channel(n, factors, check=False)
-
-    def then(self, nxt: "Channel") -> "Channel":
-        """Composite channel: apply self first, then nxt."""
-        if nxt.n != self.n:
-            raise ValueError("dim mismatch")
-        return Channel(self.n, self.factors + nxt.factors, check=False)
-
-    def tensor(self, other: "Channel") -> "Channel":
-        n = self.n + other.n
-        factors = list(self.factors)
-        factors += [(op, tuple(q + self.n for q in qs)) for op, qs in other.factors]
-        return Channel(n, factors, check=False)
+        for probs, local in self.factors:
+            factors.append((probs, tuple(qubits[q - 1] for q in local)))
+        return Channel(n, factors)
 
     def kraus(self):
         """Materialized full-register Kraus list (guarded for n > 5).
 
-        A Pauli factor contributes sqrt(p_Q) Q for each Pauli Q with p_Q > 0.
+        A factor contributes sqrt(p_Q) Q for each Pauli Q with p_Q > 0.
         """
         if self.n > _MATERIALIZE_LIMIT:
             raise ValueError(
                 f"refusing to materialize Kraus tensor for n={self.n} (> {_MATERIALIZE_LIMIT})"
             )
         out = [np.eye(self.dim, dtype=complex)]
-        for op, qubits in self.factors:
-            if _is_pauli(op):
-                m = len(qubits)
-                at = np.flatnonzero(op)
-                xz = [divmod(i, 2**m) for i in at.tolist()]
-                op = np.sqrt(op[at])[:, None, None] * pauli_matrices(
-                    m, [(x, z, (x & z).bit_count()) for x, z in xz])
-            lifted = [embed(k, qubits, self.n) for k in op]
+        for probs, qubits in self.factors:
+            m = len(qubits)
+            at = np.flatnonzero(probs)
+            xz = [divmod(i, 2**m) for i in at.tolist()]
+            ops = np.sqrt(probs[at])[:, None, None] * pauli_matrices(
+                m, [(x, z, (x & z).bit_count()) for x, z in xz])
+            lifted = [embed(k, qubits, self.n) for k in ops]
             out = [lk @ o for o in out for lk in lifted]
             if len(out) > self.dim**2:
                 out = compress_kraus(out)
@@ -257,7 +206,7 @@ class Channel:
 
     def _steps(self):
         if self._plan is None:
-            self._plan = [_apply_step(op, qubits, self.n) for op, qubits in self.factors]
+            self._plan = [_apply_step(probs, qubits, self.n) for probs, qubits in self.factors]
         return self._plan
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -269,30 +218,19 @@ class Channel:
         for kind, data in self._steps():
             if kind == "depolarizing":
                 out = (1 - data) * out + data * np.trace(out).real * np.eye(d) / d
-            elif kind == "pauli":
-                out = _apply_pauli(out, data)
-            elif data.shape[0] == 1:
-                k = data[0]
-                out = k @ out @ k.conj().T
             else:
-                out = np.tensordot(data @ out, data.conj(), axes=([0, 2], [0, 2]))
+                out = _apply_pauli(out, data)
         return out
 
-    def pauli_eigenvalue(self, p: PauliString) -> float | None:
-        """lambda_P with P -> lambda_P P under this channel, or None if a
-        factor is a Kraus list (the image of P need not be a multiple of P)."""
+    def pauli_eigenvalue(self, p: PauliString) -> float:
+        """lambda_P with P -> lambda_P P under this channel."""
         lam = 1.0
         for kind, data in self._steps():
-            if kind == "kraus":
-                return None
             if kind == "depolarizing":
                 lam *= 1.0 - data if p.x | p.z else 1.0
             else:
                 lam *= data[p.z, p.x] * self.dim
         return float(lam)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply(rho)
 
 
 def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:

@@ -304,10 +304,10 @@ def _run_certify(cfg, seed, shots):
     rng = np.random.default_rng(seed)
     rows = []
     for p in cfg["depolarizing_p"]:
-        noisy = Channel.depolarizing(n, p).then(Channel.unitary(u))
-        est = certify_clifford(noisy, tab, cfg["delta"], rng,
+        noise = Channel.depolarizing(n, p)
+        est = certify_clifford(noise, tab, cfg["delta"], rng,
                                n_samples=cfg["n_samples"], readout_shots=shots)
-        exact = average_gate_fidelity_exact(noisy.kraus(), u)
+        exact = average_gate_fidelity_exact([u @ k for k in noise.kraus()], u)
         rows.append([p, est.fbar, exact, abs(est.fbar - exact),
                      est.stderr, est.n_samples])
     return RunOutput(
@@ -653,8 +653,9 @@ SCHEMA = {
          "bad control/target pair ({control_qubit}, {target_qubit}) for {molecule}"),
         (lambda c: abs(sum(w for _, w in c["rf_distribution"]) - 1.0) <= 1e-9,
          "rf_distribution weights must sum to 1"),
-        # GRAPE on chain7 peaks at about 2.1 MB per step and RF scale (473 MB
-        # for 200 steps x 1 scale or 100 x 2); 2^23 admits 512 there, 1.1 GB
+        # GRAPE on chain7 holds about 0.5 MiB per step and RF scale over about
+        # 44 MB for the process (145 MB peak RSS for 200 steps x 1 scale);
+        # 2^23 admits 512 there, about 300 MB
         (lambda c: (c["n_steps"] * len(c["rf_distribution"])
                     * 4 ** _molecule_n(c) <= 2**23),
          "n_steps x rf_distribution scales x 4^n must be <= 2^23 for {molecule}"),

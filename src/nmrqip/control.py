@@ -282,7 +282,9 @@ def grape_optimize(
 
     Two-loop quasi-Newton directions (memory 10) are clipped to the box and
     halved until an Armijo test passes; with no pair stored (first step, or
-    after a reset) a step moves the largest amplitude by 1% of the cap.  The
+    after a reset) a step moves the largest amplitude by 1% of the cap.  A
+    quasi-Newton search that fails resets the memory and searches again
+    along that step; only a failed reset-step search is a stall.  The
     objective is the rf_distribution-weighted fidelity of the scaled pulses;
     only accepted steps enter its monotone trace.  Stalls return best-so-far,
     not converged.
@@ -315,6 +317,22 @@ def grape_optimize(
             total += w * s * _fd_gradient(u_target, h_int, ops, scaled)
         return total
 
+    def line_search(x, d, phi, grad):
+        """(x', amplitudes, fidelity) of the first clipped step x' = x + t d,
+        t = 1, 1/2, ... (40 tries), that passes the Armijo test, or None."""
+        nonlocal record, evaluations
+        t = 1.0
+        for _ in range(40):
+            cand = np.clip(x + t * d, -1, 1)
+            cand_amps = u_max * cand.reshape(init.amplitudes.shape)
+            phi_new, record = objective(cand_amps, record)  # the run's one record
+            evaluations += 1
+            # strict increase too: clipping can turn a step's slope negative
+            if phi_new > phi and phi_new - phi >= 1e-4 * (grad @ (cand - x)):
+                return cand, cand_amps, phi_new
+            t *= 0.5
+        return None
+
     amps = init.amplitudes
     x = (amps / u_max).ravel()
     phi, record = objective(amps)
@@ -334,24 +352,18 @@ def grape_optimize(
             message = f"gradient norm below 1e-10 at fidelity {phi:.6f}"
             break
         d = _lbfgs_direction(grad, memory) if memory else None
-        if d is None or d @ grad <= 0:
-            memory.clear()  # move the largest amplitude by 1% of the cap
-            d = 1e-2 * grad / gmax
-        t = 1.0
-        for _ in range(40):
-            cand = np.clip(x + t * d, -1, 1)
-            cand_amps = u_max * cand.reshape(amps.shape)
-            phi_new, record = objective(cand_amps, record)  # the run's one record
-            evaluations += 1
-            # strict increase too: clipping can turn a step's slope negative
-            if phi_new > phi and phi_new - phi >= 1e-4 * (grad @ (cand - x)):
-                break
-            t *= 0.5
-        else:
+        found = line_search(x, d, phi, grad) if d is not None and d @ grad > 0 else None
+        if found is None:
+            # clipping to the box can leave an L-BFGS direction no ascent where
+            # the reset step, which moves the largest amplitude by 1% of the
+            # cap, still has one
+            memory.clear()
+            found = line_search(x, 1e-2 * grad / gmax, phi, grad)
+        if found is None:
             message = f"line search stalled at fidelity {phi:.6f}"
             break
-        step = cand - x
-        x, amps, phi = cand, cand_amps, phi_new
+        step = found[0] - x
+        x, amps, phi = found
         trace.append(phi)
         it += 1
         if phi >= cfg.target_fidelity:

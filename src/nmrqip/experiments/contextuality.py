@@ -78,15 +78,15 @@ def _direct_correlation(rho: np.ndarray, words) -> float:
 
 
 def _meter_correlation(rho: np.ndarray, words, noise: Channel | None) -> float:
-    # meter is qubit 1, prepared along +x; system spins are qubits 2 and 3
+    # meter is qubit 1, prepared along +x; system spins are qubits 2 and 3;
+    # noise is the meter's channel lifted onto the register
     plus = np.full((2, 2), 0.5, dtype=complex)
     joint = np.kron(plus, rho)
     for word in words:
         coupling = controlled(PauliString(word).dense())
         joint = coupling @ joint @ coupling.conj().T
         if noise is not None:
-            ch = noise if noise.n == 3 else noise.on([1], 3)
-            joint = ch(joint)
+            joint = noise.apply(joint)
     return expectation(joint, embed(SIGMA_X, [1], 3))
 
 
@@ -99,10 +99,9 @@ def contextuality_beta(
     """beta = r1 + r2 + r3 + c1 + c2 - c3 for the given two-spin state.
 
     direct: each correlation is the expectation of the dense product of the
-    commuting triple (noise, if any, hits the input state once).
+    commuting triple; it takes no noise.
     meter: each correlation runs the three-coupling meter circuit; noise, if
-    any, is applied after every coupling (a 1-spin channel lands on the
-    meter, a 3-spin channel on the whole register).
+    any, is a 1-spin channel applied to the meter after every coupling.
     """
     rho = check_density(np.asarray(state, dtype=complex))
     if rho.shape != (4, 4):
@@ -111,12 +110,13 @@ def contextuality_beta(
     values = []
     if method == "direct":
         if noise is not None:
-            rho = noise(rho)
+            raise ValueError("the direct method takes no noise; meter noise needs method='meter'")
         for words, _ in table.contexts():
             values.append(_direct_correlation(rho, words))
     elif method == "meter":
+        lifted = None if noise is None else noise.on([1], 3)
         for words, _ in table.contexts():
-            values.append(_meter_correlation(rho, words, noise))
+            values.append(_meter_correlation(rho, words, lifted))
     else:
         raise ValueError(f"unknown method {method!r}")
     rows, cols = tuple(values[:3]), tuple(values[3:])

@@ -18,28 +18,17 @@ from ..qop import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    PauliString,
     embed,
     expectation,
     ket_density,
 )
 
 
-def _observable(axis) -> np.ndarray:
-    if isinstance(axis, PauliString):
-        if axis.n != 1:
-            raise ValueError("weak coupling acts on a single spin observable")
-        return axis.dense()
-    if isinstance(axis, str):
-        letter = axis.upper()
-        if letter not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown observable letter {axis!r}")
-        return PAULIS[letter]
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,) or np.linalg.norm(vec) < 1e-12:
-        raise ValueError("observable axis must be a letter or a nonzero 3-vector")
-    vec = vec / np.linalg.norm(vec)
-    return vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
+def _observable(axis: str) -> np.ndarray:
+    letter = axis.upper()
+    if letter not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown observable letter {axis!r}")
+    return PAULIS[letter]
 
 
 def _normalized_ket(psi) -> np.ndarray:

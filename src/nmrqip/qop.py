@@ -294,38 +294,18 @@ def controlled(u: np.ndarray, n_controls: int = 1) -> np.ndarray:
     return out
 
 
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
+_AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def rotation(axis, angle: float, qubit: int = 1, n: int = 1) -> np.ndarray:
-    """exp(-i angle (axis . sigma)/2) embedded on one 1-based qubit.
-
-    axis may be 'x'/'y'/'z', a 3-vector (normalized here), or a bare phase
-    angle phi selecting the in-plane axis (cos phi, -sin phi, 0), matching
-    the RF channel convention u_x = gamma B1 cos phi, u_y = -gamma B1 sin phi.
-    """
-    if isinstance(axis, str):
-        nvec = _AXES[axis.lower()]
-    elif np.ndim(axis) == 0:
-        phi = float(axis)
-        nvec = np.array([np.cos(phi), -np.sin(phi), 0.0])
-    else:
-        nvec = np.asarray(axis, dtype=float)
-        nrm = np.linalg.norm(nvec)
-        if nrm < 1e-14:
-            raise ValueError("zero rotation axis")
-        nvec = nvec / nrm
-    h = nvec[0] * SIGMA_X + nvec[1] * SIGMA_Y + nvec[2] * SIGMA_Z
-    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * h
+def rotation(axis: str, angle: float, qubit: int = 1, n: int = 1) -> np.ndarray:
+    """exp(-i angle sigma_axis / 2) about axis 'x', 'y' or 'z', embedded on
+    one 1-based qubit."""
+    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * _AXES[axis.lower()]
     return embed(u, [qubit], n) if n > 1 else u
 
 
-def collective_rotation(axis, angle: float, n: int) -> np.ndarray:
-    """exp(-i angle sum_q axis . I_q): one `rotation` per spin, as they commute."""
+def collective_rotation(axis: str, angle: float, n: int) -> np.ndarray:
+    """exp(-i angle sum_q I_q^axis): one `rotation` per spin, as they commute."""
     return tensor(*[rotation(axis, angle)] * n)
 
 

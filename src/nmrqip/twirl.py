@@ -4,17 +4,18 @@ Memory and Clifford-gate certification share one primitive: prepare a
 deviation state whose traceless part is a random non-identity Pauli M, push
 it through the noisy process, and read out the coefficient of the expected
 output Pauli.  All shots are drawn in one call, as a uniform index into the
-4^n - 1 non-identity Paulis and a uniform sign.  The channel is applied once
+4^n - 1 non-identity Paulis and a uniform sign.  The process is applied once
 per distinct signed Pauli and every shot gathers that coefficient; a
 finite-shot binomial readout, if asked for, is drawn for all shots in one
 call.  The mean coefficient maps affinely to Pr(no error), and the average
-gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
+gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).  A noisy Clifford
+gate is its Pauli noise followed by the target's dense unitary.
 
 Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
 each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
-density matrix is formed; noise with a Kraus factor runs the dense loop.
-The decay A p^m + B is fitted by variable projection in numpy.  Both gate
-samplers build their tableaux from gate lists through nmrqip.clifford.
+density matrix is formed.  The decay A p^m + B is fitted by variable
+projection in numpy.  Both gate samplers build their tableaux from gate
+lists through nmrqip.clifford.
 """
 
 from __future__ import annotations
@@ -65,15 +66,14 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     return rng.choice(total, size=count, replace=False) + 1, np.zeros(count, dtype=np.int64)
 
 
-def _shot_values(channel: Channel, idx, sign, output_pauli, readout_shots, rng) -> np.ndarray:
-    """Per-shot coefficients of output_pauli(M) in the channel's image of
-    (I + M)/d, for the drawn input Paulis M = (-1)^sign P_idx.
+def _shot_values(n: int, image, idx, sign, output_pauli, readout_shots, rng) -> np.ndarray:
+    """Per-shot coefficients of output_pauli(M) in image((I + M)/d), the
+    n-qubit process's output, for the drawn input Paulis M = (-1)^sign P_idx.
 
-    The channel is applied once per distinct signed Pauli, and each shot
-    gathers its value.  With readout_shots, every shot then gets its own
-    binomial readout, drawn in shot order in one call.
+    image is called once per distinct signed Pauli, and each shot gathers
+    its value.  With readout_shots, every shot then gets its own binomial
+    readout, drawn in shot order in one call.
     """
-    n = channel.n
     d, mask = 2**n, (1 << n) - 1
     keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
     chi = np.empty(len(keys))
@@ -81,7 +81,7 @@ def _shot_values(channel: Channel, idx, sign, output_pauli, readout_shots, rng) 
         x, z = key >> (n + 1), key >> 1 & mask
         p = PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1))
         rho = (np.eye(d, dtype=complex) + p.dense()) / d
-        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real
+        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real
     chis = chi[inv]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)
@@ -96,15 +96,15 @@ def _estimate(chis: np.ndarray, n: int, delta: float) -> TwirlEstimate:
     return TwirlEstimate(pr0, len(chis), delta, stderr, n)
 
 
-def _twirl(channel: Channel, output_pauli, delta, rng, n_samples, readout_shots,
+def _twirl(n: int, image, output_pauli, delta, rng, n_samples, readout_shots,
            with_replacement) -> TwirlEstimate:
-    """Survival estimate over random input Paulis M, each read out as output_pauli(M)."""
+    """Survival estimate over random input Paulis M, each sent through image
+    and read out as output_pauli(M)."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must be in (0, 0.5)")
-    n = channel.n
     count = n_samples if n_samples is not None else recommended_samples(n, delta)
     idx, sign = _sample_paulis(n, count, rng, with_replacement)
-    chis = _shot_values(channel, idx, sign, output_pauli, readout_shots, rng)
+    chis = _shot_values(n, image, idx, sign, output_pauli, readout_shots, rng)
     return _estimate(chis, n, delta)
 
 
@@ -121,11 +121,12 @@ def twirl_estimate_memory(
     Each shot measures the survival coefficient of one random Pauli; the
     channel is never inspected beyond its action on states.
     """
-    return _twirl(noise, lambda p: p, delta, rng, n_samples, readout_shots, with_replacement)
+    return _twirl(noise.n, noise.apply, lambda p: p, delta, rng, n_samples, readout_shots,
+                  with_replacement)
 
 
 def certify_clifford(
-    noisy_gate: Channel,
+    noise: Channel,
     target: CliffordTableau,
     delta: float,
     rng: np.random.Generator,
@@ -133,15 +134,21 @@ def certify_clifford(
     readout_shots: int | None = None,
     with_replacement: bool = True,
 ) -> TwirlEstimate:
-    """Average-fidelity estimate of the noise in a noisy Clifford gate.
+    """Average-fidelity estimate of the Pauli noise in a noisy Clifford gate.
 
-    Models the gate as (noise, then the ideal target); the readout Pauli is
-    the tableau image of the input, so only the noise part degrades the
-    survival coefficient.
+    Models the gate as the noise followed by the target's dense unitary U;
+    the readout Pauli is the tableau image of the input, so the survival
+    coefficient falls below 1 only through the noise, or where the tableau
+    and U disagree.
     """
-    if target.n != noisy_gate.n:
-        raise ValueError("target size does not match gate")
-    return _twirl(noisy_gate, target.conjugate, delta, rng, n_samples, readout_shots,
+    if target.n != noise.n:
+        raise ValueError("target size does not match noise")
+    u = target.to_unitary()
+
+    def image(rho):
+        return u @ noise.apply(rho) @ u.conj().T
+
+    return _twirl(noise.n, image, target.conjugate, delta, rng, n_samples, readout_shots,
                   with_replacement)
 
 
@@ -278,20 +285,10 @@ def randomized_benchmarking(
 
     For each length, `shots` random sequences are applied to a deviation
     state Z_1; noise acts after every gate including the recovery.  The mean
-    survival is fitted to A p^m + B.  Pauli noise (or none) is propagated
-    through the sequence symbolically; noise with a Kraus factor runs the
-    dense density-matrix loop.
+    survival is fitted to A p^m + B.  The Pauli noise (or none) is
+    propagated through the sequence symbolically.
     """
     n = noise_model.n if noise_model is not None else None
-    dense_cache: dict = {}
-
-    def dense(tab: CliffordTableau) -> np.ndarray:
-        u = dense_cache.get(tab)
-        if u is None:
-            u = tab.to_unitary()
-            dense_cache[tab] = u
-        return u
-
     lengths = list(seq_lengths)
     survivals = []
     for m in lengths:
@@ -301,19 +298,7 @@ def randomized_benchmarking(
             if n is None:
                 n = tabs[0].n if tabs else 1
             z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
-            if noise_model is None or noise_model.pauli_eigenvalue(z1) is not None:
-                acc += _propagated_survival(noise_model, tabs, z1)
-                continue
-            d = 2**n
-            rho = (np.eye(d, dtype=complex) + z1.dense()) / d
-            total = CliffordTableau.identity(n)
-            for tab in tabs:
-                u = dense(tab)
-                rho = noise_model.apply(u @ rho @ u.conj().T)
-                total = total.then(tab)
-            rec = dense(total.inverse())
-            rho = noise_model.apply(rec @ rho @ rec.conj().T)
-            acc += float(np.trace(z1.dense() @ rho).real)
+            acc += _propagated_survival(noise_model, tabs, z1)
         survivals.append(acc / shots)
 
     surv = np.array(survivals)

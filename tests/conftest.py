@@ -70,8 +70,8 @@ def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# channel fixtures: Pauli vectors indexed x * 2 + z (I, Z, X, Y) and a
-# non-Pauli Kraus channel
+# channel fixtures: Pauli vectors indexed x * 2 + z (I, Z, X, Y), the
+# Kraus-sum oracle, and a non-Pauli Kraus set for it
 
 
 def bit_flip(p: float) -> Channel:
@@ -82,12 +82,46 @@ def phase_flip(p: float) -> Channel:
     return Channel.from_pauli_probs([1 - p, p, 0.0, 0.0])
 
 
-def amplitude_damping(gamma: float) -> Channel:
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must be in [0, 1]")
+def kraus_sum(kraus, rho: np.ndarray) -> np.ndarray:
+    """sum_K K rho K^dag, the explicit Kraus-map oracle."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def amplitude_damping_kraus(gamma: float, qubit: int = 1, n: int = 1) -> list:
+    """Kraus pair of amplitude damping on one 1-based qubit of n: a non-Pauli
+    map, whose action on a Pauli deviation depends on the Pauli's sign."""
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return Channel.from_kraus([k0, k1])
+    return [embed(k, [qubit], n) for k in (k0, k1)]
+
+
+def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
+    """Mean Z_1 survival per length by the density-matrix loop: each gate's
+    dense unitary, then the noise as a Kraus sum, and after the sequence the
+    dense recovery and the noise once more.  Draws the same gates from rng as
+    nmrqip.twirl.randomized_benchmarking."""
+    n = noise.n if noise is not None else None
+    kraus = noise.kraus() if noise is not None else None
+    survivals = []
+    for m in lengths:
+        acc = 0.0
+        for _ in range(shots):
+            tabs = [sampler(rng) for _ in range(m)]
+            if n is None:
+                n = tabs[0].n if tabs else 1
+                kraus = [np.eye(2**n)]
+            z1 = PauliString.from_bits(n, 0, 1 << (n - 1)).dense()
+            rho = (np.eye(2**n, dtype=complex) + z1) / 2**n
+            total = CliffordTableau.identity(n)
+            for tab in tabs:
+                u = tab.to_unitary()
+                rho = kraus_sum(kraus, u @ rho @ u.conj().T)
+                total = total.then(tab)
+            rec = total.inverse().to_unitary()
+            rho = kraus_sum(kraus, rec @ rho @ rec.conj().T)
+            acc += float(np.trace(z1 @ rho).real)
+        survivals.append(acc / shots)
+    return survivals
 
 
 def depolarizing_for_beta(target_beta: float, n_couplings: int = 3) -> float:
@@ -238,8 +272,8 @@ def signed_paulis(n: int, idx, sign) -> list:
             for i, s in zip(np.asarray(idx).tolist(), np.asarray(sign).tolist())]
 
 
-def per_shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) -> list:
-    """Reference shot loop: the channel's image of (I + M)/d read out as
+def per_shot_values(image, paulis, output_pauli, readout_shots, rng) -> list:
+    """Reference shot loop: the process's image of (I + M)/d read out as
     output_pauli(M), memoized per PauliString (sign included), then one
     binomial readout per shot in shot order."""
     seen: dict = {}
@@ -249,7 +283,7 @@ def per_shot_values(channel: Channel, paulis, output_pauli, readout_shots, rng) 
         if chi is None:
             d = 2**p.n
             rho = (np.eye(d, dtype=complex) + p.dense()) / d
-            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), channel.apply(rho)).real)
+            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real)
             seen[p] = chi
         if readout_shots:
             q = min(max((1 + chi) / 2, 0.0), 1.0)

@@ -1,4 +1,4 @@
-"""Kraus-map plumbing tested against explicit sum_k K rho K^dag loops."""
+"""Pauli channels tested against explicit sum_k K rho K^dag loops."""
 
 import math
 import tracemalloc
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.cli import DEFAULT_CONFIGS
-from nmrqip.qop import PauliString, embed, haar_random_unitary, ket_density
+from nmrqip.qop import PauliString, embed, ket_density
 
-from conftest import (all_pauli_words, amplitude_damping, bit_flip, bloch_vector, phase_flip,
-                      random_density)
+from conftest import all_pauli_words, bit_flip, bloch_vector, kraus_sum, phase_flip, random_density
 
 
 def pauli_vector(probs: dict) -> np.ndarray:
@@ -58,18 +57,28 @@ def word_probs_by_weight(n: int, weight_masses: dict) -> dict:
     return probs
 
 
-def random_kraus(d: int, m: int, rng) -> list:
-    """m random Kraus operators normalized to a trace-preserving map."""
-    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(m)]
-    s = sum(k.conj().T @ k for k in ops)
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
-    return [k @ inv_sqrt for k in ops]
+def random_factors(n: int, rng) -> list:
+    """Random Pauli factors on random qubit subsets of an n-qubit register."""
+    factors = []
+    for _ in range(1 + rng.integers(3)):
+        m = 1 + rng.integers(n)
+        qubits = tuple(int(q) + 1 for q in rng.permutation(n)[:m])
+        factors.append((rng.dirichlet(np.ones(4**m)), qubits))
+    return factors
+
+
+def factor_kraus_sum(factors, n: int, rho: np.ndarray) -> np.ndarray:
+    """Each factor in turn as the Kraus sum of its sqrt(p_Q) Q, every Pauli Q
+    built from its word and placed with embed, not by the channel."""
+    for probs, qubits in factors:
+        m = len(qubits)
+        kraus = [np.sqrt(probs[q.x << m | q.z]) * embed(q.dense(), qubits, n)
+                 for q in map(PauliString, all_pauli_words(m))]
+        rho = kraus_sum(kraus, rho)
+    return rho
 
 
 def test_completeness_check_rejects():
-    with pytest.raises(ValueError):
-        Channel.from_kraus([np.eye(2) * 0.5])
     for bad in ([], np.ones(1), np.full(8, 1 / 8), np.full((4, 4), 1 / 16)):
         with pytest.raises(ValueError, match="is not"):
             Channel.from_pauli_probs(bad)
@@ -77,22 +86,34 @@ def test_completeness_check_rejects():
         Channel.from_pauli_probs(np.zeros(4))
 
 
+def test_factor_must_be_a_pauli_vector():
+    # a 2 x 2 array has the size of a 1-qubit Pauli vector, but is not one;
+    # nor is a Kraus list, whose stack has more entries than 4^m
+    half = np.array([[0.5, 0.0], [0.0, 0.5]])
+    for bad in (half, [half, half], np.full((1, 4), 0.25)):
+        with pytest.raises(ValueError, match="is not"):
+            Channel(1, [(bad, (1,))])
+    with pytest.raises(ValueError, match="is not"):
+        Channel(2, [(np.full(4, 0.25), (1, 2))])
+    assert Channel(1, [(np.full(4, 0.25), (1,))]).factors[0][0].shape == (4,)
+
+
 def test_apply_matches_kraus_sum(rng):
-    for n, m in ((1, 3), (2, 2), (3, 4)):
+    for n in (1, 2, 3):
         d = 2**n
-        kraus = random_kraus(d, m, rng)
-        ch = Channel.from_kraus(kraus)
+        factors = random_factors(n, rng)
+        ch = Channel(n, factors)
         rho = random_density(d, rng)
-        direct = sum(k @ rho @ k.conj().T for k in kraus)
-        assert np.allclose(ch.apply(rho), direct, atol=1e-12)
-        assert np.allclose(ch(rho), direct, atol=1e-12)
+        direct = factor_kraus_sum(factors, n, rho)
+        assert np.allclose(ch.apply(rho), direct, rtol=0, atol=1e-12)
+        assert np.allclose(kraus_sum(ch.kraus(), rho), direct, rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**32 - 1))
 def test_apply_preserves_trace_and_positivity(seed):
     rng = np.random.default_rng(seed)
-    ch = Channel.from_kraus(random_kraus(4, 3, rng))
+    ch = Channel(2, random_factors(2, rng))
     rho = random_density(4, rng)
     out = ch.apply(rho)
     assert abs(np.trace(out) - 1.0) < 1e-10
@@ -123,12 +144,6 @@ def test_bit_and_phase_flip():
     assert out[0, 1] == pytest.approx(0.5 * (1 - 0.5))
 
 
-def test_amplitude_damping():
-    rho1 = ket_density(np.array([0, 1], dtype=complex))
-    out = amplitude_damping(0.4).apply(rho1)
-    assert out[0, 0] == pytest.approx(0.4) and out[1, 1] == pytest.approx(0.6)
-
-
 def test_on_embeds_like_kron(rng):
     flip = bit_flip(0.3)
     rho = random_density(8, rng)
@@ -151,20 +166,16 @@ def test_on_rejects_a_label_count_other_than_n():
 
 
 def test_then_and_tensor(rng):
-    a = bit_flip(0.2)
-    b = phase_flip(0.1)
+    # factors apply in order ("a then b"), and factors on disjoint qubits
+    # make the tensor product
+    (a, _), (b, _) = bit_flip(0.2).factors[0], phase_flip(0.1).factors[0]
     rho = random_density(2, rng)
-    assert np.allclose(a.then(b).apply(rho), b.apply(a.apply(rho)), atol=1e-12)
+    got = Channel(1, [(a, (1,)), (b, (1,))]).apply(rho)
+    assert np.allclose(got, phase_flip(0.1).apply(bit_flip(0.2).apply(rho)), atol=1e-12)
     rho2 = random_density(4, rng)
-    joint = a.tensor(b).apply(rho2)
-    ref = a.on([1], 2).apply(b.on([2], 2).apply(rho2))
+    joint = Channel(2, [(a, (1,)), (b, (2,))]).apply(rho2)
+    ref = bit_flip(0.2).on([1], 2).apply(phase_flip(0.1).on([2], 2).apply(rho2))
     assert np.allclose(joint, ref, atol=1e-12)
-
-
-def test_unitary_channel(rng):
-    u = haar_random_unitary(4, rng)
-    rho = random_density(4, rng)
-    assert np.allclose(Channel.unitary(u).apply(rho), u @ rho @ u.conj().T)
 
 
 def test_pauli_channel_transfer_eigenvalues(rng):
@@ -183,8 +194,8 @@ def test_pauli_eigenvalue_accessor(rng):
     # for one Pauli factor, the depolarizing closed form and a composite
     probs = random_pauli_probs(2, rng)
     bit = {"I": 0.9, "X": 0.1}
-    composite = word_channel(bit).tensor(phase_flip(0.2)).then(
-        Channel.depolarizing(1, 0.3).on((2,), 2))
+    composite = Channel(2, [(pauli_vector(bit), (1,)), (phase_flip(0.2).factors[0][0], (2,)),
+                            (Channel.depolarizing(1, 0.3).factors[0][0], (2,))])
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
     for word in all_pauli_words(2):
@@ -202,9 +213,6 @@ def test_pauli_eigenvalue_accessor(rng):
                 rho = (np.eye(4) + PauliString(word).dense()) / 4
                 survival = np.trace(PauliString(word).dense() @ composite.apply(rho)).real
                 assert composite.pauli_eigenvalue(p) == pytest.approx(survival, abs=1e-12)
-    z = PauliString("Z")
-    assert amplitude_damping(0.1).pauli_eigenvalue(z) is None
-    assert phase_flip(0.1).then(Channel.identity(1)).pauli_eigenvalue(z) is None
 
 
 def test_pauli_probs_by_weight_fixture():
@@ -274,11 +282,6 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
     rho = random_density(d, rng)
     assert np.allclose(ch.apply(rho), dense_pauli_sum(probs, rho), rtol=0, atol=1e-12)
 
-    u = haar_random_unitary(d, rng)
-    got = ch.then(Channel.unitary(u)).apply(rho)
-    ref = u @ dense_pauli_sum(probs, rho) @ u.conj().T
-    assert np.allclose(got, ref, rtol=0, atol=1e-12)
-
     if n < 4:
         big = n + 1
         qubits = [int(q) + 1 for q in rng.permutation(big)[:n]]
@@ -288,7 +291,8 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
 
         other = random_pauli_probs(1, rng)
         joint = {w + v: p * q for w, p in probs.items() for v, q in other.items()}
-        got = ch.tensor(word_channel(other)).apply(rho_big)
+        got = Channel(big, [(pauli_vector(probs), range(1, big)),
+                            (pauli_vector(other), (big,))]).apply(rho_big)
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
@@ -300,12 +304,13 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
 @settings(deadline=None, max_examples=20, derandomize=True)
 @given(st.integers(1, 4), st.floats(0.0, 1.0))
 def test_depolarizing_composite_matches_kraus_oracle(n, p):
+    # depolarizing on the register, then on qubit 1: the closed form, then
+    # the closed form again at n = 1 and the Pauli transform at n > 1
     rng = np.random.default_rng(n)
-    d = 2**n
-    u = haar_random_unitary(d, rng)
-    rho = random_density(d, rng)
-    ch = Channel.depolarizing(n, p).then(Channel.unitary(u))
-    ref = sum(k @ rho @ k.conj().T for k in ch.kraus())
+    rho = random_density(2**n, rng)
+    ch = Channel(n, [Channel.depolarizing(n, p).factors[0],
+                     (Channel.depolarizing(1, p / 2).factors[0][0], (1,))])
+    ref = kraus_sum(ch.kraus(), rho)
     assert np.allclose(ch.apply(rho), ref, rtol=0, atol=1e-12)
 
 

@@ -538,6 +538,20 @@ def test_grape_finite_difference_runs_at_the_amplitude_cap(tmp_path, capsys):
     assert np.max(np.abs(amps)) == 2 * math.pi * 200
 
 
+@pytest.mark.parametrize("mode", ["exact", "finite-difference"])
+def test_grape_at_the_amplitude_cap_searches_past_a_failed_quasi_newton_step(
+        tmp_path, capsys, mode):
+    # every amplitude sits on the cap by iteration 8 (F = 0.273139), where the
+    # clipped L-BFGS direction no longer ascends but the reset step does, so
+    # the run goes on to max_iters
+    doc = {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 30,
+           "gradient_mode": mode, "init_scale": 0.9}
+    assert run_experiment("grape", seed=1, out_dir=str(tmp_path / "g"), config_doc=doc) == 3
+    summary = read_stdout_json(capsys)
+    assert summary["fidelity"] > 0.273139 + 1e-4
+    assert summary["message"] == "max_iters reached" and summary["iterations"] == 30
+
+
 def test_grape_manifest_counts_objective_evaluations(tmp_path):
     out = tmp_path / "g"
     assert run_experiment("grape", seed=0, out_dir=str(out),
@@ -724,8 +738,8 @@ def test_stricter_checks_exit_2(tmp_path, capsys, name, doc, message):
     {"molecule": "chain7", "n_steps": 300, "rf_distribution": [[0.98, 0.5], [1.02, 0.5]]},
 ])
 def test_grape_memory_is_capped(tmp_path, capsys, doc):
-    # every pulse step keeps a few d x d matrices per RF scale: about 2.5 MB
-    # per step on chain7 (250 steps peaked at 674 MB RSS)
+    # a chain7 evaluation holds about 0.5 MiB per pulse step and RF scale
+    # over about 44 MB for the process (200 steps peaked at 145 MB RSS)
     out = str(tmp_path / "o")
     code = run_experiment("grape", out_dir=out, config_doc=doc)
     assert_config_error(code, capsys, out, "n_steps x rf_distribution scales x 4^n")

@@ -70,21 +70,17 @@ def test_classical_bound():
     assert classical_max_beta() == 4.0
 
 
-def test_direct_beta_survives_input_noise(rng):
-    # each context multiplies to +-identity, so direct correlations are +-1
-    # for ANY input state; depolarizing the input cannot move beta at all
-    rho = ket_density(haar_random_state(4, rng))
-    res = contextuality_beta(rho, noise=Channel.depolarizing(2, 0.9))
-    assert res.beta == pytest.approx(6.0, abs=1e-12)
+def test_direct_method_with_noise_raises():
+    # the direct method has no coupling for noise to follow
+    with pytest.raises(ValueError, match="direct method takes no noise"):
+        contextuality_beta(np.eye(4) / 4, noise=Channel.depolarizing(1, 0.1))
 
 
 def test_meter_noise_on_full_register():
-    # a 3-spin channel lands on the whole register after each coupling; for
-    # depolarizing noise the meter readout still shrinks by (1-p)^3
-    p = 0.1
-    res = contextuality_beta(np.eye(4) / 4, noise=Channel.depolarizing(3, p),
-                             method="meter")
-    assert res.beta == pytest.approx(6 * (1 - p) ** 3, abs=1e-9)
+    # the meter noise is a 1-spin channel; one on the whole register is refused
+    with pytest.raises(ValueError, match="1 qubit labels for a 3-qubit channel"):
+        contextuality_beta(np.eye(4) / 4, noise=Channel.depolarizing(3, 0.1),
+                           method="meter")
 
 
 def test_meter_noise_fixture():

@@ -48,16 +48,6 @@ def test_rotation_matches_expm():
         for theta in (0.3, np.pi / 2, -1.7):
             assert np.allclose(rotation(axis, theta),
                                expm(-1j * theta * sig / 2), atol=1e-12)
-    nvec = np.array([1.0, 2.0, -2.0])
-    nhat = nvec / 3.0
-    h = sum(c * PAULIS[a] for c, a in zip(nhat, "XYZ"))
-    assert np.allclose(rotation(nvec, 0.8), expm(-1j * 0.8 * h / 2), atol=1e-12)
-
-
-def test_rotation_phase_axis_convention():
-    # bare angle phi means the in-plane axis (cos phi, -sin phi, 0)
-    assert np.allclose(rotation(0.0, 1.1), rotation("x", 1.1))
-    assert np.allclose(rotation(-np.pi / 2, 1.1), rotation("y", 1.1))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -71,8 +61,6 @@ def test_collective_rotation_matches_expm(n):
 def test_rotation_embeds():
     got = rotation("x", np.pi, 2, 2)
     assert np.allclose(got, np.kron(np.eye(2), rotation("x", np.pi)))
-    with pytest.raises(ValueError):
-        rotation(np.zeros(3), 1.0)
 
 
 def test_j_evolution_matches_expm():

@@ -42,11 +42,17 @@ def test_csv_digests_lists_every_run_at_one_seed():
     assert all(len(f[3]) == 64 and set(f[3]) <= set("0123456789abcdef") for f in fields)
     assert len(lines) == len({(f[0], f[2]) for f in fields})
     # every default run, every bench job whose config the schema accepts (one
-    # that exits 2 at validation writes nothing), the two extra GRAPE runs and
-    # repro's criteria.csv
+    # that exits 2 at validation writes nothing), the extra runs and repro's
+    # criteria.csv
     jobs = {f"{workload}/{job.name}" for workload, make in script.load_jobs().WORKLOADS.items()
             for job in make() if _accepted(job.experiment, job.config)}
-    extra = {"grape-chain7-chunks", "grape-fd-at-cap"}
-    assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | extra | {"repro"}
-    assert {f[2] for f in fields if f[0] in extra} == {"fidelity_trace.csv", "pulse.csv"}
+    extra = {"grape-chain7-chunks": {"fidelity_trace.csv", "pulse.csv"},
+             "grape-fd-at-cap": {"fidelity_trace.csv", "pulse.csv"},
+             "certify-n4": {"certify.csv"},
+             "contextuality-meter-noise": {"contextuality.csv"},
+             "rb-rotations-n1": {"survivals.csv", "fit.csv"}}
+    assert [label for label, _, _ in script.EXTRA_RUNS] == list(extra)
+    assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | set(extra) | {"repro"}
+    for label, files in extra.items():
+        assert {f[2] for f in fields if f[0] == label} == files
     assert [f[2] for f in fields if f[0] == "repro"] == ["criteria.csv"]

@@ -23,9 +23,10 @@ from nmrqip.twirl import (
     twirl_estimate_memory,
 )
 
-from conftest import (all_1q_cliffords, all_pauli_words, amplitude_damping, bit_flip, circuit_unitary,
-                      from_unitaries, pauli_weight, per_shot_values, phase_flip,
-                      rotation_unitaries, signed_paulis)
+from conftest import (all_1q_cliffords, all_pauli_words, amplitude_damping_kraus, bit_flip,
+                      circuit_unitary, dense_rb_survivals, from_unitaries, kraus_sum,
+                      pauli_weight, per_shot_values, phase_flip, rotation_unitaries,
+                      signed_paulis)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -45,7 +46,7 @@ def test_fbar_mapping():
 
 def test_twirl_identity_channel_is_exact():
     rng = np.random.default_rng(0)
-    est = twirl_estimate_memory(Channel.identity(2), 0.05, rng, n_samples=50)
+    est = twirl_estimate_memory(Channel.depolarizing(2, 0), 0.05, rng, n_samples=50)
     assert est.pr0_hat == pytest.approx(1.0, abs=1e-12)
     assert est.fbar == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
@@ -115,16 +116,25 @@ def test_distinct_draw_matches_word_enumeration():
             assert rng.random() == ref_rng.random()
 
 
+def pauli_memory(n):
+    return Channel.from_pauli_probs(pauli_probs_by_weight(n, {w: 0.05 for w in range(1, n + 1)}))
+
+
 def memory_and_gate(n):
-    """An amplitude-damped Pauli memory, and that memory before a Clifford
-    circuit with the circuit's tableau.  Amplitude damping makes the survival
-    depend on the input Pauli's sign."""
-    weights = {w: 0.05 for w in range(1, n + 1)}
-    memory = amplitude_damping(0.3).on((1,), n).then(
-        Channel.from_pauli_probs(pauli_probs_by_weight(n, weights)))
+    """An amplitude-damped Pauli memory and that memory before a Clifford
+    circuit, as images of a state, with the circuit's tableau.  Amplitude
+    damping makes the survival depend on the input Pauli's sign."""
+    memory, damping = pauli_memory(n), amplitude_damping_kraus(0.3, 1, n)
     gates = [("H", (1,))] + [("CNOT", (q, q + 1)) for q in range(1, n)]
-    target = circuit_tableau(gates, n)
-    return memory, memory.then(Channel.unitary(circuit_unitary(gates, n))), target
+    u = circuit_unitary(gates, n)
+
+    def damped(rho):
+        return memory.apply(kraus_sum(damping, rho))
+
+    def gate(rho):
+        return u @ damped(rho) @ u.conj().T
+
+    return damped, gate, circuit_tableau(gates, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -138,10 +148,10 @@ def test_shot_memo_matches_per_shot_loop(n):
             idx, sign = _sample_paulis(n, count, np.random.default_rng(seed), with_replacement)
             paulis = signed_paulis(n, idx, sign)
             for readout_shots in (None, 100):
-                for channel, readout in ((memory, lambda p: p), (gate, target.conjugate)):
+                for image, readout in ((memory, lambda p: p), (gate, target.conjugate)):
                     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = _shot_values(channel, idx, sign, readout, readout_shots, rng)
-                    want = per_shot_values(channel, paulis, readout, readout_shots, ref_rng)
+                    got = _shot_values(n, image, idx, sign, readout, readout_shots, rng)
+                    want = per_shot_values(image, paulis, readout, readout_shots, ref_rng)
                     assert got.tolist() == want
                     assert rng.random() == ref_rng.random()
 
@@ -151,14 +161,14 @@ def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
     apply = Channel.apply
     monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append(1) or apply(self, rho))
     n = 2
-    memory, gate, target = memory_and_gate(n)
+    memory, target = pauli_memory(n), circuit_tableau([("H", (1,)), ("CNOT", (1, 2))], n)
     for with_replacement, count in ((True, 600), (False, 15)):
         idx, sign = _sample_paulis(n, count, np.random.default_rng(5), with_replacement)
         distinct = len(np.unique(idx << 1 | sign))
         assert distinct < count if with_replacement else distinct == count
         for run in (lambda rng: twirl_estimate_memory(memory, 0.05, rng, count, None,
                                                       with_replacement),
-                    lambda rng: certify_clifford(gate, target, 0.05, rng, count, 100,
+                    lambda rng: certify_clifford(memory, target, 0.05, rng, count, 100,
                                                  with_replacement)):
             calls.clear()
             assert run(np.random.default_rng(5)).n_samples == count
@@ -191,28 +201,42 @@ def test_twirl_sampled_depolarizing():
 def test_twirl_argument_guards():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        twirl_estimate_memory(Channel.identity(1), 0.7, rng)
+        twirl_estimate_memory(Channel.depolarizing(1, 0), 0.7, rng)
     with pytest.raises(ValueError):
-        twirl_estimate_memory(Channel.identity(2), 0.05, rng, n_samples=16,
+        twirl_estimate_memory(Channel.depolarizing(2, 0), 0.05, rng, n_samples=16,
                               with_replacement=False)
 
 
 def test_certify_noiseless_gate():
     rng = np.random.default_rng(7)
-    gate = Channel.unitary(CNOT)
-    est = certify_clifford(gate, gate_tableau("CNOT", (1, 2), 2), 0.05, rng,
-                           n_samples=40)
+    est = certify_clifford(Channel.depolarizing(2, 0), gate_tableau("CNOT", (1, 2), 2), 0.05,
+                           rng, n_samples=40)
     assert est.pr0_hat == pytest.approx(1.0, abs=1e-12)
     assert est.fbar == pytest.approx(1.0, abs=1e-12)
 
 
+def test_certify_checks_the_tableau_against_the_dense_unitary(monkeypatch):
+    # the gate is applied as the target's dense unitary and read out through
+    # its tableau, so a unitary of another Clifford shows as lost fidelity
+    # even without noise
+    cnot, other = gate_tableau("CNOT", (1, 2), 2), gate_tableau("CNOT", (2, 1), 2)
+    wrong = other.to_unitary()
+    monkeypatch.setattr(CliffordTableau, "to_unitary", lambda self: wrong)
+    est = certify_clifford(Channel.depolarizing(2, 0), cnot, 0.05, np.random.default_rng(7),
+                           n_samples=15, with_replacement=False)
+    assert est.fbar < 1 - 0.1
+    same = certify_clifford(Channel.depolarizing(2, 0), other, 0.05, np.random.default_rng(7),
+                            n_samples=15, with_replacement=False)
+    assert same.fbar == pytest.approx(1.0, abs=1e-12)
+
+
 def test_certify_exhaustive_matches_exact_fidelity():
     for p in (0.05, 0.2):
-        noisy = Channel.depolarizing(2, p).then(Channel.unitary(CNOT))
+        noise = Channel.depolarizing(2, p)
         rng = np.random.default_rng(3)
-        est = certify_clifford(noisy, gate_tableau("CNOT", (1, 2), 2), 0.05,
+        est = certify_clifford(noise, gate_tableau("CNOT", (1, 2), 2), 0.05,
                                rng, n_samples=15, with_replacement=False)
-        exact = average_gate_fidelity_exact(noisy.kraus(), CNOT)
+        exact = average_gate_fidelity_exact([CNOT @ k for k in noise.kraus()], CNOT)
         assert est.fbar == pytest.approx(exact, abs=1e-12)
         assert est.fbar == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
@@ -220,7 +244,7 @@ def test_certify_exhaustive_matches_exact_fidelity():
 def test_certify_size_mismatch():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        certify_clifford(Channel.identity(1), CliffordTableau.identity(2),
+        certify_clifford(Channel.depolarizing(1, 0), CliffordTableau.identity(2),
                          0.05, rng)
 
 
@@ -296,32 +320,22 @@ RB_LENGTHS = [1, 3, 8, 20, 40]
 def rb_noise_models(n):
     """None, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
     masses = {w: 0.02 / w for w in range(1, n + 1)}
-    composite = bit_flip(0.01)
-    for _ in range(n - 1):
-        composite = composite.tensor(phase_flip(0.02))
-    composite = composite.then(Channel.depolarizing(1, 0.03).on((n,), n))
+    factors = [(bit_flip(0.01).factors[0][0], (1,))]
+    factors += [(phase_flip(0.02).factors[0][0], (q,)) for q in range(2, n + 1)]
+    factors.append((Channel.depolarizing(1, 0.03).factors[0][0], (n,)))
+    composite = Channel(n, factors)
     return [None, Channel.depolarizing(n, 0.01),
             Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
 
 
-def dense_rb(noise, n, seed, monkeypatch):
-    """The density-matrix loop: Pauli noise reported as non-Pauli, no noise as
-    the Kraus identity."""
-    rng = np.random.default_rng(seed)
-    with monkeypatch.context() as mp:
-        mp.setattr(Channel, "pauli_eigenvalue", lambda self, p: None)
-        res = randomized_benchmarking(default_rb_sampler(n), noise or Channel.identity(n),
-                                      RB_LENGTHS, 3, rng)
-    return res, rng
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rb_propagation_matches_dense_loop(n, monkeypatch):
+def test_rb_propagation_matches_dense_loop(n):
     for i, noise in enumerate(rb_noise_models(n)):
-        want, ref_rng = dense_rb(noise, n, 10 * n + i, monkeypatch)
+        ref_rng = np.random.default_rng(10 * n + i)
+        want = dense_rb_survivals(default_rb_sampler(n), noise, RB_LENGTHS, 3, ref_rng)
         rng = np.random.default_rng(10 * n + i)
         got = randomized_benchmarking(default_rb_sampler(n), noise, RB_LENGTHS, 3, rng)
-        assert np.allclose(got.survivals, want.survivals, rtol=0, atol=1e-12)
+        assert np.allclose(got.survivals, want, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
 
 
@@ -336,19 +350,6 @@ def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
         res = randomized_benchmarking(sampler, noise, RB_LENGTHS, 3,
                                       np.random.default_rng(0))
         assert res.ok
-
-
-def test_rb_kraus_noise_runs_dense_loop_and_fits(monkeypatch):
-    calls = []
-    to_unitary = CliffordTableau.to_unitary
-    monkeypatch.setattr(CliffordTableau, "to_unitary",
-                        lambda self: calls.append(1) or to_unitary(self))
-    noise = amplitude_damping(0.02).on((1,), 2)
-    res = randomized_benchmarking(default_rb_sampler(2), noise, RB_LENGTHS, 4,
-                                  np.random.default_rng(3))
-    assert calls
-    assert res.ok and res.message == "ok"
-    assert 0 < res.decay < 1 and 0 <= res.amplitude <= 1 and 0 <= res.offset <= 1
 
 
 def decay_rss(lengths, surv, a, p, b):
