@@ -8,9 +8,10 @@ perfbench/jobs.py at its own config, the EXTRA_RUNS below, and
 
 where <run> is the experiment name, <workload>/<job> for a bench job, an
 extra run's label, or repro.  Two checkouts can be compared by diffing their
-output:
+output.  The runs go in process, so the thread count is set here as the
+nmrqip command sets it:
 
-    PYTHONPATH=src python scripts/csv_digests.py --seeds 0 1 > digests.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/csv_digests.py --seeds 0 1 > digests.txt
 """
 
 import argparse
@@ -29,7 +30,8 @@ JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 # (label, experiment, config) of paths no default run or bench job takes: a
 # chain7 GRAPE whose 24 steps of d = 128 go in several chunks, the
 # finite-difference gradient with amplitudes on the cap, certify at its
-# largest n, the meter's Pauli noise, and RB's single-qubit rotations sampler.
+# largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
+# at n = 7 with many distinct Paulis, and an Ising scan of 10^4 field points.
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
@@ -39,6 +41,8 @@ EXTRA_RUNS = [
     ("contextuality-meter-noise", "contextuality",
      {"state": "random", "method": "meter", "noise_p": 0.05}),
     ("rb-rotations-n1", "rb", {"n": 1, "sampler": "rotations"}),
+    ("twirl-n7-many", "twirl", {"n": 7, "n_samples": 20000}),
+    ("ising-10k", "ising", {"n_points": 10001}),
 ]
 
 

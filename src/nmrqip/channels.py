@@ -10,12 +10,11 @@ tensor product would need 4^7 Kraus matrices.
 
 A Pauli channel multiplies the coefficient of each Pauli P in rho by
 lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
-Walsh-Hadamard transform of p.  apply() moves rho into that basis with two
-real matrix products, scales it by lambda and moves it back; no Kraus
-matrix is built.  When lambda is the same on every non-identity Pauli
-(depolarizing noise) the closed form (1 - p) rho + p tr(rho) I/d is used
-instead.  kraus() still materializes the full Kraus set for n <= 5, as the
-exact oracle.
+Walsh-Hadamard transform of p.  The table of lambda on the whole register,
+the product of the factors' tables, is a channel's one computed form; apply()
+moves rho into the Pauli basis with two real matrix products, scales it by
+the table and moves it back.  kraus() still materializes the full Kraus set
+for n <= 5, as the exact oracle.
 
 Pauli vectors are the only Pauli error format: entry x * 2^m + z is the
 probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
@@ -36,10 +35,6 @@ import numpy as np
 from .qop import PauliString, embed, pauli_matrices, sylvester_hadamard
 
 _MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
-# Eigenvalue spread below which a Pauli channel is applied as depolarizing.
-# The transform's rounding spreads a depolarizing channel's eigenvalues by
-# up to about 6e-15 at n = 7.
-_DEPOLARIZING_ATOL = 1e-12
 
 
 def _check_pauli_probs(probs):
@@ -108,16 +103,6 @@ def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def _apply_step(probs, qubits, n: int):
-    """(kind, data) for applying one factor on the n-qubit register: kind is
-    "pauli" (the eigenvalue table over d) or "depolarizing" (the strength p)."""
-    lam = _pauli_eigenvalues(probs, qubits, n)
-    rest = lam.ravel()[1:]
-    if np.ptp(rest) <= _DEPOLARIZING_ATOL:
-        return "depolarizing", 1.0 - float(rest.mean())
-    return "pauli", lam / 2**n
-
-
 class Channel:
     """Pauli channel as ordered factors on qubit subsets of an n-qubit register.
 
@@ -140,9 +125,11 @@ class Channel:
             probs.setflags(write=False)
             if any(q < 1 or q > self.n for q in qubits):
                 raise ValueError(f"factor qubits {qubits} outside register 1..{self.n}")
+            if len(set(qubits)) != len(qubits):
+                raise ValueError("duplicate qubit labels")
             norm_factors.append((probs, qubits))
         self.factors = tuple(norm_factors)
-        self._plan = None
+        self._lam = None
 
     # -- constructors -------------------------------------------------------
 
@@ -204,33 +191,26 @@ class Channel:
 
     # -- application --------------------------------------------------------
 
-    def _steps(self):
-        if self._plan is None:
-            self._plan = [_apply_step(probs, qubits, self.n) for probs, qubits in self.factors]
-        return self._plan
+    def eigenvalues(self) -> np.ndarray:
+        """Read-only table lam[z, x], computed on first use: this channel maps
+        the Pauli X^x Z^z to lam[z, x] X^x Z^z."""
+        if self._lam is None:
+            lam = np.ones((self.dim, self.dim))
+            for probs, qubits in self.factors:
+                lam *= _pauli_eigenvalues(probs, qubits, self.n)
+            lam.setflags(write=False)
+            self._lam = lam
+        return self._lam
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
-        d = self.dim
-        if rho.shape != (d, d):
-            raise ValueError(f"state dim {rho.shape} does not match channel dim {d}")
-        out = rho
-        for kind, data in self._steps():
-            if kind == "depolarizing":
-                out = (1 - data) * out + data * np.trace(out).real * np.eye(d) / d
-            else:
-                out = _apply_pauli(out, data)
-        return out
+        if rho.shape != (self.dim, self.dim):
+            raise ValueError(f"state dim {rho.shape} does not match channel dim {self.dim}")
+        return _apply_pauli(rho, self.eigenvalues() / self.dim)
 
     def pauli_eigenvalue(self, p: PauliString) -> float:
         """lambda_P with P -> lambda_P P under this channel."""
-        lam = 1.0
-        for kind, data in self._steps():
-            if kind == "depolarizing":
-                lam *= 1.0 - data if p.x | p.z else 1.0
-            else:
-                lam *= data[p.z, p.x] * self.dim
-        return float(lam)
+        return float(self.eigenvalues()[p.z, p.x])
 
 
 def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:

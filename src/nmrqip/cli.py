@@ -745,7 +745,7 @@ SCHEMA = {
     "ising": (_run_ising, {
         # j <= 1e3 keeps the step bisection's span (3 j) fine enough for step_tol
         "j": _key("number", 1.0, lo=1e-12, hi=1e3),
-        # the ground-state eigh stops converging as |h| nears 1e308
+        # past |h| = 2j the ground state is polarized; 1e6 keeps h diag(M) far from overflow
         "h_min": _key("number", -3.0, lo=-1e6, hi=1e6),
         "h_max": _key("number", 3.0, lo=-1e6, hi=1e6),
         "n_points": _key("int", 121, lo=2, hi=1_000_000),
@@ -956,6 +956,9 @@ def _repro_main(argv) -> int:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the caller set one, before numpy loads: CSV bytes depend on it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print("usage: nmrqip <experiment> --config PATH --seed N --out DIR"

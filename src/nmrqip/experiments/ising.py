@@ -19,6 +19,8 @@ _N = 3
 # Z bits, qubit 1 the most significant: Z1 Z2, Z2 Z3, Z1 Z3, then Z1, Z2, Z3
 _COUPLING_Z = (0b110, 0b011, 0b101)
 _FIELD_Z = (0b100, 0b010, 0b001)
+# energies per chunk of field points: 2^16 points of 8 float64 levels
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -44,36 +46,28 @@ def magnetization_operator() -> np.ndarray:
     return pauli_sum(_N, [(1.0, 0, z) for z in _FIELD_Z])
 
 
-def _ground_point(j: float, h: float, rtol: float):
-    energies, vectors = np.linalg.eigh(ising_hamiltonian(j, h))
-    e0 = energies[0]
-    sel = np.abs(energies - e0) <= rtol * max(1.0, abs(e0))
-    deg = int(sel.sum())
-    basis = vectors[:, sel]
-    rho = basis @ basis.conj().T / deg
-    mag = float(np.real(np.trace(rho @ magnetization_operator())))
-    probs = np.linalg.eigvalsh(rho)
-    probs = probs[probs > 1e-15]
-    entropy = float(-(probs * np.log2(probs)).sum())
-    return mag, entropy, deg
-
-
 def ising_ground(j: float, h_values, rtol: float = 1e-9) -> IsingResult:
     """Uniform ground-space mixture per field value: magnetization, entropy.
 
-    Entropy is von Neumann in bits, so a deg-fold degenerate point reads
-    log2(deg) exactly.
+    H is diagonal, with energies E(h) = diag(H(j, 0)) + h diag(M).  The ground
+    set is the levels within rtol max(1, |E_min|) of the minimum; the mixture's
+    magnetization is the mean of diag(M) over it, and its von Neumann entropy
+    is log2(deg) bits.
     """
     if j <= 0:
         raise ValueError("couplings must be antiferromagnetic (j > 0)")
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    mags, ents, degs = [], [], []
-    for h in h_values:
-        mag, entropy, deg = _ground_point(j, h, rtol)
-        mags.append(mag)
-        ents.append(entropy)
-        degs.append(deg)
-    return IsingResult(j, h_values, np.array(mags), np.array(ents), np.array(degs, dtype=int))
+    e0 = np.diagonal(ising_hamiltonian(j, 0.0)).real
+    m = np.diagonal(magnetization_operator()).real
+    mags, degs = np.empty(len(h_values)), np.empty(len(h_values), dtype=int)
+    step = _CHUNK_BYTES // e0.nbytes
+    for at in range(0, len(h_values), step):
+        energies = e0 + h_values[at:at + step, None] * m
+        e_min = energies.min(axis=1, keepdims=True)
+        ground = np.abs(energies - e_min) <= rtol * np.maximum(1.0, np.abs(e_min))
+        degs[at:at + step] = ground.sum(axis=1)
+        mags[at:at + step] = (ground * m).sum(axis=1) / degs[at:at + step]
+    return IsingResult(j, h_values, mags, np.log2(degs), degs)
 
 
 def magnetization_steps(j: float, tol: float = 1e-6):
@@ -84,13 +78,13 @@ def magnetization_steps(j: float, tol: float = 1e-6):
     steps = []
     for k in range(len(grid) - 1):
         lo, hi = grid[k], grid[k + 1]
-        m_lo = result.magnetization[k]
-        if np.isclose(m_lo, result.magnetization[k + 1]) and result.degeneracy[k] == result.degeneracy[k + 1]:
+        m_lo, deg_lo = result.magnetization[k], result.degeneracy[k]
+        if np.isclose(m_lo, result.magnetization[k + 1]) and deg_lo == result.degeneracy[k + 1]:
             continue
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            m_mid, _, deg_mid = _ground_point(j, mid, 1e-9)
-            if np.isclose(m_mid, m_lo) and deg_mid == result.degeneracy[k]:
+            point = ising_ground(j, mid)
+            if np.isclose(point.magnetization[0], m_lo) and point.degeneracy[0] == deg_lo:
                 lo = mid
             else:
                 hi = mid

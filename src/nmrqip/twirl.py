@@ -4,12 +4,14 @@ Memory and Clifford-gate certification share one primitive: prepare a
 deviation state whose traceless part is a random non-identity Pauli M, push
 it through the noisy process, and read out the coefficient of the expected
 output Pauli.  All shots are drawn in one call, as a uniform index into the
-4^n - 1 non-identity Paulis and a uniform sign.  The process is applied once
-per distinct signed Pauli and every shot gathers that coefficient; a
-finite-shot binomial readout, if asked for, is drawn for all shots in one
-call.  The mean coefficient maps affinely to Pr(no error), and the average
-gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).  A noisy Clifford
-gate is its Pauli noise followed by the target's dense unitary.
+4^n - 1 non-identity Paulis and a uniform sign.  A memory shot reads the
+channel's eigenvalue lambda_M, whatever the sign of M.  A noisy Clifford
+gate is its Pauli noise followed by the target's dense unitary U; its shot
+reads lambda_M tr(T(M) U M U^dag)/d for the tableau image T(M), one trace
+per distinct signed Pauli, all in one batched product.  A finite-shot
+binomial readout, if asked for, is drawn for all shots in one call.  The
+mean coefficient maps affinely to Pr(no error), and the average gate
+fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
 Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
 each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
@@ -27,7 +29,7 @@ import numpy as np
 
 from .channels import Channel
 from .clifford import CliffordTableau, circuit_tableau, gate_tableau
-from .qop import PauliString
+from .qop import PauliString, pauli_matrices
 
 
 @dataclass(frozen=True)
@@ -66,46 +68,48 @@ def _sample_paulis(n: int, count: int, rng, with_replacement: bool):
     return rng.choice(total, size=count, replace=False) + 1, np.zeros(count, dtype=np.int64)
 
 
-def _shot_values(n: int, image, idx, sign, output_pauli, readout_shots, rng) -> np.ndarray:
-    """Per-shot coefficients of output_pauli(M) in image((I + M)/d), the
-    n-qubit process's output, for the drawn input Paulis M = (-1)^sign P_idx.
+def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.ndarray:
+    """Per-shot survival coefficients of the drawn input Paulis
+    M = (-1)^sign P_idx under the noise, then, with a target, its dense
+    unitary U and a readout of the tableau image T(M).
 
-    image is called once per distinct signed Pauli, and each shot gathers
-    its value.  With readout_shots, every shot then gets its own binomial
-    readout, drawn in shot order in one call.
+    With readout_shots, every shot then gets its own binomial readout, drawn
+    in shot order in one call.
     """
-    d, mask = 2**n, (1 << n) - 1
-    keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
-    chi = np.empty(len(keys))
-    for j, key in enumerate(keys.tolist()):
-        x, z = key >> (n + 1), key >> 1 & mask
-        p = PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1))
-        rho = (np.eye(d, dtype=complex) + p.dense()) / d
-        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real
-    chis = chi[inv]
+    lam = noise.eigenvalues().T.ravel()  # entry x << n | z is lambda of X^x Z^z
+    if target is None:
+        chis = lam[idx]
+    else:
+        n = noise.n
+        keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
+        paulis = []
+        for key in keys.tolist():
+            x, z = key >> (n + 1), key >> 1 & (1 << n) - 1
+            paulis.append(PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1)))
+        u = target.to_unitary()
+        conj = u @ pauli_matrices(n, [(p.x, p.z, p.k) for p in paulis]) @ u.conj().T
+        t = pauli_matrices(n, [(q.x, q.z, q.k) for q in map(target.conjugate, paulis)])
+        chis = (lam[keys >> 1] * np.einsum("kij,kji->k", t, conj).real / 2**n)[inv]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)
         chis = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
     return chis
 
 
-def _estimate(chis: np.ndarray, n: int, delta: float) -> TwirlEstimate:
-    scale = (4**n - 1) / 4**n
-    pr0 = scale * float(np.mean(chis)) + 1 / 4**n
-    stderr = scale * float(np.std(chis)) / math.sqrt(len(chis))
-    return TwirlEstimate(pr0, len(chis), delta, stderr, n)
-
-
-def _twirl(n: int, image, output_pauli, delta, rng, n_samples, readout_shots,
+def _twirl(noise: Channel, target, delta, rng, n_samples, readout_shots,
            with_replacement) -> TwirlEstimate:
-    """Survival estimate over random input Paulis M, each sent through image
-    and read out as output_pauli(M)."""
+    """Survival estimate over random input Paulis M, each sent through the
+    noise (and the target's unitary) and read out as M (or T(M))."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must be in (0, 0.5)")
+    n = noise.n
     count = n_samples if n_samples is not None else recommended_samples(n, delta)
     idx, sign = _sample_paulis(n, count, rng, with_replacement)
-    chis = _shot_values(n, image, idx, sign, output_pauli, readout_shots, rng)
-    return _estimate(chis, n, delta)
+    chis = _shot_values(noise, idx, sign, target, readout_shots, rng)
+    scale = (4**n - 1) / 4**n
+    pr0 = scale * float(np.mean(chis)) + 1 / 4**n
+    stderr = scale * float(np.std(chis)) / math.sqrt(count)
+    return TwirlEstimate(pr0, count, delta, stderr, n)
 
 
 def twirl_estimate_memory(
@@ -118,11 +122,10 @@ def twirl_estimate_memory(
 ) -> TwirlEstimate:
     """Estimate Pr(no error) and average fidelity of a memory channel.
 
-    Each shot measures the survival coefficient of one random Pauli; the
-    channel is never inspected beyond its action on states.
+    Each shot measures the survival coefficient of one random Pauli, which
+    for a Pauli channel is its eigenvalue.
     """
-    return _twirl(noise.n, noise.apply, lambda p: p, delta, rng, n_samples, readout_shots,
-                  with_replacement)
+    return _twirl(noise, None, delta, rng, n_samples, readout_shots, with_replacement)
 
 
 def certify_clifford(
@@ -143,13 +146,7 @@ def certify_clifford(
     """
     if target.n != noise.n:
         raise ValueError("target size does not match noise")
-    u = target.to_unitary()
-
-    def image(rho):
-        return u @ noise.apply(rho) @ u.conj().T
-
-    return _twirl(noise.n, image, target.conjugate, delta, rng, n_samples, readout_shots,
-                  with_replacement)
+    return _twirl(noise, target, delta, rng, n_samples, readout_shots, with_replacement)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from nmrqip.channels import Channel
 from nmrqip.clifford import CliffordTableau
 from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
                             _phase_divided_differences, _propagators)
+from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
 from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, embed, n_qubits,
                         pauli_matrices, pauli_sum, rotation, spin_bits)
 from nmrqip.spins import hamiltonian_diagonal
@@ -70,8 +71,8 @@ def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# channel fixtures: Pauli vectors indexed x * 2 + z (I, Z, X, Y), the
-# Kraus-sum oracle, and a non-Pauli Kraus set for it
+# channel fixtures: Pauli vectors indexed x * 2 + z (I, Z, X, Y), and the
+# Kraus-sum oracle, per factor from Pauli words
 
 
 def bit_flip(p: float) -> Channel:
@@ -87,12 +88,22 @@ def kraus_sum(kraus, rho: np.ndarray) -> np.ndarray:
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
-def amplitude_damping_kraus(gamma: float, qubit: int = 1, n: int = 1) -> list:
-    """Kraus pair of amplitude damping on one 1-based qubit of n: a non-Pauli
-    map, whose action on a Pauli deviation depends on the Pauli's sign."""
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return [embed(k, [qubit], n) for k in (k0, k1)]
+def factor_kraus(factors, n: int) -> list:
+    """Per factor (probs, qubits), the Kraus list sqrt(p_Q) Q of its Paulis Q,
+    each built from its word and placed with embed, not by the channel."""
+    out = []
+    for probs, qubits in factors:
+        m = len(qubits)
+        out.append([np.sqrt(probs[q.x << m | q.z]) * embed(q.dense(), qubits, n)
+                    for q in map(PauliString, all_pauli_words(m))])
+    return out
+
+
+def factor_kraus_sum(factors, n: int, rho: np.ndarray) -> np.ndarray:
+    """Each factor in turn as the Kraus sum of its factor_kraus list."""
+    for kraus in factor_kraus(factors, n):
+        rho = kraus_sum(kraus, rho)
+    return rho
 
 
 def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
@@ -122,6 +133,24 @@ def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
             acc += float(np.trace(z1 @ rho).real)
         survivals.append(acc / shots)
     return survivals
+
+
+def eigh_ground_point(j: float, h: float, rtol: float):
+    """(magnetization, entropy in bits, degeneracy) of the Ising triangle's
+    uniform ground-space mixture by dense diagonalization: eigh of H, the
+    mixture's trace against the magnetization operator, and the von Neumann
+    entropy from eigvalsh of the mixture."""
+    energies, vectors = np.linalg.eigh(ising_hamiltonian(j, h))
+    e0 = energies[0]
+    sel = np.abs(energies - e0) <= rtol * max(1.0, abs(e0))
+    deg = int(sel.sum())
+    basis = vectors[:, sel]
+    rho = basis @ basis.conj().T / deg
+    mag = float(np.real(np.trace(rho @ magnetization_operator())))
+    probs = np.linalg.eigvalsh(rho)
+    probs = probs[probs > 1e-15]
+    entropy = float(-(probs * np.log2(probs)).sum())
+    return mag, entropy, deg
 
 
 def depolarizing_for_beta(target_beta: float, n_couplings: int = 3) -> float:
@@ -272,23 +301,25 @@ def signed_paulis(n: int, idx, sign) -> list:
             for i, s in zip(np.asarray(idx).tolist(), np.asarray(sign).tolist())]
 
 
-def per_shot_values(image, paulis, output_pauli, readout_shots, rng) -> list:
-    """Reference shot loop: the process's image of (I + M)/d read out as
-    output_pauli(M), memoized per PauliString (sign included), then one
-    binomial readout per shot in shot order."""
-    seen: dict = {}
-    chis = []
-    for p in paulis:
-        chi = seen.get(p)
-        if chi is None:
-            d = 2**p.n
-            rho = (np.eye(d, dtype=complex) + p.dense()) / d
-            chi = float(np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real)
-            seen[p] = chi
-        if readout_shots:
-            q = min(max((1 + chi) / 2, 0.0), 1.0)
-            chi = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
-        chis.append(chi)
+def dense_shot_values(n: int, image, idx, sign, output_pauli, readout_shots, rng):
+    """Dense reference for nmrqip.twirl._shot_values: per-shot coefficients
+    of output_pauli(M) in image((I + M)/d) for the drawn input Paulis
+    M = (-1)^sign P_idx.  image, the process on a dense state, is called once
+    per distinct signed Pauli and each shot gathers its value; with
+    readout_shots every shot then gets its own binomial readout, drawn in
+    shot order in one call."""
+    d, mask = 2**n, (1 << n) - 1
+    keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
+    chi = np.empty(len(keys))
+    for j, key in enumerate(keys.tolist()):
+        x, z = key >> (n + 1), key >> 1 & mask
+        p = PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1))
+        rho = (np.eye(d, dtype=complex) + p.dense()) / d
+        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real
+    chis = chi[inv]
+    if readout_shots:
+        q = np.clip((1 + chis) / 2, 0.0, 1.0)
+        chis = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
     return chis
 
 

@@ -12,7 +12,8 @@ from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.cli import DEFAULT_CONFIGS
 from nmrqip.qop import PauliString, embed, ket_density
 
-from conftest import all_pauli_words, bit_flip, bloch_vector, kraus_sum, phase_flip, random_density
+from conftest import (all_pauli_words, bit_flip, bloch_vector, factor_kraus_sum, kraus_sum,
+                      phase_flip, random_density)
 
 
 def pauli_vector(probs: dict) -> np.ndarray:
@@ -67,17 +68,6 @@ def random_factors(n: int, rng) -> list:
     return factors
 
 
-def factor_kraus_sum(factors, n: int, rho: np.ndarray) -> np.ndarray:
-    """Each factor in turn as the Kraus sum of its sqrt(p_Q) Q, every Pauli Q
-    built from its word and placed with embed, not by the channel."""
-    for probs, qubits in factors:
-        m = len(qubits)
-        kraus = [np.sqrt(probs[q.x << m | q.z]) * embed(q.dense(), qubits, n)
-                 for q in map(PauliString, all_pauli_words(m))]
-        rho = kraus_sum(kraus, rho)
-    return rho
-
-
 def test_completeness_check_rejects():
     for bad in ([], np.ones(1), np.full(8, 1 / 8), np.full((4, 4), 1 / 16)):
         with pytest.raises(ValueError, match="is not"):
@@ -96,6 +86,12 @@ def test_factor_must_be_a_pauli_vector():
     with pytest.raises(ValueError, match="is not"):
         Channel(2, [(np.full(4, 0.25), (1, 2))])
     assert Channel(1, [(np.full(4, 0.25), (1,))]).factors[0][0].shape == (4,)
+
+
+def test_factor_rejects_duplicate_qubit_labels():
+    # a factor on (1, 1) would read both of its local qubits from qubit 1
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
+        Channel(2, [(np.full(16, 1 / 16), (1, 1))])
 
 
 def test_apply_matches_kraus_sum(rng):
@@ -126,6 +122,19 @@ def test_depolarizing_shrinks_bloch_vector(rng):
         out = Channel.depolarizing(1, p).apply(rho)
         assert np.allclose(bloch_vector(out), (1 - p) * bloch_vector(rho),
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_depolarizing_apply_matches_kraus_sum(n, rng):
+    # through the eigenvalue table, against the Kraus sum and the closed form
+    # (1 - p) rho + p I/d
+    d = 2**n
+    rho = random_density(d, rng)
+    for p in (0.0, 0.1, 0.5, 1.0, 4**n / (4**n - 1)):
+        ch = Channel.depolarizing(n, p)
+        out = ch.apply(rho)
+        assert np.allclose(out, kraus_sum(ch.kraus(), rho), rtol=0, atol=1e-12)
+        assert np.allclose(out, (1 - p) * rho + p * np.eye(d) / d, rtol=0, atol=1e-12)
 
 
 def test_depolarizing_multiqubit_mixes_to_identity():
@@ -198,6 +207,8 @@ def test_pauli_eigenvalue_accessor(rng):
                             (Channel.depolarizing(1, 0.3).factors[0][0], (2,))])
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
+    table = composite.eigenvalues()
+    assert composite.eigenvalues() is table and not table.flags.writeable
     for word in all_pauli_words(2):
         for phase in (1, -1):
             p = PauliString(word, phase)

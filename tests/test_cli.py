@@ -484,6 +484,24 @@ def test_model_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
     capsys.readouterr()
 
 
+def test_csv_bytes_do_not_depend_on_an_unset_blas_thread_count(tmp_path):
+    # chain7 GRAPE's CSVs change with the BLAS thread count; the CLI pins one
+    # thread unless the caller sets one, so an unset variable gives the bytes
+    # of OPENBLAS_NUM_THREADS=1
+    config = tmp_path / "grape.json"
+    config.write_text(json.dumps({"molecule": "chain7", "n_steps": 4, "max_iters": 1}))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in child_env().items() if k not in blas}
+    outs = []
+    for name, env in (("unset", base), ("one", {**base, "OPENBLAS_NUM_THREADS": "1"})):
+        res = subprocess.run([sys.executable, "-m", "nmrqip.cli", "grape", "--config",
+                              str(config), "--seed", "1", "--out", str(tmp_path / name)],
+                             env=env, capture_output=True, timeout=120)
+        assert res.returncode == 3  # one iteration stops short of the target
+        outs.append(csv_bytes(tmp_path / name))
+    assert set(outs[0]) == {"fidelity_trace.csv", "pulse.csv"} and outs[0] == outs[1]
+
+
 def test_spectrum_without_signal_has_no_peak(tmp_path, capsys):
     # no pulse on a diagonal PPS leaves an all-zero spectrum
     out = tmp_path / "none"

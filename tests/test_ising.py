@@ -5,12 +5,15 @@ import pytest
 
 from nmrqip.qop import PAULIS, tensor
 
+from nmrqip.experiments import ising
 from nmrqip.experiments.ising import (
     ising_ground,
     ising_hamiltonian,
     magnetization_operator,
     magnetization_steps,
 )
+
+from conftest import eigh_ground_point
 
 
 def brute_force_ground(j, h):
@@ -64,6 +67,29 @@ def test_ground_matches_brute_force(rng):
         assert res.magnetization[0] == pytest.approx(mag_bf, abs=1e-9)
         assert res.degeneracy[0] == deg_bf
         assert res.entropy_bits[0] == pytest.approx(np.log2(deg_bf), abs=1e-9)
+
+
+@pytest.mark.parametrize("j, lo, hi, n_points", [
+    (1.0, -3.0, 3.0, 121), (1.7, -5.1, 5.1, 301), (0.3, -0.9, 0.9, 121),
+    (1e-12, -3.0, 3.0, 101), (1e3, -1e6, 1e6, 301)])
+def test_ground_matches_eigh_oracle_bit_for_bit(j, lo, hi, n_points):
+    # every grid holds the crossing at h = 0, and the first three those at
+    # +-2j, where the ground set is widest
+    h = np.linspace(lo, hi, n_points)
+    res = ising_ground(j, h)
+    want = np.array([eigh_ground_point(j, x, 1e-9) for x in h])
+    assert np.array_equal(res.magnetization, want[:, 0])
+    assert np.array_equal(res.entropy_bits, want[:, 1])
+    assert np.array_equal(res.degeneracy, want[:, 2].astype(int))
+
+
+def test_ground_chunks_give_the_one_chunk_result(monkeypatch):
+    h = np.linspace(-3.0, 3.0, 121)
+    whole = ising_ground(1.0, h)
+    monkeypatch.setattr(ising, "_CHUNK_BYTES", 7 * 64)  # 7 points of 8 levels
+    chunked = ising_ground(1.0, h)
+    for name in ("magnetization", "entropy_bits", "degeneracy"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 def test_plateau_values():

@@ -50,7 +50,9 @@ def test_csv_digests_lists_every_run_at_one_seed():
              "grape-fd-at-cap": {"fidelity_trace.csv", "pulse.csv"},
              "certify-n4": {"certify.csv"},
              "contextuality-meter-noise": {"contextuality.csv"},
-             "rb-rotations-n1": {"survivals.csv", "fit.csv"}}
+             "rb-rotations-n1": {"survivals.csv", "fit.csv"},
+             "twirl-n7-many": {"twirl.csv"},
+             "ising-10k": {"ising.csv", "steps.csv"}}
     assert [label for label, _, _ in script.EXTRA_RUNS] == list(extra)
     assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | set(extra) | {"repro"}
     for label, files in extra.items():

@@ -23,10 +23,9 @@ from nmrqip.twirl import (
     twirl_estimate_memory,
 )
 
-from conftest import (all_1q_cliffords, all_pauli_words, amplitude_damping_kraus, bit_flip,
-                      circuit_unitary, dense_rb_survivals, from_unitaries, kraus_sum,
-                      pauli_weight, per_shot_values, phase_flip, rotation_unitaries,
-                      signed_paulis)
+from conftest import (all_1q_cliffords, all_pauli_words, bit_flip, circuit_unitary,
+                      dense_rb_survivals, dense_shot_values, factor_kraus, from_unitaries,
+                      kraus_sum, pauli_weight, phase_flip, rotation_unitaries, signed_paulis)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -116,63 +115,105 @@ def test_distinct_draw_matches_word_enumeration():
             assert rng.random() == ref_rng.random()
 
 
-def pauli_memory(n):
-    return Channel.from_pauli_probs(pauli_probs_by_weight(n, {w: 0.05 for w in range(1, n + 1)}))
-
-
-def memory_and_gate(n):
-    """An amplitude-damped Pauli memory and that memory before a Clifford
-    circuit, as images of a state, with the circuit's tableau.  Amplitude
-    damping makes the survival depend on the input Pauli's sign."""
-    memory, damping = pauli_memory(n), amplitude_damping_kraus(0.3, 1, n)
+def noise_and_gate(n):
+    """Multi-factor Pauli noise (random factors on qubit 1, on qubits n and 1
+    in that order, and on the middle qubit), its dense image as Kraus sums
+    from Pauli words, that image before a Clifford circuit's dense unitary,
+    and the circuit's tableau."""
+    rng = np.random.default_rng(n)
+    factors = [(rng.dirichlet(np.ones(4)), (1,))]
+    if n > 1:
+        factors.append((rng.dirichlet(np.ones(16)), (n, 1)))
+    if n > 2:
+        factors.append((rng.dirichlet(np.ones(4)), ((n + 1) // 2,)))
+    kraus = factor_kraus(factors, n)
     gates = [("H", (1,))] + [("CNOT", (q, q + 1)) for q in range(1, n)]
     u = circuit_unitary(gates, n)
 
-    def damped(rho):
-        return memory.apply(kraus_sum(damping, rho))
+    def memory(rho):
+        for k in kraus:
+            rho = kraus_sum(k, rho)
+        return rho
 
     def gate(rho):
-        return u @ damped(rho) @ u.conj().T
+        return u @ memory(rho) @ u.conj().T
 
-    return damped, gate, circuit_tableau(gates, n)
+    return Channel(n, factors), memory, gate, circuit_tableau(gates, n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 8))
 def test_shot_memo_matches_per_shot_loop(n):
-    # both paths read the same drawn keys; a memo keyed without the sign
-    # would give -Z_1 the survival of +Z_1
-    memory, gate, target = memory_and_gate(n)
+    # the eigenvalue-table gather (memory) and the batched tableau-versus-
+    # unitary trace (gate) against the dense loop, which sends a state through
+    # the Kraus sums once per distinct signed Pauli; the readout draws the
+    # same binomials in the same order
+    noise, memory, gate, target = noise_and_gate(n)
+    count = min(40, 4**n - 1) if n < 5 else 4  # an image at n = 7 is 48 products of d = 128
     for with_replacement in (True, False):
-        count = 200 if with_replacement else min(40, 4**n - 1)
-        for seed in (1, 2):
-            idx, sign = _sample_paulis(n, count, np.random.default_rng(seed), with_replacement)
-            paulis = signed_paulis(n, idx, sign)
-            for readout_shots in (None, 100):
-                for image, readout in ((memory, lambda p: p), (gate, target.conjugate)):
-                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = _shot_values(n, image, idx, sign, readout, readout_shots, rng)
-                    want = per_shot_values(image, paulis, readout, readout_shots, ref_rng)
-                    assert got.tolist() == want
-                    assert rng.random() == ref_rng.random()
+        idx, sign = _sample_paulis(n, count, np.random.default_rng(n), with_replacement)
+        for readout_shots in (None, 100) if n < 6 else (None,):
+            for tab, image, readout in ((None, memory, lambda p: p),
+                                        (target, gate, target.conjugate)):
+                rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+                got = _shot_values(noise, idx, sign, tab, readout_shots, rng)
+                want = dense_shot_values(n, image, idx, sign, readout, readout_shots, ref_rng)
+                assert np.allclose(got, want, rtol=0, atol=1e-14)
+                assert rng.random() == ref_rng.random()
 
 
 def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
-    calls = []
-    apply = Channel.apply
-    monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append(1) or apply(self, rho))
+    # neither estimate applies the channel to a state; certify conjugates
+    # each distinct signed Pauli once, and both estimates equal the dense
+    # loop's
+    def forbidden(self, rho):
+        raise AssertionError("Channel.apply called by a twirl estimate")
+
+    conjugated = []
+    conjugate = CliffordTableau.conjugate
+    monkeypatch.setattr(CliffordTableau, "conjugate",
+                        lambda self, p: conjugated.append(p) or conjugate(self, p))
     n = 2
-    memory, target = pauli_memory(n), circuit_tableau([("H", (1,)), ("CNOT", (1, 2))], n)
+    noise, memory, gate, target = noise_and_gate(n)
+    monkeypatch.setattr(Channel, "apply", forbidden)
     for with_replacement, count in ((True, 600), (False, 15)):
         idx, sign = _sample_paulis(n, count, np.random.default_rng(5), with_replacement)
         distinct = len(np.unique(idx << 1 | sign))
         assert distinct < count if with_replacement else distinct == count
-        for run in (lambda rng: twirl_estimate_memory(memory, 0.05, rng, count, None,
-                                                      with_replacement),
-                    lambda rng: certify_clifford(memory, target, 0.05, rng, count, 100,
-                                                 with_replacement)):
-            calls.clear()
-            assert run(np.random.default_rng(5)).n_samples == count
-            assert len(calls) == distinct
+        for run, tab, image, readout in (
+                (lambda rng: twirl_estimate_memory(noise, 0.05, rng, count, None,
+                                                   with_replacement),
+                 None, memory, lambda p: p),
+                (lambda rng: certify_clifford(noise, target, 0.05, rng, count, None,
+                                              with_replacement),
+                 target, gate, conjugate.__get__(target))):
+            conjugated.clear()
+            est = run(np.random.default_rng(5))
+            assert est.n_samples == count
+            assert len(conjugated) == (0 if tab is None else distinct)
+            want = dense_shot_values(n, image, idx, sign, readout, None, None)
+            assert est.pr0_hat == pytest.approx(15 / 16 * want.mean() + 1 / 16, rel=0, abs=1e-14)
+
+
+def test_certify_detects_wrong_tableau_signs_on_negative_inputs(monkeypatch):
+    # a CNOT tableau that sends X_1 to -X_1 X_2, certified against the true
+    # CNOT unitary: every input with an X part on qubit 1 reads -1, whatever
+    # the input's sign, as in the dense loop
+    cnot = gate_tableau("CNOT", (1, 2), 2)
+    u = cnot.to_unitary()
+    wrong = CliffordTableau(2, (PauliString("XX", -1), PauliString("IX")),
+                            (PauliString("ZI"), PauliString("ZZ")))
+    monkeypatch.setattr(CliffordTableau, "to_unitary", lambda self: u)
+    idx = np.arange(1, 16)
+    noiseless = Channel.depolarizing(2, 0)
+    for sign in (np.ones(15, dtype=np.int64), np.zeros(15, dtype=np.int64)):
+        got = _shot_values(noiseless, idx, sign, wrong, None, None)
+        want = dense_shot_values(2, lambda rho: u @ rho @ u.conj().T, idx, sign,
+                                 wrong.conjugate, None, None)
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+        assert np.allclose(got, np.where(idx >> 3 & 1, -1.0, 1.0), rtol=0, atol=1e-14)
+    est = certify_clifford(noiseless, wrong, 0.05, np.random.default_rng(7), n_samples=15,
+                           with_replacement=False)
+    assert est.fbar < 0.5
 
 
 def test_twirl_exhaustive_recovers_identity_mass():
