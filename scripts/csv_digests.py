@@ -31,7 +31,8 @@ JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 # chain7 GRAPE whose 24 steps of d = 128 go in several chunks, the
 # finite-difference gradient with amplitudes on the cap, certify at its
 # largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
-# at n = 7 with many distinct Paulis, and an Ising scan of 10^4 field points.
+# at n = 7 with many distinct Paulis, an Ising scan of 10^4 field points, an
+# xxz scan at n = 7 without the crossing, and one with the schema's 256 restarts.
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
@@ -43,6 +44,9 @@ EXTRA_RUNS = [
     ("rb-rotations-n1", "rb", {"n": 1, "sampler": "rotations"}),
     ("twirl-n7-many", "twirl", {"n": 7, "n_samples": 20000}),
     ("ising-10k", "ising", {"n_points": 10001}),
+    ("xxz-n7-no-crossing", "xxz", {"n": 7, "n_points": 4, "locate_crossing": False}),
+    ("xxz-256-restarts", "xxz",
+     {"n": 4, "n_points": 3, "n_restarts": 256, "locate_crossing": False}),
 ]
 
 

@@ -9,7 +9,8 @@ stay smooth.
 
 The product-state maximization is the alternating sweep: hold all factors
 but one fixed, replace that factor with its normalized environment
-contraction (the local optimum), and sweep back and forth until stationary.
+contraction (the local optimum), and sweep back and forth until stationary;
+all random restarts sweep as one batch, each stopping where it would alone.
 """
 
 from __future__ import annotations
@@ -68,55 +69,66 @@ def xxz_ground_state(n: int, gamma: float, rtol: float = 1e-9):
     return sector[:, 0], float(e0), deg
 
 
-def _environment(tensor: np.ndarray, factors, site: int, n: int) -> np.ndarray:
-    args = [tensor, list(range(n))]
-    for j in range(n):
-        if j != site:
-            args += [np.conj(factors[j]), [j]]
-    return np.einsum(*args, [site])
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms over the last axis of a complex array, in np.linalg.norm's
+    operation order, so that each equals the norm of its vector alone."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-def product_overlap_sweep(psi: np.ndarray, n: int, factors=None, rng=None, max_sweeps: int = 500):
-    """Alternating local maximization of |<prod|psi>|; returns (lambda^2, factors).
+def _sweep(psi, factors: np.ndarray, sites, update, max_sweeps: int):
+    """Alternating sweeps of every row of factors (R, n, 2) at once, in place;
+    returns each row's final squared overlap and its sweep count.
+
+    At each site one einsum gives every row's environment, psi contracted
+    with the conjugates of its other factors.  update(env, live) gives each
+    row's new factor and overlap and the rows that take them; a row it clears
+    in live sits out the rest of the sweep.  A row stops after the first
+    sweep that moves its overlap by less than 1e-13: as if swept alone.
+    """
+    n = factors.shape[1]
+    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
+    lam, sweeps = np.zeros(len(factors)), np.zeros(len(factors), dtype=int)
+    active = np.arange(len(factors))
+    for _ in range(max_sweeps):
+        f, prev = factors[active], lam[active]
+        cur, live = prev.copy(), np.ones(active.size, dtype=bool)
+        for site in sites:
+            conj = f.conj()
+            others = [a for j in range(n) if j != site for a in (conj[:, j], [n, j])]
+            env = np.einsum(tensor, list(range(n)), *others, [n, site])
+            new, overlap, take = update(env, live)
+            np.copyto(f[:, site], new, where=take[:, None])
+            np.copyto(cur, overlap, where=take)
+        factors[active], lam[active] = f, cur
+        sweeps[active] += 1
+        active = active[np.abs(cur - prev) >= 1e-13]
+        if not active.size:
+            break
+    return np.array([x**2 for x in lam]), sweeps  # scalar squares; array ** 2 can differ
+
+
+def _local_optimum(env: np.ndarray, live: np.ndarray):
+    """The normalized environment (the exact local optimum); a vanishing one
+    ends its row's sweep."""
+    norm = _norms(env)
+    live &= norm >= 1e-15
+    return np.divide(env, norm[:, None], out=env, where=live[:, None]), norm, live
+
+
+def product_overlap_sweep(psi: np.ndarray, n: int, rng: np.random.Generator, n_restarts: int = 1):
+    """Alternating local maximization of |<prod|psi>| from n_restarts random
+    starts, all swept back and forth as one batch, at most 500 times; returns
+    per restart (lambda^2, factors, sweeps), of shapes (R,), (R, n, 2), (R,).
 
     Each site update is the exact local optimum, so the overlap never
     decreases along a sweep.
     """
-    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
-    if factors is None:
-        if rng is None:
-            raise ValueError("random initialization needs an rng")
-        factors = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n)]
-        factors = [v / np.linalg.norm(v) for v in factors]
-    else:
-        factors = [np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in factors]
-    lam = 0.0
-    for _ in range(max_sweeps):
-        prev = lam
-        for site in list(range(n)) + list(range(n - 1, -1, -1)):
-            env = _environment(tensor, factors, site, n)
-            norm = np.linalg.norm(env)
-            if norm < 1e-15:
-                break
-            factors[site] = env / norm
-            lam = norm
-        if abs(lam - prev) < 1e-13:
-            break
-    return lam**2, factors
-
-
-@dataclass(frozen=True)
-class GeResult:
-    lambda2: float
-    ge: float
-    restarts: tuple
-
-
-def _state_ge(psi: np.ndarray, n: int, rng: np.random.Generator, n_restarts: int) -> GeResult:
-    """Geometric entanglement of psi, best of n_restarts random-start sweeps."""
-    values = [product_overlap_sweep(psi, n, rng=rng)[0] for _ in range(n_restarts)]
-    best = max(values)
-    return GeResult(best, float(-np.log2(best)), tuple(values))
+    draw = rng.normal(size=(n_restarts, n, 2, 2))  # restart by restart, site by site
+    factors = draw[:, :, 0] + 1j * draw[:, :, 1]
+    factors /= _norms(factors)[..., None]
+    sites = [*range(n), *range(n - 1, -1, -1)]  # back and forth
+    lam2, sweeps = _sweep(psi, factors, sites, _local_optimum, max_sweeps=500)
+    return lam2, factors, sweeps
 
 
 # -- the three competing product families ------------------------------------
@@ -134,32 +146,30 @@ def neel_overlap(psi: np.ndarray, n: int) -> float:
     return float(max(abs(psi[b1]) ** 2, abs(psi[b2]) ** 2))
 
 
+def _equator(phi: np.ndarray) -> np.ndarray:
+    """Equatorial factors (|0> + e^{i phi}|1>)/sqrt2, one per phase."""
+    return np.stack([np.ones_like(phi), np.exp(1j * phi)], axis=-1) / np.sqrt(2)
+
+
+def _phase_aligned(env: np.ndarray, live: np.ndarray):
+    """The equatorial factor in phase with the environment; a vanishing
+    environment leaves its row's factor as it is."""
+    new = _equator(np.angle(env[:, 1]) - np.angle(env[:, 0]))
+    overlap = np.vecdot(new, env)
+    return new, np.hypot(overlap.real, overlap.imag), _norms(env) >= 1e-14
+
+
 def equatorial_overlap(psi: np.ndarray, n: int, n_seeds: int = 4, max_sweeps: int = 300) -> float:
     """Best product of equatorial states (|0> + e^{i phi}|1>)/sqrt2.
 
-    Same alternating sweep, but each site update keeps the factor on the
-    equator and only aligns its phase with the environment contraction.
+    Same alternating sweep, forward only and all seeds as one batch (seed s
+    starts from phases drawn by default_rng(s)), but each site update keeps
+    the factor on the equator and only aligns its phase with the environment.
     """
-    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
-    best = 0.0
-    for seed in range(n_seeds):
-        rng = np.random.default_rng(seed)
-        phases = rng.uniform(0, 2 * np.pi, n)
-        factors = [np.array([1, np.exp(1j * p)]) / np.sqrt(2) for p in phases]
-        lam = 0.0
-        for _ in range(max_sweeps):
-            prev = lam
-            for site in range(n):
-                env = _environment(tensor, factors, site, n)
-                if np.linalg.norm(env) < 1e-14:
-                    continue
-                phi = np.angle(env[1]) - np.angle(env[0])
-                factors[site] = np.array([1, np.exp(1j * phi)]) / np.sqrt(2)
-                lam = abs(np.vdot(factors[site], env))
-            if abs(lam - prev) < 1e-13:
-                break
-        best = max(best, lam**2)
-    return float(best)
+    phases = np.array([np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
+                       for seed in range(n_seeds)])
+    lam2, _ = _sweep(psi, _equator(phases), range(n), _phase_aligned, max_sweeps)
+    return float(np.max(lam2, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -181,25 +191,14 @@ class XxzScan:
 
 def xxz_scan(n: int, gammas, rng: np.random.Generator, n_restarts: int = 16) -> XxzScan:
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    ge, lam2, ferro, equ, neel, deg = [], [], [], [], [], []
+    rows = []
     for gamma in gammas:
-        psi, _, d = xxz_ground_state(n, gamma)
-        res = _state_ge(psi, n, rng, n_restarts)
-        ge.append(res.ge)
-        lam2.append(res.lambda2)
-        ferro.append(ferro_overlap(psi))
-        equ.append(equatorial_overlap(psi, n))
-        neel.append(neel_overlap(psi, n))
-        deg.append(d)
-    return XxzScan(
-        gammas,
-        np.array(ge),
-        np.array(lam2),
-        np.array(ferro),
-        np.array(equ),
-        np.array(neel),
-        np.array(deg, dtype=int),
-    )
+        psi, _, deg = xxz_ground_state(n, gamma)
+        best = product_overlap_sweep(psi, n, rng, n_restarts)[0].max()
+        rows.append((float(-np.log2(best)), best, ferro_overlap(psi),
+                     equatorial_overlap(psi, n), neel_overlap(psi, n), deg))
+    ge, lam2, ferro, equ, neel, deg = np.array(rows).reshape(-1, 6).T
+    return XxzScan(gammas, ge, lam2, ferro, equ, neel, deg.astype(int))
 
 
 def ge_jump_location(scan: XxzScan) -> float:

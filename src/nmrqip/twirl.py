@@ -81,15 +81,15 @@ def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.nd
         chis = lam[idx]
     else:
         n = noise.n
-        keys, inv = np.unique(idx << 1 | sign, return_inverse=True)
-        paulis = []
-        for key in keys.tolist():
-            x, z = key >> (n + 1), key >> 1 & (1 << n) - 1
-            paulis.append(PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1)))
+        keys = np.flatnonzero(np.bincount(idx << 1 | sign))  # distinct, sorted, in O(shots)
+        xzs = [(key >> (n + 1), key >> 1 & (1 << n) - 1, key & 1) for key in keys.tolist()]
+        paulis = [PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * s) for x, z, s in xzs]
         u = target.to_unitary()
         conj = u @ pauli_matrices(n, [(p.x, p.z, p.k) for p in paulis]) @ u.conj().T
         t = pauli_matrices(n, [(q.x, q.z, q.k) for q in map(target.conjugate, paulis)])
-        chis = (lam[keys >> 1] * np.einsum("kij,kji->k", t, conj).real / 2**n)[inv]
+        chis = np.empty(2 * 4**n)  # per key, then gathered per shot
+        chis[keys] = lam[keys >> 1] * np.einsum("kij,kji->k", t, conj).real / 2**n
+        chis = chis[idx << 1 | sign]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)
         chis = 2 * rng.binomial(readout_shots, q) / readout_shots - 1

@@ -349,3 +349,66 @@ def write_csv_rows(path, header, rows) -> None:
         for row in rows:
             assert len(row) == len(header)
             writer.writerow([cell(v) for v in row])
+
+
+# ---------------------------------------------------------------------------
+# XXZ product-state sweeps one restart and one seed at a time, the oracles for
+# nmrqip.experiments.xxz, which sweeps every restart (and every seed) as one batch
+
+
+def _one_environment(tensor, factors, site: int, n: int) -> np.ndarray:
+    args = [tensor, list(range(n))]
+    for j in range(n):
+        if j != site:
+            args += [np.conj(factors[j]), [j]]
+    return np.einsum(*args, [site])
+
+
+def restart_sweep(psi, n: int, rng, max_sweeps: int = 500):
+    """(lambda^2, factors, sweeps) of one random-start alternating sweep:
+    the start drawn site by site from rng, then back-and-forth sweeps of
+    exact local updates until the overlap moves by less than 1e-13."""
+    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
+    factors = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n)]
+    factors = [v / np.linalg.norm(v) for v in factors]
+    lam, sweeps = 0.0, 0
+    for _ in range(max_sweeps):
+        prev = lam
+        sweeps += 1
+        for site in list(range(n)) + list(range(n - 1, -1, -1)):
+            env = _one_environment(tensor, factors, site, n)
+            norm = np.linalg.norm(env)
+            if norm < 1e-15:
+                break
+            factors[site] = env / norm
+            lam = norm
+        if abs(lam - prev) < 1e-13:
+            break
+    return lam**2, factors, sweeps
+
+
+def seed_equatorial_sweeps(psi, n: int, n_seeds: int = 4, max_sweeps: int = 300):
+    """Per seed s (phases from default_rng(s)), (lambda^2, sweeps) of the
+    equatorial sweep: each site update keeps its factor on the equator and
+    aligns its phase with the environment."""
+    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
+    out = []
+    for seed in range(n_seeds):
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0, 2 * np.pi, n)
+        factors = [np.array([1, np.exp(1j * p)]) / np.sqrt(2) for p in phases]
+        lam, sweeps = 0.0, 0
+        for _ in range(max_sweeps):
+            prev = lam
+            sweeps += 1
+            for site in range(n):
+                env = _one_environment(tensor, factors, site, n)
+                if np.linalg.norm(env) < 1e-14:
+                    continue
+                phi = np.angle(env[1]) - np.angle(env[0])
+                factors[site] = np.array([1, np.exp(1j * phi)]) / np.sqrt(2)
+                lam = abs(np.vdot(factors[site], env))
+            if abs(lam - prev) < 1e-13:
+                break
+        out.append((lam**2, sweeps))
+    return out

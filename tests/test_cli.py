@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 import nmrqip
 from nmrqip import acceptance
 from nmrqip.channels import Channel, pauli_probs_by_weight
+from nmrqip.clifford import gate_tableau
 from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA,
                         _resolve, main, run_experiment, write_csv)
+from nmrqip.qop import average_gate_fidelity_exact
 from nmrqip.twirl import twirl_estimate_memory
 
 from conftest import write_csv_rows
@@ -986,3 +988,20 @@ def test_spectrum_power_is_python_complex_abs_squared(tmp_path):
     for r in rows:
         power = abs(complex(float(r["amp_re"]), float(r["amp_im"]))) ** 2
         assert r["power"] == "%.17g" % power
+
+
+@pytest.mark.parametrize("n, ps", [(2, [0.0, 0.05, 0.5, 1.0, 16 / 15]),
+                                   (3, [0.0, 0.2, 64 / 63]), (4, [0.1, 256 / 255])])
+def test_certify_exact_fidelity_equals_the_kraus_oracle(tmp_path, n, ps):
+    # fbar_exact is the closed form (d p_I + 1)/(d + 1); the oracle is the
+    # average gate fidelity of the noise's Kraus set followed by the CNOT
+    doc = {"n": n, "control_qubit": 1, "target_qubit": n, "depolarizing_p": ps, "n_samples": 10}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_experiment("certify", out_dir=str(tmp_path / "o"), config_doc=doc) == 0
+    with open(tmp_path / "o" / "certify.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    u = gate_tableau("CNOT", (1, n), n).to_unitary()
+    assert len(rows) == len(ps)
+    for p, row in zip(ps, rows):
+        kraus = [u @ k for k in Channel.depolarizing(n, p).kraus()]
+        assert abs(float(row["fbar_exact"]) - average_gate_fidelity_exact(kraus, u)) <= 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nmrqip.experiments.xxz import (
-    _state_ge,
     branch_crossing,
     equatorial_overlap,
     ferro_overlap,
@@ -17,6 +16,8 @@ from nmrqip.experiments.xxz import (
 )
 from nmrqip.experiments import xxz
 from nmrqip.qop import PAULIS, PauliString, tensor
+
+from conftest import restart_sweep, seed_equatorial_sweeps
 
 
 def test_hamiltonian_by_hand():
@@ -83,27 +84,78 @@ def test_product_sweep_finds_exact_overlaps(rng):
     # product input: overlap 1
     factors = [np.array([1, 0], complex), np.array([1, 1], complex) / np.sqrt(2)]
     psi = np.kron(factors[0], factors[1])
-    lam2, _ = product_overlap_sweep(psi, 2, rng=rng)
-    assert lam2 == pytest.approx(1.0, abs=1e-12)
-    # Bell state: best product overlap is 1/2
+    lam2, _, _ = product_overlap_sweep(psi, 2, rng)
+    assert lam2[0] == pytest.approx(1.0, abs=1e-12)
+    # Bell state: best product overlap is 1/2, from every restart
     bell = np.array([1, 0, 0, 1], complex) / np.sqrt(2)
-    lam2, _ = product_overlap_sweep(bell, 2, rng=rng)
-    assert lam2 == pytest.approx(0.5, abs=1e-9)
+    lam2, _, _ = product_overlap_sweep(bell, 2, rng, 4)
+    assert lam2 == pytest.approx(np.full(4, 0.5), abs=1e-9)
     # GHZ: likewise 1/2
     ghz = np.zeros(8, complex)
     ghz[0] = ghz[7] = 1 / np.sqrt(2)
-    lam2, _ = product_overlap_sweep(ghz, 3, rng=rng)
-    assert lam2 == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(ValueError, match="rng"):
+    lam2, _, _ = product_overlap_sweep(ghz, 3, rng)
+    assert lam2[0] == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(TypeError, match="rng"):
         product_overlap_sweep(bell, 2)
 
 
 def test_ge_definition(rng):
     psi, _, _ = xxz_ground_state(4, 0.5)
-    res = _state_ge(psi, 4, rng, 6)
-    assert res.ge == pytest.approx(-np.log2(res.lambda2), abs=1e-12)
-    assert res.lambda2 == pytest.approx(max(res.restarts), abs=0.0)
-    assert 0 < res.lambda2 <= 1
+    lam2, factors, sweeps = product_overlap_sweep(psi, 4, rng, 6)
+    assert lam2.shape == sweeps.shape == (6,) and factors.shape == (6, 4, 2)
+    # each restart's lambda^2 is the overlap of its own product state
+    for value, f in zip(lam2, factors):
+        prod = np.kron(np.kron(f[0], f[1]), np.kron(f[2], f[3]))
+        assert abs(np.vdot(prod, psi)) ** 2 == pytest.approx(value, abs=1e-12)
+    assert 0 < lam2.max() <= 1
+    # the scan keeps the best restart of the same draw and takes -log2 of it
+    scan = xxz_scan(4, [0.5], np.random.default_rng(1234), n_restarts=6)
+    assert scan.lambda2[0] == lam2.max()
+    assert scan.ge[0] == pytest.approx(-np.log2(lam2.max()), abs=1e-12)
+
+
+# (n, gamma, n_restarts, seed): every ring size, both phases and the
+# transitions, one restart, the default count and the configs' maximum
+_BATCH_CASES = [(n, gamma, 8, 10 * n + k) for n in range(2, 8)
+                for k, gamma in enumerate((-1.0, 0.3, 1.0))] + [
+    (2, 0.5, 1, 0), (5, -0.4, 1, 1), (7, 1.2, 1, 2), (3, 0.7, 256, 3), (4, -1.3, 256, 4)]
+
+
+@pytest.mark.parametrize("n, gamma, n_restarts, seed", _BATCH_CASES)
+def test_batched_sweep_equals_restart_by_restart(n, gamma, n_restarts, seed):
+    psi, _, _ = xxz_ground_state(n, gamma)
+    batch_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    lam2, factors, sweeps = product_overlap_sweep(psi, n, batch_rng, n_restarts)
+    for r in range(n_restarts):
+        want_lam2, want_factors, want_sweeps = restart_sweep(psi, n, ref_rng)
+        assert lam2[r] == want_lam2
+        assert np.array_equal(factors[r], want_factors)
+        assert sweeps[r] == want_sweeps
+    assert batch_rng.normal() == ref_rng.normal()  # the same draws, in order
+
+
+@pytest.mark.parametrize("n, gamma", [(n, g) for n in range(2, 8) for g in (-1.0, 0.3, 1.0)])
+def test_batched_equatorial_sweep_equals_seed_by_seed(n, gamma):
+    psi, _, _ = xxz_ground_state(n, gamma)
+    want = seed_equatorial_sweeps(psi, n)
+    phases = np.array([np.random.default_rng(s).uniform(0, 2 * np.pi, n) for s in range(4)])
+    lam2, sweeps = xxz._sweep(psi, xxz._equator(phases), range(n), xxz._phase_aligned, 300)
+    assert lam2.tolist() == [v for v, _ in want]
+    assert sweeps.tolist() == [k for _, k in want]
+    assert equatorial_overlap(psi, n) == max(0.0, *(v for v, _ in want))
+
+
+def test_sweeps_on_a_vanishing_environment_match_the_oracles():
+    # every environment of the zero vector vanishes: each restart leaves its
+    # first sweep at the first site, and each seed skips every site
+    psi = np.zeros(8, complex)
+    lam2, factors, sweeps = product_overlap_sweep(psi, 3, np.random.default_rng(5), 3)
+    ref_rng = np.random.default_rng(5)
+    for r in range(3):
+        want_lam2, want_factors, want_sweeps = restart_sweep(psi, 3, ref_rng)
+        assert (lam2[r], sweeps[r]) == (want_lam2, want_sweeps) == (0.0, 1)
+        assert np.array_equal(factors[r], want_factors)
+    assert equatorial_overlap(psi, 3) == max(v for v, _ in seed_equatorial_sweeps(psi, 3)) == 0.0
 
 
 def test_neel_overlap_indices():
