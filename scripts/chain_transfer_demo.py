@@ -21,7 +21,7 @@ def run(n=4, tau=0.4, iterations=100):
           f"stalled: {res.stalled}")
 
     ent = entangle_ends(chain, iterations)
-    print(f"end-to-end Bell fidelity {ent.fidelity:.6f}  "
+    print(f"end-to-end Bell fidelity {ent.fidelities[-1]:.6f}  "
           f"extraction residual {ent.extraction_residual:.2e}")
     probs = np.abs(ent.final_amplitudes) ** 2
     print("site populations:", np.array2string(probs, precision=4))

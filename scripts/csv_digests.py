@@ -32,7 +32,8 @@ JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 # finite-difference gradient with amplitudes on the cap, certify at its
 # largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
 # at n = 7 with many distinct Paulis, an Ising scan of 10^4 field points, an
-# xxz scan at n = 7 without the crossing, and one with the schema's 256 restarts.
+# xxz scan at n = 7 without the crossing, one with the schema's 256 restarts,
+# noiseless RB, the relay's entangling mode and the phase-flip code.
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
@@ -47,6 +48,9 @@ EXTRA_RUNS = [
     ("xxz-n7-no-crossing", "xxz", {"n": 7, "n_points": 4, "locate_crossing": False}),
     ("xxz-256-restarts", "xxz",
      {"n": 4, "n_points": 3, "n_restarts": 256, "locate_crossing": False}),
+    ("rb-noiseless", "rb", {"error_rate": 0.0}),
+    ("transfer-entangle", "transfer", {"mode": "entangle"}),
+    ("qec-phase-flip", "qec", {"code": "phase-flip"}),
 ]
 
 

@@ -326,10 +326,7 @@ def _run_rb(cfg, seed, shots):
     sequences = shots if shots is not None else cfg["sequences"]
     sampler = (rotation_clifford_sampler() if cfg["sampler"] == "rotations"
                else default_rb_sampler(n))
-    d = 2**n
-    noise = None
-    if r_inj > 0:
-        noise = Channel.depolarizing(n, r_inj / (1 - 1 / d))
+    noise = Channel.depolarizing(n, r_inj / (1 - 1 / 2**n))
     rng = np.random.default_rng(seed)
     res = randomized_benchmarking(sampler, noise, cfg["lengths"], sequences, rng)
     rel = abs(res.error_rate - r_inj) / r_inj if r_inj > 0 else 0.0

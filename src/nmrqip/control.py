@@ -377,21 +377,22 @@ def grape_optimize(
 # RF selection
 
 
-def default_b1_distribution(n_bins: int = 500, lo: float = 0.5, hi: float = 1.5,
-                            sigma: float = 0.13245):
-    """Histogram fixture of normal B1 scale factors (mean 1, sd sigma),
-    calibrated so that a +-2% homogeneity window retains 12% of the ensemble."""
-    edges = np.linspace(lo, hi, n_bins + 1)
-    weights = np.diff([0.5 * math.erfc(-x / math.sqrt(2)) for x in (edges - 1.0) / sigma])
+def default_b1_distribution():
+    """Histogram fixture of normal B1 scale factors (mean 1, sd 0.13245) in
+    500 bins over [0.5, 1.5], calibrated so that a +-2% homogeneity window
+    retains 12% of the ensemble."""
+    edges = np.linspace(0.5, 1.5, 501)
+    weights = np.diff([0.5 * math.erfc(-x / math.sqrt(2)) for x in (edges - 1.0) / 0.13245])
     weights /= weights.sum()
     return edges, weights
 
 
-def rf_selection_retention(homogeneity_window: float, b1_distribution=None) -> float:
-    """Ensemble fraction whose B1 scale lies within +-window of nominal."""
+def rf_selection_retention(homogeneity_window: float) -> float:
+    """Fraction of the default_b1_distribution ensemble whose B1 scale lies
+    within +-window of nominal."""
     if homogeneity_window < 0:
         raise ValueError("window must be >= 0")
-    edges, weights = b1_distribution if b1_distribution is not None else default_b1_distribution()
+    edges, weights = default_b1_distribution()
     lo, hi = 1.0 - homogeneity_window, 1.0 + homogeneity_window
     left, right = edges[:-1], edges[1:]
     overlap = np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, None)

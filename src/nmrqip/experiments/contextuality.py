@@ -14,7 +14,7 @@ readout of the meter's x magnetization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -27,41 +27,12 @@ OBSERVABLE_GRID = (
     ("XI", "IX", "XX"),
     ("XZ", "ZX", "YY"),
 )
-ROW_SIGNS = (1, 1, 1)
-COLUMN_SIGNS = (1, 1, -1)
+# (triple, the multiple of I it multiplies to): the three rows, then the three columns
+CONTEXTS = (*zip(OBSERVABLE_GRID, (1, 1, 1)), *zip(zip(*OBSERVABLE_GRID), (1, 1, -1)))
 
 # Shrink per meter coupling that calibrates the noisy-run figure: with one
 # depolarizing kick after each of the three couplings, beta = 6 (1-p)^3.
 METER_DEPOLARIZING_52 = 0.046580498005590054
-
-
-@dataclass(frozen=True)
-class MerminTable:
-    """The observable grid plus the sign each commuting triple multiplies to."""
-
-    observables: tuple = OBSERVABLE_GRID
-    row_signs: tuple = ROW_SIGNS
-    column_signs: tuple = COLUMN_SIGNS
-
-    def __post_init__(self):
-        for words, sign in self.contexts():
-            ps = [PauliString(w) for w in words]
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    if not ps[a].commutes(ps[b]):
-                        raise ValueError(f"{words[a]} and {words[b]} do not commute")
-            prod = ps[0] * ps[1] * ps[2]
-            if prod.x or prod.z or prod.phase != sign:
-                raise ValueError(f"triple {words} does not multiply to {sign:+d} I")
-
-    def contexts(self):
-        """Six (triple, sign) pairs: the three rows, then the three columns."""
-        rows = [(self.observables[i], self.row_signs[i]) for i in range(3)]
-        cols = [
-            (tuple(self.observables[i][j] for i in range(3)), self.column_signs[j])
-            for j in range(3)
-        ]
-        return rows + cols
 
 
 @dataclass(frozen=True)
@@ -94,7 +65,6 @@ def contextuality_beta(
     state: np.ndarray,
     noise: Channel | None = None,
     method: str = "direct",
-    table: MerminTable | None = None,
 ) -> ContextualityResult:
     """beta = r1 + r2 + r3 + c1 + c2 - c3 for the given two-spin state.
 
@@ -106,16 +76,15 @@ def contextuality_beta(
     rho = check_density(np.asarray(state, dtype=complex))
     if rho.shape != (4, 4):
         raise ValueError("contextuality test is defined on exactly two spins")
-    table = table or MerminTable()
     values = []
     if method == "direct":
         if noise is not None:
             raise ValueError("the direct method takes no noise; meter noise needs method='meter'")
-        for words, _ in table.contexts():
+        for words, _ in CONTEXTS:
             values.append(_direct_correlation(rho, words))
     elif method == "meter":
         lifted = None if noise is None else noise.on([1], 3)
-        for words, _ in table.contexts():
+        for words, _ in CONTEXTS:
             values.append(_meter_correlation(rho, words, lifted))
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -124,9 +93,8 @@ def contextuality_beta(
     return ContextualityResult(float(beta), rows, cols, method)
 
 
-def classical_max_beta(table: MerminTable | None = None) -> float:
+def classical_max_beta() -> float:
     """Best beta over every deterministic +/-1 assignment to the grid."""
-    table = table or MerminTable()
     best = -np.inf
     for bits in iproduct((1, -1), repeat=9):
         a = np.array(bits).reshape(3, 3)

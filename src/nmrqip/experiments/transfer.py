@@ -74,8 +74,6 @@ def one_excitation_hamiltonian(couplings: np.ndarray, n: int) -> np.ndarray:
     for j in range(n - 1):
         for k in range(j + 1, n - 1):
             d = couplings[j, k]
-            if d == 0:
-                continue
             total += d
             ham[1 + j, 1 + k] += (np.pi / 2) * (-2 * d)
             ham[1 + k, 1 + j] += (np.pi / 2) * (-2 * d)
@@ -94,6 +92,17 @@ def _end_gate(a: complex, b: complex, phase: complex):
     return np.array(
         [[-b / r, a / r], [phase * a.conjugate() / r, phase * b.conjugate() / r]]
     )
+
+
+def _relay_step(u: np.ndarray, v: np.ndarray, phase: complex):
+    """One iteration on the amplitudes v: the relay evolves by u, then the end
+    gate moves what reached spin n-1 into the sink.  Returns the new
+    amplitudes and the gate, None if nothing reached the two end spins."""
+    v = u @ v
+    gate = _end_gate(v[-2], v[-1], phase)
+    if gate is not None:
+        v[-2], v[-1] = gate @ v[-2:]
+    return v, gate
 
 
 @dataclass(frozen=True)
@@ -115,22 +124,22 @@ class TransferResult:
         return float(self.fidelities[-1])
 
 
+# flat iterations in a row, short of the target, that mark a transfer stalled
+_STALL_WINDOW = 10
+
+
 def state_transfer(
     chain: TransferChain,
-    source: int = 1,
     iterations: int = 100,
     alpha: complex = 0.0,
     beta: complex = 1.0,
-    stall_window: int = 10,
 ) -> TransferResult:
-    """Move alpha|vac> + beta|source> onto the sink spin.
+    """Move alpha|vac> + beta|spin 1> onto the sink spin.
 
     The fidelity trace entry k compares the state after k iterations against
     alpha e^{i k theta}|vac> + beta|sink>; entry 0 is the starting fidelity.
     """
     n = chain.n
-    if not 1 <= source <= n:
-        raise ValueError(f"source spin {source} outside 1..{n}")
     norm = np.hypot(abs(alpha), abs(beta))
     if norm < 1e-15:
         raise ValueError("input amplitudes vanish")
@@ -141,7 +150,7 @@ def state_transfer(
     theta = chain.theta  # a property that rebuilds the Hamiltonian
     v = np.zeros(n + 1, dtype=complex)
     v[0] = alpha
-    v[source] = beta
+    v[1] = beta
     excitation0 = abs(beta) ** 2
 
     def fidelity(vec: np.ndarray, k: int) -> float:
@@ -155,15 +164,12 @@ def state_transfer(
     flat = 0
     stalled = False
     for k in range(1, iterations + 1):
-        v = u @ v
-        gate = _end_gate(v[n - 1], v[n], beta_phase)
-        if gate is not None:
-            v[n - 1], v[n] = gate @ np.array([v[n - 1], v[n]])
+        v, _ = _relay_step(u, v, beta_phase)
         fids.append(fidelity(v, k))
         drift = max(drift, abs((1 - abs(v[0]) ** 2) - excitation0))
         if fids[-1] - fids[-2] < 1e-15 and fids[-1] < 1 - 1e-9:
             flat += 1
-            if flat >= stall_window:
+            if flat >= _STALL_WINDOW:
                 stalled = True
         else:
             flat = 0
@@ -182,27 +188,19 @@ class EntangleResult:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def fidelity(self) -> float:
-        return float(self.fidelities[-1])
 
-
-def entangle_ends(
-    chain: TransferChain, iterations: int, extraction_iterations: int | None = None
-) -> EntangleResult:
+def entangle_ends(chain: TransferChain, iterations: int) -> EntangleResult:
     """Entangle the first and last spins through the relay.
 
-    Two phases, `iterations` end-gate applications each (the second count can
-    be overridden).  A reference run first records the gate sequence that
-    extracts (|source> + |sink>)/sqrt2 into the sink; running that sequence
-    backwards on a transferred excitation then splits it coherently between
-    the ends.  The fidelity trace is against the Bell-type target
+    Two phases, `iterations` end-gate applications each.  A reference run
+    first records the gate sequence that extracts (|spin 1> + |sink>)/sqrt2
+    into the sink; running that sequence backwards on a transferred
+    excitation then splits it coherently between the ends.  The fidelity trace is against the Bell-type target
     (|1 at spin 1> + |1 at spin n>)/sqrt2 and starts at 0.5.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration per phase")
     n = chain.n
-    n_out = extraction_iterations if extraction_iterations is not None else iterations
     u = chain.propagator()
     bell = np.zeros(n + 1, dtype=complex)
     bell[1] = bell[n] = 1 / np.sqrt(2)
@@ -210,13 +208,9 @@ def entangle_ends(
     # reference pass: extract the target superposition into the sink
     w = bell.copy()
     gates = []
-    for _ in range(n_out):
-        w = u @ w
-        gate = _end_gate(w[n - 1], w[n], 1.0)
-        if gate is None:
-            gate = np.eye(2, dtype=complex)
-        gates.append(gate)
-        w[n - 1], w[n] = gate @ np.array([w[n - 1], w[n]])
+    for _ in range(iterations):
+        w, gate = _relay_step(u, w, 1.0)
+        gates.append(np.eye(2, dtype=complex) if gate is None else gate)
     residual = float(1 - abs(w[n]) ** 2)
 
     # forward: plain transfer of the excitation to the sink
@@ -224,10 +218,7 @@ def entangle_ends(
     v[1] = 1.0
     fids = [float(abs(np.vdot(bell, v)) ** 2)]
     for _ in range(iterations):
-        v = u @ v
-        gate = _end_gate(v[n - 1], v[n], 1.0)
-        if gate is not None:
-            v[n - 1], v[n] = gate @ np.array([v[n - 1], v[n]])
+        v, _ = _relay_step(u, v, 1.0)
         fids.append(float(abs(np.vdot(bell, v)) ** 2))
 
     # backward: undo the recorded extraction, leaving the superposition

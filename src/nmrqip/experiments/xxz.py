@@ -159,16 +159,17 @@ def _phase_aligned(env: np.ndarray, live: np.ndarray):
     return new, np.hypot(overlap.real, overlap.imag), _norms(env) >= 1e-14
 
 
-def equatorial_overlap(psi: np.ndarray, n: int, n_seeds: int = 4, max_sweeps: int = 300) -> float:
+def equatorial_overlap(psi: np.ndarray, n: int) -> float:
     """Best product of equatorial states (|0> + e^{i phi}|1>)/sqrt2.
 
-    Same alternating sweep, forward only and all seeds as one batch (seed s
-    starts from phases drawn by default_rng(s)), but each site update keeps
-    the factor on the equator and only aligns its phase with the environment.
+    Same alternating sweep, forward only, at most 300 times and four seeds as
+    one batch (seed s starts from phases drawn by default_rng(s)), but each
+    site update keeps the factor on the equator and only aligns its phase
+    with the environment.
     """
     phases = np.array([np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
-                       for seed in range(n_seeds)])
-    lam2, _ = _sweep(psi, _equator(phases), range(n), _phase_aligned, max_sweeps)
+                       for seed in range(4)])
+    lam2, _ = _sweep(psi, _equator(phases), range(n), _phase_aligned, max_sweeps=300)
     return float(np.max(lam2, initial=0.0))
 
 
@@ -190,7 +191,7 @@ class XxzScan:
 
 
 def xxz_scan(n: int, gammas, rng: np.random.Generator, n_restarts: int = 16) -> XxzScan:
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    gammas = np.array(gammas, dtype=float, ndmin=1)  # a copy: the scan freezes its own
     rows = []
     for gamma in gammas:
         psi, _, deg = xxz_ground_state(n, gamma)
@@ -208,12 +209,17 @@ def ge_jump_location(scan: XxzScan) -> float:
     return float((scan.gammas[k] + scan.gammas[k + 1]) / 2)
 
 
-def branch_crossing(n: int, lo: float = 0.5, hi: float = 1.5, tol: float = 1e-3) -> float:
+# the gamma bracket branch_crossing bisects, down to a width of 1e-3
+_CROSSING_BRACKET = (0.5, 1.5)
+
+
+def branch_crossing(n: int) -> float:
     """Where the equatorial and alternating product families swap dominance.
 
-    Bisects the sign change of (equatorial - neel) overlap along gamma.  Only
-    even rings of 4 or more sites have one: an odd periodic ring admits no
-    alternating product state, and on 2 sites the two overlaps tie.
+    Bisects the sign change of (equatorial - neel) overlap along gamma in
+    _CROSSING_BRACKET.  Only even rings of 4 or more sites have one: an odd
+    periodic ring admits no alternating product state, and on 2 sites the
+    two overlaps tie.
     """
     if n % 2 or n < 4:
         raise ValueError(f"no branch crossing on a ring of n={n} sites; "
@@ -223,18 +229,13 @@ def branch_crossing(n: int, lo: float = 0.5, hi: float = 1.5, tol: float = 1e-3)
         psi, _, _ = xxz_ground_state(n, gamma)
         return equatorial_overlap(psi, n) - neel_overlap(psi, n)
 
+    lo, hi = _CROSSING_BRACKET
     glo, ghi = gap(lo), gap(hi)
-    if glo == 0:
-        return lo
-    if ghi == 0:
-        return hi
     if np.sign(glo) == np.sign(ghi):
         raise ValueError(f"no dominance change in [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = (lo + hi) / 2
         gmid = gap(mid)
-        if gmid == 0:
-            return mid
         if np.sign(gmid) == np.sign(glo):
             lo, glo = mid, gmid
         else:

@@ -57,7 +57,6 @@ class StabilizerCode:
     generators: tuple
     logical_x: PauliString
     logical_z: PauliString
-    k_logical: int = 1
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -74,15 +73,13 @@ class StabilizerCode:
                     raise ValueError("logicals must commute with generators")
         if self.logical_x.commutes(self.logical_z):
             raise ValueError("logical X and Z must anticommute")
-        if len(self.generators) != n - self.k_logical:
+        if len(self.generators) != n - 1:
             raise ValueError("wrong number of generators")
 
     # -- encoding -----------------------------------------------------------
 
     def encoding_tableau(self) -> CliffordTableau:
         """Clifford with X_1 -> logical X, Z_1 -> logical Z, Z_j -> generators."""
-        if "tableau" in self._cache:
-            return self._cache["tableau"]
         n = self.n_physical
         z_imgs = [self.logical_z, *self.generators]
         x_imgs = [self.logical_x]
@@ -96,9 +93,7 @@ class StabilizerCode:
                 rhs.append(0)
             s = _gf2_solve(rows, rhs, 2 * n)
             x_imgs.append(PauliString.from_bits(n, s >> n, s & (2**n - 1)))
-        tab = CliffordTableau(n, tuple(x_imgs), tuple(z_imgs))
-        self._cache["tableau"] = tab
-        return tab
+        return CliffordTableau(n, tuple(x_imgs), tuple(z_imgs))
 
     def encoding_unitary(self) -> np.ndarray:
         if "unitary" not in self._cache:
@@ -173,46 +168,30 @@ def five_qubit_code() -> StabilizerCode:
     )
 
 
-def encode_ket(code: StabilizerCode, psi: np.ndarray) -> np.ndarray:
+def encode(code: StabilizerCode, psi: np.ndarray) -> np.ndarray:
+    """Density operator of a single-qubit ket encoded into the codespace."""
     psi = np.asarray(psi, dtype=complex)
     rest = basis_ket(0, code.n_physical - 1)
-    return code.encoding_unitary() @ np.kron(psi, rest)
-
-
-def encode(code: StabilizerCode, state: np.ndarray) -> np.ndarray:
-    """Encode a single-qubit ket or density operator into the codespace."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return ket_density(encode_ket(code, state))
-    u = code.encoding_unitary()
-    d_rest = 2 ** (code.n_physical - 1)
-    anc = np.zeros((d_rest, d_rest), dtype=complex)
-    anc[0, 0] = 1.0
-    return u @ np.kron(state, anc) @ u.conj().T
+    return ket_density(code.encoding_unitary() @ np.kron(psi, rest))
 
 
 def decode(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
     """Inverse encoding then reduction to the logical qubit."""
     u = code.encoding_unitary()
     full = u.conj().T @ rho @ u
-    return partial_trace(full, [1], code.n_physical)
+    return partial_trace(full, [1])
 
 
-def syndrome_extract(code: StabilizerCode, rho: np.ndarray, rng=None):
+def syndrome_extract(code: StabilizerCode, rho: np.ndarray):
     """Projective measurement of the generators: outcome s has probability
-    Re Tr(P_s rho) and leaves P_s rho P_s / Tr.  With rng=None the most
-    probable outcome is selected deterministically (exact when the syndrome
-    is definite).  Returns (syndrome bits, post-measurement state).
+    Re Tr(P_s rho) and leaves P_s rho P_s / Tr.  The most probable outcome is
+    selected (exact when the syndrome is definite).  Returns (syndrome bits,
+    post-measurement state).
     """
     g = len(code.generators)
     rho = np.asarray(rho, dtype=complex)
     projs = code.syndrome_projectors()
-    probs = np.einsum("sij,ji->s", projs, rho).real
-    if rng is None:
-        outcome = int(np.argmax(probs))
-    else:
-        ps = np.clip(probs, 0, None)
-        outcome = int(rng.choice(2**g, p=ps / ps.sum()))
+    outcome = int(np.argmax(np.einsum("sij,ji->s", projs, rho).real))
     proj = projs[outcome]
     post = proj @ rho @ proj
     post /= np.trace(post).real
@@ -229,9 +208,9 @@ def recover(code: StabilizerCode, syndrome) -> PauliString:
     return table[key]
 
 
-def correction_cycle(code: StabilizerCode, rho: np.ndarray, rng=None) -> np.ndarray:
+def correction_cycle(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
     """syndrome_extract + recover + apply, returning the corrected state."""
-    syndrome, post = syndrome_extract(code, rho, rng)
+    syndrome, post = syndrome_extract(code, rho)
     corr = recover(code, syndrome).dense()
     return corr @ post @ corr.conj().T
 
@@ -287,22 +266,22 @@ def logical_gate_cycle(code: StabilizerCode, gate: str, error: PauliString,
     return float(f_unc), float(f_corr)
 
 
-def gate_cycle_ensemble(code: StabilizerCode, gate: str, psi=None):
-    """Per-error fidelity rows plus the ensemble means.
+def gate_cycle_ensemble(code: StabilizerCode, gate: str):
+    """Per-error fidelity rows plus the ensemble means, for the input |0>.
 
     Returns (rows, mean_uncorrected, mean_corrected) with rows of
     (error, f_uncorrected, f_corrected).
     """
     rows = []
     for err in error_ensemble(code.n_physical):
-        f_unc, f_corr = logical_gate_cycle(code, gate, err, psi)
+        f_unc, f_corr = logical_gate_cycle(code, gate, err)
         rows.append((err, f_unc, f_corr))
     mu = float(np.mean([r[1] for r in rows]))
     mc = float(np.mean([r[2] for r in rows]))
     return rows, mu, mc
 
 
-def transversal_cnot_demo(variant: str, error: PauliString | None = None) -> int:
+def transversal_cnot_demo(variant: str, error: PauliString) -> int:
     """Error weight landing on the target block of a two-block logical CNOT.
 
     Blocks are 3-qubit repetition codes on qubits 1-3 and 4-6.  'bad' fans a
@@ -319,8 +298,6 @@ def transversal_cnot_demo(variant: str, error: PauliString | None = None) -> int
     else:
         raise ValueError(f"unknown variant {variant!r}")
     tab = circuit_tableau(gates, 6)
-    if error is None:
-        return 0
     if error.n == 3:
         error = PauliString.from_bits(6, error.x << 3, error.z << 3, error.k)
     propagated = tab.conjugate(error)
@@ -402,9 +379,11 @@ def distill_magic(p_in: float, rounds: int = 1) -> DistillResult:
     return DistillResult(float(p), float(success), rho_out)
 
 
-def distillation_threshold(lo: float = 0.5, hi: float = 0.9, iters: int = 60) -> float:
-    """Fixed-point polarization where distillation stops improving (bisection)."""
-    for _ in range(iters):
+def distillation_threshold() -> float:
+    """Fixed-point polarization where distillation stops improving: 60
+    bisection steps in [0.5, 0.9]."""
+    lo, hi = 0.5, 0.9
+    for _ in range(60):
         mid = (lo + hi) / 2
         if distill_magic(mid).p_out > mid:
             hi = mid

@@ -73,12 +73,9 @@ class PauliString:
                 raise ValueError(f"bad Pauli word {word!r}")
             x = x << 1 | bits[0]
             z = z << 1 | bits[1]
-        ph = complex(phase)
-        e = _PHASE_EXPONENT.get(ph)
+        e = _PHASE_EXPONENT.get(complex(phase))
         if e is None:
-            e = next((e for e, p in enumerate(_PHASES) if abs(ph - p) < 1e-12), None)
-            if e is None:
-                raise ValueError(f"phase {ph} not a fourth root of unity")
+            raise ValueError(f"phase {phase} not a fourth root of unity")
         self.n, self.x, self.z = len(word), x, z
         self.k = (e + (x & z).bit_count()) % 4
         self._word = word
@@ -136,7 +133,7 @@ class PauliString:
 
 # letter -> (x bit, z bit)
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-# exact phases; others are matched to _PHASES within 1e-12
+# the exact phases a word may carry
 _PHASE_EXPONENT = {p: e for e, p in enumerate(_PHASES)}
 
 
@@ -256,11 +253,10 @@ def embed(op: np.ndarray, qubits, n: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def partial_trace(rho: np.ndarray, keep, n: int | None = None) -> np.ndarray:
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Trace out all qubits not in `keep` (1-based labels, order preserved)."""
     rho = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = n_qubits(rho.shape[0])
+    n = n_qubits(rho.shape[0])
     keep = sorted(set(keep))
     if not keep or any(q < 1 or q > n for q in keep):
         raise ValueError(f"bad keep set {keep} for n={n}")
@@ -284,12 +280,11 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     return float(val.real)
 
 
-def controlled(u: np.ndarray, n_controls: int = 1) -> np.ndarray:
-    """Controlled-U with the control qubits as the leading tensor factors."""
+def controlled(u: np.ndarray) -> np.ndarray:
+    """Controlled-U with the control qubit as the leading tensor factor."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    dc = 2**n_controls
-    out = np.eye(dc * d, dtype=complex)
+    out = np.eye(2 * d, dtype=complex)
     out[-d:, -d:] = u
     return out
 

@@ -13,7 +13,7 @@ binomial readout, if asked for, is drawn for all shots in one call.  The
 mean coefficient maps affinely to Pr(no error), and the average gate
 fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
-Randomized benchmarking under Pauli noise (or none) propagates Z_1 through
+Randomized benchmarking under Pauli noise propagates Z_1 through
 each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
 density matrix is formed.  The decay A p^m + B is fitted by variable
 projection in numpy.  Both gate samplers build their tableaux from gate
@@ -135,7 +135,6 @@ def certify_clifford(
     rng: np.random.Generator,
     n_samples: int | None = None,
     readout_shots: int | None = None,
-    with_replacement: bool = True,
 ) -> TwirlEstimate:
     """Average-fidelity estimate of the Pauli noise in a noisy Clifford gate.
 
@@ -146,7 +145,7 @@ def certify_clifford(
     """
     if target.n != noise.n:
         raise ValueError("target size does not match noise")
-    return _twirl(noise, target, delta, rng, n_samples, readout_shots, with_replacement)
+    return _twirl(noise, target, delta, rng, n_samples, readout_shots, with_replacement=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +203,13 @@ def rotation_clifford_sampler():
     return sampler
 
 
-def _propagated_survival(noise: Channel | None, tabs, z1: PauliString) -> float:
-    """Survival of Z_1 under Pauli noise (or none) by Pauli propagation.
+def _propagated_survival(noise: Channel, tabs, z1: PauliString) -> float:
+    """Survival of Z_1 under Pauli noise by Pauli propagation.
 
     Each Clifford maps the deviation to one signed Pauli Q and the noise
     scales it by lambda_Q; the exact recovery returns it to +Z_1, which the
     last noise step scales by lambda_Z1 (Flammia & Wallman, arXiv:1907.12976).
     """
-    if noise is None:
-        return 1.0
     survival, q = 1.0, z1
     for tab in tabs:
         q = tab.conjugate(q)
@@ -273,7 +270,7 @@ def _fit_decay(lengths, surv: np.ndarray):
 
 def randomized_benchmarking(
     gate_sampler,
-    noise_model: Channel | None,
+    noise_model: Channel,
     seq_lengths,
     shots: int,
     rng: np.random.Generator,
@@ -282,19 +279,17 @@ def randomized_benchmarking(
 
     For each length, `shots` random sequences are applied to a deviation
     state Z_1; noise acts after every gate including the recovery.  The mean
-    survival is fitted to A p^m + B.  The Pauli noise (or none) is
-    propagated through the sequence symbolically.
+    survival is fitted to A p^m + B.  The Pauli noise is propagated through
+    the sequence symbolically.
     """
-    n = noise_model.n if noise_model is not None else None
+    n = noise_model.n
+    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
     lengths = list(seq_lengths)
     survivals = []
     for m in lengths:
         acc = 0.0
         for _ in range(shots):
             tabs = [gate_sampler(rng) for _ in range(m)]
-            if n is None:
-                n = tabs[0].n if tabs else 1
-            z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
             acc += _propagated_survival(noise_model, tabs, z1)
         survivals.append(acc / shots)
 

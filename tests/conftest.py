@@ -111,16 +111,12 @@ def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
     dense unitary, then the noise as a Kraus sum, and after the sequence the
     dense recovery and the noise once more.  Draws the same gates from rng as
     nmrqip.twirl.randomized_benchmarking."""
-    n = noise.n if noise is not None else None
-    kraus = noise.kraus() if noise is not None else None
+    n, kraus = noise.n, noise.kraus()
     survivals = []
     for m in lengths:
         acc = 0.0
         for _ in range(shots):
             tabs = [sampler(rng) for _ in range(m)]
-            if n is None:
-                n = tabs[0].n if tabs else 1
-                kraus = [np.eye(2**n)]
             z1 = PauliString.from_bits(n, 0, 1 << (n - 1)).dense()
             rho = (np.eye(2**n, dtype=complex) + z1) / 2**n
             total = CliffordTableau.identity(n)

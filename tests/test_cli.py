@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -178,13 +179,19 @@ print(json.dumps(report))
                                   for _, _, code, mods in jobs])
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """The parsed source file, shared by the tests that read src and scripts."""
+    return ast.parse(path.read_text(), str(path))
+
+
 def test_src_imports_no_scipy_subpackage():
     # scipy is the test oracle only; versions.scipy is read from
     # scipy/version.py without importing the package
     src = Path(nmrqip.__file__).resolve().parent
     found = []
     for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Import):
                 bad = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -259,7 +266,7 @@ def test_src_builds_no_pauli_word():
     src = Path(nmrqip.__file__).resolve().parent
     found = []
     for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(_tree(path)):
             bad = None
             if isinstance(node, ast.Call) and node.args and _built_string(node.args[0]):
                 func = node.func
@@ -300,7 +307,7 @@ def _src_definitions(src: Path):
     defs, always = [], []
     for path in sorted(src.rglob("*.py")):
         module = ".".join(path.relative_to(src).with_suffix("").parts)
-        for node in ast.parse(path.read_text(), str(path)).body:
+        for node in _tree(path).body:
             targets = getattr(node, "targets", [getattr(node, "target", None)])
             if isinstance(node, ast.FunctionDef):
                 defs.append((f"{module}.{node.name}", node.name, [node]))
@@ -331,13 +338,78 @@ def test_src_is_what_a_run_reaches():
     src = Path(nmrqip.__file__).resolve().parent
     scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
     defs, always = _src_definitions(src)
-    roots = [ast.parse(p.read_text(), str(p)) for p in [src / "cli.py", src / "acceptance.py",
+    roots = [_tree(p) for p in [src / "cli.py", src / "acceptance.py",
                                                          *scripts]]
     reached = {"main"} | _used_names(roots + always)  # main: the console entry point
     while hit := [d for d in defs if d[1] in reached]:
         defs = [d for d in defs if d[1] not in reached]
         reached |= _used_names([node for _, _, code in hit for node in code])
     assert [label for label, name, _ in defs if not name.startswith("_")] == []
+
+
+# The defaulted parameters that no call in src or scripts sets, each with the
+# reason it stays a parameter: named numerical tolerances, which keep their
+# value visible in the signature, and PauliString's phase, which literals set.
+UNSET_PARAMETERS = {
+    "channels.compress_kraus(tol)": "Choi eigenvalue cut of the Kraus compression",
+    "control._fd_gradient(h_rel)": "finite-difference step relative to the amplitude cap",
+    "experiments.dqc1._block_split(atol)": "how far off-diagonal blocks may stray from 0",
+    "experiments.ising.ising_ground(rtol)": "relative gap that counts levels as degenerate",
+    "experiments.weakvalue.weak_value(overlap_floor)": "smallest post-selection overlap accepted",
+    "experiments.xxz.xxz_ground_state(rtol)": "relative gap that counts levels as degenerate",
+    "qop.PauliString.__init__(phase)": "the sign or i in front of a word; literals set it",
+    "qop.check_density(atol)": "Hermiticity, trace and positivity tolerance",
+    "qop.check_unitary(atol)": "unitarity tolerance",
+    "spins._warn_if_strongly_coupled(ratio)": "J over chemical-shift difference that warns",
+    "twirl.recommended_samples(confidence)": "Hoeffding failure probability",
+}
+
+
+def _defaulted_parameters(src: Path):
+    """(label, name a call uses, parameter, its position after self or None
+    if keyword-only) of each defaulted parameter of a function in src."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                visit(item, f"{prefix}.{item.name}", True)
+            elif isinstance(item, ast.FunctionDef):
+                label, args = f"{prefix}.{item.name}", item.args
+                call = prefix.rsplit(".", 1)[1] if item.name == "__init__" else item.name
+                bound = in_class and "staticmethod" not in [
+                    getattr(d, "id", None) for d in item.decorator_list]
+                pos = args.posonlyargs + args.args
+                for i in range(len(pos) - len(args.defaults), len(pos)):
+                    out.append((f"{label}({pos[i].arg})", call, pos[i].arg, i - bound))
+                out.extend((f"{label}({a.arg})", call, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(item, label, False)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(_tree(path), ".".join(path.relative_to(src).with_suffix("").parts), False)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call in src or scripts overrides is an option no run
+    # takes; calls match by name alone, as in test_src_is_what_a_run_reaches,
+    # and set a parameter by position, by keyword, or through * or **
+    src = Path(nmrqip.__file__).resolve().parent
+    scripts = (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")
+    positions, keywords = {}, {}
+    for path in [*src.rglob("*.py"), *scripts]:
+        for call in (node for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions.get(name, 0),
+                                  math.inf if starred else len(call.args))
+            keywords.setdefault(name, set()).update(
+                "**" if k.arg is None else k.arg for k in call.keywords)
+    unset = [label for label, name, arg, pos in _defaulted_parameters(src)
+             if not ({arg, "**"} & keywords.get(name, set())
+                     or pos is not None and positions.get(name, 0) > pos)]
+    assert sorted(unset) == sorted(UNSET_PARAMETERS)
 
 
 def test_experiment_registry_is_fixed():

@@ -143,7 +143,7 @@ def scan_rows(unitaries, n):
     assert np.allclose(np.abs(coeffs), 1, rtol=0, atol=1e-9)
     out = []
     for ws, cs in zip(first, coeffs):
-        ps = [PauliString(words[w], c / abs(c)) for w, c in zip(ws, cs)]
+        ps = [PauliString(words[w], complex(np.round(c))) for w, c in zip(ws, cs)]
         out.append(tuple((p.x, p.z, p.k) for p in ps))
     return out
 

@@ -563,7 +563,6 @@ def test_rf_selection_retention_fixture():
     cdf = ndtr((edges - 1.0) / 0.13245)
     want = np.diff(cdf) / np.diff(cdf).sum()
     assert np.max(np.abs(weights - want)) <= 1e-15
-    assert abs(rf_selection_retention(0.02) - rf_selection_retention(0.02, (edges, want))) <= 1e-15
-    assert rf_selection_retention(1.0, (edges, weights)) == pytest.approx(1.0)
+    assert rf_selection_retention(1.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rf_selection_retention(-0.1)

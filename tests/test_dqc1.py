@@ -29,7 +29,7 @@ def test_exact_mode_matches_trace(rng):
 def test_control_reduced_state_formula(rng):
     u = haar_random_unitary(4, rng)
     inst = Dqc1Instance(u, epsilon=0.7)
-    red = partial_trace(dqc1._run_circuit(dqc1_input_state(inst), u), [1], 3)
+    red = partial_trace(dqc1._run_circuit(dqc1_input_state(inst), u), [1])
     # off-diagonal holds eps Tr(U)/2^{n+1}; conjugate goes above the diagonal
     assert red[1, 0] == pytest.approx(0.7 * np.trace(u) / 8, abs=1e-12)
     assert np.trace(red) == pytest.approx(1.0)

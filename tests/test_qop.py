@@ -179,7 +179,7 @@ def test_controlled_x_is_cnot():
                       dtype=complex)
     assert np.allclose(cnot, expect)
     # two controls on a phase gate: only |111> picks the phase
-    ccz = controlled(np.diag([1, -1]).astype(complex), n_controls=2)
+    ccz = controlled(controlled(np.diag([1, -1]).astype(complex)))
     assert np.allclose(np.diag(ccz), [1, 1, 1, 1, 1, 1, 1, -1])
 
 
@@ -196,8 +196,8 @@ def test_partial_trace_product_state(rng):
     rho1 = random_density(2, rng)
     rho2 = random_density(4, rng)
     rho = np.kron(rho1, rho2)
-    assert np.allclose(partial_trace(rho, [1], n=3), rho1)
-    assert np.allclose(partial_trace(rho, [2, 3], n=3), rho2)
+    assert np.allclose(partial_trace(rho, [1]), rho1)
+    assert np.allclose(partial_trace(rho, [2, 3]), rho2)
 
 
 @settings(deadline=None, max_examples=25)
@@ -205,7 +205,7 @@ def test_partial_trace_product_state(rng):
 def test_partial_trace_preserves_trace_and_hermiticity(seed, n):
     rho = random_density(2**n, np.random.default_rng(seed))
     keep = [1]
-    red = partial_trace(rho, keep, n=n)
+    red = partial_trace(rho, keep)
     assert abs(np.trace(red) - 1.0) < 1e-12
     assert np.allclose(red, red.conj().T)
 

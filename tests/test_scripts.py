@@ -54,7 +54,10 @@ def test_csv_digests_lists_every_run_at_one_seed():
              "twirl-n7-many": {"twirl.csv"},
              "ising-10k": {"ising.csv", "steps.csv"},
              "xxz-n7-no-crossing": {"xxz.csv", "features.csv"},
-             "xxz-256-restarts": {"xxz.csv", "features.csv"}}
+             "xxz-256-restarts": {"xxz.csv", "features.csv"},
+             "rb-noiseless": {"survivals.csv", "fit.csv"},
+             "transfer-entangle": {"transfer.csv"},
+             "qec-phase-flip": {"qec.csv", "transversal.csv"}}
     assert [label for label, _, _ in script.EXTRA_RUNS] == list(extra)
     assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | set(extra) | {"repro"}
     for label, files in extra.items():

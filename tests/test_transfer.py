@@ -107,15 +107,13 @@ def test_chain_validation():
     coupled_sink[0, 2] = coupled_sink[2, 0] = 1.0
     with pytest.raises(ValueError, match="sink"):
         TransferChain(3, coupled_sink, 0.4)
-    with pytest.raises(ValueError, match="source"):
-        state_transfer(TransferChain(3, d, 0.4), source=7)
 
 
 def test_entangle_ends_builds_bell_pair():
     chain = TransferChain(4, dipolar_couplings(4), 0.4)
     res = entangle_ends(chain, 100)
     assert res.fidelities[0] == pytest.approx(0.5)
-    assert res.fidelity > 0.999
+    assert res.fidelities[-1] > 0.999
     amps = res.final_amplitudes
     assert abs(amps[1]) ** 2 == pytest.approx(0.5, abs=1e-3)
     assert abs(amps[4]) ** 2 == pytest.approx(0.5, abs=1e-3)

@@ -15,6 +15,7 @@ from nmrqip.twirl import (
     _fit_decay,
     _sample_paulis,
     _shot_values,
+    _twirl,
     certify_clifford,
     default_rb_sampler,
     randomized_benchmarking,
@@ -183,8 +184,7 @@ def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
                 (lambda rng: twirl_estimate_memory(noise, 0.05, rng, count, None,
                                                    with_replacement),
                  None, memory, lambda p: p),
-                (lambda rng: certify_clifford(noise, target, 0.05, rng, count, None,
-                                              with_replacement),
+                (lambda rng: _twirl(noise, target, 0.05, rng, count, None, with_replacement),
                  target, gate, conjugate.__get__(target))):
             conjugated.clear()
             est = run(np.random.default_rng(5))
@@ -211,8 +211,8 @@ def test_certify_detects_wrong_tableau_signs_on_negative_inputs(monkeypatch):
                                  wrong.conjugate, None, None)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
         assert np.allclose(got, np.where(idx >> 3 & 1, -1.0, 1.0), rtol=0, atol=1e-14)
-    est = certify_clifford(noiseless, wrong, 0.05, np.random.default_rng(7), n_samples=15,
-                           with_replacement=False)
+    est = _twirl(noiseless, wrong, 0.05, np.random.default_rng(7), 15, None,
+                 with_replacement=False)
     assert est.fbar < 0.5
 
 
@@ -263,11 +263,11 @@ def test_certify_checks_the_tableau_against_the_dense_unitary(monkeypatch):
     cnot, other = gate_tableau("CNOT", (1, 2), 2), gate_tableau("CNOT", (2, 1), 2)
     wrong = other.to_unitary()
     monkeypatch.setattr(CliffordTableau, "to_unitary", lambda self: wrong)
-    est = certify_clifford(Channel.depolarizing(2, 0), cnot, 0.05, np.random.default_rng(7),
-                           n_samples=15, with_replacement=False)
+    est = _twirl(Channel.depolarizing(2, 0), cnot, 0.05, np.random.default_rng(7), 15, None,
+                 with_replacement=False)
     assert est.fbar < 1 - 0.1
-    same = certify_clifford(Channel.depolarizing(2, 0), other, 0.05, np.random.default_rng(7),
-                            n_samples=15, with_replacement=False)
+    same = _twirl(Channel.depolarizing(2, 0), other, 0.05, np.random.default_rng(7), 15, None,
+                  with_replacement=False)
     assert same.fbar == pytest.approx(1.0, abs=1e-12)
 
 
@@ -275,8 +275,8 @@ def test_certify_exhaustive_matches_exact_fidelity():
     for p in (0.05, 0.2):
         noise = Channel.depolarizing(2, p)
         rng = np.random.default_rng(3)
-        est = certify_clifford(noise, gate_tableau("CNOT", (1, 2), 2), 0.05,
-                               rng, n_samples=15, with_replacement=False)
+        est = _twirl(noise, gate_tableau("CNOT", (1, 2), 2), 0.05, rng, 15, None,
+                     with_replacement=False)
         exact = average_gate_fidelity_exact([CNOT @ k for k in noise.kraus()], CNOT)
         assert est.fbar == pytest.approx(exact, abs=1e-12)
         assert est.fbar == pytest.approx(1 - 3 * p / 4, abs=1e-12)
@@ -291,7 +291,7 @@ def test_certify_size_mismatch():
 
 def test_rb_zero_noise_constant_survival():
     rng = np.random.default_rng(11)
-    res = randomized_benchmarking(default_rb_sampler(2), None,
+    res = randomized_benchmarking(default_rb_sampler(2), Channel.depolarizing(2, 0.0),
                                   [1, 4, 8], shots=4, rng=rng)
     assert res.ok and res.decay == 1.0 and res.error_rate == 0.0
     assert np.allclose(res.survivals, 1.0, atol=1e-12)
@@ -359,13 +359,13 @@ RB_LENGTHS = [1, 3, 8, 20, 40]
 
 
 def rb_noise_models(n):
-    """None, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
+    """No noise, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
     masses = {w: 0.02 / w for w in range(1, n + 1)}
     factors = [(bit_flip(0.01).factors[0][0], (1,))]
     factors += [(phase_flip(0.02).factors[0][0], (q,)) for q in range(2, n + 1)]
     factors.append((Channel.depolarizing(1, 0.03).factors[0][0], (n,)))
     composite = Channel(n, factors)
-    return [None, Channel.depolarizing(n, 0.01),
+    return [Channel.depolarizing(n, 0.0), Channel.depolarizing(n, 0.01),
             Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
 
 

@@ -184,9 +184,18 @@ def test_branch_crossing_near_isotropic_point():
     assert abs(branch_crossing(4) - 1.0) <= 0.02
 
 
-def test_branch_crossing_needs_sign_change():
-    with pytest.raises(ValueError, match="dominance"):
-        branch_crossing(4, lo=2.0, hi=3.0)
+def test_branch_crossing_needs_sign_change(monkeypatch):
+    monkeypatch.setattr(xxz, "_CROSSING_BRACKET", (2.0, 3.0))
+    with pytest.raises(ValueError, match=r"dominance change in \[2.0, 3.0\]"):
+        branch_crossing(4)
+
+
+def test_scan_leaves_the_callers_gammas_alone(rng):
+    gammas = np.linspace(-1, 1, 3)
+    scan = xxz_scan(2, gammas, rng, 1)
+    assert gammas.flags.writeable
+    assert np.array_equal(gammas, np.linspace(-1, 1, 3))
+    assert np.array_equal(scan.gammas, gammas) and not scan.gammas.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
