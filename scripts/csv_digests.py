@@ -2,16 +2,20 @@
 
 The runs are every experiment at its default config, every job of
 perfbench/jobs.py at its own config, the EXTRA_RUNS below, and
-`nmrqip repro --out`, each at every given seed.  One line per file:
+`nmrqip repro --out`, each at every given seed.  The output opens with
+`# ` lines naming the numpy, its BLAS and the thread setting the runs used,
+then has one line per file:
 
     <run> <seed> <file> <sha256>
 
 where <run> is the experiment name, <workload>/<job> for a bench job, an
 extra run's label, or repro.  Two checkouts can be compared by diffing their
-output.  The runs go in process, so the thread count is set here as the
-nmrqip command sets it:
+output.  The runs go in process, so main sets the BLAS thread variables as
+the nmrqip command does, to 1 unless the caller has set them, before numpy
+loads.  CSV_DIGESTS.txt at the repo root holds the output at seed 3, which
+tests/test_scripts.py compares against:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/csv_digests.py --seeds 0 1 > digests.txt
+    PYTHONPATH=src python scripts/csv_digests.py --seeds 3 > CSV_DIGESTS.txt
 """
 
 import argparse
@@ -26,6 +30,7 @@ from pathlib import Path
 from nmrqip.cli import DEFAULT_CONFIGS, main as cli_main, run_experiment
 
 JOBS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (label, experiment, config) of paths no default run or bench job takes: a
 # chain7 GRAPE whose 24 steps of d = 128 go in several chunks, the
@@ -89,11 +94,23 @@ def digest_lines(seeds) -> list:
     return lines
 
 
+def environment_lines() -> list:
+    """The `# ` header: numpy's version, its BLAS and the thread variables."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}",
+            f"# threads {threads}"]
+
+
 def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     args = ap.parse_args(argv)
-    for line in digest_lines(args.seeds):
+    for var in THREAD_VARS:  # before numpy loads, as cli.main does
+        os.environ.setdefault(var, "1")
+    for line in environment_lines() + digest_lines(args.seeds):
         print(line)
     return 0
 

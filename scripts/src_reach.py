@@ -6,8 +6,10 @@ The corpus is:
   config, each bench job, its EXTRA_RUNS and `nmrqip repro`;
 * from cli.SCHEMA, one reduced-size run per choice option, flipped bool and
   set nullable key, and one run of each experiment with --shots;
+* the EDGE_RUNS below, each for a guard no other run trips;
 * the command line's front door: usage, --help, --list, unknown names, bad
-  configs, seeds and shots, and repro's own options.
+  configs, seeds and shots, a run without --out, repro's own options, and
+  `nmrqip repro --only determinism` with NMRQIP_OUT_DIR set.
 
 Lines are traced with sys.settrace, so the corpus runs several times slower
 than untraced.  Output is one line per executable line that never ran and is
@@ -43,6 +45,16 @@ REDUCED = {
 }
 
 
+# (experiment, config) of guards that no other run trips: a weight_masses key
+# that is not an integer (exit 2), a coupling too weak to move the excitation
+# (the relay stalls), and a noise that leaves RB's survival flat below 1
+EDGE_RUNS = [
+    ("twirl", {"weight_masses": {"a": 0.1}}),
+    ("transfer", {"coupling_strength": 1e-12}),
+    ("rb", {"n": 1, "error_rate": 0.5}),
+]
+
+
 def schema_variants(schema) -> list:
     """(experiment, config) with one key off its default: each other choice
     option, the flipped bool, and a nullable key set to its lower limit (a
@@ -66,7 +78,8 @@ def schema_variants(schema) -> list:
 
 def front_door(tmp: str) -> list:
     """argv lists for cli.main: usage, help, list, unknown names, config,
-    seed and shots errors, a config file, and repro's options."""
+    seed and shots errors, a config file with and without --out (which
+    writes runs/ising under the working directory), and repro's options."""
     paths = {}
     for label, doc in (("good", {"n_points": 5}), ("array", [1]), ("key", {"coupling": 2})):
         paths[label] = os.path.join(tmp, f"{label}.json")
@@ -77,6 +90,7 @@ def front_door(tmp: str) -> list:
             ["ising", "--config", os.path.join(tmp, "missing.json")],
             ["ising", "--config", paths["array"]], ["ising", "--config", paths["key"]],
             ["ising", "--config", paths["good"], "--out", out],
+            ["ising", "--config", paths["good"]],
             ["ising", "--shots", "0"], ["ising", "--seed", str(2**64)],
             ["repro", "--list"], ["repro", "--only", "teleport"], ["repro", "--bogus"],
             ["repro", "--only", "rf-selection"]]
@@ -107,11 +121,18 @@ def run_corpus(tmp: str) -> None:
     for name in cli.SCHEMA:
         cli.run_experiment(name, out_dir=os.path.join(tmp, f"shots-{name}"), shots=8,
                            config_doc=REDUCED.get(name, {}))
+    for i, (name, config) in enumerate(EDGE_RUNS):
+        cli.run_experiment(name, out_dir=os.path.join(tmp, f"edge-{i}"), config_doc=config)
     for argv in front_door(tmp):
         try:
             cli.main(argv)
         except SystemExit:  # a usage error exits from inside the parser
             pass
+    os.environ["NMRQIP_OUT_DIR"] = os.path.join(tmp, "env-out")
+    try:
+        cli.main(["repro", "--only", "determinism"])
+    finally:
+        del os.environ["NMRQIP_OUT_DIR"]
 
 
 def reached_lines() -> dict:

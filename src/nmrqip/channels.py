@@ -1,20 +1,19 @@
-"""Pauli channels: CPTP maps as products of Pauli-noise factors.
+"""Pauli channels: rho -> sum_Q p_Q Q rho Q, as one probability vector.
 
-A Channel is an ordered sequence of factors, each acting on a subset of the
-register.  A factor is a Pauli channel rho -> sum_Q p_Q Q rho Q on its m
-qubits, stored as its probability vector over the 4^m Paulis Q.  Pauli
-noise is the form twirling reduces any noise to (Flammia & Wallman,
-arXiv:1907.12976), and it is the only noise nmrqip models.  Keeping the
-factors unexpanded lets channels act on seven spins, where the materialized
-tensor product would need 4^7 Kraus matrices.
+A Channel is a Pauli channel on m qubits of an n-qubit register, stored as
+its probability vector over the 4^m Paulis Q of those qubits and the tuple of
+their labels.  Pauli noise is the form twirling reduces any noise to
+(Flammia & Wallman, arXiv:1907.12976), and it is the only noise nmrqip
+models.  The vector has 4^n entries at most, so channels act on seven spins,
+where a Kraus set would need 4^7 matrices of 128 x 128.
 
 A Pauli channel multiplies the coefficient of each Pauli P in rho by
 lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
-Walsh-Hadamard transform of p.  The table of lambda on the whole register,
-the product of the factors' tables, is a channel's one computed form; apply()
-moves rho into the Pauli basis with two real matrix products, scales it by
-the table and moves it back.  kraus() still materializes the full Kraus set
-for n <= 5, as the exact oracle.
+Walsh-Hadamard transform of p.  The table of lambda on the whole register is
+a channel's one computed form; apply() moves rho into the Pauli basis with
+two real matrix products, scales it by the table and moves it back.
+kraus() still materializes the Kraus set sqrt(p_Q) Q for n <= 5, as the
+exact oracle; the Paulis are trace-orthogonal, so that set is minimal.
 
 Pauli vectors are the only Pauli error format: entry x * 2^m + z is the
 probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
@@ -32,36 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import PauliString, embed, pauli_matrices, sylvester_hadamard
+from .qop import embed, pauli_matrices, sylvester_hadamard
 
-_MATERIALIZE_LIMIT = 5  # qubits; full Kraus tensor beyond this is too large
-
-
-def _check_pauli_probs(probs):
-    if probs.min() < 0:
-        raise ValueError("negative Pauli probability")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"Pauli probabilities sum to {total}, not 1")
-
-
-def compress_kraus(kraus, tol=1e-12):
-    """Minimal Kraus set via the Choi-matrix spectrum (rank <= d^2)."""
-    d = kraus[0].shape[0]
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    w, vecs = np.linalg.eigh(choi)
-    out = []
-    for lam, vec in zip(w, vecs.T):
-        if lam > tol:
-            out.append(np.sqrt(lam) * vec.reshape(d, d))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pauli factors
+_MATERIALIZE_LIMIT = 5  # qubits; up to 4^n Kraus matrices beyond this are too large
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +46,8 @@ def _xor_gather(n: int) -> np.ndarray:
 
 
 def _pauli_eigenvalues(probs: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Table lam[z, x] of the Pauli eigenvalues of a factor on the n-qubit register."""
+    """Table lam[z, x] of the Pauli eigenvalues of the channel with Pauli
+    vector probs on the given qubits of the n-qubit register."""
     m = len(qubits)
     h = sylvester_hadamard(m)
     # (H p H)[c, k] = sum_{a, b} p[a, b] (-1)^(a.c + b.k): the eigenvalue of
@@ -104,31 +77,31 @@ def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
 
 
 class Channel:
-    """Pauli channel as ordered factors on qubit subsets of an n-qubit register.
+    """Pauli channel on the given 1-based qubits of an n-qubit register.
 
-    Each factor is (probs, qubits): probs is the 1-D vector of the 4^m Pauli
-    probabilities of its m qubits (see the module docstring for its index
-    order).
+    probs is the 1-D vector of the 4^m Pauli probabilities of its m qubits
+    (see the module docstring for its index order).
     """
 
-    def __init__(self, n: int, factors):
+    def __init__(self, n: int, probs, qubits):
         self.n = int(n)
         self.dim = 2**self.n
-        norm_factors = []
-        for probs, qubits in factors:
-            qubits = tuple(qubits)
-            probs = np.array(probs, dtype=float)
-            if probs.shape != (4 ** len(qubits),):
-                raise ValueError(f"Pauli vector shape {probs.shape} is not "
-                                 f"(4^{len(qubits)},) for {len(qubits)} qubit labels")
-            _check_pauli_probs(probs)
-            probs.setflags(write=False)
-            if any(q < 1 or q > self.n for q in qubits):
-                raise ValueError(f"factor qubits {qubits} outside register 1..{self.n}")
-            if len(set(qubits)) != len(qubits):
-                raise ValueError("duplicate qubit labels")
-            norm_factors.append((probs, qubits))
-        self.factors = tuple(norm_factors)
+        self.qubits = tuple(qubits)
+        self.probs = np.array(probs, dtype=float)
+        m = len(self.qubits)
+        if self.probs.shape != (4**m,):
+            raise ValueError(f"Pauli vector shape {self.probs.shape} is not "
+                             f"(4^{m},) for {m} qubit labels")
+        if self.probs.min() < 0:
+            raise ValueError("negative Pauli probability")
+        total = self.probs.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"Pauli probabilities sum to {total}, not 1")
+        self.probs.setflags(write=False)
+        if any(q < 1 or q > self.n for q in self.qubits):
+            raise ValueError(f"channel qubits {self.qubits} outside register 1..{self.n}")
+        if len(set(self.qubits)) != m:
+            raise ValueError("duplicate qubit labels")
         self._lam = None
 
     # -- constructors -------------------------------------------------------
@@ -141,7 +114,7 @@ class Channel:
         n = (probs.size.bit_length() - 1) // 2
         if n < 1 or probs.shape != (4**n,):
             raise ValueError(f"Pauli vector shape {probs.shape} is not (4^n,) for n >= 1")
-        return cls(n, [(probs, tuple(range(1, n + 1)))])
+        return cls(n, probs, range(1, n + 1))
 
     @classmethod
     def depolarizing(cls, n: int, p: float) -> "Channel":
@@ -151,7 +124,7 @@ class Channel:
             raise ValueError(f"depolarizing strength {p} outside [0, {hi:.6g}]")
         vec = np.full(4**n, p / 4**n)
         vec[0] += 1 - p
-        return cls(n, [(vec, tuple(range(1, n + 1)))])
+        return cls(n, vec, range(1, n + 1))
 
     # -- structure ----------------------------------------------------------
 
@@ -162,32 +135,22 @@ class Channel:
             raise ValueError(f"{len(qubits)} qubit labels for a {self.n}-qubit channel")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit labels")
-        factors = []
-        for probs, local in self.factors:
-            factors.append((probs, tuple(qubits[q - 1] for q in local)))
-        return Channel(n, factors)
+        return Channel(n, self.probs, (qubits[q - 1] for q in self.qubits))
 
     def kraus(self):
-        """Materialized full-register Kraus list (guarded for n > 5).
-
-        A factor contributes sqrt(p_Q) Q for each Pauli Q with p_Q > 0.
-        """
+        """Full-register Kraus list sqrt(p_Q) Q, one per Pauli Q with p_Q > 0
+        (guarded for n > 5).  The Paulis are trace-orthogonal, so no smaller
+        Kraus set gives the channel."""
         if self.n > _MATERIALIZE_LIMIT:
             raise ValueError(
-                f"refusing to materialize Kraus tensor for n={self.n} (> {_MATERIALIZE_LIMIT})"
+                f"refusing to materialize Kraus set for n={self.n} (> {_MATERIALIZE_LIMIT})"
             )
-        out = [np.eye(self.dim, dtype=complex)]
-        for probs, qubits in self.factors:
-            m = len(qubits)
-            at = np.flatnonzero(probs)
-            xz = [divmod(i, 2**m) for i in at.tolist()]
-            ops = np.sqrt(probs[at])[:, None, None] * pauli_matrices(
-                m, [(x, z, (x & z).bit_count()) for x, z in xz])
-            lifted = [embed(k, qubits, self.n) for k in ops]
-            out = [lk @ o for o in out for lk in lifted]
-            if len(out) > self.dim**2:
-                out = compress_kraus(out)
-        return compress_kraus(out)
+        m = len(self.qubits)
+        at = np.flatnonzero(self.probs)
+        xz = [divmod(i, 2**m) for i in at.tolist()]
+        ops = np.sqrt(self.probs[at])[:, None, None] * pauli_matrices(
+            m, [(x, z, (x & z).bit_count()) for x, z in xz])
+        return [embed(k, self.qubits, self.n) for k in ops]
 
     # -- application --------------------------------------------------------
 
@@ -195,11 +158,8 @@ class Channel:
         """Read-only table lam[z, x], computed on first use: this channel maps
         the Pauli X^x Z^z to lam[z, x] X^x Z^z."""
         if self._lam is None:
-            lam = np.ones((self.dim, self.dim))
-            for probs, qubits in self.factors:
-                lam *= _pauli_eigenvalues(probs, qubits, self.n)
-            lam.setflags(write=False)
-            self._lam = lam
+            self._lam = _pauli_eigenvalues(self.probs, self.qubits, self.n)
+            self._lam.setflags(write=False)
         return self._lam
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -207,10 +167,6 @@ class Channel:
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"state dim {rho.shape} does not match channel dim {self.dim}")
         return _apply_pauli(rho, self.eigenvalues() / self.dim)
-
-    def pauli_eigenvalue(self, p: PauliString) -> float:
-        """lambda_P with P -> lambda_P P under this channel."""
-        return float(self.eigenvalues()[p.z, p.x])
 
 
 def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:

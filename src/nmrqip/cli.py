@@ -305,7 +305,7 @@ def _run_certify(cfg, seed, shots):
         noise = Channel.depolarizing(n, p)
         est = certify_clifford(noise, tab, cfg["delta"], rng,
                                n_samples=cfg["n_samples"], readout_shots=shots)
-        p_id = noise.factors[0][0][0]  # Pr(no error), the identity entry of the Pauli vector
+        p_id = noise.probs[0]  # Pr(no error), the identity entry of the Pauli vector
         exact = (2**n * p_id + 1) / (2**n + 1)  # the target unitary cancels
         rows.append([p, est.fbar, exact, abs(est.fbar - exact),
                      est.stderr, est.n_samples])
@@ -818,8 +818,8 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
     ap.error = lambda message: sys.exit(_error_json(message, experiment=name))  # JSON, not usage
     ap.add_argument("--config", help="JSON config file merged over the defaults")
     ap.add_argument("--seed", type=int, default=0, help="64-bit run seed")
-    ap.add_argument("--out", default=os.path.join("runs", name),
-                    help="output directory (NMRQIP_OUT_DIR overrides)")
+    ap.add_argument("--out", help="output directory, default runs/<experiment> "
+                                  "(NMRQIP_OUT_DIR overrides)")
     ap.add_argument("--shots", type=int, default=None,
                     help="finite readout shots where the experiment supports them")
     ap.add_argument("--list", action="store_true",

@@ -13,11 +13,11 @@ binomial readout, if asked for, is drawn for all shots in one call.  The
 mean coefficient maps affinely to Pr(no error), and the average gate
 fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
-Randomized benchmarking under Pauli noise propagates Z_1 through
-each sequence's tableaux and multiplies the noise's Pauli eigenvalues, so no
-density matrix is formed.  The decay A p^m + B is fitted by variable
-projection in numpy.  Both gate samplers build their tableaux from gate
-lists through nmrqip.clifford.
+Randomized benchmarking under Pauli noise propagates Z_1 through each
+sequence's tableaux and multiplies the entries of the noise's eigenvalue
+table at the propagated Paulis, so no density matrix is formed.  The decay
+A p^m + B is fitted by variable projection in numpy.  Both gate samplers
+build their tableaux from gate lists through nmrqip.clifford.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def rotation_clifford_sampler():
     return sampler
 
 
-def _propagated_survival(noise: Channel, tabs, z1: PauliString) -> float:
-    """Survival of Z_1 under Pauli noise by Pauli propagation.
+def _propagated_survival(lam: np.ndarray, tabs, z1: PauliString) -> float:
+    """Survival of Z_1 under Pauli noise with eigenvalue table lam[z, x], by
+    Pauli propagation.
 
     Each Clifford maps the deviation to one signed Pauli Q and the noise
     scales it by lambda_Q; the exact recovery returns it to +Z_1, which the
@@ -213,8 +214,8 @@ def _propagated_survival(noise: Channel, tabs, z1: PauliString) -> float:
     survival, q = 1.0, z1
     for tab in tabs:
         q = tab.conjugate(q)
-        survival *= noise.pauli_eigenvalue(q)
-    return survival * noise.pauli_eigenvalue(z1)
+        survival *= lam[q.z, q.x]
+    return survival * lam[z1.z, z1.x]
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -284,13 +285,14 @@ def randomized_benchmarking(
     """
     n = noise_model.n
     z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+    lam = noise_model.eigenvalues()
     lengths = list(seq_lengths)
     survivals = []
     for m in lengths:
         acc = 0.0
         for _ in range(shots):
             tabs = [gate_sampler(rng) for _ in range(m)]
-            acc += _propagated_survival(noise_model, tabs, z1)
+            acc += _propagated_survival(lam, tabs, z1)
         survivals.append(acc / shots)
 
     surv = np.array(survivals)

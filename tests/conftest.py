@@ -106,6 +106,26 @@ def factor_kraus_sum(factors, n: int, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def composite_pauli_vector(factors, n: int) -> np.ndarray:
+    """Full-register Pauli vector (entry x << n | z) of the factors applied in
+    turn, read off their factor_kraus lists.  A Kraus operator c i^k X^x Z^z
+    holds c i^k (-1)^popcount(z & a) at row a ^ x of column a, so column 0
+    gives x and |c|^2, and the columns 2^j give the z bits.  The factors then
+    combine by XOR convolution: X^x Z^z X^x' Z^z' is X^(x^x') Z^(z^z') up to
+    phase."""
+    idx, cols = np.arange(4**n), 1 << np.arange(n)
+    total = (idx == 0).astype(float)
+    for kraus in factor_kraus(factors, n):
+        vec = np.zeros(4**n)
+        for k in kraus:
+            x = int(np.argmax(np.abs(k[:, 0])))
+            lead = k[x, 0]
+            z = int(cols[(k[cols ^ x, cols] * np.conj(lead)).real < 0].sum())
+            vec[x << n | z] += abs(lead) ** 2
+        total = sum(vec[b] * total[idx ^ b] for b in np.flatnonzero(vec))
+    return total
+
+
 def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
     """Mean Z_1 survival per length by the density-matrix loop: each gate's
     dense unitary, then the noise as a Kraus sum, and after the sequence the

@@ -12,8 +12,8 @@ from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.cli import DEFAULT_CONFIGS
 from nmrqip.qop import PauliString, embed, ket_density
 
-from conftest import (all_pauli_words, bit_flip, bloch_vector, factor_kraus_sum, kraus_sum,
-                      phase_flip, random_density)
+from conftest import (all_pauli_words, bit_flip, bloch_vector, composite_pauli_vector,
+                      factor_kraus_sum, kraus_sum, phase_flip, random_density)
 
 
 def pauli_vector(probs: dict) -> np.ndarray:
@@ -32,7 +32,7 @@ def word_channel(probs: dict) -> Channel:
 
 
 def transfer_eigenvalue(probs: dict, word: str) -> float:
-    """Oracle for Channel.pauli_eigenvalue: a Pauli channel maps P -> lambda_P P
+    """Oracle for Channel.eigenvalues: a Pauli channel maps P -> lambda_P P
     with lambda_P = sum_Q p_Q * (+1 if [Q, P] = 0 else -1)."""
     p_ref = PauliString(word)
     lam = 0.0
@@ -59,7 +59,8 @@ def word_probs_by_weight(n: int, weight_masses: dict) -> dict:
 
 
 def random_factors(n: int, rng) -> list:
-    """Random Pauli factors on random qubit subsets of an n-qubit register."""
+    """Random Pauli factors on random qubit subsets of an n-qubit register,
+    composed in the tests by composite_pauli_vector."""
     factors = []
     for _ in range(1 + rng.integers(3)):
         m = 1 + rng.integers(n)
@@ -82,23 +83,29 @@ def test_factor_must_be_a_pauli_vector():
     half = np.array([[0.5, 0.0], [0.0, 0.5]])
     for bad in (half, [half, half], np.full((1, 4), 0.25)):
         with pytest.raises(ValueError, match="is not"):
-            Channel(1, [(bad, (1,))])
+            Channel(1, bad, (1,))
     with pytest.raises(ValueError, match="is not"):
-        Channel(2, [(np.full(4, 0.25), (1, 2))])
-    assert Channel(1, [(np.full(4, 0.25), (1,))]).factors[0][0].shape == (4,)
+        Channel(2, np.full(4, 0.25), (1, 2))
+    ch = Channel(2, np.full(4, 0.25), [2])
+    assert ch.probs.shape == (4,) and ch.qubits == (2,) and not ch.probs.flags.writeable
+    for bad, qubits in (([-0.1, 0.5, 0.3, 0.3], (1,)), (np.full(4, 0.25), (3,))):
+        with pytest.raises(ValueError, match="negative|outside"):
+            Channel(2, bad, qubits)
 
 
 def test_factor_rejects_duplicate_qubit_labels():
-    # a factor on (1, 1) would read both of its local qubits from qubit 1
+    # a channel on (1, 1) would read both of its local qubits from qubit 1
     with pytest.raises(ValueError, match="duplicate qubit labels"):
-        Channel(2, [(np.full(16, 1 / 16), (1, 1))])
+        Channel(2, np.full(16, 1 / 16), (1, 1))
 
 
 def test_apply_matches_kraus_sum(rng):
+    # a composite of random factors, as one Pauli vector, against the factors'
+    # Kraus sums in turn
     for n in (1, 2, 3):
         d = 2**n
         factors = random_factors(n, rng)
-        ch = Channel(n, factors)
+        ch = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
         rho = random_density(d, rng)
         direct = factor_kraus_sum(factors, n, rho)
         assert np.allclose(ch.apply(rho), direct, rtol=0, atol=1e-12)
@@ -109,7 +116,7 @@ def test_apply_matches_kraus_sum(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_apply_preserves_trace_and_positivity(seed):
     rng = np.random.default_rng(seed)
-    ch = Channel(2, random_factors(2, rng))
+    ch = Channel.from_pauli_probs(composite_pauli_vector(random_factors(2, rng), 2))
     rho = random_density(4, rng)
     out = ch.apply(rho)
     assert abs(np.trace(out) - 1.0) < 1e-10
@@ -135,6 +142,20 @@ def test_depolarizing_apply_matches_kraus_sum(n, rng):
         out = ch.apply(rho)
         assert np.allclose(out, kraus_sum(ch.kraus(), rho), rtol=0, atol=1e-12)
         assert np.allclose(out, (1 - p) * rho + p * np.eye(d) / d, rtol=0, atol=1e-12)
+
+
+def test_kraus_is_one_scaled_pauli_per_nonzero_probability(rng):
+    # sqrt(p_Q) Q for each Q with p_Q > 0, placed on the channel's qubits:
+    # trace-orthogonal, so the set is minimal (its Choi rank is its size)
+    probs = random_pauli_probs(2, rng)
+    vec = pauli_vector(probs)
+    kraus = Channel(3, vec, (3, 1)).kraus()
+    words = sorted(probs, key=lambda w: (PauliString(w).x, PauliString(w).z))  # index order
+    want = [np.sqrt(probs[w]) * embed(PauliString(w).dense(), (3, 1), 3) for w in words]
+    assert len(kraus) == np.count_nonzero(vec) == len(want)
+    assert np.allclose(kraus, want, rtol=0, atol=1e-15)
+    gram = np.einsum("aij,bij->ab", np.conj(kraus), kraus)
+    assert np.allclose(gram, 8 * np.diag(vec[vec > 0]), rtol=0, atol=1e-14)
 
 
 def test_depolarizing_multiqubit_mixes_to_identity():
@@ -175,14 +196,15 @@ def test_on_rejects_a_label_count_other_than_n():
 
 
 def test_then_and_tensor(rng):
-    # factors apply in order ("a then b"), and factors on disjoint qubits
-    # make the tensor product
-    (a, _), (b, _) = bit_flip(0.2).factors[0], phase_flip(0.1).factors[0]
+    # the vector of "a then b" is the channel a then b, and the vector of
+    # factors on disjoint qubits is the tensor product
+    a, b = bit_flip(0.2).probs, phase_flip(0.1).probs
     rho = random_density(2, rng)
-    got = Channel(1, [(a, (1,)), (b, (1,))]).apply(rho)
+    got = Channel.from_pauli_probs(composite_pauli_vector([(a, (1,)), (b, (1,))], 1)).apply(rho)
     assert np.allclose(got, phase_flip(0.1).apply(bit_flip(0.2).apply(rho)), atol=1e-12)
     rho2 = random_density(4, rng)
-    joint = Channel(2, [(a, (1,)), (b, (2,))]).apply(rho2)
+    tensor = composite_pauli_vector([(a, (1,)), (b, (2,))], 2)
+    joint = Channel.from_pauli_probs(tensor).apply(rho2)
     ref = bit_flip(0.2).on([1], 2).apply(phase_flip(0.1).on([2], 2).apply(rho2))
     assert np.allclose(joint, ref, atol=1e-12)
 
@@ -199,31 +221,30 @@ def test_pauli_channel_transfer_eigenvalues(rng):
 
 
 def test_pauli_eigenvalue_accessor(rng):
-    # every word, against the transfer eigenvalue and the applied channel,
-    # for one Pauli factor, the depolarizing closed form and a composite
+    # every word's table entry, against the transfer eigenvalue and the
+    # applied channel, for one Pauli vector, the depolarizing closed form and
+    # a composite of factors as one vector
     probs = random_pauli_probs(2, rng)
     bit = {"I": 0.9, "X": 0.1}
-    composite = Channel(2, [(pauli_vector(bit), (1,)), (phase_flip(0.2).factors[0][0], (2,)),
-                            (Channel.depolarizing(1, 0.3).factors[0][0], (2,))])
+    composite = Channel.from_pauli_probs(composite_pauli_vector(
+        [(pauli_vector(bit), (1,)), (phase_flip(0.2).probs, (2,)),
+         (Channel.depolarizing(1, 0.3).probs, (2,))], 2))
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
     table = composite.eigenvalues()
     assert composite.eigenvalues() is table and not table.flags.writeable
+    tables = (word_channel(probs).eigenvalues(), Channel.depolarizing(2, 0.25).eigenvalues())
     for word in all_pauli_words(2):
-        for phase in (1, -1):
-            p = PauliString(word, phase)
-            assert word_channel(probs).pauli_eigenvalue(p) == pytest.approx(
-                transfer_eigenvalue(probs, word), abs=1e-12)
-            want = 1.0 if word == "II" else 0.75
-            assert Channel.depolarizing(2, 0.25).pauli_eigenvalue(p) == pytest.approx(
-                want, abs=1e-15)
-            want = (transfer_eigenvalue(composite_probs, word)
-                    * (0.7 if word[1] != "I" else 1.0))
-            assert composite.pauli_eigenvalue(p) == pytest.approx(want, abs=1e-12)
-            if word != "II":
-                rho = (np.eye(4) + PauliString(word).dense()) / 4
-                survival = np.trace(PauliString(word).dense() @ composite.apply(rho)).real
-                assert composite.pauli_eigenvalue(p) == pytest.approx(survival, abs=1e-12)
+        p = PauliString(word)
+        assert tables[0][p.z, p.x] == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
+        want = 1.0 if word == "II" else 0.75
+        assert tables[1][p.z, p.x] == pytest.approx(want, abs=1e-15)
+        want = transfer_eigenvalue(composite_probs, word) * (0.7 if word[1] != "I" else 1.0)
+        assert table[p.z, p.x] == pytest.approx(want, abs=1e-12)
+        if word != "II":
+            rho = (np.eye(4) + p.dense()) / 4
+            survival = np.trace(p.dense() @ composite.apply(rho)).real
+            assert table[p.z, p.x] == pytest.approx(survival, abs=1e-12)
 
 
 def test_pauli_probs_by_weight_fixture():
@@ -302,8 +323,9 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
 
         other = random_pauli_probs(1, rng)
         joint = {w + v: p * q for w, p in probs.items() for v, q in other.items()}
-        got = Channel(big, [(pauli_vector(probs), range(1, big)),
-                            (pauli_vector(other), (big,))]).apply(rho_big)
+        joint_vec = composite_pauli_vector([(pauli_vector(probs), tuple(range(1, big))),
+                                            (pauli_vector(other), (big,))], big)
+        got = Channel.from_pauli_probs(joint_vec).apply(rho_big)
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
@@ -315,14 +337,16 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
 @settings(deadline=None, max_examples=20, derandomize=True)
 @given(st.integers(1, 4), st.floats(0.0, 1.0))
 def test_depolarizing_composite_matches_kraus_oracle(n, p):
-    # depolarizing on the register, then on qubit 1: the closed form, then
-    # the closed form again at n = 1 and the Pauli transform at n > 1
+    # depolarizing on the register, then on qubit 1, as one Pauli vector:
+    # its transform and its Kraus set against the factors' Kraus sums
     rng = np.random.default_rng(n)
     rho = random_density(2**n, rng)
-    ch = Channel(n, [Channel.depolarizing(n, p).factors[0],
-                     (Channel.depolarizing(1, p / 2).factors[0][0], (1,))])
-    ref = kraus_sum(ch.kraus(), rho)
+    factors = [(Channel.depolarizing(n, p).probs, tuple(range(1, n + 1))),
+               (Channel.depolarizing(1, p / 2).probs, (1,))]
+    ch = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+    ref = factor_kraus_sum(factors, n, rho)
     assert np.allclose(ch.apply(rho), ref, rtol=0, atol=1e-12)
+    assert np.allclose(kraus_sum(ch.kraus(), rho), ref, rtol=0, atol=1e-12)
 
 
 def test_pauli_channel_n7_memory():

@@ -351,7 +351,6 @@ def test_src_is_what_a_run_reaches():
 # reason it stays a parameter: named numerical tolerances, which keep their
 # value visible in the signature, and PauliString's phase, which literals set.
 UNSET_PARAMETERS = {
-    "channels.compress_kraus(tol)": "Choi eigenvalue cut of the Kraus compression",
     "control._fd_gradient(h_rel)": "finite-difference step relative to the amplitude cap",
     "experiments.dqc1._block_split(atol)": "how far off-diagonal blocks may stray from 0",
     "experiments.ising.ising_ground(rtol)": "relative gap that counts levels as degenerate",

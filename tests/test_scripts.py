@@ -1,11 +1,18 @@
-"""Every script under scripts/ imports cleanly against the package."""
+"""Every script under scripts/ imports cleanly against the package, and the
+CSV digests of a fresh run equal CSV_DIGESTS.txt."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+import nmrqip
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
@@ -30,13 +37,24 @@ def _accepted(experiment, config) -> bool:
 
 
 def test_csv_digests_lists_every_run_at_one_seed():
+    # the digests at seed 3, made in a child process at one BLAS thread,
+    # list every run and equal CSV_DIGESTS.txt line for line; a file made
+    # with another numpy, BLAS or thread setting is not compared, since the
+    # bytes are promised only within one environment
     from nmrqip.cli import DEFAULT_CONFIGS
 
-    spec = importlib.util.spec_from_file_location(
-        "script_csv_digests", SCRIPTS[0].parent / "csv_digests.py")
+    path = ROOT / "scripts" / "csv_digests.py"
+    spec = importlib.util.spec_from_file_location("script_csv_digests", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    lines = script.digest_lines([3])
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    env = {**os.environ, **dict.fromkeys(script.THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, str(path), "--seeds", "3"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    header = [line for line in res.stdout.splitlines() if line.startswith("# ")]
+    lines = [line for line in res.stdout.splitlines() if not line.startswith("# ")]
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 4 and f[1] == "3" and f[2].endswith(".csv") for f in fields)
     assert all(len(f[3]) == 64 and set(f[3]) <= set("0123456789abcdef") for f in fields)
@@ -63,3 +81,7 @@ def test_csv_digests_lists_every_run_at_one_seed():
     for label, files in extra.items():
         assert {f[2] for f in fields if f[0] == label} == files
     assert [f[2] for f in fields if f[0] == "repro"] == ["criteria.csv"]
+    committed = (ROOT / "CSV_DIGESTS.txt").read_text().splitlines()
+    if header != [line for line in committed if line.startswith("# ")]:
+        pytest.skip(f"CSV_DIGESTS.txt was made in another environment; this one is {header}")
+    assert lines == [line for line in committed if not line.startswith("# ")]

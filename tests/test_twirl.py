@@ -25,8 +25,9 @@ from nmrqip.twirl import (
 )
 
 from conftest import (all_1q_cliffords, all_pauli_words, bit_flip, circuit_unitary,
-                      dense_rb_survivals, dense_shot_values, factor_kraus, from_unitaries,
-                      kraus_sum, pauli_weight, phase_flip, rotation_unitaries, signed_paulis)
+                      composite_pauli_vector, dense_rb_survivals, dense_shot_values,
+                      factor_kraus, from_unitaries, kraus_sum, pauli_weight, phase_flip,
+                      rotation_unitaries, signed_paulis)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -118,9 +119,9 @@ def test_distinct_draw_matches_word_enumeration():
 
 def noise_and_gate(n):
     """Multi-factor Pauli noise (random factors on qubit 1, on qubits n and 1
-    in that order, and on the middle qubit), its dense image as Kraus sums
-    from Pauli words, that image before a Clifford circuit's dense unitary,
-    and the circuit's tableau."""
+    in that order, and on the middle qubit) as one Pauli vector, its dense
+    image as the factors' Kraus sums from Pauli words, that image before a
+    Clifford circuit's dense unitary, and the circuit's tableau."""
     rng = np.random.default_rng(n)
     factors = [(rng.dirichlet(np.ones(4)), (1,))]
     if n > 1:
@@ -139,7 +140,8 @@ def noise_and_gate(n):
     def gate(rho):
         return u @ memory(rho) @ u.conj().T
 
-    return Channel(n, factors), memory, gate, circuit_tableau(gates, n)
+    noise = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+    return noise, memory, gate, circuit_tableau(gates, n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -359,12 +361,13 @@ RB_LENGTHS = [1, 3, 8, 20, 40]
 
 
 def rb_noise_models(n):
-    """No noise, depolarizing, non-uniform Pauli, and a composite of per-qubit factors."""
+    """No noise, depolarizing, non-uniform Pauli, and a composite of per-qubit
+    factors as one Pauli vector."""
     masses = {w: 0.02 / w for w in range(1, n + 1)}
-    factors = [(bit_flip(0.01).factors[0][0], (1,))]
-    factors += [(phase_flip(0.02).factors[0][0], (q,)) for q in range(2, n + 1)]
-    factors.append((Channel.depolarizing(1, 0.03).factors[0][0], (n,)))
-    composite = Channel(n, factors)
+    factors = [(bit_flip(0.01).probs, (1,))]
+    factors += [(phase_flip(0.02).probs, (q,)) for q in range(2, n + 1)]
+    factors.append((Channel.depolarizing(1, 0.03).probs, (n,)))
+    composite = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
     return [Channel.depolarizing(n, 0.0), Channel.depolarizing(n, 0.01),
             Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
 
@@ -378,6 +381,30 @@ def test_rb_propagation_matches_dense_loop(n):
         got = randomized_benchmarking(default_rb_sampler(n), noise, RB_LENGTHS, 3, rng)
         assert np.allclose(got.survivals, want, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_rb_survival_is_a_per_gate_product_of_table_entries(n):
+    # each sequence's survival is the product, gate by gate, of the noise's
+    # eigenvalue-table entries at the propagated Pauli, then the entry at
+    # Z_1 for the recovery: the mean per length equals it bit for bit
+    sampler = default_rb_sampler(n)
+    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+    for i, noise in enumerate(rb_noise_models(n)):
+        table, ref_rng = noise.eigenvalues(), np.random.default_rng(10 * n + i)
+        want = []
+        for m in RB_LENGTHS:
+            acc = 0.0
+            for _ in range(4):
+                survival, q = 1.0, z1
+                for tab in [sampler(ref_rng) for _ in range(m)]:
+                    q = tab.conjugate(q)
+                    survival *= float(table[q.z, q.x])
+                acc += survival * float(table[z1.z, z1.x])
+            want.append(acc / 4)
+        got = randomized_benchmarking(sampler, noise, RB_LENGTHS, 4,
+                                      np.random.default_rng(10 * n + i))
+        assert [float(s) for s in got.survivals] == want
 
 
 def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
