@@ -38,7 +38,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
 # at n = 7 with many distinct Paulis, an Ising scan of 10^4 field points, an
 # xxz scan at n = 7 without the crossing, one with the schema's 256 restarts,
-# noiseless RB, the relay's entangling mode and the phase-flip code.
+# noiseless RB, the relay's entangling mode, the phase-flip code, and
+# malonate3's spectrum and GRAPE at full coupling, which has a heteronuclear
+# pair (ZZ alone) and a homonuclear one (flip-flops kept).
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
@@ -56,6 +58,9 @@ EXTRA_RUNS = [
     ("rb-noiseless", "rb", {"error_rate": 0.0}),
     ("transfer-entangle", "transfer", {"mode": "entangle"}),
     ("qec-phase-flip", "qec", {"code": "phase-flip"}),
+    ("spectrum-malonate3-full", "spectrum", {"molecule": "malonate3", "weak_coupling": False}),
+    ("grape-malonate3-full", "grape",
+     {"molecule": "malonate3", "n_steps": 20, "max_iters": 3, "weak_coupling": False}),
 ]
 
 

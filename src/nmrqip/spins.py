@@ -110,37 +110,35 @@ def internal_hamiltonian(sys: SpinSystem, weak_coupling: bool = True) -> np.ndar
     """Rotating-frame internal Hamiltonian in rad/s.
 
     Weak form: -sum 2 pi nu_i Iz_i + sum_{i<j} 2 pi J_ij Iz_i Iz_j (diagonal).
-    Full form keeps the isotropic IxIx + IyIy + IzIz coupling instead.
+    Full form adds 2 pi J_ij (Ix_i Ix_j + Iy_i Iy_j) for each pair of one species:
+    each species has its own rotating frame, so a heteronuclear pair keeps ZZ alone.
     Requesting the weak form when some homonuclear pair has
     |2 pi J| > 0.1 |delta omega| emits a warning but still returns it.
     """
+    h = np.diag(hamiltonian_diagonal(sys))
     if weak_coupling:
         _warn_if_strongly_coupled(sys)
-        return np.diag(hamiltonian_diagonal(sys)).astype(complex)
-    n, j = sys.n, sys.j
-    terms = [(-2 * np.pi * nu / 2, 0, 1 << (n - 1 - i))
-             for i, nu in enumerate(sys.offsets) if nu != 0.0]
-    for i in range(n):
-        for k in range(i + 1, n):
-            if j[i, k] != 0.0:
-                pair, c = 1 << (n - 1 - i) | 1 << (n - 1 - k), 2 * np.pi * j[i, k] / 4
-                terms += [(c, pair, 0), (c, pair, pair), (c, 0, pair)]  # XX, YY, ZZ
-    return pauli_sum(n, terms)
+        return h.astype(complex)
+    terms = []
+    for i, k, jik in _homonuclear_pairs(sys):
+        pair, c = 1 << (sys.n - 1 - i) | 1 << (sys.n - 1 - k), 2 * np.pi * jik / 4
+        terms += [(c, pair, 0), (c, pair, pair)]  # XX, YY
+    return h + pauli_sum(sys.n, terms)
+
+
+def _homonuclear_pairs(sys: SpinSystem) -> list:
+    """(i, k, J_ik in Hz) of each coupled pair of one species, 0-based, i < k."""
+    j = sys.j
+    return [(i, k, j[i, k]) for i in range(sys.n) for k in range(i + 1, sys.n)
+            if sys.species[i] == sys.species[k] and j[i, k] != 0.0]
 
 
 def _warn_if_strongly_coupled(sys: SpinSystem, ratio: float = 0.1):
-    j = sys.j
-    for i in range(sys.n):
-        for k in range(i + 1, sys.n):
-            if sys.species[i] != sys.species[k] or j[i, k] == 0.0:
-                continue
-            d_omega = 2 * np.pi * abs(sys.offsets[i] - sys.offsets[k])
-            if abs(2 * np.pi * j[i, k]) > ratio * d_omega:
-                warnings.warn(
-                    f"spins {i + 1},{k + 1}: weak-coupling form requested but "
-                    f"|2piJ| exceeds {ratio} of the offset difference",
-                    stacklevel=3,
-                )
+    for i, k, jik in _homonuclear_pairs(sys):
+        d_omega = 2 * np.pi * abs(sys.offsets[i] - sys.offsets[k])
+        if abs(2 * np.pi * jik) > ratio * d_omega:
+            warnings.warn(f"spins {i + 1},{k + 1}: weak-coupling form requested but "
+                          f"|2piJ| exceeds {ratio} of the offset difference", stacklevel=3)
 
 
 def thermal_state(sys: SpinSystem, beta_scaled: float) -> np.ndarray:

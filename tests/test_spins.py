@@ -98,7 +98,8 @@ def test_spin_and_raising_ops_equal_embedded_matrices():
 
 @pytest.mark.parametrize("name", MOLECULES)
 def test_full_hamiltonian_equals_embedded_sum(name):
-    # Zeeman terms first, then XX, YY, ZZ pair by pair: the same sum order
+    # Zeeman terms first, then pair by pair XX and YY for a pair of one species
+    # and ZZ for every pair (secular coupling): the same sum order
     sys_ = builtin_molecule(name)
     n = sys_.n
     h = np.zeros((sys_.dim, sys_.dim), dtype=complex)
@@ -109,7 +110,8 @@ def test_full_hamiltonian_equals_embedded_sum(name):
         for k in range(i + 1, n + 1):
             jik = sys_.j[i - 1, k - 1]
             if jik != 0.0:
-                for ax in "xyz":
+                axes = "xyz" if sys_.species[i - 1] == sys_.species[k - 1] else "z"
+                for ax in axes:
                     h += 2 * np.pi * jik * (_embedded(ax, i, n) @ _embedded(ax, k, n))
     assert np.array_equal(internal_hamiltonian(sys_, weak_coupling=False), h)
 
@@ -126,14 +128,45 @@ def test_internal_hamiltonian_weak_form_by_hand():
 
 
 def test_internal_hamiltonian_full_form():
+    # chloroform2's one pair is 1H-13C: the secular full form keeps its ZZ alone
     sys_ = builtin_molecule("chloroform2")
     h = internal_hamiltonian(sys_, weak_coupling=False)
-    expect = zeeman_hamiltonian(sys_)
+    assert np.array_equal(h, internal_hamiltonian(sys_, weak_coupling=True))
+    # the same pair as one species keeps the isotropic coupling
+    homo = dataclasses.replace(sys_, species=("1H", "1H"))
+    expect = zeeman_hamiltonian(homo)
     for ax in "xyz":
         expect = expect + 2 * np.pi * 215.0 * (
             spin_op(ax, 1, 2) @ spin_op(ax, 2, 2))
+    h = internal_hamiltonian(homo, weak_coupling=False)
     assert np.allclose(h, expect, atol=1e-9)
     assert not np.allclose(h, np.diag(np.diagonal(h)))
+
+
+@pytest.mark.parametrize("name", MOLECULES)
+def test_internal_hamiltonian_conserves_each_species_iz(name):
+    # each species has its own rotating frame: in both forms no entry links
+    # basis states of different total Iz of one species, so H commutes with it
+    sys_ = builtin_molecule(name)
+    for weak in (True, False):
+        h = internal_hamiltonian(sys_, weak_coupling=weak)
+        for _, members in sys_.channels():
+            m = np.diagonal(sum(spin_op("z", i, sys_.n) for i in members)).real
+            assert not np.any(h[m[:, None] != m[None, :]])
+
+
+def test_full_coupling_spectrum_lines_equal_the_weak_form(tmp_path):
+    # chloroform2's spectrum run with weak_coupling false has the weak form's
+    # lines (test_fid_doublet_positions places those), and no other
+    from nmrqip.cli import run_experiment
+
+    power = {}
+    for weak in (True, False):
+        out = tmp_path / str(weak)
+        doc = {"molecule": "chloroform2", "weak_coupling": weak}
+        assert run_experiment("spectrum", out_dir=str(out), config_doc=doc) == 0
+        power[weak] = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1, usecols=3)
+    assert np.allclose(power[False], power[True], rtol=0, atol=1e-9 * power[True].max())
 
 
 @pytest.mark.parametrize("name", MOLECULES)
