@@ -253,27 +253,21 @@ def _crit_rb(base_seed):
     n, d = 3, 8
     noise = Channel.depolarizing(n, r_inj / (1 - 1 / d))
     rng = np.random.default_rng(base_seed + 500)
-    res = randomized_benchmarking(default_rb_sampler(n), noise,
-                                  [1, 2, 4, 8, 16, 32, 64, 96], 30, rng)
+    tabs, probs = default_rb_sampler(n)
+    res = randomized_benchmarking((tabs, probs), noise, [1, 2, 4, 8, 16, 32, 64, 96], 30, rng)
     rel = abs(res.error_rate - r_inj) / r_inj
 
     # zero noise: the survival operator returns to +Z_1 exactly, so the
-    # survival is exactly 1; the check runs in integer Pauli arithmetic
-    sampler = default_rb_sampler(n)
+    # survival is exactly 1; the check runs in integer Pauli arithmetic on
+    # gate indices drawn as the run draws them
     rng2 = np.random.default_rng(base_seed + 501)
     z1 = PauliString.from_bits(n, *spin_bits("z", 1, n))
     exact_ones = 0
     for _ in range(100):
-        m = int(rng2.integers(1, 40))
-        tabs = [sampler(rng2) for _ in range(m)]
-        total = CliffordTableau.identity(n)
-        p = z1
-        for t in tabs:
-            p = t.conjugate(p)
-            total = total.then(t)
-        p = total.inverse().conjugate(p)
-        if p == z1:
-            exact_ones += 1
+        p, total = z1, CliffordTableau.identity(n)
+        for g in rng2.choice(len(tabs), size=int(rng2.integers(1, 40)), p=probs).tolist():
+            p, total = tabs[g].conjugate(p), total.then(tabs[g])
+        exact_ones += total.inverse().conjugate(p) == z1
     passed = res.ok and rel <= 0.10 and exact_ones == 100
     return (bool(passed),
             f"r_fit={res.error_rate:.5g} vs {r_inj} (rel {rel:.3f}); "

@@ -13,11 +13,13 @@ binomial readout, if asked for, is drawn for all shots in one call.  The
 mean coefficient maps affinely to Pr(no error), and the average gate
 fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
-Randomized benchmarking under Pauli noise propagates Z_1 through each
-sequence's tableaux and multiplies the entries of the noise's eigenvalue
-table at the propagated Paulis, so no density matrix is formed.  The decay
-A p^m + B is fitted by variable projection in numpy.  Both gate samplers
-build their tableaux from gate lists through nmrqip.clifford.
+Randomized benchmarking under Pauli noise turns a gate set's tableaux, built
+from gate lists through nmrqip.clifford, into one table of Pauli keys
+x << n | z: gate g's image of every key, up to sign.  All sequences of one
+length advance at once: each step gathers every sequence's next key at its
+drawn gate index and multiplies its survival by the noise's eigenvalue there,
+so no density matrix or per-gate Pauli object is formed.  The decay
+A p^m + B is fitted by variable projection in numpy.
 """
 
 from __future__ import annotations
@@ -165,27 +167,17 @@ class RBResult:
 
 
 def default_rb_sampler(n: int):
-    """Clifford generating set: 2/3 single-qubit {H, S H S^dag}, 1/3
-    nearest-neighbour CNOT (directed)."""
-    singles = []
-    for q in range(1, n + 1):
-        h = gate_tableau("H", (q,), n)
-        shs = circuit_tableau(
-            [("S", (q,)), ("S", (q,)), ("S", (q,)), ("H", (q,)), ("S", (q,))], n
-        )
-        singles.append(h)
-        singles.append(shs)
-    cnots = []
-    for q in range(1, n):
-        cnots.append(gate_tableau("CNOT", (q, q + 1), n))
-        cnots.append(gate_tableau("CNOT", (q + 1, q), n))
-
-    def sampler(rng: np.random.Generator) -> CliffordTableau:
-        if not cnots or rng.random() < 2 / 3:
-            return singles[rng.integers(len(singles))]
-        return cnots[rng.integers(len(cnots))]
-
-    return sampler
+    """Clifford generating set as (tableaux, probabilities): 2/3 uniform over
+    the single-qubit {H, S H S^dag}, 1/3 uniform over the directed
+    nearest-neighbour CNOTs, and all on the singles at n = 1."""
+    singles = [circuit_tableau([(g, (q,)) for g in word], n)
+               for q in range(1, n + 1) for word in ("H", "SSSHS")]
+    cnots = [gate_tableau("CNOT", pair, n)
+             for q in range(1, n) for pair in ((q, q + 1), (q + 1, q))]
+    if not cnots:
+        return singles, np.full(len(singles), 1 / len(singles))
+    probs = np.repeat([2 / 3 / len(singles), 1 / 3 / len(cnots)], [len(singles), len(cnots)])
+    return singles + cnots, probs
 
 
 # +pi/2, -pi/2 and pi rotations about x, y and z up to phase, as gate words
@@ -194,28 +186,46 @@ _ROTATIONS = ("HSH", "SHS", "X", "HX", "HZ", "Y", "S", "SZ", "Z")
 
 
 def rotation_clifford_sampler():
-    """Single-qubit set: +-pi/2 and pi rotations about x, y, z."""
+    """Single-qubit set as (tableaux, probabilities): +-pi/2 and pi rotations
+    about x, y, z, uniformly."""
     gates = [circuit_tableau([(g, (1,)) for g in word], 1) for word in _ROTATIONS]
-
-    def sampler(rng: np.random.Generator) -> CliffordTableau:
-        return gates[rng.integers(len(gates))]
-
-    return sampler
+    return gates, np.full(len(gates), 1 / len(gates))
 
 
-def _propagated_survival(lam: np.ndarray, tabs, z1: PauliString) -> float:
-    """Survival of Z_1 under Pauli noise with eigenvalue table lam[z, x], by
-    Pauli propagation.
+def _key_table(tableaux) -> np.ndarray:
+    """(gates, 4^n) table of each gate's image key x << n | z of each key, up
+    to sign: the XOR of the tableau rows that the key's set bits select, its
+    top bit (qubit 1's X) selecting row 0.  A survival reads only lambda at
+    the key, so the signs drop out."""
+    n = tableaux[0].n
+    rows = np.array([[x << n | z for x, z, _ in t.rows] for t in tableaux])
+    keys, table = np.arange(4**n), np.zeros((len(tableaux), 4**n), dtype=np.int64)
+    for r in range(2 * n):
+        table ^= (keys >> (2 * n - 1 - r) & 1) * rows[:, r, None]
+    return table
 
-    Each Clifford maps the deviation to one signed Pauli Q and the noise
-    scales it by lambda_Q; the exact recovery returns it to +Z_1, which the
-    last noise step scales by lambda_Z1 (Flammia & Wallman, arXiv:1907.12976).
-    """
-    survival, q = 1.0, z1
-    for tab in tabs:
-        q = tab.conjugate(q)
-        survival *= lam[q.z, q.x]
-    return survival * lam[z1.z, z1.x]
+
+# bytes of gate indices drawn per block of steps (at least one step); the
+# draw is in C order, so the stream does not depend on it
+_DRAW_BYTES = 1 << 18
+
+
+def _survivals(table, probs, lam, m: int, shots: int, rng) -> np.ndarray:
+    """Per-sequence survivals of Z_1 through `shots` random length-m
+    sequences under Pauli noise with eigenvalue lam[x << n | z]: each step
+    gathers every sequence's next key at its drawn gate and multiplies by
+    lambda there, and the exact recovery to +Z_1 by lambda_Z1 (Flammia &
+    Wallman, arXiv:1907.12976).  Gate indices are drawn in blocks of steps."""
+    n_gates, n_keys = table.shape
+    z1 = math.isqrt(n_keys) // 2  # x = 0, z = qubit 1's bit
+    flat, q, surv = table.ravel(), np.full(shots, z1), np.ones(shots)
+    block = max(1, _DRAW_BYTES // (8 * shots))
+    for start in range(0, m, block):
+        offsets = rng.choice(n_gates, size=(min(block, m - start), shots), p=probs) * n_keys
+        for off in offsets:
+            q = flat[off + q]
+            surv *= lam[q]
+    return surv * lam[z1]
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -270,7 +280,7 @@ def _fit_decay(lengths, surv: np.ndarray):
 
 
 def randomized_benchmarking(
-    gate_sampler,
+    gate_set,
     noise_model: Channel,
     seq_lengths,
     shots: int,
@@ -278,23 +288,15 @@ def randomized_benchmarking(
 ) -> RBResult:
     """Survival-decay benchmarking with exact tableau-inverted recovery.
 
-    For each length, `shots` random sequences are applied to a deviation
-    state Z_1; noise acts after every gate including the recovery.  The mean
-    survival is fitted to A p^m + B.  The Pauli noise is propagated through
-    the sequence symbolically.
+    gate_set is (tableaux, probabilities).  For each length, `shots` random
+    sequences are applied to a deviation state Z_1; noise acts after every
+    gate including the recovery.  The mean survival is fitted to A p^m + B.
     """
-    n = noise_model.n
-    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
-    lam = noise_model.eigenvalues()
+    tableaux, probs = gate_set
+    table = _key_table(tableaux)
+    lam = noise_model.eigenvalues().T.ravel()  # entry x << n | z is lambda of X^x Z^z
     lengths = list(seq_lengths)
-    survivals = []
-    for m in lengths:
-        acc = 0.0
-        for _ in range(shots):
-            tabs = [gate_sampler(rng) for _ in range(m)]
-            acc += _propagated_survival(lam, tabs, z1)
-        survivals.append(acc / shots)
-
+    survivals = [float(_survivals(table, probs, lam, m, shots, rng).mean()) for m in lengths]
     surv = np.array(survivals)
     if np.all(np.abs(surv - 1) <= 1e-9):
         return RBResult(lengths, survivals, float(surv.mean()), 0.0, 1.0, 0.0,
@@ -308,6 +310,5 @@ def randomized_benchmarking(
                         float("nan"), float("nan"), False,
                         "survival does not decay with sequence length")
     a, p, b = _fit_decay(lengths, surv)
-    d = 2**n
-    r = (1 - p) * (1 - 1 / d)
+    r = (1 - p) * (1 - 1 / 2**noise_model.n)
     return RBResult(lengths, survivals, a, b, p, r, True, "ok")

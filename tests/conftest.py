@@ -126,29 +126,78 @@ def composite_pauli_vector(factors, n: int) -> np.ndarray:
     return total
 
 
-def dense_rb_survivals(sampler, noise, lengths, shots, rng) -> list:
-    """Mean Z_1 survival per length by the density-matrix loop: each gate's
-    dense unitary, then the noise as a Kraus sum, and after the sequence the
-    dense recovery and the noise once more.  Draws the same gates from rng as
-    nmrqip.twirl.randomized_benchmarking."""
+def draw_rb_indices(gate_set, lengths, shots, rng) -> list:
+    """Per length m, the (m, shots) gate indices that
+    nmrqip.twirl.randomized_benchmarking draws from rng, in one draw each."""
+    tabs, probs = gate_set
+    return [rng.choice(len(tabs), size=(m, shots), p=probs) for m in lengths]
+
+
+def dense_rb_survivals(gate_set, noise, drawn) -> list:
+    """Mean Z_1 survival per drawn (m, shots) index array by the density-matrix
+    loop: each gate's dense unitary, then the noise as a Kraus sum, and after
+    the sequence the dense recovery and the noise once more."""
+    tabs, _ = gate_set
     n, kraus = noise.n, noise.kraus()
+    z1 = PauliString.from_bits(n, 0, 1 << (n - 1)).dense()
     survivals = []
-    for m in lengths:
+    for idx in drawn:
         acc = 0.0
-        for _ in range(shots):
-            tabs = [sampler(rng) for _ in range(m)]
-            z1 = PauliString.from_bits(n, 0, 1 << (n - 1)).dense()
+        for seq in idx.T.tolist():
             rho = (np.eye(2**n, dtype=complex) + z1) / 2**n
             total = CliffordTableau.identity(n)
-            for tab in tabs:
-                u = tab.to_unitary()
+            for g in seq:
+                u = tabs[g].to_unitary()
                 rho = kraus_sum(kraus, u @ rho @ u.conj().T)
-                total = total.then(tab)
+                total = total.then(tabs[g])
             rec = total.inverse().to_unitary()
             rho = kraus_sum(kraus, rec @ rho @ rec.conj().T)
             acc += float(np.trace(z1 @ rho).real)
-        survivals.append(acc / shots)
+        survivals.append(acc / idx.shape[1])
     return survivals
+
+
+def tableau_rb_survivals(gate_set, noise, idx) -> np.ndarray:
+    """Per-sequence Z_1 survivals of an (m, shots) index array by the per-gate
+    tableau loop: conjugate the Pauli by each gate, multiply by the noise's
+    eigenvalue there, and by the eigenvalue at Z_1 for the recovery."""
+    tabs, _ = gate_set
+    n, table = noise.n, noise.eigenvalues()
+    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+    out = []
+    for seq in idx.T.tolist():
+        survival, q = 1.0, z1
+        for g in seq:
+            q = tabs[g].conjugate(q)
+            survival *= float(table[q.z, q.x])
+        out.append(survival * float(table[z1.z, z1.x]))
+    return np.array(out)
+
+
+def exact_rb_survivals(gate_set, noise, lengths) -> list:
+    """Expected Z_1 survival per length, lambda_Z1 1^T (Lambda P)^m e_Z1.
+
+    P moves a key x << n | z to its image under a gate with the gate's
+    probability; each gate's image keys come from conjugating every Pauli
+    by its tableau, and P is applied by bincount over them.  Lambda is the
+    noise's eigenvalue per key."""
+    tabs, probs = gate_set
+    n = noise.n
+    mask = (1 << n) - 1
+    images = np.array([[(q.x << n | q.z) for q in
+                        (t.conjugate(PauliString.from_bits(n, k >> n, k & mask))
+                         for k in range(4**n))] for t in tabs])
+    lam = noise.eigenvalues().T.ravel()
+    vec = np.zeros(4**n)
+    vec[1 << (n - 1)] = 1.0
+    out, done = [], 0
+    for m in lengths:
+        for _ in range(m - done):
+            vec = lam * np.bincount(images.ravel(), weights=np.outer(probs, vec).ravel(),
+                                    minlength=4**n)
+        done = m
+        out.append(float(lam[1 << (n - 1)] * vec.sum()))
+    return out
 
 
 def eigh_ground_point(j: float, h: float, rtol: float):

@@ -7,14 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nmrqip import twirl
 from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.clifford import CliffordTableau, circuit_tableau, gate_tableau
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     TwirlEstimate,
     _fit_decay,
+    _key_table,
     _sample_paulis,
     _shot_values,
+    _survivals,
     _twirl,
     certify_clifford,
     default_rb_sampler,
@@ -26,8 +29,9 @@ from nmrqip.twirl import (
 
 from conftest import (all_1q_cliffords, all_pauli_words, bit_flip, circuit_unitary,
                       composite_pauli_vector, dense_rb_survivals, dense_shot_values,
-                      factor_kraus, from_unitaries, kraus_sum, pauli_weight, phase_flip,
-                      rotation_unitaries, signed_paulis)
+                      draw_rb_indices, exact_rb_survivals, factor_kraus, from_unitaries,
+                      kraus_sum, pauli_weight, phase_flip, rotation_unitaries,
+                      signed_paulis, tableau_rb_survivals)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -341,20 +345,24 @@ def test_rb_flags_non_decaying_data():
 
 def test_samplers_produce_valid_tableaux():
     rng = np.random.default_rng(2)
-    s1 = default_rb_sampler(3)
-    assert all(s1(rng).n == 3 for _ in range(10))
-    s2 = rotation_clifford_sampler()
-    tabs = {s2(rng) for _ in range(60)}
-    assert all(t.n == 1 for t in tabs)
-    assert len(tabs) == 9  # three axes, three angles
+    # 2/3 over the 2n singles and 1/3 over the 2(n - 1) CNOTs, all singles at n = 1
+    for n, want in ((1, [1 / 2] * 2), (3, [1 / 9] * 6 + [1 / 12] * 4)):
+        tabs, probs = default_rb_sampler(n)
+        assert len(tabs) == len(want)
+        assert np.allclose(probs, want, rtol=0, atol=1e-15)
+        assert all(tabs[i].n == n for i in rng.choice(len(tabs), size=10, p=probs))
+    rot, rot_probs = rotation_clifford_sampler()
+    drawn = {rot[i] for i in rng.choice(len(rot), size=60, p=rot_probs)}
+    assert all(t.n == 1 for t in drawn)
+    assert len(drawn) == 9  # three axes, three angles
 
 
 def test_rotation_sampler_draws_the_dense_rotations_in_order():
     dense = from_unitaries(rotation_unitaries())
-    sampler = rotation_clifford_sampler()
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    drawn = [sampler(rng) for _ in range(200)]
-    assert drawn == [dense[ref_rng.integers(9)] for _ in range(200)]
+    tabs, probs = rotation_clifford_sampler()
+    assert np.array_equal(probs, np.full(9, 1 / 9))
+    (idx,) = draw_rb_indices((tabs, probs), [200], 1, np.random.default_rng(3))
+    assert [tabs[i] for i in idx[:, 0]] == [dense[i] for i in idx[:, 0]]
 
 
 RB_LENGTHS = [1, 3, 8, 20, 40]
@@ -376,46 +384,80 @@ def rb_noise_models(n):
 def test_rb_propagation_matches_dense_loop(n):
     for i, noise in enumerate(rb_noise_models(n)):
         ref_rng = np.random.default_rng(10 * n + i)
-        want = dense_rb_survivals(default_rb_sampler(n), noise, RB_LENGTHS, 3, ref_rng)
+        drawn = draw_rb_indices(default_rb_sampler(n), RB_LENGTHS, 3, ref_rng)
+        want = dense_rb_survivals(default_rb_sampler(n), noise, drawn)
         rng = np.random.default_rng(10 * n + i)
         got = randomized_benchmarking(default_rb_sampler(n), noise, RB_LENGTHS, 3, rng)
         assert np.allclose(got.survivals, want, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
 
 
+def rb_survivals(gate_set, noise, lengths, shots, rng) -> list:
+    """Per length, the per-sequence survivals that randomized_benchmarking
+    averages, drawn from rng as it draws them."""
+    tabs, probs = gate_set
+    table, lam = _key_table(tabs), noise.eigenvalues().T.ravel()
+    return [_survivals(table, probs, lam, m, shots, rng) for m in lengths]
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_rb_survival_is_a_per_gate_product_of_table_entries(n):
     # each sequence's survival is the product, gate by gate, of the noise's
     # eigenvalue-table entries at the propagated Pauli, then the entry at
-    # Z_1 for the recovery: the mean per length equals it bit for bit
-    sampler = default_rb_sampler(n)
-    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+    # Z_1 for the recovery: it equals the per-gate tableau loop's bit for
+    # bit for the same drawn indices, and so does the mean per length
+    gate_set = default_rb_sampler(n)
     for i, noise in enumerate(rb_noise_models(n)):
-        table, ref_rng = noise.eigenvalues(), np.random.default_rng(10 * n + i)
-        want = []
-        for m in RB_LENGTHS:
-            acc = 0.0
-            for _ in range(4):
-                survival, q = 1.0, z1
-                for tab in [sampler(ref_rng) for _ in range(m)]:
-                    q = tab.conjugate(q)
-                    survival *= float(table[q.z, q.x])
-                acc += survival * float(table[z1.z, z1.x])
-            want.append(acc / 4)
-        got = randomized_benchmarking(sampler, noise, RB_LENGTHS, 4,
+        drawn = draw_rb_indices(gate_set, RB_LENGTHS, 4, np.random.default_rng(10 * n + i))
+        want = [tableau_rb_survivals(gate_set, noise, idx) for idx in drawn]
+        got = rb_survivals(gate_set, noise, RB_LENGTHS, 4, np.random.default_rng(10 * n + i))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        res = randomized_benchmarking(gate_set, noise, RB_LENGTHS, 4,
                                       np.random.default_rng(10 * n + i))
-        assert [float(s) for s in got.survivals] == want
+        assert res.survivals == [float(w.mean()) for w in want]
+
+
+def test_rb_draw_does_not_depend_on_the_block_size(monkeypatch):
+    # gate indices are drawn in C order, so blocks of one step give the same
+    # indices, and the same survivals bit for bit, as the default blocks
+    gate_set, noise = default_rb_sampler(3), rb_noise_models(3)[2]
+    lengths = [1, 40, 3000]
+    want = rb_survivals(gate_set, noise, lengths, 30, np.random.default_rng(8))
+    monkeypatch.setattr(twirl, "_DRAW_BYTES", 1)
+    got = rb_survivals(gate_set, noise, lengths, 30, np.random.default_rng(8))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_rb_mean_survival_matches_the_exact_chain(n):
+    # the sampled mean lies within 4 SE of lambda_Z1 1^T (Lambda P)^m e_Z1
+    # (plus rounding, where every sequence has the same survival); under
+    # depolarizing noise that chain is lambda^(m+1)
+    gate_set, shots = default_rb_sampler(n), 10_000
+    for i, noise in enumerate(rb_noise_models(n)):
+        exact = exact_rb_survivals(gate_set, noise, RB_LENGTHS)
+        sampled = rb_survivals(gate_set, noise, RB_LENGTHS, shots,
+                               np.random.default_rng(10 * n + i))
+        for e, surv in zip(exact, sampled):
+            se = float(np.std(surv)) / math.sqrt(shots)
+            assert abs(float(surv.mean()) - e) <= 4 * se + 1e-12
+    lam = 1 - 0.01  # the depolarizing entry's eigenvalue at every non-identity Pauli
+    exact = exact_rb_survivals(gate_set, rb_noise_models(n)[1], RB_LENGTHS)
+    assert np.allclose(exact, [lam ** (m + 1) for m in RB_LENGTHS], rtol=1e-13, atol=0)
 
 
 def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
+    # once the gate set is built, RB forms no dense unitary, composes no
+    # tableau, and propagates no per-gate Pauli object: it reads the key table
     def forbidden(*args):
-        raise AssertionError("dense or tableau-composition call under Pauli noise")
+        raise AssertionError("dense, tableau or Pauli-object call under Pauli noise")
 
-    sampler, noise_models = default_rb_sampler(3), rb_noise_models(3)
-    for name in ("to_unitary", "then", "inverse"):
+    gate_set, noise_models = default_rb_sampler(3), rb_noise_models(3)
+    for name in ("to_unitary", "then", "inverse", "conjugate"):
         monkeypatch.setattr(CliffordTableau, name, forbidden)
+    monkeypatch.setattr(PauliString, "from_bits", forbidden)
     for noise in noise_models:
-        res = randomized_benchmarking(sampler, noise, RB_LENGTHS, 3,
+        res = randomized_benchmarking(gate_set, noise, RB_LENGTHS, 3,
                                       np.random.default_rng(0))
         assert res.ok
 
