@@ -225,16 +225,16 @@ def _crit_certify(base_seed):
     for n in (1, 2):
         group = clifford_group(n)
         passed &= len(group) == (24, 11520)[n - 1]  # group order mod global phase
-        sources = [PauliString.from_bits(n, x, z) for x in range(2**n) for z in range(2**n)][1:]
-        paulis = pauli_matrices(n, [(p.x, p.z, p.k) for p in sources])
+        keys = np.arange(1, 4**n)  # every non-identity Pauli x << n | z, phase +1
+        k = np.bitwise_count(keys >> n & keys)
+        paulis = pauli_matrices(n, np.stack([keys >> n, keys & 2**n - 1, k], axis=-1))
         for at in range(0, len(group), 256):
             block = group[at:at + 256]
             ud = unitaries(block)[:, None]
-            got = pauli_matrices(n, [(q.x, q.z, q.k) for t in block
-                                     for q in map(t.conjugate, sources)])
+            got = pauli_matrices(n, np.concatenate([t.images(keys, k) for t in block]))
             passed &= np.allclose(ud @ paulis @ ud.conj().swapaxes(2, 3),
-                                  got.reshape(len(block), len(sources), 2**n, 2**n), atol=1e-10)
-            checked += len(block) * len(sources)
+                                  got.reshape(len(block), len(keys), 2**n, 2**n), atol=1e-10)
+            checked += len(block) * len(keys)
         details[f"group_size_n{n}"] = len(group)
     details["conjugations_checked"] = checked
     return (bool(passed),

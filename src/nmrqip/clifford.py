@@ -1,13 +1,15 @@
 """Clifford tableaux: symbolic Pauli conjugation, gate lists, dense conversion.
 
-A tableau on n qubits stores 2n rows: rows 0..n-1 are the images of
-X_1..X_n under conjugation, rows n..2n-1 those of Z_1..Z_n.  Each row is an
-int triple (x, z, k) meaning i^k X^x Z^z, with qubit 1 the most significant
-bit and k reduced mod 4, the encoding of nmrqip.qop.PauliString.  The public
-constructor, from images, checks that they are Hermitian and pair
-symplectically; identity, gate_tableau, then and inverse build valid rows by
-construction and skip the check.  Conjugation, composition and inversion are
-integer operations on the rows.
+A tableau on n qubits is one read-only int64 table of 4^n entries: entry
+x << n | z holds x' << (n + 2) | z' << 2 | k when C X^x Z^z C^dag =
+i^k X^x' Z^z', with qubit 1 the most significant bit and k mod 4, the
+encoding of nmrqip.qop.PauliString.  It is built once from the images of
+X_1..X_n and Z_1..Z_n, one key bit at a time, and every later operation is
+a gather: conjugate reads an entry, then looks one table's image keys up in
+the other, and inverse scatters each entry back to its key.  Only images()
+and unitaries() decode entries, and rows, the generator images, is read
+through images().  The public constructor, from images, checks that they
+are Hermitian and pair symplectically; the others are valid by construction.
 
 Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its rows in
 gate_tableau, and circuit_tableau composes gate lists; a dense gate is
@@ -30,10 +32,11 @@ from .qop import PauliString, pauli_matrices
 
 
 class CliffordTableau:
-    """Images of the X_i and Z_i Pauli generators under conjugation, as
-    (x, z, k) rows; compares and hashes by (n, rows)."""
+    """A Clifford's image of every Pauli key x << n | z, as the read-only
+    int64 table described in the module docstring; compares and hashes by
+    the table's bytes."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "table")
 
     def __init__(self, n: int, x_images, z_images):
         """Tableau from the PauliString images of X_1..X_n and Z_1..Z_n."""
@@ -51,82 +54,61 @@ class CliffordTableau:
                 if x_images[i].commutes(z_images[j]) != (i != j):
                     raise ValueError("images break symplectic pairing")
         self.n = n
-        self.rows = tuple((p.x, p.z, p.k) for p in (*x_images, *z_images))
+        self.table = _image_table(n, [(p.x, p.z, p.k) for p in (*x_images, *z_images)])
+        self.table.setflags(write=False)
 
     @classmethod
-    def _from_rows(cls, n: int, rows: tuple) -> "CliffordTableau":
+    def _of(cls, n: int, table: np.ndarray) -> "CliffordTableau":
         t = object.__new__(cls)
-        t.n, t.rows = n, rows
+        table.setflags(write=False)
+        t.n, t.table = n, table
         return t
 
     def __eq__(self, other):
         if not isinstance(other, CliffordTableau):
             return NotImplemented
-        return (self.n, self.rows) == (other.n, other.rows)
+        return self.table.tobytes() == other.table.tobytes()
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash(self.table.tobytes())
 
     def __repr__(self):
         return f"CliffordTableau({self.n}, rows={self.rows})"
+
+    @property
+    def rows(self) -> tuple:
+        """(x, z, k) images of X_1..X_n, then Z_1..Z_n."""
+        return tuple(map(tuple, self.images(1 << np.arange(2 * self.n)[::-1]).tolist()))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        rows = [(1 << (n - 1 - i), 0, 0) for i in range(n)]
-        return cls._from_rows(n, tuple(rows + [(0, x, 0) for x, _, _ in rows]))
+        return cls._of(n, np.arange(4**n, dtype=np.int64) << 2)
 
     # -- algebra ------------------------------------------------------------
 
-    def _image(self, x: int, z: int, k: int) -> tuple:
-        """(x, z, k) of C i^k X^x Z^z C^dag: i^k times the rows of the set x
-        bits, then those of the set z bits, qubit 1 first."""
-        rows, top = self.rows, 2 * self.n - 1
-        bits = x << self.n | z
-        x = z = 0
-        while bits:
-            s = bits.bit_length() - 1
-            bits ^= 1 << s
-            rx, rz, rk = rows[top - s]
-            # (i^k X^x Z^z)(i^rk X^rx Z^rz): moving Z^z past X^rx signs it
-            k += rk + 2 * (z & rx).bit_count()
-            x ^= rx
-            z ^= rz
-        return x, z, k % 4
+    def images(self, keys, k=0) -> np.ndarray:
+        """(m, 3) rows (x, z, k) of C i^k X^x Z^z C^dag for m Pauli keys
+        x << n | z and phases k; (3,) for one key."""
+        return _decode(self.n, self.table[keys], k)
 
     def conjugate(self, p: PauliString) -> PauliString:
         """C p C^dag."""
         if p.n != self.n:
             raise ValueError("length mismatch")
-        return PauliString.from_bits(self.n, *self._image(p.x, p.z, p.k))
+        return PauliString.from_bits(self.n, *self.images(p.x << self.n | p.z, p.k).tolist())
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of (other . self) as a unitary product: self acts first."""
-        image = other._image
-        return CliffordTableau._from_rows(self.n, tuple(image(*r) for r in self.rows))
+        t = other.table[self.table >> 2]
+        return CliffordTableau._of(self.n, t & ~3 | (t + self.table) & 3)
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of C^dag.
-
-        With the rows' (x, z) bits as the rows of the symplectic matrix M,
-        the inverse's bit matrix is Omega M^T Omega, where
-        Omega = [[0, I], [I, 0]]: the image of X_i collects bit i of the Z
-        parts, the image of Z_i bit i of the X parts.
-        """
-        n, rows = self.n, self.rows
-        out = []
-        for part in (1, 0):  # z parts for the X_i images, x parts for the Z_i
-            for i in range(n):
-                b = n - 1 - i
-                x = z = 0
-                for j in range(n):
-                    x = x << 1 | rows[n + j][part] >> b & 1
-                    z = z << 1 | rows[j][part] >> b & 1
-                k = (x & z).bit_count()
-                # C maps this +1-phase Pauli to +-(X_i or Z_i); fold the sign back in
-                out.append((x, z, (k + self._image(x, z, k)[2]) % 4))
-        return CliffordTableau._from_rows(n, tuple(out))
+        """Tableau of C^dag: C P_a C^dag = i^k P_b gives C^dag P_b C = i^-k P_a."""
+        out = np.empty_like(self.table)
+        out[self.table >> 2] = np.arange(4**self.n) << 2 | -self.table & 3
+        return CliffordTableau._of(self.n, out)
 
     # -- dense --------------------------------------------------------------
 
@@ -135,12 +117,31 @@ class CliffordTableau:
         return unitaries([self])[0]
 
 
+def _image_table(n: int, rows) -> np.ndarray:
+    """Table of the Clifford with generator images rows, X_1..X_n then
+    Z_1..Z_n: key bit s selects row 2n - 1 - s, and each key with top bit s
+    maps to that row times the image of the key below it."""
+    table = np.zeros(1, dtype=np.int64)
+    for x, z, k in reversed(rows):
+        # (i^k X^x Z^z)(i^k' X^x' Z^z'): moving Z^z past X^x' signs it
+        phase = k + table + 2 * np.bitwise_count(z & table >> (n + 2))
+        table = np.concatenate([table, (x << (n + 2) | z << 2) ^ table & ~3 | phase & 3])
+    return table
+
+
+def _decode(n: int, entries, k=0) -> np.ndarray:
+    """(m, 3) rows (x, z, k) of m table entries, each phase raised by k; (3,)
+    of one entry."""
+    return np.array([entries >> (n + 2), entries >> 2 & (1 << n) - 1, (entries + k) & 3]).T
+
+
 def unitaries(tableaux) -> np.ndarray:
     """(m, d, d) stack of the unitaries of m tableaux on one n, built from the
     projector of the Z images as the module docstring describes."""
     (n,) = {t.n for t in tableaux}  # ValueError unless exactly one n
     m, d = len(tableaux), 2**n
-    mats = pauli_matrices(n, [r for t in tableaux for r in t.rows]).reshape(m, 2, n, d, d)
+    gens = np.stack([t.table for t in tableaux])[:, 1 << np.arange(2 * n)[::-1]]  # generator rows
+    mats = pauli_matrices(n, _decode(n, gens.ravel())).reshape(m, 2, n, d, d)
     proj = np.eye(d)
     for q in range(n):
         proj = proj @ (np.eye(d) + mats[:, 1, q]) / 2
@@ -188,7 +189,7 @@ def gate_tableau(name: str, qubits, n: int) -> CliffordTableau:
         rows[n + t - 1] = (0, both, 0)  # Z_t -> Z_c Z_t
     else:
         raise ValueError(f"unknown gate {name!r}")
-    return CliffordTableau._from_rows(n, tuple(rows))
+    return CliffordTableau._of(n, _image_table(n, rows))
 
 
 def circuit_tableau(gates, n: int) -> CliffordTableau:
@@ -201,17 +202,20 @@ def circuit_tableau(gates, n: int) -> CliffordTableau:
 
 def clifford_group(n: int) -> list:
     """The 24 (n = 1) or 11520 (n = 2) Clifford tableaux, the identity first,
-    closed breadth first under H_q, S_q and neighbour CNOTs both ways."""
+    closed breadth first under H_q, S_q and neighbour CNOTs both ways: each
+    member is composed with every generator in one gather, as then does."""
     if not 1 <= n <= 2:
         raise ValueError(f"clifford_group takes n = 1 or 2 (n = 3 has 92897280 elements), not {n}")
     gens = [gate_tableau(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
     gens += [gate_tableau("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
+    gens = np.stack([g.table for g in gens])
     out = [CliffordTableau.identity(n)]
     seen = set(out)
     for tab in out:  # out grows while it is read: breadth first
-        for gen in gens:
-            nxt = tab.then(gen)
-            if nxt not in seen:
+        t = gens[:, tab.table >> 2]
+        for row in t & ~3 | (t + tab.table) & 3:
+            if (nxt := CliffordTableau._of(n, row)) not in seen:
+                nxt = CliffordTableau._of(n, row.copy())  # not a view of the whole batch
                 seen.add(nxt)
                 out.append(nxt)
     return out

@@ -7,19 +7,20 @@ output Pauli.  All shots are drawn in one call, as a uniform index into the
 4^n - 1 non-identity Paulis and a uniform sign.  A memory shot reads the
 channel's eigenvalue lambda_M, whatever the sign of M.  A noisy Clifford
 gate is its Pauli noise followed by the target's dense unitary U; its shot
-reads lambda_M tr(T(M) U M U^dag)/d for the tableau image T(M), one trace
-per distinct signed Pauli, all in one batched product.  A finite-shot
-binomial readout, if asked for, is drawn for all shots in one call.  The
-mean coefficient maps affinely to Pr(no error), and the average gate
-fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
+reads lambda_M tr(T(M) U M U^dag)/d for the image T(M) read from the
+tableau's table, one trace per distinct signed Pauli, all in one batched
+product.  A finite-shot binomial readout, if asked for, is drawn for all
+shots in one call.  The mean coefficient maps affinely to Pr(no error), and
+the average gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
 
-Randomized benchmarking under Pauli noise turns a gate set's tableaux, built
-from gate lists through nmrqip.clifford, into one table of Pauli keys
-x << n | z: gate g's image of every key, up to sign.  All sequences of one
-length advance at once: each step gathers every sequence's next key at its
-drawn gate index and multiplies its survival by the noise's eigenvalue there,
-so no density matrix or per-gate Pauli object is formed.  The decay
-A p^m + B is fitted by variable projection in numpy.
+Randomized benchmarking under Pauli noise stacks the tables of a gate set's
+tableaux, built from gate lists through nmrqip.clifford, with their phases
+shifted out: row g holds gate g's image key x' << n | z' of every Pauli key
+x << n | z, up to sign.  All sequences of one length advance at once: each
+step gathers every sequence's next key at its drawn gate index and
+multiplies its survival by the noise's eigenvalue there, so no density
+matrix or per-gate Pauli object is formed.  The decay A p^m + B is fitted
+by variable projection in numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .channels import Channel
 from .clifford import CliffordTableau, circuit_tableau, gate_tableau
-from .qop import PauliString, pauli_matrices
+from .qop import pauli_matrices
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,11 @@ def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.nd
     else:
         n = noise.n
         keys = np.flatnonzero(np.bincount(idx << 1 | sign))  # distinct, sorted, in O(shots)
-        xzs = [(key >> (n + 1), key >> 1 & (1 << n) - 1, key & 1) for key in keys.tolist()]
-        paulis = [PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * s) for x, z, s in xzs]
+        x, z = keys >> (n + 1), keys >> 1 & (1 << n) - 1
+        k = np.bitwise_count(x & z) + 2 * (keys & 1)
         u = target.to_unitary()
-        conj = u @ pauli_matrices(n, [(p.x, p.z, p.k) for p in paulis]) @ u.conj().T
-        t = pauli_matrices(n, [(q.x, q.z, q.k) for q in map(target.conjugate, paulis)])
+        conj = u @ pauli_matrices(n, np.stack([x, z, k], axis=-1)) @ u.conj().T
+        t = pauli_matrices(n, target.images(keys >> 1, k))
         chis = np.empty(2 * 4**n)  # per key, then gathered per shot
         chis[keys] = lam[keys >> 1] * np.einsum("kij,kji->k", t, conj).real / 2**n
         chis = chis[idx << 1 | sign]
@@ -192,19 +193,6 @@ def rotation_clifford_sampler():
     return gates, np.full(len(gates), 1 / len(gates))
 
 
-def _key_table(tableaux) -> np.ndarray:
-    """(gates, 4^n) table of each gate's image key x << n | z of each key, up
-    to sign: the XOR of the tableau rows that the key's set bits select, its
-    top bit (qubit 1's X) selecting row 0.  A survival reads only lambda at
-    the key, so the signs drop out."""
-    n = tableaux[0].n
-    rows = np.array([[x << n | z for x, z, _ in t.rows] for t in tableaux])
-    keys, table = np.arange(4**n), np.zeros((len(tableaux), 4**n), dtype=np.int64)
-    for r in range(2 * n):
-        table ^= (keys >> (2 * n - 1 - r) & 1) * rows[:, r, None]
-    return table
-
-
 # bytes of gate indices drawn per block of steps (at least one step); the
 # draw is in C order, so the stream does not depend on it
 _DRAW_BYTES = 1 << 18
@@ -293,7 +281,7 @@ def randomized_benchmarking(
     gate including the recovery.  The mean survival is fitted to A p^m + B.
     """
     tableaux, probs = gate_set
-    table = _key_table(tableaux)
+    table = np.stack([t.table >> 2 for t in tableaux])  # gate g's image key of each key
     lam = noise_model.eigenvalues().T.ravel()  # entry x << n | z is lambda of X^x Z^z
     lengths = list(seq_lengths)
     survivals = [float(_survivals(table, probs, lam, m, shots, rng).mean()) for m in lengths]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nmrqip.channels import Channel
-from nmrqip.clifford import CliffordTableau
+from nmrqip.clifford import CliffordTableau, gate_tableau
 from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
                             _phase_divided_differences, _propagators)
 from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
@@ -159,18 +159,20 @@ def dense_rb_survivals(gate_set, noise, drawn) -> list:
 
 def tableau_rb_survivals(gate_set, noise, idx) -> np.ndarray:
     """Per-sequence Z_1 survivals of an (m, shots) index array by the per-gate
-    tableau loop: conjugate the Pauli by each gate, multiply by the noise's
-    eigenvalue there, and by the eigenvalue at Z_1 for the recovery."""
+    row-product loop: map the Pauli through each gate's generator rows,
+    multiply by the noise's eigenvalue there, and by the eigenvalue at Z_1
+    for the recovery."""
     tabs, _ = gate_set
     n, table = noise.n, noise.eigenvalues()
-    z1 = PauliString.from_bits(n, 0, 1 << (n - 1))
+    rows = [t.rows for t in tabs]
+    z1 = 1 << (n - 1)
     out = []
     for seq in idx.T.tolist():
-        survival, q = 1.0, z1
+        survival, (x, z, k) = 1.0, (0, z1, 0)
         for g in seq:
-            q = tabs[g].conjugate(q)
-            survival *= float(table[q.z, q.x])
-        out.append(survival * float(table[z1.z, z1.x]))
+            x, z, k = row_product(rows[g], x, z, k)
+            survival *= float(table[z, x])
+        out.append(survival * float(table[z1, 0]))
     return np.array(out)
 
 
@@ -178,15 +180,15 @@ def exact_rb_survivals(gate_set, noise, lengths) -> list:
     """Expected Z_1 survival per length, lambda_Z1 1^T (Lambda P)^m e_Z1.
 
     P moves a key x << n | z to its image under a gate with the gate's
-    probability; each gate's image keys come from conjugating every Pauli
-    by its tableau, and P is applied by bincount over them.  Lambda is the
-    noise's eigenvalue per key."""
+    probability; each gate's image keys are the row products of every
+    Pauli, and P is applied by bincount over them.  Lambda is the noise's
+    eigenvalue per key."""
     tabs, probs = gate_set
     n = noise.n
     mask = (1 << n) - 1
-    images = np.array([[(q.x << n | q.z) for q in
-                        (t.conjugate(PauliString.from_bits(n, k >> n, k & mask))
-                         for k in range(4**n))] for t in tabs])
+    images = np.array([[x << n | z for x, z, _ in
+                        (row_product(t.rows, key >> n, key & mask) for key in range(4**n))]
+                       for t in tabs])
     lam = noise.eigenvalues().T.ravel()
     vec = np.zeros(4**n)
     vec[1 << (n - 1)] = 1.0
@@ -280,7 +282,44 @@ def whole_pulse_gradient(u_target, h_ctrl, dt, record):
 
 
 # ---------------------------------------------------------------------------
-# Clifford oracles built independently of the tableau rows in nmrqip.clifford
+# Clifford oracles: the generator-row product and the one-at-a-time group
+# closure, which read a tableau only through rows and then, and dense gates
+# built independently of the tableau rows
+
+
+def row_product(rows, x: int, z: int, k: int = 0) -> tuple:
+    """(x, z, k) of C i^k X^x Z^z C^dag from C's 2n generator rows alone:
+    i^k times the rows of the set x bits, then those of the set z bits,
+    qubit 1 first; the oracle for every entry of a tableau's image table."""
+    n = len(rows) // 2
+    bits, top = x << n | z, 2 * n - 1
+    x = z = 0
+    while bits:
+        s = bits.bit_length() - 1
+        bits ^= 1 << s
+        rx, rz, rk = rows[top - s]
+        # (i^k X^x Z^z)(i^rk X^rx Z^rz): moving Z^z past X^rx signs it
+        k += rk + 2 * (z & rx).bit_count()
+        x ^= rx
+        z ^= rz
+    return x, z, k % 4
+
+
+def closure_one_at_a_time(n: int) -> list:
+    """The Cliffords on n <= 2 by the per-tableau breadth-first closure: each
+    member then each generator (H_q, S_q, neighbour CNOTs both ways) in turn,
+    deduplicated by a set; the order nmrqip.clifford.clifford_group keeps."""
+    gens = [gate_tableau(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
+    gens += [gate_tableau("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
+    out = [CliffordTableau.identity(n)]
+    seen = set(out)
+    for tab in out:  # out grows while it is read: breadth first
+        for gen in gens:
+            nxt = tab.then(gen)
+            if nxt not in seen:
+                seen.add(nxt)
+                out.append(nxt)
+    return out
 
 
 def dense_gate(name: str) -> np.ndarray:

@@ -16,8 +16,9 @@ from nmrqip.clifford import (
 )
 from nmrqip.qop import PAULIS, PauliString, controlled, haar_random_unitary, tensor
 
-from conftest import (all_1q_cliffords, all_pauli_words, circuit_unitary, from_unitaries,
-                      from_unitary, gate_fidelity_hs, rotation_unitaries)
+from conftest import (all_1q_cliffords, all_pauli_words, circuit_unitary,
+                      closure_one_at_a_time, from_unitaries, from_unitary, gate_fidelity_hs,
+                      rotation_unitaries, row_product)
 
 
 def random_circuit(n, depth, rng, singles="HS"):
@@ -279,6 +280,37 @@ def test_clifford_group(group2):
     for n in (0, 3):
         with pytest.raises(ValueError):
             clifford_group(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_group_equals_the_one_at_a_time_closure(n, group2):
+    # the batched closure lists the same tableaux in the same order
+    assert (clifford_group(1) if n == 1 else group2) == closure_one_at_a_time(n)
+
+
+def test_table_entries_are_the_generator_row_products(rng):
+    # every entry, at every key, is the product of the generator rows that
+    # the key's bits select; images adds the input phase to it
+    tabs = clifford_group(1) + [circuit_tableau(random_circuit(n, 6 * n, rng), n)
+                                for n in range(1, 6) for _ in range(10)]
+    for t in tabs:
+        n, rows = t.n, t.rows
+        keys = np.arange(4**n)
+        k = rng.integers(4, size=len(keys))
+        want = [row_product(rows, key >> n, key & (1 << n) - 1, kk)
+                for key, kk in zip(keys.tolist(), k.tolist())]
+        assert t.images(keys, k).tolist() == [list(w) for w in want]
+        assert t.table.tolist() == [x << (n + 2) | z << 2 | (kk - k0) % 4
+                                    for (x, z, kk), k0 in zip(want, k.tolist())]
+
+
+def test_tables_are_read_only(rng):
+    a = circuit_tableau(random_circuit(2, 8, rng), 2)
+    tabs = [a, a.then(a), a.inverse(), CliffordTableau.identity(2), gate_tableau("H", (1,), 2),
+            clifford_group(1)[5], CliffordTableau(1, paulis("Z"), paulis("X"))]
+    for t in tabs:
+        with pytest.raises(ValueError, match="read-only"):
+            t.table[1] = 0
 
 
 def test_from_unitaries_reads_a_stack_and_rejects_non_clifford():

@@ -14,7 +14,6 @@ from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     TwirlEstimate,
     _fit_decay,
-    _key_table,
     _sample_paulis,
     _shot_values,
     _survivals,
@@ -169,35 +168,39 @@ def test_shot_memo_matches_per_shot_loop(n):
 
 
 def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
-    # neither estimate applies the channel to a state; certify conjugates
-    # each distinct signed Pauli once, and both estimates equal the dense
-    # loop's
-    def forbidden(self, rho):
-        raise AssertionError("Channel.apply called by a twirl estimate")
+    # neither estimate applies the channel to a state; certify reads its
+    # images from the target's table, so it conjugates no PauliString and
+    # builds none, and it forms the target's unitary once; both estimates
+    # equal the dense loop's, which is computed before anything is patched
+    def forbidden(*args):
+        raise AssertionError("Channel.apply, conjugate or from_bits called by a twirl estimate")
 
-    conjugated = []
-    conjugate = CliffordTableau.conjugate
-    monkeypatch.setattr(CliffordTableau, "conjugate",
-                        lambda self, p: conjugated.append(p) or conjugate(self, p))
     n = 2
     noise, memory, gate, target = noise_and_gate(n)
-    monkeypatch.setattr(Channel, "apply", forbidden)
+    cases = []
     for with_replacement, count in ((True, 600), (False, 15)):
         idx, sign = _sample_paulis(n, count, np.random.default_rng(5), with_replacement)
         distinct = len(np.unique(idx << 1 | sign))
         assert distinct < count if with_replacement else distinct == count
-        for run, tab, image, readout in (
-                (lambda rng: twirl_estimate_memory(noise, 0.05, rng, count, None,
-                                                   with_replacement),
-                 None, memory, lambda p: p),
-                (lambda rng: _twirl(noise, target, 0.05, rng, count, None, with_replacement),
-                 target, gate, conjugate.__get__(target))):
-            conjugated.clear()
-            est = run(np.random.default_rng(5))
-            assert est.n_samples == count
-            assert len(conjugated) == (0 if tab is None else distinct)
+        for tab, image, readout in ((None, memory, lambda p: p),
+                                    (target, gate, target.conjugate)):
             want = dense_shot_values(n, image, idx, sign, readout, None, None)
-            assert est.pr0_hat == pytest.approx(15 / 16 * want.mean() + 1 / 16, rel=0, abs=1e-14)
+            cases.append((with_replacement, count, tab, want))
+    built = []
+    to_unitary = CliffordTableau.to_unitary
+    monkeypatch.setattr(CliffordTableau, "to_unitary",
+                        lambda self: built.append(self) or to_unitary(self))
+    monkeypatch.setattr(Channel, "apply", forbidden)
+    monkeypatch.setattr(CliffordTableau, "conjugate", forbidden)
+    monkeypatch.setattr(PauliString, "from_bits", forbidden)
+    for with_replacement, count, tab, want in cases:
+        built.clear()
+        rng = np.random.default_rng(5)
+        est = (twirl_estimate_memory(noise, 0.05, rng, count, None, with_replacement)
+               if tab is None else _twirl(noise, tab, 0.05, rng, count, None, with_replacement))
+        assert est.n_samples == count
+        assert built == ([] if tab is None else [tab])
+        assert est.pr0_hat == pytest.approx(15 / 16 * want.mean() + 1 / 16, rel=0, abs=1e-14)
 
 
 def test_certify_detects_wrong_tableau_signs_on_negative_inputs(monkeypatch):
@@ -396,7 +399,7 @@ def rb_survivals(gate_set, noise, lengths, shots, rng) -> list:
     """Per length, the per-sequence survivals that randomized_benchmarking
     averages, drawn from rng as it draws them."""
     tabs, probs = gate_set
-    table, lam = _key_table(tabs), noise.eigenvalues().T.ravel()
+    table, lam = np.stack([t.table >> 2 for t in tabs]), noise.eigenvalues().T.ravel()
     return [_survivals(table, probs, lam, m, shots, rng) for m in lengths]
 
 
