@@ -3,17 +3,22 @@
 A tableau on n qubits is one read-only int64 table of 4^n entries: entry
 x << n | z holds x' << (n + 2) | z' << 2 | k when C X^x Z^z C^dag =
 i^k X^x' Z^z', with qubit 1 the most significant bit and k mod 4, the
-encoding of nmrqip.qop.PauliString.  It is built once from the images of
-X_1..X_n and Z_1..Z_n, one key bit at a time, and every later operation is
-a gather: conjugate reads an entry, then looks one table's image keys up in
-the other, and inverse scatters each entry back to its key.  Only images()
-and unitaries() decode entries, and rows, the generator images, is read
-through images().  The public constructor, from images, checks that they
-are Hermitian and pair symplectically; the others are valid by construction.
+encoding of nmrqip.qop.PauliString.  Every table is built one way, by
+_image_table from its 2n generator entries (the images of X_1..X_n, then
+Z_1..Z_n), one key bit at a time, for one tableau or a stack.  Later
+operations are gathers: conjugate reads an entry, then looks one table's
+image keys up in the other, and inverse scatters each entry back to its
+key.  Only the constructor from images validates; it checks that they are
+Hermitian and pair symplectically.
 
-Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its rows in
-gate_tableau, and circuit_tableau composes gate lists; a dense gate is
-to_unitary() of its tableau, in the phase convention below.
+Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its generator
+rows on its own one or two qubits, with a 4- or 16-entry table built on
+first use.  circuit_tableau passes the identity's generator entries
+through the gates, each rewriting the bits on its qubits by one lookup
+(O(n) per gate, as in CHP), and builds one table; gate_tableau is a
+one-gate list.  clifford_group(n) closes a breadth-first search on n <= 2
+a level at a time, deduplicating packed generator entries, and builds
+every member's table at once.  A dense gate is to_unitary() of its tableau.
 
 Dense conversion is exact and works on stacks.  unitaries(tableaux) takes
 U|0> from the rank-one projector P = prod_i (I + Z'_i)/2 of the Z images
@@ -21,10 +26,12 @@ U|0> from the rank-one projector P = prod_i (I + Z'_i)/2 of the Z images
 at the first largest diagonal entry j, so the first nonzero entry of column
 0 is real positive.  Column x applies the X images of x's set bits, and
 each entry is 0, +-c or +-ic for one c; to_unitary is the one-element
-case.  clifford_group(n) lists the Cliffords on n <= 2.
+case.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -33,8 +40,7 @@ from .qop import PauliString, pauli_matrices
 
 class CliffordTableau:
     """A Clifford's image of every Pauli key x << n | z, as the read-only
-    int64 table described in the module docstring; compares and hashes by
-    the table's bytes."""
+    int64 table described in the module docstring."""
 
     __slots__ = ("n", "table")
 
@@ -53,8 +59,8 @@ class CliffordTableau:
                     raise ValueError("images break generator commutation")
                 if x_images[i].commutes(z_images[j]) != (i != j):
                     raise ValueError("images break symplectic pairing")
-        self.n = n
-        self.table = _image_table(n, [(p.x, p.z, p.k) for p in (*x_images, *z_images)])
+        entries = np.array([p.x << (n + 2) | p.z << 2 | p.k for p in (*x_images, *z_images)])
+        self.n, self.table = n, _image_table(n, entries)
         self.table.setflags(write=False)
 
     @classmethod
@@ -63,22 +69,6 @@ class CliffordTableau:
         table.setflags(write=False)
         t.n, t.table = n, table
         return t
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordTableau):
-            return NotImplemented
-        return self.table.tobytes() == other.table.tobytes()
-
-    def __hash__(self):
-        return hash(self.table.tobytes())
-
-    def __repr__(self):
-        return f"CliffordTableau({self.n}, rows={self.rows})"
-
-    @property
-    def rows(self) -> tuple:
-        """(x, z, k) images of X_1..X_n, then Z_1..Z_n."""
-        return tuple(map(tuple, self.images(1 << np.arange(2 * self.n)[::-1]).tolist()))
 
     # -- constructors -------------------------------------------------------
 
@@ -101,8 +91,7 @@ class CliffordTableau:
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of (other . self) as a unitary product: self acts first."""
-        t = other.table[self.table >> 2]
-        return CliffordTableau._of(self.n, t & ~3 | (t + self.table) & 3)
+        return CliffordTableau._of(self.n, _compose(self.table, other.table))
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of C^dag: C P_a C^dag = i^k P_b gives C^dag P_b C = i^-k P_a."""
@@ -117,16 +106,23 @@ class CliffordTableau:
         return unitaries([self])[0]
 
 
-def _image_table(n: int, rows) -> np.ndarray:
-    """Table of the Clifford with generator images rows, X_1..X_n then
-    Z_1..Z_n: key bit s selects row 2n - 1 - s, and each key with top bit s
-    maps to that row times the image of the key below it."""
-    table = np.zeros(1, dtype=np.int64)
-    for x, z, k in reversed(rows):
+def _image_table(n: int, entries) -> np.ndarray:
+    """(..., 4^n) tables of the Cliffords with (..., 2n) generator entries:
+    key bit s selects entry 2n - 1 - s, and each key with top bit s maps to
+    that entry times the image of the key below it."""
+    table = np.zeros((*entries.shape[:-1], 4**n), dtype=np.int64)
+    for s in range(2 * n):
+        e, low = entries[..., 2 * n - 1 - s, None], table[..., :1 << s]
         # (i^k X^x Z^z)(i^k' X^x' Z^z'): moving Z^z past X^x' signs it
-        phase = k + table + 2 * np.bitwise_count(z & table >> (n + 2))
-        table = np.concatenate([table, (x << (n + 2) | z << 2) ^ table & ~3 | phase & 3])
+        phase = e + low + 2 * np.bitwise_count(e >> 2 & low >> (n + 2))
+        table[..., 1 << s:2 << s] = e & ~3 ^ low & ~3 | phase & 3
     return table
+
+
+def _compose(first, second) -> np.ndarray:
+    """Entries of second . first: first's entries looked up in second's table(s)."""
+    t = second[..., first >> 2]
+    return t & ~3 | (t + first) & 3
 
 
 def _decode(n: int, entries, k=0) -> np.ndarray:
@@ -157,65 +153,84 @@ def unitaries(tableaux) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # named gates, gate lists and the groups on n <= 2
 
-# (x, z, k) rows of the images of X and Z under a one-qubit gate, on one bit
-_GATES_1Q = {
+# (x, z, k) generator rows of each named gate on its own qubits, the images of
+# X_1..X_m then Z_1..Z_m; a CNOT's qubits are (control, target)
+_GATES = {
     "H": ((0, 1, 0), (1, 0, 0)),
     "S": ((1, 1, 1), (0, 1, 0)),
     "X": ((1, 0, 0), (0, 1, 2)),
     "Y": ((1, 0, 2), (0, 1, 2)),
     "Z": ((1, 0, 2), (0, 1, 0)),
     "I": ((1, 0, 0), (0, 1, 0)),
+    "CNOT": ((0b11, 0, 0), (0b01, 0, 0), (0, 0b10, 0), (0, 0b11, 0)),  # X_c -> X_cX_t, Z_t -> Z_cZ_t
 }
+
+
+@cache
+def _local_table(name: str) -> np.ndarray:
+    """The read-only 4- or 16-entry table of a named gate on its own qubits,
+    shared by every call."""
+    m = len(_GATES[name]) // 2
+    table = _image_table(m, np.array([x << (m + 2) | z << 2 | k for x, z, k in _GATES[name]]))
+    table.setflags(write=False)
+    return table
+
+
+def _apply_gate(entries, name: str, qubits, n: int) -> np.ndarray:
+    """Entries conjugated by a named gate on 1-based qubits: each entry's
+    bits on those qubits, read as a local key, are replaced by the bits of
+    the key's image in the gate's local table, whose phase adds to the
+    entry's."""
+    if name not in _GATES:
+        raise ValueError(f"unknown gate {name!r}")
+    qubits, m = tuple(qubits), len(_GATES[name]) // 2
+    if len(qubits) != m:
+        raise ValueError(f"{name} takes {m} qubit(s), not {qubits}")
+    if not all(1 <= q <= n for q in qubits):
+        raise ValueError(f"qubits {qubits} outside 1..{n}")
+    if len(set(qubits)) < m:
+        raise ValueError(f"{name} control and target are both qubit {qubits[0]}")
+    at = n - np.array(qubits)
+    bits = np.concatenate([at + n + 2, at + 2])  # entry bit of each local key bit, top first
+    img = _local_table(name)[(entries[..., None] >> bits & 1) @ (1 << np.arange(2 * m)[::-1])]
+    placed = ((img[..., None] >> np.arange(2 * m + 1, 1, -1) & 1) << bits).sum(axis=-1)
+    return entries & ~((1 << bits).sum() | 3) | placed | (entries + img) & 3
+
+
+def circuit_tableau(gates, n: int) -> CliffordTableau:
+    """Tableau of a [(name, qubits)] gate list, first gate first: the
+    identity's generator entries conjugated gate by gate, then one table."""
+    entries = 4 << np.arange(2 * n)[::-1]  # X_1..X_n, then Z_1..Z_n, at their own keys
+    for name, qubits in gates:
+        entries = _apply_gate(entries, name, qubits, n)
+    return CliffordTableau._of(n, _image_table(n, entries))
 
 
 def gate_tableau(name: str, qubits, n: int) -> CliffordTableau:
     """Tableau of a named gate (H, S, X, Y, Z, I, CNOT) on 1-based qubits."""
-    qubits = tuple(qubits)
-    if not all(1 <= q <= n for q in qubits):
-        raise ValueError(f"qubits {qubits} outside 1..{n}")
-    rows = list(CliffordTableau.identity(n).rows)
-    if name in _GATES_1Q:
-        (q,) = qubits
-        s = n - q
-        (xx, xz, xk), (zx, zz, zk) = _GATES_1Q[name]
-        rows[q - 1] = (xx << s, xz << s, xk)
-        rows[n + q - 1] = (zx << s, zz << s, zk)
-    elif name == "CNOT":
-        c, t = qubits
-        if c == t:
-            raise ValueError(f"CNOT control and target are both qubit {c}")
-        both = 1 << (n - c) | 1 << (n - t)
-        rows[c - 1] = (both, 0, 0)  # X_c -> X_c X_t
-        rows[n + t - 1] = (0, both, 0)  # Z_t -> Z_c Z_t
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    return CliffordTableau._of(n, _image_table(n, rows))
-
-
-def circuit_tableau(gates, n: int) -> CliffordTableau:
-    """Compose a [(name, qubits)] gate list, first gate first."""
-    t = CliffordTableau.identity(n)
-    for name, qubits in gates:
-        t = t.then(gate_tableau(name, qubits, n))
-    return t
+    return circuit_tableau([(name, qubits)], n)
 
 
 def clifford_group(n: int) -> list:
     """The 24 (n = 1) or 11520 (n = 2) Clifford tableaux, the identity first,
-    closed breadth first under H_q, S_q and neighbour CNOTs both ways: each
-    member is composed with every generator in one gather, as then does."""
+    closed breadth first under H_q, S_q and neighbour CNOTs both ways.  Each
+    level, as generator entries, is composed with every generator in one
+    gather; a candidate joins the next level, parent by parent and generator
+    by generator, unless an earlier level or candidate has its entries."""
     if not 1 <= n <= 2:
         raise ValueError(f"clifford_group takes n = 1 or 2 (n = 3 has 92897280 elements), not {n}")
     gens = [gate_tableau(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
     gens += [gate_tableau("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
     gens = np.stack([g.table for g in gens])
-    out = [CliffordTableau.identity(n)]
-    seen = set(out)
-    for tab in out:  # out grows while it is read: breadth first
-        t = gens[:, tab.table >> 2]
-        for row in t & ~3 | (t + tab.table) & 3:
-            if (nxt := CliffordTableau._of(n, row)) not in seen:
-                nxt = CliffordTableau._of(n, row.copy())  # not a view of the whole batch
-                seen.add(nxt)
-                out.append(nxt)
-    return out
+    pack = 1 << np.arange(2 * n) * (2 * n + 2)  # a row of 2n entries of 2n + 2 bits, as one int
+    level = CliffordTableau.identity(n).table[None, 1 << np.arange(2 * n)[::-1]]
+    levels, seen = [level], level @ pack
+    while len(level):
+        cand = _compose(level, gens).swapaxes(0, 1).reshape(-1, 2 * n)
+        # the members' keys first, so each has its own first occurrence and
+        # the rest, in candidate order, are the new members
+        keys = np.concatenate([seen, cand @ pack])
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        level, seen = cand[first[len(seen):] - len(seen)], keys[first]
+        levels.append(level)
+    return [CliffordTableau._of(n, t) for t in _image_table(n, np.concatenate(levels))]

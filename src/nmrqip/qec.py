@@ -237,10 +237,10 @@ def logical_gate(code: StabilizerCode, gate: str) -> np.ndarray:
 
 
 def error_ensemble(n: int):
-    """{identity} plus X, Z, and XZ on each qubit (3n + 1 errors; 16 for n=5)."""
+    """{identity} plus X, Z and Y on each qubit (3n + 1 errors; 16 for n=5)."""
     out = [PauliString.from_bits(n, 0, 0)]
     for q in range(1, n + 1):
-        for axis in ("X", "Z", "Y"):  # XZ = -iY; the phase drops in conjugation
+        for axis in ("X", "Z", "Y"):
             out.append(PauliString.from_bits(n, *spin_bits(axis, q, n)))
     return out
 

@@ -59,8 +59,9 @@ class PauliString:
     """Pauli operator i^k X^x Z^z, e.g. -XZI; see the module docstring.
 
     Built from a word and a phase in {+-1, +-i}, PauliString("XZ", -1), or
-    from its bits with from_bits.  Instances are values: they compare and
-    hash by (n, x, z, k) and are never modified after construction.
+    from its bits with from_bits.  Instances are values: they compare equal
+    by (n, x, z, k) and are never modified after construction.  They do not
+    hash; a set or dict keys them by (n, x, z, k).
     """
 
     __slots__ = ("n", "x", "z", "k", "_word")
@@ -102,33 +103,14 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[(self.k - (self.x & self.z).bit_count()) % 4]
 
-    def __eq__(self, other):
-        if not isinstance(other, PauliString):
-            return NotImplemented
+    def __eq__(self, other: "PauliString") -> bool:
         return (self.n, self.x, self.z, self.k) == (other.n, other.x, other.z, other.k)
-
-    def __hash__(self):
-        return hash((self.n, self.x, self.z, self.k))
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        # Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1
-        k = self.k + other.k + 2 * (self.z & other.x).bit_count()
-        return PauliString.from_bits(self.n, self.x ^ other.x, self.z ^ other.z, k)
 
     def commutes(self, other: "PauliString") -> bool:
         return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def dense(self) -> np.ndarray:
         return pauli_matrices(self.n, [(self.x, self.z, self.k)])[0]
-
-    def __repr__(self):
-        return f"PauliString({self.word!r}, {self.phase!r})"
-
-    def __str__(self):
-        tag = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return f"{tag}{self.word}"
 
 
 # letter -> (x bit, z bit)

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmrqip
 from nmrqip.channels import Channel
-from nmrqip.clifford import CliffordTableau, gate_tableau
+from nmrqip.clifford import CliffordTableau
 from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
                             _phase_divided_differences, _propagators)
 from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
@@ -19,6 +22,13 @@ KET1 = np.array([0, 1], dtype=complex)
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's nmrqip."""
+    src = str(Path(nmrqip.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +174,7 @@ def tableau_rb_survivals(gate_set, noise, idx) -> np.ndarray:
     for the recovery."""
     tabs, _ = gate_set
     n, table = noise.n, noise.eigenvalues()
-    rows = [t.rows for t in tabs]
+    rows = [generator_rows(t) for t in tabs]
     z1 = 1 << (n - 1)
     out = []
     for seq in idx.T.tolist():
@@ -187,7 +197,8 @@ def exact_rb_survivals(gate_set, noise, lengths) -> list:
     n = noise.n
     mask = (1 << n) - 1
     images = np.array([[x << n | z for x, z, _ in
-                        (row_product(t.rows, key >> n, key & mask) for key in range(4**n))]
+                        (row_product(generator_rows(t), key >> n, key & mask)
+                         for key in range(4**n))]
                        for t in tabs])
     lam = noise.eigenvalues().T.ravel()
     vec = np.zeros(4**n)
@@ -282,9 +293,22 @@ def whole_pulse_gradient(u_target, h_ctrl, dt, record):
 
 
 # ---------------------------------------------------------------------------
-# Clifford oracles: the generator-row product and the one-at-a-time group
-# closure, which read a tableau only through rows and then, and dense gates
-# built independently of the tableau rows
+# Clifford oracles: the generator-row product, the row-patch gate builder and
+# the one-at-a-time group closure, which read a tableau only through its
+# generator rows, its table and then, and dense gates built independently of
+# the tableau rows
+
+
+def generator_rows(t: CliffordTableau) -> tuple:
+    """(x, z, k) images of X_1..X_n, then Z_1..Z_n, read from the table."""
+    return tuple(map(tuple, t.images(1 << np.arange(2 * t.n)[::-1]).tolist()))
+
+
+def pauli_product(p: PauliString, q: PauliString) -> PauliString:
+    """p q from the bits: Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1."""
+    assert p.n == q.n
+    k = p.k + q.k + 2 * (p.z & q.x).bit_count()
+    return PauliString.from_bits(p.n, p.x ^ q.x, p.z ^ q.z, k)
 
 
 def row_product(rows, x: int, z: int, k: int = 0) -> tuple:
@@ -305,19 +329,52 @@ def row_product(rows, x: int, z: int, k: int = 0) -> tuple:
     return x, z, k % 4
 
 
+# (x, z, k) images of X and Z under a one-qubit gate, on one bit
+_ROWS_1Q = {
+    "H": ((0, 1, 0), (1, 0, 0)),
+    "S": ((1, 1, 1), (0, 1, 0)),
+    "X": ((1, 0, 0), (0, 1, 2)),
+    "Y": ((1, 0, 2), (0, 1, 2)),
+    "Z": ((1, 0, 2), (0, 1, 0)),
+    "I": ((1, 0, 0), (0, 1, 0)),
+}
+
+
+def gate_tableau_by_rows(name: str, qubits, n: int) -> CliffordTableau:
+    """Tableau of a named gate by patching the identity's generator rows on
+    the gate's qubits and building the table through the validating
+    constructor; the oracle for nmrqip.clifford's gate rule."""
+    rows = [(1 << (n - 1 - i), 0, 0) for i in range(n)] + [(0, 1 << (n - 1 - i), 0)
+                                                           for i in range(n)]
+    if name == "CNOT":
+        c, t = qubits
+        both = 1 << (n - c) | 1 << (n - t)
+        rows[c - 1] = (both, 0, 0)  # X_c -> X_c X_t
+        rows[n + t - 1] = (0, both, 0)  # Z_t -> Z_c Z_t
+    else:
+        (q,) = qubits
+        s = n - q
+        (xx, xz, xk), (zx, zz, zk) = _ROWS_1Q[name]
+        rows[q - 1] = (xx << s, xz << s, xk)
+        rows[n + q - 1] = (zx << s, zz << s, zk)
+    ps = [PauliString.from_bits(n, *r) for r in rows]
+    return CliffordTableau(n, ps[:n], ps[n:])
+
+
 def closure_one_at_a_time(n: int) -> list:
     """The Cliffords on n <= 2 by the per-tableau breadth-first closure: each
-    member then each generator (H_q, S_q, neighbour CNOTs both ways) in turn,
-    deduplicated by a set; the order nmrqip.clifford.clifford_group keeps."""
-    gens = [gate_tableau(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
-    gens += [gate_tableau("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
+    member then each generator (H_q, S_q, neighbour CNOTs both ways, built by
+    gate_tableau_by_rows) in turn, deduplicated by a set of table bytes; the
+    order nmrqip.clifford.clifford_group keeps."""
+    gens = [gate_tableau_by_rows(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
+    gens += [gate_tableau_by_rows("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
     out = [CliffordTableau.identity(n)]
-    seen = set(out)
+    seen = {out[0].table.tobytes()}
     for tab in out:  # out grows while it is read: breadth first
         for gen in gens:
             nxt = tab.then(gen)
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt.table.tobytes() not in seen:
+                seen.add(nxt.table.tobytes())
                 out.append(nxt)
     return out
 
@@ -357,7 +414,7 @@ def from_unitaries(stack) -> list:
     """
     stack = np.asarray(stack, dtype=complex)
     n = n_qubits(stack.shape[-1])
-    gens = pauli_matrices(n, CliffordTableau.identity(n).rows)
+    gens = pauli_matrices(n, generator_rows(CliffordTableau.identity(n)))
     images = stack[:, None] @ gens @ stack.conj().transpose(0, 2, 1)[:, None]
     mats = images.reshape(-1, 2**n, 2**n)  # all m * 2n conjugated generators
     r = np.arange(len(mats))

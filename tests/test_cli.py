@@ -28,7 +28,7 @@ from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS,
 from nmrqip.qop import average_gate_fidelity_exact
 from nmrqip.twirl import twirl_estimate_memory
 
-from conftest import write_csv_rows
+from conftest import child_env, write_csv_rows
 
 
 @pytest.fixture(autouse=True)
@@ -50,13 +50,6 @@ def read_stdout_json(capsys):
 def read_stdout_doc(capsys):
     # --list pretty-prints one indented document
     return json.loads(capsys.readouterr().out)
-
-
-def child_env():
-    # a child interpreter imports this checkout's nmrqip
-    src = str(Path(nmrqip.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_usage_exits():

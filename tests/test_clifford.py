@@ -1,12 +1,16 @@
 """Tableau arithmetic cross-checked against dense conjugation."""
 
+import functools
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmrqip import clifford
 from nmrqip.clifford import (
     CliffordTableau,
     circuit_tableau,
@@ -16,9 +20,10 @@ from nmrqip.clifford import (
 )
 from nmrqip.qop import PAULIS, PauliString, controlled, haar_random_unitary, tensor
 
-from conftest import (all_1q_cliffords, all_pauli_words, circuit_unitary,
+from conftest import (all_1q_cliffords, all_pauli_words, child_env, circuit_unitary,
                       closure_one_at_a_time, from_unitaries, from_unitary, gate_fidelity_hs,
-                      rotation_unitaries, row_product)
+                      gate_tableau_by_rows, generator_rows, pauli_product, rotation_unitaries,
+                      row_product)
 
 
 def random_circuit(n, depth, rng, singles="HS"):
@@ -70,7 +75,7 @@ def test_conjugate_matches_dense(rng):
 def test_conjugate_is_multiplicative(rng):
     tab = circuit_tableau(random_circuit(2, 10, rng), 2)
     a, b = PauliString("XY"), PauliString("ZX")
-    assert tab.conjugate(a) * tab.conjugate(b) == tab.conjugate(a * b)
+    assert pauli_product(tab.conjugate(a), tab.conjugate(b)) == tab.conjugate(pauli_product(a, b))
 
 
 def test_then_order_matches_circuit():
@@ -84,9 +89,9 @@ def test_then_order_matches_circuit():
 
 def test_inverse(rng):
     tab = circuit_tableau(random_circuit(3, 15, rng), 3)
-    ident = CliffordTableau.identity(3)
-    assert tab.then(tab.inverse()) == ident
-    assert tab.inverse().then(tab) == ident
+    ident = CliffordTableau.identity(3).table
+    assert np.array_equal(tab.then(tab.inverse()).table, ident)
+    assert np.array_equal(tab.inverse().then(tab).table, ident)
 
 
 def gate_lists(n):
@@ -108,15 +113,15 @@ def test_random_tableau_against_its_unitary(case, data):
     assert np.allclose(tab.conjugate(p).dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
     inv = tab.inverse()
     assert np.allclose(inv.conjugate(p).dense(), u.conj().T @ p.dense() @ u, atol=1e-10)
-    ident = CliffordTableau.identity(n)
-    assert tab.then(inv) == ident and inv.then(tab) == ident
+    ident = CliffordTableau.identity(n).table
+    assert np.array_equal(tab.then(inv).table, ident) and np.array_equal(inv.then(tab).table, ident)
 
 
 def test_unitary_roundtrip(rng):
     for n in (1, 2):
         gates = random_circuit(n, 8, rng)
         tab = circuit_tableau(gates, n)
-        assert from_unitary(tab.to_unitary()) == tab
+        assert np.array_equal(from_unitary(tab.to_unitary()).table, tab.table)
         # matches the dense circuit up to global phase
         assert gate_fidelity_hs(circuit_unitary(gates, n),
                                 tab.to_unitary()) == pytest.approx(1.0)
@@ -159,10 +164,10 @@ def test_from_unitary_matches_the_word_scan(group2):
     # all 11520 two-qubit Cliffords and the RB rotations set
     dense = unitaries(group2)
     for t, got, rows in zip(group2, from_unitaries(dense), scan_rows(dense, 2)):
-        assert got.rows == rows and got == t
+        assert generator_rows(got) == rows and np.array_equal(got.table, t.table)
     rotations = rotation_unitaries()
     for u, rows in zip(rotations, scan_rows(rotations, 1)):
-        assert from_unitary(u).rows == rows
+        assert generator_rows(from_unitary(u)) == rows
 
 
 def paulis(*words):
@@ -188,7 +193,7 @@ def test_validation_rejects_each_rule(n, x_images, z_images, message):
 
 def images(t):
     """(X images, Z images) of a tableau as PauliStrings, read from its rows."""
-    ps = tuple(PauliString.from_bits(t.n, *r) for r in t.rows)
+    ps = tuple(PauliString.from_bits(t.n, *r) for r in generator_rows(t))
     return ps[:t.n], ps[t.n:]
 
 
@@ -200,13 +205,11 @@ def test_derived_rows_pass_the_validator(case):
     a, b = circuit_tableau(gates_a, n), circuit_tableau(gates_b, n)
     for t in (a.then(b), a.inverse(), b.then(a.inverse())):
         rebuilt = CliffordTableau(n, *images(t))  # raises if invalid
-        assert rebuilt == t and hash(rebuilt) == hash(t)
+        assert np.array_equal(rebuilt.table, t.table)
     same = a.then(b).then(b.inverse())  # equal to a, built along another path
     for u, v in ((a, b), (a, same)):
-        images_equal = images(u) == images(v)
-        assert (u == v) == images_equal
-        assert not images_equal or hash(u) == hash(v)
-    assert a == same
+        assert np.array_equal(u.table, v.table) == (images(u) == images(v))
+    assert np.array_equal(a.table, same.table)
 
 
 def test_gate_tableau_rejects_qubits_out_of_range():
@@ -218,6 +221,14 @@ def test_gate_tableau_rejects_qubits_out_of_range():
     for q in (1, 2):  # control equal to target
         with pytest.raises(ValueError, match="control and target"):
             gate_tableau("CNOT", (q, q), 2)
+    with pytest.raises(ValueError, match="unknown gate"):
+        gate_tableau("T", (1,), 2)
+    with pytest.raises(ValueError, match="takes 1 qubit"):
+        gate_tableau("H", (1, 2), 2)
+    with pytest.raises(ValueError, match="takes 2 qubit"):
+        gate_tableau("CNOT", (1,), 2)
+    with pytest.raises(ValueError, match="unknown gate"):  # a bad gate mid-list
+        circuit_tableau([("H", (1,)), ("CZ", (1, 2)), ("S", (2,))], 2)
 
 
 def test_all_1q_cliffords_distinct():
@@ -273,10 +284,15 @@ def test_unitaries_rejects_empty_or_mixed_n():
             unitaries(tabs)
 
 
+def table_bytes(tabs, kind):
+    """The tableaux's table bytes, collected by kind (list or set)."""
+    return kind(t.table.tobytes() for t in tabs)
+
+
 def test_clifford_group(group2):
-    assert set(clifford_group(1)) == set(all_1q_cliffords())
-    assert len(group2) == len(set(group2)) == 11520
-    assert group2[0] == CliffordTableau.identity(2)
+    assert table_bytes(clifford_group(1), set) == table_bytes(all_1q_cliffords(), set)
+    assert len(group2) == len(table_bytes(group2, set)) == 11520
+    assert np.array_equal(group2[0].table, CliffordTableau.identity(2).table)
     for n in (0, 3):
         with pytest.raises(ValueError):
             clifford_group(n)
@@ -285,7 +301,8 @@ def test_clifford_group(group2):
 @pytest.mark.parametrize("n", [1, 2])
 def test_clifford_group_equals_the_one_at_a_time_closure(n, group2):
     # the batched closure lists the same tableaux in the same order
-    assert (clifford_group(1) if n == 1 else group2) == closure_one_at_a_time(n)
+    got = clifford_group(1) if n == 1 else group2
+    assert table_bytes(got, list) == table_bytes(closure_one_at_a_time(n), list)
 
 
 def test_table_entries_are_the_generator_row_products(rng):
@@ -294,7 +311,7 @@ def test_table_entries_are_the_generator_row_products(rng):
     tabs = clifford_group(1) + [circuit_tableau(random_circuit(n, 6 * n, rng), n)
                                 for n in range(1, 6) for _ in range(10)]
     for t in tabs:
-        n, rows = t.n, t.rows
+        n, rows = t.n, generator_rows(t)
         keys = np.arange(4**n)
         k = rng.integers(4, size=len(keys))
         want = [row_product(rows, key >> n, key & (1 << n) - 1, kk)
@@ -302,6 +319,47 @@ def test_table_entries_are_the_generator_row_products(rng):
         assert t.images(keys, k).tolist() == [list(w) for w in want]
         assert t.table.tolist() == [x << (n + 2) | z << 2 | (kk - k0) % 4
                                     for (x, z, kk), k0 in zip(want, k.tolist())]
+
+
+def test_circuit_tableau_equals_the_row_patch_gate_product(rng):
+    # random circuits over all seven gates against the gate-by-gate then
+    # product of tables built by patching identity rows, not by the gate rule
+    for n in range(1, 8):
+        for _ in range(30):
+            gates = random_circuit(n, 3 * n, rng, singles="HSXYZI")
+            want = functools.reduce(CliffordTableau.then,
+                                    [gate_tableau_by_rows(name, q, n) for name, q in gates],
+                                    CliffordTableau.identity(n))
+            assert np.array_equal(circuit_tableau(gates, n).table, want.table)
+
+
+def test_circuit_tableau_builds_one_table_per_call(rng, monkeypatch):
+    # the gates rewrite generator entries; only the local 4- or 16-entry
+    # tables and the circuit's one 4^n table are ever built
+    built = []
+    real = clifford._image_table
+    monkeypatch.setattr(clifford, "_image_table", lambda n, e: built.append(n) or real(n, e))
+    clifford._local_table.cache_clear()
+    for n in (3, 5, 7):
+        for depth in (0, 1, 4 * n):
+            built.clear()
+            circuit_tableau(random_circuit(n, depth, rng, singles="HSXYZI"), n)
+            assert [m for m in built if m == n] == [n] and set(built) <= {1, 2, n}
+
+
+def test_twirl_import_builds_no_gate_table():
+    # every pauli-twirl job imports twirl and clifford; tables wait for a gate
+    probe = """
+import nmrqip.clifford as c
+built = []
+real = c._image_table
+c._image_table = lambda n, e: built.append(n) or real(n, e)
+import nmrqip.twirl
+print(len(built), c._local_table.cache_info().currsize)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_tables_are_read_only(rng):
@@ -315,6 +373,6 @@ def test_tables_are_read_only(rng):
 
 def test_from_unitaries_reads_a_stack_and_rejects_non_clifford():
     good = unitaries(clifford_group(1)[:3])
-    assert from_unitaries(good) == clifford_group(1)[:3]
+    assert table_bytes(from_unitaries(good), list) == table_bytes(clifford_group(1)[:3], list)
     with pytest.raises(ValueError):
         from_unitaries(np.stack([good[0], np.diag([1, np.exp(1j * np.pi / 4)])]))

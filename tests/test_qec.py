@@ -29,7 +29,7 @@ from nmrqip.qec import (
     transversal_cnot_demo,
 )
 
-from conftest import pauli_weight
+from conftest import generator_rows, pauli_weight
 
 PSI = np.array([0.6, 0.8], dtype=complex)
 
@@ -68,7 +68,7 @@ def test_code_definitions_are_consistent():
             assert code.logical_x.commutes(g)
         # encoding tableau maps Z_j (j >= 2) onto the generators
         tab = code.encoding_tableau()
-        z_images = tuple(PauliString.from_bits(tab.n, *r) for r in tab.rows[tab.n:])
+        z_images = tuple(PauliString.from_bits(tab.n, *r) for r in generator_rows(tab)[tab.n:])
         assert z_images[1:] == code.generators
 
 

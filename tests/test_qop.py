@@ -31,8 +31,8 @@ from nmrqip.qop import (
     tensor,
 )
 
-from conftest import (KET1, all_pauli_words, bloch_vector, gate_fidelity_hs, pauli_weight,
-                      random_density)
+from conftest import (KET1, all_pauli_words, bloch_vector, gate_fidelity_hs, pauli_product,
+                      pauli_weight, random_density)
 
 
 def test_pauli_algebra():
@@ -65,8 +65,8 @@ def test_basis_ket_bit_order():
 def test_pauli_string_products():
     x = PauliString("X")
     y = PauliString("Y")
-    assert (x * y).word == "Z" and (x * y).phase == 1j
-    assert (y * x).phase == -1j
+    assert pauli_product(x, y).word == "Z" and pauli_product(x, y).phase == 1j
+    assert pauli_product(y, x).phase == -1j
     assert not x.commutes(y)
     assert PauliString("XX").commutes(PauliString("YY"))
     for word, phase in (("XQ", 1), ("xz", 1), ("XZ", 0.5), ("XZ", 1 + 1e-6),
@@ -84,7 +84,7 @@ def paulis(n):
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(paulis(n), paulis(n))))
 def test_pauli_bit_algebra_matches_dense(pair):
     p, q = pair
-    assert np.array_equal((p * q).dense(), p.dense() @ q.dense())
+    assert np.array_equal(pauli_product(p, q).dense(), p.dense() @ q.dense())
     commutator = p.dense() @ q.dense() - q.dense() @ p.dense()
     assert p.commutes(q) == (not commutator.any())
 
@@ -94,19 +94,19 @@ def test_pauli_bit_algebra_matches_dense(pair):
 def test_pauli_string_word_and_bits_roundtrip(p):
     assert PauliString(p.word, p.phase) == p
     same = PauliString.from_bits(p.n, p.x, p.z, p.k)
-    assert same == p and hash(same) == hash(p) and same.word == p.word
+    assert same == p and same.word == p.word
     assert p.phase == 1j ** (p.k - bin(p.x & p.z).count("1"))
     assert pauli_weight(p) == sum(c != "I" for c in p.word)
 
 
 def test_from_bits_default_phase_matches_word():
     # the default k is reduced mod 4, so four or more Y letters (k = 4, 5, ...)
-    # compare and hash like the parsed word
+    # compare like the parsed word
     for n in range(1, 8):
         for word in all_pauli_words(n):
             p = PauliString(word)
             q = PauliString.from_bits(n, p.x, p.z)
-            assert q == p and hash(q) == hash(p) and q.k == p.k
+            assert q == p and q.k == p.k
 
 
 def kron_pauli(word, phase):

@@ -29,7 +29,7 @@ from nmrqip.twirl import (
 from conftest import (all_1q_cliffords, all_pauli_words, bit_flip, circuit_unitary,
                       composite_pauli_vector, dense_rb_survivals, dense_shot_values,
                       draw_rb_indices, exact_rb_survivals, factor_kraus, from_unitaries,
-                      kraus_sum, pauli_weight, phase_flip, rotation_unitaries,
+                      kraus_sum, pauli_product, pauli_weight, phase_flip, rotation_unitaries,
                       signed_paulis, tableau_rb_survivals)
 
 CNOT = np.array(
@@ -57,10 +57,11 @@ def test_twirl_identity_channel_is_exact():
 
 
 def old_chain_law(n: int) -> dict:
-    """Exact law of the weight -> permutation -> per-qubit Clifford draw:
-    weight w with probability C(n,w) 3^w / (4^n - 1), the first w qubits of
-    a uniform permutation, and on each the image C Z C^dag of one of the 24
-    single-qubit Cliffords, embedded and multiplied in."""
+    """Exact law, keyed by (n, x, z, k), of the weight -> permutation ->
+    per-qubit Clifford draw: weight w with probability C(n,w) 3^w / (4^n - 1),
+    the first w qubits of a uniform permutation, and on each the image
+    C Z C^dag of one of the 24 single-qubit Cliffords, embedded and
+    multiplied in."""
     images = [c.conjugate(PauliString("Z")) for c in all_1q_cliffords()]
     law: dict = {}
     for w in range(1, n + 1):
@@ -73,8 +74,10 @@ def old_chain_law(n: int) -> dict:
             for choice in itertools.product(images, repeat=w):
                 p = PauliString("I" * n)
                 for q, img in zip(qubits, choice):
-                    p = p * PauliString("I" * q + img.word + "I" * (n - q - 1), img.phase)
-                law[p] = law.get(p, 0) + p_w * p_s / 24**w
+                    p = pauli_product(p, PauliString("I" * q + img.word + "I" * (n - q - 1),
+                                                     img.phase))
+                key = (p.n, p.x, p.z, p.k)
+                law[key] = law.get(key, 0) + p_w * p_s / 24**w
     return law
 
 
@@ -84,7 +87,8 @@ def test_old_chain_law_is_uniform_over_signed_paulis(n):
     # probability, which is the law the index-and-sign draw samples directly
     law = old_chain_law(n)
     words = all_pauli_words(n)[1:]
-    assert set(law) == {PauliString(w, s) for w in words for s in (1, -1)}
+    assert set(law) == {(p.n, p.x, p.z, p.k)
+                        for p in (PauliString(w, s) for w in words for s in (1, -1))}
     assert set(law.values()) == {Fraction(1, 2 * (4**n - 1))}
 
 
@@ -355,9 +359,9 @@ def test_samplers_produce_valid_tableaux():
         assert np.allclose(probs, want, rtol=0, atol=1e-15)
         assert all(tabs[i].n == n for i in rng.choice(len(tabs), size=10, p=probs))
     rot, rot_probs = rotation_clifford_sampler()
-    drawn = {rot[i] for i in rng.choice(len(rot), size=60, p=rot_probs)}
+    drawn = [rot[i] for i in rng.choice(len(rot), size=60, p=rot_probs)]
     assert all(t.n == 1 for t in drawn)
-    assert len(drawn) == 9  # three axes, three angles
+    assert len({t.table.tobytes() for t in drawn}) == 9  # three axes, three angles
 
 
 def test_rotation_sampler_draws_the_dense_rotations_in_order():
@@ -365,7 +369,8 @@ def test_rotation_sampler_draws_the_dense_rotations_in_order():
     tabs, probs = rotation_clifford_sampler()
     assert np.array_equal(probs, np.full(9, 1 / 9))
     (idx,) = draw_rb_indices((tabs, probs), [200], 1, np.random.default_rng(3))
-    assert [tabs[i] for i in idx[:, 0]] == [dense[i] for i in idx[:, 0]]
+    assert ([tabs[i].table.tobytes() for i in idx[:, 0]]
+            == [dense[i].table.tobytes() for i in idx[:, 0]])
 
 
 RB_LENGTHS = [1, 3, 8, 20, 40]
