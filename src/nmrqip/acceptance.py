@@ -162,7 +162,7 @@ def _crit_twirl(base_seed):
     d = 8
     for pr0_true, masses in _TWIRL_FIXTURES:
         probs = pauli_probs_by_weight(3, masses)
-        noise = Channel.from_pauli_probs(probs)
+        noise = Channel(probs)
         fbar_formula = (d * pr0_true + 1) / (d + 1)
         fbar_exact = average_gate_fidelity_exact(noise.kraus(), np.eye(d))
         hats, fbars, stderrs = [], [], []
@@ -226,12 +226,12 @@ def _crit_certify(base_seed):
         group = clifford_group(n)
         passed &= len(group) == (24, 11520)[n - 1]  # group order mod global phase
         keys = np.arange(1, 4**n)  # every non-identity Pauli x << n | z, phase +1
-        k = np.bitwise_count(keys >> n & keys)
-        paulis = pauli_matrices(n, np.stack([keys >> n, keys & 2**n - 1, k], axis=-1))
+        entries = keys << 2 | np.bitwise_count(keys >> n & keys)
+        paulis = pauli_matrices(n, entries)
         for at in range(0, len(group), 256):
             block = group[at:at + 256]
             ud = unitaries(block)[:, None]
-            got = pauli_matrices(n, np.concatenate([t.images(keys, k) for t in block]))
+            got = pauli_matrices(n, np.concatenate([t.images(entries) for t in block]))
             passed &= np.allclose(ud @ paulis @ ud.conj().swapaxes(2, 3),
                                   got.reshape(len(block), len(keys), 2**n, 2**n), atol=1e-10)
             checked += len(block) * len(keys)

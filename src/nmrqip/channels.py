@@ -1,27 +1,29 @@
 """Pauli channels: rho -> sum_Q p_Q Q rho Q, as one probability vector.
 
-A Channel is a Pauli channel on m qubits of an n-qubit register, stored as
-its probability vector over the 4^m Paulis Q of those qubits and the tuple of
-their labels.  Pauli noise is the form twirling reduces any noise to
-(Flammia & Wallman, arXiv:1907.12976), and it is the only noise nmrqip
-models.  The vector has 4^n entries at most, so channels act on seven spins,
-where a Kraus set would need 4^7 matrices of 128 x 128.
+A Channel is a Pauli channel on an n-qubit register, stored as its
+probability vector over the register's 4^n Paulis Q; Channel(probs) is its
+one constructor, and n comes from the vector's length.  Pauli noise is the
+form twirling reduces any noise to (Flammia & Wallman, arXiv:1907.12976),
+and it is the only noise nmrqip models.  The vector has 4^n entries, so
+channels act on seven spins, where a Kraus set would need 4^7 matrices of
+128 x 128.  on() scatters a channel's vector onto chosen qubits of a larger
+register, moving each key's x and z bits to those qubits.
 
 A Pauli channel multiplies the coefficient of each Pauli P in rho by
 lambda_P = sum_Q p_Q (+1 if [Q, P] = 0 else -1), the symplectic
-Walsh-Hadamard transform of p.  The table of lambda on the whole register is
-a channel's one computed form; apply() moves rho into the Pauli basis with
-two real matrix products, scales it by the table and moves it back.
+Walsh-Hadamard transform of p.  The vector of lambda, in the index order of
+p, is a channel's one computed form; apply() moves rho into the Pauli basis
+with two real matrix products, scales it by lambda and moves it back.
 kraus() still materializes the Kraus set sqrt(p_Q) Q for n <= 5, as the
 exact oracle; the Paulis are trace-orthogonal, so that set is minimal.
 
-Pauli vectors are the only Pauli error format: entry x * 2^m + z is the
+Pauli vectors are the only Pauli error format: entry x << n | z is the
 probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
 are the bit masks of the Pauli's X and Z parts (qubit 1 most significant):
 I = (0, 0), X = (1, 0), Z = (0, 1), Y = (1, 1).  The index's binary digits
-are the symplectic bit vector, the (x, z) masks of qop.PauliString.
-from_pauli_probs and pauli_probs_by_weight take and give such vectors; no
-Pauli word is enumerated or parsed.
+are the symplectic bit vector, the (x, z) masks of qop.PauliString and the
+keys of a Clifford tableau's table.  Channel and pauli_probs_by_weight take
+and give such vectors; no Pauli word is enumerated or parsed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import embed, pauli_matrices, sylvester_hadamard
+from .qop import pauli_matrices, sylvester_hadamard
 
 _MATERIALIZE_LIMIT = 5  # qubits; up to 4^n Kraus matrices beyond this are too large
 
@@ -45,23 +47,8 @@ def _xor_gather(n: int) -> np.ndarray:
     return g
 
 
-def _pauli_eigenvalues(probs: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Table lam[z, x] of the Pauli eigenvalues of the channel with Pauli
-    vector probs on the given qubits of the n-qubit register."""
-    m = len(qubits)
-    h = sylvester_hadamard(m)
-    # (H p H)[c, k] = sum_{a, b} p[a, b] (-1)^(a.c + b.k): the eigenvalue of
-    # the word with z part c and x part k
-    local = h @ probs.reshape(2**m, 2**m) @ h
-    idx = np.arange(2**n)
-    loc = np.zeros(2**n, dtype=np.intp)
-    for j, q in enumerate(qubits):
-        loc |= ((idx >> (n - q)) & 1) << (m - 1 - j)
-    return local[np.ix_(loc, loc)]
-
-
 def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
-    """sum_Q p_Q Q rho Q from the eigenvalue table lam[z, x] / d."""
+    """sum_Q p_Q Q rho Q from the table lam_over_d[z, x] of eigenvalues / d."""
     d = rho.shape[0]
     n = d.bit_length() - 1
     h, g = sylvester_hadamard(n), _xor_gather(n)
@@ -77,44 +64,23 @@ def _apply_pauli(rho: np.ndarray, lam_over_d: np.ndarray) -> np.ndarray:
 
 
 class Channel:
-    """Pauli channel on the given 1-based qubits of an n-qubit register.
+    """Pauli channel on an n-qubit register, from the 1-D vector of its 4^n
+    Pauli probabilities (see the module docstring for its index order)."""
 
-    probs is the 1-D vector of the 4^m Pauli probabilities of its m qubits
-    (see the module docstring for its index order).
-    """
-
-    def __init__(self, n: int, probs, qubits):
-        self.n = int(n)
-        self.dim = 2**self.n
-        self.qubits = tuple(qubits)
+    def __init__(self, probs):
         self.probs = np.array(probs, dtype=float)
-        m = len(self.qubits)
-        if self.probs.shape != (4**m,):
-            raise ValueError(f"Pauli vector shape {self.probs.shape} is not "
-                             f"(4^{m},) for {m} qubit labels")
-        if self.probs.min() < 0:
-            raise ValueError("negative Pauli probability")
+        self.n = (self.probs.size.bit_length() - 1) // 2
+        if self.n < 1 or self.probs.shape != (4**self.n,):
+            raise ValueError(f"Pauli vector shape {self.probs.shape} is not (4^n,) for n >= 1")
+        if not self.probs.min() >= 0:  # NaN fails too
+            raise ValueError("Pauli probabilities must be nonnegative")
         total = self.probs.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"Pauli probabilities sum to {total}, not 1")
         self.probs.setflags(write=False)
-        if any(q < 1 or q > self.n for q in self.qubits):
-            raise ValueError(f"channel qubits {self.qubits} outside register 1..{self.n}")
-        if len(set(self.qubits)) != m:
-            raise ValueError("duplicate qubit labels")
         self._lam = None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_pauli_probs(cls, probs) -> "Channel":
-        """Pauli channel from its probability vector of length 4^n, indexed
-        x * 2^n + z (see the module docstring)."""
-        probs = np.asarray(probs, dtype=float)
-        n = (probs.size.bit_length() - 1) // 2
-        if n < 1 or probs.shape != (4**n,):
-            raise ValueError(f"Pauli vector shape {probs.shape} is not (4^n,) for n >= 1")
-        return cls(n, probs, range(1, n + 1))
 
     @classmethod
     def depolarizing(cls, n: int, p: float) -> "Channel":
@@ -124,49 +90,61 @@ class Channel:
             raise ValueError(f"depolarizing strength {p} outside [0, {hi:.6g}]")
         vec = np.full(4**n, p / 4**n)
         vec[0] += 1 - p
-        return cls(n, vec, range(1, n + 1))
+        return cls(vec)
 
     # -- structure ----------------------------------------------------------
 
     def on(self, qubits, n: int) -> "Channel":
-        """Lift this channel onto the given 1-based qubits of an n-qubit register."""
+        """This channel on the given 1-based qubits of an n-qubit register:
+        each probability moves to the register key whose qubit qubits[j]
+        carries the x and z bits of local qubit j + 1."""
         qubits = tuple(qubits)
         if len(qubits) != self.n:
             raise ValueError(f"{len(qubits)} qubit labels for a {self.n}-qubit channel")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit labels")
-        return Channel(n, self.probs, (qubits[q - 1] for q in self.qubits))
+        if any(q < 1 or q > n for q in qubits):
+            raise ValueError(f"channel qubits {qubits} outside register 1..{n}")
+        m, local = self.n, np.arange(4**self.n)
+        keys = np.zeros_like(local)
+        for j, q in enumerate(qubits):
+            keys |= (local >> (2 * m - 1 - j) & 1) << (2 * n - q)  # x bit
+            keys |= (local >> (m - 1 - j) & 1) << (n - q)  # z bit
+        probs = np.zeros(4**n)
+        probs[keys] = self.probs
+        return Channel(probs)
 
     def kraus(self):
-        """Full-register Kraus list sqrt(p_Q) Q, one per Pauli Q with p_Q > 0
+        """Kraus list sqrt(p_Q) Q, one per Pauli Q with p_Q > 0 in key order
         (guarded for n > 5).  The Paulis are trace-orthogonal, so no smaller
         Kraus set gives the channel."""
         if self.n > _MATERIALIZE_LIMIT:
             raise ValueError(
                 f"refusing to materialize Kraus set for n={self.n} (> {_MATERIALIZE_LIMIT})"
             )
-        m = len(self.qubits)
-        at = np.flatnonzero(self.probs)
-        xz = [divmod(i, 2**m) for i in at.tolist()]
-        ops = np.sqrt(self.probs[at])[:, None, None] * pauli_matrices(
-            m, [(x, z, (x & z).bit_count()) for x, z in xz])
-        return [embed(k, self.qubits, self.n) for k in ops]
+        at = np.flatnonzero(self.probs)  # keys x << n | z; phase +1 is i^popcount(x & z)
+        entries = at << 2 | np.bitwise_count(at >> self.n & at)
+        return list(np.sqrt(self.probs[at])[:, None, None] * pauli_matrices(self.n, entries))
 
     # -- application --------------------------------------------------------
 
     def eigenvalues(self) -> np.ndarray:
-        """Read-only table lam[z, x], computed on first use: this channel maps
-        the Pauli X^x Z^z to lam[z, x] X^x Z^z."""
+        """Read-only vector lam[x << n | z], in the order of probs, computed
+        on first use: this channel maps the Pauli X^x Z^z to lam X^x Z^z."""
         if self._lam is None:
-            self._lam = _pauli_eigenvalues(self.probs, self.qubits, self.n)
+            d, h = 2**self.n, sylvester_hadamard(self.n)
+            # (H P H)[c, k] = sum_{a, b} p[a << n | b] (-1)^(a.c + b.k) is the
+            # eigenvalue of the Pauli with z part c and x part k
+            self._lam = (h @ self.probs.reshape(d, d) @ h).T.ravel()
             self._lam.setflags(write=False)
         return self._lam
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"state dim {rho.shape} does not match channel dim {self.dim}")
-        return _apply_pauli(rho, self.eigenvalues() / self.dim)
+        d = 2**self.n
+        if rho.shape != (d, d):
+            raise ValueError(f"state dim {rho.shape} does not match channel dim {d}")
+        return _apply_pauli(rho, self.eigenvalues().reshape(d, d).T / d)
 
 
 def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:
@@ -178,19 +156,18 @@ def pauli_probs_by_weight(n: int, weight_masses: dict) -> np.ndarray:
     remainder lands on the identity, so Pr(no error) = 1 - sum(masses).
     """
     idx = np.arange(4**n)
-    support = (idx >> n | idx) & (2**n - 1)  # x | z
-    weights = sum(support >> q & 1 for q in range(n))
+    weights = np.bitwise_count((idx >> n | idx) & (2**n - 1))  # popcount(x | z)
     probs = np.zeros(4**n)
     total = 0.0
     for w, mass in weight_masses.items():
         w = int(w)
         if not 1 <= w <= n:
             raise ValueError(f"error weight {w} outside 1..{n}")
-        if mass < 0:
+        if not mass >= 0:  # NaN fails too
             raise ValueError("class masses must be nonnegative")
         probs[weights == w] += mass / (math.comb(n, w) * 3**w)
         total += mass
-    if total > 1 + 1e-12:
+    if not total <= 1 + 1e-12:
         raise ValueError(f"class masses sum to {total} > 1")
     probs[0] = 1 - total
     return probs

@@ -32,9 +32,10 @@ def _versions() -> dict:
 
     import numpy as np
 
-    ns = {}  # run scipy/version.py, where scipy.__version__ comes from, not scipy itself
-    with open(os.path.join(os.path.dirname(find_spec("scipy").origin), "version.py")) as fh:
-        exec(fh.read(), ns)
+    spec, ns = find_spec("scipy"), {"version": None}  # None: scipy is not installed
+    if spec is not None:  # run scipy/version.py, where scipy.__version__ comes from
+        with open(os.path.join(os.path.dirname(spec.origin), "version.py")) as fh:
+            exec(fh.read(), ns)
     return {"nmrqip": __version__, "numpy": np.__version__, "scipy": ns["version"],
             "python": sys.version.split()[0]}
 
@@ -273,7 +274,7 @@ def _run_twirl(cfg, seed, shots):
     probs = pauli_probs_by_weight(n, cfg["weight_masses"])
     rng = np.random.default_rng(seed)
     est = twirl_estimate_memory(
-        Channel.from_pauli_probs(probs), delta, rng, n_samples=cfg["n_samples"],
+        Channel(probs), delta, rng, n_samples=cfg["n_samples"],
         readout_shots=shots, with_replacement=cfg["with_replacement"],
     )
     pr0 = probs[0]

@@ -6,10 +6,11 @@ i^k X^x' Z^z', with qubit 1 the most significant bit and k mod 4, the
 encoding of nmrqip.qop.PauliString.  Every table is built one way, by
 _image_table from its 2n generator entries (the images of X_1..X_n, then
 Z_1..Z_n), one key bit at a time, for one tableau or a stack.  Later
-operations are gathers: conjugate reads an entry, then looks one table's
-image keys up in the other, and inverse scatters each entry back to its
-key.  Only the constructor from images validates; it checks that they are
-Hermitian and pair symplectically.
+operations are gathers: images(entries) reads the keys of entries in this
+encoding and adds their phases, conjugate is its one-Pauli case, then looks
+one table's image keys up in the other, and inverse scatters each entry
+back to its key.  Only the constructor from images validates; it checks
+that they are Hermitian and pair symplectically.
 
 Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its generator
 rows on its own one or two qubits, with a 4- or 16-entry table built on
@@ -78,16 +79,17 @@ class CliffordTableau:
 
     # -- algebra ------------------------------------------------------------
 
-    def images(self, keys, k=0) -> np.ndarray:
-        """(m, 3) rows (x, z, k) of C i^k X^x Z^z C^dag for m Pauli keys
-        x << n | z and phases k; (3,) for one key."""
-        return _decode(self.n, self.table[keys], k)
+    def images(self, entries) -> np.ndarray:
+        """Packed entries of C P C^dag for an int array of packed entries P."""
+        return _compose(entries, self.table)
 
     def conjugate(self, p: PauliString) -> PauliString:
         """C p C^dag."""
-        if p.n != self.n:
+        n = self.n
+        if p.n != n:
             raise ValueError("length mismatch")
-        return PauliString.from_bits(self.n, *self.images(p.x << self.n | p.z, p.k).tolist())
+        e = int(self.images(p.x << (n + 2) | p.z << 2 | p.k))
+        return PauliString.from_bits(n, e >> (n + 2), e >> 2 & (1 << n) - 1, e & 3)
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of (other . self) as a unitary product: self acts first."""
@@ -125,19 +127,13 @@ def _compose(first, second) -> np.ndarray:
     return t & ~3 | (t + first) & 3
 
 
-def _decode(n: int, entries, k=0) -> np.ndarray:
-    """(m, 3) rows (x, z, k) of m table entries, each phase raised by k; (3,)
-    of one entry."""
-    return np.array([entries >> (n + 2), entries >> 2 & (1 << n) - 1, (entries + k) & 3]).T
-
-
 def unitaries(tableaux) -> np.ndarray:
     """(m, d, d) stack of the unitaries of m tableaux on one n, built from the
     projector of the Z images as the module docstring describes."""
     (n,) = {t.n for t in tableaux}  # ValueError unless exactly one n
     m, d = len(tableaux), 2**n
-    gens = np.stack([t.table for t in tableaux])[:, 1 << np.arange(2 * n)[::-1]]  # generator rows
-    mats = pauli_matrices(n, _decode(n, gens.ravel())).reshape(m, 2, n, d, d)
+    gens = np.stack([t.table for t in tableaux])[:, 1 << np.arange(2 * n)[::-1]]
+    mats = pauli_matrices(n, gens).reshape(m, 2, n, d, d)
     proj = np.eye(d)
     for q in range(n):
         proj = proj @ (np.eye(d) + mats[:, 1, q]) / 2

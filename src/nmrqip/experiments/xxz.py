@@ -34,8 +34,7 @@ def xxz_hamiltonian(n: int, gamma: float) -> np.ndarray:
 
 def _total_z(n: int) -> np.ndarray:
     """Diagonal of sum_i Z_i: n - 2 popcount(a) on basis state a."""
-    a = np.arange(2**n)
-    return n - 2 * sum((a >> s) & 1 for s in range(n))
+    return n - 2 * np.bitwise_count(np.arange(2**n)).astype(int)
 
 
 def xxz_ground_state(n: int, gamma: float, rtol: float = 1e-9):

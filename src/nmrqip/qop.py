@@ -20,9 +20,10 @@ of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
 commutation are integer operations on (x, z, k).  Generated Paulis are built
 from bits (spin_bits gives a one-qubit Pauli's), never by joining letters.
 Dense operators are built from those bits, with no cache: pauli_matrices
-stacks Pauli matrices and pauli_sum adds up Pauli-sum operators such as
-Hamiltonians.  Words are only parsed from literals and printed, never
-enumerated or decoded to build a matrix.
+stacks those of packed entries x << (n + 2) | z << 2 | k (a tableau's
+encoding) and pauli_sum adds up Pauli-sum operators such as Hamiltonians.
+Words are only parsed from literals and printed, never enumerated or
+decoded to build a matrix.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class PauliString:
         return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def dense(self) -> np.ndarray:
-        return pauli_matrices(self.n, [(self.x, self.z, self.k)])[0]
+        return pauli_matrices(self.n, self.x << (self.n + 2) | self.z << 2 | self.k)[0]
 
 
 # letter -> (x bit, z bit)
@@ -135,13 +136,14 @@ def spin_bits(axis: str, spin: int, n: int) -> tuple:
     return {"x": (b, 0), "y": (b, b), "z": (0, b)}[axis.lower()]
 
 
-def pauli_matrices(n: int, rows) -> np.ndarray:
-    """(m, d, d) stack of the matrices i^k X^x Z^z for m (x, z, k) rows."""
-    x, z, k = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+def pauli_matrices(n: int, entries) -> np.ndarray:
+    """(m, d, d) stack of the matrices i^k X^x Z^z of m packed entries
+    x << (n + 2) | z << 2 | k."""
+    e = np.asarray(entries, dtype=np.intp).reshape(-1, 1)
     d = 2**n
-    out = np.zeros((len(x), d, d), dtype=complex)
-    at, values = _pauli_entries(n, x[:, None], z, k[:, None])
-    out[np.arange(len(x))[:, None], at, np.arange(d)] = values
+    out = np.zeros((len(e), d, d), dtype=complex)
+    at, values = _pauli_entries(n, e >> (n + 2), e[:, 0] >> 2 & d - 1, e & 3)
+    out[np.arange(len(e))[:, None], at, np.arange(d)] = values
     return out
 
 

@@ -5,13 +5,14 @@ deviation state whose traceless part is a random non-identity Pauli M, push
 it through the noisy process, and read out the coefficient of the expected
 output Pauli.  All shots are drawn in one call, as a uniform index into the
 4^n - 1 non-identity Paulis and a uniform sign.  A memory shot reads the
-channel's eigenvalue lambda_M, whatever the sign of M.  A noisy Clifford
-gate is its Pauli noise followed by the target's dense unitary U; its shot
-reads lambda_M tr(T(M) U M U^dag)/d for the image T(M) read from the
-tableau's table, one trace per distinct signed Pauli, all in one batched
-product.  A finite-shot binomial readout, if asked for, is drawn for all
-shots in one call.  The mean coefficient maps affinely to Pr(no error), and
-the average gate fidelity follows as fbar = (2^n Pr0 + 1)/(2^n + 1).
+channel's eigenvalue lambda_M at M's key, whatever the sign of M.  A noisy
+Clifford gate is its Pauli noise followed by the target's dense unitary U;
+its shot reads lambda_M tr(T(M) U M U^dag)/d for the image T(M) of M's
+packed tableau entry, one trace per distinct signed Pauli, all in one
+batched product.  A finite-shot binomial readout, if asked for, is drawn
+for all shots in one call.  The mean coefficient maps affinely to
+Pr(no error), and the average gate fidelity follows as
+fbar = (2^n Pr0 + 1)/(2^n + 1).
 
 Randomized benchmarking under Pauli noise stacks the tables of a gate set's
 tableaux, built from gate lists through nmrqip.clifford, with their phases
@@ -79,19 +80,20 @@ def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.nd
     With readout_shots, every shot then gets its own binomial readout, drawn
     in shot order in one call.
     """
-    lam = noise.eigenvalues().T.ravel()  # entry x << n | z is lambda of X^x Z^z
+    lam = noise.eigenvalues()
     if target is None:
         chis = lam[idx]
     else:
         n = noise.n
         keys = np.flatnonzero(np.bincount(idx << 1 | sign))  # distinct, sorted, in O(shots)
-        x, z = keys >> (n + 1), keys >> 1 & (1 << n) - 1
-        k = np.bitwise_count(x & z) + 2 * (keys & 1)
+        p = keys >> 1
+        # packed (-1)^sign P: the Hermitian P has phase i^popcount(x & z)
+        entries = p << 2 | np.bitwise_count(p >> n & p) + 2 * (keys & 1) & 3
         u = target.to_unitary()
-        conj = u @ pauli_matrices(n, np.stack([x, z, k], axis=-1)) @ u.conj().T
-        t = pauli_matrices(n, target.images(keys >> 1, k))
+        conj = u @ pauli_matrices(n, entries) @ u.conj().T
+        t = pauli_matrices(n, target.images(entries))
         chis = np.empty(2 * 4**n)  # per key, then gathered per shot
-        chis[keys] = lam[keys >> 1] * np.einsum("kij,kji->k", t, conj).real / 2**n
+        chis[keys] = lam[p] * np.einsum("kij,kji->k", t, conj).real / 2**n
         chis = chis[idx << 1 | sign]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)
@@ -282,7 +284,7 @@ def randomized_benchmarking(
     """
     tableaux, probs = gate_set
     table = np.stack([t.table >> 2 for t in tableaux])  # gate g's image key of each key
-    lam = noise_model.eigenvalues().T.ravel()  # entry x << n | z is lambda of X^x Z^z
+    lam = noise_model.eigenvalues()
     lengths = list(seq_lengths)
     survivals = [float(_survivals(table, probs, lam, m, shots, rng).mean()) for m in lengths]
     surv = np.array(survivals)

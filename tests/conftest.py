@@ -86,11 +86,11 @@ def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
 
 
 def bit_flip(p: float) -> Channel:
-    return Channel.from_pauli_probs([1 - p, 0.0, p, 0.0])
+    return Channel([1 - p, 0.0, p, 0.0])
 
 
 def phase_flip(p: float) -> Channel:
-    return Channel.from_pauli_probs([1 - p, p, 0.0, 0.0])
+    return Channel([1 - p, p, 0.0, 0.0])
 
 
 def kraus_sum(kraus, rho: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ def tableau_rb_survivals(gate_set, noise, idx) -> np.ndarray:
     multiply by the noise's eigenvalue there, and by the eigenvalue at Z_1
     for the recovery."""
     tabs, _ = gate_set
-    n, table = noise.n, noise.eigenvalues()
+    n, lam = noise.n, noise.eigenvalues()
     rows = [generator_rows(t) for t in tabs]
     z1 = 1 << (n - 1)
     out = []
@@ -181,8 +181,8 @@ def tableau_rb_survivals(gate_set, noise, idx) -> np.ndarray:
         survival, (x, z, k) = 1.0, (0, z1, 0)
         for g in seq:
             x, z, k = row_product(rows[g], x, z, k)
-            survival *= float(table[z, x])
-        out.append(survival * float(table[z1, 0]))
+            survival *= float(lam[x << n | z])
+        out.append(survival * float(lam[z1]))
     return np.array(out)
 
 
@@ -200,7 +200,7 @@ def exact_rb_survivals(gate_set, noise, lengths) -> list:
                         (row_product(generator_rows(t), key >> n, key & mask)
                          for key in range(4**n))]
                        for t in tabs])
-    lam = noise.eigenvalues().T.ravel()
+    lam = noise.eigenvalues()
     vec = np.zeros(4**n)
     vec[1 << (n - 1)] = 1.0
     out, done = [], 0
@@ -299,9 +299,18 @@ def whole_pulse_gradient(u_target, h_ctrl, dt, record):
 # the tableau rows
 
 
+def generator_keys(n: int) -> np.ndarray:
+    """Keys of X_1..X_n, then Z_1..Z_n: the table positions of the
+    generator images."""
+    return 1 << np.arange(2 * n)[::-1]
+
+
 def generator_rows(t: CliffordTableau) -> tuple:
-    """(x, z, k) images of X_1..X_n, then Z_1..Z_n, read from the table."""
-    return tuple(map(tuple, t.images(1 << np.arange(2 * t.n)[::-1]).tolist()))
+    """(x, z, k) images of X_1..X_n, then Z_1..Z_n, decoded from the table's
+    generator entries x << (n + 2) | z << 2 | k."""
+    n = t.n
+    return tuple((e >> (n + 2), e >> 2 & (1 << n) - 1, e & 3)
+                 for e in t.table[generator_keys(n)].tolist())
 
 
 def pauli_product(p: PauliString, q: PauliString) -> PauliString:
@@ -414,7 +423,7 @@ def from_unitaries(stack) -> list:
     """
     stack = np.asarray(stack, dtype=complex)
     n = n_qubits(stack.shape[-1])
-    gens = pauli_matrices(n, generator_rows(CliffordTableau.identity(n)))
+    gens = pauli_matrices(n, generator_keys(n) << 2)  # X_1..Z_n, each its key at phase 0
     images = stack[:, None] @ gens @ stack.conj().transpose(0, 2, 1)[:, None]
     mats = images.reshape(-1, 2**n, 2**n)  # all m * 2n conjugated generators
     r = np.arange(len(mats))
@@ -423,10 +432,10 @@ def from_unitaries(stack) -> list:
     k = np.argmin(np.abs(lead[:, None] - [1, 1j, -1, -1j]), axis=1)  # nearest i^k
     cols = 1 << np.arange(n)
     flips = (mats[r[:, None], cols ^ x[:, None], cols] * lead.conj()[:, None]).real < 0
-    rows = list(zip(x.tolist(), (flips * cols).sum(axis=1).tolist(), k.tolist()))
-    if not np.allclose(pauli_matrices(n, rows), mats, rtol=0, atol=1e-9):
+    z = (flips * cols).sum(axis=1)
+    if not np.allclose(pauli_matrices(n, x << (n + 2) | z << 2 | k), mats, rtol=0, atol=1e-9):
         raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    paulis = [PauliString.from_bits(n, *row) for row in rows]
+    paulis = [PauliString.from_bits(n, *row) for row in zip(x.tolist(), z.tolist(), k.tolist())]
     return [CliffordTableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
             for at in range(0, len(paulis), 2 * n)]
 

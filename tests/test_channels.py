@@ -28,7 +28,7 @@ def pauli_vector(probs: dict) -> np.ndarray:
 
 
 def word_channel(probs: dict) -> Channel:
-    return Channel.from_pauli_probs(pauli_vector(probs))
+    return Channel(pauli_vector(probs))
 
 
 def transfer_eigenvalue(probs: dict, word: str) -> float:
@@ -72,31 +72,42 @@ def random_factors(n: int, rng) -> list:
 def test_completeness_check_rejects():
     for bad in ([], np.ones(1), np.full(8, 1 / 8), np.full((4, 4), 1 / 16)):
         with pytest.raises(ValueError, match="is not"):
-            Channel.from_pauli_probs(bad)
+            Channel(bad)
     with pytest.raises(ValueError, match="sum to 0"):
-        Channel.from_pauli_probs(np.zeros(4))
+        Channel(np.zeros(4))
+    # non-finite vectors: NaN fails the sign check, inf the sum check
+    nan, inf = float("nan"), float("inf")
+    for bad in ([nan, 0, 0, 0], [nan, inf, 0, 0], [0.5, nan, 0.5, 0], [-inf, 1, 0, 0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Channel(bad)
+    with pytest.raises(ValueError, match="sum to inf"):
+        Channel([inf, 0, 0, 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        pauli_probs_by_weight(2, {1: nan})
+    with pytest.raises(ValueError, match="sum to inf"):
+        pauli_probs_by_weight(2, {1: inf})
 
 
 def test_factor_must_be_a_pauli_vector():
     # a 2 x 2 array has the size of a 1-qubit Pauli vector, but is not one;
-    # nor is a Kraus list, whose stack has more entries than 4^m
+    # nor is a Kraus list, whose stack has more entries than 4^n
     half = np.array([[0.5, 0.0], [0.0, 0.5]])
     for bad in (half, [half, half], np.full((1, 4), 0.25)):
         with pytest.raises(ValueError, match="is not"):
-            Channel(1, bad, (1,))
-    with pytest.raises(ValueError, match="is not"):
-        Channel(2, np.full(4, 0.25), (1, 2))
-    ch = Channel(2, np.full(4, 0.25), [2])
-    assert ch.probs.shape == (4,) and ch.qubits == (2,) and not ch.probs.flags.writeable
-    for bad, qubits in (([-0.1, 0.5, 0.3, 0.3], (1,)), (np.full(4, 0.25), (3,))):
-        with pytest.raises(ValueError, match="negative|outside"):
-            Channel(2, bad, qubits)
+            Channel(bad)
+    ch = Channel(np.full(4, 0.25))
+    assert ch.n == 1 and ch.probs.shape == (4,) and not ch.probs.flags.writeable
+    assert ch.on([2], 2).probs.shape == (16,)
+    with pytest.raises(ValueError, match="negative"):
+        Channel([-0.1, 0.5, 0.3, 0.3])
+    with pytest.raises(ValueError, match="outside"):
+        ch.on((3,), 2)
 
 
 def test_factor_rejects_duplicate_qubit_labels():
-    # a channel on (1, 1) would read both of its local qubits from qubit 1
+    # a lift onto (1, 1) would put both local qubits' bits on qubit 1
     with pytest.raises(ValueError, match="duplicate qubit labels"):
-        Channel(2, np.full(16, 1 / 16), (1, 1))
+        Channel(np.full(16, 1 / 16)).on((1, 1), 2)
 
 
 def test_apply_matches_kraus_sum(rng):
@@ -105,7 +116,7 @@ def test_apply_matches_kraus_sum(rng):
     for n in (1, 2, 3):
         d = 2**n
         factors = random_factors(n, rng)
-        ch = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+        ch = Channel(composite_pauli_vector(factors, n))
         rho = random_density(d, rng)
         direct = factor_kraus_sum(factors, n, rho)
         assert np.allclose(ch.apply(rho), direct, rtol=0, atol=1e-12)
@@ -116,7 +127,7 @@ def test_apply_matches_kraus_sum(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_apply_preserves_trace_and_positivity(seed):
     rng = np.random.default_rng(seed)
-    ch = Channel.from_pauli_probs(composite_pauli_vector(random_factors(2, rng), 2))
+    ch = Channel(composite_pauli_vector(random_factors(2, rng), 2))
     rho = random_density(4, rng)
     out = ch.apply(rho)
     assert abs(np.trace(out) - 1.0) < 1e-10
@@ -149,13 +160,19 @@ def test_kraus_is_one_scaled_pauli_per_nonzero_probability(rng):
     # trace-orthogonal, so the set is minimal (its Choi rank is its size)
     probs = random_pauli_probs(2, rng)
     vec = pauli_vector(probs)
-    kraus = Channel(3, vec, (3, 1)).kraus()
-    words = sorted(probs, key=lambda w: (PauliString(w).x, PauliString(w).z))  # index order
+    lifted = Channel(vec).on((3, 1), 3)
+    kraus = lifted.kraus()
+
+    def register_key(word):  # local word ab on qubits (3, 1) is the word bIa
+        q = PauliString(word[1] + "I" + word[0])
+        return q.x << 3 | q.z
+
+    words = sorted(probs, key=register_key)
     want = [np.sqrt(probs[w]) * embed(PauliString(w).dense(), (3, 1), 3) for w in words]
     assert len(kraus) == np.count_nonzero(vec) == len(want)
     assert np.allclose(kraus, want, rtol=0, atol=1e-15)
     gram = np.einsum("aij,bij->ab", np.conj(kraus), kraus)
-    assert np.allclose(gram, 8 * np.diag(vec[vec > 0]), rtol=0, atol=1e-14)
+    assert np.allclose(gram, 8 * np.diag(lifted.probs[lifted.probs > 0]), rtol=0, atol=1e-14)
 
 
 def test_depolarizing_multiqubit_mixes_to_identity():
@@ -186,6 +203,20 @@ def test_on_embeds_like_kron(rng):
     assert np.allclose(got, direct, atol=1e-12)
 
 
+def test_on_matches_the_embedded_kraus_sum(rng):
+    # random 1- to 3-qubit channels scattered onto shuffled labels of up to 4
+    # qubits, against the Kraus sum of their Paulis placed with embed
+    for m in (1, 2, 3):
+        for n in range(m, 5):
+            for _ in range(4):
+                probs = rng.dirichlet(np.ones(4**m))
+                qubits = tuple(int(q) + 1 for q in rng.permutation(n)[:m])
+                rho = random_density(2**n, rng)
+                got = Channel(probs).on(qubits, n).apply(rho)
+                want = factor_kraus_sum([(probs, qubits)], n, rho)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_on_rejects_a_label_count_other_than_n():
     dep = Channel.depolarizing(2, 0.1)
     for qubits in ([1, 2, 3], [1]):  # one label too many would drop qubit 3
@@ -200,11 +231,11 @@ def test_then_and_tensor(rng):
     # factors on disjoint qubits is the tensor product
     a, b = bit_flip(0.2).probs, phase_flip(0.1).probs
     rho = random_density(2, rng)
-    got = Channel.from_pauli_probs(composite_pauli_vector([(a, (1,)), (b, (1,))], 1)).apply(rho)
+    got = Channel(composite_pauli_vector([(a, (1,)), (b, (1,))], 1)).apply(rho)
     assert np.allclose(got, phase_flip(0.1).apply(bit_flip(0.2).apply(rho)), atol=1e-12)
     rho2 = random_density(4, rng)
     tensor = composite_pauli_vector([(a, (1,)), (b, (2,))], 2)
-    joint = Channel.from_pauli_probs(tensor).apply(rho2)
+    joint = Channel(tensor).apply(rho2)
     ref = bit_flip(0.2).on([1], 2).apply(phase_flip(0.1).on([2], 2).apply(rho2))
     assert np.allclose(joint, ref, atol=1e-12)
 
@@ -226,25 +257,26 @@ def test_pauli_eigenvalue_accessor(rng):
     # a composite of factors as one vector
     probs = random_pauli_probs(2, rng)
     bit = {"I": 0.9, "X": 0.1}
-    composite = Channel.from_pauli_probs(composite_pauli_vector(
+    composite = Channel(composite_pauli_vector(
         [(pauli_vector(bit), (1,)), (phase_flip(0.2).probs, (2,)),
          (Channel.depolarizing(1, 0.3).probs, (2,))], 2))
     composite_probs = {a + b: p * q for a, p in bit.items()
                        for b, q in {"I": 0.8, "Z": 0.2}.items()}
-    table = composite.eigenvalues()
-    assert composite.eigenvalues() is table and not table.flags.writeable
-    tables = (word_channel(probs).eigenvalues(), Channel.depolarizing(2, 0.25).eigenvalues())
+    lam = composite.eigenvalues()
+    assert composite.eigenvalues() is lam and not lam.flags.writeable and lam.shape == (16,)
+    lams = (word_channel(probs).eigenvalues(), Channel.depolarizing(2, 0.25).eigenvalues())
     for word in all_pauli_words(2):
         p = PauliString(word)
-        assert tables[0][p.z, p.x] == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
+        key = p.x << 2 | p.z
+        assert lams[0][key] == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
         want = 1.0 if word == "II" else 0.75
-        assert tables[1][p.z, p.x] == pytest.approx(want, abs=1e-15)
+        assert lams[1][key] == pytest.approx(want, abs=1e-15)
         want = transfer_eigenvalue(composite_probs, word) * (0.7 if word[1] != "I" else 1.0)
-        assert table[p.z, p.x] == pytest.approx(want, abs=1e-12)
+        assert lam[key] == pytest.approx(want, abs=1e-12)
         if word != "II":
             rho = (np.eye(4) + p.dense()) / 4
             survival = np.trace(p.dense() @ composite.apply(rho)).real
-            assert table[p.z, p.x] == pytest.approx(survival, abs=1e-12)
+            assert lam[key] == pytest.approx(survival, abs=1e-12)
 
 
 def test_pauli_probs_by_weight_fixture():
@@ -325,7 +357,7 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
         joint = {w + v: p * q for w, p in probs.items() for v, q in other.items()}
         joint_vec = composite_pauli_vector([(pauli_vector(probs), tuple(range(1, big))),
                                             (pauli_vector(other), (big,))], big)
-        got = Channel.from_pauli_probs(joint_vec).apply(rho_big)
+        got = Channel(joint_vec).apply(rho_big)
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
@@ -343,7 +375,7 @@ def test_depolarizing_composite_matches_kraus_oracle(n, p):
     rho = random_density(2**n, rng)
     factors = [(Channel.depolarizing(n, p).probs, tuple(range(1, n + 1))),
                (Channel.depolarizing(1, p / 2).probs, (1,))]
-    ch = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+    ch = Channel(composite_pauli_vector(factors, n))
     ref = factor_kraus_sum(factors, n, rho)
     assert np.allclose(ch.apply(rho), ref, rtol=0, atol=1e-12)
     assert np.allclose(kraus_sum(ch.kraus(), rho), ref, rtol=0, atol=1e-12)
@@ -357,7 +389,7 @@ def test_pauli_channel_n7_memory():
     rho = (np.eye(d) + z1) / d
     tracemalloc.start()
     try:
-        ch = Channel.from_pauli_probs(probs)
+        ch = Channel(probs)
         out = ch.apply(rho)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -232,6 +232,21 @@ print(code, "scipy" in sys.modules)
                         "scipy": scipy.__version__, "python": platform.python_version()}
 
 
+def test_manifest_versions_without_scipy_installed(tmp_path, monkeypatch):
+    # scipy is a test extra; without it the manifest keeps the key, as null
+    import importlib.util
+
+    real = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: None if name == "scipy" else real(name, *a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_experiment("twirl", out_dir=str(tmp_path), config_doc={"n_samples": 50})
+    assert code == 0
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    assert set(versions) == {"nmrqip", "numpy", "scipy", "python"}
+    assert versions["scipy"] is None
+
+
 @pytest.mark.parametrize("argv", [["twirl", "--seed", "abc"], ["twirl", "--bogus"],
                                   ["twirl", "--shots", "1.5"], ["repro", "--bogus"]])
 def test_usage_error_prints_one_json_line(argv):
@@ -848,7 +863,7 @@ def test_sample_count_is_capped(tmp_path, capsys):
 def test_sample_cap_footprint():
     # 10^6 shots at n = 3 peak at about 66 MB under tracemalloc (the cap's
     # comment); n = 2 must stay under twice that, with and without readout
-    noise = Channel.from_pauli_probs(pauli_probs_by_weight(2, {1: 0.3, 2: 0.1}))
+    noise = Channel(pauli_probs_by_weight(2, {1: 0.3, 2: 0.1}))
     for readout_shots in (None, 100):
         tracemalloc.start()
         try:

@@ -307,7 +307,7 @@ def test_clifford_group_equals_the_one_at_a_time_closure(n, group2):
 
 def test_table_entries_are_the_generator_row_products(rng):
     # every entry, at every key, is the product of the generator rows that
-    # the key's bits select; images adds the input phase to it
+    # the key's bits select; images of a packed entry adds its phase to it
     tabs = clifford_group(1) + [circuit_tableau(random_circuit(n, 6 * n, rng), n)
                                 for n in range(1, 6) for _ in range(10)]
     for t in tabs:
@@ -316,7 +316,8 @@ def test_table_entries_are_the_generator_row_products(rng):
         k = rng.integers(4, size=len(keys))
         want = [row_product(rows, key >> n, key & (1 << n) - 1, kk)
                 for key, kk in zip(keys.tolist(), k.tolist())]
-        assert t.images(keys, k).tolist() == [list(w) for w in want]
+        assert t.images(keys << 2 | k).tolist() == [x << (n + 2) | z << 2 | kk
+                                                     for x, z, kk in want]
         assert t.table.tolist() == [x << (n + 2) | z << 2 | (kk - k0) % 4
                                     for (x, z, kk), k0 in zip(want, k.tolist())]
 

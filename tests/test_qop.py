@@ -128,7 +128,7 @@ def test_pauli_dense_matches_kron():
         for start in range(0, len(cases), 25):
             chunk = cases[start:start + 25]
             ps = [PauliString(w, ph) for w, ph in chunk]
-            stack = pauli_matrices(n, [(p.x, p.z, p.k) for p in ps])
+            stack = pauli_matrices(n, [p.x << (n + 2) | p.z << 2 | p.k for p in ps])
             assert stack.shape == (len(chunk), 2**n, 2**n)
             for (word, phase), p, mat in zip(chunk, ps, stack):
                 ref = kron_pauli(word, phase)

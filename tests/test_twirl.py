@@ -147,7 +147,7 @@ def noise_and_gate(n):
     def gate(rho):
         return u @ memory(rho) @ u.conj().T
 
-    noise = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+    noise = Channel(composite_pauli_vector(factors, n))
     return noise, memory, gate, circuit_tableau(gates, n)
 
 
@@ -233,7 +233,7 @@ def test_twirl_exhaustive_recovers_identity_mass():
     # sampling every non-identity Pauli once makes the estimator exact, and
     # for a Pauli channel Pr(no error) is just the identity-word mass
     probs = pauli_probs_by_weight(2, {1: 0.3, 2: 0.1})
-    ch = Channel.from_pauli_probs(probs)
+    ch = Channel(probs)
     rng = np.random.default_rng(1)
     est = twirl_estimate_memory(ch, 0.05, rng, n_samples=15,
                                 with_replacement=False)
@@ -383,9 +383,9 @@ def rb_noise_models(n):
     factors = [(bit_flip(0.01).probs, (1,))]
     factors += [(phase_flip(0.02).probs, (q,)) for q in range(2, n + 1)]
     factors.append((Channel.depolarizing(1, 0.03).probs, (n,)))
-    composite = Channel.from_pauli_probs(composite_pauli_vector(factors, n))
+    composite = Channel(composite_pauli_vector(factors, n))
     return [Channel.depolarizing(n, 0.0), Channel.depolarizing(n, 0.01),
-            Channel.from_pauli_probs(pauli_probs_by_weight(n, masses)), composite]
+            Channel(pauli_probs_by_weight(n, masses)), composite]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -404,7 +404,7 @@ def rb_survivals(gate_set, noise, lengths, shots, rng) -> list:
     """Per length, the per-sequence survivals that randomized_benchmarking
     averages, drawn from rng as it draws them."""
     tabs, probs = gate_set
-    table, lam = np.stack([t.table >> 2 for t in tabs]), noise.eigenvalues().T.ravel()
+    table, lam = np.stack([t.table >> 2 for t in tabs]), noise.eigenvalues()
     return [_survivals(table, probs, lam, m, shots, rng) for m in lengths]
 
 
