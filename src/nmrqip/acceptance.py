@@ -66,6 +66,7 @@ from .qop import (
     average_gate_fidelity_exact,
     haar_random_state,
     haar_random_unitary,
+    hermitian_entries,
     ket_density,
     pauli_matrices,
     spin_bits,
@@ -225,16 +226,15 @@ def _crit_certify(base_seed):
     for n in (1, 2):
         group = clifford_group(n)
         passed &= len(group) == (24, 11520)[n - 1]  # group order mod global phase
-        keys = np.arange(1, 4**n)  # every non-identity Pauli x << n | z, phase +1
-        entries = keys << 2 | np.bitwise_count(keys >> n & keys)
+        entries = hermitian_entries(n, np.arange(1, 4**n))  # every non-identity Pauli
         paulis = pauli_matrices(n, entries)
         for at in range(0, len(group), 256):
             block = group[at:at + 256]
             ud = unitaries(block)[:, None]
             got = pauli_matrices(n, np.concatenate([t.images(entries) for t in block]))
             passed &= np.allclose(ud @ paulis @ ud.conj().swapaxes(2, 3),
-                                  got.reshape(len(block), len(keys), 2**n, 2**n), atol=1e-10)
-            checked += len(block) * len(keys)
+                                  got.reshape(len(block), len(entries), 2**n, 2**n), atol=1e-10)
+            checked += len(block) * len(entries)
         details[f"group_size_n{n}"] = len(group)
     details["conjugations_checked"] = checked
     return (bool(passed),

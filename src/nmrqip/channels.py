@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop import pauli_matrices, sylvester_hadamard
+from .qop import hermitian_entries, pauli_matrices, sylvester_hadamard
 
 _MATERIALIZE_LIMIT = 5  # qubits; up to 4^n Kraus matrices beyond this are too large
 
@@ -110,9 +110,7 @@ class Channel:
         for j, q in enumerate(qubits):
             keys |= (local >> (2 * m - 1 - j) & 1) << (2 * n - q)  # x bit
             keys |= (local >> (m - 1 - j) & 1) << (n - q)  # z bit
-        probs = np.zeros(4**n)
-        probs[keys] = self.probs
-        return Channel(probs)
+        return Channel(np.bincount(keys, self.probs, 4**n))  # keys are distinct
 
     def kraus(self):
         """Kraus list sqrt(p_Q) Q, one per Pauli Q with p_Q > 0 in key order
@@ -122,9 +120,9 @@ class Channel:
             raise ValueError(
                 f"refusing to materialize Kraus set for n={self.n} (> {_MATERIALIZE_LIMIT})"
             )
-        at = np.flatnonzero(self.probs)  # keys x << n | z; phase +1 is i^popcount(x & z)
-        entries = at << 2 | np.bitwise_count(at >> self.n & at)
-        return list(np.sqrt(self.probs[at])[:, None, None] * pauli_matrices(self.n, entries))
+        at = np.flatnonzero(self.probs)
+        paulis = pauli_matrices(self.n, hermitian_entries(self.n, at))
+        return list(np.sqrt(self.probs[at])[:, None, None] * paulis)
 
     # -- application --------------------------------------------------------
 

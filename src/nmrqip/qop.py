@@ -21,7 +21,8 @@ commutation are integer operations on (x, z, k).  Generated Paulis are built
 from bits (spin_bits gives a one-qubit Pauli's), never by joining letters.
 Dense operators are built from those bits, with no cache: pauli_matrices
 stacks those of packed entries x << (n + 2) | z << 2 | k (a tableau's
-encoding) and pauli_sum adds up Pauli-sum operators such as Hamiltonians.
+encoding; hermitian_entries packs the phase +1 Paulis at keys x << n | z)
+and pauli_sum adds up Pauli-sum operators such as Hamiltonians.
 Words are only parsed from literals and printed, never enumerated or
 decoded to build a matrix.
 """
@@ -145,6 +146,11 @@ def pauli_matrices(n: int, entries) -> np.ndarray:
     at, values = _pauli_entries(n, e >> (n + 2), e[:, 0] >> 2 & d - 1, e & 3)
     out[np.arange(len(e))[:, None], at, np.arange(d)] = values
     return out
+
+
+def hermitian_entries(n: int, keys) -> np.ndarray:
+    """Packed entries of the phase +1 Paulis at an int array of keys x << n | z."""
+    return keys << 2 | np.bitwise_count(keys >> n & keys) & 3  # k = popcount(x & z) mod 4
 
 
 def pauli_sum(n: int, terms) -> np.ndarray:

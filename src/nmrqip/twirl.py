@@ -33,7 +33,7 @@ import numpy as np
 
 from .channels import Channel
 from .clifford import CliffordTableau, circuit_tableau, gate_tableau
-from .qop import pauli_matrices
+from .qop import hermitian_entries, pauli_matrices
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.nd
         n = noise.n
         keys = np.flatnonzero(np.bincount(idx << 1 | sign))  # distinct, sorted, in O(shots)
         p = keys >> 1
-        # packed (-1)^sign P: the Hermitian P has phase i^popcount(x & z)
-        entries = p << 2 | np.bitwise_count(p >> n & p) + 2 * (keys & 1) & 3
+        entries = hermitian_entries(n, p) ^ 2 * (keys & 1)  # packed (-1)^sign P
         u = target.to_unitary()
         conj = u @ pauli_matrices(n, entries) @ u.conj().T
         t = pauli_matrices(n, target.images(entries))

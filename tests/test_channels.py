@@ -142,10 +142,10 @@ def test_depolarizing_shrinks_bloch_vector(rng):
                            atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_depolarizing_apply_matches_kraus_sum(n, rng):
     # through the eigenvalue table, against the Kraus sum and the closed form
-    # (1 - p) rho + p I/d
+    # (1 - p) rho + p I/d; n = 5 has Paulis with popcount(x & z) >= 4
     d = 2**n
     rho = random_density(d, rng)
     for p in (0.0, 0.1, 0.5, 1.0, 4**n / (4**n - 1)):

@@ -15,6 +15,7 @@ from nmrqip.qop import (
     SIGMA_Z,
     average_gate_fidelity_exact,
     basis_ket,
+    hermitian_entries,
     check_density,
     check_unitary,
     controlled,
@@ -135,6 +136,16 @@ def test_pauli_dense_matches_kron():
                 assert np.array_equal(mat, ref) and np.array_equal(p.dense(), ref)
                 if phase == 1:
                     assert np.array_equal(PauliString(word).dense(), ref)
+
+
+def test_hermitian_entries_pack_the_phase_plus_one_paulis():
+    # every key for n <= 6; from n = 4 on popcount(x & z) reaches 4, whose
+    # phase i^4 = 1 must not carry into the z bits (YYYYI is X^30 Z^30 i^4)
+    for n in range(1, 7):
+        ps = [PauliString.from_bits(n, a >> n, a & (1 << n) - 1) for a in range(4**n)]
+        want = [p.x << (n + 2) | p.z << 2 | p.k for p in ps]
+        assert hermitian_entries(n, np.arange(4**n)).tolist() == want
+    assert hermitian_entries(5, np.array([30 << 5 | 30])).tolist() == [30 << 7 | 30 << 2]
 
 
 _COEFFS = st.one_of(st.floats(-10, 10), st.complex_numbers(max_magnitude=10, allow_nan=False))
