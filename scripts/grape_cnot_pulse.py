@@ -4,7 +4,7 @@ Prints the accepted fidelity trace every 25 iterations and saves the final
 pulse to grape_cnot.json in the working directory.
 """
 
-from nmrqip.clifford import gate_tableau
+from nmrqip.clifford import gate_tableau, unitaries
 from nmrqip.control import (
     GrapeConfig, control_channels, grape_optimize, random_pulse, save_pulse,
 )
@@ -22,7 +22,7 @@ def design(seed: int = 0, n_steps: int = 250, dt: float = 2e-5, u_max: float = 1
     names, _ = control_channels(sys2)
     cfg = GrapeConfig(max_iters=2000, target_fidelity=target_fidelity)
     init = random_pulse(n_steps, dt, names, u_max, seed=seed, scale=0.01)
-    return grape_optimize(sys2, gate_tableau("CNOT", (1, 2), 2).to_unitary(), init, cfg)
+    return grape_optimize(sys2, unitaries(gate_tableau("CNOT", (1, 2), 2)), init, cfg)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import CliffordTableau, clifford_group, gate_tableau, unitaries
+from .clifford import (clifford_group, compose, conjugate, gate_tableau, identity, inverse,
+                       unitaries)
 from .control import (
     GrapeConfig,
     _fd_gradient,
@@ -96,7 +97,7 @@ class CriterionResult:
 
 def _crit_grape(base_seed):
     sys_ = builtin_molecule("chloroform2")
-    u_target = gate_tableau("CNOT", (1, 2), 2).to_unitary()
+    u_target = unitaries(gate_tableau("CNOT", (1, 2), 2))
     names, ops = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
     init = random_pulse(250, 2e-5, names, u_max=u_max, seed=base_seed + 11)
@@ -136,7 +137,7 @@ def _crit_grape(base_seed):
 def _crit_cnot_sequence(base_seed):
     sys_ = builtin_molecule("chloroform2")
     u = cnot_sequence(sys_, 1, 2)
-    cnot = gate_tableau("CNOT", (1, 2), 2).to_unitary()
+    cnot = unitaries(gate_tableau("CNOT", (1, 2), 2))
     overlap = abs(np.trace(u @ cnot.conj().T)) / 4
     err = abs(overlap - 1.0)
     return (err <= 1e-10,
@@ -205,7 +206,7 @@ def _crit_twirl(base_seed):
 
 def _crit_certify(base_seed):
     tab = gate_tableau("CNOT", (1, 2), 2)
-    u = tab.to_unitary()
+    u = unitaries(tab)
     parts, details, passed = [], {}, True
     for i, p in enumerate((0.05, 0.1, 0.2)):
         noise = Channel.depolarizing(2, p)
@@ -221,7 +222,7 @@ def _crit_certify(base_seed):
 
     # exhaustive readout bookkeeping: every Clifford on 1 and 2 qubits,
     # every Pauli, tableau conjugation against dense conjugation; blocks of
-    # 256 tableaux keep each dense (block, Pauli, d, d) product near 1 MB
+    # 256 tables keep each dense (block, Pauli, d, d) product near 1 MB
     checked = 0
     for n in (1, 2):
         group = clifford_group(n)
@@ -231,7 +232,7 @@ def _crit_certify(base_seed):
         for at in range(0, len(group), 256):
             block = group[at:at + 256]
             ud = unitaries(block)[:, None]
-            got = pauli_matrices(n, np.concatenate([t.images(entries) for t in block]))
+            got = pauli_matrices(n, compose(entries, block))
             passed &= np.allclose(ud @ paulis @ ud.conj().swapaxes(2, 3),
                                   got.reshape(len(block), len(entries), 2**n, 2**n), atol=1e-10)
             checked += len(block) * len(entries)
@@ -264,10 +265,10 @@ def _crit_rb(base_seed):
     z1 = PauliString.from_bits(n, *spin_bits("z", 1, n))
     exact_ones = 0
     for _ in range(100):
-        p, total = z1, CliffordTableau.identity(n)
+        p, total = z1, identity(n)
         for g in rng2.choice(len(tabs), size=int(rng2.integers(1, 40)), p=probs).tolist():
-            p, total = tabs[g].conjugate(p), total.then(tabs[g])
-        exact_ones += total.inverse().conjugate(p) == z1
+            p, total = conjugate(tabs[g], p), compose(total, tabs[g])
+        exact_ones += conjugate(inverse(total), p) == z1
     passed = res.ok and rel <= 0.10 and exact_ones == 100
     return (bool(passed),
             f"r_fit={res.error_rate:.5g} vs {r_inj} (rel {rel:.3f}); "

@@ -222,13 +222,13 @@ def _resolve(name: str, user: dict) -> dict:
 
 def _run_grape(cfg, seed, shots):
     import numpy as np
-    from .clifford import gate_tableau
+    from .clifford import gate_tableau, unitaries
     from .control import GrapeConfig, control_channels, grape_optimize, random_pulse
     from .spins import builtin_molecule
 
     sys_ = builtin_molecule(cfg["molecule"])
     pair = (cfg["control_qubit"], cfg["target_qubit"])
-    u_target = gate_tableau("CNOT", pair, sys_.n).to_unitary()
+    u_target = unitaries(gate_tableau("CNOT", pair, sys_.n))
     n_steps, dt = cfg["n_steps"], cfg["dt_s"]
     u_max = 2 * math.pi * cfg["u_max_hz"]
     gcfg = GrapeConfig(
@@ -842,8 +842,10 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
             return _error_json(f"cannot load config {config_path}: {exc}")
         if not isinstance(user_cfg, dict):
             return _error_json("config must be a JSON object")
-    if shots is not None and shots < 1:
-        return _error_json("shots must be a positive integer")
+    # rb runs `shots` sequences; numpy's binomial readouts take < 2^63 shots
+    top = SCHEMA["rb"][1]["sequences"]["limits"]["hi"] if name == "rb" else 2**63 - 1
+    if shots is not None and not 1 <= shots <= top:
+        return _error_json(f"shots must be an integer in 1..{top}")
     if not 0 <= seed < 2**64:
         return _error_json("seed must fit in 64 bits")
 

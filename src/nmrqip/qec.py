@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .clifford import CliffordTableau
+from .clifford import circuit_tableau, conjugate, tableau, unitaries
 from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, ket_density,
                   partial_trace, spin_bits, state_fidelity)
 
@@ -78,7 +78,7 @@ class StabilizerCode:
 
     # -- encoding -----------------------------------------------------------
 
-    def encoding_tableau(self) -> CliffordTableau:
+    def encoding_tableau(self) -> np.ndarray:
         """Clifford with X_1 -> logical X, Z_1 -> logical Z, Z_j -> generators."""
         n = self.n_physical
         z_imgs = [self.logical_z, *self.generators]
@@ -93,11 +93,11 @@ class StabilizerCode:
                 rhs.append(0)
             s = _gf2_solve(rows, rhs, 2 * n)
             x_imgs.append(PauliString.from_bits(n, s >> n, s & (2**n - 1)))
-        return CliffordTableau(n, tuple(x_imgs), tuple(z_imgs))
+        return tableau(n, tuple(x_imgs), tuple(z_imgs))
 
     def encoding_unitary(self) -> np.ndarray:
         if "unitary" not in self._cache:
-            self._cache["unitary"] = self.encoding_tableau().to_unitary()
+            self._cache["unitary"] = unitaries(self.encoding_tableau())
         return self._cache["unitary"]
 
     # -- syndrome machinery --------------------------------------------------
@@ -289,8 +289,6 @@ def transversal_cnot_demo(variant: str, error: PauliString) -> int:
     pairwise CNOTs.  The injected error is conjugated through the circuit
     tableau and its weight on block 2 is returned.
     """
-    from .clifford import circuit_tableau
-
     if variant == "bad":
         gates = [("CNOT", (1, t)) for t in (4, 5, 6)]
     elif variant == "transversal":
@@ -300,7 +298,7 @@ def transversal_cnot_demo(variant: str, error: PauliString) -> int:
     tab = circuit_tableau(gates, 6)
     if error.n == 3:
         error = PauliString.from_bits(6, error.x << 3, error.z << 3, error.k)
-    propagated = tab.conjugate(error)
+    propagated = conjugate(tab, error)
     return ((propagated.x | propagated.z) & 0b111).bit_count()  # qubits 4-6
 
 

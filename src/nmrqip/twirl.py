@@ -6,22 +6,22 @@ it through the noisy process, and read out the coefficient of the expected
 output Pauli.  All shots are drawn in one call, as a uniform index into the
 4^n - 1 non-identity Paulis and a uniform sign.  A memory shot reads the
 channel's eigenvalue lambda_M at M's key, whatever the sign of M.  A noisy
-Clifford gate is its Pauli noise followed by the target's dense unitary U;
-its shot reads lambda_M tr(T(M) U M U^dag)/d for the image T(M) of M's
-packed tableau entry, one trace per distinct signed Pauli, all in one
-batched product.  A finite-shot binomial readout, if asked for, is drawn
-for all shots in one call.  The mean coefficient maps affinely to
+Clifford gate is its Pauli noise followed by the dense unitary U of its
+target's table; its shot reads lambda_M tr(T(M) U M U^dag)/d for the image
+T(M) of M's packed entry in that table, one trace per distinct signed Pauli,
+all in one batched product.  A finite-shot binomial readout, if asked for,
+is drawn for all shots in one call.  The mean coefficient maps affinely to
 Pr(no error), and the average gate fidelity follows as
 fbar = (2^n Pr0 + 1)/(2^n + 1).
 
-Randomized benchmarking under Pauli noise stacks the tables of a gate set's
-tableaux, built from gate lists through nmrqip.clifford, with their phases
-shifted out: row g holds gate g's image key x' << n | z' of every Pauli key
-x << n | z, up to sign.  All sequences of one length advance at once: each
-step gathers every sequence's next key at its drawn gate index and
-multiplies its survival by the noise's eigenvalue there, so no density
-matrix or per-gate Pauli object is formed.  The decay A p^m + B is fitted
-by variable projection in numpy.
+A gate set for randomized benchmarking is one (m, 4^n) stack of Clifford
+tables from one nmrqip.clifford.circuit_tableaux call.  Under Pauli noise
+its phases are shifted out: row g holds gate g's image key x' << n | z' of
+every Pauli key x << n | z, up to sign.  All sequences of one length advance
+at once: each step gathers every sequence's next key at its drawn gate index
+and multiplies its survival by the noise's eigenvalue there, so no density
+matrix or per-gate Pauli object is formed.  The decay A p^m + B is fitted by
+variable projection in numpy.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel
-from .clifford import CliffordTableau, circuit_tableau, gate_tableau
+from .clifford import circuit_tableaux, compose, unitaries
 from .qop import hermitian_entries, pauli_matrices
 
 
@@ -88,15 +88,16 @@ def _shot_values(noise: Channel, idx, sign, target, readout_shots, rng) -> np.nd
         keys = np.flatnonzero(np.bincount(idx << 1 | sign))  # distinct, sorted, in O(shots)
         p = keys >> 1
         entries = hermitian_entries(n, p) ^ 2 * (keys & 1)  # packed (-1)^sign P
-        u = target.to_unitary()
+        u = unitaries(target)
         conj = u @ pauli_matrices(n, entries) @ u.conj().T
-        t = pauli_matrices(n, target.images(entries))
+        t = pauli_matrices(n, compose(entries, target))
         chis = np.empty(2 * 4**n)  # per key, then gathered per shot
         chis[keys] = lam[p] * np.einsum("kij,kji->k", t, conj).real / 2**n
         chis = chis[idx << 1 | sign]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)
-        chis = 2 * rng.binomial(readout_shots, q) / readout_shots - 1
+        # doubles the fraction, not the counts, which overflow int64 past 2^62
+        chis = 2 * (rng.binomial(readout_shots, q) / readout_shots) - 1
     return chis
 
 
@@ -134,7 +135,7 @@ def twirl_estimate_memory(
 
 def certify_clifford(
     noise: Channel,
-    target: CliffordTableau,
+    target: np.ndarray,
     delta: float,
     rng: np.random.Generator,
     n_samples: int | None = None,
@@ -142,12 +143,12 @@ def certify_clifford(
 ) -> TwirlEstimate:
     """Average-fidelity estimate of the Pauli noise in a noisy Clifford gate.
 
-    Models the gate as the noise followed by the target's dense unitary U;
-    the readout Pauli is the tableau image of the input, so the survival
-    coefficient falls below 1 only through the noise, or where the tableau
-    and U disagree.
+    Models the gate as the noise followed by the dense unitary U of the
+    target's table; the readout Pauli is the table's image of the input, so
+    the survival coefficient falls below 1 only through the noise, or where
+    the table and U disagree.
     """
-    if target.n != noise.n:
+    if target.shape != (4**noise.n,):
         raise ValueError("target size does not match noise")
     return _twirl(noise, target, delta, rng, n_samples, readout_shots, with_replacement=True)
 
@@ -169,17 +170,16 @@ class RBResult:
 
 
 def default_rb_sampler(n: int):
-    """Clifford generating set as (tableaux, probabilities): 2/3 uniform over
-    the single-qubit {H, S H S^dag}, 1/3 uniform over the directed
-    nearest-neighbour CNOTs, and all on the singles at n = 1."""
-    singles = [circuit_tableau([(g, (q,)) for g in word], n)
-               for q in range(1, n + 1) for word in ("H", "SSSHS")]
-    cnots = [gate_tableau("CNOT", pair, n)
-             for q in range(1, n) for pair in ((q, q + 1), (q + 1, q))]
+    """Clifford generating set as (stack of tables, probabilities): 2/3
+    uniform over the single-qubit {H, S H S^dag}, 1/3 uniform over the
+    directed nearest-neighbour CNOTs, and all on the singles at n = 1."""
+    singles = [[(g, (q,)) for g in word] for q in range(1, n + 1) for word in ("H", "SSSHS")]
+    cnots = [[("CNOT", pair)] for q in range(1, n) for pair in ((q, q + 1), (q + 1, q))]
+    tables = circuit_tableaux(singles + cnots, n)
     if not cnots:
-        return singles, np.full(len(singles), 1 / len(singles))
-    probs = np.repeat([2 / 3 / len(singles), 1 / 3 / len(cnots)], [len(singles), len(cnots)])
-    return singles + cnots, probs
+        return tables, np.full(len(singles), 1 / len(singles))
+    return tables, np.repeat([2 / 3 / len(singles), 1 / 3 / len(cnots)],
+                             [len(singles), len(cnots)])
 
 
 # +pi/2, -pi/2 and pi rotations about x, y and z up to phase, as gate words
@@ -188,10 +188,10 @@ _ROTATIONS = ("HSH", "SHS", "X", "HX", "HZ", "Y", "S", "SZ", "Z")
 
 
 def rotation_clifford_sampler():
-    """Single-qubit set as (tableaux, probabilities): +-pi/2 and pi rotations
-    about x, y, z, uniformly."""
-    gates = [circuit_tableau([(g, (1,)) for g in word], 1) for word in _ROTATIONS]
-    return gates, np.full(len(gates), 1 / len(gates))
+    """Single-qubit set as (stack of tables, probabilities): +-pi/2 and pi
+    rotations about x, y, z, uniformly."""
+    tables = circuit_tableaux([[(g, (1,)) for g in word] for word in _ROTATIONS], 1)
+    return tables, np.full(len(tables), 1 / len(tables))
 
 
 # bytes of gate indices drawn per block of steps (at least one step); the
@@ -277,12 +277,12 @@ def randomized_benchmarking(
 ) -> RBResult:
     """Survival-decay benchmarking with exact tableau-inverted recovery.
 
-    gate_set is (tableaux, probabilities).  For each length, `shots` random
+    gate_set is (stack of tables, probabilities).  For each length, `shots` random
     sequences are applied to a deviation state Z_1; noise acts after every
     gate including the recovery.  The mean survival is fitted to A p^m + B.
     """
     tableaux, probs = gate_set
-    table = np.stack([t.table >> 2 for t in tableaux])  # gate g's image key of each key
+    table = tableaux >> 2  # gate g's image key of each key
     lam = noise_model.eigenvalues()
     lengths = list(seq_lengths)
     survivals = [float(_survivals(table, probs, lam, m, shots, rng).mean()) for m in lengths]

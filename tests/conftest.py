@@ -8,7 +8,7 @@ import pytest
 
 import nmrqip
 from nmrqip.channels import Channel
-from nmrqip.clifford import CliffordTableau
+from nmrqip.clifford import compose, identity, inverse, tableau, unitaries
 from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
                             _phase_divided_differences, _propagators)
 from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
@@ -155,12 +155,12 @@ def dense_rb_survivals(gate_set, noise, drawn) -> list:
         acc = 0.0
         for seq in idx.T.tolist():
             rho = (np.eye(2**n, dtype=complex) + z1) / 2**n
-            total = CliffordTableau.identity(n)
+            total = identity(n)
             for g in seq:
-                u = tabs[g].to_unitary()
+                u = unitaries(tabs[g])
                 rho = kraus_sum(kraus, u @ rho @ u.conj().T)
-                total = total.then(tabs[g])
-            rec = total.inverse().to_unitary()
+                total = compose(total, tabs[g])
+            rec = unitaries(inverse(total))
             rho = kraus_sum(kraus, rec @ rho @ rec.conj().T)
             acc += float(np.trace(z1 @ rho).real)
         survivals.append(acc / idx.shape[1])
@@ -295,8 +295,13 @@ def whole_pulse_gradient(u_target, h_ctrl, dt, record):
 # ---------------------------------------------------------------------------
 # Clifford oracles: the generator-row product, the row-patch gate builder and
 # the one-at-a-time group closure, which read a tableau only through its
-# generator rows, its table and then, and dense gates built independently of
-# the tableau rows
+# table, its generator rows decoded here and compose, and dense gates built
+# independently of the tableau rows
+
+
+def table_qubits(t) -> int:
+    """n of a table, or a stack of tables, of width 4^n."""
+    return (t.shape[-1].bit_length() - 1) // 2
 
 
 def generator_keys(n: int) -> np.ndarray:
@@ -305,12 +310,12 @@ def generator_keys(n: int) -> np.ndarray:
     return 1 << np.arange(2 * n)[::-1]
 
 
-def generator_rows(t: CliffordTableau) -> tuple:
+def generator_rows(t: np.ndarray) -> tuple:
     """(x, z, k) images of X_1..X_n, then Z_1..Z_n, decoded from the table's
     generator entries x << (n + 2) | z << 2 | k."""
-    n = t.n
+    n = table_qubits(t)
     return tuple((e >> (n + 2), e >> 2 & (1 << n) - 1, e & 3)
-                 for e in t.table[generator_keys(n)].tolist())
+                 for e in t[generator_keys(n)].tolist())
 
 
 def pauli_product(p: PauliString, q: PauliString) -> PauliString:
@@ -349,7 +354,7 @@ _ROWS_1Q = {
 }
 
 
-def gate_tableau_by_rows(name: str, qubits, n: int) -> CliffordTableau:
+def gate_tableau_by_rows(name: str, qubits, n: int) -> np.ndarray:
     """Tableau of a named gate by patching the identity's generator rows on
     the gate's qubits and building the table through the validating
     constructor; the oracle for nmrqip.clifford's gate rule."""
@@ -367,23 +372,23 @@ def gate_tableau_by_rows(name: str, qubits, n: int) -> CliffordTableau:
         rows[q - 1] = (xx << s, xz << s, xk)
         rows[n + q - 1] = (zx << s, zz << s, zk)
     ps = [PauliString.from_bits(n, *r) for r in rows]
-    return CliffordTableau(n, ps[:n], ps[n:])
+    return tableau(n, ps[:n], ps[n:])
 
 
 def closure_one_at_a_time(n: int) -> list:
     """The Cliffords on n <= 2 by the per-tableau breadth-first closure: each
     member then each generator (H_q, S_q, neighbour CNOTs both ways, built by
-    gate_tableau_by_rows) in turn, deduplicated by a set of table bytes; the
-    order nmrqip.clifford.clifford_group keeps."""
+    gate_tableau_by_rows) in turn, composed table by table and deduplicated
+    by a set of table bytes; the order nmrqip.clifford.clifford_group keeps."""
     gens = [gate_tableau_by_rows(g, (q,), n) for g in "HS" for q in range(1, n + 1)]
     gens += [gate_tableau_by_rows("CNOT", pair, n) for pair in ((1, 2), (2, 1)) if n == 2]
-    out = [CliffordTableau.identity(n)]
-    seen = {out[0].table.tobytes()}
+    out = [identity(n)]
+    seen = {out[0].tobytes()}
     for tab in out:  # out grows while it is read: breadth first
         for gen in gens:
-            nxt = tab.then(gen)
-            if nxt.table.tobytes() not in seen:
-                seen.add(nxt.table.tobytes())
+            nxt = compose(tab, gen)
+            if nxt.tobytes() not in seen:
+                seen.add(nxt.tobytes())
                 out.append(nxt)
     return out
 
@@ -412,9 +417,9 @@ def circuit_unitary(gates, n: int) -> np.ndarray:
     return u
 
 
-def from_unitaries(stack) -> list:
-    """Tableaux of an (m, d, d) stack of Clifford unitaries, each through the
-    validating constructor; raises if one is not Clifford: the inverse of
+def from_unitaries(stack) -> np.ndarray:
+    """(m, 4^n) tables of an (m, d, d) stack of Clifford unitaries, each
+    through the validating constructor; raises if one is not Clifford: the inverse of
     nmrqip.clifford.unitaries.
 
     Column a of i^k X^x Z^z holds i^k (-1)^popcount(z & a) at row a ^ x, so
@@ -436,19 +441,19 @@ def from_unitaries(stack) -> list:
     if not np.allclose(pauli_matrices(n, x << (n + 2) | z << 2 | k), mats, rtol=0, atol=1e-9):
         raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
     paulis = [PauliString.from_bits(n, *row) for row in zip(x.tolist(), z.tolist(), k.tolist())]
-    return [CliffordTableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
-            for at in range(0, len(paulis), 2 * n)]
+    return np.array([tableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
+                     for at in range(0, len(paulis), 2 * n)])
 
 
-def from_unitary(u: np.ndarray) -> CliffordTableau:
+def from_unitary(u: np.ndarray) -> np.ndarray:
     """Tableau of one Clifford unitary; raises if u is not Clifford."""
     return from_unitaries(np.asarray(u)[None])[0]
 
 
-def all_1q_cliffords() -> list:
-    """The 24 single-qubit Clifford tableaux from their signed X and Z images:
-    X image X, -X, Y, -Y, Z, -Z, then Z image +-X, +-Y, +-Z, skipping the X
-    image's Pauli."""
+def all_1q_cliffords() -> np.ndarray:
+    """The (24, 4) tables of the single-qubit Cliffords from their signed X
+    and Z images: X image X, -X, Y, -Y, Z, -Z, then Z image +-X, +-Y, +-Z,
+    skipping the X image's Pauli."""
     out = []
     for xw in "XYZ":
         for xsign in (1, -1):
@@ -458,9 +463,9 @@ def all_1q_cliffords() -> list:
                 for zsign in (1, -1):
                     xi = PauliString(xw, xsign)
                     zi = PauliString(zw, zsign)
-                    out.append(CliffordTableau(1, (xi,), (zi,)))
+                    out.append(tableau(1, (xi,), (zi,)))
     assert len(out) == 24
-    return out
+    return np.array(out)
 
 
 def signed_paulis(n: int, idx, sign) -> list:

@@ -4,6 +4,7 @@ Each case prints one PASS/FAIL line so a verbose run reads like the
 `nmrqip repro` table.  Failures carry the measured and expected values.
 """
 
+import numpy as np
 import pytest
 
 from nmrqip import acceptance
@@ -20,3 +21,22 @@ def test_criterion(name):
 def test_criteria_registry_complete():
     assert len(acceptance.CRITERIA) == 15
     assert all(isinstance(k, str) and k for k in acceptance.CRITERIA)
+
+
+def test_certify_decodes_each_block_with_one_compose(monkeypatch):
+    # the exhaustive check reads a block's images of every Pauli in one
+    # compose call, 1 block at n = 1 and 45 at n = 2, each equal row by
+    # row to the per-table images
+    calls = []
+    real = acceptance.compose
+
+    def block_compose(entries, block):
+        got = real(entries, block)
+        calls.append(len(block))
+        assert np.array_equal(got, [real(entries, t) for t in block])
+        return got
+
+    monkeypatch.setattr(acceptance, "compose", block_compose)
+    res = acceptance.run_criterion("certify-clifford", base_seed=0)
+    assert res.passed and res.details["conjugations_checked"] == 172872
+    assert calls == [24] + [256] * 45

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import nmrqip
 from nmrqip import acceptance
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import gate_tableau
+from nmrqip.clifford import gate_tableau, unitaries
 from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA,
                         _resolve, main, run_experiment, write_csv)
 from nmrqip.qop import average_gate_fidelity_exact
@@ -527,9 +527,9 @@ def csv_bytes(out: Path) -> dict:
 
 
 @pytest.mark.parametrize("experiment, config", [
-    ("qec", {}),  # the five-qubit code's encoder goes through to_unitary
+    ("qec", {}),  # the five-qubit code's encoder goes through unitaries
     ("certify", {}),
-    ("rb", {"n": 1, "sampler": "rotations"}),  # gate lists composed by circuit_tableau
+    ("rb", {"n": 1, "sampler": "rotations"}),  # gate lists composed by circuit_tableaux
 ], ids=["qec", "certify", "rb-rotations"])
 def test_clifford_reruns_are_byte_identical(tmp_path, capsys, experiment, config):
     outs = []
@@ -965,6 +965,31 @@ def test_fuzz_one_key_exits_0_2_or_3(name, data):
             assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize("experiment, shots", [
+    ("twirl", 2**63), ("certify", 2**63), ("dqc1", 2**63), ("twirl", 10**29), ("rb", 2**61),
+])
+def test_shots_past_what_a_run_can_take_exit_2(tmp_path, capsys, experiment, shots):
+    # readouts draw binomials, which take at most 2^63 - 1 shots; rb runs
+    # --shots sequences, within its sequences limit
+    top = SCHEMA["rb"][1]["sequences"]["limits"]["hi"] if experiment == "rb" else 2**63 - 1
+    out = tmp_path / "o"
+    assert main([experiment, "--shots", str(shots), "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": f"shots must be an integer in 1..{top}"}
+    assert not out.exists()
+
+
+def test_largest_shots_read_out_in_range(tmp_path, capsys):
+    # at 2^63 - 1 shots every readout still lies in [-1, 1]: twice the
+    # binomial counts would overflow int64, so the fraction is doubled
+    out = str(tmp_path / "o")
+    assert main(["twirl", "--shots", str(2**63 - 1), "--out", out]) == 0
+    assert read_stdout_json(capsys)["within_delta"]
+    assert main(["certify", "--shots", str(2**63 - 1), "--out", out]) == 0
+    assert read_stdout_json(capsys)["worst_abs_error"] < 1e-9
+
+
 def test_dqc1_shots_flag(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["dqc1", "--seed", "5", "--shots", "20000", "--out", out]) == 0
@@ -1076,7 +1101,7 @@ def test_certify_exact_fidelity_equals_the_kraus_oracle(tmp_path, n, ps):
         assert run_experiment("certify", out_dir=str(tmp_path / "o"), config_doc=doc) == 0
     with open(tmp_path / "o" / "certify.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    u = gate_tableau("CNOT", (1, n), n).to_unitary()
+    u = unitaries(gate_tableau("CNOT", (1, n), n))
     assert len(rows) == len(ps)
     for p, row in zip(ps, rows):
         kraus = [u @ k for k in Channel.depolarizing(n, p).kraus()]

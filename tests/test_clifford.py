@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 
 from nmrqip import clifford
 from nmrqip.clifford import (
-    CliffordTableau,
     circuit_tableau,
+    circuit_tableaux,
     clifford_group,
+    compose,
+    conjugate,
     gate_tableau,
+    identity,
+    inverse,
+    tableau,
     unitaries,
 )
 from nmrqip.qop import PAULIS, PauliString, controlled, haar_random_unitary, tensor
@@ -23,7 +28,7 @@ from nmrqip.qop import PAULIS, PauliString, controlled, haar_random_unitary, ten
 from conftest import (all_1q_cliffords, all_pauli_words, child_env, circuit_unitary,
                       closure_one_at_a_time, from_unitaries, from_unitary, gate_fidelity_hs,
                       gate_tableau_by_rows, generator_rows, pauli_product, rotation_unitaries,
-                      row_product)
+                      row_product, table_qubits)
 
 
 def random_circuit(n, depth, rng, singles="HS"):
@@ -42,23 +47,23 @@ def random_circuit(n, depth, rng, singles="HS"):
 
 def test_hadamard_images():
     h = gate_tableau("H", (1,), 1)
-    assert h.conjugate(PauliString("X")) == PauliString("Z")
-    assert h.conjugate(PauliString("Z")) == PauliString("X")
-    assert h.conjugate(PauliString("Y")) == PauliString("Y", -1)
+    assert conjugate(h, PauliString("X")) == PauliString("Z")
+    assert conjugate(h, PauliString("Z")) == PauliString("X")
+    assert conjugate(h, PauliString("Y")) == PauliString("Y", -1)
 
 
 def test_phase_gate_images():
     s = gate_tableau("S", (1,), 1)
-    assert s.conjugate(PauliString("X")) == PauliString("Y")
-    assert s.conjugate(PauliString("Z")) == PauliString("Z")
+    assert conjugate(s, PauliString("X")) == PauliString("Y")
+    assert conjugate(s, PauliString("Z")) == PauliString("Z")
 
 
 def test_cnot_images():
     cx = gate_tableau("CNOT", (1, 2), 2)
-    assert cx.conjugate(PauliString("XI")) == PauliString("XX")
-    assert cx.conjugate(PauliString("IZ")) == PauliString("ZZ")
-    assert cx.conjugate(PauliString("IX")) == PauliString("IX")
-    assert cx.conjugate(PauliString("ZI")) == PauliString("ZI")
+    assert conjugate(cx, PauliString("XI")) == PauliString("XX")
+    assert conjugate(cx, PauliString("IZ")) == PauliString("ZZ")
+    assert conjugate(cx, PauliString("IX")) == PauliString("IX")
+    assert conjugate(cx, PauliString("ZI")) == PauliString("ZI")
 
 
 def test_conjugate_matches_dense(rng):
@@ -67,7 +72,7 @@ def test_conjugate_matches_dense(rng):
         tab = circuit_tableau(gates, n)
         u = circuit_unitary(gates, n)
         for word in all_pauli_words(n)[1:]:
-            img = tab.conjugate(PauliString(word))
+            img = conjugate(tab, PauliString(word))
             dense = u @ PauliString(word).dense() @ u.conj().T
             assert np.allclose(img.dense(), dense, atol=1e-10)
 
@@ -75,23 +80,24 @@ def test_conjugate_matches_dense(rng):
 def test_conjugate_is_multiplicative(rng):
     tab = circuit_tableau(random_circuit(2, 10, rng), 2)
     a, b = PauliString("XY"), PauliString("ZX")
-    assert pauli_product(tab.conjugate(a), tab.conjugate(b)) == tab.conjugate(pauli_product(a, b))
+    assert (pauli_product(conjugate(tab, a), conjugate(tab, b))
+            == conjugate(tab, pauli_product(a, b)))
 
 
 def test_then_order_matches_circuit():
     # H then S on the same qubit: X -> Z -> Z
     h = gate_tableau("H", (1,), 1)
     s = gate_tableau("S", (1,), 1)
-    assert h.then(s).conjugate(PauliString("X")) == PauliString("Z")
+    assert conjugate(compose(h, s), PauliString("X")) == PauliString("Z")
     # S then H: X -> Y -> -Y
-    assert s.then(h).conjugate(PauliString("X")) == PauliString("Y", -1)
+    assert conjugate(compose(s, h), PauliString("X")) == PauliString("Y", -1)
 
 
 def test_inverse(rng):
     tab = circuit_tableau(random_circuit(3, 15, rng), 3)
-    ident = CliffordTableau.identity(3).table
-    assert np.array_equal(tab.then(tab.inverse()).table, ident)
-    assert np.array_equal(tab.inverse().then(tab).table, ident)
+    ident = identity(3)
+    assert np.array_equal(compose(tab, inverse(tab)), ident)
+    assert np.array_equal(compose(inverse(tab), tab), ident)
 
 
 def gate_lists(n):
@@ -107,24 +113,24 @@ def gate_lists(n):
 def test_random_tableau_against_its_unitary(case, data):
     n, gates = case
     tab = circuit_tableau(gates, n)
-    u = tab.to_unitary()
+    u = unitaries(tab)
     p = PauliString(data.draw(st.text("IXYZ", min_size=n, max_size=n)),
                     data.draw(st.sampled_from([1, -1, 1j, -1j])))
-    assert np.allclose(tab.conjugate(p).dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
-    inv = tab.inverse()
-    assert np.allclose(inv.conjugate(p).dense(), u.conj().T @ p.dense() @ u, atol=1e-10)
-    ident = CliffordTableau.identity(n).table
-    assert np.array_equal(tab.then(inv).table, ident) and np.array_equal(inv.then(tab).table, ident)
+    assert np.allclose(conjugate(tab, p).dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
+    inv = inverse(tab)
+    assert np.allclose(conjugate(inv, p).dense(), u.conj().T @ p.dense() @ u, atol=1e-10)
+    ident = identity(n)
+    assert np.array_equal(compose(tab, inv), ident) and np.array_equal(compose(inv, tab), ident)
 
 
 def test_unitary_roundtrip(rng):
     for n in (1, 2):
         gates = random_circuit(n, 8, rng)
         tab = circuit_tableau(gates, n)
-        assert np.array_equal(from_unitary(tab.to_unitary()).table, tab.table)
+        assert np.array_equal(from_unitary(unitaries(tab)), tab)
         # matches the dense circuit up to global phase
         assert gate_fidelity_hs(circuit_unitary(gates, n),
-                                tab.to_unitary()) == pytest.approx(1.0)
+                                unitaries(tab)) == pytest.approx(1.0)
 
 
 def test_from_unitary_rejects_non_clifford(rng):
@@ -164,7 +170,7 @@ def test_from_unitary_matches_the_word_scan(group2):
     # all 11520 two-qubit Cliffords and the RB rotations set
     dense = unitaries(group2)
     for t, got, rows in zip(group2, from_unitaries(dense), scan_rows(dense, 2)):
-        assert generator_rows(got) == rows and np.array_equal(got.table, t.table)
+        assert generator_rows(got) == rows and np.array_equal(got, t)
     rotations = rotation_unitaries()
     for u, rows in zip(rotations, scan_rows(rotations, 1)):
         assert generator_rows(from_unitary(u)) == rows
@@ -188,13 +194,14 @@ def paulis(*words):
         "x1-x2-anticommute", "z1-z2-anticommute", "x1-z2-anticommute", "x1-z1-commute"])
 def test_validation_rejects_each_rule(n, x_images, z_images, message):
     with pytest.raises(ValueError, match=message):
-        CliffordTableau(n, x_images, z_images)
+        tableau(n, x_images, z_images)
 
 
 def images(t):
-    """(X images, Z images) of a tableau as PauliStrings, read from its rows."""
-    ps = tuple(PauliString.from_bits(t.n, *r) for r in generator_rows(t))
-    return ps[:t.n], ps[t.n:]
+    """(X images, Z images) of a table as PauliStrings, read from its rows."""
+    n = table_qubits(t)
+    ps = tuple(PauliString.from_bits(n, *r) for r in generator_rows(t))
+    return ps[:n], ps[n:]
 
 
 @settings(deadline=None, max_examples=60)
@@ -203,13 +210,13 @@ def images(t):
 def test_derived_rows_pass_the_validator(case):
     n, gates_a, gates_b = case
     a, b = circuit_tableau(gates_a, n), circuit_tableau(gates_b, n)
-    for t in (a.then(b), a.inverse(), b.then(a.inverse())):
-        rebuilt = CliffordTableau(n, *images(t))  # raises if invalid
-        assert np.array_equal(rebuilt.table, t.table)
-    same = a.then(b).then(b.inverse())  # equal to a, built along another path
+    for t in (compose(a, b), inverse(a), compose(b, inverse(a))):
+        rebuilt = tableau(n, *images(t))  # raises if invalid
+        assert np.array_equal(rebuilt, t)
+    same = compose(compose(a, b), inverse(b))  # equal to a, built along another path
     for u, v in ((a, b), (a, same)):
-        assert np.array_equal(u.table, v.table) == (images(u) == images(v))
-    assert np.array_equal(a.table, same.table)
+        assert np.array_equal(u, v) == (images(u) == images(v))
+    assert np.array_equal(a, same)
 
 
 def test_gate_tableau_rejects_qubits_out_of_range():
@@ -267,32 +274,47 @@ def test_unitaries_match_circuit_unitary_up_to_phase(rng):
             u = unitaries([t])[0]
             assert np.allclose(u @ u.conj().T, np.eye(len(u)), rtol=0, atol=1e-12)
             assert gate_fidelity_hs(circuit_unitary(gates, n), u) == pytest.approx(1, abs=1e-12)
-            assert np.array_equal(t.to_unitary(), u)
+            assert np.array_equal(unitaries(t), u)
 
 
 def test_cnot_unitary_equals_the_dense_gate():
     # exactly, phase included: grape and certify take their CNOT target from it
     for n in range(2, 5):
         for pair in itertools.permutations(range(1, n + 1), 2):
-            assert np.array_equal(gate_tableau("CNOT", pair, n).to_unitary(),
+            assert np.array_equal(unitaries(gate_tableau("CNOT", pair, n)),
                                   circuit_unitary([("CNOT", pair)], n))
 
 
 def test_unitaries_rejects_empty_or_mixed_n():
-    for tabs in ([], [CliffordTableau.identity(1), CliffordTableau.identity(2)]):
-        with pytest.raises(ValueError):
-            unitaries(tabs)
+    # a stack holds one n; an empty list has no width to read n from and is
+    # rejected, while an empty (0, 4^n) stack gives an empty (0, d, d) stack
+    with pytest.raises(ValueError):
+        unitaries([])
+    assert unitaries(np.empty((0, 16), dtype=np.int64)).shape == (0, 4, 4)
+
+
+def test_unitaries_of_a_stack_are_the_per_table_unitaries(rng, group2):
+    stacks = [clifford_group(1), group2[::97]]
+    stacks += [circuit_tableaux([random_circuit(n, 6 * n, rng) for _ in range(5)], n)
+               for n in range(1, 6)]
+    for stack in stacks:
+        want = np.array([unitaries(t) for t in stack])
+        assert want.shape == (len(stack), *2 * [2**table_qubits(stack)])
+        assert np.array_equal(unitaries(stack), want)
 
 
 def table_bytes(tabs, kind):
-    """The tableaux's table bytes, collected by kind (list or set)."""
-    return kind(t.table.tobytes() for t in tabs)
+    """The tables' bytes, collected by kind (list or set)."""
+    return kind(t.tobytes() for t in tabs)
 
 
 def test_clifford_group(group2):
     assert table_bytes(clifford_group(1), set) == table_bytes(all_1q_cliffords(), set)
     assert len(group2) == len(table_bytes(group2, set)) == 11520
-    assert np.array_equal(group2[0].table, CliffordTableau.identity(2).table)
+    assert np.array_equal(group2[0], identity(2))
+    for group, n in ((clifford_group(1), 1), (group2, 2)):  # one read-only int64 stack
+        assert group.shape == (len(group), 4**n) and group.dtype == np.int64
+        assert not group.flags.writeable
     for n in (0, 3):
         with pytest.raises(ValueError):
             clifford_group(n)
@@ -308,30 +330,30 @@ def test_clifford_group_equals_the_one_at_a_time_closure(n, group2):
 def test_table_entries_are_the_generator_row_products(rng):
     # every entry, at every key, is the product of the generator rows that
     # the key's bits select; images of a packed entry adds its phase to it
-    tabs = clifford_group(1) + [circuit_tableau(random_circuit(n, 6 * n, rng), n)
-                                for n in range(1, 6) for _ in range(10)]
+    tabs = [*clifford_group(1), *(circuit_tableau(random_circuit(n, 6 * n, rng), n)
+                                  for n in range(1, 6) for _ in range(10))]
     for t in tabs:
-        n, rows = t.n, generator_rows(t)
+        n, rows = table_qubits(t), generator_rows(t)
         keys = np.arange(4**n)
         k = rng.integers(4, size=len(keys))
         want = [row_product(rows, key >> n, key & (1 << n) - 1, kk)
                 for key, kk in zip(keys.tolist(), k.tolist())]
-        assert t.images(keys << 2 | k).tolist() == [x << (n + 2) | z << 2 | kk
-                                                     for x, z, kk in want]
-        assert t.table.tolist() == [x << (n + 2) | z << 2 | (kk - k0) % 4
-                                    for (x, z, kk), k0 in zip(want, k.tolist())]
+        assert compose(keys << 2 | k, t).tolist() == [x << (n + 2) | z << 2 | kk
+                                                       for x, z, kk in want]
+        assert t.tolist() == [x << (n + 2) | z << 2 | (kk - k0) % 4
+                              for (x, z, kk), k0 in zip(want, k.tolist())]
 
 
 def test_circuit_tableau_equals_the_row_patch_gate_product(rng):
-    # random circuits over all seven gates against the gate-by-gate then
+    # random circuits over all seven gates against the gate-by-gate composed
     # product of tables built by patching identity rows, not by the gate rule
     for n in range(1, 8):
         for _ in range(30):
             gates = random_circuit(n, 3 * n, rng, singles="HSXYZI")
-            want = functools.reduce(CliffordTableau.then,
+            want = functools.reduce(compose,
                                     [gate_tableau_by_rows(name, q, n) for name, q in gates],
-                                    CliffordTableau.identity(n))
-            assert np.array_equal(circuit_tableau(gates, n).table, want.table)
+                                    identity(n))
+            assert np.array_equal(circuit_tableau(gates, n), want)
 
 
 def test_circuit_tableau_builds_one_table_per_call(rng, monkeypatch):
@@ -346,6 +368,22 @@ def test_circuit_tableau_builds_one_table_per_call(rng, monkeypatch):
             built.clear()
             circuit_tableau(random_circuit(n, depth, rng, singles="HSXYZI"), n)
             assert [m for m in built if m == n] == [n] and set(built) <= {1, 2, n}
+
+
+def test_circuit_tableaux_stack_the_per_list_tables_in_one_build(rng, monkeypatch):
+    # m gate lists give the (m, 4^n) stack of their circuit_tableau rows,
+    # and the lists' tables are built in one call; a named gate's local
+    # table is built from one 1-D row of entries
+    built = []
+    real = clifford._image_table
+    monkeypatch.setattr(clifford, "_image_table", lambda m, e: built.append(e.shape) or real(m, e))
+    for n in (1, 3, 6):
+        circuits = [random_circuit(n, depth, rng, singles="HSXYZI") for depth in (0, 1, 5, 3 * n)]
+        want = np.array([circuit_tableau(gates, n) for gates in circuits])
+        built.clear()
+        got = circuit_tableaux(circuits, n)
+        assert np.array_equal(got, want) and got.shape == (len(circuits), 4**n)
+        assert [shape for shape in built if len(shape) == 2] == [(len(circuits), 2 * n)]
 
 
 def test_twirl_import_builds_no_gate_table():
@@ -365,11 +403,11 @@ print(len(built), c._local_table.cache_info().currsize)
 
 def test_tables_are_read_only(rng):
     a = circuit_tableau(random_circuit(2, 8, rng), 2)
-    tabs = [a, a.then(a), a.inverse(), CliffordTableau.identity(2), gate_tableau("H", (1,), 2),
-            clifford_group(1)[5], CliffordTableau(1, paulis("Z"), paulis("X"))]
+    tabs = [a, compose(a, a), inverse(a), identity(2), gate_tableau("H", (1,), 2),
+            clifford_group(1)[5], tableau(1, paulis("Z"), paulis("X"))]
     for t in tabs:
         with pytest.raises(ValueError, match="read-only"):
-            t.table[1] = 0
+            t[1] = 0
 
 
 def test_from_unitaries_reads_a_stack_and_rejects_non_clifford():

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from nmrqip.clifford import gate_tableau
+from nmrqip.clifford import gate_tableau, unitaries
 from nmrqip.control import (
     ControlPulse,
     GrapeConfig,
@@ -263,7 +263,7 @@ def test_grape_gradient_matches_reference_over_a_long_pulse():
     sys_ = builtin_molecule("malonate3")
     h = internal_hamiltonian(sys_)
     names, ops = control_channels(sys_)
-    target = gate_tableau("CNOT", (1, 2), 3).to_unitary()
+    target = unitaries(gate_tableau("CNOT", (1, 2), 3))
     pulse = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.3)
     g = grape_gradient(target, h, ops, pulse)
     ref = _reference_gradient(target, h, ops, pulse)
@@ -432,7 +432,7 @@ def test_grape_stall_rule_is_in_units_of_the_cap():
     sys_ = builtin_molecule("chain7")
     names, _ = control_channels(sys_)
     init = random_pulse(50, 2e-5, names, u_max=2 * np.pi * 1e4, seed=0)
-    res = grape_optimize(sys_, gate_tableau("CNOT", (1, 2), 7).to_unitary(), init,
+    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 7)), init,
                          GrapeConfig(max_iters=1))
     assert res.iterations >= 1, res.message
 
@@ -441,7 +441,7 @@ def test_grape_malonate3_cnot_reaches_target_within_70_iterations():
     sys_ = builtin_molecule("malonate3")
     names, _ = control_channels(sys_)
     init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
-    res = grape_optimize(sys_, gate_tableau("CNOT", (1, 2), 3).to_unitary(), init,
+    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 3)), init,
                          GrapeConfig(max_iters=300))
     assert res.converged and res.fidelity >= 0.99
     assert res.iterations <= 70 and res.evaluations >= res.iterations + 1
@@ -525,7 +525,7 @@ def test_grape_optimize_holds_one_step_record():
     sys_ = builtin_molecule("malonate3")
     names, _ = control_channels(sys_)
     init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
-    target = gate_tableau("CNOT", (1, 2), 3).to_unitary()
+    target = unitaries(gate_tableau("CNOT", (1, 2), 3))
     tracemalloc.start()
     try:
         res = grape_optimize(sys_, target, init, GrapeConfig(max_iters=4))

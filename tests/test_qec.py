@@ -67,8 +67,8 @@ def test_code_definitions_are_consistent():
         for g in code.generators:
             assert code.logical_x.commutes(g)
         # encoding tableau maps Z_j (j >= 2) onto the generators
-        tab = code.encoding_tableau()
-        z_images = tuple(PauliString.from_bits(tab.n, *r) for r in generator_rows(tab)[tab.n:])
+        tab, n = code.encoding_tableau(), code.n_physical
+        z_images = tuple(PauliString.from_bits(n, *r) for r in generator_rows(tab)[n:])
         assert z_images[1:] == code.generators
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nmrqip import twirl
+from nmrqip import clifford, twirl
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import CliffordTableau, circuit_tableau, gate_tableau
+from nmrqip.clifford import circuit_tableau, conjugate, gate_tableau, identity, tableau, unitaries
 from nmrqip.qop import PauliString, average_gate_fidelity_exact
 from nmrqip.twirl import (
     TwirlEstimate,
@@ -62,7 +62,7 @@ def old_chain_law(n: int) -> dict:
     the first w qubits of a uniform permutation, and on each the image
     C Z C^dag of one of the 24 single-qubit Cliffords, embedded and
     multiplied in."""
-    images = [c.conjugate(PauliString("Z")) for c in all_1q_cliffords()]
+    images = [conjugate(c, PauliString("Z")) for c in all_1q_cliffords()]
     law: dict = {}
     for w in range(1, n + 1):
         p_w = Fraction(math.comb(n, w) * 3**w, 4**n - 1)
@@ -163,7 +163,7 @@ def test_shot_memo_matches_per_shot_loop(n):
         idx, sign = _sample_paulis(n, count, np.random.default_rng(n), with_replacement)
         for readout_shots in (None, 100) if n < 6 else (None,):
             for tab, image, readout in ((None, memory, lambda p: p),
-                                        (target, gate, target.conjugate)):
+                                        (target, gate, lambda p: conjugate(target, p))):
                 rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
                 got = _shot_values(noise, idx, sign, tab, readout_shots, rng)
                 want = dense_shot_values(n, image, idx, sign, readout, readout_shots, ref_rng)
@@ -187,15 +187,13 @@ def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
         distinct = len(np.unique(idx << 1 | sign))
         assert distinct < count if with_replacement else distinct == count
         for tab, image, readout in ((None, memory, lambda p: p),
-                                    (target, gate, target.conjugate)):
+                                    (target, gate, lambda p: conjugate(target, p))):
             want = dense_shot_values(n, image, idx, sign, readout, None, None)
             cases.append((with_replacement, count, tab, want))
     built = []
-    to_unitary = CliffordTableau.to_unitary
-    monkeypatch.setattr(CliffordTableau, "to_unitary",
-                        lambda self: built.append(self) or to_unitary(self))
+    monkeypatch.setattr(twirl, "unitaries", lambda t: built.append(t) or unitaries(t))
     monkeypatch.setattr(Channel, "apply", forbidden)
-    monkeypatch.setattr(CliffordTableau, "conjugate", forbidden)
+    monkeypatch.setattr(clifford, "conjugate", forbidden)
     monkeypatch.setattr(PauliString, "from_bits", forbidden)
     for with_replacement, count, tab, want in cases:
         built.clear()
@@ -203,7 +201,7 @@ def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
         est = (twirl_estimate_memory(noise, 0.05, rng, count, None, with_replacement)
                if tab is None else _twirl(noise, tab, 0.05, rng, count, None, with_replacement))
         assert est.n_samples == count
-        assert built == ([] if tab is None else [tab])
+        assert [t is tab for t in built] == ([] if tab is None else [True])
         assert est.pr0_hat == pytest.approx(15 / 16 * want.mean() + 1 / 16, rel=0, abs=1e-14)
 
 
@@ -212,16 +210,16 @@ def test_certify_detects_wrong_tableau_signs_on_negative_inputs(monkeypatch):
     # CNOT unitary: every input with an X part on qubit 1 reads -1, whatever
     # the input's sign, as in the dense loop
     cnot = gate_tableau("CNOT", (1, 2), 2)
-    u = cnot.to_unitary()
-    wrong = CliffordTableau(2, (PauliString("XX", -1), PauliString("IX")),
-                            (PauliString("ZI"), PauliString("ZZ")))
-    monkeypatch.setattr(CliffordTableau, "to_unitary", lambda self: u)
+    u = unitaries(cnot)
+    wrong = tableau(2, (PauliString("XX", -1), PauliString("IX")),
+                    (PauliString("ZI"), PauliString("ZZ")))
+    monkeypatch.setattr(twirl, "unitaries", lambda t: u)
     idx = np.arange(1, 16)
     noiseless = Channel.depolarizing(2, 0)
     for sign in (np.ones(15, dtype=np.int64), np.zeros(15, dtype=np.int64)):
         got = _shot_values(noiseless, idx, sign, wrong, None, None)
         want = dense_shot_values(2, lambda rho: u @ rho @ u.conj().T, idx, sign,
-                                 wrong.conjugate, None, None)
+                                 lambda p: conjugate(wrong, p), None, None)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
         assert np.allclose(got, np.where(idx >> 3 & 1, -1.0, 1.0), rtol=0, atol=1e-14)
     est = _twirl(noiseless, wrong, 0.05, np.random.default_rng(7), 15, None,
@@ -274,8 +272,8 @@ def test_certify_checks_the_tableau_against_the_dense_unitary(monkeypatch):
     # its tableau, so a unitary of another Clifford shows as lost fidelity
     # even without noise
     cnot, other = gate_tableau("CNOT", (1, 2), 2), gate_tableau("CNOT", (2, 1), 2)
-    wrong = other.to_unitary()
-    monkeypatch.setattr(CliffordTableau, "to_unitary", lambda self: wrong)
+    wrong = unitaries(other)
+    monkeypatch.setattr(twirl, "unitaries", lambda t: wrong)
     est = _twirl(Channel.depolarizing(2, 0), cnot, 0.05, np.random.default_rng(7), 15, None,
                  with_replacement=False)
     assert est.fbar < 1 - 0.1
@@ -298,7 +296,7 @@ def test_certify_exhaustive_matches_exact_fidelity():
 def test_certify_size_mismatch():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        certify_clifford(Channel.depolarizing(1, 0), CliffordTableau.identity(2),
+        certify_clifford(Channel.depolarizing(1, 0), identity(2),
                          0.05, rng)
 
 
@@ -350,18 +348,25 @@ def test_rb_flags_non_decaying_data():
     assert "decay" in res.message
 
 
-def test_samplers_produce_valid_tableaux():
+def test_samplers_produce_valid_tableaux(monkeypatch):
     rng = np.random.default_rng(2)
-    # 2/3 over the 2n singles and 1/3 over the 2(n - 1) CNOTs, all singles at n = 1
+    # 2/3 over the 2n singles and 1/3 over the 2(n - 1) CNOTs, all singles at n = 1;
+    # each set is one read-only (m, 4^n) stack of tables from one stacked
+    # build (a named gate's local table is built from 1-D entries)
+    built = []
+    real = clifford._image_table
+    monkeypatch.setattr(clifford, "_image_table", lambda m, e: built.append(e.ndim) or real(m, e))
     for n, want in ((1, [1 / 2] * 2), (3, [1 / 9] * 6 + [1 / 12] * 4)):
+        built.clear()
         tabs, probs = default_rb_sampler(n)
-        assert len(tabs) == len(want)
+        assert tabs.shape == (len(want), 4**n) and not tabs.flags.writeable
+        assert built.count(2) == 1
         assert np.allclose(probs, want, rtol=0, atol=1e-15)
-        assert all(tabs[i].n == n for i in rng.choice(len(tabs), size=10, p=probs))
+    built.clear()
     rot, rot_probs = rotation_clifford_sampler()
+    assert rot.shape == (9, 4) and not rot.flags.writeable and built.count(2) == 1
     drawn = [rot[i] for i in rng.choice(len(rot), size=60, p=rot_probs)]
-    assert all(t.n == 1 for t in drawn)
-    assert len({t.table.tobytes() for t in drawn}) == 9  # three axes, three angles
+    assert len({t.tobytes() for t in drawn}) == 9  # three axes, three angles
 
 
 def test_rotation_sampler_draws_the_dense_rotations_in_order():
@@ -369,8 +374,8 @@ def test_rotation_sampler_draws_the_dense_rotations_in_order():
     tabs, probs = rotation_clifford_sampler()
     assert np.array_equal(probs, np.full(9, 1 / 9))
     (idx,) = draw_rb_indices((tabs, probs), [200], 1, np.random.default_rng(3))
-    assert ([tabs[i].table.tobytes() for i in idx[:, 0]]
-            == [dense[i].table.tobytes() for i in idx[:, 0]])
+    assert ([tabs[i].tobytes() for i in idx[:, 0]]
+            == [dense[i].tobytes() for i in idx[:, 0]])
 
 
 RB_LENGTHS = [1, 3, 8, 20, 40]
@@ -404,7 +409,7 @@ def rb_survivals(gate_set, noise, lengths, shots, rng) -> list:
     """Per length, the per-sequence survivals that randomized_benchmarking
     averages, drawn from rng as it draws them."""
     tabs, probs = gate_set
-    table, lam = np.stack([t.table >> 2 for t in tabs]), noise.eigenvalues()
+    table, lam = tabs >> 2, noise.eigenvalues()
     return [_survivals(table, probs, lam, m, shots, rng) for m in lengths]
 
 
@@ -461,8 +466,10 @@ def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
         raise AssertionError("dense, tableau or Pauli-object call under Pauli noise")
 
     gate_set, noise_models = default_rb_sampler(3), rb_noise_models(3)
-    for name in ("to_unitary", "then", "inverse", "conjugate"):
-        monkeypatch.setattr(CliffordTableau, name, forbidden)
+    for name in ("unitaries", "compose"):
+        monkeypatch.setattr(twirl, name, forbidden)
+    for name in ("unitaries", "compose", "inverse", "conjugate"):
+        monkeypatch.setattr(clifford, name, forbidden)
     monkeypatch.setattr(PauliString, "from_bits", forbidden)
     for noise in noise_models:
         res = randomized_benchmarking(gate_set, noise, RB_LENGTHS, 3,
