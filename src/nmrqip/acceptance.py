@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, pauli_probs_by_weight
-from .clifford import (clifford_group, compose, conjugate, gate_tableau, identity, inverse,
-                       unitaries)
+from .clifford import clifford_group, compose, gate_tableau, identity, inverse, unitaries
 from .control import (
     GrapeConfig,
     _fd_gradient,
@@ -58,19 +57,19 @@ from .qec import (
     bit_flip_code,
     distill_magic,
     distillation_threshold,
+    error_ensemble,
     five_qubit_code,
     logical_gate_cycle,
     transversal_cnot_demo,
 )
 from .qop import (
-    PauliString,
     average_gate_fidelity_exact,
     haar_random_state,
     haar_random_unitary,
     hermitian_entries,
     ket_density,
+    pauli_entry,
     pauli_matrices,
-    spin_bits,
 )
 from .spins import builtin_molecule, internal_hamiltonian
 from .twirl import (
@@ -262,13 +261,13 @@ def _crit_rb(base_seed):
     # survival is exactly 1; the check runs in integer Pauli arithmetic on
     # gate indices drawn as the run draws them
     rng2 = np.random.default_rng(base_seed + 501)
-    z1 = PauliString.from_bits(n, *spin_bits("z", 1, n))
+    z1 = pauli_entry("ZII")
     exact_ones = 0
     for _ in range(100):
         p, total = z1, identity(n)
         for g in rng2.choice(len(tabs), size=int(rng2.integers(1, 40)), p=probs).tolist():
-            p, total = conjugate(tabs[g], p), compose(total, tabs[g])
-        exact_ones += conjugate(inverse(total), p) == z1
+            p, total = compose(p, tabs[g]), compose(total, tabs[g])
+        exact_ones += int(compose(p, inverse(total))) == z1
     passed = res.ok and rel <= 0.10 and exact_ones == 100
     return (bool(passed),
             f"r_fit={res.error_rate:.5g} vs {r_inj} (rel {rel:.3f}); "
@@ -287,22 +286,17 @@ def _crit_qec(base_seed):
     psi = np.array([0.6, 0.8], dtype=complex)
     worst_gap = 0.0
     bf = bit_flip_code()
-    for q in range(1, 4):
-        err = PauliString.from_bits(3, *spin_bits("x", q, 3))
-        _, f_corr = logical_gate_cycle(bf, "I", err, psi)
+    for word in ("XII", "IXI", "IIX"):
+        _, f_corr = logical_gate_cycle(bf, "I", pauli_entry(word), psi)
         worst_gap = max(worst_gap, abs(f_corr - 1.0))
     five = five_qubit_code()
     n_checked = 3
-    for q in range(1, 6):
-        for letter in ("X", "Y", "Z"):
-            err = PauliString.from_bits(5, *spin_bits(letter, q, 5))
-            _, f_corr = logical_gate_cycle(five, "I", err, psi)
-            worst_gap = max(worst_gap, abs(f_corr - 1.0))
-            n_checked += 1
-    w_bad = transversal_cnot_demo("bad", PauliString("XII"))
-    w_tvl = max(transversal_cnot_demo("transversal",
-                                      PauliString.from_bits(3, *spin_bits(a, q, 3)))
-                for q in range(1, 4) for a in ("X", "Y", "Z"))
+    for err in error_ensemble(5)[1:]:
+        _, f_corr = logical_gate_cycle(five, "I", err, psi)
+        worst_gap = max(worst_gap, abs(f_corr - 1.0))
+        n_checked += 1
+    w_bad = transversal_cnot_demo("bad", pauli_entry("XII"))
+    w_tvl = max(transversal_cnot_demo("transversal", err) for err in error_ensemble(3)[1:])
     passed = worst_gap <= 1e-10 and w_bad == 3 and w_tvl <= 1
     return (bool(passed),
             f"worst |1-fidelity| = {worst_gap:.2e} over {n_checked} errors; "

@@ -21,9 +21,10 @@ Pauli vectors are the only Pauli error format: entry x << n | z is the
 probability of X^x Z^z with the letters' phase (Y = i X Z), where x and z
 are the bit masks of the Pauli's X and Z parts (qubit 1 most significant):
 I = (0, 0), X = (1, 0), Z = (0, 1), Y = (1, 1).  The index's binary digits
-are the symplectic bit vector, the (x, z) masks of qop.PauliString and the
-keys of a Clifford tableau's table.  Channel and pauli_probs_by_weight take
-and give such vectors; no Pauli word is enumerated or parsed.
+are the symplectic bit vector: the key x << n | z of a packed Pauli entry
+(nmrqip.qop) and of a Clifford tableau's table.  Channel and
+pauli_probs_by_weight take and give such vectors; no Pauli word is
+enumerated or parsed.
 """
 
 from __future__ import annotations

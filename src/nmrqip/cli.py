@@ -201,8 +201,9 @@ def _parse(key: str, spec: dict, v):
     return out
 
 
-def _resolve(name: str, user: dict) -> dict:
-    """Parsed config: unknown keys, then every key, then the cross-key rules."""
+def _resolve(name: str, user: dict, shots=None) -> dict:
+    """Parsed config: unknown keys, then every key, then the cross-key rules,
+    which also see the --shots count as "shots"."""
     _, keys, rules = SCHEMA[name]
     unknown = sorted(set(user) - set(keys))
     if unknown:
@@ -210,9 +211,10 @@ def _resolve(name: str, user: dict) -> dict:
             f"unknown config keys for {name}: {unknown}; valid keys: {sorted(keys)}"
         )
     cfg = {k: _parse(k, spec, user.get(k, spec["default"])) for k, spec in keys.items()}
+    seen = {**cfg, "shots": shots}
     for holds, message in rules:
-        if not holds(cfg):
-            raise ConfigError(message.format(**cfg))
+        if not holds(seen):
+            raise ConfigError(message.format(**seen))
     return cfg
 
 
@@ -351,7 +353,7 @@ _CODES = ("bit-flip", "phase-flip", "five")
 def _run_qec(cfg, seed, shots):
     from .qec import (bit_flip_code, five_qubit_code, gate_cycle_ensemble, phase_flip_code,
                       transversal_cnot_demo)
-    from .qop import PauliString, spin_bits
+    from .qop import hermitian_entries, pauli_word, spin_bits
 
     code = {"bit-flip": bit_flip_code, "phase-flip": phase_flip_code,
             "five": five_qubit_code}[cfg["code"]]()
@@ -360,7 +362,7 @@ def _run_qec(cfg, seed, shots):
     errs, f_unc, f_corr = zip(*rows)
     out = RunOutput(
         tables={"qec.csv": (["error", "fidelity_uncorrected", "fidelity_corrected"],
-                            [[err.word for err in errs], f_unc, f_corr])},
+                            [[pauli_word(code.n_physical, e) for e in errs], f_unc, f_corr])},
         summary={"code": cfg["code"], "gate": gate,
                  "mean_uncorrected": mean_unc, "mean_corrected": mean_corr},
     )
@@ -369,8 +371,9 @@ def _run_qec(cfg, seed, shots):
         for variant in ("bad", "transversal"):
             for q in range(1, 4):
                 for letter in ("X", "Y", "Z"):
-                    err = PauliString.from_bits(3, *spin_bits(letter, q, 3))
-                    demo.append([variant, err.word, transversal_cnot_demo(variant, err)])
+                    x, z = spin_bits(letter, q, 3)
+                    e = int(hermitian_entries(3, x << 3 | z))
+                    demo.append([variant, pauli_word(3, e), transversal_cnot_demo(variant, e)])
         out.tables["transversal.csv"] = (
             ["variant", "control_block_error", "target_block_weight"], list(zip(*demo)))
         out.summary["max_weight_bad"] = max(r[2] for r in demo if r[0] == "bad")
@@ -626,8 +629,8 @@ _SAMPLE_CAP = (lambda c: _sample_count(c) <= _MAX_SAMPLES,
 # value or a nonempty list), pairs ([scale, weight] list) and weights ({error
 # weight: mass}).  Limits lo and hi are inclusive, gt exclusive; every int has
 # an upper limit, so no size numpy cannot allocate reaches it.  A key whose
-# default is None also takes None.  A rule's message is formatted with the
-# parsed config.
+# default is None also takes None.  A rule holds on the parsed config plus
+# the --shots count as "shots", and its message is formatted with them.
 SCHEMA = {
     "grape": (_run_grape, {
         "molecule": _key("choice", "chloroform2", options=_MOLECULES),
@@ -701,6 +704,9 @@ SCHEMA = {
          "lengths must be increasing positive integers"),
         (lambda c: c["sampler"] != "rotations" or c["n"] == 1,
          "the rotations sampler is single-qubit only"),
+        # at about 54 ns per gate, 10^10 gates take about 9 minutes
+        (lambda c: sum(c["lengths"]) * (c["shots"] or c["sequences"]) <= 10**10,
+         "sum(lengths) x sequences (--shots if given) must be <= 10^10 gates"),
     )),
     "qec": (_run_qec, {
         "code": _key("choice", "five", options=_CODES),
@@ -854,7 +860,7 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         out_dir = os.path.join("runs", name)
 
     try:
-        cfg = _resolve(name, user_cfg)
+        cfg = _resolve(name, user_cfg, shots)
         import numpy  # noqa: F401  before the clock: wall_time_s leaves out numpy's import
         t0 = time.perf_counter()
         result = EXPERIMENTS[name](cfg, seed, shots)

@@ -3,15 +3,16 @@
 A tableau on n qubits is its table, one read-only int64 array of 4^n
 entries: entry x << n | z holds x' << (n + 2) | z' << 2 | k when
 C X^x Z^z C^dag = i^k X^x' Z^z', with qubit 1 the most significant bit and
-k mod 4, the encoding of nmrqip.qop.PauliString; n is read from the width.
+k mod 4, the packed Pauli entry of nmrqip.qop; n is read from the width.
 A gate set, or the group, is an (m, 4^n) stack of tables.  _image_table
 builds each from its 2n generator entries (the images of X_1..X_n, then
 Z_1..Z_n), one key bit at a time, for one table or a stack.
 compose(first, second) looks first's packed entries, or a whole table, up
-in second, a table or a stack, and adds their phases; conjugate is its
-one-Pauli case, and inverse scatters each entry back to its key.  Only
-tableau(n, x_images, z_images) validates: the images must be Hermitian and
-pair symplectically.  Every table returned here is read-only.
+in second, a table or a stack, and adds their phases (one Pauli's image is
+compose(entry, table)); inverse scatters each entry back to its key.  Only
+tableau(n, x_images, z_images) validates: the image entries must lie on n
+qubits, be Hermitian and pair symplectically.  Every table returned here is
+read-only.
 
 Each named gate (H, S, X, Y, Z, I, CNOT) is defined once, by its generator
 rows on its own one or two qubits, with a 4- or 16-entry table built on
@@ -35,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .qop import PauliString, pauli_matrices
+from .qop import commutes, pauli_matrices
 
 
 def _read_only(a):
@@ -45,22 +46,22 @@ def _read_only(a):
 
 
 def tableau(n: int, x_images, z_images) -> np.ndarray:
-    """Table of the Clifford with PauliString images of X_1..X_n, Z_1..Z_n."""
+    """Table of the Clifford with packed entry images of X_1..X_n, Z_1..Z_n."""
     if len(x_images) != n or len(z_images) != n:
         raise ValueError("need one image per generator")
-    for img in (*x_images, *z_images):
-        if img.n != n:
-            raise ValueError("image length mismatch")
-        if img.phase not in (1, -1):
+    for e in (*x_images, *z_images):
+        if not 0 <= e < 1 << (2 * n + 2):
+            raise ValueError(f"image length mismatch: entry {e} is not on {n} qubits")
+        if (e - (e >> (n + 2) & e >> 2).bit_count()) % 2:  # k - popcount(x & z) odd
             raise ValueError("generator images must be Hermitian (phase +-1)")
     for i in range(n):
         for j in range(n):
-            if not (x_images[i].commutes(x_images[j]) and z_images[i].commutes(z_images[j])):
+            if not (commutes(n, x_images[i], x_images[j])
+                    and commutes(n, z_images[i], z_images[j])):
                 raise ValueError("images break generator commutation")
-            if x_images[i].commutes(z_images[j]) != (i != j):
+            if commutes(n, x_images[i], z_images[j]) != (i != j):
                 raise ValueError("images break symplectic pairing")
-    entries = np.array([p.x << (n + 2) | p.z << 2 | p.k for p in (*x_images, *z_images)])
-    return _read_only(_image_table(n, entries))
+    return _read_only(_image_table(n, np.array([*x_images, *z_images])))
 
 
 def identity(n: int) -> np.ndarray:
@@ -86,15 +87,6 @@ def compose(first, second) -> np.ndarray:
     (first acts first), looked up in second's table or stack of tables."""
     t = second[..., first >> 2]
     return _read_only(t & ~3 | (t + first) & 3)
-
-
-def conjugate(table, p: PauliString) -> PauliString:
-    """C p C^dag for the Clifford C of a table."""
-    n = p.n
-    if len(table) != 4**n:
-        raise ValueError("length mismatch")
-    e = int(compose(p.x << (n + 2) | p.z << 2 | p.k, table))
-    return PauliString.from_bits(n, e >> (n + 2), e >> 2 & (1 << n) - 1, e & 3)
 
 
 def inverse(table) -> np.ndarray:

@@ -20,7 +20,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from ..channels import Channel
-from ..qop import SIGMA_X, PauliString, check_density, controlled, embed, expectation
+from ..qop import (SIGMA_X, check_density, controlled, embed, expectation, pauli_entry,
+                   pauli_matrices)
 
 OBSERVABLE_GRID = (
     ("IZ", "ZI", "ZZ"),
@@ -44,7 +45,7 @@ class ContextualityResult:
 
 
 def _direct_correlation(rho: np.ndarray, words) -> float:
-    a, b, c = (PauliString(w).dense() for w in words)
+    a, b, c = pauli_matrices(2, [pauli_entry(w) for w in words])
     return expectation(rho, a @ b @ c)
 
 
@@ -54,7 +55,7 @@ def _meter_correlation(rho: np.ndarray, words, noise: Channel | None) -> float:
     plus = np.full((2, 2), 0.5, dtype=complex)
     joint = np.kron(plus, rho)
     for word in words:
-        coupling = controlled(PauliString(word).dense())
+        coupling = controlled(pauli_matrices(2, pauli_entry(word))[0])
         joint = coupling @ joint @ coupling.conj().T
         if noise is not None:
             joint = noise.apply(joint)

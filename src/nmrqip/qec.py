@@ -1,7 +1,8 @@
 """Stabilizer codes, syndrome cycles, transversality, magic-state distillation.
 
-Codes are k=1 stabilizer codes given by generator and logical Pauli strings;
-their encoding unitaries are built from a completed Clifford tableau, so
+Codes are k=1 stabilizer codes given by the packed Pauli entries of their
+generators and logicals, as is every error and correction (nmrqip.qop); their
+encoding unitaries are built from a completed Clifford tableau, so
 encode/decode are exact Clifford unitaries rather than hand-built gate lists.
 Syndromes are measured by projectors on the code register; the tests keep the
 equivalent ancilla circuit (one ancilla per generator) as their oracle.
@@ -15,9 +16,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .clifford import circuit_tableau, conjugate, tableau, unitaries
-from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, basis_ket, ket_density,
-                  partial_trace, spin_bits, state_fidelity)
+from .clifford import circuit_tableau, compose, tableau, unitaries
+from .qop import (SIGMA_X, SIGMA_Y, SIGMA_Z, basis_ket, commutes, hermitian_entries,
+                  ket_density, partial_trace, pauli_entry, pauli_matrices, spin_bits,
+                  state_fidelity)
 
 MAGIC_AXIS = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3)
 
@@ -50,28 +52,29 @@ def _gf2_solve(rows, rhs, width: int) -> int:
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """k=1 stabilizer code with explicit generators and logical operators."""
+    """k=1 stabilizer code with explicit generators and logical operators,
+    each the packed entry of a Pauli on n_physical qubits."""
 
     name: str
     n_physical: int
     generators: tuple
-    logical_x: PauliString
-    logical_z: PauliString
+    logical_x: int
+    logical_z: int
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_physical
         for g in self.generators:
-            if g.n != n:
+            if not 0 <= g < 1 << (2 * n + 2):
                 raise ValueError("generator length mismatch")
         for a, b in combinations(self.generators, 2):
-            if not a.commutes(b):
+            if not commutes(n, a, b):
                 raise ValueError("generators must commute")
         for logical in (self.logical_x, self.logical_z):
             for g in self.generators:
-                if not logical.commutes(g):
+                if not commutes(n, logical, g):
                     raise ValueError("logicals must commute with generators")
-        if self.logical_x.commutes(self.logical_z):
+        if commutes(n, self.logical_x, self.logical_z):
             raise ValueError("logical X and Z must anticommute")
         if len(self.generators) != n - 1:
             raise ValueError("wrong number of generators")
@@ -83,17 +86,13 @@ class StabilizerCode:
         n = self.n_physical
         z_imgs = [self.logical_z, *self.generators]
         x_imgs = [self.logical_x]
-        # the row (z, x) of P against the unknown (x, z) has the parity of
+        # the row (z, x) of P against the unknown key (x, z) has the parity of
         # the commutator: 1 exactly when P anticommutes with the solution
         for j in range(1, n):
-            rows = [zi.z << n | zi.x for zi in z_imgs]
-            rhs = [1 if k == j else 0 for k in range(n)]
-            for xi in x_imgs:
-                rows.append(xi.z << n | xi.x)
-                rhs.append(0)
-            s = _gf2_solve(rows, rhs, 2 * n)
-            x_imgs.append(PauliString.from_bits(n, s >> n, s & (2**n - 1)))
-        return tableau(n, tuple(x_imgs), tuple(z_imgs))
+            rows = [(p >> 2 & (1 << n) - 1) << n | p >> (n + 2) for p in (*z_imgs, *x_imgs)]
+            rhs = [int(k == j) for k in range(n)] + [0] * len(x_imgs)
+            x_imgs.append(int(hermitian_entries(n, _gf2_solve(rows, rhs, 2 * n))))
+        return tableau(n, x_imgs, z_imgs)
 
     def encoding_unitary(self) -> np.ndarray:
         if "unitary" not in self._cache:
@@ -102,19 +101,20 @@ class StabilizerCode:
 
     # -- syndrome machinery --------------------------------------------------
 
-    def syndrome_of(self, error: PauliString):
-        return tuple(0 if error.commutes(g) else 1 for g in self.generators)
+    def syndrome_of(self, error: int):
+        return tuple(0 if commutes(self.n_physical, error, g) else 1 for g in self.generators)
 
     def syndrome_projectors(self) -> np.ndarray:
         """(2^g, d, d) stack of P_s = prod_k (I + (-1)^{s_k} g_k)/2, s_k bit g-1-k of s."""
         if "projectors" not in self._cache:
             d, g = 2**self.n_physical, len(self.generators)
+            gens = pauli_matrices(self.n_physical, self.generators)
             projs = np.empty((2**g, d, d), dtype=complex)
             for s in range(2**g):
                 projs[s] = np.eye(d)
-                for k, gen in enumerate(self.generators):
+                for k, gen in enumerate(gens):
                     sign = 1 - 2 * (s >> (g - 1 - k) & 1)
-                    projs[s] = projs[s] @ (np.eye(d) + sign * gen.dense()) / 2
+                    projs[s] = projs[s] @ (np.eye(d) + sign * gen) / 2
             projs.setflags(write=False)  # shared by every caller through the cache
             self._cache["projectors"] = projs
         return self._cache["projectors"]
@@ -133,7 +133,7 @@ class StabilizerCode:
                     for q, axis in zip(support, axes):
                         bx, bz = spin_bits(axis, q, n)
                         x, z = x | bx, z | bz
-                    err = PauliString.from_bits(n, x, z)
+                    err = int(hermitian_entries(n, x << n | z))
                     s = self.syndrome_of(err)
                     if s not in table:
                         table[s] = err
@@ -146,25 +146,25 @@ class StabilizerCode:
 def bit_flip_code() -> StabilizerCode:
     return StabilizerCode(
         "bit-flip-3", 3,
-        (PauliString("ZZI"), PauliString("IZZ")),
-        logical_x=PauliString("XXX"), logical_z=PauliString("ZZZ"),
+        (pauli_entry("ZZI"), pauli_entry("IZZ")),
+        logical_x=pauli_entry("XXX"), logical_z=pauli_entry("ZZZ"),
     )
 
 
 def phase_flip_code() -> StabilizerCode:
     return StabilizerCode(
         "phase-flip-3", 3,
-        (PauliString("XXI"), PauliString("IXX")),
-        logical_x=PauliString("ZZZ"), logical_z=PauliString("XXX"),
+        (pauli_entry("XXI"), pauli_entry("IXX")),
+        logical_x=pauli_entry("ZZZ"), logical_z=pauli_entry("XXX"),
     )
 
 
 def five_qubit_code() -> StabilizerCode:
     return StabilizerCode(
         "five-qubit", 5,
-        (PauliString("XZZXI"), PauliString("IXZZX"),
-         PauliString("XIXZZ"), PauliString("ZXIXZ")),
-        logical_x=PauliString("XXXXX"), logical_z=PauliString("ZZZZZ"),
+        (pauli_entry("XZZXI"), pauli_entry("IXZZX"),
+         pauli_entry("XIXZZ"), pauli_entry("ZXIXZ")),
+        logical_x=pauli_entry("XXXXX"), logical_z=pauli_entry("ZZZZZ"),
     )
 
 
@@ -199,7 +199,7 @@ def syndrome_extract(code: StabilizerCode, rho: np.ndarray):
     return syndrome, post
 
 
-def recover(code: StabilizerCode, syndrome) -> PauliString:
+def recover(code: StabilizerCode, syndrome) -> int:
     """Minimum-weight correction for the syndrome, from the lookup table."""
     table = code.lookup_table()
     key = tuple(int(b) for b in syndrome)
@@ -211,7 +211,7 @@ def recover(code: StabilizerCode, syndrome) -> PauliString:
 def correction_cycle(code: StabilizerCode, rho: np.ndarray) -> np.ndarray:
     """syndrome_extract + recover + apply, returning the corrected state."""
     syndrome, post = syndrome_extract(code, rho)
-    corr = recover(code, syndrome).dense()
+    corr = pauli_matrices(code.n_physical, recover(code, syndrome))[0]
     return corr @ post @ corr.conj().T
 
 
@@ -238,15 +238,11 @@ def logical_gate(code: StabilizerCode, gate: str) -> np.ndarray:
 
 def error_ensemble(n: int):
     """{identity} plus X, Z and Y on each qubit (3n + 1 errors; 16 for n=5)."""
-    out = [PauliString.from_bits(n, 0, 0)]
-    for q in range(1, n + 1):
-        for axis in ("X", "Z", "Y"):
-            out.append(PauliString.from_bits(n, *spin_bits(axis, q, n)))
-    return out
+    keys = [x << n | z for q in range(1, n + 1) for x, z in (spin_bits(a, q, n) for a in "XZY")]
+    return hermitian_entries(n, np.array([0, *keys])).tolist()
 
 
-def logical_gate_cycle(code: StabilizerCode, gate: str, error: PauliString,
-                       psi=None):
+def logical_gate_cycle(code: StabilizerCode, gate: str, error: int, psi=None):
     """encode -> logical gate -> error -> decode, with and without correction.
 
     Returns (fidelity_uncorrected, fidelity_corrected) of the decoded logical
@@ -258,7 +254,7 @@ def logical_gate_cycle(code: StabilizerCode, gate: str, error: PauliString,
     rho = encode(code, np.asarray(psi, dtype=complex))
     lg = logical_gate(code, gate)
     rho = lg @ rho @ lg.conj().T
-    e = error.dense()
+    e = pauli_matrices(code.n_physical, error)[0]
     rho = e @ rho @ e.conj().T
     f_unc = state_fidelity(decode(code, rho), ket_density(ideal))
     corrected = correction_cycle(code, rho)
@@ -281,13 +277,14 @@ def gate_cycle_ensemble(code: StabilizerCode, gate: str):
     return rows, mu, mc
 
 
-def transversal_cnot_demo(variant: str, error: PauliString) -> int:
+def transversal_cnot_demo(variant: str, error: int) -> int:
     """Error weight landing on the target block of a two-block logical CNOT.
 
     Blocks are 3-qubit repetition codes on qubits 1-3 and 4-6.  'bad' fans a
     single physical control out to every target qubit; 'transversal' uses
-    pairwise CNOTs.  The injected error is conjugated through the circuit
-    tableau and its weight on block 2 is returned.
+    pairwise CNOTs.  The injected error, an entry on the 3-qubit control
+    block, is conjugated through the circuit tableau and its weight on block
+    2 is returned.
     """
     if variant == "bad":
         gates = [("CNOT", (1, t)) for t in (4, 5, 6)]
@@ -295,11 +292,9 @@ def transversal_cnot_demo(variant: str, error: PauliString) -> int:
         gates = [("CNOT", (q, q + 3)) for q in (1, 2, 3)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    tab = circuit_tableau(gates, 6)
-    if error.n == 3:
-        error = PauliString.from_bits(6, error.x << 3, error.z << 3, error.k)
-    propagated = conjugate(tab, error)
-    return ((propagated.x | propagated.z) & 0b111).bit_count()  # qubits 4-6
+    x, z = error >> 5, error >> 2 & 0b111  # qubits 1-3 are the top bits of 6
+    e = int(compose(x << 11 | z << 5 | error & 3, circuit_tableau(gates, 6)))
+    return ((e >> 8 | e >> 2) & 0b111).bit_count()  # qubits 4-6
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +323,13 @@ def _distill_ops():
         return _DISTILL
     code = five_qubit_code()
     proj = code.syndrome_projectors()[0]
-    p0 = proj @ (np.eye(32) + code.logical_z.dense()) / 2
+    logical_x, logical_z = pauli_matrices(5, [code.logical_x, code.logical_z])
+    p0 = proj @ (np.eye(32) + logical_z) / 2
     w, v = np.linalg.eigh(p0)
     ket0 = v[:, int(np.argmax(w))]
     k = int(np.argmax(np.abs(ket0) > 1e-8))
     ket0 = ket0 * np.exp(-1j * np.angle(ket0[k]))
-    ket1 = code.logical_x.dense() @ ket0
+    ket1 = logical_x @ ket0
     fixup = (SIGMA_X - SIGMA_Y) / np.sqrt(2)  # maps the decoded axis back onto +m
     _DISTILL.update(proj=proj, ket0=ket0, ket1=ket1, fixup=fixup)
     return _DISTILL

@@ -12,19 +12,18 @@ Conventions used across the package:
 States are plain complex ndarrays (density operators unless noted), which
 keeps the linear algebra composable; validators below enforce the contracts.
 
-A PauliString is stored in the symplectic (Aaronson-Gottesman) form
-i^k X^x Z^z: x and z are int bit masks of its X and Z parts with qubit 1 as
-the most significant bit (X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the
-phase exponent mod 4.  Since Y = i X Z, the word's phase (the sign in front
-of its letters, +-1 or +-i) is i^(k - popcount(x & z)).  Products and
-commutation are integer operations on (x, z, k).  Generated Paulis are built
-from bits (spin_bits gives a one-qubit Pauli's), never by joining letters.
-Dense operators are built from those bits, with no cache: pauli_matrices
-stacks those of packed entries x << (n + 2) | z << 2 | k (a tableau's
-encoding; hermitian_entries packs the phase +1 Paulis at keys x << n | z)
-and pauli_sum adds up Pauli-sum operators such as Hamiltonians.
-Words are only parsed from literals and printed, never enumerated or
-decoded to build a matrix.
+A Pauli i^k X^x Z^z on n qubits is one packed int entry
+x << (n + 2) | z << 2 | k, with n passed beside it: x and z are the bit
+masks of its X and Z parts with qubit 1 as the most significant bit
+(X = (1, 0), Z = (0, 1), Y = (1, 1)), and k is the phase exponent mod 4.
+Since Y = i X Z, the sign in front of its letters is i^(k - popcount(x & z));
+hermitian_entries packs the phase +1 Paulis at keys x << n | z, one or an
+array.  Products and commutation are integer operations on entries.
+Generated Paulis are built from bits (spin_bits gives a one-qubit Pauli's),
+never by joining letters: pauli_entry parses only literals and pauli_word
+prints letters for CSVs.  Dense operators are built from the bits, with no
+cache: pauli_matrices stacks those of entries (a tableau's encoding) and
+pauli_sum adds up Pauli-sum operators such as Hamiltonians.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 KET0 = np.array([1, 0], dtype=complex)
 
-# i^e for e = 0..3; PauliString.phase is _PHASES[k - popcount(x & z)]
+# i^e for e = 0..3
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -57,68 +56,26 @@ def n_qubits(dim: int) -> int:
     return n
 
 
-class PauliString:
-    """Pauli operator i^k X^x Z^z, e.g. -XZI; see the module docstring.
-
-    Built from a word and a phase in {+-1, +-i}, PauliString("XZ", -1), or
-    from its bits with from_bits.  Instances are values: they compare equal
-    by (n, x, z, k) and are never modified after construction.  They do not
-    hash; a set or dict keys them by (n, x, z, k).
-    """
-
-    __slots__ = ("n", "x", "z", "k", "_word")
-
-    def __init__(self, word: str, phase: complex = 1 + 0j):
-        x = z = 0
-        for c in word:
-            bits = _LETTER_BITS.get(c)
-            if bits is None:
-                raise ValueError(f"bad Pauli word {word!r}")
-            x = x << 1 | bits[0]
-            z = z << 1 | bits[1]
-        e = _PHASE_EXPONENT.get(complex(phase))
-        if e is None:
-            raise ValueError(f"phase {phase} not a fourth root of unity")
-        self.n, self.x, self.z = len(word), x, z
-        self.k = (e + (x & z).bit_count()) % 4
-        self._word = word
-
-    @classmethod
-    def from_bits(cls, n: int, x: int, z: int, k: int | None = None) -> "PauliString":
-        """i^k X^x Z^z on n qubits; k defaults to popcount(x & z), phase +1."""
-        p = object.__new__(cls)
-        p.n, p.x, p.z = n, x, z
-        p.k = ((x & z).bit_count() if k is None else k) % 4
-        p._word = None
-        return p
-
-    @property
-    def word(self) -> str:
-        if self._word is None:
-            x, z = self.x, self.z
-            self._word = "".join(
-                "IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in range(self.n - 1, -1, -1)
-            )
-        return self._word
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[(self.k - (self.x & self.z).bit_count()) % 4]
-
-    def __eq__(self, other: "PauliString") -> bool:
-        return (self.n, self.x, self.z, self.k) == (other.n, other.x, other.z, other.k)
-
-    def commutes(self, other: "PauliString") -> bool:
-        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
-
-    def dense(self) -> np.ndarray:
-        return pauli_matrices(self.n, self.x << (self.n + 2) | self.z << 2 | self.k)[0]
+def pauli_entry(word: str) -> int:
+    """Packed entry of a Pauli word such as "XZZXI", at phase +1."""
+    x = z = 0
+    for c in word:
+        if c not in "IXYZ":
+            raise ValueError(f"bad Pauli word {word!r}")
+        x, z = x << 1 | (c in "XY"), z << 1 | (c in "YZ")
+    return int(hermitian_entries(len(word), x << len(word) | z))
 
 
-# letter -> (x bit, z bit)
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-# the exact phases a word may carry
-_PHASE_EXPONENT = {p: e for e, p in enumerate(_PHASES)}
+def pauli_word(n: int, entry) -> str:
+    """The letters of a packed entry, qubit 1 first; its phase is not shown."""
+    return "".join("IXZY"[(entry >> (n + 2 + s) & 1) | (entry >> (2 + s) & 1) << 1]
+                   for s in range(n - 1, -1, -1))
+
+
+def commutes(n: int, a, b) -> bool:
+    """Whether the Paulis of packed entries a and b commute: their symplectic
+    product x_a . z_b + z_a . x_b is even."""
+    return ((a >> (n + 2) & b >> 2) ^ (a >> 2 & b >> (n + 2))).bit_count() % 2 == 0
 
 
 def _pauli_entries(n: int, x, z, k):
@@ -149,7 +106,9 @@ def pauli_matrices(n: int, entries) -> np.ndarray:
 
 
 def hermitian_entries(n: int, keys) -> np.ndarray:
-    """Packed entries of the phase +1 Paulis at an int array of keys x << n | z."""
+    """Packed entries of the phase +1 Paulis at an int key x << n | z or an
+    int array of them."""
+    keys = np.asarray(keys)
     return keys << 2 | np.bitwise_count(keys >> n & keys) & 3  # k = popcount(x & z) mod 4
 
 

@@ -12,8 +12,8 @@ from nmrqip.clifford import compose, identity, inverse, tableau, unitaries
 from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
                             _phase_divided_differences, _propagators)
 from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
-from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, PauliString, embed, n_qubits,
-                        pauli_matrices, pauli_sum, rotation, spin_bits)
+from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, n_qubits, pauli_matrices,
+                        pauli_sum, rotation, spin_bits, tensor)
 from nmrqip.spins import hamiltonian_diagonal
 
 KET1 = np.array([0, 1], dtype=complex)
@@ -64,9 +64,24 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
-def pauli_weight(p: PauliString) -> int:
-    """Number of qubits a Pauli string acts on nontrivially."""
-    return (p.x | p.z).bit_count()
+def word_matrix(word: str, phase=1) -> np.ndarray:
+    """The phase times the Kronecker product of the word's PAULIS letters."""
+    return phase * tensor(*(PAULIS[c] for c in word))
+
+
+def signed_entry(word: str, phase=1) -> int:
+    """Packed entry x << (n + 2) | z << 2 | k of the phase (+-1 or +-i) times
+    a Pauli word, from its letters: X sets an x bit, Z a z bit and Y = i X Z
+    both, adding 1 to k."""
+    n, x, z = len(word), 0, 0
+    for c in word:
+        x, z = x << 1 | (c in "XY"), z << 1 | (c in "YZ")
+    return x << (n + 2) | z << 2 | (word.count("Y") + (1, 1j, -1, -1j).index(phase)) % 4
+
+
+def pauli_weight(n: int, entry: int) -> int:
+    """Number of qubits the Pauli of a packed entry acts on nontrivially."""
+    return ((entry >> (n + 2) | entry >> 2) & (1 << n) - 1).bit_count()
 
 
 def gate_fidelity_hs(u_th: np.ndarray, u_exp: np.ndarray) -> float:
@@ -104,8 +119,8 @@ def factor_kraus(factors, n: int) -> list:
     out = []
     for probs, qubits in factors:
         m = len(qubits)
-        out.append([np.sqrt(probs[q.x << m | q.z]) * embed(q.dense(), qubits, n)
-                    for q in map(PauliString, all_pauli_words(m))])
+        out.append([np.sqrt(probs[signed_entry(w) >> 2]) * embed(word_matrix(w), qubits, n)
+                    for w in all_pauli_words(m)])
     return out
 
 
@@ -149,7 +164,7 @@ def dense_rb_survivals(gate_set, noise, drawn) -> list:
     the sequence the dense recovery and the noise once more."""
     tabs, _ = gate_set
     n, kraus = noise.n, noise.kraus()
-    z1 = PauliString.from_bits(n, 0, 1 << (n - 1)).dense()
+    z1 = word_matrix("Z" + "I" * (n - 1))
     survivals = []
     for idx in drawn:
         acc = 0.0
@@ -318,11 +333,10 @@ def generator_rows(t: np.ndarray) -> tuple:
                  for e in t[generator_keys(n)].tolist())
 
 
-def pauli_product(p: PauliString, q: PauliString) -> PauliString:
-    """p q from the bits: Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1."""
-    assert p.n == q.n
-    k = p.k + q.k + 2 * (p.z & q.x).bit_count()
-    return PauliString.from_bits(p.n, p.x ^ q.x, p.z ^ q.z, k)
+def pauli_product(n: int, p: int, q: int) -> int:
+    """Entry of p q from the bits: Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1."""
+    k = p + q + 2 * (p >> 2 & (1 << n) - 1 & q >> (n + 2)).bit_count()
+    return (p ^ q) & ~3 | k & 3
 
 
 def row_product(rows, x: int, z: int, k: int = 0) -> tuple:
@@ -371,7 +385,7 @@ def gate_tableau_by_rows(name: str, qubits, n: int) -> np.ndarray:
         (xx, xz, xk), (zx, zz, zk) = _ROWS_1Q[name]
         rows[q - 1] = (xx << s, xz << s, xk)
         rows[n + q - 1] = (zx << s, zz << s, zk)
-    ps = [PauliString.from_bits(n, *r) for r in rows]
+    ps = [x << (n + 2) | z << 2 | k for x, z, k in rows]
     return tableau(n, ps[:n], ps[n:])
 
 
@@ -440,7 +454,7 @@ def from_unitaries(stack) -> np.ndarray:
     z = (flips * cols).sum(axis=1)
     if not np.allclose(pauli_matrices(n, x << (n + 2) | z << 2 | k), mats, rtol=0, atol=1e-9):
         raise ValueError("matrix is not a signed Pauli string (not Clifford?)")
-    paulis = [PauliString.from_bits(n, *row) for row in zip(x.tolist(), z.tolist(), k.tolist())]
+    paulis = (x << (n + 2) | z << 2 | k).tolist()
     return np.array([tableau(n, paulis[at:at + n], paulis[at + n:at + 2 * n])
                      for at in range(0, len(paulis), 2 * n)])
 
@@ -461,18 +475,16 @@ def all_1q_cliffords() -> np.ndarray:
                 if zw == xw:
                     continue
                 for zsign in (1, -1):
-                    xi = PauliString(xw, xsign)
-                    zi = PauliString(zw, zsign)
-                    out.append(tableau(1, (xi,), (zi,)))
+                    out.append(tableau(1, (signed_entry(xw, xsign),), (signed_entry(zw, zsign),)))
     assert len(out) == 24
     return np.array(out)
 
 
 def signed_paulis(n: int, idx, sign) -> list:
-    """The PauliStrings (-1)^sign P of drawn (index, sign) arrays, P the
-    Hermitian word at index x << n | z, built through its word and phase."""
+    """The entries of (-1)^sign P for drawn (index, sign) arrays, P the
+    Hermitian Pauli at key x << n | z, built from its bits."""
     mask = (1 << n) - 1
-    return [PauliString(PauliString.from_bits(n, i >> n, i & mask).word, -1 if s else 1)
+    return [i << 2 | ((i >> n & i & mask).bit_count() + 2 * s) % 4
             for i, s in zip(np.asarray(idx).tolist(), np.asarray(sign).tolist())]
 
 
@@ -488,9 +500,9 @@ def dense_shot_values(n: int, image, idx, sign, output_pauli, readout_shots, rng
     chi = np.empty(len(keys))
     for j, key in enumerate(keys.tolist()):
         x, z = key >> (n + 1), key >> 1 & mask
-        p = PauliString.from_bits(n, x, z, (x & z).bit_count() + 2 * (key & 1))
-        rho = (np.eye(d, dtype=complex) + p.dense()) / d
-        chi[j] = np.einsum("ij,ji->", output_pauli(p).dense(), image(rho)).real
+        p = x << (n + 2) | z << 2 | ((x & z).bit_count() + 2 * (key & 1)) % 4
+        rho = (np.eye(d, dtype=complex) + pauli_matrices(n, p)[0]) / d
+        chi[j] = np.einsum("ij,ji->", pauli_matrices(n, output_pauli(p))[0], image(rho)).real
     chis = chi[inv]
     if readout_shots:
         q = np.clip((1 + chis) / 2, 0.0, 1.0)

@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.cli import DEFAULT_CONFIGS
-from nmrqip.qop import PauliString, embed, ket_density
+from nmrqip.qop import commutes, embed, ket_density, pauli_entry
 
 from conftest import (all_pauli_words, bit_flip, bloch_vector, composite_pauli_vector,
-                      factor_kraus_sum, kraus_sum, phase_flip, random_density)
+                      factor_kraus_sum, kraus_sum, phase_flip, random_density, word_matrix)
 
 
 def pauli_vector(probs: dict) -> np.ndarray:
     """Oracle parse of a word -> probability fixture into the channel's
-    probability vector, entry x * 2^n + z of each word's PauliString bits."""
+    probability vector, entry x * 2^n + z of each word's key."""
     n = len(next(iter(probs)))
     vec = np.zeros(4**n)
     for word, p in probs.items():
-        q = PauliString(word)
-        vec[q.x << n | q.z] += p
+        vec[pauli_entry(word) >> 2] += p
     return vec
 
 
@@ -34,10 +33,10 @@ def word_channel(probs: dict) -> Channel:
 def transfer_eigenvalue(probs: dict, word: str) -> float:
     """Oracle for Channel.eigenvalues: a Pauli channel maps P -> lambda_P P
     with lambda_P = sum_Q p_Q * (+1 if [Q, P] = 0 else -1)."""
-    p_ref = PauliString(word)
+    n, p_ref = len(word), pauli_entry(word)
     lam = 0.0
     for q, p in probs.items():
-        lam += p if PauliString(q).commutes(p_ref) else -p
+        lam += p if commutes(n, pauli_entry(q), p_ref) else -p
     return lam
 
 
@@ -164,11 +163,10 @@ def test_kraus_is_one_scaled_pauli_per_nonzero_probability(rng):
     kraus = lifted.kraus()
 
     def register_key(word):  # local word ab on qubits (3, 1) is the word bIa
-        q = PauliString(word[1] + "I" + word[0])
-        return q.x << 3 | q.z
+        return pauli_entry(word[1] + "I" + word[0]) >> 2
 
     words = sorted(probs, key=register_key)
-    want = [np.sqrt(probs[w]) * embed(PauliString(w).dense(), (3, 1), 3) for w in words]
+    want = [np.sqrt(probs[w]) * embed(word_matrix(w), (3, 1), 3) for w in words]
     assert len(kraus) == np.count_nonzero(vec) == len(want)
     assert np.allclose(kraus, want, rtol=0, atol=1e-15)
     gram = np.einsum("aij,bij->ab", np.conj(kraus), kraus)
@@ -244,7 +242,7 @@ def test_pauli_channel_transfer_eigenvalues(rng):
     probs = {"II": 0.7, "XI": 0.1, "IZ": 0.12, "YY": 0.08}
     ch = word_channel(probs)
     for word in ("XI", "ZZ", "IY", "XX"):
-        p = PauliString(word).dense()
+        p = word_matrix(word)
         rho = (np.eye(4) + p) / 4
         out = ch.apply(rho)
         survival = np.trace(p @ out).real
@@ -266,16 +264,15 @@ def test_pauli_eigenvalue_accessor(rng):
     assert composite.eigenvalues() is lam and not lam.flags.writeable and lam.shape == (16,)
     lams = (word_channel(probs).eigenvalues(), Channel.depolarizing(2, 0.25).eigenvalues())
     for word in all_pauli_words(2):
-        p = PauliString(word)
-        key = p.x << 2 | p.z
+        p, key = word_matrix(word), pauli_entry(word) >> 2
         assert lams[0][key] == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
         want = 1.0 if word == "II" else 0.75
         assert lams[1][key] == pytest.approx(want, abs=1e-15)
         want = transfer_eigenvalue(composite_probs, word) * (0.7 if word[1] != "I" else 1.0)
         assert lam[key] == pytest.approx(want, abs=1e-12)
         if word != "II":
-            rho = (np.eye(4) + p.dense()) / 4
-            survival = np.trace(p.dense() @ composite.apply(rho)).real
+            rho = (np.eye(4) + p) / 4
+            survival = np.trace(p @ composite.apply(rho)).real
             assert lam[key] == pytest.approx(survival, abs=1e-12)
 
 
@@ -284,8 +281,7 @@ def test_pauli_probs_by_weight_fixture():
     assert vec.shape == (64,)
     probs = {}
     for w in all_pauli_words(3):
-        p = PauliString(w)
-        probs[w] = vec[p.x << 3 | p.z]
+        probs[w] = vec[pauli_entry(w) >> 2]
     assert probs["III"] == pytest.approx(0.44)
     assert sum(probs.values()) == pytest.approx(1.0)
     # 9 weight-1 words, 27 each of weight 2 and 3
@@ -330,7 +326,7 @@ def dense_pauli_sum(probs: dict, rho, qubits=None, n=None):
     """sum_Q p_Q Q rho Q with each word placed on the given register qubits."""
     out = np.zeros_like(rho)
     for word, p in probs.items():
-        q = PauliString(word).dense()
+        q = word_matrix(word)
         q = q if qubits is None else embed(q, qubits, n)
         out += p * q @ rho @ q
     return out
@@ -361,7 +357,7 @@ def test_pauli_transform_matches_dense_kraus_sum(n, seed):
         assert np.allclose(got, dense_pauli_sum(joint, rho_big), rtol=0, atol=1e-12)
 
     for word in rng.choice(all_pauli_words(n)[1:], size=min(4**n - 1, 6), replace=False):
-        p = PauliString(word).dense()
+        p = word_matrix(word)
         survival = np.trace(p @ ch.apply((np.eye(d) + p) / d)).real
         assert survival == pytest.approx(transfer_eigenvalue(probs, word), abs=1e-12)
 
@@ -385,7 +381,7 @@ def test_pauli_channel_n7_memory():
     n, d = 7, 128
     masses = {int(w): m for w, m in DEFAULT_CONFIGS["twirl"]["weight_masses"].items()}
     probs = pauli_probs_by_weight(n, masses)
-    z1 = PauliString("Z" + "I" * (n - 1)).dense()
+    z1 = word_matrix("Z" + "I" * (n - 1))
     rho = (np.eye(d) + z1) / d
     tracemalloc.start()
     try:

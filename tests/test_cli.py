@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nmrqip
-from nmrqip import acceptance
+from nmrqip import acceptance, twirl
 from nmrqip.channels import Channel, pauli_probs_by_weight
 from nmrqip.clifford import gate_tableau, unitaries
 from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS, SCHEMA,
@@ -267,7 +267,7 @@ def _built_string(node) -> bool:
 
 def test_src_builds_no_pauli_word():
     # words only at the edges: generated Paulis are built from bits, and
-    # PauliString parses only names and literals (code and Mermin tables)
+    # pauli_entry parses only names and literals (code and Mermin tables)
     src = Path(nmrqip.__file__).resolve().parent
     found = []
     for path in sorted(src.rglob("*.py")):
@@ -276,8 +276,8 @@ def test_src_builds_no_pauli_word():
             if isinstance(node, ast.Call) and node.args and _built_string(node.args[0]):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "PauliString":
-                    bad = "PauliString of a built string"
+                if name == "pauli_entry":
+                    bad = "pauli_entry of a built string"
             elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                   and any(isinstance(side, ast.Constant) and side.value == "I"
                           for side in (node.left, node.right))):
@@ -354,14 +354,13 @@ def test_src_is_what_a_run_reaches():
 
 # The defaulted parameters that no call in src or scripts sets, each with the
 # reason it stays a parameter: named numerical tolerances, which keep their
-# value visible in the signature, and PauliString's phase, which literals set.
+# value visible in the signature.
 UNSET_PARAMETERS = {
     "control._fd_gradient(h_rel)": "finite-difference step relative to the amplitude cap",
     "experiments.dqc1._block_split(atol)": "how far off-diagonal blocks may stray from 0",
     "experiments.ising.ising_ground(rtol)": "relative gap that counts levels as degenerate",
     "experiments.weakvalue.weak_value(overlap_floor)": "smallest post-selection overlap accepted",
     "experiments.xxz.xxz_ground_state(rtol)": "relative gap that counts levels as degenerate",
-    "qop.PauliString.__init__(phase)": "the sign or i in front of a word; literals set it",
     "qop.check_density(atol)": "Hermiticity, trace and positivity tolerance",
     "qop.check_unitary(atol)": "unitarity tolerance",
     "spins._warn_if_strongly_coupled(ratio)": "J over chemical-shift difference that warns",
@@ -847,6 +846,32 @@ def test_grape_memory_cap_admits_512_step_scales_on_chain7():
     _resolve("grape", {"molecule": "chain7", "n_steps": 256, "rf_distribution": [[1.0, 0.5]] * 2})
     for name in ("chloroform2", "malonate3", "crotonic4"):
         _resolve("grape", {"molecule": name, "n_steps": 10_000})
+
+
+@pytest.mark.parametrize("doc, shots", [
+    ({"n": 5, "lengths": [99_999, 100_000], "sequences": 1_000_000}, None),
+    ({"n": 5, "lengths": [99_999, 100_000], "sequences": 1}, 1_000_000),
+    ({"lengths": [1, 100_000]}, 100_000),  # 100001 x 10^5 gates, just over
+], ids=["sequences", "shots-over-sequences", "shots"])
+def test_rb_work_is_capped(tmp_path, capsys, monkeypatch, doc, shots):
+    # sum(lengths) x sequences gates, with --shots as the sequence count when
+    # it is given; rejected before a gate set is built or a gate is applied
+    def forbidden(*args):
+        raise AssertionError("rb started work on a config over the cap")
+
+    monkeypatch.setattr(twirl, "default_rb_sampler", forbidden)
+    monkeypatch.setattr(twirl, "randomized_benchmarking", forbidden)
+    out = str(tmp_path / "o")
+    code = run_experiment("rb", out_dir=out, config_doc=doc, shots=shots)
+    assert_config_error(code, capsys, out, "must be <= 10^10 gates")
+
+
+def test_rb_work_cap_admits_10_10_gates():
+    # resolving checks every rule and runs nothing: the cap itself, and a
+    # sequences count over it that --shots replaces
+    _resolve("rb", {"lengths": [1, 99_999]}, 100_000)
+    _resolve("rb", {"lengths": [1, 99_999], "sequences": 100_000})
+    _resolve("rb", {"n": 5, "lengths": [99_999, 100_000], "sequences": 1_000_000}, 1)
 
 
 def test_sample_count_is_capped(tmp_path, capsys):

@@ -16,19 +16,19 @@ from nmrqip.clifford import (
     circuit_tableaux,
     clifford_group,
     compose,
-    conjugate,
     gate_tableau,
     identity,
     inverse,
     tableau,
     unitaries,
 )
-from nmrqip.qop import PAULIS, PauliString, controlled, haar_random_unitary, tensor
+from nmrqip.qop import (PAULIS, controlled, haar_random_unitary, pauli_entry, pauli_matrices,
+                        tensor)
 
 from conftest import (all_1q_cliffords, all_pauli_words, child_env, circuit_unitary,
                       closure_one_at_a_time, from_unitaries, from_unitary, gate_fidelity_hs,
                       gate_tableau_by_rows, generator_rows, pauli_product, rotation_unitaries,
-                      row_product, table_qubits)
+                      row_product, signed_entry, table_qubits, word_matrix)
 
 
 def random_circuit(n, depth, rng, singles="HS"):
@@ -45,25 +45,26 @@ def random_circuit(n, depth, rng, singles="HS"):
     return gates
 
 
+def images_of(table, *words):
+    """The entries C P C^dag of Pauli words P for the Clifford C of a table."""
+    return [int(compose(pauli_entry(w), table)) for w in words]
+
+
 def test_hadamard_images():
     h = gate_tableau("H", (1,), 1)
-    assert conjugate(h, PauliString("X")) == PauliString("Z")
-    assert conjugate(h, PauliString("Z")) == PauliString("X")
-    assert conjugate(h, PauliString("Y")) == PauliString("Y", -1)
+    assert images_of(h, "X", "Z", "Y") == [pauli_entry("Z"), pauli_entry("X"),
+                                           signed_entry("Y", -1)]
 
 
 def test_phase_gate_images():
     s = gate_tableau("S", (1,), 1)
-    assert conjugate(s, PauliString("X")) == PauliString("Y")
-    assert conjugate(s, PauliString("Z")) == PauliString("Z")
+    assert images_of(s, "X", "Z") == [pauli_entry("Y"), pauli_entry("Z")]
 
 
 def test_cnot_images():
     cx = gate_tableau("CNOT", (1, 2), 2)
-    assert conjugate(cx, PauliString("XI")) == PauliString("XX")
-    assert conjugate(cx, PauliString("IZ")) == PauliString("ZZ")
-    assert conjugate(cx, PauliString("IX")) == PauliString("IX")
-    assert conjugate(cx, PauliString("ZI")) == PauliString("ZI")
+    want = [pauli_entry(w) for w in ("XX", "ZZ", "IX", "ZI")]
+    assert images_of(cx, "XI", "IZ", "IX", "ZI") == want
 
 
 def test_conjugate_matches_dense(rng):
@@ -71,26 +72,25 @@ def test_conjugate_matches_dense(rng):
         gates = random_circuit(n, 12, rng)
         tab = circuit_tableau(gates, n)
         u = circuit_unitary(gates, n)
-        for word in all_pauli_words(n)[1:]:
-            img = conjugate(tab, PauliString(word))
-            dense = u @ PauliString(word).dense() @ u.conj().T
-            assert np.allclose(img.dense(), dense, atol=1e-10)
+        words = all_pauli_words(n)[1:]
+        for word, img in zip(words, pauli_matrices(n, images_of(tab, *words))):
+            assert np.allclose(img, u @ word_matrix(word) @ u.conj().T, atol=1e-10)
 
 
 def test_conjugate_is_multiplicative(rng):
     tab = circuit_tableau(random_circuit(2, 10, rng), 2)
-    a, b = PauliString("XY"), PauliString("ZX")
-    assert (pauli_product(conjugate(tab, a), conjugate(tab, b))
-            == conjugate(tab, pauli_product(a, b)))
+    a, b = pauli_entry("XY"), pauli_entry("ZX")
+    ca, cb = images_of(tab, "XY", "ZX")
+    assert pauli_product(2, ca, cb) == compose(pauli_product(2, a, b), tab)
 
 
 def test_then_order_matches_circuit():
     # H then S on the same qubit: X -> Z -> Z
     h = gate_tableau("H", (1,), 1)
     s = gate_tableau("S", (1,), 1)
-    assert conjugate(compose(h, s), PauliString("X")) == PauliString("Z")
+    assert images_of(compose(h, s), "X") == [pauli_entry("Z")]
     # S then H: X -> Y -> -Y
-    assert conjugate(compose(s, h), PauliString("X")) == PauliString("Y", -1)
+    assert images_of(compose(s, h), "X") == [signed_entry("Y", -1)]
 
 
 def test_inverse(rng):
@@ -114,11 +114,13 @@ def test_random_tableau_against_its_unitary(case, data):
     n, gates = case
     tab = circuit_tableau(gates, n)
     u = unitaries(tab)
-    p = PauliString(data.draw(st.text("IXYZ", min_size=n, max_size=n)),
-                    data.draw(st.sampled_from([1, -1, 1j, -1j])))
-    assert np.allclose(conjugate(tab, p).dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
+    word = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    phase = data.draw(st.sampled_from([1, -1, 1j, -1j]))
+    p, dense = signed_entry(word, phase), word_matrix(word, phase)
     inv = inverse(tab)
-    assert np.allclose(conjugate(inv, p).dense(), u.conj().T @ p.dense() @ u, atol=1e-10)
+    image, back = pauli_matrices(n, [compose(p, tab), compose(p, inv)])
+    assert np.allclose(image, u @ dense @ u.conj().T, atol=1e-10)
+    assert np.allclose(back, u.conj().T @ dense @ u, atol=1e-10)
     ident = identity(n)
     assert np.array_equal(compose(tab, inv), ident) and np.array_equal(compose(inv, tab), ident)
 
@@ -155,8 +157,8 @@ def scan_rows(unitaries, n):
     assert np.allclose(np.abs(coeffs), 1, rtol=0, atol=1e-9)
     out = []
     for ws, cs in zip(first, coeffs):
-        ps = [PauliString(words[w], complex(np.round(c))) for w, c in zip(ws, cs)]
-        out.append(tuple((p.x, p.z, p.k) for p in ps))
+        ps = [signed_entry(words[w], complex(np.round(c))) for w, c in zip(ws, cs)]
+        out.append(tuple((p >> (n + 2), p >> 2 & (1 << n) - 1, p & 3) for p in ps))
     return out
 
 
@@ -177,19 +179,19 @@ def test_from_unitary_matches_the_word_scan(group2):
 
 
 def paulis(*words):
-    return tuple(map(PauliString, words))
+    return tuple(map(pauli_entry, words))
 
 
 @pytest.mark.parametrize("n, x_images, z_images, message", [
-    (1, (PauliString("X", 1j),), paulis("Z"), "Hermitian"),
-    (1, paulis("X"), (PauliString("Z", -1j),), "Hermitian"),
+    (1, (signed_entry("X", 1j),), paulis("Z"), "Hermitian"),
+    (1, paulis("X"), (signed_entry("Z", -1j),), "Hermitian"),
     (2, paulis("XI"), paulis("ZI", "IZ"), "one image per generator"),
     (2, paulis("XI", "IX", "XX"), paulis("ZI", "IZ"), "one image per generator"),
     (1, paulis("XI"), paulis("Z"), "length mismatch"),
     (2, paulis("XI", "ZX"), paulis("ZI", "IZ"), "generator commutation"),
     (2, paulis("XI", "IX"), paulis("ZI", "XZ"), "generator commutation"),
     (2, paulis("XI", "IX"), paulis("ZI", "ZZ"), "symplectic pairing"),
-    (1, paulis("X"), (PauliString("X", -1),), "symplectic pairing"),
+    (1, paulis("X"), (signed_entry("X", -1),), "symplectic pairing"),
 ], ids=["phase-i", "phase-minus-i", "too-few-images", "too-many-images", "wrong-n",
         "x1-x2-anticommute", "z1-z2-anticommute", "x1-z2-anticommute", "x1-z1-commute"])
 def test_validation_rejects_each_rule(n, x_images, z_images, message):
@@ -198,9 +200,9 @@ def test_validation_rejects_each_rule(n, x_images, z_images, message):
 
 
 def images(t):
-    """(X images, Z images) of a table as PauliStrings, read from its rows."""
+    """(X images, Z images) of a table as entries, packed from its rows."""
     n = table_qubits(t)
-    ps = tuple(PauliString.from_bits(n, *r) for r in generator_rows(t))
+    ps = tuple(x << (n + 2) | z << 2 | k for x, z, k in generator_rows(t))
     return ps[:n], ps[n:]
 
 
@@ -240,7 +242,7 @@ def test_gate_tableau_rejects_qubits_out_of_range():
 
 def test_all_1q_cliffords_distinct():
     tabs = all_1q_cliffords()
-    keys = {(x[0].word, x[0].phase, z[0].word, z[0].phase) for x, z in map(images, tabs)}
+    keys = {(x[0], z[0]) for x, z in map(images, tabs)}
     assert len(tabs) == len(keys) == 24
 
 

@@ -10,16 +10,16 @@ from nmrqip.experiments.contextuality import (
     classical_max_beta,
     contextuality_beta,
 )
-from nmrqip.qop import PauliString, haar_random_state, ket_density
+from nmrqip.qop import haar_random_state, ket_density
 
-from conftest import depolarizing_for_beta, random_density
+from conftest import depolarizing_for_beta, random_density, word_matrix
 
 
 def test_table_structure():
     assert len(CONTEXTS) == 6
     # independent product check straight from dense matrices
     for words, sign in CONTEXTS:
-        a, b, c = (PauliString(w).dense() for w in words)
+        a, b, c = map(word_matrix, words)
         for p, q in ((a, b), (a, c), (b, c)):
             assert np.array_equal(p @ q, q @ p)
         prod = a @ b @ c
@@ -51,7 +51,7 @@ def test_beta_by_hand(rng):
     rho = random_density(4, rng)
     vals = []
     for words, _ in CONTEXTS:
-        a, b, c = (PauliString(w).dense() for w in words)
+        a, b, c = map(word_matrix, words)
         prod = a @ b @ c
         vals.append(np.trace(rho @ prod).real)
     want = sum(vals[:5]) - vals[5]

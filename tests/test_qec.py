@@ -5,8 +5,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from nmrqip.qop import (PauliString, controlled, embed, ket_density, partial_trace,
-                        state_fidelity)
+from nmrqip.qop import (SIGMA_X, SIGMA_Z, commutes, controlled, embed, ket_density,
+                        partial_trace, pauli_entry, pauli_matrices, pauli_word, state_fidelity)
 from nmrqip.qec import (
     DistillResult,
     StabilizerCode,
@@ -29,7 +29,7 @@ from nmrqip.qec import (
     transversal_cnot_demo,
 )
 
-from conftest import generator_rows, pauli_weight
+from conftest import circuit_unitary, generator_rows, pauli_weight, word_matrix
 
 PSI = np.array([0.6, 0.8], dtype=complex)
 
@@ -45,7 +45,7 @@ def word_lookup_table(code):
                 chars = ["I"] * n
                 for q, c in zip(support, letters):
                     chars[q] = c
-                err = PauliString("".join(chars))
+                err = pauli_entry("".join(chars))
                 table.setdefault(code.syndrome_of(err), err)
     return table
 
@@ -55,7 +55,7 @@ def test_bit_built_errors_match_word_builds():
         want = word_lookup_table(code)
         assert list(code.lookup_table().items()) == list(want.items())
     for n in range(1, 6):
-        want = [PauliString("I" * n)] + [PauliString("I" * q + c + "I" * (n - q - 1))
+        want = [pauli_entry("I" * n)] + [pauli_entry("I" * q + c + "I" * (n - q - 1))
                                          for q in range(n) for c in "XZY"]
         assert error_ensemble(n) == want
 
@@ -63,19 +63,20 @@ def test_bit_built_errors_match_word_builds():
 def test_code_definitions_are_consistent():
     for code in (bit_flip_code(), phase_flip_code(), five_qubit_code()):
         # __post_init__ enforces commutation; spot-check the logical algebra
-        assert not code.logical_x.commutes(code.logical_z)
+        n = code.n_physical
+        assert not commutes(n, code.logical_x, code.logical_z)
         for g in code.generators:
-            assert code.logical_x.commutes(g)
+            assert commutes(n, code.logical_x, g)
         # encoding tableau maps Z_j (j >= 2) onto the generators
-        tab, n = code.encoding_tableau(), code.n_physical
-        z_images = tuple(PauliString.from_bits(n, *r) for r in generator_rows(tab)[n:])
+        tab = code.encoding_tableau()
+        z_images = tuple(x << (n + 2) | z << 2 | k for x, z, k in generator_rows(tab)[n:])
         assert z_images[1:] == code.generators
 
 
 def test_code_validation_raises():
     with pytest.raises(ValueError, match="commute"):
-        StabilizerCode("bad", 2, (PauliString("XZ"), PauliString("ZX")),
-                       logical_x=PauliString("XX"), logical_z=PauliString("ZZ"))
+        StabilizerCode("bad", 2, (pauli_entry("XZ"), pauli_entry("ZX")),
+                       logical_x=pauli_entry("XX"), logical_z=pauli_entry("ZZ"))
 
 
 def test_encode_decode_roundtrip():
@@ -87,15 +88,15 @@ def test_encode_decode_roundtrip():
 def test_encoded_state_is_stabilized():
     code = five_qubit_code()
     rho = encode(code, PSI)
-    for g in code.generators:
-        assert np.trace(g.dense() @ rho).real == pytest.approx(1.0, abs=1e-10)
+    for g in pauli_matrices(5, code.generators):
+        assert np.trace(g @ rho).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_syndrome_lookup_is_minimum_weight():
     code = five_qubit_code()
     table = code.lookup_table()
     assert len(table) == 16
-    assert pauli_weight(table[(0, 0, 0, 0)]) == 0
+    assert pauli_weight(5, table[(0, 0, 0, 0)]) == 0
     # every single-qubit error has a distinct syndrome on this code
     seen = set()
     for err in error_ensemble(5)[1:]:
@@ -109,10 +110,10 @@ def test_syndrome_lookup_is_minimum_weight():
 def test_syndrome_extract_reports_injected_error():
     code = bit_flip_code()
     rho = encode(code, PSI)
-    err = PauliString("IXI").dense()
+    err = word_matrix("IXI")
     syndrome, post = syndrome_extract(code, err @ rho @ err.conj().T)
-    assert syndrome == code.syndrome_of(PauliString("IXI")) == (1, 1)
-    assert recover(code, syndrome) == PauliString("IXI")
+    assert syndrome == code.syndrome_of(pauli_entry("IXI")) == (1, 1)
+    assert recover(code, syndrome) == pauli_entry("IXI")
     assert np.trace(post).real == pytest.approx(1.0)
     with pytest.raises(ValueError):
         recover(code, (0, 1, 1, 0, 0))
@@ -136,10 +137,10 @@ def ancilla_syndrome_extract(code, rho):
     if circuit is None:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         circuit = np.eye(2**big, dtype=complex)
-        for k, gen in enumerate(code.generators):
+        for k, gen in enumerate(pauli_matrices(n, code.generators)):
             a = n + k + 1
             ha = embed(h, [a], big)
-            cg = embed(controlled(gen.dense()), [a] + data_qubits, big)
+            cg = embed(controlled(gen), [a] + data_qubits, big)
             circuit = ha @ cg @ ha @ circuit
         _ANCILLA_CIRCUITS[code.name] = circuit
     # the ancillas start in |0..0>, the last g qubits: of the circuit applied
@@ -172,7 +173,8 @@ def test_syndrome_projectors_match_ancilla_circuit(make_code):
     assert np.allclose(projs.sum(axis=0), np.eye(d), atol=1e-12)
     assert np.allclose(projs @ projs, projs, atol=1e-12)
     clean = encode(code, PSI)
-    states = [e.dense() @ clean @ e.dense().conj().T for e in error_ensemble(code.n_physical)]
+    n = code.n_physical
+    states = [e @ clean @ e.conj().T for e in pauli_matrices(n, error_ensemble(n))]
     state_rng = np.random.default_rng(7)
     states += [_random_density(d, state_rng) for _ in range(10)]
     for rho in states:
@@ -186,10 +188,11 @@ def test_syndrome_projectors_match_ancilla_circuit(make_code):
 def test_correction_cycle_fixes_single_errors():
     for code, errors in ((bit_flip_code(), ["XII", "IXI", "IIX"]),
                          (five_qubit_code(), None)):
-        words = errors or [e.word for e in error_ensemble(code.n_physical)[1:]]
+        n = code.n_physical
+        words = errors or [pauli_word(n, e) for e in error_ensemble(n)[1:]]
         clean = encode(code, PSI)
         for word in words:
-            e = PauliString(word).dense()
+            e = word_matrix(word)
             fixed = correction_cycle(code, e @ clean @ e.conj().T)
             assert state_fidelity(decode(code, fixed),
                                   ket_density(PSI)) == pytest.approx(1.0, abs=1e-10)
@@ -200,16 +203,16 @@ def test_phase_flip_code_corrects_z_errors_under_h():
     # leave X_i, which is the logical Z
     code = phase_flip_code()
     for word in ("ZII", "IZI", "IIZ"):
-        assert recover(code, code.syndrome_of(PauliString(word))) == PauliString(word)
+        assert recover(code, code.syndrome_of(pauli_entry(word))) == pauli_entry(word)
         for psi in (None, PSI):
-            _, f_corr = logical_gate_cycle(code, "H", PauliString(word), psi)
+            _, f_corr = logical_gate_cycle(code, "H", pauli_entry(word), psi)
             assert f_corr == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bit_flip_code_misses_phase_errors():
     code = bit_flip_code()
     clean = encode(code, PSI)
-    z = PauliString("ZII").dense()
+    z = word_matrix("ZII")
     fixed = correction_cycle(code, z @ clean @ z.conj().T)
     assert state_fidelity(decode(code, fixed), ket_density(PSI)) < 0.999
 
@@ -217,7 +220,7 @@ def test_bit_flip_code_misses_phase_errors():
 def test_five_qubit_code_fails_on_weight_two():
     code = five_qubit_code()
     clean = encode(code, PSI)
-    e = PauliString("XXIII").dense()
+    e = word_matrix("XXIII")
     fixed = correction_cycle(code, e @ clean @ e.conj().T)
     assert state_fidelity(decode(code, fixed), ket_density(PSI)) < 0.999
 
@@ -250,25 +253,51 @@ def test_gate_cycle_bit_flip_corrects_x_only():
     mean_unc, mean_corr = np.mean([r[1:] for r in rows], axis=0)
     assert len(rows) == 10
     for err, _, f_corr in rows:
-        if all(c in "IX" for c in err.word):
+        if all(c in "IX" for c in pauli_word(3, err)):
             assert f_corr == pytest.approx(1.0, abs=1e-10)
         else:
             assert f_corr < 0.999
     assert mean_unc < mean_corr < 1.0
-    f_unc, f_corr = logical_gate_cycle(code, "H", PauliString("IIX"), PSI)
+    f_unc, f_corr = logical_gate_cycle(code, "H", pauli_entry("IIX"), PSI)
     assert f_corr == pytest.approx(1.0, abs=1e-10)
     assert f_unc < 1.0
 
 
 def test_transversal_cnot_error_spread():
-    x1 = PauliString("XII")
+    x1 = pauli_entry("XII")
     assert transversal_cnot_demo("bad", x1) == 3
     assert transversal_cnot_demo("transversal", x1) == 1
     for err in error_ensemble(3)[1:]:
         # X parts copy onto the target block, Z parts stay on the control block
-        assert transversal_cnot_demo("transversal", err) == sum(c in "XY" for c in err.word) <= 1
+        want = sum(c in "XY" for c in pauli_word(3, err))
+        assert transversal_cnot_demo("transversal", err) == want <= 1
     with pytest.raises(ValueError):
         transversal_cnot_demo("sideways", x1)
+
+
+def dense_target_block_weight(m):
+    """Qubits 4-6 on which a dense 6-qubit operator acts: those with an X or
+    Z it does not commute with."""
+    weight = 0
+    for q in (4, 5, 6):
+        local = [embed(s, [q], 6) for s in (SIGMA_X, SIGMA_Z)]
+        weight += any(not np.allclose(m @ p, p @ m) for p in local)
+    return weight
+
+
+@pytest.mark.parametrize("variant, gates", [
+    ("bad", [("CNOT", (1, t)) for t in (4, 5, 6)]),
+    ("transversal", [("CNOT", (q, q + 3)) for q in (1, 2, 3)]),
+])
+def test_transversal_cnot_demo_matches_dense_conjugation(variant, gates):
+    # every single error on the control block, conjugated by the circuit's
+    # dense unitary; the weight is read off the dense operator
+    u = circuit_unitary(gates, 6)
+    for q in range(3):
+        for letter in "XYZ":
+            word = "I" * q + letter + "I" * (2 - q)
+            want = dense_target_block_weight(u @ word_matrix(word + "III") @ u.conj().T)
+            assert transversal_cnot_demo(variant, pauli_entry(word)) == want
 
 
 def test_magic_density_and_polarization():

@@ -1,5 +1,7 @@
 """Convention checks and linear-algebra oracles for the operator toolbox."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from nmrqip.qop import (
     KET0,
     PAULIS,
-    PauliString,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -18,6 +19,7 @@ from nmrqip.qop import (
     hermitian_entries,
     check_density,
     check_unitary,
+    commutes,
     controlled,
     embed,
     expectation,
@@ -25,15 +27,17 @@ from nmrqip.qop import (
     haar_random_unitary,
     ket_density,
     partial_trace,
+    pauli_entry,
     pauli_matrices,
     pauli_sum,
+    pauli_word,
     state_fidelity,
     sylvester_hadamard,
     tensor,
 )
 
 from conftest import (KET1, all_pauli_words, bloch_vector, gate_fidelity_hs, pauli_product,
-                      pauli_weight, random_density)
+                      pauli_weight, random_density, signed_entry, word_matrix)
 
 
 def test_pauli_algebra():
@@ -45,9 +49,10 @@ def test_pauli_algebra():
 
 
 def test_qubit_one_is_leftmost_factor():
-    assert np.allclose(PauliString("XI").dense(), np.kron(SIGMA_X, np.eye(2)))
-    assert np.allclose(PauliString("IX").dense(), np.kron(np.eye(2), SIGMA_X))
-    assert np.allclose(PauliString("XZ").dense(), np.kron(SIGMA_X, SIGMA_Z))
+    xi, ix, xz = pauli_matrices(2, [pauli_entry(w) for w in ("XI", "IX", "XZ")])
+    assert np.allclose(xi, np.kron(SIGMA_X, np.eye(2)))
+    assert np.allclose(ix, np.kron(np.eye(2), SIGMA_X))
+    assert np.allclose(xz, np.kron(SIGMA_X, SIGMA_Z))
 
 
 def test_ket0_is_plus_z():
@@ -64,55 +69,72 @@ def test_basis_ket_bit_order():
 
 
 def test_pauli_string_products():
-    x = PauliString("X")
-    y = PauliString("Y")
-    assert pauli_product(x, y).word == "Z" and pauli_product(x, y).phase == 1j
-    assert pauli_product(y, x).phase == -1j
-    assert not x.commutes(y)
-    assert PauliString("XX").commutes(PauliString("YY"))
-    for word, phase in (("XQ", 1), ("xz", 1), ("XZ", 0.5), ("XZ", 1 + 1e-6),
-                        ("XZ", (1 + 1j) / np.sqrt(2))):
-        with pytest.raises(ValueError):
-            PauliString(word, phase)
+    x, y = pauli_entry("X"), pauli_entry("Y")
+    assert pauli_product(1, x, y) == signed_entry("Z", 1j)
+    assert pauli_product(1, y, x) == signed_entry("Z", -1j)
+    assert not commutes(1, x, y)
+    assert commutes(2, pauli_entry("XX"), pauli_entry("YY"))
+    for word in ("XQ", "xz", "X Z", "-XZ"):
+        with pytest.raises(ValueError, match="bad Pauli word"):
+            pauli_entry(word)
 
 
 def paulis(n):
-    return st.builds(PauliString, st.text("IXYZ", min_size=n, max_size=n),
-                     st.sampled_from([1, -1, 1j, -1j]))
+    """(n, word, phase, its entry) of a word on n qubits at a phase +-1 or +-i."""
+    return st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                     st.sampled_from([1, -1, 1j, -1j])).map(
+        lambda wp: (n, *wp, signed_entry(*wp)))
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(paulis(n), paulis(n))))
 def test_pauli_bit_algebra_matches_dense(pair):
-    p, q = pair
-    assert np.array_equal(pauli_product(p, q).dense(), p.dense() @ q.dense())
-    commutator = p.dense() @ q.dense() - q.dense() @ p.dense()
-    assert p.commutes(q) == (not commutator.any())
+    (n, _, _, p), (_, _, _, q) = pair
+    a, b, ab = pauli_matrices(n, [p, q, pauli_product(n, p, q)])
+    assert np.array_equal(ab, a @ b)
+    commutator = a @ b - b @ a
+    assert commutes(n, p, q) == (not commutator.any())
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(1, 4).flatmap(paulis))
-def test_pauli_string_word_and_bits_roundtrip(p):
-    assert PauliString(p.word, p.phase) == p
-    same = PauliString.from_bits(p.n, p.x, p.z, p.k)
-    assert same == p and same.word == p.word
-    assert p.phase == 1j ** (p.k - bin(p.x & p.z).count("1"))
-    assert pauli_weight(p) == sum(c != "I" for c in p.word)
+def test_pauli_string_word_and_bits_roundtrip(case):
+    n, word, phase, e = case
+    assert pauli_word(n, e) == word
+    assert np.array_equal(pauli_matrices(n, e)[0], word_matrix(word, phase))
+    assert phase == 1j ** ((e & 3) - (e >> (n + 2) & e >> 2).bit_count())
+    assert pauli_weight(n, e) == sum(c != "I" for c in word)
 
 
-def test_from_bits_default_phase_matches_word():
-    # the default k is reduced mod 4, so four or more Y letters (k = 4, 5, ...)
-    # compare like the parsed word
+def test_parsed_entry_phase_matches_word():
+    # k is reduced mod 4, so four or more Y letters (k = 4, 5, ...) give the
+    # entry the letter oracle packs
     for n in range(1, 8):
         for word in all_pauli_words(n):
-            p = PauliString(word)
-            q = PauliString.from_bits(n, p.x, p.z)
-            assert q == p and q.k == p.k
+            assert pauli_entry(word) == signed_entry(word)
 
 
-def kron_pauli(word, phase):
-    """Oracle: the phase times the kron of the word's letter matrices."""
-    return phase * tensor(*(PAULIS[c] for c in word))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_word_round_trips_through_its_entry(n):
+    # every key once, each printed back to its word, each matrix the
+    # Kronecker product of the word's letters
+    words = all_pauli_words(n)
+    entries = [pauli_entry(w) for w in words]
+    assert sorted(e >> 2 for e in entries) == list(range(4**n))
+    assert [pauli_word(n, e) for e in entries] == words
+    for word, mat in zip(words, pauli_matrices(n, entries)):
+        assert np.array_equal(mat, word_matrix(word))
+
+
+def test_commutes_matches_the_dense_commutator():
+    # all 256 pairs at n = 2 and 300 random pairs at n = 5
+    rng = np.random.default_rng(0)
+    random_words = ["".join(rng.choice(list("IXYZ"), size=5)) for _ in range(600)]
+    for n, pairs in ((2, itertools.product(all_pauli_words(2), repeat=2)),
+                     (5, zip(random_words[::2], random_words[1::2]))):
+        for a, b in pairs:
+            ma, mb = word_matrix(a), word_matrix(b)
+            assert commutes(n, pauli_entry(a), pauli_entry(b)) == (not (ma @ mb - mb @ ma).any())
 
 
 def test_pauli_dense_matches_kron():
@@ -128,24 +150,26 @@ def test_pauli_dense_matches_kron():
                      for _ in range(200)]
         for start in range(0, len(cases), 25):
             chunk = cases[start:start + 25]
-            ps = [PauliString(w, ph) for w, ph in chunk]
-            stack = pauli_matrices(n, [p.x << (n + 2) | p.z << 2 | p.k for p in ps])
+            stack = pauli_matrices(n, [signed_entry(w, ph) for w, ph in chunk])
             assert stack.shape == (len(chunk), 2**n, 2**n)
-            for (word, phase), p, mat in zip(chunk, ps, stack):
-                ref = kron_pauli(word, phase)
-                assert np.array_equal(mat, ref) and np.array_equal(p.dense(), ref)
+            for (word, phase), mat in zip(chunk, stack):
+                ref = word_matrix(word, phase)
+                assert np.array_equal(mat, ref)
                 if phase == 1:
-                    assert np.array_equal(PauliString(word).dense(), ref)
+                    assert np.array_equal(pauli_matrices(n, pauli_entry(word))[0], ref)
 
 
 def test_hermitian_entries_pack_the_phase_plus_one_paulis():
-    # every key for n <= 6; from n = 4 on popcount(x & z) reaches 4, whose
-    # phase i^4 = 1 must not carry into the z bits (YYYYI is X^30 Z^30 i^4)
+    # every key for n <= 6 against the entries packed from the words' letters;
+    # from n = 4 on popcount(x & z) reaches 4, whose phase i^4 = 1 must not
+    # carry into the z bits (YYYYI is X^30 Z^30 i^4)
     for n in range(1, 7):
-        ps = [PauliString.from_bits(n, a >> n, a & (1 << n) - 1) for a in range(4**n)]
-        want = [p.x << (n + 2) | p.z << 2 | p.k for p in ps]
-        assert hermitian_entries(n, np.arange(4**n)).tolist() == want
+        by_key = {e >> 2: e for e in map(signed_entry, all_pauli_words(n))}
+        assert hermitian_entries(n, np.arange(4**n)).tolist() == [by_key[a] for a in range(4**n)]
     assert hermitian_entries(5, np.array([30 << 5 | 30])).tolist() == [30 << 7 | 30 << 2]
+    # one Python int key: IIIXY's has popcount(x & z) = 1, and its entry 389
+    # does not fit the uint8 that numpy's popcount gives
+    assert hermitian_entries(5, 3 << 5 | 1) == 3 << 7 | 1 << 2 | 1 == 389
 
 
 _COEFFS = st.one_of(st.floats(-10, 10), st.complex_numbers(max_magnitude=10, allow_nan=False))

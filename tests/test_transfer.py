@@ -11,7 +11,9 @@ from nmrqip.experiments.transfer import (
     one_excitation_hamiltonian,
     state_transfer,
 )
-from nmrqip.qop import PauliString, basis_ket
+from nmrqip.qop import basis_ket
+
+from conftest import word_matrix
 
 
 def dense_relay_hamiltonian(couplings, n):
@@ -24,7 +26,7 @@ def dense_relay_hamiltonian(couplings, n):
                 continue
             for letter, w in (("Z", 2.0), ("X", -1.0), ("Y", -1.0)):
                 word = "".join(letter if q in (j, k) else "I" for q in range(n))
-                ham += (np.pi / 2) * d * w * PauliString(word).dense()
+                ham += (np.pi / 2) * d * w * word_matrix(word)
     return ham
 
 
@@ -44,7 +46,7 @@ def test_one_excitation_hamiltonian_matches_dense():
     block = basis.conj().T @ full @ basis
     assert np.allclose(one_excitation_hamiltonian(d, n), block, atol=1e-12)
     # excitation number commutes with the dense Hamiltonian
-    number = sum((np.eye(2**n) - PauliString("I" * q + "Z" + "I" * (n - q - 1)).dense()) / 2
+    number = sum((np.eye(2**n) - word_matrix("I" * q + "Z" + "I" * (n - q - 1))) / 2
                  for q in range(n))
     assert np.abs(full @ number - number @ full).max() < 1e-12
 

@@ -9,8 +9,8 @@ import pytest
 
 from nmrqip import clifford, twirl
 from nmrqip.channels import Channel, pauli_probs_by_weight
-from nmrqip.clifford import circuit_tableau, conjugate, gate_tableau, identity, tableau, unitaries
-from nmrqip.qop import PauliString, average_gate_fidelity_exact
+from nmrqip.clifford import circuit_tableau, compose, gate_tableau, identity, tableau, unitaries
+from nmrqip.qop import average_gate_fidelity_exact, pauli_entry
 from nmrqip.twirl import (
     TwirlEstimate,
     _fit_decay,
@@ -30,7 +30,7 @@ from conftest import (all_1q_cliffords, all_pauli_words, bit_flip, circuit_unita
                       composite_pauli_vector, dense_rb_survivals, dense_shot_values,
                       draw_rb_indices, exact_rb_survivals, factor_kraus, from_unitaries,
                       kraus_sum, pauli_product, pauli_weight, phase_flip, rotation_unitaries,
-                      signed_paulis, tableau_rb_survivals)
+                      signed_entry, signed_paulis, tableau_rb_survivals)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -57,12 +57,11 @@ def test_twirl_identity_channel_is_exact():
 
 
 def old_chain_law(n: int) -> dict:
-    """Exact law, keyed by (n, x, z, k), of the weight -> permutation ->
-    per-qubit Clifford draw: weight w with probability C(n,w) 3^w / (4^n - 1),
-    the first w qubits of a uniform permutation, and on each the image
-    C Z C^dag of one of the 24 single-qubit Cliffords, embedded and
-    multiplied in."""
-    images = [conjugate(c, PauliString("Z")) for c in all_1q_cliffords()]
+    """Exact law, keyed by entry, of the weight -> permutation -> per-qubit
+    Clifford draw: weight w with probability C(n,w) 3^w / (4^n - 1), the
+    first w qubits of a uniform permutation, and on each the image C Z C^dag
+    of one of the 24 single-qubit Cliffords, embedded and multiplied in."""
+    images = [int(compose(pauli_entry("Z"), c)) for c in all_1q_cliffords()]
     law: dict = {}
     for w in range(1, n + 1):
         p_w = Fraction(math.comb(n, w) * 3**w, 4**n - 1)
@@ -72,12 +71,13 @@ def old_chain_law(n: int) -> dict:
             subsets[key] = subsets.get(key, 0) + Fraction(1, math.factorial(n))
         for qubits, p_s in subsets.items():
             for choice in itertools.product(images, repeat=w):
-                p = PauliString("I" * n)
+                p = 0  # the identity
                 for q, img in zip(qubits, choice):
-                    p = pauli_product(p, PauliString("I" * q + img.word + "I" * (n - q - 1),
-                                                     img.phase))
-                key = (p.n, p.x, p.z, p.k)
-                law[key] = law.get(key, 0) + p_w * p_s / 24**w
+                    # the one-qubit entry x << 3 | z << 2 | k, placed on qubit q + 1
+                    s = n - 1 - q
+                    placed = (img >> 3) << (n + 2 + s) | (img >> 2 & 1) << (2 + s) | img & 3
+                    p = pauli_product(n, p, placed)
+                law[p] = law.get(p, 0) + p_w * p_s / 24**w
     return law
 
 
@@ -87,8 +87,7 @@ def test_old_chain_law_is_uniform_over_signed_paulis(n):
     # probability, which is the law the index-and-sign draw samples directly
     law = old_chain_law(n)
     words = all_pauli_words(n)[1:]
-    assert set(law) == {(p.n, p.x, p.z, p.k)
-                        for p in (PauliString(w, s) for w in words for s in (1, -1))}
+    assert set(law) == {signed_entry(w, s) for w in words for s in (1, -1)}
     assert set(law.values()) == {Fraction(1, 2 * (4**n - 1))}
 
 
@@ -112,9 +111,9 @@ def test_distinct_draw_matches_word_enumeration():
     for n in range(1, 6):
         by_index = {}
         for w in all_pauli_words(n):
-            p = PauliString(w)
-            by_index[p.x << n | p.z] = p
-        assert sorted(by_index) == list(range(4**n)) and pauli_weight(by_index[0]) == 0
+            p = signed_entry(w)
+            by_index[p >> 2] = p
+        assert sorted(by_index) == list(range(4**n)) and pauli_weight(n, by_index[0]) == 0
         for count in (1, min(4**n - 1, 50)):
             rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
             want = [by_index[i + 1]
@@ -163,7 +162,7 @@ def test_shot_memo_matches_per_shot_loop(n):
         idx, sign = _sample_paulis(n, count, np.random.default_rng(n), with_replacement)
         for readout_shots in (None, 100) if n < 6 else (None,):
             for tab, image, readout in ((None, memory, lambda p: p),
-                                        (target, gate, lambda p: conjugate(target, p))):
+                                        (target, gate, lambda p: compose(p, target))):
                 rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
                 got = _shot_values(noise, idx, sign, tab, readout_shots, rng)
                 want = dense_shot_values(n, image, idx, sign, readout, readout_shots, ref_rng)
@@ -172,12 +171,13 @@ def test_shot_memo_matches_per_shot_loop(n):
 
 
 def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
-    # neither estimate applies the channel to a state; certify reads its
-    # images from the target's table, so it conjugates no PauliString and
-    # builds none, and it forms the target's unitary once; both estimates
-    # equal the dense loop's, which is computed before anything is patched
+    # neither estimate applies the channel to a state; certify reads the
+    # images of all its distinct Paulis from the target's table in one
+    # compose, not one per Pauli, and it forms the target's unitary once;
+    # both estimates equal the dense loop's, which is computed before
+    # anything is patched
     def forbidden(*args):
-        raise AssertionError("Channel.apply, conjugate or from_bits called by a twirl estimate")
+        raise AssertionError("Channel.apply called by a twirl estimate")
 
     n = 2
     noise, memory, gate, target = noise_and_gate(n)
@@ -187,21 +187,22 @@ def test_channel_applies_once_per_distinct_signed_pauli(monkeypatch):
         distinct = len(np.unique(idx << 1 | sign))
         assert distinct < count if with_replacement else distinct == count
         for tab, image, readout in ((None, memory, lambda p: p),
-                                    (target, gate, lambda p: conjugate(target, p))):
+                                    (target, gate, lambda p: compose(p, target))):
             want = dense_shot_values(n, image, idx, sign, readout, None, None)
             cases.append((with_replacement, count, tab, want))
-    built = []
+    built, composed = [], []
     monkeypatch.setattr(twirl, "unitaries", lambda t: built.append(t) or unitaries(t))
+    monkeypatch.setattr(twirl, "compose", lambda p, t: composed.append(t) or compose(p, t))
     monkeypatch.setattr(Channel, "apply", forbidden)
-    monkeypatch.setattr(clifford, "conjugate", forbidden)
-    monkeypatch.setattr(PauliString, "from_bits", forbidden)
     for with_replacement, count, tab, want in cases:
         built.clear()
+        composed.clear()
         rng = np.random.default_rng(5)
         est = (twirl_estimate_memory(noise, 0.05, rng, count, None, with_replacement)
                if tab is None else _twirl(noise, tab, 0.05, rng, count, None, with_replacement))
         assert est.n_samples == count
-        assert [t is tab for t in built] == ([] if tab is None else [True])
+        assert [t is tab for t in built] == [t is tab for t in composed] == (
+            [] if tab is None else [True])
         assert est.pr0_hat == pytest.approx(15 / 16 * want.mean() + 1 / 16, rel=0, abs=1e-14)
 
 
@@ -211,15 +212,15 @@ def test_certify_detects_wrong_tableau_signs_on_negative_inputs(monkeypatch):
     # the input's sign, as in the dense loop
     cnot = gate_tableau("CNOT", (1, 2), 2)
     u = unitaries(cnot)
-    wrong = tableau(2, (PauliString("XX", -1), PauliString("IX")),
-                    (PauliString("ZI"), PauliString("ZZ")))
+    wrong = tableau(2, (signed_entry("XX", -1), pauli_entry("IX")),
+                    (pauli_entry("ZI"), pauli_entry("ZZ")))
     monkeypatch.setattr(twirl, "unitaries", lambda t: u)
     idx = np.arange(1, 16)
     noiseless = Channel.depolarizing(2, 0)
     for sign in (np.ones(15, dtype=np.int64), np.zeros(15, dtype=np.int64)):
         got = _shot_values(noiseless, idx, sign, wrong, None, None)
         want = dense_shot_values(2, lambda rho: u @ rho @ u.conj().T, idx, sign,
-                                 lambda p: conjugate(wrong, p), None, None)
+                                 lambda p: compose(p, wrong), None, None)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
         assert np.allclose(got, np.where(idx >> 3 & 1, -1.0, 1.0), rtol=0, atol=1e-14)
     est = _twirl(noiseless, wrong, 0.05, np.random.default_rng(7), 15, None,
@@ -468,9 +469,8 @@ def test_rb_pauli_noise_builds_no_dense_unitary(monkeypatch):
     gate_set, noise_models = default_rb_sampler(3), rb_noise_models(3)
     for name in ("unitaries", "compose"):
         monkeypatch.setattr(twirl, name, forbidden)
-    for name in ("unitaries", "compose", "inverse", "conjugate"):
+    for name in ("unitaries", "compose", "inverse"):
         monkeypatch.setattr(clifford, name, forbidden)
-    monkeypatch.setattr(PauliString, "from_bits", forbidden)
     for noise in noise_models:
         res = randomized_benchmarking(gate_set, noise, RB_LENGTHS, 3,
                                       np.random.default_rng(0))

@@ -15,9 +15,9 @@ from nmrqip.experiments.xxz import (
     xxz_scan,
 )
 from nmrqip.experiments import xxz
-from nmrqip.qop import PAULIS, PauliString, tensor
+from nmrqip.qop import PAULIS, tensor
 
-from conftest import restart_sweep, seed_equatorial_sweeps
+from conftest import restart_sweep, seed_equatorial_sweeps, word_matrix
 
 
 def test_hamiltonian_by_hand():
@@ -26,7 +26,7 @@ def test_hamiltonian_by_hand():
     for (i, j) in ((0, 1), (1, 2), (2, 0)):
         for letter, w in (("X", 1.0), ("Y", 1.0), ("Z", gamma)):
             word = "".join(letter if q in (i, j) else "I" for q in range(n))
-            ham += w * PauliString(word).dense()
+            ham += w * word_matrix(word)
     assert np.allclose(xxz_hamiltonian(n, gamma), ham)
     with pytest.raises(ValueError):
         xxz_hamiltonian(1, 0.0)
@@ -48,13 +48,13 @@ def test_hamiltonian_equals_kron_sum():
 
 def test_total_z_is_the_diagonal_of_the_z_sum():
     for n in range(2, 8):
-        dense = sum(PauliString("I" * q + "Z" + "I" * (n - q - 1)).dense() for q in range(n))
+        dense = sum(word_matrix("I" * q + "Z" + "I" * (n - q - 1)) for q in range(n))
         assert np.array_equal(np.diag(xxz._total_z(n)), dense)
 
 
 def test_hamiltonian_conserves_magnetization():
     n = 4
-    total_z = sum(PauliString("I" * q + "Z" + "I" * (n - q - 1)).dense()
+    total_z = sum(word_matrix("I" * q + "Z" + "I" * (n - q - 1))
                   for q in range(n))
     for gamma in (-2.0, 0.3, 1.5):
         ham = xxz_hamiltonian(n, gamma)
