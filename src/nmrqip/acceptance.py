@@ -2,9 +2,12 @@
 
 Every criterion returns a CriterionResult with the measured values, the
 stated expectation, and a hard pass/fail.  `nmrqip repro` drives the full
-set; tests/test_acceptance.py asserts each one.  Where a check has both an
-estimator route and an independent exact route, both run here and the
-criterion compares them (never one against itself).
+set; tests/test_acceptance.py asserts each one.  Eight criteria take their
+run from the runner `nmrqip <experiment>` calls (see _cli_run): grape-cnot,
+twirl-memory, certify-clifford, randomized-benchmarking, magic-distillation,
+weak-values, ising-ground and state-transfer.  Every criterion holds its run
+to an oracle of its own (finite differences, Kraus sums, an integer Pauli
+chain, literal bounds), never one route against itself.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cli
 from .channels import Channel, pauli_probs_by_weight
 from .clifford import clifford_group, compose, gate_tableau, identity, inverse, unitaries
 from .control import (
-    GrapeConfig,
     _fd_gradient,
     cnot_sequence,
     control_channels,
     grape_gradient,
-    grape_optimize,
     random_pulse,
     rf_selection_retention,
 )
@@ -42,9 +44,7 @@ from .experiments.dqc1 import (
     dqc1_trace,
     haar_block_unitary,
 )
-from .experiments.ising import ising_ground, magnetization_steps
-from .experiments.transfer import TransferChain, dipolar_couplings, state_transfer
-from .experiments.weakvalue import amplified_pair, weak_value, weak_value_exact
+from .experiments.weakvalue import weak_value, weak_value_exact
 from .experiments.xxz import (
     branch_crossing,
     equatorial_overlap,
@@ -55,8 +55,6 @@ from .experiments.xxz import (
 )
 from .qec import (
     bit_flip_code,
-    distill_magic,
-    distillation_threshold,
     error_ensemble,
     five_qubit_code,
     logical_gate_cycle,
@@ -72,12 +70,7 @@ from .qop import (
     pauli_matrices,
 )
 from .spins import builtin_molecule, internal_hamiltonian
-from .twirl import (
-    certify_clifford,
-    default_rb_sampler,
-    randomized_benchmarking,
-    twirl_estimate_memory,
-)
+from .twirl import default_rb_sampler
 
 
 @dataclass
@@ -90,22 +83,31 @@ class CriterionResult:
     details: dict
 
 
+def _cli_run(name, seed, **config):
+    """Summary and tables of the run `nmrqip <name>` makes at the given seed
+    and config overrides, in process and without readout shots; each table
+    is {column name: column}."""
+    out = cli.EXPERIMENTS[name](cli._resolve(name, config), seed, None)
+    return out.summary, {fname: dict(zip(header, columns))
+                         for fname, (header, columns) in out.tables.items()}
+
+
 # ---------------------------------------------------------------------------
 # 1. pulse search reaches a CNOT on the two-spin fixture
 
 
 def _crit_grape(base_seed):
+    t0 = time.perf_counter()
+    run, tables = _cli_run("grape", base_seed + 11)
+    opt_time = time.perf_counter() - t0
+    fid, iters = run["fidelity"], run["iterations"]
+    monotone = bool(np.all(np.diff(tables["fidelity_trace.csv"]["fidelity"]) >= -1e-12))
+
+    # the exact gradient against finite differences on the same system
     sys_ = builtin_molecule("chloroform2")
     u_target = unitaries(gate_tableau("CNOT", (1, 2), 2))
     names, ops = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
-    init = random_pulse(250, 2e-5, names, u_max=u_max, seed=base_seed + 11)
-    cfg = GrapeConfig(max_iters=2000, target_fidelity=0.99)
-    t0 = time.perf_counter()
-    res = grape_optimize(sys_, u_target, init, cfg)
-    opt_time = time.perf_counter() - t0
-    monotone = bool(np.all(np.diff(res.fidelities) >= -1e-12))
-
     h_int = internal_hamiltonian(sys_)
     worst_rel = 0.0
     for k in range(20):
@@ -116,15 +118,15 @@ def _crit_grape(base_seed):
         rel = np.linalg.norm(g - g_fd) / max(np.linalg.norm(g), 1e-300)
         worst_rel = max(worst_rel, rel)
 
-    passed = (res.converged and res.fidelity >= 0.99
-              and res.iterations <= 2000 and opt_time < 60.0
+    passed = (run["converged"] and fid >= 0.99
+              and iters <= 2000 and opt_time < 60.0
               and monotone and worst_rel <= 1e-6)
     return (passed,
-            f"fid={res.fidelity:.4f} in {res.iterations} iters, "
+            f"fid={fid:.4f} in {iters} iters, "
             f"monotone={monotone}, grad_rel_err={worst_rel:.2e}",
             "fid>=0.99 within 2000 iters in <60s, monotone trace, "
             "gradient within 1e-6 of finite differences on 20 pulses",
-            {"fidelity": res.fidelity, "iterations": res.iterations,
+            {"fidelity": fid, "iterations": iters,
              "optimize_time_s": opt_time, "monotone": monotone,
              "gradient_rel_err": worst_rel})
 
@@ -162,23 +164,19 @@ def _crit_twirl(base_seed):
     parts = []
     d = 8
     for pr0_true, masses in _TWIRL_FIXTURES:
-        probs = pauli_probs_by_weight(3, masses)
-        noise = Channel(probs)
+        noise = Channel(pauli_probs_by_weight(3, masses))
         fbar_formula = (d * pr0_true + 1) / (d + 1)
         fbar_exact = average_gate_fidelity_exact(noise.kraus(), np.eye(d))
-        hats, fbars, stderrs = [], [], []
-        n_samples = None
-        for s in range(10):
-            rng = np.random.default_rng(base_seed + 300 + s)
-            est = twirl_estimate_memory(noise, 0.02, rng)
-            hats.append(est.pr0_hat)
-            fbars.append(est.fbar)
-            stderrs.append(est.stderr)
-            n_samples = est.n_samples
-            passed &= abs(est.pr0_hat - pr0_true) <= 0.02
-        # the two exact routes must agree before either anchors the estimate
+        runs = [_cli_run("twirl", base_seed + 300 + s, weight_masses=masses)[0]
+                for s in range(10)]
+        hats, fbars = [r["pr0_hat"] for r in runs], [r["fbar_hat"] for r in runs]
+        n_samples = runs[-1]["n_samples"]
+        passed &= all(abs(h - pr0_true) <= 0.02 for h in hats)
+        # the exact routes, the run's fbar_true among them, must agree before
+        # any anchors the estimate
+        passed &= all(abs(r["fbar_true"] - fbar_exact) <= 1e-12 for r in runs)
         passed &= abs(fbar_exact - fbar_formula) <= 1e-12
-        se_mean = (np.mean(stderrs) / np.sqrt(10)) * d / (d + 1)
+        se_mean = (np.mean([r["stderr"] for r in runs]) / np.sqrt(10)) * d / (d + 1)
         fbar_gap = abs(np.mean(fbars) - fbar_exact)
         passed &= fbar_gap <= 3 * se_mean
         worst = max(abs(h - pr0_true) for h in hats)
@@ -208,15 +206,15 @@ def _crit_certify(base_seed):
     u = unitaries(tab)
     parts, details, passed = [], {}, True
     for i, p in enumerate((0.05, 0.1, 0.2)):
+        _, tables = _cli_run("certify", base_seed + 400 + i, depolarizing_p=p)
+        run = {k: col[0] for k, col in tables["certify.csv"].items()}
         noise = Channel.depolarizing(2, p)
-        rng = np.random.default_rng(base_seed + 400 + i)
-        est = certify_clifford(noise, tab, 0.02, rng)
         exact = average_gate_fidelity_exact([u @ k for k in noise.kraus()], u)
-        gap = abs(est.fbar - exact)
-        budget = 0.02 + 3 * est.stderr * 4 / 5
-        passed &= gap <= budget
+        gap = abs(run["fbar_hat"] - exact)
+        budget = 0.02 + 3 * run["pr0_stderr"] * 4 / 5
+        passed &= gap <= budget and abs(run["fbar_exact"] - exact) <= 1e-12
         parts.append(f"p={p}: |fbar-exact|={gap:.2e}<= {budget:.3f}")
-        details[f"p_{p}"] = {"fbar_hat": est.fbar, "fbar_exact": exact,
+        details[f"p_{p}"] = {"fbar_hat": run["fbar_hat"], "fbar_exact": exact,
                              "gap": gap, "budget": budget}
 
     # exhaustive readout bookkeeping: every Clifford on 1 and 2 qubits,
@@ -249,18 +247,16 @@ def _crit_certify(base_seed):
 
 
 def _crit_rb(base_seed):
-    r_inj = 4.7e-3
-    n, d = 3, 8
-    noise = Channel.depolarizing(n, r_inj / (1 - 1 / d))
-    rng = np.random.default_rng(base_seed + 500)
-    tabs, probs = default_rb_sampler(n)
-    res = randomized_benchmarking((tabs, probs), noise, [1, 2, 4, 8, 16, 32, 64, 96], 30, rng)
-    rel = abs(res.error_rate - r_inj) / r_inj
+    r_inj, n = 4.7e-3, 3
+    run, _ = _cli_run("rb", base_seed + 500)
+    r_fit = run["error_rate_fit"]
+    rel = abs(r_fit - r_inj) / r_inj
 
     # zero noise: the survival operator returns to +Z_1 exactly, so the
     # survival is exactly 1; the check runs in integer Pauli arithmetic on
     # gate indices drawn as the run draws them
     rng2 = np.random.default_rng(base_seed + 501)
+    tabs, probs = default_rb_sampler(n)
     z1 = pauli_entry("ZII")
     exact_ones = 0
     for _ in range(100):
@@ -268,14 +264,14 @@ def _crit_rb(base_seed):
         for g in rng2.choice(len(tabs), size=int(rng2.integers(1, 40)), p=probs).tolist():
             p, total = compose(p, tabs[g]), compose(total, tabs[g])
         exact_ones += int(compose(p, inverse(total))) == z1
-    passed = res.ok and rel <= 0.10 and exact_ones == 100
+    passed = run["ok"] and rel <= 0.10 and exact_ones == 100
     return (bool(passed),
-            f"r_fit={res.error_rate:.5g} vs {r_inj} (rel {rel:.3f}); "
+            f"r_fit={r_fit:.5g} vs {r_inj} (rel {rel:.3f}); "
             f"{exact_ones}/100 noiseless sequences at survival exactly 1",
             "fit within 10% of the injected rate; noiseless survival exactly 1 "
             "for 100 sequences",
-            {"error_rate_fit": res.error_rate, "relative_error": rel,
-             "exact_survivals": exact_ones, "fit_ok": res.ok})
+            {"error_rate_fit": r_fit, "relative_error": rel,
+             "exact_survivals": exact_ones, "fit_ok": run["ok"]})
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +309,12 @@ def _crit_qec(base_seed):
 
 def _crit_distill(base_seed):
     t0 = time.perf_counter()
-    fixed = abs(distill_magic(1.0).p_out - 1.0)
-    improved = all(distill_magic(p).p_out > p for p in (0.8, 0.9, 0.95))
-    degraded = all(distill_magic(p).p_out < p for p in (0.3, 0.5))
-    thr = distillation_threshold()
+    run, tables = _cli_run("distill", base_seed)
+    p_out = dict(zip(tables["distill.csv"]["p_in"], tables["distill.csv"]["p_out"]))
+    fixed = abs(p_out[1.0] - 1.0)
+    improved = all(p_out[p] > p for p in (0.8, 0.9, 0.95))
+    degraded = all(p_out[p] < p for p in (0.3, 0.5))
+    thr = run["threshold"]
     wall = time.perf_counter() - t0
     passed = (fixed <= 1e-10 and improved and degraded
               and 0.55 <= thr <= 0.75 and wall < 30.0)
@@ -423,8 +421,8 @@ def _crit_weak(base_seed):
         for psi, axis, phi in scenarios:
             err = abs(weak_value(psi, axis, phi, g) - weak_value_exact(psi, axis, phi))
             worst_margin = max(worst_margin, err - 5 * g)
-    psi, phi = amplified_pair(2.3)
-    amplified = weak_value(psi, "z", phi, 0.02)
+    _, tables = _cli_run("weak", base_seed, couplings=[0.02])
+    amplified = complex(tables["weak.csv"]["est_re"][0], tables["weak.csv"]["est_im"][0])
     amp_gap = abs(amplified - 2.3)
     passed = worst_margin <= 0 and amp_gap <= 0.05
     return (bool(passed),
@@ -443,22 +441,22 @@ def _crit_weak(base_seed):
 def _crit_ising(base_seed):
     t0 = time.perf_counter()
     j = 1.0
-    hs = np.linspace(-3.0, 3.0, 121)
-    res = ising_ground(j, hs)
+    _, tables = _cli_run("ising", base_seed)
+    ising = tables["ising.csv"]
+    h_values, entropy_bits = ising["h"], ising["entropy_bits"]
     interior = {}
-    for h, m, s, deg in zip(res.h_values, res.magnetization,
-                            res.entropy_bits, res.degeneracy):
+    for h, m, s, deg in zip(h_values, ising["magnetization"], entropy_bits, ising["degeneracy"]):
         if min(abs(h + 2 * j), abs(h), abs(h - 2 * j)) < 1e-9:
             continue  # step points mix two plateaus
         interior.setdefault(round(float(m)), []).append((h, m, s, deg))
     plateau_gap = max(abs(m - round(m)) for vals in interior.values()
                       for _, m, _, _ in vals)
     plateaus_ok = sorted(interior) == [-3, -1, 1, 3]
-    steps = magnetization_steps(j, tol=1e-6)
+    steps = tables["steps.csv"]["h_step"]
     step_gap = max(abs(s - e) for s, e in zip(steps, (-2 * j, 0.0, 2 * j)))
-    at_zero = res.entropy_bits[np.argmin(np.abs(res.h_values))]
+    at_zero = entropy_bits[np.argmin(np.abs(h_values))]
     entropy_gap = abs(at_zero - np.log2(6))
-    polarized = max(abs(s) for h, s in zip(res.h_values, res.entropy_bits)
+    polarized = max(abs(s) for h, s in zip(h_values, entropy_bits)
                     if abs(h) > 2 * j + 1e-9)
     wall = time.perf_counter() - t0
     passed = (plateaus_ok and plateau_gap <= 1e-9 and len(steps) == 3
@@ -502,18 +500,16 @@ def _crit_xxz(base_seed):
 
 
 def _crit_transfer(base_seed):
-    chain = TransferChain(4, dipolar_couplings(4), 0.4)
-    res = state_transfer(chain, iterations=100)
-    monotone = bool(np.all(np.diff(res.fidelities) >= -1e-12))
-    passed = (monotone and res.fidelity >= 0.99
-              and res.max_excitation_drift <= 1e-12)
+    run, tables = _cli_run("transfer", base_seed)
+    fid, drift = run["final_fidelity"], run["max_excitation_drift"]
+    monotone = bool(np.all(np.diff(tables["transfer.csv"]["fidelity"]) >= -1e-12))
+    passed = monotone and fid >= 0.99 and drift <= 1e-12
     return (bool(passed),
-            f"fidelity {res.fidelity:.6f} at iter 100, monotone={monotone}, "
-            f"excitation drift {res.max_excitation_drift:.1e}",
+            f"fidelity {fid:.6f} at iter 100, monotone={monotone}, "
+            f"excitation drift {drift:.1e}",
             "monotone nondecreasing; >= 0.99 by iteration 100; excitation "
             "conserved within 1e-12",
-            {"final_fidelity": res.fidelity, "monotone": monotone,
-             "drift": res.max_excitation_drift})
+            {"final_fidelity": fid, "monotone": monotone, "drift": drift})
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +540,6 @@ _DETERMINISM_RUNS = (
 
 
 def _crit_determinism(base_seed):
-    from . import cli
-
     saved = os.environ.pop("NMRQIP_OUT_DIR", None)
     mismatches = []
     n_files = 0

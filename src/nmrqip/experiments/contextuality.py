@@ -41,7 +41,6 @@ class ContextualityResult:
     beta: float
     rows: tuple
     columns: tuple
-    method: str = "direct"
 
 
 def _direct_correlation(rho: np.ndarray, words) -> float:
@@ -91,7 +90,7 @@ def contextuality_beta(
         raise ValueError(f"unknown method {method!r}")
     rows, cols = tuple(values[:3]), tuple(values[3:])
     beta = sum(rows) + cols[0] + cols[1] - cols[2]
-    return ContextualityResult(float(beta), rows, cols, method)
+    return ContextualityResult(float(beta), rows, cols)
 
 
 def classical_max_beta() -> float:

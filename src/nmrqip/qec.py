@@ -11,7 +11,7 @@ equivalent ancilla circuit (one ancilla per generator) as their oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -315,12 +315,9 @@ def m_polarization(rho: np.ndarray):
     return literal, literal - 1.0
 
 
-_DISTILL = {}
-
-
+@cache
 def _distill_ops():
-    if _DISTILL:
-        return _DISTILL
+    """The 5-qubit code's trivial-syndrome projector, |0_L>, |1_L> and fixup rotation."""
     code = five_qubit_code()
     proj = code.syndrome_projectors()[0]
     logical_x, logical_z = pauli_matrices(5, [code.logical_x, code.logical_z])
@@ -331,15 +328,13 @@ def _distill_ops():
     ket0 = ket0 * np.exp(-1j * np.angle(ket0[k]))
     ket1 = logical_x @ ket0
     fixup = (SIGMA_X - SIGMA_Y) / np.sqrt(2)  # maps the decoded axis back onto +m
-    _DISTILL.update(proj=proj, ket0=ket0, ket1=ket1, fixup=fixup)
-    return _DISTILL
+    return proj, ket0, ket1, fixup
 
 
 @dataclass(frozen=True)
 class DistillResult:
     p_out: float
     success_probability: float
-    rho_out: np.ndarray
 
 
 def distill_magic(p_in: float, rounds: int = 1) -> DistillResult:
@@ -351,26 +346,24 @@ def distill_magic(p_in: float, rounds: int = 1) -> DistillResult:
     """
     if not -1 <= p_in <= 1:
         raise ValueError("p_in must lie in [-1, 1]")
-    ops = _distill_ops()
+    proj, k0, k1, fixup = _distill_ops()
     p = float(p_in)
     success = 1.0
-    rho_out = magic_density(p)
     for _ in range(rounds):
         rho5 = reduce(np.kron, [magic_density(p)] * 5)
-        projected = ops["proj"] @ rho5 @ ops["proj"]
+        projected = proj @ rho5 @ proj
         succ = float(np.trace(projected).real)
         if succ < 1e-15:
             raise RuntimeError("post-selection probability vanished")
-        k0, k1 = ops["ket0"], ops["ket1"]
         out = np.array([
             [k0.conj() @ projected @ k0, k0.conj() @ projected @ k1],
             [k1.conj() @ projected @ k0, k1.conj() @ projected @ k1],
         ]) / succ
-        rho_out = ops["fixup"] @ out @ ops["fixup"]
+        rho_out = fixup @ out @ fixup
         # rounding can step just past a pure state's polarization of +-1
         p = min(max(m_polarization(rho_out)[1], -1.0), 1.0)
         success = succ
-    return DistillResult(float(p), float(success), rho_out)
+    return DistillResult(float(p), float(success))
 
 
 def distillation_threshold() -> float:

@@ -40,7 +40,6 @@ from .qop import hermitian_entries, pauli_matrices
 class TwirlEstimate:
     pr0_hat: float
     n_samples: int
-    delta: float
     stderr: float = 0.0
     n: int = 1
     fbar: float = field(init=False)
@@ -114,7 +113,7 @@ def _twirl(noise: Channel, target, delta, rng, n_samples, readout_shots,
     scale = (4**n - 1) / 4**n
     pr0 = scale * float(np.mean(chis)) + 1 / 4**n
     stderr = scale * float(np.std(chis)) / math.sqrt(count)
-    return TwirlEstimate(pr0, count, delta, stderr, n)
+    return TwirlEstimate(pr0, count, stderr, n)
 
 
 def twirl_estimate_memory(

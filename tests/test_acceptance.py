@@ -7,7 +7,7 @@ Each case prints one PASS/FAIL line so a verbose run reads like the
 import numpy as np
 import pytest
 
-from nmrqip import acceptance
+from nmrqip import acceptance, cli
 
 
 @pytest.mark.parametrize("name", list(acceptance.CRITERIA))
@@ -21,6 +21,31 @@ def test_criterion(name):
 def test_criteria_registry_complete():
     assert len(acceptance.CRITERIA) == 15
     assert all(isinstance(k, str) and k for k in acceptance.CRITERIA)
+
+
+class RunnerCalled(Exception):
+    """Raised by a stand-in runner, so a criterion that calls it stops there."""
+
+
+@pytest.mark.parametrize("criterion, experiment", [
+    ("grape-cnot", "grape"),
+    ("twirl-memory", "twirl"),
+    ("certify-clifford", "certify"),
+    ("randomized-benchmarking", "rb"),
+    ("magic-distillation", "distill"),
+    ("weak-values", "weak"),
+    ("ising-ground", "ising"),
+    ("state-transfer", "transfer"),
+])
+def test_criterion_checks_the_cli_runner(monkeypatch, criterion, experiment):
+    # the criterion gates the run `nmrqip <experiment>` makes: it reaches the
+    # runner registered in cli.EXPERIMENTS, not a copy of its assembly
+    def runner(cfg, seed, shots):
+        raise RunnerCalled(experiment)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, runner)
+    with pytest.raises(RunnerCalled):
+        acceptance.run_criterion(criterion)
 
 
 def test_certify_decodes_each_block_with_one_compose(monkeypatch):

@@ -352,6 +352,26 @@ def test_src_is_what_a_run_reaches():
     assert [label for label, name, _ in defs if not name.startswith("_")] == []
 
 
+def test_every_dataclass_field_is_read():
+    # a result or config field that no code in src or scripts reads as an
+    # attribute carries nothing a run uses; names match by name alone, as in
+    # the reach test above
+    src = Path(nmrqip.__file__).resolve().parent
+    files = [*sorted(src.rglob("*.py")),
+             *sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))]
+    reads = {node.attr for path in files for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(src.rglob("*.py")):
+        for cls in ast.walk(_tree(path)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{path.relative_to(src)} {cls.name}.{item.target.id}"
+                           for item in cls.body if isinstance(item, ast.AnnAssign)
+                           and item.target.id not in reads]
+    assert unread == []
+
+
 # The defaulted parameters that no call in src or scripts sets, each with the
 # reason it stays a parameter: named numerical tolerances, which keep their
 # value visible in the signature.

@@ -44,7 +44,7 @@ def test_recommended_samples_formula():
 
 
 def test_fbar_mapping():
-    est = TwirlEstimate(pr0_hat=0.84, n_samples=100, delta=0.02, n=3)
+    est = TwirlEstimate(pr0_hat=0.84, n_samples=100, n=3)
     assert est.fbar == pytest.approx((8 * 0.84 + 1) / 9)
 
 
