@@ -2,12 +2,13 @@
 
 Every criterion returns a CriterionResult with the measured values, the
 stated expectation, and a hard pass/fail.  `nmrqip repro` drives the full
-set; tests/test_acceptance.py asserts each one.  Eight criteria take their
-run from the runner `nmrqip <experiment>` calls (see _cli_run): grape-cnot,
-twirl-memory, certify-clifford, randomized-benchmarking, magic-distillation,
-weak-values, ising-ground and state-transfer.  Every criterion holds its run
-to an oracle of its own (finite differences, Kraus sums, an integer Pauli
-chain, literal bounds), never one route against itself.
+set; tests/test_acceptance.py asserts each one.  Eleven criteria take their
+run from the runner `nmrqip <experiment>` calls, through cli.run: grape-cnot,
+twirl-memory, certify-clifford, randomized-benchmarking, qec-codes,
+magic-distillation, contextuality, weak-values, ising-ground, xxz-ge and
+state-transfer.  Every criterion holds its run to an oracle of its own
+(finite differences, Kraus sums, an integer Pauli chain, exact states,
+literal bounds), never one route against itself.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from .control import (
     random_pulse,
     rf_selection_retention,
 )
-from .experiments.contextuality import (
-    METER_DEPOLARIZING_52,
-    classical_max_beta,
-    contextuality_beta,
-)
+from .experiments.contextuality import METER_DEPOLARIZING_52, contextuality_beta
 from .experiments.dqc1 import (
     Dqc1Instance,
     block_trace_direct,
@@ -45,21 +42,8 @@ from .experiments.dqc1 import (
     haar_block_unitary,
 )
 from .experiments.weakvalue import weak_value, weak_value_exact
-from .experiments.xxz import (
-    branch_crossing,
-    equatorial_overlap,
-    ferro_overlap,
-    ge_jump_location,
-    xxz_ground_state,
-    xxz_scan,
-)
-from .qec import (
-    bit_flip_code,
-    error_ensemble,
-    five_qubit_code,
-    logical_gate_cycle,
-    transversal_cnot_demo,
-)
+from .experiments.xxz import equatorial_overlap, ferro_overlap, xxz_ground_state
+from .qec import bit_flip_code, error_ensemble, five_qubit_code, logical_gate_cycle
 from .qop import (
     average_gate_fidelity_exact,
     haar_random_state,
@@ -83,22 +67,13 @@ class CriterionResult:
     details: dict
 
 
-def _cli_run(name, seed, **config):
-    """Summary and tables of the run `nmrqip <name>` makes at the given seed
-    and config overrides, in process and without readout shots; each table
-    is {column name: column}."""
-    out = cli.EXPERIMENTS[name](cli._resolve(name, config), seed, None)
-    return out.summary, {fname: dict(zip(header, columns))
-                         for fname, (header, columns) in out.tables.items()}
-
-
 # ---------------------------------------------------------------------------
 # 1. pulse search reaches a CNOT on the two-spin fixture
 
 
 def _crit_grape(base_seed):
     t0 = time.perf_counter()
-    run, tables = _cli_run("grape", base_seed + 11)
+    run, tables = cli.run("grape", base_seed + 11)
     opt_time = time.perf_counter() - t0
     fid, iters = run["fidelity"], run["iterations"]
     monotone = bool(np.all(np.diff(tables["fidelity_trace.csv"]["fidelity"]) >= -1e-12))
@@ -167,7 +142,7 @@ def _crit_twirl(base_seed):
         noise = Channel(pauli_probs_by_weight(3, masses))
         fbar_formula = (d * pr0_true + 1) / (d + 1)
         fbar_exact = average_gate_fidelity_exact(noise.kraus(), np.eye(d))
-        runs = [_cli_run("twirl", base_seed + 300 + s, weight_masses=masses)[0]
+        runs = [cli.run("twirl", base_seed + 300 + s, weight_masses=masses)[0]
                 for s in range(10)]
         hats, fbars = [r["pr0_hat"] for r in runs], [r["fbar_hat"] for r in runs]
         n_samples = runs[-1]["n_samples"]
@@ -206,7 +181,7 @@ def _crit_certify(base_seed):
     u = unitaries(tab)
     parts, details, passed = [], {}, True
     for i, p in enumerate((0.05, 0.1, 0.2)):
-        _, tables = _cli_run("certify", base_seed + 400 + i, depolarizing_p=p)
+        _, tables = cli.run("certify", base_seed + 400 + i, depolarizing_p=p)
         run = {k: col[0] for k, col in tables["certify.csv"].items()}
         noise = Channel.depolarizing(2, p)
         exact = average_gate_fidelity_exact([u @ k for k in noise.kraus()], u)
@@ -248,7 +223,7 @@ def _crit_certify(base_seed):
 
 def _crit_rb(base_seed):
     r_inj, n = 4.7e-3, 3
-    run, _ = _cli_run("rb", base_seed + 500)
+    run, _ = cli.run("rb", base_seed + 500)
     r_fit = run["error_rate_fit"]
     rel = abs(r_fit - r_inj) / r_inj
 
@@ -291,8 +266,8 @@ def _crit_qec(base_seed):
         _, f_corr = logical_gate_cycle(five, "I", err, psi)
         worst_gap = max(worst_gap, abs(f_corr - 1.0))
         n_checked += 1
-    w_bad = transversal_cnot_demo("bad", pauli_entry("XII"))
-    w_tvl = max(transversal_cnot_demo("transversal", err) for err in error_ensemble(3)[1:])
+    run, _ = cli.run("qec", base_seed, code="bit-flip", gate="I")
+    w_bad, w_tvl = run["max_weight_bad"], run["max_weight_transversal"]
     passed = worst_gap <= 1e-10 and w_bad == 3 and w_tvl <= 1
     return (bool(passed),
             f"worst |1-fidelity| = {worst_gap:.2e} over {n_checked} errors; "
@@ -309,7 +284,7 @@ def _crit_qec(base_seed):
 
 def _crit_distill(base_seed):
     t0 = time.perf_counter()
-    run, tables = _cli_run("distill", base_seed)
+    run, tables = cli.run("distill", base_seed)
     p_out = dict(zip(tables["distill.csv"]["p_in"], tables["distill.csv"]["p_out"]))
     fixed = abs(p_out[1.0] - 1.0)
     improved = all(p_out[p] > p for p in (0.8, 0.9, 0.95))
@@ -389,11 +364,8 @@ def _crit_contextuality(base_seed):
         for method in ("direct", "meter"):
             beta = contextuality_beta(rho, method=method).beta
             worst = max(worst, abs(beta - 6.0))
-    classical = classical_max_beta()
-    noisy = contextuality_beta(
-        np.eye(4, dtype=complex) / 4,
-        noise=Channel.depolarizing(1, METER_DEPOLARIZING_52),
-        method="meter").beta
+    run, _ = cli.run("contextuality", base_seed, noise_p=METER_DEPOLARIZING_52)
+    classical, noisy = run["classical_max"], run["beta"]
     passed = worst <= 1e-9 and classical == 4.0 and abs(noisy - 5.2) <= 0.15
     return (bool(passed),
             f"|beta-6| <= {worst:.1e} over 20 states x 2 methods; "
@@ -421,7 +393,7 @@ def _crit_weak(base_seed):
         for psi, axis, phi in scenarios:
             err = abs(weak_value(psi, axis, phi, g) - weak_value_exact(psi, axis, phi))
             worst_margin = max(worst_margin, err - 5 * g)
-    _, tables = _cli_run("weak", base_seed, couplings=[0.02])
+    _, tables = cli.run("weak", base_seed, couplings=[0.02])
     amplified = complex(tables["weak.csv"]["est_re"][0], tables["weak.csv"]["est_im"][0])
     amp_gap = abs(amplified - 2.3)
     passed = worst_margin <= 0 and amp_gap <= 0.05
@@ -441,7 +413,7 @@ def _crit_weak(base_seed):
 def _crit_ising(base_seed):
     t0 = time.perf_counter()
     j = 1.0
-    _, tables = _cli_run("ising", base_seed)
+    _, tables = cli.run("ising", base_seed)
     ising = tables["ising.csv"]
     h_values, entropy_bits = ising["h"], ising["entropy_bits"]
     interior = {}
@@ -479,11 +451,10 @@ def _crit_ising(base_seed):
 def _crit_xxz(base_seed):
     psi, _, _ = xxz_ground_state(4, -2.0)
     ferro = ferro_overlap(psi)
-    rng = np.random.default_rng(base_seed + 1200)
     eq = equatorial_overlap(psi, 4)
-    cross = branch_crossing(4)
-    scan = xxz_scan(4, np.arange(-1.2, -0.8 + 1e-9, 0.01), rng, n_restarts=8)
-    jump = ge_jump_location(scan)
+    run, _ = cli.run("xxz", base_seed + 1200, n=4, gamma_min=-1.2, gamma_max=-0.8,
+                     n_points=41, n_restarts=8)
+    cross, jump = run["branch_crossing_gamma"], run["ge_jump_gamma"]
     passed = (abs(ferro - 1.0) <= 1e-9 and abs(eq - 1 / 16) <= 1e-6
               and abs(cross - 1.0) <= 0.02 and abs(jump + 1.0) <= 0.02)
     return (bool(passed),
@@ -500,7 +471,7 @@ def _crit_xxz(base_seed):
 
 
 def _crit_transfer(base_seed):
-    run, tables = _cli_run("transfer", base_seed)
+    run, tables = cli.run("transfer", base_seed)
     fid, drift = run["final_fidelity"], run["max_excitation_drift"]
     monotone = bool(np.all(np.diff(tables["transfer.csv"]["fidelity"]) >= -1e-12))
     passed = monotone and fid >= 0.99 and drift <= 1e-12

@@ -126,10 +126,9 @@ def _molecule_fixture(name: str):
 class RunOutput:
     """What a runner hands back for writing; a plain class, as dataclasses would slow --help."""
 
-    def __init__(self, tables=None, summary=None, fixtures=None, pulses=None, exit_code=0):
+    def __init__(self, tables=None, summary=None, pulses=None, exit_code=0):
         self.tables = {} if tables is None else tables  # filename -> (header, columns)
         self.summary = {} if summary is None else summary
-        self.fixtures = {} if fixtures is None else fixtures  # label -> bytes to hash
         self.pulses = {} if pulses is None else pulses  # filename -> ControlPulse
         self.exit_code = exit_code
 
@@ -243,7 +242,6 @@ def _run_grape(cfg, seed, shots):
     init = random_pulse(n_steps, dt, names, u_max=u_max, seed=seed, scale=cfg["init_scale"])
     res = grape_optimize(sys_, u_target, init, gcfg, weak_coupling=cfg["weak_coupling"])
     steps = np.arange(n_steps)
-    label, raw = _molecule_fixture(cfg["molecule"])
     return RunOutput(
         tables={
             "fidelity_trace.csv": (["iteration", "fidelity"],
@@ -261,7 +259,6 @@ def _run_grape(cfg, seed, shots):
             "message": res.message,
             "duration_s": res.pulse.duration,
         },
-        fixtures={label: raw},
         pulses={"pulse.json": res.pulse},
         exit_code=0 if res.converged else 3,
     )
@@ -579,7 +576,6 @@ def _run_spectrum(cfg, seed, shots):
     ts = np.arange(n_samples) * (duration / n_samples)
     # an all-zero spectrum (no pulse on a diagonal state) has no peak
     peak = float(freqs[int(np.argmax(np.abs(amps)))]) if np.any(amps) else None
-    label, raw = _molecule_fixture(cfg["molecule"])
     return RunOutput(
         tables={
             "fid.csv": (["t_s", "fid_re", "fid_im"], [ts, fid.real, fid.imag]),
@@ -590,7 +586,6 @@ def _run_spectrum(cfg, seed, shots):
         },
         summary={"molecule": cfg["molecule"],
                  "peak_freq_hz": peak},
-        fixtures={label: raw},
     )
 
 
@@ -804,6 +799,15 @@ DEFAULT_CONFIGS = {name: {k: spec["default"] for k, spec in keys.items()}
                    for name, (_, keys, _) in SCHEMA.items()}
 
 
+def run(name: str, seed: int = 0, **config):
+    """Summary and tables of the run `nmrqip <name>` makes at the given seed
+    and config overrides, in process and without readout shots; each table
+    is {column name: column}."""
+    out = EXPERIMENTS[name](_resolve(name, config), seed, None)
+    return out.summary, {fname: dict(zip(header, columns))
+                         for fname, (header, columns) in out.tables.items()}
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -878,8 +882,10 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
         save_pulse(pulse, os.path.join(out_dir, fname))
     write_time = time.perf_counter() - t0
 
-    fixture_hashes = {label: _sha256_bytes(raw)
-                      for label, raw in result.fixtures.items()}
+    fixture_hashes = {}
+    if "molecule" in cfg:
+        label, raw = _molecule_fixture(cfg["molecule"])
+        fixture_hashes[label] = _sha256_bytes(raw)
     if config_path is not None:
         with open(config_path, "rb") as fh:
             fixture_hashes["config"] = _sha256_bytes(fh.read())

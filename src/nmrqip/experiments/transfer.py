@@ -108,16 +108,14 @@ def _relay_step(u: np.ndarray, v: np.ndarray, phase: complex):
 @dataclass(frozen=True)
 class TransferResult:
     fidelities: np.ndarray
-    final_amplitudes: np.ndarray
     theta: float
     stalled: bool
     max_excitation_drift: float
 
     def __post_init__(self):
-        for name in ("fidelities", "final_amplitudes"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.fidelities)
+        arr.setflags(write=False)
+        object.__setattr__(self, "fidelities", arr)
 
     @property
     def fidelity(self) -> float:
@@ -173,20 +171,18 @@ def state_transfer(
                 stalled = True
         else:
             flat = 0
-    return TransferResult(np.array(fids), v, theta, stalled, drift)
+    return TransferResult(np.array(fids), theta, stalled, drift)
 
 
 @dataclass(frozen=True)
 class EntangleResult:
     fidelities: np.ndarray
-    final_amplitudes: np.ndarray
     extraction_residual: float
 
     def __post_init__(self):
-        for name in ("fidelities", "final_amplitudes"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.fidelities)
+        arr.setflags(write=False)
+        object.__setattr__(self, "fidelities", arr)
 
 
 def entangle_ends(chain: TransferChain, iterations: int) -> EntangleResult:
@@ -226,4 +222,4 @@ def entangle_ends(chain: TransferChain, iterations: int) -> EntangleResult:
         v[n - 1], v[n] = gate.conj().T @ np.array([v[n - 1], v[n]])
         v = u.conj().T @ v
         fids.append(float(abs(np.vdot(bell, v)) ** 2))
-    return EntangleResult(np.array(fids), v, residual)
+    return EntangleResult(np.array(fids), residual)

@@ -10,7 +10,7 @@ equivalent ancilla circuit (one ancilla per generator) as their oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
 
@@ -53,14 +53,15 @@ def _gf2_solve(rows, rhs, width: int) -> int:
 @dataclass(frozen=True)
 class StabilizerCode:
     """k=1 stabilizer code with explicit generators and logical operators,
-    each the packed entry of a Pauli on n_physical qubits."""
+    each the packed entry of a Pauli on n_physical qubits.  The encoding
+    unitary, syndrome projectors and lookup table are cached per code value
+    and shared by every caller, the arrays read-only."""
 
     name: str
     n_physical: int
     generators: tuple
     logical_x: int
     logical_z: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_physical
@@ -94,36 +95,35 @@ class StabilizerCode:
             x_imgs.append(int(hermitian_entries(n, _gf2_solve(rows, rhs, 2 * n))))
         return tableau(n, x_imgs, z_imgs)
 
+    @cache
     def encoding_unitary(self) -> np.ndarray:
-        if "unitary" not in self._cache:
-            self._cache["unitary"] = unitaries(self.encoding_tableau())
-        return self._cache["unitary"]
+        u = unitaries(self.encoding_tableau())
+        u.setflags(write=False)
+        return u
 
     # -- syndrome machinery --------------------------------------------------
 
     def syndrome_of(self, error: int):
         return tuple(0 if commutes(self.n_physical, error, g) else 1 for g in self.generators)
 
+    @cache
     def syndrome_projectors(self) -> np.ndarray:
         """(2^g, d, d) stack of P_s = prod_k (I + (-1)^{s_k} g_k)/2, s_k bit g-1-k of s."""
-        if "projectors" not in self._cache:
-            d, g = 2**self.n_physical, len(self.generators)
-            gens = pauli_matrices(self.n_physical, self.generators)
-            projs = np.empty((2**g, d, d), dtype=complex)
-            for s in range(2**g):
-                projs[s] = np.eye(d)
-                for k, gen in enumerate(gens):
-                    sign = 1 - 2 * (s >> (g - 1 - k) & 1)
-                    projs[s] = projs[s] @ (np.eye(d) + sign * gen) / 2
-            projs.setflags(write=False)  # shared by every caller through the cache
-            self._cache["projectors"] = projs
-        return self._cache["projectors"]
+        d, g = 2**self.n_physical, len(self.generators)
+        gens = pauli_matrices(self.n_physical, self.generators)
+        projs = np.empty((2**g, d, d), dtype=complex)
+        for s in range(2**g):
+            projs[s] = np.eye(d)
+            for k, gen in enumerate(gens):
+                sign = 1 - 2 * (s >> (g - 1 - k) & 1)
+                projs[s] = projs[s] @ (np.eye(d) + sign * gen) / 2
+        projs.setflags(write=False)
+        return projs
 
+    @cache
     def lookup_table(self):
         """Min-weight correction per syndrome (support, then X, Z, Y tie-break:
         the phase-flip code, where Z and Y share syndromes, corrects Z by Z)."""
-        if "lookup" in self._cache:
-            return self._cache["lookup"]
         n = self.n_physical
         table = {}
         for w in range(n + 1):
@@ -139,7 +139,6 @@ class StabilizerCode:
                         table[s] = err
             if len(table) == 2 ** len(self.generators):
                 break
-        self._cache["lookup"] = table
         return table
 
 

@@ -32,9 +32,12 @@ class RunnerCalled(Exception):
     ("twirl-memory", "twirl"),
     ("certify-clifford", "certify"),
     ("randomized-benchmarking", "rb"),
+    ("qec-codes", "qec"),
     ("magic-distillation", "distill"),
+    ("contextuality", "contextuality"),
     ("weak-values", "weak"),
     ("ising-ground", "ising"),
+    ("xxz-ge", "xxz"),
     ("state-transfer", "transfer"),
 ])
 def test_criterion_checks_the_cli_runner(monkeypatch, criterion, experiment):

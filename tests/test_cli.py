@@ -501,7 +501,7 @@ def test_ising_run_writes_manifest_and_csv(tmp_path, capsys):
     assert manifest["seed"] == 7
     assert manifest["config"]["n_points"] == 13
     assert manifest["config_path"] == str(cfg)
-    assert "config" in manifest["fixture_hashes"]
+    assert list(manifest["fixture_hashes"]) == ["config"]  # ising reads no molecule
     assert manifest["wall_time_s"] >= 0
     assert manifest["write_time_s"] >= 0
     assert manifest["peak_rss_mb"] > 0
@@ -519,6 +519,19 @@ def test_ising_run_writes_manifest_and_csv(tmp_path, capsys):
             assert "%.17g" % float(cell) == cell
     for fname in manifest["output_paths"]:  # timings go only into the manifest
         assert "write_time_s" not in (out / fname).read_text()
+
+
+def test_manifest_hashes_the_config_file_and_the_molecule(tmp_path, capsys):
+    import hashlib
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"molecule": "malonate3", "n_samples": 64}))
+    out = tmp_path / "s"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    molecule = Path(nmrqip.__file__).resolve().parent / "data" / "molecules" / "malonate3.json"
+    hashes = json.loads((out / "manifest.json").read_text())["fixture_hashes"]
+    assert hashes == {"config": hashlib.sha256(cfg.read_bytes()).hexdigest(),
+                      "molecule:malonate3": hashlib.sha256(molecule.read_bytes()).hexdigest()}
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,6 @@
 """Pulse-level control: rotations, coupling gates, GRAPE, RF selection."""
 
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,15 +532,6 @@ def test_grape_optimize_holds_one_step_record():
         tracemalloc.stop()
     assert res.iterations == 4 and res.evaluations > 4
     assert peak < 2e6, peak
-
-
-def test_grape_cnot_pulse_script_converges():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "grape_cnot_pulse.py"
-    spec = importlib.util.spec_from_file_location("grape_cnot_pulse", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    res = script.design()
-    assert res.converged
 
 
 def test_grape_channel_mismatch_raises():

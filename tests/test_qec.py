@@ -85,6 +85,15 @@ def test_encode_decode_roundtrip():
         assert state_fidelity(rho, ket_density(PSI)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("make_code", [bit_flip_code, phase_flip_code, five_qubit_code])
+def test_cached_code_arrays_are_read_only(make_code):
+    # the cache is per code value, so a second build of the code shares them
+    code = make_code()
+    for method in (StabilizerCode.encoding_unitary, StabilizerCode.syndrome_projectors):
+        arr = method(code)
+        assert not arr.flags.writeable and method(make_code()) is arr
+
+
 def test_encoded_state_is_stabilized():
     code = five_qubit_code()
     rho = encode(code, PSI)

@@ -15,14 +15,38 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_imports_without_running_main(path):
+def _load(path):
     # a module name other than "__main__" skips the script's main block, so
     # this only executes its imports and definitions
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.__name__ != "__main__"
+    return script
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports_without_running_main(path):
+    assert _load(path).__name__ != "__main__"
+
+
+def test_demo_scripts_print_one_line_per_table_row(capsys):
+    # the demos print the default runs: a line per ising.csv and xxz.csv row,
+    # and a line per tenth transfer.csv row
+    from nmrqip.cli import DEFAULT_CONFIGS
+
+    def rows(call, prefix=""):
+        call()
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(prefix) and not line.startswith("#")]
+
+    scans = _load(ROOT / "scripts" / "ground_state_scans.py")
+    ising = rows(scans.ising_table)
+    assert len(ising) == DEFAULT_CONFIGS["ising"]["n_points"]
+    assert ising[0] == "-3.000  +3.000000  0.000000  1"
+    assert len(rows(scans.xxz_table)) == DEFAULT_CONFIGS["xxz"]["n_points"]
+    steps = rows(_load(ROOT / "scripts" / "chain_transfer_demo.py").main, "step")
+    assert len(steps) == DEFAULT_CONFIGS["transfer"]["iterations"] // 10 + 1
+    assert steps[-1] == "step 100  transfer fidelity 1.000000"
 
 
 
