@@ -34,7 +34,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (label, experiment, config) of paths no default run or bench job takes: a
 # chain7 GRAPE whose 24 steps of d = 128 go in several chunks, the
-# finite-difference gradient with amplitudes on the cap, certify at its
+# finite-difference gradient with amplitudes on the cap, and with an RF
+# ensemble member (scale 1.03) whose scaled amplitudes pass it, certify at its
 # largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
 # at n = 7 with many distinct Paulis, an Ising scan of 10^4 field points, an
 # xxz scan at n = 7 without the crossing, one with the schema's 256 restarts,
@@ -46,6 +47,10 @@ EXTRA_RUNS = [
     ("grape-fd-at-cap", "grape",
      {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 30,
       "gradient_mode": "finite-difference", "init_scale": 0.9}),
+    ("grape-fd-ensemble-over-cap", "grape",
+     {"molecule": "chloroform2", "n_steps": 10, "u_max_hz": 200, "max_iters": 3,
+      "gradient_mode": "finite-difference", "init_scale": 1.0,
+      "rf_distribution": [[0.97, 0.25], [1.0, 0.5], [1.03, 0.25]]}),
     ("certify-n4", "certify", {"n": 4, "control_qubit": 1, "target_qubit": 4}),
     ("contextuality-meter-noise", "contextuality",
      {"state": "random", "method": "meter", "noise_p": 0.05}),

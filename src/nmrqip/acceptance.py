@@ -81,15 +81,14 @@ def _crit_grape(base_seed):
     # the exact gradient against finite differences on the same system
     sys_ = builtin_molecule("chloroform2")
     u_target = unitaries(gate_tableau("CNOT", (1, 2), 2))
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     u_max = 2 * np.pi * 1.0e4
     h_int = internal_hamiltonian(sys_)
     worst_rel = 0.0
     for k in range(20):
-        pulse = random_pulse(8, 5e-5, names, u_max=u_max,
-                             seed=base_seed + 100 + k, scale=0.3)
-        g = grape_gradient(u_target, h_int, ops, pulse)
-        g_fd = _fd_gradient(u_target, h_int, ops, pulse)
+        u = random_pulse(8, len(names), u_max, seed=base_seed + 100 + k, scale=0.3)
+        g = grape_gradient(u_target, h_int, h_ctrl, u, 5e-5)
+        g_fd = _fd_gradient(u_target, h_int, h_ctrl, u, 5e-5, u_max)
         rel = np.linalg.norm(g - g_fd) / max(np.linalg.norm(g), 1e-300)
         worst_rel = max(worst_rel, rel)
 

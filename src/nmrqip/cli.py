@@ -129,7 +129,7 @@ class RunOutput:
     def __init__(self, tables=None, summary=None, pulses=None, exit_code=0):
         self.tables = {} if tables is None else tables  # filename -> (header, columns)
         self.summary = {} if summary is None else summary
-        self.pulses = {} if pulses is None else pulses  # filename -> ControlPulse
+        self.pulses = {} if pulses is None else pulses  # filename -> pulse.json document
         self.exit_code = exit_code
 
 
@@ -224,7 +224,7 @@ def _resolve(name: str, user: dict, shots=None) -> dict:
 def _run_grape(cfg, seed, shots):
     import numpy as np
     from .clifford import gate_tableau, unitaries
-    from .control import GrapeConfig, control_channels, grape_optimize, random_pulse
+    from .control import control_channels, grape_optimize, random_pulse
     from .spins import builtin_molecule
 
     sys_ = builtin_molecule(cfg["molecule"])
@@ -232,23 +232,19 @@ def _run_grape(cfg, seed, shots):
     u_target = unitaries(gate_tableau("CNOT", pair, sys_.n))
     n_steps, dt = cfg["n_steps"], cfg["dt_s"]
     u_max = 2 * math.pi * cfg["u_max_hz"]
-    gcfg = GrapeConfig(
-        max_iters=cfg["max_iters"],
-        target_fidelity=cfg["target_fidelity"],
-        gradient_mode=cfg["gradient_mode"],
-        rf_distribution=cfg["rf_distribution"],
-    )
     names, _ = control_channels(sys_)
-    init = random_pulse(n_steps, dt, names, u_max=u_max, seed=seed, scale=cfg["init_scale"])
-    res = grape_optimize(sys_, u_target, init, gcfg, weak_coupling=cfg["weak_coupling"])
+    init = random_pulse(n_steps, len(names), u_max, seed=seed, scale=cfg["init_scale"])
+    res = grape_optimize(sys_, u_target, init, dt, u_max, cfg["max_iters"],
+                         cfg["target_fidelity"], cfg["gradient_mode"], cfg["rf_distribution"],
+                         weak_coupling=cfg["weak_coupling"])
     steps = np.arange(n_steps)
     return RunOutput(
         tables={
             "fidelity_trace.csv": (["iteration", "fidelity"],
                                    [range(len(res.fidelities)), res.fidelities]),
             "pulse.csv": (
-                ["step", "t_s"] + [f"u_{c}_rad_s" for c in res.pulse.channels],
-                [steps, steps * dt, *res.pulse.amplitudes.T],
+                ["step", "t_s"] + [f"u_{c}_rad_s" for c in names],
+                [steps, steps * dt, *res.amplitudes.T],
             ),
         },
         summary={
@@ -257,9 +253,10 @@ def _run_grape(cfg, seed, shots):
             "evaluations": res.evaluations,
             "converged": res.converged,
             "message": res.message,
-            "duration_s": res.pulse.duration,
+            "duration_s": n_steps * dt,
         },
-        pulses={"pulse.json": res.pulse},
+        pulses={"pulse.json": {"dt_s": dt, "channels": list(names),
+                               "steps": res.amplitudes.tolist()}},
         exit_code=0 if res.converged else 3,
     )
 
@@ -876,10 +873,9 @@ def run_experiment(name: str, config_path=None, seed: int = 0,
     os.makedirs(out_dir, exist_ok=True)
     for fname, (header, columns) in result.tables.items():
         write_csv(os.path.join(out_dir, fname), header, columns)
-    for fname, pulse in result.pulses.items():
-        from .control import save_pulse
-
-        save_pulse(pulse, os.path.join(out_dir, fname))
+    for fname, doc in result.pulses.items():
+        with open(os.path.join(out_dir, fname), "w") as fh:
+            json.dump(doc, fh)
     write_time = time.perf_counter() - t0
 
     fixture_hashes = {}

@@ -2,12 +2,13 @@
 
 Control amplitudes are nutation rates in rad/s (u = gamma*B1), one (x, y)
 channel pair per nuclide species.  A step of length dt under amplitude u
-rotates by angle u*dt.
+rotates by angle u*dt.  A piecewise-constant pulse is its (n_steps,
+n_channels) amplitude array, with its step length dt and cap u_max passed
+beside it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -16,8 +17,6 @@ import numpy as np
 
 from .qop import pauli_sum, rotation, spin_bits
 from .spins import SpinSystem, internal_hamiltonian, iz_diagonal
-
-DEFAULT_U_MAX = 2 * np.pi * 20e3  # rad/s nutation cap
 
 
 def j_evolution(sys: SpinSystem, pair, t: float) -> np.ndarray:
@@ -54,89 +53,20 @@ def cnot_sequence(sys: SpinSystem, control: int, target: int) -> np.ndarray:
 # piecewise-constant pulses and GRAPE
 
 
-@dataclass(frozen=True)
-class ControlPulse:
-    """Piecewise-constant pulse: amplitudes[m, k] in rad/s for step m, channel k."""
-
-    dt: float
-    amplitudes: np.ndarray
-    channels: tuple
-    u_max: float = DEFAULT_U_MAX
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=float)
-        if amps.ndim != 2 or amps.shape[1] != len(self.channels):
-            raise ValueError("amplitudes must be (n_steps, n_channels)")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 < self.u_max < math.inf:
-            raise ValueError("u_max must be positive and finite")
-        if np.max(np.abs(amps), initial=0.0) > self.u_max * (1 + 1e-12):
-            raise ValueError("amplitude exceeds u_max")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "channels", tuple(self.channels))
-
-    @property
-    def n_steps(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
-
-    def with_amplitudes(self, amps: np.ndarray) -> "ControlPulse":
-        return ControlPulse(self.dt, amps, self.channels, self.u_max)
-
-
-def save_pulse(pulse: ControlPulse, path) -> None:
-    doc = {
-        "dt_s": pulse.dt,
-        "channels": list(pulse.channels),
-        "steps": [list(row) for row in pulse.amplitudes],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
 def control_channels(sys: SpinSystem):
-    """(channel names, Hermitian drive operators), one (x, y) pair per species."""
+    """(channel names, (n_channels, d, d) stack of Hermitian drive operators),
+    one (x, y) pair per species."""
     names, ops = [], []
     for label, spins in sys.channels():
         for ax in ("x", "y"):
             names.append(f"{label}.{ax}")
             ops.append(pauli_sum(sys.n, [(0.5, *spin_bits(ax, q, sys.n)) for q in spins]))
-    return tuple(names), ops
-
-
-@dataclass(frozen=True)
-class GrapeConfig:
-    max_iters: int = 2000
-    target_fidelity: float = 0.99
-    gradient_mode: str = "exact"
-    rf_distribution: tuple = ((1.0, 1.0),)
-
-    def __post_init__(self):
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be >= 0")
-        if not 0 < self.target_fidelity <= 1:
-            raise ValueError("target_fidelity must be in (0, 1]")
-        if self.gradient_mode not in ("exact", "finite-difference"):
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if not all(0 < s < math.inf for s, _ in self.rf_distribution):
-            raise ValueError("rf_distribution scales must be finite and > 0")
-        if not all(0 <= w <= 1 for _, w in self.rf_distribution):
-            raise ValueError("rf_distribution weights must be in [0, 1]")
-        w = sum(w for _, w in self.rf_distribution)
-        if abs(w - 1.0) > 1e-9:
-            raise ValueError("rf_distribution weights must sum to 1")
+    return tuple(names), np.array(ops)
 
 
 @dataclass
 class GrapeResult:
-    pulse: ControlPulse
+    amplitudes: np.ndarray  # (n_steps, n_channels) in rad/s
     fidelities: np.ndarray  # accepted objective value per iteration, monotone
     converged: bool
     iterations: int
@@ -222,11 +152,9 @@ def _gradient(u_target, h_ctrl, dt, record) -> np.ndarray:
     return 2 * np.real(np.conj(g)[..., None] * dg) / d**2
 
 
-def grape_gradient(u_target, h_int, control_ops, pulse: ControlPulse) -> np.ndarray:
-    """Exact d(fidelity)/du[m, k] of the pulse, read from each step's eigenbasis."""
-    h_ctrl = np.array(control_ops)
-    record = _propagators(pulse.amplitudes, np.asarray(h_int, complex), h_ctrl, pulse.dt)
-    return _gradient(u_target, h_ctrl, pulse.dt, record)
+def grape_gradient(u_target, h_int, h_ctrl, u, dt) -> np.ndarray:
+    """Exact d(fidelity)/du[m, k] of the pulse u, read from each step's eigenbasis."""
+    return _gradient(u_target, h_ctrl, dt, _propagators(u, np.asarray(h_int, complex), h_ctrl, dt))
 
 
 def _lbfgs_direction(grad, memory):
@@ -244,41 +172,41 @@ def _lbfgs_direction(grad, memory):
     return q
 
 
-def _fd_gradient(u_target, h_int, control_ops, pulse: ControlPulse, h_rel=1e-6):
-    """Central differences of the fidelity in raw amplitudes, free to pass the cap."""
-    h_int, h_ctrl = np.asarray(h_int, complex), np.array(control_ops)
-    eps = h_rel * max(pulse.u_max, 1.0)
-    grad = np.zeros_like(pulse.amplitudes)
+def _fd_gradient(u_target, h_int, h_ctrl, u, dt, u_max, h_rel=1e-6):
+    """Central differences of the fidelity in raw amplitudes, of step
+    h_rel * max(u_max, 1 rad/s), free to pass the cap u_max."""
+    h_int = np.asarray(h_int, complex)
+    eps = h_rel * max(u_max, 1.0)
+    grad = np.zeros_like(u)
     for m, k in np.ndindex(grad.shape):
-        u = np.stack([pulse.amplitudes] * 2, axis=1)
-        u[m, :, k] += (eps, -eps)
-        up, um = _propagators(u, h_int, h_ctrl, pulse.dt)[0][-1]
+        pair = np.stack([u] * 2, axis=1)
+        pair[m, :, k] += (eps, -eps)
+        up, um = _propagators(pair, h_int, h_ctrl, dt)[0][-1]
         grad[m, k] = (_fidelity(u_target, up) - _fidelity(u_target, um)) / (2 * eps)
     return grad
 
 
-def random_pulse(
-    n_steps: int,
-    dt: float,
-    channels,
-    u_max: float = DEFAULT_U_MAX,
-    seed: int = 0,
-    scale: float = 0.01,
-) -> ControlPulse:
+def random_pulse(n_steps: int, n_channels: int, u_max: float, seed: int = 0,
+                 scale: float = 0.01) -> np.ndarray:
     """Small random starting pulse, uniform in +-scale*u_max."""
     rng = np.random.default_rng(seed)
-    amps = rng.uniform(-scale, scale, size=(n_steps, len(channels))) * u_max
-    return ControlPulse(dt, amps, channels, u_max)
+    return rng.uniform(-scale, scale, size=(n_steps, n_channels)) * u_max
 
 
 def grape_optimize(
     sys: SpinSystem,
     u_target: np.ndarray,
-    init: ControlPulse,
-    cfg: GrapeConfig,
+    amps: np.ndarray,
+    dt: float,
+    u_max: float,
+    max_iters: int,
+    target_fidelity: float,
+    gradient_mode: str,
+    rf_distribution,
     weak_coupling: bool = True,
 ) -> GrapeResult:
-    """Pulse engineering by box-projected L-BFGS in x = u/u_max, bounds +-1.
+    """Pulse engineering by box-projected L-BFGS in x = u/u_max, bounds +-1,
+    from the starting amplitudes amps of steps of length dt.
 
     Two-loop quasi-Newton directions (memory 10) are clipped to the box and
     halved until an Armijo test passes; with no pair stored (first step, or
@@ -292,14 +220,12 @@ def grape_optimize(
     if np.shape(u_target) != (sys.dim,) * 2:
         raise ValueError(f"u_target shape {np.shape(u_target)} is not {(sys.dim,) * 2}")
     h_int = internal_hamiltonian(sys, weak_coupling=weak_coupling)
-    names, ops = control_channels(sys)
-    if init.channels != names:
-        raise ValueError(f"pulse channels {init.channels} do not match system {names}")
-    h_ctrl = np.array(ops)
-    dist = tuple(cfg.rf_distribution)
+    names, h_ctrl = control_channels(sys)
+    if np.shape(amps)[1:] != (len(names),):
+        raise ValueError(f"pulse shape {np.shape(amps)} does not match channels {names}")
+    dist = tuple(rf_distribution)
     scales = np.array([[s] for s, _ in dist])
     slopes = np.array([w * s for s, w in dist])  # dF/du = sum_s w s F_s'(s u)
-    dt, u_max = init.dt, init.u_max
 
     def objective(amps, record=None):
         """Weighted fidelity, summed in rf_distribution order, and one step
@@ -308,13 +234,13 @@ def grape_optimize(
         return sum(w * _fidelity(u_target, u) for (_, w), u in zip(dist, record[0][-1])), record
 
     def gradient(amps, record) -> np.ndarray:
-        if cfg.gradient_mode == "exact":
+        if gradient_mode == "exact":
             return slopes @ _gradient(u_target, h_ctrl, dt, record)
         total = np.zeros_like(amps)
         for s, w in dist:
-            # ensemble members with s > 1 may overshoot the commanded cap
-            scaled = ControlPulse(dt, s * amps, names, max(1.0, abs(s)) * u_max)
-            total += w * s * _fd_gradient(u_target, h_int, ops, scaled)
+            # each member steps by h_rel of its own scaled cap
+            total += w * s * _fd_gradient(u_target, h_int, h_ctrl, s * amps, dt,
+                                          max(1.0, abs(s)) * u_max)
         return total
 
     def line_search(x, d, phi, grad):
@@ -324,7 +250,7 @@ def grape_optimize(
         t = 1.0
         for _ in range(40):
             cand = np.clip(x + t * d, -1, 1)
-            cand_amps = u_max * cand.reshape(init.amplitudes.shape)
+            cand_amps = u_max * cand.reshape(amps.shape)
             phi_new, record = objective(cand_amps, record)  # the run's one record
             evaluations += 1
             # strict increase too: clipping can turn a step's slope negative
@@ -333,17 +259,16 @@ def grape_optimize(
             t *= 0.5
         return None
 
-    amps = init.amplitudes
     x = (amps / u_max).ravel()
     phi, record = objective(amps)
     evaluations = 1
     trace = [phi]
     memory = deque(maxlen=10)  # (s, y, 1/s'y) of recent steps with s'y > 0
-    converged = phi >= cfg.target_fidelity
+    converged = phi >= target_fidelity
     message = "already at target" if converged else "max_iters reached"
     it = 0
     grad = None
-    while not converged and it < cfg.max_iters:
+    while not converged and it < max_iters:
         grad, last = u_max * gradient(amps, record).ravel(), grad  # dF/dx
         if last is not None and step @ (y := last - grad) > 0:  # concave along step
             memory.append((step, y, 1 / (step @ y)))
@@ -366,11 +291,10 @@ def grape_optimize(
         x, amps, phi = found
         trace.append(phi)
         it += 1
-        if phi >= cfg.target_fidelity:
+        if phi >= target_fidelity:
             converged = True
             message = f"target reached in {it} iterations"
-    return GrapeResult(init.with_amplitudes(amps), np.array(trace), converged, it, message,
-                       evaluations)
+    return GrapeResult(amps, np.array(trace), converged, it, message, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import pytest
 import nmrqip
 from nmrqip.channels import Channel
 from nmrqip.clifford import compose, identity, inverse, tableau, unitaries
-from nmrqip.control import (DEFAULT_U_MAX, ControlPulse, _fidelity,
-                            _phase_divided_differences, _propagators)
+from nmrqip.control import _fidelity, _phase_divided_differences, _propagators
 from nmrqip.experiments.ising import ising_hamiltonian, magnetization_operator
 from nmrqip.qop import (PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, n_qubits, pauli_matrices,
                         pauli_sum, rotation, spin_bits, tensor)
@@ -254,19 +253,16 @@ def depolarizing_for_beta(target_beta: float, n_couplings: int = 3) -> float:
     return 1 - (target_beta / 6) ** (1 / n_couplings)
 
 
-def load_pulse(path, u_max: float = DEFAULT_U_MAX) -> ControlPulse:
-    """Read back the pulse.json that save_pulse writes."""
+def load_pulse(path):
+    """(amplitudes, dt, channels) of the pulse.json a grape run writes."""
     with open(path) as fh:
         doc = json.load(fh)
-    amps = np.array(doc["steps"], dtype=float)
-    cap = max(u_max, float(np.max(np.abs(amps), initial=0.0)))
-    return ControlPulse(float(doc["dt_s"]), amps, tuple(doc["channels"]), cap)
+    return np.array(doc["steps"], dtype=float), float(doc["dt_s"]), tuple(doc["channels"])
 
 
-def grape_fidelity(u_target, h_int, control_ops, pulse: ControlPulse) -> float:
-    """Squared normalized Hilbert-Schmidt overlap of the pulse propagator."""
-    fwd, _, _, _ = _propagators(pulse.amplitudes, np.asarray(h_int, complex),
-                                np.array(control_ops), pulse.dt)
+def grape_fidelity(u_target, h_int, h_ctrl, u, dt) -> float:
+    """Squared normalized Hilbert-Schmidt overlap of the propagator of pulse u."""
+    fwd, _, _, _ = _propagators(u, np.asarray(h_int, complex), h_ctrl, dt)
     return _fidelity(u_target, fwd[-1])
 
 

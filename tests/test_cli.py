@@ -28,7 +28,7 @@ from nmrqip.cli import (_BLOCK_ROWS, _MAX_SAMPLES, DEFAULT_CONFIGS, EXPERIMENTS,
 from nmrqip.qop import average_gate_fidelity_exact
 from nmrqip.twirl import twirl_estimate_memory
 
-from conftest import child_env, write_csv_rows
+from conftest import child_env, load_pulse, write_csv_rows
 
 
 @pytest.fixture(autouse=True)
@@ -666,6 +666,20 @@ def test_grape_finite_difference_runs_at_the_amplitude_cap(tmp_path, capsys):
     assert np.max(np.abs(amps)) == 2 * math.pi * 200
 
 
+def test_grape_pulse_json_matches_pulse_csv_and_config(tmp_path, capsys):
+    doc = {"n_steps": 12, "dt_s": 3e-5, "max_iters": 2, "init_scale": 0.4}
+    out = tmp_path / "g"
+    assert run_experiment("grape", seed=3, out_dir=str(out), config_doc=doc) == 3
+    assert read_stdout_json(capsys)["duration_s"] == 12 * 3e-5
+    amps, dt, channels = load_pulse(out / "pulse.json")
+    with open(out / "pulse.csv") as fh:
+        header, *rows = csv.reader(fh)
+    assert dt == doc["dt_s"]
+    assert [f"u_{c}_rad_s" for c in channels] == header[2:]
+    assert np.array_equal(amps, np.array([row[2:] for row in rows], dtype=float))
+    assert amps.shape == (12, 4) and np.any(amps)
+
+
 @pytest.mark.parametrize("mode", ["exact", "finite-difference"])
 def test_grape_at_the_amplitude_cap_searches_past_a_failed_quasi_newton_step(
         tmp_path, capsys, mode):
@@ -726,6 +740,11 @@ def test_bool_keys_take_only_json_bools(tmp_path, capsys, name, key):
     ("certify", {"depolarizing_p": [0.1, 2.0]}, "depolarizing_p"),
     ("transfer", {"beta": 0}, "alpha and beta"),
     ("transfer", {"alpha": 0.0, "beta": 1e-300}, "alpha and beta"),
+    # a pulse's cap and step length are positive, and a search takes a step
+    ("grape", {"u_max_hz": 0}, "u_max_hz"),
+    ("grape", {"u_max_hz": -1}, "u_max_hz"),
+    ("grape", {"dt_s": 0}, "dt_s"),
+    ("grape", {"max_iters": 0}, "max_iters"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, name, doc, message):
     assert run_experiment(name, out_dir=str(tmp_path / "o"), config_doc=doc) == 2
@@ -793,6 +812,7 @@ NAN, INF = float("nan"), float("inf")
     ("twirl", {"weight_masses": {"1": NAN}}),
     ("ising", {"step_tol": NAN}),
     ("dqc1", {"theta": NAN}),
+    ("grape", {"rf_distribution": [[INF, 1.0]]}),
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, name, doc):
     out = str(tmp_path / "o")
@@ -854,6 +874,8 @@ def test_weak_limits_admit_only_what_runs(tmp_path, capsys):
     ("transfer", {"n": 3, "tau": 1e308}, "tau"),
     # a repeated length is not increasing
     ("rb", {"lengths": [1, 1]}, "lengths"),
+    # a choice outside its options
+    ("grape", {"gradient_mode": "bogus"}, "gradient_mode"),
 ])
 def test_stricter_checks_exit_2(tmp_path, capsys, name, doc, message):
     out = str(tmp_path / "o")

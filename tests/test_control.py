@@ -9,8 +9,6 @@ from scipy.special import ndtr
 
 from nmrqip.clifford import gate_tableau, unitaries
 from nmrqip.control import (
-    ControlPulse,
-    GrapeConfig,
     cnot_sequence,
     control_channels,
     default_b1_distribution,
@@ -24,17 +22,19 @@ from nmrqip.control import (
     j_evolution,
     random_pulse,
     rf_selection_retention,
-    save_pulse,
 )
 from nmrqip.qop import PAULIS, collective_rotation, embed, haar_random_unitary, rotation
 from nmrqip.spins import SpinSystem, builtin_molecule, internal_hamiltonian
 
-from conftest import (gate_fidelity_hs, grape_fidelity, load_pulse, spin_op,
-                      whole_pulse_gradient, whole_pulse_propagators)
+from conftest import (gate_fidelity_hs, grape_fidelity, spin_op, whole_pulse_gradient,
+                      whole_pulse_propagators)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+U_MAX = 2 * np.pi * 20e3  # rad/s, the cap of the pulses drawn below unless stated
+# the run settings of a plain search to F >= 0.99 at one RF scale
+EXACT = {"target_fidelity": 0.99, "gradient_mode": "exact", "rf_distribution": ((1.0, 1.0),)}
 
 
 def uncoupled_1spin():
@@ -107,47 +107,13 @@ def test_step_propagator_matches_expm(rng):
     _, ops = control_channels(sys_)
     u = rng.uniform(-1e3, 1e3, size=(3, len(ops)))
     dt = 3e-5
-    fwd, _, _, _ = _propagators(u, np.asarray(h, complex), np.array(ops), dt)
+    fwd, _, _, _ = _propagators(u, np.asarray(h, complex), ops, dt)
     want = np.eye(sys_.dim)
     assert fwd.shape == (4, sys_.dim, sys_.dim) and np.array_equal(fwd[0], want)
     for m, u_k in enumerate(u):
         h_tot = h + sum(c * op for c, op in zip(u_k, ops))
         want = expm(-1j * h_tot * dt) @ want
         assert np.allclose(fwd[m + 1], want, atol=1e-10)
-
-
-def test_control_pulse_validation():
-    with pytest.raises(ValueError, match="n_steps, n_channels"):
-        ControlPulse(1e-5, np.zeros(4), ("a.x",))
-    with pytest.raises(ValueError, match="dt"):
-        ControlPulse(0.0, np.zeros((4, 1)), ("a.x",))
-    with pytest.raises(ValueError, match="u_max"):
-        ControlPulse(1e-5, np.full((4, 1), 10.0), ("a.x",), u_max=5.0)
-    p = ControlPulse(1e-5, np.zeros((4, 2)), ("a.x", "a.y"))
-    assert p.n_steps == 4 and p.duration == pytest.approx(4e-5)
-
-
-@pytest.mark.parametrize("field, kwargs", [
-    ("amplitudes", {"amplitudes": np.array([[0.0], [np.nan]])}),
-    ("amplitudes", {"amplitudes": np.array([[0.0], [np.inf]])}),
-    ("dt", {"dt": np.nan}),
-    ("u_max", {"u_max": 0.0}),
-    ("u_max", {"u_max": np.inf}),
-    ("u_max", {"u_max": -1.0}),
-], ids=["nan-amplitude", "inf-amplitude", "nan-dt", "zero-cap", "inf-cap", "negative-cap"])
-def test_control_pulse_rejects_non_finite_fields(field, kwargs):
-    args = {"dt": 1e-5, "amplitudes": np.zeros((2, 1)), "channels": ("a.x",), **kwargs}
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        ControlPulse(**args)
-
-
-def test_save_load_pulse_roundtrip(tmp_path):
-    p = random_pulse(12, 2e-5, ("1H.x", "1H.y"), seed=3, scale=0.4)
-    f = tmp_path / "pulse.json"
-    save_pulse(p, f)
-    q = load_pulse(f, u_max=p.u_max)
-    assert q.dt == p.dt and q.channels == p.channels
-    assert np.array_equal(q.amplitudes, p.amplitudes)
 
 
 def test_control_channels_chloroform():
@@ -176,41 +142,38 @@ def test_control_channels_equal_embedded_sums(name):
 
 def test_grape_fidelity_limits():
     sys_ = uncoupled_1spin()
-    _, ops = control_channels(sys_)
+    _, h_ctrl = control_channels(sys_)
     h = internal_hamiltonian(sys_)
-    idle = ControlPulse(1e-5, np.zeros((5, 2)), ("H.x", "H.y"))
-    assert grape_fidelity(np.eye(2), h, ops, idle) == pytest.approx(1.0)
-    assert grape_fidelity(PAULIS["X"], h, ops, idle) == pytest.approx(0.0)
-    empty = ControlPulse(1e-5, np.zeros((0, 2)), ("H.x", "H.y"))
-    assert grape_fidelity(np.eye(2), h, ops, empty) == pytest.approx(1.0)
-    assert grape_gradient(np.eye(2), h, ops, empty).shape == (0, 2)
+    idle = np.zeros((5, 2))
+    assert grape_fidelity(np.eye(2), h, h_ctrl, idle, 1e-5) == pytest.approx(1.0)
+    assert grape_fidelity(PAULIS["X"], h, h_ctrl, idle, 1e-5) == pytest.approx(0.0)
+    empty = np.zeros((0, 2))
+    assert grape_fidelity(np.eye(2), h, h_ctrl, empty, 1e-5) == pytest.approx(1.0)
+    assert grape_gradient(np.eye(2), h, h_ctrl, empty, 1e-5).shape == (0, 2)
 
 
 def test_grape_gradient_matches_finite_difference(rng):
     sys_ = builtin_molecule("chloroform2")
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = np.kron(rotation("x", np.pi / 2), np.eye(2))
-    pulse = random_pulse(6, 5e-5, names, seed=17, scale=0.3)
+    pulse = random_pulse(6, len(names), U_MAX, seed=17, scale=0.3)
     # the second pulse has amplitudes on the cap, which the differences step past
-    at_cap = pulse.with_amplitudes(np.clip(5 * pulse.amplitudes, -pulse.u_max, pulse.u_max))
-    assert np.max(np.abs(at_cap.amplitudes)) == pulse.u_max
-    for p in (pulse, at_cap):
-        g = grape_gradient(target, h, ops, p)
-        g_fd = _fd_gradient(target, h, ops, p)
+    at_cap = np.clip(5 * pulse, -U_MAX, U_MAX)
+    assert np.max(np.abs(at_cap)) == U_MAX
+    for u in (pulse, at_cap):
+        g = grape_gradient(target, h, h_ctrl, u, 5e-5)
+        g_fd = _fd_gradient(target, h, h_ctrl, u, 5e-5, U_MAX)
         assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) < 1e-6
 
 
-def _reference_gradient(u_target, h_int, control_ops, pulse):
+def _reference_gradient(u_target, h_int, h_ctrl, u, dt):
     """Gradient through the full (steps, channels, d, d) propagator derivative.
 
     The straightforward form of the eigenbasis derivative, kept as the oracle
     for the contracted form in ``grape_gradient``.
     """
-    u = pulse.amplitudes
     n_steps, n_ch = u.shape
-    dt = pulse.dt
-    h_ctrl = np.array(control_ops)
     d = u_target.shape[0]
     # each step's Hamiltonian diagonalized on its own, not through _propagators
     steps = [np.linalg.eigh(h_int + sum(u[m, k] * h_ctrl[k] for k in range(n_ch)))
@@ -247,11 +210,11 @@ def _reference_gradient(u_target, h_int, control_ops, pulse):
 def test_grape_gradient_matches_reference(molecule, rng):
     sys_ = builtin_molecule(molecule)
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = haar_random_unitary(sys_.dim, rng)
-    pulse = random_pulse(15, 2e-5, names, seed=23, scale=0.3)
-    g = grape_gradient(target, h, ops, pulse)
-    ref = _reference_gradient(target, h, ops, pulse)
+    pulse = random_pulse(15, len(names), U_MAX, seed=23, scale=0.3)
+    g = grape_gradient(target, h, h_ctrl, pulse, 2e-5)
+    ref = _reference_gradient(target, h, h_ctrl, pulse, 2e-5)
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
 
 
@@ -260,20 +223,19 @@ def test_grape_gradient_matches_reference_over_a_long_pulse():
     # over 400 steps that must not drift from the stored backward chain
     sys_ = builtin_molecule("malonate3")
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = unitaries(gate_tableau("CNOT", (1, 2), 3))
-    pulse = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.3)
-    g = grape_gradient(target, h, ops, pulse)
-    ref = _reference_gradient(target, h, ops, pulse)
+    pulse = random_pulse(400, len(names), 2 * np.pi * 1e4, seed=1, scale=0.3)
+    g = grape_gradient(target, h, h_ctrl, pulse, 2e-5)
+    ref = _reference_gradient(target, h, h_ctrl, pulse, 2e-5)
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
     # at the module's chunk budget the steps go in several chunks, and the
     # record and gradient equal the whole-pulse oracle's bit for bit
-    h_ctrl = np.array(ops)
     assert len(_step_chunks((400,), sys_.dim)) > 1
-    record = _propagators(pulse.amplitudes, np.asarray(h, complex), h_ctrl, pulse.dt)
-    oracle = whole_pulse_propagators(pulse.amplitudes, np.asarray(h, complex), h_ctrl, pulse.dt)
+    record = _propagators(pulse, np.asarray(h, complex), h_ctrl, 2e-5)
+    oracle = whole_pulse_propagators(pulse, np.asarray(h, complex), h_ctrl, 2e-5)
     assert all(np.array_equal(a, b) for a, b in zip(record, oracle))
-    assert np.array_equal(g, whole_pulse_gradient(target, h_ctrl, pulse.dt, oracle))
+    assert np.array_equal(g, whole_pulse_gradient(target, h_ctrl, 2e-5, oracle))
 
 
 @pytest.mark.parametrize("molecule", ["chloroform2", "malonate3", "crotonic4", "chain7"])
@@ -288,11 +250,11 @@ def test_chunked_record_and_gradient_equal_whole_pulse(molecule, n_scales, n_ste
 
     sys_ = builtin_molecule(molecule)
     h = np.asarray(internal_hamiltonian(sys_), complex)
-    _, ops = control_channels(sys_)
-    h_ctrl, d = np.array(ops), sys_.dim
+    _, h_ctrl = control_channels(sys_)
+    d = sys_.dim
     monkeypatch.setattr(control, "_STEP_CHUNK_BYTES", 4 * 16 * d * d * n_scales)
     scales = np.array([[1.0], [0.9], [1.1]])[:n_scales]
-    u = rng.uniform(-4e4, 4e4, size=(n_steps, 1, len(ops))) * scales
+    u = rng.uniform(-4e4, 4e4, size=(n_steps, 1, len(h_ctrl))) * scales
     assert [c.stop - c.start for c in _step_chunks(u.shape[:-1], d)] == chunks
     record = _propagators(u, h, h_ctrl, 2e-5)
     oracle = whole_pulse_propagators(u, h, h_ctrl, 2e-5)
@@ -300,7 +262,7 @@ def test_chunked_record_and_gradient_equal_whole_pulse(molecule, n_scales, n_ste
     assert all(np.array_equal(a, b) for a, b in zip(record, oracle))
     target = haar_random_unitary(d, rng)
     g = _gradient(target, h_ctrl, 2e-5, record)
-    assert g.shape == (n_steps, n_scales, len(ops))
+    assert g.shape == (n_steps, n_scales, len(h_ctrl))
     assert np.array_equal(g, whole_pulse_gradient(target, h_ctrl, 2e-5, oracle))
 
 
@@ -309,17 +271,17 @@ def test_ensemble_gradient_is_weighted_sum_of_references(rng):
     # gradient; their weighted sum is the ensemble objective's gradient
     sys_ = builtin_molecule("chloroform2")
     h = np.asarray(internal_hamiltonian(sys_), complex)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = haar_random_unitary(sys_.dim, rng)
-    pulse = random_pulse(20, 5e-5, names, seed=31, scale=0.3)
+    pulse = random_pulse(20, len(names), U_MAX, seed=31, scale=0.3)
     dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
     scales = np.array([[s] for s, _ in dist])
-    record = _propagators(pulse.amplitudes[:, None, :] * scales, h, np.array(ops), pulse.dt)
-    g = _gradient(target, np.array(ops), pulse.dt, record)
-    assert g.shape == (20, 3, len(ops))
+    record = _propagators(pulse[:, None, :] * scales, h, h_ctrl, 5e-5)
+    g = _gradient(target, h_ctrl, 5e-5, record)
+    assert g.shape == (20, 3, len(names))
     got = np.array([w * s for s, w in dist]) @ g
-    want = sum(w * s * _reference_gradient(target, h, ops, ControlPulse(
-        pulse.dt, s * pulse.amplitudes, names, s * pulse.u_max)) for s, w in dist)
+    want = sum(w * s * _reference_gradient(target, h, h_ctrl, s * pulse, 5e-5)
+               for s, w in dist)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
 
@@ -328,18 +290,17 @@ def test_grape_gradient_degenerate_spectrum():
     # the divided difference is the derivative -i dt exp(-i lam dt)
     sys_ = uncoupled_1spin()
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
-    pulse = ControlPulse(1e-5, np.zeros((4, 2)), names)
-    fwd, lam, _, _ = _propagators(pulse.amplitudes, np.asarray(h, complex),
-                                  np.array(ops), pulse.dt)
+    _, h_ctrl = control_channels(sys_)
+    pulse = np.zeros((4, 2))
+    fwd, lam, _, _ = _propagators(pulse, np.asarray(h, complex), h_ctrl, 1e-5)
     assert np.all(np.abs(lam[:, 0] - lam[:, 1]) < 1e-12)
     assert np.allclose(fwd, np.eye(2), atol=1e-12)  # H_int = 0, so every step is I
     target = rotation("x", np.pi / 2)
-    g = grape_gradient(target, h, ops, pulse)
-    ref = _reference_gradient(target, h, ops, pulse)
+    g = grape_gradient(target, h, h_ctrl, pulse, 1e-5)
+    ref = _reference_gradient(target, h, h_ctrl, pulse, 1e-5)
     assert np.linalg.norm(ref) > 0
     assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 1e-12
-    g_fd = _fd_gradient(target, h, ops, pulse)
+    g_fd = _fd_gradient(target, h, h_ctrl, pulse, 1e-5, U_MAX)
     assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) < 1e-6
 
 
@@ -366,11 +327,11 @@ def test_phase_divided_differences_near_degeneracy(gap):
 def test_grape_gradient_seven_spins_matches_finite_difference(rng):
     sys_ = builtin_molecule("chain7")
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = haar_random_unitary(sys_.dim, rng)
-    pulse = random_pulse(3, 2e-5, names, seed=29, scale=0.3)
-    g = grape_gradient(target, h, ops, pulse)
-    g_fd = _fd_gradient(target, h, ops, pulse)
+    pulse = random_pulse(3, len(names), U_MAX, seed=29, scale=0.3)
+    g = grape_gradient(target, h, h_ctrl, pulse, 2e-5)
+    g_fd = _fd_gradient(target, h, h_ctrl, pulse, 2e-5, U_MAX)
     assert np.linalg.norm(g - g_fd) / np.linalg.norm(g) <= 1e-6
 
 
@@ -381,28 +342,26 @@ def test_grape_optimize_fidelity_is_public_fidelity_of_result(dist):
     # with the public fidelity of each RF-scaled copy
     sys_ = builtin_molecule("chloroform2")
     h = internal_hamiltonian(sys_)
-    names, ops = control_channels(sys_)
+    names, h_ctrl = control_channels(sys_)
     target = np.kron(rotation("x", np.pi / 2), np.eye(2))
-    init = random_pulse(10, 5e-5, names, seed=17, scale=0.1)
-    res = grape_optimize(sys_, target, init, GrapeConfig(max_iters=5, rf_distribution=dist))
+    init = random_pulse(10, len(names), U_MAX, seed=17, scale=0.1)
+    res = grape_optimize(sys_, target, init, 5e-5, U_MAX, 5, 0.99, "exact", dist)
     assert res.iterations > 0
-    p = res.pulse
-    want = sum(w * grape_fidelity(target, h, ops, ControlPulse(
-        p.dt, s * p.amplitudes, p.channels, max(1.0, s) * p.u_max)) for s, w in dist)
+    want = sum(w * grape_fidelity(target, h, h_ctrl, s * res.amplitudes, 5e-5)
+               for s, w in dist)
     assert res.fidelity == want
 
 
 def test_grape_optimize_clips_to_the_pulse_cap():
-    # a cap below DEFAULT_U_MAX: every candidate is clipped to the pulse's own
-    # cap, so the run neither raises nor leaves it
+    # a low cap: every candidate is clipped to it, so the run neither raises
+    # nor leaves it
     sys_ = builtin_molecule("chloroform2")
     names, _ = control_channels(sys_)
     u_max = 2 * np.pi * 1e3
-    init = random_pulse(50, 2e-5, names, u_max=u_max, seed=1, scale=0.5)
-    res = grape_optimize(sys_, CNOT, init,
-                         GrapeConfig(max_iters=50))
-    assert res.iterations > 0 and res.pulse.u_max == u_max
-    assert np.max(np.abs(res.pulse.amplitudes)) == u_max
+    init = random_pulse(50, len(names), u_max, seed=1, scale=0.5)
+    res = grape_optimize(sys_, CNOT, init, 2e-5, u_max, 50, **EXACT)
+    assert res.iterations > 0
+    assert np.max(np.abs(res.amplitudes)) == u_max
 
 
 def test_grape_finite_difference_mode_uses_rf_distribution():
@@ -412,14 +371,13 @@ def test_grape_finite_difference_mode_uses_rf_distribution():
     sys_ = builtin_molecule("chloroform2")
     names, _ = control_channels(sys_)
     target = np.kron(rotation("x", np.pi / 2), np.eye(2))
-    init = random_pulse(6, 5e-5, names, seed=17, scale=0.01)
+    init = random_pulse(6, len(names), U_MAX, seed=17, scale=0.01)
     dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
     updates = {}
     for mode in ("exact", "finite-difference"):
-        cfg = GrapeConfig(max_iters=1, gradient_mode=mode, rf_distribution=dist)
-        res = grape_optimize(sys_, target, init, cfg)
+        res = grape_optimize(sys_, target, init, 5e-5, U_MAX, 1, 0.99, mode, dist)
         assert res.iterations == 1
-        updates[mode] = res.pulse.amplitudes - init.amplitudes
+        updates[mode] = res.amplitudes - init
     exact, fd = updates["exact"], updates["finite-difference"]
     assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) <= 1e-6
 
@@ -429,69 +387,52 @@ def test_grape_stall_rule_is_in_units_of_the_cap():
     # but |dF/dx| = |dF/du| u_max ~ 1e-9: not a stall
     sys_ = builtin_molecule("chain7")
     names, _ = control_channels(sys_)
-    init = random_pulse(50, 2e-5, names, u_max=2 * np.pi * 1e4, seed=0)
-    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 7)), init,
-                         GrapeConfig(max_iters=1))
+    u_max = 2 * np.pi * 1e4
+    init = random_pulse(50, len(names), u_max, seed=0)
+    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 7)), init, 2e-5, u_max,
+                         1, **EXACT)
     assert res.iterations >= 1, res.message
 
 
 def test_grape_malonate3_cnot_reaches_target_within_70_iterations():
     sys_ = builtin_molecule("malonate3")
     names, _ = control_channels(sys_)
-    init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
-    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 3)), init,
-                         GrapeConfig(max_iters=300))
+    u_max = 2 * np.pi * 1e4
+    init = random_pulse(400, len(names), u_max, seed=1, scale=0.001)
+    res = grape_optimize(sys_, unitaries(gate_tableau("CNOT", (1, 2), 3)), init, 2e-5, u_max,
+                         300, **EXACT)
     assert res.converged and res.fidelity >= 0.99
     assert res.iterations <= 70 and res.evaluations >= res.iterations + 1
     assert np.all(np.diff(res.fidelities) >= 0)
-    assert np.max(np.abs(res.pulse.amplitudes)) <= init.u_max
+    assert np.max(np.abs(res.amplitudes)) <= u_max
 
 
 def test_grape_optimize_one_spin_pi_pulse():
     sys_ = uncoupled_1spin()
     names, _ = control_channels(sys_)
-    init = random_pulse(20, 1e-5, names, seed=5)
-    cfg = GrapeConfig(max_iters=300, target_fidelity=0.999)
-    res = grape_optimize(sys_, rotation("x", np.pi), init, cfg)
+    init = random_pulse(20, len(names), U_MAX, seed=5)
+    res = grape_optimize(sys_, rotation("x", np.pi), init, 1e-5, U_MAX, 300, 0.999, "exact",
+                         ((1.0, 1.0),))
     assert res.converged and res.fidelity >= 0.999
     assert np.all(np.diff(res.fidelities) >= -1e-12)
-    assert np.max(np.abs(res.pulse.amplitudes)) <= init.u_max * (1 + 1e-12)
+    assert np.max(np.abs(res.amplitudes)) <= U_MAX * (1 + 1e-12)
 
 
 def test_grape_optimize_rf_weighted():
     sys_ = uncoupled_1spin()
     names, _ = control_channels(sys_)
-    init = random_pulse(20, 1e-5, names, seed=5)
-    cfg = GrapeConfig(max_iters=400, target_fidelity=0.99,
-                      rf_distribution=((0.95, 0.5), (1.05, 0.5)))
-    res = grape_optimize(sys_, rotation("x", np.pi), init, cfg)
+    init = random_pulse(20, len(names), U_MAX, seed=5)
+    res = grape_optimize(sys_, rotation("x", np.pi), init, 1e-5, U_MAX, 400, 0.99, "exact",
+                         ((0.95, 0.5), (1.05, 0.5)))
     assert res.converged
-    with pytest.raises(ValueError, match="sum to 1"):
-        GrapeConfig(rf_distribution=((0.9, 0.7), (1.1, 0.7)))
-    with pytest.raises(ValueError, match="gradient_mode"):
-        GrapeConfig(gradient_mode="bogus")
-
-
-@pytest.mark.parametrize("field, kwargs", [
-    ("max_iters", {"max_iters": -1}),
-    ("rf_distribution scales", {"rf_distribution": ((np.nan, 1.0),)}),
-    ("rf_distribution scales", {"rf_distribution": ((np.inf, 1.0),)}),
-    ("rf_distribution scales", {"rf_distribution": ((0.0, 1.0),)}),
-    ("rf_distribution weights", {"rf_distribution": ((1.5, 1.5), (1.0, -0.5))}),
-    ("rf_distribution weights", {"rf_distribution": ((1.0, np.nan),)}),
-], ids=["negative-iters", "nan-scale", "inf-scale", "zero-scale", "negative-weight",
-        "nan-weight"])
-def test_grape_config_rejects_bad_values(field, kwargs):
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        GrapeConfig(**kwargs)
 
 
 def test_grape_optimize_rejects_target_of_wrong_shape():
     sys_ = builtin_molecule("chloroform2")
     names, _ = control_channels(sys_)
-    init = random_pulse(4, 1e-5, names)
+    init = random_pulse(4, len(names), U_MAX)
     with pytest.raises(ValueError, match=r"\(8, 8\).*\(4, 4\)"):
-        grape_optimize(sys_, np.eye(8), init, GrapeConfig())
+        grape_optimize(sys_, np.eye(8), init, 1e-5, U_MAX, 2000, **EXACT)
 
 
 def test_grape_optimize_makes_one_eigh_per_chunk_per_evaluation(monkeypatch):
@@ -509,9 +450,9 @@ def test_grape_optimize_makes_one_eigh_per_chunk_per_evaluation(monkeypatch):
     monkeypatch.setattr(control, "_STEP_CHUNK_BYTES", 8 * 16 * 4 * 4 * 3)  # 8 steps x 3 scales
     sys_ = builtin_molecule("chloroform2")
     names, _ = control_channels(sys_)
-    init = random_pulse(30, 5e-5, names, seed=17, scale=0.1)
+    init = random_pulse(30, len(names), U_MAX, seed=17, scale=0.1)
     dist = ((0.9, 0.3), (1.0, 0.4), (1.1, 0.3))
-    res = grape_optimize(sys_, CNOT, init, GrapeConfig(max_iters=8, rf_distribution=dist))
+    res = grape_optimize(sys_, CNOT, init, 5e-5, U_MAX, 8, 0.99, "exact", dist)
     assert res.iterations > 0
     assert len(calls) == 3 * res.evaluations  # 30 steps as 3 chunks of 10
     assert set(calls) == {(10, 3, 4, 4)}
@@ -522,11 +463,12 @@ def test_grape_optimize_holds_one_step_record():
     # temporaries; whole-pulse temporaries and a second record took 2.9 MB
     sys_ = builtin_molecule("malonate3")
     names, _ = control_channels(sys_)
-    init = random_pulse(400, 2e-5, names, u_max=2 * np.pi * 1e4, seed=1, scale=0.001)
+    u_max = 2 * np.pi * 1e4
+    init = random_pulse(400, len(names), u_max, seed=1, scale=0.001)
     target = unitaries(gate_tableau("CNOT", (1, 2), 3))
     tracemalloc.start()
     try:
-        res = grape_optimize(sys_, target, init, GrapeConfig(max_iters=4))
+        res = grape_optimize(sys_, target, init, 2e-5, u_max, 4, **EXACT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -536,9 +478,9 @@ def test_grape_optimize_holds_one_step_record():
 
 def test_grape_channel_mismatch_raises():
     sys_ = builtin_molecule("chloroform2")
-    init = random_pulse(4, 1e-5, ("wrong.x", "wrong.y"))
+    init = random_pulse(4, 2, U_MAX)  # chloroform2 has four channels
     with pytest.raises(ValueError, match="channels"):
-        grape_optimize(sys_, np.eye(4), init, GrapeConfig())
+        grape_optimize(sys_, np.eye(4), init, 1e-5, U_MAX, 2000, **EXACT)
 
 
 def test_rf_selection_retention_fixture():

@@ -90,6 +90,7 @@ def test_csv_digests_lists_every_run_at_one_seed():
             for job in make() if _accepted(job.experiment, job.config)}
     extra = {"grape-chain7-chunks": {"fidelity_trace.csv", "pulse.csv"},
              "grape-fd-at-cap": {"fidelity_trace.csv", "pulse.csv"},
+             "grape-fd-ensemble-over-cap": {"fidelity_trace.csv", "pulse.csv"},
              "certify-n4": {"certify.csv"},
              "contextuality-meter-noise": {"contextuality.csv"},
              "rb-rotations-n1": {"survivals.csv", "fit.csv"},
