@@ -39,9 +39,10 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # largest n, the meter's Pauli noise, RB's single-qubit rotations sampler, twirl
 # at n = 7 with many distinct Paulis, an Ising scan of 10^4 field points, an
 # xxz scan at n = 7 without the crossing, one with the schema's 256 restarts,
-# noiseless RB, the relay's entangling mode, the phase-flip code, and
+# noiseless RB, the relay's entangling mode, the phase-flip code,
 # malonate3's spectrum and GRAPE at full coupling, which has a heteronuclear
-# pair (ZZ alone) and a homonuclear one (flip-flops kept).
+# pair (ZZ alone) and a homonuclear one (flip-flops kept), and chain7's
+# spectrum at full coupling, the dense FID path at d = 128.
 EXTRA_RUNS = [
     ("grape-chain7-chunks", "grape", {"molecule": "chain7", "n_steps": 24, "max_iters": 2}),
     ("grape-fd-at-cap", "grape",
@@ -66,6 +67,8 @@ EXTRA_RUNS = [
     ("spectrum-malonate3-full", "spectrum", {"molecule": "malonate3", "weak_coupling": False}),
     ("grape-malonate3-full", "grape",
      {"molecule": "malonate3", "n_steps": 20, "max_iters": 3, "weak_coupling": False}),
+    ("spectrum-chain7-full", "spectrum",
+     {"molecule": "chain7", "weak_coupling": False, "n_samples": 256}),
 ]
 
 

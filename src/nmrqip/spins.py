@@ -162,7 +162,9 @@ def make_pps(n: int, epsilon: float) -> np.ndarray:
     return rho
 
 
-# Byte budget for one time block's phase and product temporaries in simulate_fid.
+# Byte budget for one time block of simulate_fid, at 32 bytes a sample per eigenvalue
+# and per counted amplitude: n d when dense, where one spin's d are held at a time, so
+# with room to spare.  The block lengths fix the FID's bytes: keep the formula as it is.
 _FID_BLOCK_BYTES = 4 << 20
 _FID_DENSE_SHARE = 1 / 32  # where the two FID paths cross over at n = 4..7
 
@@ -188,7 +190,8 @@ def simulate_fid(
     phases ph = e^(-i w t).  If at most `_FID_DENSE_SHARE` of the n 4^n
     amplitudes are nonzero (weak form: 2^n / 2 lines per spin), those are kept
     as arrays (i, a, b, A) and spin i sums A ph[a] conj(ph[b]); a larger share
-    (full coupling) stays n dense 2^n x 2^n matrices times conj(ph) (BLAS).
+    (full coupling) stays n dense 2^n x 2^n matrices, each times conj(ph) in
+    turn (BLAS), so one spin's products are held at a time.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -225,7 +228,8 @@ def simulate_fid(
         np.cos(x, out=ph.real)
         np.negative(np.sin(x, out=ph.imag), out=ph.imag)
         if dense:
-            per_spin = np.einsum("iat,at->it", amps @ ph.conj(), ph)
+            phc = ph.conj()
+            per_spin = np.stack([np.einsum("at,at->t", amp @ phc, ph) for amp in amps])
         else:
             terms = ph[a]
             terms *= ph.conj()[b]

@@ -123,7 +123,7 @@ def test_cli_loads_only_the_experiment_layers(tmp_path):
                                      "target_qubit": 1}))
     bare_argvs = [["--help"], ["xxz", "--list"], ["xxz", "--config", str(cfg)],
                   ["grape", "--config", str(grape_cfg)], ["twirl", "--seed", "abc"],
-                  ["repro", "--bogus"]]
+                  ["repro", "--bogus"], ["repro", "--seed", "-1"]]
     molecule = ["data", "data.molecules", "qop", "spins"]
     twirl = ["channels", "clifford", "qop", "twirl"]
     jobs = [
@@ -167,7 +167,7 @@ print(json.dumps(report))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     bare = ["nmrqip", "nmrqip.cli"]
-    assert json.loads(out) == ([[code, bare] for code in (0, 0, 2, 2, 2, 2)]
+    assert json.loads(out) == ([[code, bare] for code in (0, 0, 2, 2, 2, 2, 2)]
                                + [[code, sorted(["nmrqip.cli"] + [f"nmrqip.{m}" for m in mods])]
                                   for _, _, code, mods in jobs])
 
@@ -245,7 +245,9 @@ def test_manifest_versions_without_scipy_installed(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["twirl", "--seed", "abc"], ["twirl", "--bogus"],
-                                  ["twirl", "--shots", "1.5"], ["repro", "--bogus"]])
+                                  ["twirl", "--shots", "1.5"], ["repro", "--bogus"],
+                                  ["repro", "--seed", "-1"],
+                                  ["repro", "--seed", "18446744073709551615"]])
 def test_usage_error_prints_one_json_line(argv):
     env = child_env()
     res = subprocess.run([sys.executable, "-m", "nmrqip.cli", *argv], env=env,
@@ -1091,6 +1093,22 @@ def test_repro_rejects_unknown_criterion(capsys):
     assert doc["valid"] == list(acceptance.CRITERIA)
 
 
+def test_repro_takes_base_seeds_up_to_the_largest_offset_below_2_64(capsys):
+    # the largest literal a criterion adds to the base seed is 1200 (loop
+    # indices add at most 19 to smaller ones); the two criteria that add the
+    # most (xxz-ge, determinism's reruns) pass at the top seed, and one more is refused
+    tree = ast.parse(Path(acceptance.__file__).read_text())
+    offsets = [node.right.value for node in ast.walk(tree)
+               if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Name)
+               and node.left.id == "base_seed" and isinstance(node.right, ast.Constant)]
+    top = 2**64 - 1 - max(offsets)
+    assert max(offsets) == 1200
+    assert main(["repro", "--only", "xxz-ge", "--only", "determinism", "--seed", str(top)]) == 0
+    assert "2/2 criteria passed" in capsys.readouterr().out
+    assert main(["repro", "--only", "xxz-ge", "--seed", str(top + 1)]) == 2
+    assert read_stdout_json(capsys)["error"] == f"seed {top + 1} is not in 0..{top}"
+
+
 def test_repro_single_criterion_writes_csv(tmp_path, capsys):
     out = tmp_path / "repro_out"
     assert main(["repro", "--only", "rf-selection", "--out", str(out)]) == 0
@@ -1146,6 +1164,34 @@ def test_write_csv_matches_the_row_writer_across_blocks(tmp_path, rng):
     write_csv(tmp_path / "a.csv", list("abcd"), cols)
     write_csv_rows(tmp_path / "b.csv", list("abcd"), list(zip(*cols)))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_block_of_text(tmp_path, rng):
+    # 0.35 MiB traced for 2^16 rows of four floats (5.42 MiB at 2^14 rows a block)
+    cols = [rng.standard_normal(1 << 16) for _ in range(4)]
+    assert _traced_peak_mib(lambda: write_csv(tmp_path / "t.csv", list("abcd"), cols)) < 1
+
+
+@pytest.mark.parametrize("config, bound_mib", [
+    # 4.73 MiB traced: the run's arrays and one block of temporaries (7.89 MiB
+    # with the power column converted through a full-length list)
+    ({"n_samples": 1 << 16}, 6),
+    # 1.83 MiB: the dense FID products one spin at a time (2.93 MiB all at once)
+    ({"molecule": "crotonic4", "state": "thermal", "weak_coupling": False,
+      "n_samples": 8192}, 2.4),
+])
+def test_spectrum_runner_memory(config, bound_mib):
+    cfg = _resolve("spectrum", config)
+    assert _traced_peak_mib(lambda: EXPERIMENTS["spectrum"](cfg, 0, None)) < bound_mib
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

@@ -102,7 +102,8 @@ def test_csv_digests_lists_every_run_at_one_seed():
              "transfer-entangle": {"transfer.csv"},
              "qec-phase-flip": {"qec.csv", "transversal.csv"},
              "spectrum-malonate3-full": {"fid.csv", "spectrum.csv"},
-             "grape-malonate3-full": {"fidelity_trace.csv", "pulse.csv"}}
+             "grape-malonate3-full": {"fidelity_trace.csv", "pulse.csv"},
+             "spectrum-chain7-full": {"fid.csv", "spectrum.csv"}}
     assert [label for label, _, _ in script.EXTRA_RUNS] == list(extra)
     assert {f[0] for f in fields} == set(DEFAULT_CONFIGS) | jobs | set(extra) | {"repro"}
     for label, files in extra.items():
